@@ -10,7 +10,6 @@ reproduce the printed forms so the harness can falsify them.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -34,6 +33,7 @@ __all__ = [
     "eval_harmonic_bound",
     "eval_factorial_bound",
     "eval_bernoulli_fraction_bound",
+    "bernoulli_fraction_bound",
     "compare_families",
     "FamilyComparison",
     "PairOrdering",
@@ -238,25 +238,33 @@ def eval_factorial_bound(
         return BoundPair(float(mp.exp(lo)), float(mp.exp(hi)), family, float(n))
 
 
-def eval_bernoulli_fraction_bound(
-    x, family: BoundFamily = BoundFamily(FamilyId.BERNOULLI_FRACTION)
-) -> BoundPair:
-    """Bracket of x/(e^x - 1).
+def bernoulli_fraction_bound(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFIG):
+    """(lower, upper) of x/(e^x - 1) at working precision.
 
     BernoulliFraction: e^{-x/2} - x^2/(24 e^{x/2}) <= x/(e^x-1)
                                  <= e^{-x/2} - x^2/(24 e^{3x/2})
     BernoulliClassic:  e^{-x} < x/(e^x-1) < e^{-x/2}
     """
-    require_positive("x", x)
-    if family.id is FamilyId.BERNOULLI_CLASSIC:
-        return BoundPair(math.exp(-x), math.exp(-x / 2), family, float(x))
-    if family.id is not FamilyId.BERNOULLI_FRACTION:
+    if family.id not in (FamilyId.BERNOULLI_FRACTION, FamilyId.BERNOULLI_CLASSIC):
         raise ParameterError(f"{family.id.value} is not a Bernoulli-fraction family")
-    with mp.workdps(DEFAULT_CONFIG.dps):
+    require_positive("x", x)
+    with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
+        if family.id is FamilyId.BERNOULLI_CLASSIC:
+            return mp.exp(-xm), mp.exp(-xm / 2)
         lo = mp.exp(-xm / 2) - xm ** 2 / (24 * mp.exp(xm / 2))
         hi = mp.exp(-xm / 2) - xm ** 2 / (24 * mp.exp(3 * xm / 2))
-        return BoundPair(float(lo), float(hi), family, float(x))
+        return lo, hi
+
+
+def eval_bernoulli_fraction_bound(
+    x,
+    family: BoundFamily = BoundFamily(FamilyId.BERNOULLI_FRACTION),
+    cfg: PrecisionConfig = DEFAULT_CONFIG,
+) -> BoundPair:
+    """Bracket of x/(e^x - 1); see bernoulli_fraction_bound."""
+    lo, hi = bernoulli_fraction_bound(family, x, cfg)
+    return BoundPair(float(lo), float(hi), family, float(x))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .config import DEFAULT_CONFIG, DomainError, NumericalError, ParameterError, PrecisionConfig
-from . import bounds, harness
+from . import bounds, harness, monotone
 
 __all__ = ["main", "build_parser"]
 
@@ -96,7 +96,7 @@ def _cmd_verify(args, cfg: PrecisionConfig) -> int:
 
 
 def _cmd_lambda_star(args, cfg: PrecisionConfig) -> int:
-    res = harness.solve_lambda_star_cmd(args.tol, cfg)
+    res = monotone.lambda_star(args.tol, cfg)
     print(f"lambda_star = {res.lambda_star:.12f}")
     print(f"bracket     = [{res.bracket[0]:.12f}, {res.bracket[1]:.12f}]")
     print(f"t_star      = {res.t_star:.6f}")
@@ -113,16 +113,22 @@ def _cmd_compare(args, cfg: PrecisionConfig) -> int:
     return 0
 
 
+def _integer_n(fam_id: bounds.FamilyId, x: float) -> int:
+    if not x.is_integer():
+        raise ParameterError(f"{fam_id.value} needs an integer n, got --x {x:g}")
+    return int(x)
+
+
 def _cmd_eval(args, cfg: PrecisionConfig) -> int:
     fam_id = bounds.FamilyId(args.family)
     family = bounds.BoundFamily(fam_id, lam=args.lam)
     if fam_id in (bounds.FamilyId.HARMONIC_LOW, bounds.FamilyId.HARMONIC_HIGH):
-        pair = bounds.eval_harmonic_bound(family, int(args.x), cfg)
+        pair = bounds.eval_harmonic_bound(family, _integer_n(fam_id, args.x), cfg)
     elif fam_id in (bounds.FamilyId.FACTORIAL_LOW, bounds.FamilyId.FACTORIAL_HIGH,
                     bounds.FamilyId.FACTORIAL_AS_PRINTED):
-        pair = bounds.eval_factorial_bound(family, int(args.x), cfg)
+        pair = bounds.eval_factorial_bound(family, _integer_n(fam_id, args.x), cfg)
     elif fam_id in (bounds.FamilyId.BERNOULLI_FRACTION, bounds.FamilyId.BERNOULLI_CLASSIC):
-        pair = bounds.eval_bernoulli_fraction_bound(args.x, family)
+        pair = bounds.eval_bernoulli_fraction_bound(args.x, family, cfg)
     else:
         pair = bounds.eval_gamma_bound(family, args.x, cfg)
     print(f"family = {fam_id.value}, x = {args.x:g}")

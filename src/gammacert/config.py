@@ -7,6 +7,7 @@ comparisons can be made interval-safely instead of on bare floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from mpmath import mp
@@ -14,6 +15,11 @@ from mpmath import mp
 # Extra decimal digits of mpmath working precision beyond what is quoted
 # in error bounds; absorbs rounding in the elementary-function calls.
 GUARD_DIGITS = 10
+
+
+VERIFIED = "verified"
+FALSIFIED = "falsified"
+INDETERMINATE = "indeterminate"
 
 
 class DomainError(ValueError):
@@ -105,3 +111,40 @@ class SpecialValue:
 def require_positive(name: str, x) -> None:
     if not x > 0:
         raise DomainError(f"{name} must be positive, got {x!r}")
+
+
+class Sweep:
+    """Turns interval-safe margins over a set of check points into a verdict.
+
+    Each point contributes a margin (>= 0 means the claim holds there) and
+    the error bound of that margin.  "verified" needs every margin to clear
+    its bound, "falsified" needs some margin below minus its bound, and
+    anything in between is "indeterminate".
+    """
+
+    def __init__(self) -> None:
+        self.min_margin = math.inf
+        self.argmin = 0.0
+        self.all_clear = True
+        self.any_falsifying = False
+
+    def add(self, at, margin: float, err: float, allow_equality: bool = False) -> None:
+        """Record one margin; `at` labels the point reported as argmin."""
+        if margin < self.min_margin:
+            self.min_margin = margin
+            self.argmin = at
+        ok = margin >= -err if allow_equality else margin > err
+        if not ok:
+            self.all_clear = False
+        if margin < -err:
+            self.any_falsifying = True
+
+    def result(self):
+        """(min_margin, argmin, verdict) of the margins added so far."""
+        if self.all_clear:
+            verdict = VERIFIED
+        elif self.any_falsifying:
+            verdict = FALSIFIED
+        else:
+            verdict = INDETERMINATE
+        return self.min_margin, self.argmin, verdict

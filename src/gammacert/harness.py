@@ -15,12 +15,14 @@ import io
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from mpmath import mp
 
-from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig
+from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, Sweep
+from .config import FALSIFIED, INDETERMINATE, VERIFIED
 from . import bounds, monotone, specfun
 from .bounds import BoundFamily, FamilyId
 
@@ -31,17 +33,12 @@ __all__ = [
     "REGISTRY",
     "SUITE_IDS",
     "run_suite",
-    "solve_lambda_star_cmd",
     "emit_report",
     "render_reports",
     "parse_reports",
     "exit_code",
     "claims_for_suite",
 ]
-
-VERIFIED = "verified"
-FALSIFIED = "falsified"
-INDETERMINATE = "indeterminate"
 
 # float-accumulation allowance for the n = 1..10^6 harmonic sweeps
 # (Kahan-compensated sum keeps the true error orders of magnitude lower)
@@ -95,33 +92,6 @@ class Claim:
     grid_overridable: bool = False
 
 
-class _Sweep:
-    """Accumulates interval-safe margins over a sweep of check points."""
-
-    def __init__(self) -> None:
-        self.min_margin = math.inf
-        self.argmin = 0.0
-        self.all_clear = True
-        self.any_falsifying = False
-
-    def add(self, x: float, margin: float, err: float, allow_equality: bool = False) -> None:
-        if margin < self.min_margin:
-            self.min_margin = margin
-            self.argmin = x
-        ok = margin >= -err if allow_equality else margin > err
-        if not ok:
-            self.all_clear = False
-        if margin < -err:
-            self.any_falsifying = True
-
-    def result(self):
-        if self.all_clear:
-            return self.min_margin, self.argmin, VERIFIED
-        if self.any_falsifying:
-            return self.min_margin, self.argmin, FALSIFIED
-        return self.min_margin, self.argmin, INDETERMINATE
-
-
 # --- Theorem 2.1 -----------------------------------------------------------
 
 
@@ -133,9 +103,9 @@ def _run_cm(lam: float, sign: str):
     return runner
 
 
-def _phi_margin_sweep(lam: float, want: str, cfg, grid: GridSpec) -> _Sweep:
+def _phi_margin_sweep(lam: float, want: str, cfg, grid: GridSpec) -> Sweep:
     """want='nonpositive' checks phi <= 0, want='nonnegative' checks phi >= 0."""
-    sweep = _Sweep()
+    sweep = Sweep()
     with mp.workdps(cfg.dps):
         for t in grid.values():
             tm = mp.mpf(t)
@@ -159,14 +129,14 @@ def _run_necessary_limit(cfg, grid: GridSpec):
     val = monotone.necessary_limit(1e4, cfg)
     margin = 1e-3 - abs(val - 0.5)
     err = 10.0 ** (2 - cfg.dps)
-    sweep = _Sweep()
+    sweep = Sweep()
     sweep.add(1e4, margin, err)
     return sweep.result()
 
 
 def _run_threshold(cfg, grid: GridSpec):
     res = monotone.lambda_star(1e-8, cfg)
-    sweep = _Sweep()
+    sweep = Sweep()
     err = 1e-8
     sweep.add(res.t_star, res.lambda_star - 0.5, err)
     sweep.add(res.t_star, 1.5 - res.lambda_star, err)
@@ -185,7 +155,7 @@ def _run_threshold(cfg, grid: GridSpec):
 
 def _run_gamma_containment(family: BoundFamily):
     def runner(cfg, grid: GridSpec):
-        sweep = _Sweep()
+        sweep = Sweep()
         for x in grid.values():
             lg = specfun.ln_gamma(x + 1, cfg)
             lo, hi = bounds.gamma_bound_log(family, x, cfg)
@@ -199,7 +169,7 @@ def _run_gamma_containment(family: BoundFamily):
 
 
 def _run_best_constants(cfg, grid: GridSpec):
-    sweep = _Sweep()
+    sweep = Sweep()
     with mp.workdps(cfg.dps):
         for x, ref in ((1e4, mp.sqrt(2 * mp.pi)), (1e-6, mp.sqrt(2) * mp.exp(mp.mpf(7) / 12))):
             xm = mp.mpf(x)
@@ -214,7 +184,7 @@ def _run_best_constants(cfg, grid: GridSpec):
 
 
 def _run_section1_comparison(cfg, grid: GridSpec):
-    sweep = _Sweep()
+    sweep = Sweep()
     bukac = BoundFamily(FamilyId.BUKAC_GAMMA)
     sevli = BoundFamily(FamilyId.SEVLI_BATIR_GAMMA)
     err = 10.0 ** (2 - cfg.dps)
@@ -270,7 +240,7 @@ def _run_harmonic(which: str):
             hi = base + 1.0 - math.log(1.5) - float(c)
         margins = np.minimum(h - lo, hi - h)
         i = int(np.argmin(margins))
-        sweep = _Sweep()
+        sweep = Sweep()
         sweep.add(float(i + 1), float(margins[i]), HARMONIC_ALLOWANCE, allow_equality=True)
         return sweep.result()
 
@@ -285,7 +255,7 @@ def _run_factorial(family: BoundFamily, side: str = "both"):
     inequality, 'both' checks the double inequality."""
 
     def runner(cfg, grid: GridSpec):
-        sweep = _Sweep()
+        sweep = Sweep()
         for n in range(int(grid.lo), int(grid.hi) + 1):
             lg = specfun.ln_gamma(n + 1, cfg)
             lo, hi = bounds.factorial_bound_log(family, n, cfg)
@@ -299,37 +269,18 @@ def _run_factorial(family: BoundFamily, side: str = "both"):
     return runner
 
 
-# --- LCM families (Theorem 3.3) --------------------------------------------
-
-
-def _run_lcm(lam: float, reciprocal: bool):
-    """LCM probe of G_lambda (or its reciprocal) via the H_lambda derivatives."""
-    sign = "minus" if reciprocal else "plus"
-
-    def runner(cfg, grid: GridSpec):
-        rep = monotone.cm_check(lam, sign, max_order=6, grid=grid.values(), cfg=cfg)
-        return rep.min_margin, rep.argmin[1], rep.verdict
-
-    return runner
-
-
 # --- Remark 1 (Bernoulli fraction, Mathieu partial sums) -------------------
 
 
-def _run_bernoulli(classic: bool):
+def _run_bernoulli(family: BoundFamily):
     def runner(cfg, grid: GridSpec):
-        sweep = _Sweep()
+        sweep = Sweep()
         with mp.workdps(cfg.dps):
             err = 10.0 ** (4 - cfg.dps)
             for x in grid.values():
                 xm = mp.mpf(x)
                 target = xm / mp.expm1(xm)
-                if classic:
-                    lo = mp.exp(-xm)
-                    hi = mp.exp(-xm / 2)
-                else:
-                    lo = mp.exp(-xm / 2) - xm ** 2 / (24 * mp.exp(xm / 2))
-                    hi = mp.exp(-xm / 2) - xm ** 2 / (24 * mp.exp(3 * xm / 2))
+                lo, hi = bounds.bernoulli_fraction_bound(family, x, cfg)
                 sweep.add(x, float(target - lo), err)
                 sweep.add(x, float(hi - target), err)
         return sweep.result()
@@ -338,7 +289,7 @@ def _run_bernoulli(classic: bool):
 
 
 def _run_mathieu(cfg, grid: GridSpec):
-    sweep = _Sweep()
+    sweep = Sweep()
     prev = specfun.mathieu_partial(1.0, 1)
     for terms in range(2, 51):
         cur = specfun.mathieu_partial(1.0, terms)
@@ -355,9 +306,7 @@ def _run_mathieu(cfg, grid: GridSpec):
 
 
 def _run_series_pivot(cfg, grid: GridSpec):
-    from fractions import Fraction
-
-    sweep = _Sweep()
+    sweep = Sweep()
     c4, _ = monotone.series_coeff_pivot(4)
     sweep.add(4.0, float(c4 == 0), 0.5)
     c5, term5 = monotone.series_coeff_pivot(5)
@@ -371,10 +320,8 @@ def _run_series_pivot(cfg, grid: GridSpec):
 
 
 def _run_series_lambda(cfg, grid: GridSpec):
-    from fractions import Fraction
-
     lam = Fraction(3, 2)
-    sweep = _Sweep()
+    sweep = Sweep()
     for k in range(3, 31):
         lhs, rhs = monotone.series_coeff_lambda(k, lam)
         sweep.add(float(k), float(lhs - rhs), 0.0, allow_equality=True)
@@ -385,7 +332,7 @@ def _run_series_lambda(cfg, grid: GridSpec):
 
 
 def _run_kth_root(cfg, grid: GridSpec):
-    sweep = _Sweep()
+    sweep = Sweep()
     for k in range(4, 201):
         sweep.add(float(k), 1.5 - monotone.kth_root_bound(k), 1.5e-12)
     return sweep.result()
@@ -395,7 +342,7 @@ def _run_kth_root(cfg, grid: GridSpec):
 
 
 def _run_laplace(cfg, grid: GridSpec):
-    sweep = _Sweep()
+    sweep = Sweep()
     for x in (0.5, 1.0, 2.0, 5.0, 10.0):
         for lam in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0):
             res = abs(monotone.laplace_check(x, lam, cfg))
@@ -440,8 +387,8 @@ REGISTRY: tuple = (
     Claim("thm3.2-eq3.7", ("thm3.2",), VERIFIED, _HARMONIC_GRID, _run_harmonic("eq3.7")),
     Claim("thm3.2-eq3.8-corrected", ("thm3.2",), VERIFIED, _HARMONIC_GRID, _run_harmonic("eq3.8-corrected")),
     Claim("eq3.8-as-printed", ("thm3.2", "falsify-printed"), FALSIFIED, _HARMONIC_GRID, _run_harmonic("eq3.8-printed")),
-    Claim("thm3.3-lcm-G-lam0.5", ("thm3.3",), VERIFIED, _CM_GRID, _run_lcm(0.5, False), True),
-    Claim("thm3.3-lcm-recip-G-lam1.5", ("thm3.3",), VERIFIED, _CM_GRID, _run_lcm(1.5, True), True),
+    Claim("thm3.3-lcm-G-lam0.5", ("thm3.3",), VERIFIED, _CM_GRID, _run_cm(0.5, "plus"), True),
+    Claim("thm3.3-lcm-recip-G-lam1.5", ("thm3.3",), VERIFIED, _CM_GRID, _run_cm(1.5, "minus"), True),
     Claim("thm3.4-eq3.12-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
           _run_factorial(BoundFamily(FamilyId.FACTORIAL_HIGH))),
     Claim("thm3.4-eq3.13-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
@@ -450,8 +397,10 @@ REGISTRY: tuple = (
           _run_factorial(BoundFamily(FamilyId.FACTORIAL_AS_PRINTED), side="upper")),
     Claim("eq3.13-as-printed", ("thm3.4", "falsify-printed"), FALSIFIED, _FACTORIAL_GRID,
           _run_factorial(BoundFamily(FamilyId.FACTORIAL_AS_PRINTED), side="lower")),
-    Claim("remark1-eq4.1-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID, _run_bernoulli(False), True),
-    Claim("remark1-eq4.2-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID, _run_bernoulli(True), True),
+    Claim("remark1-eq4.1-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID,
+          _run_bernoulli(BoundFamily(FamilyId.BERNOULLI_FRACTION)), True),
+    Claim("remark1-eq4.2-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID,
+          _run_bernoulli(BoundFamily(FamilyId.BERNOULLI_CLASSIC)), True),
     Claim("remark1-mathieu-partial", ("remark1",), VERIFIED, _POINT_GRID, _run_mathieu),
 )
 
@@ -505,18 +454,11 @@ def exit_code(reports: Sequence[VerificationReport]) -> int:
     return 0
 
 
-def solve_lambda_star_cmd(tol: float, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    return monotone.lambda_star(tol, cfg)
-
-
 # --- serialization ----------------------------------------------------------
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-_JSON_KEYS = ("claim_id", "grid", "min_margin", "argmin_x", "verdict", "precision_digits", "runtime_ms")
 
 
 def _report_json(rep: VerificationReport) -> str:
@@ -568,47 +510,39 @@ def emit_report(reports: Sequence[VerificationReport], format: str, path: str) -
         fh.write(text)
 
 
+def _report_from_row(row: Sequence) -> VerificationReport:
+    """Build a report from field values in CSV_HEADER order."""
+    claim_id, lo, hi, points, spacing, min_margin, argmin_x, verdict, digits, runtime_ms = row
+    return VerificationReport(
+        claim_id=claim_id,
+        grid=GridSpec(float(lo), float(hi), int(points), spacing),
+        min_margin=float(min_margin),
+        argmin_x=float(argmin_x),
+        verdict=verdict,
+        precision_digits=int(digits),
+        runtime_ms=int(runtime_ms),
+    )
+
+
 def parse_reports(text: str, format: str) -> list:
-    """Inverse of render_reports; round-trips exactly."""
+    """Inverse of render_reports; round-trips exactly.  A CSV text without
+    the expected header, or with a row of the wrong width, raises
+    ParameterError."""
     if format == "json":
         import json
 
-        out = []
-        for obj in json.loads(text):
-            grid = GridSpec(
-                lo=float(obj["grid"]["lo"]),
-                hi=float(obj["grid"]["hi"]),
-                points=int(obj["grid"]["points"]),
-                spacing=obj["grid"]["spacing"],
-            )
-            out.append(
-                VerificationReport(
-                    claim_id=obj["claim_id"],
-                    grid=grid,
-                    min_margin=float(obj["min_margin"]),
-                    argmin_x=float(obj["argmin_x"]),
-                    verdict=obj["verdict"],
-                    precision_digits=int(obj["precision_digits"]),
-                    runtime_ms=int(obj["runtime_ms"]),
-                )
-            )
-        return out
+        return [
+            _report_from_row([obj["claim_id"]]
+                             + [obj["grid"][k] for k in CSV_HEADER[1:5]]
+                             + [obj[k] for k in CSV_HEADER[5:]])
+            for obj in json.loads(text)
+        ]
     if format == "csv":
         rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == CSV_HEADER
-        out = []
+        if not rows or rows[0] != CSV_HEADER:
+            raise ParameterError("CSV report does not start with the expected header")
         for row in rows[1:]:
-            grid = GridSpec(float(row[1]), float(row[2]), int(row[3]), row[4])
-            out.append(
-                VerificationReport(
-                    claim_id=row[0],
-                    grid=grid,
-                    min_margin=float(row[5]),
-                    argmin_x=float(row[6]),
-                    verdict=row[7],
-                    precision_digits=int(row[8]),
-                    runtime_ms=int(row[9]),
-                )
-            )
-        return out
+            if len(row) != len(CSV_HEADER):
+                raise ParameterError(f"CSV report row has {len(row)} fields, expected {len(CSV_HEADER)}")
+        return [_report_from_row(row) for row in rows[1:]]
     raise ParameterError(f"unknown report format {format!r}")

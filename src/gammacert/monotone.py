@@ -31,6 +31,7 @@ from .config import (
     NumericalError,
     PrecisionConfig,
     SpecialValue,
+    Sweep,
     require_positive,
 )
 from . import specfun
@@ -65,39 +66,62 @@ def _check_lambda(lam) -> None:
         raise DomainError(f"lambda must be nonnegative, got {lam!r}")
 
 
-def H_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """H_lambda(x); error bound propagated from the ln Gamma evaluation."""
-    require_positive("x", x)
-    _check_lambda(lam)
+_HALF = mp.mpf(1) / 2
+
+
+def _stirling_defect(x, cfg: PrecisionConfig) -> SpecialValue:
+    """f(x) = ln Gamma(x+1) - (x+1/2) ln(x+1/2) + x + 1/2 - ln sqrt(2 pi)."""
     with mp.workdps(cfg.dps):
         x1 = mp.mpf(x) + 1  # keep full precision; never truncate to float64
     lg = specfun.ln_gamma(x1, cfg)
     with mp.workdps(cfg.dps):
-        xm, lm = mp.mpf(x), mp.mpf(lam)
-        val = (
-            lg.value
-            - (xm + mp.mpf(1) / 2) * mp.log(xm + mp.mpf(1) / 2)
-            + xm
-            + mp.mpf(1) / 2
-            - mp.log(2 * mp.pi) / 2
-            + 1 / (24 * (xm + lm))
-        )
+        xm = mp.mpf(x)
+        val = lg.value - (xm + _HALF) * mp.log(xm + _HALF) + xm + _HALF - mp.log(2 * mp.pi) / 2
         slack = (abs(val) + xm + abs(xm * mp.log(xm + 1)) + 1) * mp.mpf(10) ** (2 - cfg.dps)
         return SpecialValue(val, lg.abs_error_bound + float(slack))
 
 
-def H_lambda_prime(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """H_lambda'(x) = psi(x+1) - ln(x+1/2) - 1/(24 (x+lambda)^2)."""
-    require_positive("x", x)
-    _check_lambda(lam)
+def _ln_g_deriv(k: int, x, beta, lam, cfg: PrecisionConfig) -> SpecialValue:
+    """k-th derivative (k >= 1) of x + ln Gamma(x+1) - (x+beta) ln(x+beta),
+    plus that of 1/(24 (x+lam)) when lam is not None:
+
+        psi^(k-1)(x+1) + (-1)^(k-1) (k-2)! / (x+beta)^(k-1)
+                       + (-1)^k k! / (24 (x+lam)^(k+1)),
+
+    where the middle term reads -ln(x+beta) at k = 1.
+    """
+    if not (isinstance(k, int) and k >= 1):
+        raise DomainError(f"derivative order must be a positive integer, got {k!r}")
     with mp.workdps(cfg.dps):
         x1 = mp.mpf(x) + 1
-    ps = specfun.digamma(x1, cfg)
+    ps = specfun.digamma(x1, cfg) if k == 1 else specfun.polygamma(k - 1, x1, cfg)
     with mp.workdps(cfg.dps):
-        xm, lm = mp.mpf(x), mp.mpf(lam)
-        val = ps.value - mp.log(xm + mp.mpf(1) / 2) - 1 / (24 * (xm + lm) ** 2)
-        slack = (abs(val) + abs(mp.log(xm + 1)) + 1) * mp.mpf(10) ** (2 - cfg.dps)
+        xm, bm = mp.mpf(x), mp.mpf(beta)
+        if k == 1:
+            t_log = -mp.log(xm + bm)
+        else:
+            t_log = (-1) ** (k - 1) * mp.factorial(k - 2) / (xm + bm) ** (k - 1)
+        t_cor = 0
+        if lam is not None:
+            t_cor = (-1) ** k * mp.factorial(k) / (24 * (xm + mp.mpf(lam)) ** (k + 1))
+        val = ps.value + t_log + t_cor
+        slack = (abs(ps.value) + abs(t_log) + abs(t_cor)) * mp.mpf(10) ** (2 - cfg.dps)
         return SpecialValue(val, ps.abs_error_bound + float(slack))
+
+
+def H_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+    """H_lambda(x); error bound propagated from the ln Gamma evaluation."""
+    require_positive("x", x)
+    _check_lambda(lam)
+    f = _stirling_defect(x, cfg)
+    with mp.workdps(cfg.dps):
+        val = f.value + 1 / (24 * (mp.mpf(x) + mp.mpf(lam)))
+        return SpecialValue(val, f.abs_error_bound)
+
+
+def H_lambda_prime(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+    """H_lambda'(x) = psi(x+1) - ln(x+1/2) - 1/(24 (x+lambda)^2)."""
+    return H_lambda_deriv(1, x, lam, cfg)
 
 
 def H_lambda_deriv(n: int, x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -108,22 +132,9 @@ def H_lambda_deriv(n: int, x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> Spe
         H^(n)(x) = psi^(n-1)(x+1) + (-1)^(n-1) (n-2)! / (x+1/2)^(n-1)
                                   + (-1)^n n! / (24 (x+lambda)^(n+1))
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if n == 1:
-        return H_lambda_prime(x, lam, cfg)
     require_positive("x", x)
     _check_lambda(lam)
-    with mp.workdps(cfg.dps):
-        x1 = mp.mpf(x) + 1
-    pg = specfun.polygamma(n - 1, x1, cfg)
-    with mp.workdps(cfg.dps):
-        xm, lm = mp.mpf(x), mp.mpf(lam)
-        t_log = mp.mpf(-1) ** (n - 1) * mp.factorial(n - 2) / (xm + mp.mpf(1) / 2) ** (n - 1)
-        t_cor = mp.mpf(-1) ** n * mp.factorial(n) / (24 * (xm + lm) ** (n + 1))
-        val = pg.value + t_log + t_cor
-        slack = (abs(pg.value) + abs(t_log) + abs(t_cor)) * mp.mpf(10) ** (2 - cfg.dps)
-        return SpecialValue(val, pg.abs_error_bound + float(slack))
+    return _ln_g_deriv(n, x, _HALF, lam, cfg)
 
 
 def phi_integrand(t, lam):
@@ -159,14 +170,10 @@ def laplace_check(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
         f = lambda t: phi_integrand(t, lam) * mp.exp(-xm * t)
         pts = sorted({mp.mpf(0), min(1, T), min(10, T), min(30, T), T})
         try:
-            val = mp.quad(f, pts, maxdegree=max(8, _maxdeg(cfg)))
+            val = mp.quad(f, pts, maxdegree=max(8, specfun._quad_maxdegree(cfg)))
         except Exception as exc:
             raise NumericalError(f"Laplace quadrature failed at x={x}, lambda={lam}") from exc
         return float(val - closed.value)
-
-
-def _maxdeg(cfg: PrecisionConfig) -> int:
-    return max(6, math.ceil(math.log2(max(cfg.quad_nodes, 64))))
 
 
 def h_of_t(t):
@@ -290,14 +297,14 @@ def cm_check(
     max_order: int = 6,
     grid: Sequence | None = None,
     cfg: PrecisionConfig = DEFAULT_CONFIG,
-    _retried: bool = False,
 ) -> CMReport:
     """Check s * (-1)^n H_lambda^(n)(x) >= 0 for n = 0..max_order on a grid.
 
     Margins are computed interval-safely: "verified" needs every margin to
     exceed its evaluation-error bound, "falsified" needs some margin below
-    minus its bound.  A borderline sweep is retried once at doubled
-    working precision before reporting "indeterminate".
+    minus its bound, and a borderline sweep is "indeterminate".  This call
+    does not retry; `gammacert verify` reruns an indeterminate claim once
+    at doubled working precision.
     """
     if sign not in ("plus", "minus"):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -310,63 +317,27 @@ def cm_check(
         raise DomainError("grid must be nonempty with positive entries")
     s = 1.0 if sign == "plus" else -1.0
 
-    min_margin = math.inf
-    argmin = (0, float(grid[0]))
-    all_clear = True
-    any_falsifying = False
+    sweep = Sweep()
     for x in grid:
         for order in range(0, max_order + 1):
             if order == 0:
                 sv = H_lambda(x, lam, cfg)
-                margin = s * float(sv.value)
             else:
                 sv = H_lambda_deriv(order, x, lam, cfg)
-                margin = s * ((-1.0) ** order) * float(sv.value)
-            if margin < min_margin:
-                min_margin = margin
-                argmin = (order, float(x))
-            err = sv.abs_error_bound
-            if margin <= err:
-                all_clear = False
-            if margin < -err:
-                any_falsifying = True
+            margin = s * ((-1.0) ** order) * float(sv.value)
+            sweep.add((order, float(x)), margin, sv.abs_error_bound)
 
-    if all_clear:
-        verdict = "verified"
-    elif any_falsifying:
-        verdict = "falsified"
-    else:
-        if not _retried:
-            return cm_check(lam, sign, max_order, grid, cfg.doubled(), _retried=True)
-        verdict = "indeterminate"
-
-    return CMReport(
-        lam=float(lam),
-        sign=sign,
-        max_order=max_order,
-        grid=tuple(float(x) for x in grid),
-        min_margin=min_margin,
-        argmin=argmin,
-        verdict=verdict,
-    )
+    return CMReport(float(lam), sign, max_order, tuple(float(x) for x in grid), *sweep.result())
 
 
 def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
     """-x - 1/(24 f(x)) with f(x) the unshifted Stirling defect; tends to 1/2."""
     require_positive("x", x)
-    lg = specfun.ln_gamma(float(x) + 1, cfg)
+    f = _stirling_defect(x, cfg)
+    if abs(f.value) <= f.abs_error_bound:
+        raise NumericalError(f"f(x) indistinguishable from 0 at x={x}")
     with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        f = (
-            lg.value
-            - (xm + mp.mpf(1) / 2) * mp.log(xm + mp.mpf(1) / 2)
-            + xm
-            + mp.mpf(1) / 2
-            - mp.log(2 * mp.pi) / 2
-        )
-        if abs(f) <= lg.abs_error_bound:
-            raise NumericalError(f"f(x) indistinguishable from 0 at x={x}")
-        return float(-xm - 1 / (24 * f))
+        return float(-mp.mpf(x) - 1 / (24 * f.value))
 
 
 def series_coeff_pivot(k: int):
@@ -436,7 +407,7 @@ def midpoint_defect(
     with mp.workdps(cfg.dps):
         am, bm = mp.mpf(a), mp.mpf(b)
         try:
-            integral, qerr = mp.quad(f, [am, bm], error=True, maxdegree=_maxdeg(cfg))
+            integral, qerr = mp.quad(f, [am, bm], error=True, maxdegree=specfun._quad_maxdegree(cfg))
         except Exception as exc:
             raise NumericalError("midpoint-defect quadrature failed") from exc
         defect = integral / (bm - am) - mp.mpf(f((am + bm) / 2))
@@ -451,13 +422,26 @@ def midpoint_defect(
         return float(defect), float(lower), float(upper)
 
 
-def _ln_G(x, lam, mu, cfg: PrecisionConfig) -> SpecialValue:
-    lg = specfun.ln_gamma(float(x) + 1, cfg)
+def _ln_g(x, beta, lam, cfg: PrecisionConfig) -> SpecialValue:
+    """x + ln Gamma(x+1) - (x+beta) ln(x+beta), plus 1/(24 (x+lam)) when lam
+    is not None: ln g_beta, or ln G_{lambda,mu} with beta = mu."""
     with mp.workdps(cfg.dps):
-        xm, lm, mm = mp.mpf(x), mp.mpf(lam), mp.mpf(mu)
-        val = xm + lg.value - (xm + mm) * mp.log(xm + mm) + 1 / (24 * (xm + lm))
+        x1 = mp.mpf(x) + 1
+    lg = specfun.ln_gamma(x1, cfg)
+    with mp.workdps(cfg.dps):
+        xm, bm = mp.mpf(x), mp.mpf(beta)
+        val = xm + lg.value - (xm + bm) * mp.log(xm + bm)
+        if lam is not None:
+            val += 1 / (24 * (xm + mp.mpf(lam)))
         slack = (abs(val) + xm + 1) * mp.mpf(10) ** (2 - cfg.dps)
         return SpecialValue(val, lg.abs_error_bound + float(slack))
+
+
+def _exp(ln: SpecialValue, cfg: PrecisionConfig) -> SpecialValue:
+    """e^ln with the error bound scaled by e^value (e^eps - 1 <= 2 eps)."""
+    with mp.workdps(cfg.dps):
+        v = mp.exp(ln.value)
+        return SpecialValue(v, float(v) * ln.abs_error_bound * 2)
 
 
 def G_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -465,10 +449,7 @@ def G_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     ln G_lambda = H_lambda - (1 - ln 2 pi)/2."""
     require_positive("x", x)
     _check_lambda(lam)
-    ln = _ln_G(x, lam, mp.mpf(1) / 2, cfg)
-    with mp.workdps(cfg.dps):
-        v = mp.exp(ln.value)
-        return SpecialValue(v, float(v) * ln.abs_error_bound * 2)
+    return _exp(_ln_g(x, _HALF, lam, cfg), cfg)
 
 
 def G_lambda_mu(x, lam, mu, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -476,61 +457,27 @@ def G_lambda_mu(x, lam, mu, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialVal
     power factor; reduces to G_lambda at mu = 1/2.  Exploration only."""
     if not x > max(0.0, -float(lam), -float(mu)):
         raise DomainError(f"x must exceed max(0, -lambda, -mu), got x={x!r}")
-    ln = _ln_G(x, lam, mu, cfg)
-    with mp.workdps(cfg.dps):
-        v = mp.exp(ln.value)
-        return SpecialValue(v, float(v) * ln.abs_error_bound * 2)
+    return _exp(_ln_g(x, mu, lam, cfg), cfg)
 
 
 def g_beta(x, beta, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """g_beta(x) = e^x Gamma(x+1)/(x+beta)^(x+beta); LCM iff beta >= 1."""
     if not x > max(0.0, -float(beta)):
         raise DomainError(f"x must exceed max(0, -beta), got x={x!r}")
-    lg = specfun.ln_gamma(float(x) + 1, cfg)
-    with mp.workdps(cfg.dps):
-        xm, bm = mp.mpf(x), mp.mpf(beta)
-        ln = xm + lg.value - (xm + bm) * mp.log(xm + bm)
-        v = mp.exp(ln)
-        err = float(v) * (lg.abs_error_bound + float((abs(ln) + 1) * mp.mpf(10) ** (2 - cfg.dps)))
-        return SpecialValue(v, err)
+    return _exp(_ln_g(x, beta, None, cfg), cfg)
 
 
 def g_beta_log_deriv(k: int, x, beta, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """k-th derivative of ln g_beta; the LCM probe tests (-1)^k times this."""
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"k must be a positive integer, got {k!r}")
     if not x > max(0.0, -float(beta)):
         raise DomainError(f"x must exceed max(0, -beta), got x={x!r}")
-    with mp.workdps(cfg.dps):
-        x1 = mp.mpf(x) + 1
-    if k == 1:
-        ps = specfun.digamma(x1, cfg)
-        with mp.workdps(cfg.dps):
-            val = ps.value - mp.log(mp.mpf(x) + mp.mpf(beta))
-            return SpecialValue(val, ps.abs_error_bound + float(abs(val) + 1) * 10.0 ** (2 - cfg.dps))
-    pg = specfun.polygamma(k - 1, x1, cfg)
-    with mp.workdps(cfg.dps):
-        xm, bm = mp.mpf(x), mp.mpf(beta)
-        t_log = mp.mpf(-1) ** (k - 1) * mp.factorial(k - 2) / (xm + bm) ** (k - 1)
-        val = pg.value + t_log
-        slack = (abs(pg.value) + abs(t_log)) * mp.mpf(10) ** (2 - cfg.dps)
-        return SpecialValue(val, pg.abs_error_bound + float(slack))
+    return _ln_g_deriv(k, x, beta, None, cfg)
 
 
 def G_lambda_mu_log_deriv(
     k: int, x, lam, mu, cfg: PrecisionConfig = DEFAULT_CONFIG
 ) -> SpecialValue:
     """k-th derivative of ln G_{lambda,mu}; at mu = 1/2 this is H_lambda^(k)."""
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"k must be a positive integer, got {k!r}")
     if not x > max(0.0, -float(lam), -float(mu)):
         raise DomainError(f"x must exceed max(0, -lambda, -mu), got x={x!r}")
-    base = g_beta_log_deriv(k, x, mu, cfg)
-    with mp.workdps(cfg.dps):
-        xm, lm = mp.mpf(x), mp.mpf(lam)
-        if k == 1:
-            t_cor = -1 / (24 * (xm + lm) ** 2)
-        else:
-            t_cor = mp.mpf(-1) ** k * mp.factorial(k) / (24 * (xm + lm) ** (k + 1))
-        val = base.value + t_cor
-        return SpecialValue(val, base.abs_error_bound + float(abs(t_cor)) * 10.0 ** (2 - cfg.dps))
+    return _ln_g_deriv(k, x, mu, lam, cfg)

@@ -50,154 +50,104 @@ def _quad_maxdegree(cfg: PrecisionConfig) -> int:
     return max(6, math.ceil(math.log2(max(cfg.quad_nodes, 64))))
 
 
-def _stirling_ln_gamma(z, target):
-    """Stirling series for ln Gamma at large z; returns (value, remainder)."""
-    s = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
-    prev = mp.inf
+def _stirling_series(m: int, z, target):
+    """Stirling series of psi^(m) at large z without its overall sign
+    (-1)^(m+1), as in _psi; returns (sum, first omitted term)."""
+    if m == -1:
+        s = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
+    elif m == 0:
+        s = 1 / (2 * z) - mp.log(z)
+    else:
+        s = mp.factorial(m - 1) / z ** m + mp.factorial(m) / (2 * z ** (m + 1))
+
+    def term(k):
+        # (2k+m-1)!/(2k)! is kept as an exact integer ratio
+        if m >= 1:
+            num, den = math.perm(2 * k + m - 1, m - 1), 1
+        else:
+            num, den = 1, math.perm(2 * k, 1 - m)
+        return mp.bernoulli(2 * k) * num / (den * z ** (2 * k + m))
+
+    cur = term(1)
     k = 1
     while True:
-        term = mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * z ** (2 * k - 1))
-        if abs(term) >= prev or k > 300:
-            # series started diverging: remainder <= first omitted term
-            return s, abs(term)
-        s += term
-        prev = abs(term)
+        s += cur
         k += 1
-        nxt = abs(mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * z ** (2 * k - 1)))
-        if nxt < target:
-            return s, nxt
+        nxt = term(k)
+        if abs(nxt) < target or abs(nxt) >= abs(cur) or k > 300:
+            return s, abs(nxt)
+        cur = nxt
 
 
-def _stirling_digamma(z, target):
-    s = mp.log(z) - 1 / (2 * z)
-    prev = mp.inf
-    k = 1
-    while True:
-        term = -mp.bernoulli(2 * k) / ((2 * k) * z ** (2 * k))
-        if abs(term) >= prev or k > 300:
-            return s, abs(term)
-        s += term
-        prev = abs(term)
-        k += 1
-        nxt = abs(mp.bernoulli(2 * k) / ((2 * k) * z ** (2 * k)))
-        if nxt < target:
-            return s, nxt
+def _psi(m: int, x, cfg: PrecisionConfig) -> SpecialValue:
+    """psi^(m)(x) for finite x > 0 and m >= -1, where m = -1 stands for ln Gamma.
 
+    The argument is shifted up to z = x + n by the recurrences
 
-def _stirling_polygamma(m: int, z, target):
-    """Asymptotic series for psi^(m), m >= 1, at large z."""
-    sign = mp.mpf(-1) ** (m - 1)
-    s = mp.factorial(m - 1) / z ** m + mp.factorial(m) / (2 * z ** (m + 1))
-    prev = mp.inf
-    k = 1
-    while True:
-        term = (
-            mp.bernoulli(2 * k)
-            * mp.factorial(2 * k + m - 1)
-            / (mp.factorial(2 * k) * z ** (2 * k + m))
-        )
-        if abs(term) >= prev or k > 300:
-            return sign * s, abs(term)
-        s += term
-        prev = abs(term)
-        k += 1
-        nxt = abs(
-            mp.bernoulli(2 * k)
-            * mp.factorial(2 * k + m - 1)
-            / (mp.factorial(2 * k) * z ** (2 * k + m))
-        )
-        if nxt < target:
-            return sign * s, nxt
+        ln Gamma(x) = ln Gamma(z) - sum_j ln(x+j)
+        psi^(m)(x)  = psi^(m)(z) + (-1)^(m+1) m! sum_j (x+j)^(-m-1)
+
+    and psi^(m)(z) is summed from its Stirling series
+
+        (-1)^(m+1) [lead_m(z) + sum_k B_2k (2k+m-1)! / ((2k)! z^(2k+m))],
+
+    stopping when the next term drops below the target or starts growing;
+    on the positive axis that first omitted term bounds the remainder.
+    """
+    require_positive("x", x)
+    if mp.isinf(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+    with mp.workdps(cfg.dps):
+        xm = mp.mpf(x)
+        target = mp.mpf(10) ** (-(cfg.working_digits + 6))
+        thr = _shift_threshold(cfg.working_digits) + max(m, 0)
+        for _ in range(4):
+            z = xm
+            shift = mp.mpf(0)
+            while z < thr:
+                shift += -mp.log(z) if m == -1 else 1 / z ** (m + 1)
+                z += 1
+            s, rem = _stirling_series(m, z, target)
+            if rem <= target:
+                break
+            thr *= 2
+        fact = math.factorial(max(m, 0))
+        val = (-1) ** (m + 1) * (s + fact * shift)
+        # rounding slack for the shift products and elementary calls
+        slack = (abs(val) + fact * (abs(shift) + 1)) * mp.mpf(10) ** (2 - cfg.dps)
+        return SpecialValue(val, float(rem + slack))
 
 
 def ln_gamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """ln Gamma(x) for x > 0 with a certified absolute error bound."""
-    require_positive("x", x)
-    with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        target = mp.mpf(10) ** (-(cfg.working_digits + 6))
-        thr = _shift_threshold(cfg.working_digits)
-        rem = mp.inf
-        for _ in range(4):
-            z = xm
-            shift = mp.mpf(0)
-            while z < thr:
-                shift += mp.log(z)
-                z += 1
-            val, rem = _stirling_ln_gamma(z, target)
-            if rem <= target:
-                break
-            thr *= 2
-        val = val - shift
-        # rounding slack for the shift products and elementary calls
-        slack = (abs(val) + abs(shift) + 1) * mp.mpf(10) ** (2 - cfg.dps)
-        return SpecialValue(val, float(rem + slack))
+    """ln Gamma(x) for finite x > 0 with a certified absolute error bound."""
+    return _psi(-1, x, cfg)
 
 
 def digamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
-    require_positive("x", x)
-    with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        target = mp.mpf(10) ** (-(cfg.working_digits + 6))
-        thr = _shift_threshold(cfg.working_digits)
-        rem = mp.inf
-        for _ in range(4):
-            z = xm
-            shift = mp.mpf(0)
-            while z < thr:
-                shift += 1 / z
-                z += 1
-            val, rem = _stirling_digamma(z, target)
-            if rem <= target:
-                break
-            thr *= 2
-        val = val - shift
-        slack = (abs(val) + abs(shift) + 1) * mp.mpf(10) ** (2 - cfg.dps)
-        return SpecialValue(val, float(rem + slack))
+    """psi(x) = Gamma'(x)/Gamma(x) for finite x > 0."""
+    return _psi(0, x, cfg)
 
 
 def polygamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """psi^(m)(x) for m >= 1, x > 0; sign satisfies (-1)^(m+1) psi^(m) > 0."""
+    """psi^(m)(x) for m >= 1, finite x > 0; (-1)^(m+1) psi^(m) > 0."""
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"m must be a positive integer, got {m!r}")
-    require_positive("x", x)
-    with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        target = mp.mpf(10) ** (-(cfg.working_digits + 6))
-        thr = _shift_threshold(cfg.working_digits) + m
-        rem = mp.inf
-        for _ in range(4):
-            z = xm
-            shift = mp.mpf(0)
-            while z < thr:
-                shift += 1 / z ** (m + 1)
-                z += 1
-            val, rem = _stirling_polygamma(m, z, target)
-            if rem <= target:
-                break
-            thr *= 2
-        # psi^(m)(x) = psi^(m)(x+n) - (-1)^m m! sum_j (x+j)^(-m-1)
-        val = val - mp.mpf(-1) ** m * mp.factorial(m) * shift
-        scale = abs(val) + mp.factorial(m) * (abs(shift) + 1)
-        slack = scale * mp.mpf(10) ** (2 - cfg.dps)
-        return SpecialValue(val, float(rem + slack))
+    return _psi(m, x, cfg)
 
 
-# Maclaurin coefficients of (1/(e^t - 1) - 1/t + 1/2)/t = sum B_2k t^(2k-2)/(2k)!
-_THETA_KERNEL_COEFFS = [
-    Fraction(1, 12),
-    Fraction(-1, 720),
-    Fraction(1, 30240),
-    Fraction(-1, 1209600),
-    Fraction(1, 47900160),
-    Fraction(-691, 1307674368000),
+# Maclaurin coefficients B_2k/(2k)!, k = 1..7, of
+# (1/(e^t - 1) - 1/t + 1/2)/t = sum B_2k t^(2k-2)/(2k)!.  Below the cutoff the
+# kernel is the polynomial through k = 6; the series alternates with
+# decreasing terms there, so the truncation is at most |B_14/14!| t^12.
+*_THETA_KERNEL_COEFFS, _THETA_FIRST_OMITTED = [
+    Fraction(*mp.bernfrac(2 * k)) / math.factorial(2 * k) for k in range(1, 8)
 ]
+_THETA_TAYLOR_CUTOFF = "1e-2"
 
 
 def _theta_kernel(t):
     """(1/(e^t-1) - 1/t + 1/2)/t with the removable singularity patched."""
-    if t < mp.mpf("1e-2"):
+    if t < mp.mpf(_THETA_TAYLOR_CUTOFF):
         t2 = t * t
         s = mp.mpf(0)
         for c in reversed(_THETA_KERNEL_COEFFS):
@@ -210,20 +160,24 @@ def binet_theta(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """Binet remainder theta(x) = int_0^inf (1/(e^t-1) - 1/t + 1/2) e^{-xt}/t dt.
 
     The kernel is completely monotonic with value 1/12 at t = 0, so the
-    truncated tail beyond T is at most e^{-xT}/(12 x).
+    truncated tail beyond T is at most e^{-xT}/(12 x).  The Taylor form used
+    on [0, t0] adds at most |B_14/14!| t0^13 / 13.
     """
     require_positive("x", x)
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
         T = mp.mpf(max(cfg.quad_cutoff, 60.0 / float(x)))
         f = lambda t: _theta_kernel(t) * mp.exp(-xm * t)
-        pts = sorted({mp.mpf(0), min(1, T), min(10, T), T})
+        t0 = mp.mpf(_THETA_TAYLOR_CUTOFF)
+        pts = sorted({mp.mpf(0), min(t0, T), min(1, T), min(10, T), T})
         try:
             val, qerr = mp.quad(f, pts, error=True, maxdegree=_quad_maxdegree(cfg))
         except Exception as exc:  # pragma: no cover
             raise NumericalError(f"theta quadrature failed at x={x}") from exc
         tail = mp.exp(-xm * T) / (12 * xm)
-        err = 10 * abs(qerr) + tail + abs(val) * mp.mpf(10) ** (2 - cfg.dps)
+        c = abs(_THETA_FIRST_OMITTED)
+        taylor = mp.mpf(c.numerator) / c.denominator * t0 ** 13 / 13
+        err = 10 * abs(qerr) + tail + taylor + abs(val) * mp.mpf(10) ** (2 - cfg.dps)
         return SpecialValue(val, float(err))
 
 

@@ -2,6 +2,9 @@
 serialization round-trips, and CLI exit codes."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -137,6 +140,49 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             harness.render_reports(reports, "xml")
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "claim,lo\n",
+        "claim,lo\nx,1\n",
+        ",".join(harness.CSV_HEADER) + "\nx,1,2\n",
+    ], ids=["empty", "wrong-header-only", "wrong-header", "short-row"])
+    def test_malformed_csv_rejected(self, text):
+        with pytest.raises(ParameterError):
+            harness.parse_reports(text, "csv")
+
+    def test_malformed_csv_rejected_under_optimize(self):
+        # the header check must not be an assert that -O strips
+        code = (
+            "from gammacert import ParameterError, harness\n"
+            "for text in ('', 'claim,lo\\n', 'claim,lo\\nx,1\\n'):\n"
+            "    try:\n"
+            "        harness.parse_reports(text, 'csv')\n"
+            "    except ParameterError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'accepted {text!r}')\n"
+        )
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
+class TestRetry:
+    def test_run_claim_retries_indeterminate_once(self):
+        calls = []
+
+        def runner(cfg, grid):
+            calls.append(cfg.working_digits)
+            verdict = "verified" if cfg.working_digits > 15 else "indeterminate"
+            return 1.0, 2.0, verdict
+
+        grid = GridSpec(1.0, 2.0, 2, "linear")
+        claim = harness.Claim("stub", ("all",), "verified", grid, runner)
+        rep = harness._run_claim(claim, DEFAULT_CONFIG, grid)
+        assert calls == [15, 30]
+        assert rep.verdict == "verified"
+
 
 class TestCLI:
     def test_verify_ok(self, tmp_path, capsys):
@@ -180,6 +226,20 @@ class TestCLI:
         assert cli.main(["eval", "--family", "BukacGamma", "--x", "2"]) == 0
         out = capsys.readouterr().out
         assert "lower" in out and "upper" in out
+
+    @pytest.mark.parametrize("family,x", [
+        ("HarmonicLow", "2.7"),
+        ("HarmonicHigh", "1.5"),
+        ("FactorialHigh", "3.9"),
+        ("FactorialAsPrinted", "inf"),
+    ])
+    def test_eval_rejects_non_integer_n(self, family, x, capsys):
+        assert cli.main(["eval", "--family", family, "--x", x]) == 2
+        assert "integer" in capsys.readouterr().err
+
+    def test_eval_integer_n_accepted(self, capsys):
+        assert cli.main(["eval", "--family", "HarmonicLow", "--x", "3"]) == 0
+        assert cli.main(["eval", "--family", "FactorialLow", "--x", "4.0"]) == 0
 
     def test_eval_generic_requires_lambda(self):
         assert cli.main(["eval", "--family", "QiGammaGeneric", "--x", "2"]) == 2

@@ -17,7 +17,8 @@ from gammacert import (
     lambda_star,
     phi_integrand,
 )
-from gammacert.config import NumericalError, PrecisionConfig
+from gammacert import monotone
+from gammacert.config import NumericalError, PrecisionConfig, SpecialValue
 from gammacert.monotone import (
     G_lambda,
     G_lambda_mu_log_deriv,
@@ -153,6 +154,20 @@ class TestCMCheck:
         assert rep.grid == (1.0, 2.0)
         assert rep.min_margin > 0
         assert rep.argmin[0] in range(0, 4)
+
+    def test_borderline_is_indeterminate_without_retry(self, monkeypatch):
+        # order-0 margins sit inside their error bound at every grid point
+        monkeypatch.setattr(
+            monotone, "H_lambda", lambda x, lam, cfg: SpecialValue(mp.mpf(0), 1.0)
+        )
+
+        def no_retry(self):
+            raise AssertionError("cm_check must not escalate precision itself")
+
+        monkeypatch.setattr(PrecisionConfig, "doubled", no_retry)
+        rep = cm_check(0.5, "plus", max_order=3, grid=[1.0, 2.0])
+        assert rep.verdict == "indeterminate"
+        assert rep.min_margin == 0.0
 
     def test_rejects_bad_sign(self):
         with pytest.raises(DomainError):

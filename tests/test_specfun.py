@@ -56,6 +56,10 @@ class TestLnGamma:
             ln_gamma(0.0)
         with pytest.raises(DomainError):
             ln_gamma(-1.5)
+        with pytest.raises(DomainError):
+            ln_gamma(math.inf)
+        with pytest.raises(DomainError):
+            ln_gamma(mp.mpf("inf"))
 
     @given(st.floats(min_value=0.01, max_value=500.0))
     @settings(max_examples=25, deadline=None)
@@ -102,6 +106,14 @@ class TestDigammaPolygamma:
         with pytest.raises(DomainError):
             polygamma(-1, 1.0)
 
+    @pytest.mark.parametrize("x", [0.0, -2.0, math.inf, -math.inf, math.nan])
+    def test_domain(self, x):
+        with pytest.raises(DomainError):
+            digamma(x)
+        for m in (1, 2):
+            with pytest.raises(DomainError):
+                polygamma(m, x)
+
 
 class TestBinetTheta:
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0, 20.0])
@@ -114,6 +126,15 @@ class TestBinetTheta:
             xm = mp.mpf(x)
             closed = lg.value - (xm - mp.mpf(1) / 2) * mp.log(xm) + xm - mp.log(2 * mp.pi) / 2
             assert abs(float(sv.value - closed)) <= sv.abs_error_bound + lg.abs_error_bound
+
+    @pytest.mark.parametrize("digits", [15, 30, 40])
+    @pytest.mark.parametrize("x", [0.5, 2.5, 10.0])
+    def test_against_mpmath_oracle(self, digits, x):
+        sv = binet_theta(x, PrecisionConfig(working_digits=digits))
+        with mp.workdps(digits + 40):
+            xm = mp.mpf(x)
+            oracle = mp.loggamma(xm) - (xm - mp.mpf(1) / 2) * mp.log(xm) + xm - mp.log(2 * mp.pi) / 2
+            assert abs(sv.value - oracle) <= sv.abs_error_bound
 
     def test_classical_bracket(self):
         # 1/(12x+1) < theta(x) < 1/(12x)
