@@ -18,6 +18,8 @@ which lies in [1/2, 3/2]; the solver below locates it numerically.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,9 +73,7 @@ _HALF = mp.mpf(1) / 2
 
 def _stirling_defect(x, cfg: PrecisionConfig) -> SpecialValue:
     """f(x) = ln Gamma(x+1) - (x+1/2) ln(x+1/2) + x + 1/2 - ln sqrt(2 pi)."""
-    with mp.workdps(cfg.dps):
-        x1 = mp.mpf(x) + 1  # keep full precision; never truncate to float64
-    lg = specfun.ln_gamma(x1, cfg)
+    lg = specfun.ln_gamma(_x_plus_1(x, cfg), cfg)
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
         val = lg.value - (xm + _HALF) * mp.log(xm + _HALF) + xm + _HALF - mp.log(2 * mp.pi) / 2
@@ -81,20 +81,26 @@ def _stirling_defect(x, cfg: PrecisionConfig) -> SpecialValue:
         return SpecialValue(val, lg.abs_error_bound + float(slack))
 
 
-def _ln_g_deriv(k: int, x, beta, lam, cfg: PrecisionConfig) -> SpecialValue:
+def _x_plus_1(x, cfg: PrecisionConfig):
+    with mp.workdps(cfg.dps):
+        return mp.mpf(x) + 1  # keep full precision; never truncate to float64
+
+
+def _ln_g_deriv(k: int, x, beta, lam, cfg: PrecisionConfig, ps=None) -> SpecialValue:
     """k-th derivative (k >= 1) of x + ln Gamma(x+1) - (x+beta) ln(x+beta),
     plus that of 1/(24 (x+lam)) when lam is not None:
 
         psi^(k-1)(x+1) + (-1)^(k-1) (k-2)! / (x+beta)^(k-1)
                        + (-1)^k k! / (24 (x+lam)^(k+1)),
 
-    where the middle term reads -ln(x+beta) at k = 1.
+    where the middle term reads -ln(x+beta) at k = 1.  `ps` is
+    psi^(k-1)(x+1) when the caller already has it.
     """
     if not (isinstance(k, int) and k >= 1):
         raise DomainError(f"derivative order must be a positive integer, got {k!r}")
-    with mp.workdps(cfg.dps):
-        x1 = mp.mpf(x) + 1
-    ps = specfun.digamma(x1, cfg) if k == 1 else specfun.polygamma(k - 1, x1, cfg)
+    if ps is None:
+        x1 = _x_plus_1(x, cfg)
+        ps = specfun.digamma(x1, cfg) if k == 1 else specfun.polygamma(k - 1, x1, cfg)
     with mp.workdps(cfg.dps):
         xm, bm = mp.mpf(x), mp.mpf(beta)
         if k == 1:
@@ -137,25 +143,99 @@ def H_lambda_deriv(n: int, x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> Spe
     return _ln_g_deriv(n, x, _HALF, lam, cfg)
 
 
+def _phi_taylor_cutoff(lm):
+    """phi is summed from its Taylor series below this t, where its three
+    terms cancel: 1e-3, or 1/lambda when that is smaller, so that lambda t
+    stays below 1 and the series of e^{-lambda t} does not cancel either."""
+    return 1e-3 if abs(lm) <= 1000 else 1 / abs(lm)
+
+
+@functools.lru_cache(maxsize=32)
+def _phi_taylor_coeffs(lm, prec: int) -> tuple:
+    """(c_2, c_3, ...) with phi_lambda(t) = sum_k c_k t^k, at precision prec:
+
+        c_k = (-1/2)^(k+1)/(k+1)! - B_(k+1)/(k+1)! - (-lambda)^(k-1)/(24 (k-1)!),
+
+    from the series of e^{-t/2}/t, 1/(e^t-1) and t e^{-lambda t}/24 (c_2 =
+    (2 lambda - 1)/48; c_k vanishes for k < 2).  Terms are taken until the
+    next one, bounded by the sum of its three parts at t = cutoff, drops
+    below 2^-prec * 2/t, the relative precision of the cancelling terms.
+    """
+    with mp.workprec(prec):
+        t0 = mp.mpf(_phi_taylor_cutoff(lm))
+        tol = mp.ldexp(2 / t0, -prec)
+        coeffs = []
+        for k in itertools.count(2):  # |lambda| t0 <= 1, so the bound falls
+            f = mp.mpf(1) / math.factorial(k + 1)
+            a = (-_HALF) ** (k + 1) * f
+            b = mp.bernoulli(k + 1) * f
+            c = (-lm) ** (k - 1) / (24 * math.factorial(k - 1))
+            if (abs(a) + abs(b) + abs(c)) * t0 ** k < tol:
+                return tuple(coeffs)
+            coeffs.append(a - b - c)
+
+
+def _phi_taylor(tm, lm):
+    s = mp.mpf(0)
+    for c in reversed(_phi_taylor_coeffs(lm, mp.prec)):
+        s = s * tm + c
+    return s * tm * tm
+
+
+def _phi_terms(tm, lm):
+    """(e^{-t/2}/t, 1/(e^t-1), t e^{-lambda t}/24) from one exponential of
+    -t/2 and one of -lambda t.  For t < 1, v = expm1(-t/2) gives
+    1 - e^{-t} = -v (2+v) without cancellation; for t >= 1, u = e^{-t/2}
+    and 1 - u^2 lose nothing."""
+    if tm < 1:
+        v = mp.expm1(-tm / 2)
+        u = 1 + v
+        one_minus_u2 = -v * (2 + v)
+    else:
+        u = mp.exp(-tm / 2)
+        one_minus_u2 = 1 - u * u
+    return u / tm, u * u / one_minus_u2, tm * mp.exp(-lm * tm) / 24
+
+
+def _phi_with_scale(tm, lm):
+    """(phi_lambda(t), e^{-t/2}/t + 1/(e^t-1) + t e^{-lambda t}/24) at the
+    current precision; the sum of the term magnitudes scales the rounding
+    allowance of a phi sign sweep."""
+    a, b, c = _phi_terms(tm, lm)
+    phi = _phi_taylor(tm, lm) if tm < _phi_taylor_cutoff(lm) else a - b - c
+    return phi, a + b + c
+
+
 def phi_integrand(t, lam):
     """phi_lambda(t) = e^{-t/2}/t - 1/(e^t-1) - t e^{-lambda t}/24 for t > 0.
 
-    Below t = 1e-3 the direct form loses ~6 digits to cancellation, so a
-    Taylor form with leading coefficient (2 lambda - 1)/48 is used:
-
-        phi = (2l-1)/48 t^2 + (23/5760 - l^2/48) t^3
-              + (l^3/144 - 1/3840) t^4 + (1/46080 - 1/30240 - l^4/576) t^5
+    The three terms come from one exponential of -t/2 and one of
+    -lambda t (see _phi_terms).  Below t = 1e-3 (1/lambda for lambda >
+    1000) the direct form loses digits to cancellation, so the Taylor
+    series with leading coefficient (2 lambda - 1)/48 is summed instead;
+    its coefficients are generated from the closed form to the current
+    precision (see _phi_taylor_coeffs).
     """
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
     tm, lm = mp.mpf(t), mp.mpf(lam)
-    if tm < mp.mpf("1e-3"):
-        c2 = (2 * lm - 1) / 48
-        c3 = mp.mpf(23) / 5760 - lm ** 2 / 48
-        c4 = lm ** 3 / 144 - mp.mpf(1) / 3840
-        c5 = mp.mpf(1) / 46080 - mp.mpf(1) / 30240 - lm ** 4 / 576
-        return ((((c5 * tm) + c4) * tm + c3) * tm + c2) * tm * tm
-    return mp.exp(-tm / 2) / tm - 1 / mp.expm1(tm) - tm * mp.exp(-lm * tm) / 24
+    if tm < _phi_taylor_cutoff(lm):
+        return _phi_taylor(tm, lm)  # needs no exponential
+    return _phi_with_scale(tm, lm)[0]
+
+
+def _laplace_quad(x, lam, cfg: PrecisionConfig):
+    """int_0^T phi_lambda(t) e^{-xt} dt by tanh-sinh quadrature with
+    T = max(quad_cutoff, 60/x), so the omitted tail is e^{-60}-small in scale."""
+    with mp.workdps(cfg.dps):
+        xm = mp.mpf(x)
+        T = mp.mpf(max(cfg.quad_cutoff, 60.0 / float(x)))
+        f = lambda t: phi_integrand(t, lam) * mp.exp(-xm * t)
+        pts = sorted({mp.mpf(0), min(1, T), min(10, T), min(30, T), T})
+        try:
+            return mp.quad(f, pts, maxdegree=max(8, specfun._quad_maxdegree(cfg)))
+        except Exception as exc:
+            raise NumericalError(f"Laplace quadrature failed at x={x}, lambda={lam}") from exc
 
 
 def laplace_check(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
@@ -164,16 +244,9 @@ def laplace_check(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
     require_positive("x", x)
     _check_lambda(lam)
     closed = H_lambda_prime(x, lam, cfg)
+    quad = _laplace_quad(x, lam, cfg)
     with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        T = mp.mpf(max(cfg.quad_cutoff, 60.0 / float(x)))
-        f = lambda t: phi_integrand(t, lam) * mp.exp(-xm * t)
-        pts = sorted({mp.mpf(0), min(1, T), min(10, T), min(30, T), T})
-        try:
-            val = mp.quad(f, pts, maxdegree=max(8, specfun._quad_maxdegree(cfg)))
-        except Exception as exc:
-            raise NumericalError(f"Laplace quadrature failed at x={x}, lambda={lam}") from exc
-        return float(val - closed.value)
+        return float(quad - closed.value)
 
 
 def h_of_t(t):
@@ -300,11 +373,14 @@ def cm_check(
 ) -> CMReport:
     """Check s * (-1)^n H_lambda^(n)(x) >= 0 for n = 0..max_order on a grid.
 
-    Margins are computed interval-safely: "verified" needs every margin to
-    exceed its evaluation-error bound, "falsified" needs some margin below
-    minus its bound, and a borderline sweep is "indeterminate".  This call
-    does not retry; `gammacert verify` reruns an indeterminate claim once
-    at doubled working precision.
+    Order 0 is H_lambda itself.  Orders n = 1..max_order need
+    psi^(n-1)(x+1); one specfun._psi call per grid point returns all of
+    them from a single upward shift, each with its own first-omitted-term
+    bound.  Margins are computed interval-safely: "verified" needs every
+    margin to exceed its evaluation-error bound, "falsified" needs some
+    margin below minus its bound, and a borderline sweep is
+    "indeterminate".  This call does not retry; `gammacert verify` reruns
+    an indeterminate claim once at doubled working precision.
     """
     if sign not in ("plus", "minus"):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -319,11 +395,11 @@ def cm_check(
 
     sweep = Sweep()
     for x in grid:
-        for order in range(0, max_order + 1):
-            if order == 0:
-                sv = H_lambda(x, lam, cfg)
-            else:
-                sv = H_lambda_deriv(order, x, lam, cfg)
+        sv = H_lambda(x, lam, cfg)
+        sweep.add((0, float(x)), s * float(sv.value), sv.abs_error_bound)
+        psis = specfun._psi(0, max_order - 1, _x_plus_1(x, cfg), cfg)
+        for order, ps in enumerate(psis, start=1):
+            sv = _ln_g_deriv(order, x, _HALF, lam, cfg, ps)
             margin = s * ((-1.0) ** order) * float(sv.value)
             sweep.add((order, float(x)), margin, sv.abs_error_bound)
 
@@ -425,9 +501,7 @@ def midpoint_defect(
 def _ln_g(x, beta, lam, cfg: PrecisionConfig) -> SpecialValue:
     """x + ln Gamma(x+1) - (x+beta) ln(x+beta), plus 1/(24 (x+lam)) when lam
     is not None: ln g_beta, or ln G_{lambda,mu} with beta = mu."""
-    with mp.workdps(cfg.dps):
-        x1 = mp.mpf(x) + 1
-    lg = specfun.ln_gamma(x1, cfg)
+    lg = specfun.ln_gamma(_x_plus_1(x, cfg), cfg)
     with mp.workdps(cfg.dps):
         xm, bm = mp.mpf(x), mp.mpf(beta)
         val = xm + lg.value - (xm + bm) * mp.log(xm + bm)

@@ -3,7 +3,10 @@
 ln Gamma, psi and the polygammas are computed by recurrence-shifting the
 argument upward and applying the Stirling-type asymptotic series; on the
 positive real axis the truncation error of these series is bounded by the
-first omitted term, which is folded into the returned error bound.  The
+first omitted term, which is folded into the returned error bound.  One
+call of the series routine serves a range of orders from a single shift
+(cm_check takes psi^(0..5) at each grid point that way), and the series
+coefficients are cached per order and precision on first use.  The
 Binet remainder theta(x) is evaluated by quadrature of its Laplace-type
 integral with an analytic tail bound.
 
@@ -50,89 +53,146 @@ def _quad_maxdegree(cfg: PrecisionConfig) -> int:
     return max(6, math.ceil(math.log2(max(cfg.quad_nodes, 64))))
 
 
-def _stirling_series(m: int, z, target):
-    """Stirling series of psi^(m) at large z without its overall sign
-    (-1)^(m+1), as in _psi; returns (sum, first omitted term)."""
-    if m == -1:
-        s = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
-    elif m == 0:
-        s = 1 / (2 * z) - mp.log(z)
-    else:
-        s = mp.factorial(m - 1) / z ** m + mp.factorial(m) / (2 * z ** (m + 1))
+# (m, mp.prec) -> [(c_k, ln|c_k|) for k = 1, 2, ...], c_k = B_2k (2k+m-1)!/(2k)!
+# rounded at that precision; filled on first use and extended as longer
+# series need it
+_STIRLING_COEFFS: dict = {}
 
-    def term(k):
+
+def _stirling_coeffs(m: int, n: int) -> list:
+    """At least n Stirling coefficients of order m at the current precision."""
+    table = _STIRLING_COEFFS.setdefault((m, mp.prec), [])
+    for k in range(len(table) + 1, n + 1):
         # (2k+m-1)!/(2k)! is kept as an exact integer ratio
         if m >= 1:
             num, den = math.perm(2 * k + m - 1, m - 1), 1
         else:
             num, den = 1, math.perm(2 * k, 1 - m)
-        return mp.bernoulli(2 * k) * num / (den * z ** (2 * k + m))
+        c = mp.bernoulli(2 * k) * num / den
+        table.append((c, float(mp.log(abs(c)))))
+    return table
 
-    cur = term(1)
-    k = 1
+
+def _stirling_series(m: int, z, log_target: float):
+    """Stirling series of psi^(m) at large z without its overall sign
+    (-1)^(m+1), as in _psi; returns (sum, first omitted term).
+
+    The terms are taken while they decrease and stay above e^log_target,
+    judged on float log-magnitudes; the kept ones are summed by Horner's
+    rule in 1/z^2 and the first omitted one is evaluated in full.
+    """
+    zinv = 1 / z
+    if m == -1:
+        log_z = mp.log(z)
+        s = (z - mp.mpf(1) / 2) * log_z - z + mp.log(2 * mp.pi) / 2
+        zm = z
+    elif m == 0:
+        log_z = mp.log(z)
+        s = zinv / 2 - log_z
+        zm = mp.mpf(1)
+    else:
+        log_z = math.log(z)
+        zm = zinv ** m
+        s = zm * (math.factorial(m - 1) + math.factorial(m) * zinv / 2)
+    lz = float(log_z)
+    coeffs = _stirling_coeffs(m, 2)
+    prev = coeffs[0][1] - (2 + m) * lz  # ln |term 1|
+    k = 2
     while True:
-        s += cur
+        if k > len(coeffs):
+            coeffs = _stirling_coeffs(m, 2 * k)
+        cur = coeffs[k - 1][1] - (2 * k + m) * lz
+        if cur < log_target or cur >= prev or k > 300:
+            break  # term k is the first omitted one
+        prev = cur
         k += 1
-        nxt = term(k)
-        if abs(nxt) < target or abs(nxt) >= abs(cur) or k > 300:
-            return s, abs(nxt)
-        cur = nxt
+    w = zinv * zinv
+    acc = coeffs[k - 2][0]
+    for c, _ in reversed(coeffs[:k - 2]):
+        acc = acc * w + c
+    s += acc * w * zm
+    return s, abs(coeffs[k - 1][0]) * w ** k * zm
 
 
-def _psi(m: int, x, cfg: PrecisionConfig) -> SpecialValue:
-    """psi^(m)(x) for finite x > 0 and m >= -1, where m = -1 stands for ln Gamma.
+def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
+    """[psi^(m)(x) for m = mlo..mhi] for finite x > 0 and -1 <= mlo <= mhi,
+    where m = -1 stands for ln Gamma.
 
-    The argument is shifted up to z = x + n by the recurrences
+    All orders share one upward shift to z = x + n by the recurrences
 
-        ln Gamma(x) = ln Gamma(z) - sum_j ln(x+j)
-        psi^(m)(x)  = psi^(m)(z) + (-1)^(m+1) m! sum_j (x+j)^(-m-1)
+        ln Gamma(x) = ln Gamma(z) - ln prod_j (x+j)
+        psi^(m)(x)  = psi^(m)(z) + (-1)^(m+1) m! sum_j (x+j)^(-m-1),
 
-    and psi^(m)(z) is summed from its Stirling series
+    with n set by the shift threshold of the highest order, and psi^(m)(z)
+    is summed from its Stirling series
 
         (-1)^(m+1) [lead_m(z) + sum_k B_2k (2k+m-1)! / ((2k)! z^(2k+m))],
 
     stopping when the next term drops below the target or starts growing;
-    on the positive axis that first omitted term bounds the remainder.
+    on the positive axis that first omitted term bounds the remainder.  If
+    some order's series misses the target, the shift goes on to a doubled
+    threshold.  The coefficients B_2k (2k+m-1)!/(2k)! are cached per order
+    and precision on first use, and the powers of z come from repeated
+    products with 1/z^2 (Horner's rule).
     """
     require_positive("x", x)
     if mp.isinf(x):
         raise DomainError(f"x must be finite, got {x!r}")
+    orders = range(mlo, mhi + 1)
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
         target = mp.mpf(10) ** (-(cfg.working_digits + 6))
-        thr = _shift_threshold(cfg.working_digits) + max(m, 0)
+        log_target = -(cfg.working_digits + 6) * math.log(10)
+        thr = _shift_threshold(cfg.working_digits) + max(mhi, 0)
+        n = 0  # shift steps: x, x+1, ..., x+n-1
         for _ in range(4):
-            z = xm
-            shift = mp.mpf(0)
-            while z < thr:
-                shift += -mp.log(z) if m == -1 else 1 / z ** (m + 1)
-                z += 1
-            s, rem = _stirling_series(m, z, target)
-            if rem <= target:
+            if xm < thr:
+                n = max(n, math.ceil(thr - float(xm)))
+            z = xm + n
+            series = [_stirling_series(m, z, log_target) for m in orders]
+            if all(rem <= target for _, rem in series):
                 break
             thr *= 2
-        fact = math.factorial(max(m, 0))
-        val = (-1) ** (m + 1) * (s + fact * shift)
-        # rounding slack for the shift products and elementary calls
-        slack = (abs(val) + fact * (abs(shift) + 1)) * mp.mpf(10) ** (2 - cfg.dps)
-        return SpecialValue(val, float(rem + slack))
+        steps = [xm + j for j in range(n)]
+        shifts = [mp.mpf(0)] * len(orders)
+        if mlo == -1 and steps:
+            prod = mp.mpf(1)
+            for zj in steps:
+                prod *= zj
+            shifts[0] = -mp.log(prod)
+        first = max(mlo, 0)
+        for zj in steps:
+            r = 1 / zj
+            p = r ** (first + 1)
+            for i in range(first - mlo, len(orders)):
+                shifts[i] += p  # (x+j)^-(m+1)
+                p *= r
+        eps = mp.mpf(10) ** (2 - cfg.dps)
+        out = []
+        for m, (s, rem), shift in zip(orders, series, shifts):
+            fact = math.factorial(max(m, 0))
+            val = (-1) ** (m + 1) * (s + fact * shift)
+            # rounding slack for the shift products and elementary calls
+            slack = (abs(val) + fact * (abs(shift) + 1)) * eps
+            out.append(SpecialValue(val, float(rem + slack)))
+        return out
 
 
 def ln_gamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """ln Gamma(x) for finite x > 0 with a certified absolute error bound."""
-    return _psi(-1, x, cfg)
+    return _psi(-1, -1, x, cfg)[0]
 
 
 def digamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """psi(x) = Gamma'(x)/Gamma(x) for finite x > 0."""
-    return _psi(0, x, cfg)
+    return _psi(0, 0, x, cfg)[0]
 
 
 def polygamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """psi^(m)(x) for m >= 1, finite x > 0; (-1)^(m+1) psi^(m) > 0."""
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"m must be a positive integer, got {m!r}")
-    return _psi(m, x, cfg)
+    return _psi(m, m, x, cfg)[0]
 
 
 # Maclaurin coefficients B_2k/(2k)!, k = 1..7, of

@@ -7,9 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from mpmath import mp
 
 from gammacert import DEFAULT_CONFIG, ParameterError, PrecisionConfig
-from gammacert import cli, harness
+from gammacert import cli, harness, monotone
 from gammacert.harness import GridSpec, VerificationReport
 
 
@@ -182,6 +183,51 @@ class TestRetry:
         rep = harness._run_claim(claim, DEFAULT_CONFIG, grid)
         assert calls == [15, 30]
         assert rep.verdict == "verified"
+        assert rep.precision_digits == 30
+
+
+class TestSharedWork:
+    def test_laplace_residuals_match_direct_quadrature(self, monkeypatch):
+        quads = []
+        quad = mp.quad
+
+        def counting_quad(*args, **kwargs):
+            quads.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "quad", counting_quad)
+        residuals = harness._laplace_residuals(DEFAULT_CONFIG)
+        assert len(quads) == 5
+        assert [(x, lam) for x, lam, _ in residuals] == [
+            (x, lam) for x in harness._LAPLACE_XS for lam in harness._LAPLACE_LAMBDAS
+        ]
+        assert len(residuals) == 30
+        for x, lam, res in residuals:
+            assert abs(res - monotone.laplace_check(x, lam, DEFAULT_CONFIG)) <= 1e-20, (x, lam)
+
+    def test_each_distinct_cm_sweep_runs_once(self, monkeypatch):
+        sweeps = []
+        cm_check = monotone.cm_check
+
+        def counting_cm_check(lam, sign, *args, **kwargs):
+            sweeps.append((lam, sign))
+            return cm_check(lam, sign, *args, **kwargs)
+
+        monkeypatch.setattr(monotone, "cm_check", counting_cm_check)
+        reports = harness.run_suite("all")
+        assert len(sweeps) == 8
+        assert len(set(sweeps)) == 8
+        assert harness.exit_code(reports) == 0
+        by_id = {r.claim_id: r for r in reports}
+        for alias, source in (("thm3.3-lcm-G-lam0.5", "thm2.1-item1-cm-lam0.5"),
+                              ("thm3.3-lcm-recip-G-lam1.5", "thm2.1-item3-cm-lam1.5")):
+            assert by_id[alias] == dataclasses.replace(by_id[source], claim_id=alias, runtime_ms=0)
+
+        sweeps.clear()
+        reports = harness.run_suite("thm3.3")
+        assert sorted(sweeps) == [(0.5, "plus"), (1.5, "minus")]
+        assert [r.claim_id for r in reports] == ["thm3.3-lcm-G-lam0.5", "thm3.3-lcm-recip-G-lam1.5"]
+        assert [r.verdict for r in reports] == ["verified", "verified"]
 
 
 class TestCLI:

@@ -103,6 +103,41 @@ class TestPhiIntegrand:
                 patched = phi_integrand(t, 0.25)
                 assert abs(patched - direct) < mp.mpf("1e-18")
 
+    @staticmethod
+    def _error_over_allowance(t, lam, digits):
+        """|phi_integrand - phi| over the allowance scale * 10^(2-dps) of the
+        phi sign sweeps, with phi and scale from an 80-digit direct form."""
+        cfg = PrecisionConfig(working_digits=digits)
+        with mp.workdps(cfg.dps):
+            got = phi_integrand(mp.mpf(t), lam)
+        with mp.workdps(80):
+            tm, lm = mp.mpf(t), mp.mpf(lam)
+            terms = (mp.exp(-tm / 2) / tm, 1 / mp.expm1(tm), tm * mp.exp(-lm * tm) / 24)
+            exact = terms[0] - terms[1] - terms[2]
+            allowance = sum(terms) * mp.mpf(10) ** (2 - cfg.dps)
+            return abs(got - exact) / allowance
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("lam", [0, 0.25, 0.5, 1.5])
+    @pytest.mark.parametrize("t", ["1e-4", "5e-4", "9.98e-4"])
+    def test_taylor_branch_within_tenth_of_sweep_allowance(self, t, lam, digits):
+        assert self._error_over_allowance(t, lam, digits) <= mp.mpf("0.1")
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("lam", [0, 0.5, 1.5])
+    @pytest.mark.parametrize("t", ["1e-3", "0.5", "0.999", "1", "3", "50", "200"])
+    def test_direct_branch_within_tenth_of_sweep_allowance(self, t, lam, digits):
+        # expm1 form below t = 1, exp form from t = 1 on
+        assert self._error_over_allowance(t, lam, digits) <= mp.mpf("0.1")
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("lam", [1e4, 1e6])
+    @pytest.mark.parametrize("t", ["1e-9", "5e-7", "5e-5", "9e-4"])
+    def test_large_lambda_within_tenth_of_sweep_allowance(self, t, lam, digits):
+        # the Taylor range shrinks to t < 1/lambda, where e^{-lambda t} has no
+        # cancelling series
+        assert self._error_over_allowance(t, lam, digits) <= mp.mpf("0.1")
+
     def test_laplace_consistency(self):
         # quadrature of phi e^{-xt} against the closed form of H'
         for x, lam in ((1.0, 0.5), (2.0, 1.5), (5.0, 1.0)):

@@ -6,6 +6,9 @@ explicit remainder bounds, so agreement here is a genuine cross-check.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,8 @@ from gammacert import (
     mathieu_partial,
     polygamma,
 )
+from gammacert import specfun
+from gammacert.monotone import default_cm_grid
 
 HI = PrecisionConfig(working_digits=30)
 
@@ -113,6 +118,34 @@ class TestDigammaPolygamma:
         for m in (1, 2):
             with pytest.raises(DomainError):
                 polygamma(m, x)
+
+
+class TestSharedShift:
+    @pytest.mark.parametrize("digits", [15, 30, 40])
+    def test_order_range_against_mpmath_oracle(self, digits):
+        # one _psi call for orders -1..5 (-1 is ln Gamma), as cm_check makes
+        # them at every grid point, each value within its own bound
+        cfg = PrecisionConfig(working_digits=digits)
+        for x in default_cm_grid() + [1e-3, 171.6, 1e4]:
+            values = specfun._psi(-1, 5, x, cfg)
+            assert len(values) == 7
+            with mp.workdps(60):
+                xm = mp.mpf(x)
+                for m, sv in zip(range(-1, 6), values):
+                    oracle = mp.loggamma(xm) if m == -1 else mp.psi(m, xm)
+                    assert abs(sv.value - oracle) <= sv.abs_error_bound, (x, m)
+
+    def test_no_table_built_at_import(self):
+        code = (
+            "import gammacert.cli\n"
+            "from gammacert import monotone, specfun\n"
+            "assert not specfun._STIRLING_COEFFS, specfun._STIRLING_COEFFS\n"
+            "assert monotone._phi_taylor_coeffs.cache_info().currsize == 0\n"
+        )
+        src = os.path.dirname(os.path.dirname(specfun.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBinetTheta:
