@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
 from mpmath import mp
 
 from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, Sweep
@@ -108,15 +107,29 @@ class _CMSweep:
         return rep.min_margin, rep.argmin[1], rep.verdict
 
 
+@functools.lru_cache(maxsize=1)
+def _phi_free_table(grid: GridSpec, cfg) -> tuple:
+    """(e^{-t/2}/t, 1/(e^t-1)) at each t of grid, at cfg.dps; the last
+    table built is kept for the next phi sweep."""
+    with mp.workdps(cfg.dps):
+        return tuple(monotone._phi_terms(mp.mpf(t)) for t in grid.values())
+
+
 def _phi_margin_sweep(lam: float, want: str, cfg, grid: GridSpec) -> Sweep:
-    """want='nonpositive' checks phi <= 0, want='nonnegative' checks phi >= 0."""
+    """want='nonpositive' checks phi <= 0, want='nonnegative' checks phi >= 0.
+
+    The lambda-free terms e^{-t/2}/t and 1/(e^t-1) come from a table keyed
+    on the grid and cfg, so the sweeps that differ only in lambda (the two
+    phi-sign claims and the two inside thm2.1-threshold) compute them once
+    and each adds one e^{-lambda t} per point.
+    """
     sweep = Sweep()
     with mp.workdps(cfg.dps):
         lm = mp.mpf(lam)
         eps = mp.mpf(10) ** (2 - cfg.dps)
-        for t in grid.values():
+        for t, free in zip(grid.values(), _phi_free_table(grid, cfg)):
             # allowance scales with the magnitudes of the cancelling terms
-            phi, scale = monotone._phi_with_scale(mp.mpf(t), lm)
+            phi, scale = monotone._phi_with_scale(mp.mpf(t), lm, free)
             err = float(scale * eps)
             margin = float(-phi) if want == "nonpositive" else float(phi)
             sweep.add(t, margin, err)
@@ -174,17 +187,16 @@ def _run_gamma_containment(family: BoundFamily):
 
 
 def _run_best_constants(cfg, grid: GridSpec):
+    """The ratio Gamma(x+1) / [((x+1/2)/e)^(x+1/2) e^{-1/(24(x+1/2))}] of
+    Eq. (1.3) is sqrt(2 pi) e^{H_{1/2}(x)}; it tends to sqrt(2 pi) as x -> inf
+    and to sqrt(2) e^{7/12} as x -> 0."""
     sweep = Sweep()
     with mp.workdps(cfg.dps):
         for x, ref in ((1e4, mp.sqrt(2 * mp.pi)), (1e-6, mp.sqrt(2) * mp.exp(mp.mpf(7) / 12))):
-            xm = mp.mpf(x)
-            lg = specfun.ln_gamma(x + 1, cfg)
-            denom = (xm + mp.mpf(1) / 2) * (mp.log(xm + mp.mpf(1) / 2) - 1) - 1 / (
-                24 * (xm + mp.mpf(1) / 2)
-            )
-            ratio = mp.exp(lg.value - denom)
+            h = monotone.H_lambda(x, 0.5, cfg)
+            ratio = mp.sqrt(2 * mp.pi) * mp.exp(h.value)
             rel = abs(ratio - ref) / ref
-            sweep.add(x, float(1e-3 - rel), lg.abs_error_bound + 10.0 ** (2 - cfg.dps))
+            sweep.add(x, float(1e-3 - rel), h.abs_error_bound + 10.0 ** (2 - cfg.dps))
     return sweep.result()
 
 
@@ -205,8 +217,10 @@ def _run_section1_comparison(cfg, grid: GridSpec):
 
 
 @functools.lru_cache(maxsize=2)
-def _harmonic_array(nmax: int) -> np.ndarray:
-    """H_1..H_nmax by Kahan-compensated summation of 1/k."""
+def _harmonic_array(nmax: int):
+    """H_1..H_nmax as a numpy array, by Kahan-compensated summation of 1/k."""
+    import numpy as np  # imported here, not with the module: only Thm 3.2 uses it
+
     out = np.empty(nmax)
     s = 0.0
     c = 0.0
@@ -226,6 +240,8 @@ def _run_harmonic(which: str):
     """which: 'eq3.7' | 'eq3.8-corrected' | 'eq3.8-printed'."""
 
     def runner(cfg, grid: GridSpec):
+        import numpy as np
+
         nmax = int(grid.hi)
         h = _harmonic_array(nmax)
         n = np.arange(1, nmax + 1, dtype=np.float64)
@@ -255,14 +271,21 @@ def _run_harmonic(which: str):
 # --- factorials (Theorem 3.4) ----------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _ln_factorials(grid: GridSpec, cfg) -> tuple:
+    """((n, ln Gamma(n+1)) for n = lo..hi of grid); the last table built is
+    kept, so the four Thm 3.4 sweeps share one."""
+    ns = range(int(grid.lo), int(grid.hi) + 1)
+    return tuple((n, specfun.ln_gamma(n + 1, cfg)) for n in ns)
+
+
 def _run_factorial(family: BoundFamily, side: str = "both"):
     """ln-space containment of n!; side='lower'/'upper' isolates one printed
     inequality, 'both' checks the double inequality."""
 
     def runner(cfg, grid: GridSpec):
         sweep = Sweep()
-        for n in range(int(grid.lo), int(grid.hi) + 1):
-            lg = specfun.ln_gamma(n + 1, cfg)
+        for n, lg in _ln_factorials(grid, cfg):
             lo, hi = bounds.factorial_bound_log(family, n, cfg)
             err = lg.abs_error_bound + FACTORIAL_ALLOWANCE
             if side in ("both", "lower"):
@@ -365,10 +388,23 @@ def _laplace_residuals(cfg) -> list:
     The quadrature stops at T >= 60/x, so the lambda term's tail beyond T
     that this difference leaves out is below e^{-60} in scale, far under
     the 1e-10 margin of the claim.
+
+    The five quadratures share their interval ends 0, 1, 10 and 30 (and
+    T = 50 for x >= 2), hence their tanh-sinh nodes there, so phi is
+    evaluated through a memo local to this call; each distinct node and
+    precision is computed once.
     """
+    memo = {}
+
+    def phi(t):
+        key = (t, mp.prec)
+        if key not in memo:
+            memo[key] = monotone.phi_integrand(t, _LAPLACE_LAM0)
+        return memo[key]
+
     out = []
     for x in _LAPLACE_XS:
-        quad = monotone._laplace_quad(x, _LAPLACE_LAM0, cfg)
+        quad = monotone._laplace_quad(x, _LAPLACE_LAM0, cfg, phi)
         with mp.workdps(cfg.dps):
             xm = mp.mpf(x)
             free = quad + 1 / (24 * (xm + mp.mpf(_LAPLACE_LAM0)) ** 2)

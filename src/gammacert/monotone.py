@@ -182,11 +182,11 @@ def _phi_taylor(tm, lm):
     return s * tm * tm
 
 
-def _phi_terms(tm, lm):
-    """(e^{-t/2}/t, 1/(e^t-1), t e^{-lambda t}/24) from one exponential of
-    -t/2 and one of -lambda t.  For t < 1, v = expm1(-t/2) gives
-    1 - e^{-t} = -v (2+v) without cancellation; for t >= 1, u = e^{-t/2}
-    and 1 - u^2 lose nothing."""
+def _phi_terms(tm):
+    """(e^{-t/2}/t, 1/(e^t-1)), the lambda-free terms of phi, from one
+    exponential of -t/2.  For t < 1, v = expm1(-t/2) gives 1 - e^{-t} =
+    -v (2+v) without cancellation; for t >= 1, u = e^{-t/2} and 1 - u^2
+    lose nothing."""
     if tm < 1:
         v = mp.expm1(-tm / 2)
         u = 1 + v
@@ -194,14 +194,16 @@ def _phi_terms(tm, lm):
     else:
         u = mp.exp(-tm / 2)
         one_minus_u2 = 1 - u * u
-    return u / tm, u * u / one_minus_u2, tm * mp.exp(-lm * tm) / 24
+    return u / tm, u * u / one_minus_u2
 
 
-def _phi_with_scale(tm, lm):
+def _phi_with_scale(tm, lm, free=None):
     """(phi_lambda(t), e^{-t/2}/t + 1/(e^t-1) + t e^{-lambda t}/24) at the
     current precision; the sum of the term magnitudes scales the rounding
-    allowance of a phi sign sweep."""
-    a, b, c = _phi_terms(tm, lm)
+    allowance of a phi sign sweep.  `free` is _phi_terms(tm) when the
+    caller already has it, so only e^{-lambda t} is computed here."""
+    a, b = _phi_terms(tm) if free is None else free
+    c = tm * mp.exp(-lm * tm) / 24
     phi = _phi_taylor(tm, lm) if tm < _phi_taylor_cutoff(lm) else a - b - c
     return phi, a + b + c
 
@@ -209,8 +211,8 @@ def _phi_with_scale(tm, lm):
 def phi_integrand(t, lam):
     """phi_lambda(t) = e^{-t/2}/t - 1/(e^t-1) - t e^{-lambda t}/24 for t > 0.
 
-    The three terms come from one exponential of -t/2 and one of
-    -lambda t (see _phi_terms).  Below t = 1e-3 (1/lambda for lambda >
+    The three terms come from one exponential of -t/2 (see _phi_terms)
+    and one of -lambda t.  Below t = 1e-3 (1/lambda for lambda >
     1000) the direct form loses digits to cancellation, so the Taylor
     series with leading coefficient (2 lambda - 1)/48 is summed instead;
     its coefficients are generated from the closed form to the current
@@ -224,13 +226,16 @@ def phi_integrand(t, lam):
     return _phi_with_scale(tm, lm)[0]
 
 
-def _laplace_quad(x, lam, cfg: PrecisionConfig):
+def _laplace_quad(x, lam, cfg: PrecisionConfig, phi=None):
     """int_0^T phi_lambda(t) e^{-xt} dt by tanh-sinh quadrature with
-    T = max(quad_cutoff, 60/x), so the omitted tail is e^{-60}-small in scale."""
+    T = max(quad_cutoff, 60/x), so the omitted tail is e^{-60}-small in scale.
+    `phi(t)` stands in for phi_integrand(t, lam) when given (a memo of it)."""
+    if phi is None:
+        phi = lambda t: phi_integrand(t, lam)
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
         T = mp.mpf(max(cfg.quad_cutoff, 60.0 / float(x)))
-        f = lambda t: phi_integrand(t, lam) * mp.exp(-xm * t)
+        f = lambda t: phi(t) * mp.exp(-xm * t)
         pts = sorted({mp.mpf(0), min(1, T), min(10, T), min(30, T), T})
         try:
             return mp.quad(f, pts, maxdegree=max(8, specfun._quad_maxdegree(cfg)))
@@ -249,25 +254,33 @@ def laplace_check(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
         return float(quad - closed.value)
 
 
+# h(t) amplifies the rounding of e^{-t/2}/t and 1/(e^t-1), and the Taylor
+# truncation of phi_0 at its 1e-3 cutoff, by up to 48/t^3 < 2^36 for t >= 1e-3
+_H_GUARD_BITS = 36
+
+
 def h_of_t(t):
     """h(t) = -(1/t) ln[(24/t^2)(e^{-t/2} - t/(e^t-1))]; h -> 1/2 at both ends.
 
-    Near t = 0 the bracket is evaluated by its series
-    1 - t/2 + 23 t^2/240 - t^3/160 - 11 t^4/40320 + O(t^5).
+    The bracket is 1 + 24 phi_0(t)/t.  Below the Taylor cutoff of phi_0
+    (t = 1e-3) it is summed from the series of phi_0, generated to the
+    working precision (see _phi_taylor_coeffs); above it the two
+    lambda-free terms of phi come from _phi_terms.  Both run with
+    _H_GUARD_BITS extra bits, so h keeps the working precision.
     """
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
-    tm = mp.mpf(t)
-    if tm < mp.mpf("1e-3"):
-        u = tm * (
-            mp.mpf(-1) / 2
-            + tm * (mp.mpf(23) / 240 + tm * (mp.mpf(-1) / 160 + tm * mp.mpf(-11) / 40320))
-        )
-        return -mp.log1p(u) / tm
-    bracket = 24 / tm ** 2 * (mp.exp(-tm / 2) - tm / mp.expm1(tm))
-    if not bracket > 0:
-        raise NumericalError(f"bracket non-positive at t={t}: {bracket}")
-    return -mp.log(bracket) / tm
+    with mp.extraprec(_H_GUARD_BITS):
+        tm = mp.mpf(t)
+        if tm < _phi_taylor_cutoff(0):
+            h = -mp.log1p(24 * _phi_taylor(tm, 0) / tm) / tm
+        else:
+            a, b = _phi_terms(tm)
+            bracket = 24 * (a - b) / tm
+            if not bracket > 0:
+                raise NumericalError(f"bracket non-positive at t={t}: {bracket}")
+            h = -mp.log(bracket) / tm
+    return +h
 
 
 @dataclass(frozen=True)
@@ -364,6 +377,13 @@ class CMReport:
     verdict: str  # "verified" | "falsified" | "indeterminate"
 
 
+@functools.lru_cache(maxsize=1)
+def _psi_table(grid: tuple, mhi: int, cfg: PrecisionConfig) -> tuple:
+    """(psi^(0..mhi)(x+1) for each x of grid), the lambda-free part of a
+    CM sweep; the last table built is kept for the next sweep."""
+    return tuple(specfun._psi(0, mhi, _x_plus_1(x, cfg), cfg) for x in grid)
+
+
 def cm_check(
     lam,
     sign: str,
@@ -376,11 +396,16 @@ def cm_check(
     Order 0 is H_lambda itself.  Orders n = 1..max_order need
     psi^(n-1)(x+1); one specfun._psi call per grid point returns all of
     them from a single upward shift, each with its own first-omitted-term
-    bound.  Margins are computed interval-safely: "verified" needs every
-    margin to exceed its evaluation-error bound, "falsified" needs some
-    margin below minus its bound, and a borderline sweep is
-    "indeterminate".  This call does not retry; `gammacert verify` reruns
-    an indeterminate claim once at doubled working precision.
+    bound.  These do not depend on lambda, so they are kept in a table
+    keyed on the grid, max_order and cfg (one table at a time): sweeps
+    that differ only in lambda or sign, such as the eight Thm 2.1 sweeps
+    of `gammacert verify`, compute them once.
+
+    Margins are computed interval-safely: "verified" needs every margin
+    to exceed its evaluation-error bound, "falsified" needs some margin
+    below minus its bound, and a borderline sweep is "indeterminate".
+    This call does not retry; `gammacert verify` reruns an indeterminate
+    claim once at doubled working precision.
     """
     if sign not in ("plus", "minus"):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -394,10 +419,9 @@ def cm_check(
     s = 1.0 if sign == "plus" else -1.0
 
     sweep = Sweep()
-    for x in grid:
+    for x, psis in zip(grid, _psi_table(tuple(grid), max_order - 1, cfg)):
         sv = H_lambda(x, lam, cfg)
         sweep.add((0, float(x)), s * float(sv.value), sv.abs_error_bound)
-        psis = specfun._psi(0, max_order - 1, _x_plus_1(x, cfg), cfg)
         for order, ps in enumerate(psis, start=1):
             sv = _ln_g_deriv(order, x, _HALF, lam, cfg, ps)
             margin = s * ((-1.0) ** order) * float(sv.value)

@@ -10,6 +10,7 @@ import pytest
 from mpmath import mp
 
 from gammacert import DEFAULT_CONFIG, ParameterError, PrecisionConfig
+from gammacert.config import Sweep
 from gammacert import cli, harness, monotone
 from gammacert.harness import GridSpec, VerificationReport
 
@@ -169,6 +170,16 @@ class TestSerialization:
         assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the Thm 3.2 harmonic sweeps and is imported there
+    code = "import sys, gammacert.cli\nraise SystemExit('numpy' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
 class TestRetry:
     def test_run_claim_retries_indeterminate_once(self):
         calls = []
@@ -205,6 +216,74 @@ class TestSharedWork:
         for x, lam, res in residuals:
             assert abs(res - monotone.laplace_check(x, lam, DEFAULT_CONFIG)) <= 1e-20, (x, lam)
 
+    def test_laplace_memo_equals_uncached_path(self, monkeypatch):
+        calls = []
+        phi_integrand = monotone.phi_integrand
+
+        def counting_phi(t, lam):
+            calls.append(lam)
+            return phi_integrand(t, lam)
+
+        monkeypatch.setattr(monotone, "phi_integrand", counting_phi)
+        shared = harness._laplace_residuals(DEFAULT_CONFIG)
+        assert 0 < len(calls) <= 756
+        shared_calls = len(calls)
+
+        quad = monotone._laplace_quad
+        monkeypatch.setattr(monotone, "_laplace_quad",
+                            lambda x, lam, cfg, phi=None: quad(x, lam, cfg))
+        calls.clear()
+        assert harness._laplace_residuals(DEFAULT_CONFIG) == shared
+        assert len(calls) > 2 * shared_calls
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_phi_sweeps_equal_uncached_path(self, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        grid = harness._PHI_GRID
+
+        def uncached(lam, want):
+            sweep = Sweep()
+            with mp.workdps(cfg.dps):
+                for t in grid.values():
+                    phi, scale = monotone._phi_with_scale(mp.mpf(t), mp.mpf(lam))
+                    margin = float(-phi) if want == "nonpositive" else float(phi)
+                    sweep.add(t, margin, float(scale * mp.mpf(10) ** (2 - cfg.dps)))
+            return sweep.result()
+
+        harness._phi_free_table.cache_clear()
+        sweeps = [(0.5, "nonpositive"), (1.5, "nonnegative"), (0.64, "nonnegative")]
+        for lam, want in sweeps:
+            got = harness._phi_margin_sweep(lam, want, cfg, grid).result()
+            assert got == uncached(lam, want), (lam, want)
+        info = harness._phi_free_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_phi_claims_share_one_table(self):
+        harness._phi_free_table.cache_clear()
+        ids = ("thm2.1-phi-nonpositive-lam0.5", "thm2.1-phi-nonnegative-lam1.5", "thm2.1-threshold")
+        for claim in harness.REGISTRY:
+            if claim.claim_id in ids:
+                assert harness._run_claim(claim, DEFAULT_CONFIG, claim.grid).verdict == "verified"
+        info = harness._phi_free_table.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_factorial_sweeps_alone_equal_suite(self, monkeypatch):
+        calls = []
+        ln_gamma = harness.specfun.ln_gamma
+
+        def counting_ln_gamma(x, cfg):
+            calls.append(x)
+            return ln_gamma(x, cfg)
+
+        monkeypatch.setattr(harness.specfun, "ln_gamma", counting_ln_gamma)
+        harness._ln_factorials.cache_clear()
+        suite = {r.claim_id: dataclasses.replace(r, runtime_ms=0) for r in harness.run_suite("thm3.4")}
+        assert sorted(calls) == list(range(2, 172))
+        for claim in harness.claims_for_suite("thm3.4"):
+            harness._ln_factorials.cache_clear()
+            alone = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
+            assert dataclasses.replace(alone, runtime_ms=0) == suite[claim.claim_id]
+
     def test_each_distinct_cm_sweep_runs_once(self, monkeypatch):
         sweeps = []
         cm_check = monotone.cm_check
@@ -213,10 +292,22 @@ class TestSharedWork:
             sweeps.append((lam, sign))
             return cm_check(lam, sign, *args, **kwargs)
 
+        # the 8 sweeps share one psi^(0..5)(x+1) table over the 48-point grid
+        psi_calls = []
+        psi = monotone.specfun._psi
+
+        def counting_psi(mlo, mhi, x, cfg):
+            if (mlo, mhi) == (0, 5):
+                psi_calls.append(x)
+            return psi(mlo, mhi, x, cfg)
+
         monkeypatch.setattr(monotone, "cm_check", counting_cm_check)
+        monkeypatch.setattr(monotone.specfun, "_psi", counting_psi)
+        monotone._psi_table.cache_clear()
         reports = harness.run_suite("all")
         assert len(sweeps) == 8
         assert len(set(sweeps)) == 8
+        assert len(psi_calls) == 48 == harness._CM_GRID.points
         assert harness.exit_code(reports) == 0
         by_id = {r.claim_id: r for r in reports}
         for alias, source in (("thm3.3-lcm-G-lam0.5", "thm2.1-item1-cm-lam0.5"),

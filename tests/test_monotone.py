@@ -153,6 +153,30 @@ class TestThreshold:
     def test_h_frozen_value(self):
         assert float(h_of_t(2.0)) == pytest.approx(0.5557500899, rel=1e-8)
 
+    @staticmethod
+    def _h_reference(t):
+        with mp.workdps(100):
+            tm = mp.mpf(t)
+            return -mp.log(24 / tm ** 2 * (mp.exp(-tm / 2) - tm / mp.expm1(tm))) / tm
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("t", ["1e-4", "5e-4", "9.99e-4", "1e-3", "1.001e-3", "2e-3",
+                                   "1e-2", "1", "2.6", "10", "200", "1e3"])
+    def test_h_keeps_working_precision(self, t, digits):
+        # the Taylor branch below t = 1e-3 and the direct branch above it
+        cfg = PrecisionConfig(working_digits=digits)
+        with mp.workdps(cfg.dps):
+            tm = mp.mpf(t)
+            got = h_of_t(tm)
+        exact = self._h_reference(tm)
+        with mp.workdps(100):
+            assert abs(got - exact) / exact <= mp.mpf(10) ** -digits
+
+    def test_lambda_star_bracket_contains_maximum(self):
+        # sup h to 16 digits, from a 50-digit maximisation of h
+        lo, hi = lambda_star(1e-8).bracket
+        assert lo <= 0.6518498903412566 <= hi
+
     def test_lambda_star(self):
         res = lambda_star(1e-8)
         assert 0.5 < res.lambda_star < 1.5
@@ -203,6 +227,33 @@ class TestCMCheck:
         rep = cm_check(0.5, "plus", max_order=3, grid=[1.0, 2.0])
         assert rep.verdict == "indeterminate"
         assert rep.min_margin == 0.0
+
+    def test_sweeps_share_one_psi_table(self, monkeypatch):
+        calls = []
+        psi = monotone.specfun._psi
+
+        def counting_psi(mlo, mhi, x, cfg):
+            if mlo >= 0:  # order 0 takes ln Gamma from _psi(-1, -1, ...)
+                calls.append((mlo, mhi, cfg.working_digits))
+            return psi(mlo, mhi, x, cfg)
+
+        monkeypatch.setattr(monotone.specfun, "_psi", counting_psi)
+        monotone._psi_table.cache_clear()
+        grid = [0.5, 1.0, 4.0]
+        cm_check(0.5, "plus", max_order=4, grid=grid)
+        cm_check(1.5, "minus", max_order=4, grid=grid)
+        assert calls == [(0, 3, 15)] * 3
+        cm_check(1.5, "minus", max_order=4, grid=grid[:2])
+        assert len(calls) == 5
+
+    def test_table_precision_matches_cold_call(self):
+        cfg30 = PrecisionConfig(working_digits=30)
+        monotone._psi_table.cache_clear()
+        cold = cm_check(0.25, "plus", cfg=cfg30)
+        monotone._psi_table.cache_clear()
+        cm_check(0.25, "plus")
+        assert cm_check(0.25, "plus", cfg=cfg30) == cold
+        assert monotone._psi_table.cache_info().currsize == 1
 
     def test_rejects_bad_sign(self):
         with pytest.raises(DomainError):
