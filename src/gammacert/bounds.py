@@ -10,6 +10,8 @@ reproduce the printed forms so the harness can falsify them.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -21,6 +23,7 @@ from .config import (
     DomainError,
     ParameterError,
     PrecisionConfig,
+    SpecialValue,
     require_positive,
 )
 from . import specfun
@@ -31,6 +34,8 @@ __all__ = [
     "BoundPair",
     "eval_gamma_bound",
     "eval_harmonic_bound",
+    "harmonic_bound",
+    "harmonic_tail",
     "eval_factorial_bound",
     "eval_bernoulli_fraction_bound",
     "bernoulli_fraction_bound",
@@ -39,8 +44,6 @@ __all__ = [
     "PairOrdering",
     "gamma_bound_log",
     "factorial_bound_log",
-    "H_AT_ONE_UPPER_SHIFT",
-    "H_AT_ONE_LOWER_SHIFT",
     "PRINTED_HARMONIC_CONSTANT",
     "CORRECTED_HARMONIC_CONSTANT",
 ]
@@ -117,14 +120,6 @@ def _H_at_one(lam):
     return (1 / (lam + mp.mpf(1)) + 36 - 12 * mp.log(2 * mp.pi) - 36 * mp.log(mp.mpf(3) / 2)) / 24
 
 
-def H_AT_ONE_UPPER_SHIFT():
-    return float(_H_at_one(mp.mpf(1) / 2))
-
-
-def H_AT_ONE_LOWER_SHIFT():
-    return float(_H_at_one(mp.mpf(3) / 2))
-
-
 def gamma_bound_log(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """(ln lower, ln upper) for a gamma-target family at x; upper may be +inf
     (QiGammaGeneric at lambda = 0 has no finite upper side)."""
@@ -166,13 +161,26 @@ PRINTED_HARMONIC_CONSTANT = Fraction(1, 90)
 CORRECTED_HARMONIC_CONSTANT = Fraction(1, 150)  # forces equality at n = 1
 
 
-def eval_harmonic_bound(
-    family: BoundFamily,
-    n: int,
-    cfg: PrecisionConfig = DEFAULT_CONFIG,
-    constant: Fraction = CORRECTED_HARMONIC_CONSTANT,
-) -> BoundPair:
-    """Bracket of the n-th harmonic number.
+# s of the n-dependent part ln m + 1/(24 (m+s)^2), m = n + 1/2, of both sides
+_HARMONIC_S = {FamilyId.HARMONIC_LOW: 0, FamilyId.HARMONIC_HIGH: 1}
+
+
+@functools.lru_cache(maxsize=16)
+def _harmonic_constants(family: BoundFamily, constant: Fraction, cfg: PrecisionConfig):
+    """(c_lo, c_hi, gamma) at cfg.dps, computed once per family, constant and
+    precision.  gamma is taken to cfg.dps quoted digits, so its error, like
+    the rounding of the other terms, is below 10^(2-dps) in relative terms."""
+    gamma_c = specfun.euler_gamma(PrecisionConfig(working_digits=cfg.dps)).value
+    with mp.workdps(cfg.dps):
+        if family.id is FamilyId.HARMONIC_LOW:
+            return 1 - mp.log(mp.mpf(3) / 2) - mp.mpf(1) / 54, gamma_c, gamma_c
+        c = mp.mpf(constant.numerator) / constant.denominator
+        return gamma_c, 1 - mp.log(mp.mpf(3) / 2) - c, gamma_c
+
+
+def harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
+                   constant: Fraction = CORRECTED_HARMONIC_CONSTANT):
+    """(lower, upper) of the n-th harmonic number at working precision.
 
     HarmonicLow:  ln(n+1/2) + 1/(24(n+1/2)^2) + [1 - ln(3/2) - 1/54, gamma]
     HarmonicHigh: ln(n+1/2) + 1/(24(n+3/2)^2) + [gamma, 1 - ln(3/2) - C]
@@ -180,23 +188,62 @@ def eval_harmonic_bound(
     C defaults to the corrected 1/150; pass constant=PRINTED_HARMONIC_CONSTANT
     to reproduce (and falsify) the printed 1/90.
     """
-    if family.id not in (FamilyId.HARMONIC_LOW, FamilyId.HARMONIC_HIGH):
+    if family.id not in _HARMONIC_S:
         raise ParameterError(f"{family.id.value} is not a harmonic family")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    gamma_c = specfun.euler_gamma(cfg).value
+    c_lo, c_hi, _ = _harmonic_constants(family, constant, cfg)
     with mp.workdps(cfg.dps):
-        nm = mp.mpf(n)
-        if family.id is FamilyId.HARMONIC_LOW:
-            base = mp.log(nm + mp.mpf(1) / 2) + 1 / (24 * (nm + mp.mpf(1) / 2) ** 2)
-            lo = base + 1 - mp.log(mp.mpf(3) / 2) - mp.mpf(1) / 54
-            hi = base + gamma_c
-        else:
-            base = mp.log(nm + mp.mpf(1) / 2) + 1 / (24 * (nm + mp.mpf(3) / 2) ** 2)
-            lo = base + gamma_c
-            c = mp.mpf(constant.numerator) / constant.denominator
-            hi = base + 1 - mp.log(mp.mpf(3) / 2) - c
-        return BoundPair(float(lo), float(hi), family, float(n))
+        m = mp.mpf(n) + mp.mpf(1) / 2
+        base = mp.log(m) + 1 / (24 * (m + _HARMONIC_S[family.id]) ** 2)
+        return base + c_lo, base + c_hi
+
+
+def eval_harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
+                        constant: Fraction = CORRECTED_HARMONIC_CONSTANT) -> BoundPair:
+    """Bracket of the n-th harmonic number; see harmonic_bound."""
+    lo, hi = harmonic_bound(family, n, cfg, constant)
+    return BoundPair(float(lo), float(hi), family, float(n))
+
+
+def _harmonic_defect(m):
+    """(lower, upper) of D = psi(m + 1/2) - ln m for m > 0, which is
+    H_n - gamma - ln(n+1/2) at m = n + 1/2:
+
+        1/(24m^2) - 7/(960m^4) < D < 1/(24m^2).
+
+    Proof: D = int_0^inf (1/t - 1/(2 sinh(t/2))) e^{-mt} dt, and with u = t/2
+    the bracket is (1/u - csch u)/2, where 1/u - u/6 < csch u < 1/u - u/6 +
+    7u^3/360 for u > 0; int t e^{-mt} dt = 1/m^2 and int t^3 e^{-mt} dt =
+    6/m^4.  (DeTemple's ln(n+1/2) approximation of H_n - gamma, two-sided.)
+    """
+    return 1 / (24 * m ** 2) - 7 / (960 * m ** 4), 1 / (24 * m ** 2)
+
+
+def harmonic_tail(family: BoundFamily, n0: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
+                  constant: Fraction = CORRECTED_HARMONIC_CONSTANT):
+    """(target, lower, upper) such that lower <= target <= upper is the
+    harmonic bound for every n > n0 at once.
+
+    With m = n + 1/2, subtracting ln m + 1/(24(m+s)^2) + gamma (s as in
+    _HARMONIC_S) from H_n and from both sides leaves R(n) = D -
+    1/(24(m+s)^2) between c_lo - gamma and c_hi - gamma, where D is as in
+    _harmonic_defect.  So R(n) lies in (e(m) - 7/(960m^4), e(m)) with
+    e(m) = 1/(24m^2) - 1/(24(m+s)^2):
+      s = 0: e = 0 and the lower end increases in m;
+      s = 1: e decreases in m, and e(m) > 7/(960m^4) for m >= 1, since
+             (2m+1) 40 m^2 > 7 (m+1)^2.
+    So at m0 = n0 + 3/2 the target [min(0, e - 7/(960m^4)), max(0, e)]
+    encloses R(n) for every n > n0.  Its float radius is rounded up.
+    """
+    c_lo, c_hi, gamma_c = _harmonic_constants(family, constant, cfg)
+    with mp.workdps(cfg.dps):
+        m = mp.mpf(n0) + mp.mpf(3) / 2
+        d_lo, d_hi = _harmonic_defect(m)
+        e = d_hi - 1 / (24 * (m + _HARMONIC_S[family.id]) ** 2)
+        a, b = min(0, e + d_lo - d_hi), max(0, e)
+        target = SpecialValue((a + b) / 2, math.nextafter(float((b - a) / 2), math.inf))
+        return target, c_lo - gamma_c, c_hi - gamma_c
 
 
 def factorial_bound_log(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG):

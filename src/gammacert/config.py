@@ -36,31 +36,14 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision, quadrature and tolerance policy.
-
-    working_digits: decimal digits of quoted precision (>= 15).
-    quad_nodes: node budget for quadrature rules.
-    quad_cutoff: truncation point T for improper integrals; individual
-        operations may enlarge it (e.g. to max(T, 60/x)) so that the
-        analytic tail bound stays negligible.
-    eq_tolerance: margins smaller than this (in scaled units) are
-        classified "equality within precision" rather than strict.
-    """
+    """Working precision: working_digits decimal digits of quoted precision
+    (>= 15)."""
 
     working_digits: int = 15
-    quad_nodes: int = 200
-    quad_cutoff: float = 50.0
-    eq_tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.working_digits < 15:
             raise ParameterError("working_digits must be >= 15")
-        if self.quad_nodes < 1:
-            raise ParameterError("quad_nodes must be positive")
-        if not self.quad_cutoff > 0:
-            raise ParameterError("quad_cutoff must be positive")
-        if not 0 < self.eq_tolerance <= 1e-8:
-            raise ParameterError("eq_tolerance must be in (0, 1e-8]")
 
     @property
     def dps(self) -> int:
@@ -92,20 +75,6 @@ class SpecialValue:
 
     def __float__(self) -> float:
         return float(self.value)
-
-    @property
-    def lo(self) -> float:
-        return float(self.value - self.abs_error_bound)
-
-    @property
-    def hi(self) -> float:
-        return float(self.value + self.abs_error_bound)
-
-    def definitely_positive(self) -> bool:
-        return self.lo > 0
-
-    def definitely_negative(self) -> bool:
-        return self.hi < 0
 
 
 def require_positive(name: str, x) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from mpmath import mp
 
-from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, Sweep
+from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, SpecialValue, Sweep
 from .config import FALSIFIED, INDETERMINATE, VERIFIED
 from . import bounds, monotone, specfun
 from .bounds import BoundFamily, FamilyId
@@ -38,11 +39,6 @@ __all__ = [
     "exit_code",
     "claims_for_suite",
 ]
-
-# float-accumulation allowance for the n = 1..10^6 harmonic sweeps
-# (Kahan-compensated sum keeps the true error orders of magnitude lower)
-HARMONIC_ALLOWANCE = 5e-12
-FACTORIAL_ALLOWANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -168,22 +164,46 @@ def _run_threshold(cfg, grid: GridSpec):
     return sweep.result()
 
 
-# --- gamma-function containment (Theorem 3.1, Section 1) -------------------
+# --- containment: Theorems 3.1, 3.2, 3.4 and Remark 1 ---------------------
 
 
-def _run_gamma_containment(family: BoundFamily):
+def _run_containment(cases: Callable, *args, side: str = "both", allow_equality: bool = False):
+    """Runner of a claim that a certified target lies between a family's
+    lower and upper bound at every check point.
+
+    cases(*args, cfg, grid) runs at cfg.dps and yields (point, target, lo,
+    hi): a SpecialValue and the family's bounds there, looked up in `bounds`
+    at call time.  side = 'lower' or 'upper' checks one inequality only.
+    Every margin carries one error:
+
+        target.abs_error_bound + (|target| + |lo| + |hi|) 10^(2-dps),
+
+    the target's certified error plus the rounding of the target and of the
+    bound expressions, which are evaluated at cfg.dps.
+    """
+
     def runner(cfg, grid: GridSpec):
         sweep = Sweep()
-        for x in grid.values():
-            lg = specfun.ln_gamma(x + 1, cfg)
-            lo, hi = bounds.gamma_bound_log(family, x, cfg)
-            err = lg.abs_error_bound + 10.0 ** (2 - cfg.dps)
-            sweep.add(x, float(lg.value - lo), err)
-            if mp.isfinite(hi):
-                sweep.add(x, float(hi - lg.value), err)
+        eps = 10.0 ** (2 - cfg.dps)
+        with mp.workdps(cfg.dps):
+            for p, target, lo, hi in cases(*args, cfg, grid):
+                t = target.value
+                err = target.abs_error_bound + (abs(float(t)) + abs(float(lo)) + abs(float(hi))) * eps
+                if side != "upper":
+                    sweep.add(float(p), float(t - lo), err, allow_equality)
+                if side != "lower":
+                    sweep.add(float(p), float(hi - t), err, allow_equality)
         return sweep.result()
 
     return runner
+
+
+def _gamma_cases(family: BoundFamily, cfg, grid: GridSpec):
+    """ln Gamma(x+1) at each x of the grid, with x + 1 formed at working
+    precision, against the ln-space bounds of a gamma family."""
+    for x in grid.values():
+        target = specfun.ln_gamma(mp.mpf(x) + 1, cfg)
+        yield (x, target, *bounds.gamma_bound_log(family, x, cfg))
 
 
 def _run_best_constants(cfg, grid: GridSpec):
@@ -215,57 +235,25 @@ def _run_section1_comparison(cfg, grid: GridSpec):
 
 # --- harmonic numbers (Theorem 3.2) ----------------------------------------
 
-
-@functools.lru_cache(maxsize=2)
-def _harmonic_array(nmax: int):
-    """H_1..H_nmax as a numpy array, by Kahan-compensated summation of 1/k."""
-    import numpy as np  # imported here, not with the module: only Thm 3.2 uses it
-
-    out = np.empty(nmax)
-    s = 0.0
-    c = 0.0
-    for k in range(1, nmax + 1):
-        y = 1.0 / k - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out[k - 1] = s
-    return out
+# exact H_n up to here, the tail lemma of bounds.harmonic_tail beyond
+_HARMONIC_N0 = 1000
 
 
-_HARMONIC_NMAX = 10 ** 6
+@functools.lru_cache(maxsize=1)
+def _harmonic_numbers(nmax: int) -> tuple:
+    """(H_1, ..., H_nmax) as exact Fractions, summed incrementally; the three
+    Thm 3.2 claims share one table."""
+    return tuple(itertools.accumulate(Fraction(1, k) for k in range(1, nmax + 1)))
 
 
-def _run_harmonic(which: str):
-    """which: 'eq3.7' | 'eq3.8-corrected' | 'eq3.8-printed'."""
-
-    def runner(cfg, grid: GridSpec):
-        import numpy as np
-
-        nmax = int(grid.hi)
-        h = _harmonic_array(nmax)
-        n = np.arange(1, nmax + 1, dtype=np.float64)
-        gamma_c = float(specfun.euler_gamma(cfg).value)
-        if which == "eq3.7":
-            base = np.log(n + 0.5) + 1.0 / (24.0 * (n + 0.5) ** 2)
-            lo = base + 1.0 - math.log(1.5) - 1.0 / 54.0
-            hi = base + gamma_c
-        else:
-            c = (
-                bounds.PRINTED_HARMONIC_CONSTANT
-                if which == "eq3.8-printed"
-                else bounds.CORRECTED_HARMONIC_CONSTANT
-            )
-            base = np.log(n + 0.5) + 1.0 / (24.0 * (n + 1.5) ** 2)
-            lo = base + gamma_c
-            hi = base + 1.0 - math.log(1.5) - float(c)
-        margins = np.minimum(h - lo, hi - h)
-        i = int(np.argmin(margins))
-        sweep = Sweep()
-        sweep.add(float(i + 1), float(margins[i]), HARMONIC_ALLOWANCE, allow_equality=True)
-        return sweep.result()
-
-    return runner
+def _harmonic_cases(family: BoundFamily, constant: Fraction, cfg, grid: GridSpec):
+    """Exact H_n for n = 1..N0 against the bounds, then one case from the
+    tail lemma that covers every n > N0, labelled N0 + 1.  The check does
+    not stop at the grid's 10^6, which only names the claim's range."""
+    for n, h in enumerate(_harmonic_numbers(_HARMONIC_N0), 1):
+        target = SpecialValue(mp.mpf(h.numerator) / h.denominator, 0.0)
+        yield (n, target, *bounds.harmonic_bound(family, n, cfg, constant))
+    yield (_HARMONIC_N0 + 1, *bounds.harmonic_tail(family, _HARMONIC_N0, cfg, constant))
 
 
 # --- factorials (Theorem 3.4) ----------------------------------------------
@@ -279,41 +267,22 @@ def _ln_factorials(grid: GridSpec, cfg) -> tuple:
     return tuple((n, specfun.ln_gamma(n + 1, cfg)) for n in ns)
 
 
-def _run_factorial(family: BoundFamily, side: str = "both"):
-    """ln-space containment of n!; side='lower'/'upper' isolates one printed
-    inequality, 'both' checks the double inequality."""
-
-    def runner(cfg, grid: GridSpec):
-        sweep = Sweep()
-        for n, lg in _ln_factorials(grid, cfg):
-            lo, hi = bounds.factorial_bound_log(family, n, cfg)
-            err = lg.abs_error_bound + FACTORIAL_ALLOWANCE
-            if side in ("both", "lower"):
-                sweep.add(float(n), float(lg.value - lo), err, allow_equality=True)
-            if side in ("both", "upper"):
-                sweep.add(float(n), float(hi - lg.value), err, allow_equality=True)
-        return sweep.result()
-
-    return runner
+def _factorial_cases(family: BoundFamily, cfg, grid: GridSpec):
+    """ln n! against the ln-space bounds of a factorial family."""
+    for n, lg in _ln_factorials(grid, cfg):
+        yield (n, lg, *bounds.factorial_bound_log(family, n, cfg))
 
 
 # --- Remark 1 (Bernoulli fraction, Mathieu partial sums) -------------------
 
 
-def _run_bernoulli(family: BoundFamily):
-    def runner(cfg, grid: GridSpec):
-        sweep = Sweep()
-        with mp.workdps(cfg.dps):
-            err = 10.0 ** (4 - cfg.dps)
-            for x in grid.values():
-                xm = mp.mpf(x)
-                target = xm / mp.expm1(xm)
-                lo, hi = bounds.bernoulli_fraction_bound(family, x, cfg)
-                sweep.add(x, float(target - lo), err)
-                sweep.add(x, float(hi - target), err)
-        return sweep.result()
-
-    return runner
+def _bernoulli_cases(family: BoundFamily, cfg, grid: GridSpec):
+    """x/(e^x - 1) at working precision against a Bernoulli-fraction family;
+    its rounding is the target's only error."""
+    for x in grid.values():
+        xm = mp.mpf(x)
+        target = SpecialValue(xm / mp.expm1(xm), 0.0)
+        yield (x, target, *bounds.bernoulli_fraction_bound(family, x, cfg))
 
 
 def _run_mathieu(cfg, grid: GridSpec):
@@ -430,7 +399,7 @@ def _run_laplace(cfg, grid: GridSpec):
 _CM_GRID = GridSpec(1e-2, 100.0, 48, "log")
 _PHI_GRID = GridSpec(1e-4, 200.0, 2000, "log")
 _GAMMA_GRID = GridSpec(1e-3, 100.0, 500, "log")
-_HARMONIC_GRID = GridSpec(1.0, float(_HARMONIC_NMAX), _HARMONIC_NMAX, "linear")
+_HARMONIC_GRID = GridSpec(1.0, 1e6, 10 ** 6, "linear")
 _FACTORIAL_GRID = GridSpec(1.0, 170.0, 170, "linear")
 _BERNOULLI_GRID = GridSpec(1e-3, 50.0, 500, "log")
 _POINT_GRID = GridSpec(1.0, 1e4, 2, "log")
@@ -454,28 +423,36 @@ REGISTRY: tuple = (
     Claim("kth-root-bound", ("thm2.1",), VERIFIED, _K_GRID, _run_kth_root),
     Claim("two-path-laplace", ("thm2.1",), VERIFIED, _PHI_GRID, _run_laplace),
     Claim("thm3.1-eq3.1-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
-          _run_gamma_containment(BoundFamily(FamilyId.QI_GAMMA_LOW)), True),
+          _run_containment(_gamma_cases, BoundFamily(FamilyId.QI_GAMMA_LOW)), True),
     Claim("thm3.1-eq3.2-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
-          _run_gamma_containment(BoundFamily(FamilyId.QI_GAMMA_HIGH)), True),
+          _run_containment(_gamma_cases, BoundFamily(FamilyId.QI_GAMMA_HIGH)), True),
     Claim("eq1.3-best-constants", ("thm3.1",), VERIFIED, _POINT_GRID, _run_best_constants),
     Claim("sec1-comparison", ("thm3.1",), VERIFIED, _POINT_GRID, _run_section1_comparison),
-    Claim("thm3.2-eq3.7", ("thm3.2",), VERIFIED, _HARMONIC_GRID, _run_harmonic("eq3.7")),
-    Claim("thm3.2-eq3.8-corrected", ("thm3.2",), VERIFIED, _HARMONIC_GRID, _run_harmonic("eq3.8-corrected")),
-    Claim("eq3.8-as-printed", ("thm3.2", "falsify-printed"), FALSIFIED, _HARMONIC_GRID, _run_harmonic("eq3.8-printed")),
+    Claim("thm3.2-eq3.7", ("thm3.2",), VERIFIED, _HARMONIC_GRID,
+          _run_containment(_harmonic_cases, BoundFamily(FamilyId.HARMONIC_LOW),
+                           bounds.CORRECTED_HARMONIC_CONSTANT, allow_equality=True)),
+    Claim("thm3.2-eq3.8-corrected", ("thm3.2",), VERIFIED, _HARMONIC_GRID,
+          _run_containment(_harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH),
+                           bounds.CORRECTED_HARMONIC_CONSTANT, allow_equality=True)),
+    Claim("eq3.8-as-printed", ("thm3.2", "falsify-printed"), FALSIFIED, _HARMONIC_GRID,
+          _run_containment(_harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH),
+                           bounds.PRINTED_HARMONIC_CONSTANT, allow_equality=True)),
     Claim("thm3.3-lcm-G-lam0.5", ("thm3.3",), VERIFIED, _CM_GRID, _CMSweep(0.5, "plus"), True),
     Claim("thm3.3-lcm-recip-G-lam1.5", ("thm3.3",), VERIFIED, _CM_GRID, _CMSweep(1.5, "minus"), True),
     Claim("thm3.4-eq3.12-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
-          _run_factorial(BoundFamily(FamilyId.FACTORIAL_HIGH))),
+          _run_containment(_factorial_cases, BoundFamily(FamilyId.FACTORIAL_HIGH), allow_equality=True)),
     Claim("thm3.4-eq3.13-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
-          _run_factorial(BoundFamily(FamilyId.FACTORIAL_LOW))),
+          _run_containment(_factorial_cases, BoundFamily(FamilyId.FACTORIAL_LOW), allow_equality=True)),
     Claim("eq3.12-as-printed", ("thm3.4", "falsify-printed"), FALSIFIED, _FACTORIAL_GRID,
-          _run_factorial(BoundFamily(FamilyId.FACTORIAL_AS_PRINTED), side="upper")),
+          _run_containment(_factorial_cases, BoundFamily(FamilyId.FACTORIAL_AS_PRINTED),
+                           side="upper", allow_equality=True)),
     Claim("eq3.13-as-printed", ("thm3.4", "falsify-printed"), FALSIFIED, _FACTORIAL_GRID,
-          _run_factorial(BoundFamily(FamilyId.FACTORIAL_AS_PRINTED), side="lower")),
+          _run_containment(_factorial_cases, BoundFamily(FamilyId.FACTORIAL_AS_PRINTED),
+                           side="lower", allow_equality=True)),
     Claim("remark1-eq4.1-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID,
-          _run_bernoulli(BoundFamily(FamilyId.BERNOULLI_FRACTION)), True),
+          _run_containment(_bernoulli_cases, BoundFamily(FamilyId.BERNOULLI_FRACTION)), True),
     Claim("remark1-eq4.2-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID,
-          _run_bernoulli(BoundFamily(FamilyId.BERNOULLI_CLASSIC)), True),
+          _run_containment(_bernoulli_cases, BoundFamily(FamilyId.BERNOULLI_CLASSIC)), True),
     Claim("remark1-mathieu-partial", ("remark1",), VERIFIED, _POINT_GRID, _run_mathieu),
 )
 

@@ -228,17 +228,17 @@ def phi_integrand(t, lam):
 
 def _laplace_quad(x, lam, cfg: PrecisionConfig, phi=None):
     """int_0^T phi_lambda(t) e^{-xt} dt by tanh-sinh quadrature with
-    T = max(quad_cutoff, 60/x), so the omitted tail is e^{-60}-small in scale.
+    T = specfun._quad_cutoff(x), so the omitted tail is e^{-60}-small in scale.
     `phi(t)` stands in for phi_integrand(t, lam) when given (a memo of it)."""
     if phi is None:
         phi = lambda t: phi_integrand(t, lam)
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        T = mp.mpf(max(cfg.quad_cutoff, 60.0 / float(x)))
+        T = mp.mpf(specfun._quad_cutoff(x))
         f = lambda t: phi(t) * mp.exp(-xm * t)
         pts = sorted({mp.mpf(0), min(1, T), min(10, T), min(30, T), T})
         try:
-            return mp.quad(f, pts, maxdegree=max(8, specfun._quad_maxdegree(cfg)))
+            return mp.quad(f, pts, maxdegree=specfun._QUAD_MAXDEGREE)
         except Exception as exc:
             raise NumericalError(f"Laplace quadrature failed at x={x}, lambda={lam}") from exc
 
@@ -507,7 +507,7 @@ def midpoint_defect(
     with mp.workdps(cfg.dps):
         am, bm = mp.mpf(a), mp.mpf(b)
         try:
-            integral, qerr = mp.quad(f, [am, bm], error=True, maxdegree=specfun._quad_maxdegree(cfg))
+            integral, qerr = mp.quad(f, [am, bm], error=True, maxdegree=specfun._QUAD_MAXDEGREE)
         except Exception as exc:
             raise NumericalError("midpoint-defect quadrature failed") from exc
         defect = integral / (bm - am) - mp.mpf(f((am + bm) / 2))

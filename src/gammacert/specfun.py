@@ -48,9 +48,14 @@ def _shift_threshold(digits: int) -> float:
     return max(10.0, 0.367 * (digits + 8))
 
 
-def _quad_maxdegree(cfg: PrecisionConfig) -> int:
-    # tanh-sinh at degree d uses on the order of 20 * 2^d nodes.
-    return max(6, math.ceil(math.log2(max(cfg.quad_nodes, 64))))
+# tanh-sinh at degree d uses on the order of 20 * 2^d nodes.
+_QUAD_MAXDEGREE = 8
+
+
+def _quad_cutoff(x) -> float:
+    """Truncation point T = max(50, 60/x) of an improper Laplace-type
+    integral at x > 0, which puts e^{-xT} below e^{-60}."""
+    return max(50.0, 60.0 / float(x))
 
 
 # (m, mp.prec) -> [(c_k, ln|c_k|) for k = 1, 2, ...], c_k = B_2k (2k+m-1)!/(2k)!
@@ -226,12 +231,12 @@ def binet_theta(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     require_positive("x", x)
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        T = mp.mpf(max(cfg.quad_cutoff, 60.0 / float(x)))
+        T = mp.mpf(_quad_cutoff(x))
         f = lambda t: _theta_kernel(t) * mp.exp(-xm * t)
         t0 = mp.mpf(_THETA_TAYLOR_CUTOFF)
         pts = sorted({mp.mpf(0), min(t0, T), min(1, T), min(10, T), T})
         try:
-            val, qerr = mp.quad(f, pts, error=True, maxdegree=_quad_maxdegree(cfg))
+            val, qerr = mp.quad(f, pts, error=True, maxdegree=_QUAD_MAXDEGREE)
         except Exception as exc:  # pragma: no cover
             raise NumericalError(f"theta quadrature failed at x={x}") from exc
         tail = mp.exp(-xm * T) / (12 * xm)
@@ -269,4 +274,5 @@ def mathieu_partial(r, terms: int) -> SpecialValue:
 def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """Euler-Mascheroni constant produced as -psi(1), the shared provenance."""
     sv = digamma(1, cfg)
-    return SpecialValue(-sv.value, sv.abs_error_bound)
+    with mp.workdps(cfg.dps):
+        return SpecialValue(-sv.value, sv.abs_error_bound)

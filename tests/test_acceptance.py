@@ -127,7 +127,8 @@ def test_criterion_07_harmonic_bounds():
     printed = eval_harmonic_bound(high, 1, constant=PRINTED_HARMONIC_CONSTANT)
     assert printed.upper == pytest.approx(0.995556, abs=1e-6)
     assert printed.upper < 1.0 == float(harmonic_exact(1))
-    # corrected constant 1/150: equality at n = 1 and full float sweep to 10^6
+    # corrected constant 1/150: equality at n = 1; the claims check exact H_n
+    # for n <= 1000 and the tail lemma for every larger n
     assert eval_harmonic_bound(high, 1).upper == pytest.approx(1.0, abs=1e-14)
     for cid in ("thm3.2-eq3.7", "thm3.2-eq3.8-corrected"):
         claim = next(c for c in harness.REGISTRY if c.claim_id == cid)

@@ -20,11 +20,13 @@ from gammacert import (
     harmonic_exact,
     ln_gamma,
 )
+from gammacert import bounds
 from gammacert.bounds import (
     CORRECTED_HARMONIC_CONSTANT,
     PRINTED_HARMONIC_CONSTANT,
     gamma_bound_log,
 )
+from gammacert.config import PrecisionConfig
 
 GAMMA_FAMILIES = [
     BoundFamily(FamilyId.BUKAC_GAMMA),
@@ -109,6 +111,50 @@ class TestHarmonicBounds:
         )
         assert pair.upper == pytest.approx(0.99555555555, rel=1e-9)
         assert not pair.contains(1.0)  # H_1 = 1 escapes the printed upper bound
+
+
+class TestHarmonicTail:
+    """The lemma 1/(24m^2) - 7/(960m^4) < psi(m+1/2) - ln m < 1/(24m^2) and
+    the enclosure that bounds.harmonic_tail builds from it."""
+
+    N0 = 1000
+
+    @pytest.mark.parametrize("m", ["1.5", "2.5", "10.5", "1001.5", "1000000.5", "1000000000.5"])
+    def test_lemma_against_digamma(self, m):
+        with mp.workdps(80):
+            mm = mp.mpf(m)
+            d = mp.digamma(mm + mp.mpf(1) / 2) - mp.log(mm)
+            lo, hi = bounds._harmonic_defect(mm)
+            assert lo < d < hi
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("fid", [FamilyId.HARMONIC_LOW, FamilyId.HARMONIC_HIGH])
+    @pytest.mark.parametrize("n", [1001, 1002, 10 ** 4, 10 ** 6, 10 ** 9, 10 ** 15])
+    def test_tail_encloses_every_n_beyond_n0(self, fid, n, digits):
+        family = BoundFamily(fid)
+        cfg = PrecisionConfig(working_digits=digits)
+        target, lower, upper = bounds.harmonic_tail(family, self.N0, cfg)
+        with mp.workdps(80):
+            m = mp.mpf(n) + mp.mpf(1) / 2
+            s = 0 if fid is FamilyId.HARMONIC_LOW else 1
+            # H_n - ln m - 1/(24(m+s)^2) - gamma, with H_n = psi(n+1) + gamma
+            r = mp.digamma(n + 1) - mp.log(m) - 1 / (24 * (m + s) ** 2)
+            assert abs(r - target.value) <= target.abs_error_bound
+            assert lower < r < upper
+
+    def test_tail_bounds_are_the_shifted_constants(self):
+        # lower/upper are the bounds of harmonic_bound minus their n-dependent
+        # part and gamma
+        cfg = DEFAULT_CONFIG
+        for fid in (FamilyId.HARMONIC_LOW, FamilyId.HARMONIC_HIGH):
+            family = BoundFamily(fid)
+            _, lower, upper = bounds.harmonic_tail(family, self.N0, cfg)
+            lo, hi = bounds.harmonic_bound(family, 1, cfg)
+            with mp.workdps(40):
+                s = 0 if fid is FamilyId.HARMONIC_LOW else 1
+                shift = mp.log(mp.mpf(3) / 2) + 1 / (24 * (mp.mpf(3) / 2 + s) ** 2) + mp.euler
+                assert abs(lo - shift - lower) < 1e-22
+                assert abs(hi - shift - upper) < 1e-22
 
 
 class TestFactorialBounds:

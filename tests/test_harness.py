@@ -5,13 +5,15 @@ import dataclasses
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from gammacert import DEFAULT_CONFIG, ParameterError, PrecisionConfig
 from gammacert.config import Sweep
-from gammacert import cli, harness, monotone
+from gammacert import bounds, cli, harness, monotone, specfun
+from gammacert.bounds import BoundFamily, FamilyId
 from gammacert.harness import GridSpec, VerificationReport
 
 
@@ -178,6 +180,97 @@ def test_cli_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
+def test_verify_all_runs_without_numpy():
+    # sys.modules['numpy'] = None makes every numpy import fail
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from gammacert import cli\n"
+        "raise SystemExit(cli.main(['verify', '--suite', 'all']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def _claim(claim_id):
+    return next(c for c in harness.REGISTRY if c.claim_id == claim_id)
+
+
+class TestContainment:
+    def test_gamma_target_is_ln_gamma_of_exact_x_plus_1(self, monkeypatch):
+        # x + 1 must not be rounded to float64 before the certified evaluation
+        cfg = PrecisionConfig(working_digits=30)
+        seen = []
+        ln_gamma = specfun.ln_gamma
+
+        def recording_ln_gamma(x, cfg):
+            seen.append(ln_gamma(x, cfg))
+            return seen[-1]
+
+        monkeypatch.setattr(harness.specfun, "ln_gamma", recording_ln_gamma)
+        claim = _claim("thm3.1-eq3.1-containment")
+        assert harness._run_claim(claim, cfg, claim.grid).verdict == "verified"
+        xs = harness._GAMMA_GRID.values()[:50]
+        assert len(seen) >= 50
+        with mp.workdps(60):
+            for x, sv in zip(xs, seen):
+                ref = mp.loggamma(mp.mpf(x) + 1)
+                assert abs(sv.value - ref) <= sv.abs_error_bound, x
+
+    def test_harmonic_table_is_exact(self):
+        table = harness._harmonic_numbers(harness._HARMONIC_N0)
+        assert len(table) == harness._HARMONIC_N0 == 1000
+        for n in (1, 2, 3, 10, 257, 999, 1000):
+            assert table[n - 1] == specfun.harmonic_exact(n), n
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_verified_harmonic_claims_have_no_float_margin(self, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        for cid in ("thm3.2-eq3.7", "thm3.2-eq3.8-corrected"):
+            rep = harness._run_claim(_claim(cid), cfg, harness._HARMONIC_GRID)
+            assert rep.verdict == "verified", cid
+            assert rep.precision_digits == digits
+            assert abs(rep.min_margin) < 1e-20, (cid, rep.min_margin)
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_eq38_constant_tightened_by_1e13_is_falsified(self, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        c = bounds.CORRECTED_HARMONIC_CONSTANT + Fraction(1, 10 ** 13)
+        runner = harness._run_containment(harness._harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH),
+                                          c, allow_equality=True)
+        margin, at, verdict = runner(cfg, harness._HARMONIC_GRID)
+        assert verdict == "falsified"
+        assert at == 1.0 and margin == pytest.approx(-1e-13, rel=1e-9)
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_eq37_lower_constant_tightened_by_1e13_is_falsified(self, digits, monkeypatch):
+        cfg = PrecisionConfig(working_digits=digits)
+        constants = bounds._harmonic_constants
+
+        def tightened(family, constant, cfg):
+            c_lo, c_hi, gamma_c = constants(family, constant, cfg)
+            with mp.workdps(cfg.dps):
+                return c_lo + mp.mpf("1e-13"), c_hi, gamma_c
+
+        monkeypatch.setattr(bounds, "_harmonic_constants", tightened)
+        claim = _claim("thm3.2-eq3.7")
+        rep = harness._run_claim(claim, cfg, claim.grid)
+        assert rep.verdict == "falsified"
+        assert rep.argmin_x == 1.0 and rep.min_margin == pytest.approx(-1e-13, rel=1e-9)
+
+    def test_harmonic_check_reaches_past_the_grid(self):
+        # the last case is the tail lemma, which covers every n > N0
+        cfg = DEFAULT_CONFIG
+        family = BoundFamily(FamilyId.HARMONIC_HIGH)
+        cases = list(harness._harmonic_cases(family, bounds.CORRECTED_HARMONIC_CONSTANT,
+                                             cfg, harness._HARMONIC_GRID))
+        assert [c[0] for c in cases] == list(range(1, harness._HARMONIC_N0 + 2))
+        assert cases[-1][1:] == bounds.harmonic_tail(family, harness._HARMONIC_N0, cfg)
 
 
 class TestRetry:

@@ -18,6 +18,7 @@ from mpmath import mp
 from gammacert import (
     DEFAULT_CONFIG,
     DomainError,
+    ParameterError,
     PrecisionConfig,
     binet_theta,
     digamma,
@@ -215,3 +216,19 @@ class TestEulerGamma:
         with mp.workdps(40):
             sv = euler_gamma(DEFAULT_CONFIG)
             assert abs(float(sv.value - mp.euler)) <= sv.abs_error_bound
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_value_at_default_global_precision(self, digits):
+        # the negation must not round the value to the caller's 53 bits
+        sv = euler_gamma(PrecisionConfig(working_digits=digits))
+        with mp.workdps(60):
+            assert abs(sv.value - mp.euler) <= sv.abs_error_bound
+
+
+def test_precision_config_holds_working_digits_only():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(PrecisionConfig)] == ["working_digits"]
+    assert PrecisionConfig(20).doubled() == PrecisionConfig(40)
+    with pytest.raises(ParameterError):
+        PrecisionConfig(14)
