@@ -78,8 +78,9 @@ class SpecialValue:
 
 
 def require_positive(name: str, x) -> None:
-    if not x > 0:
-        raise DomainError(f"{name} must be positive, got {x!r}")
+    """Raise DomainError unless x is positive and finite (nan fails too)."""
+    if not 0 < x < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {x!r}")
 
 
 class Sweep:

@@ -139,13 +139,9 @@ def _run_phi_sign(lam: float, want: str):
     return runner
 
 
-def _run_necessary_limit(cfg, grid: GridSpec):
-    val = monotone.necessary_limit(1e4, cfg)
-    margin = 1e-3 - abs(val - 0.5)
-    err = 10.0 ** (2 - cfg.dps)
-    sweep = Sweep()
-    sweep.add(1e4, margin, err)
-    return sweep.result()
+def _necessary_limit_cases(cfg, grid: GridSpec):
+    """-x - 1/(24 f(x)) at x = 1e4, which must lie within 1e-3 of its limit 1/2."""
+    yield (1e4, monotone.necessary_limit(1e4, cfg), mp.mpf("0.499"), mp.mpf("0.501"))
 
 
 def _run_threshold(cfg, grid: GridSpec):
@@ -164,17 +160,17 @@ def _run_threshold(cfg, grid: GridSpec):
     return sweep.result()
 
 
-# --- containment: Theorems 3.1, 3.2, 3.4 and Remark 1 ---------------------
+# --- containment: Theorems 3.1, 3.2, 3.4, Remark 1 and point checks -------
 
 
 def _run_containment(cases: Callable, *args, side: str = "both", allow_equality: bool = False):
-    """Runner of a claim that a certified target lies between a family's
-    lower and upper bound at every check point.
+    """Runner of a claim that a certified target lies between a lower and
+    an upper bound at every check point.
 
     cases(*args, cfg, grid) runs at cfg.dps and yields (point, target, lo,
-    hi): a SpecialValue and the family's bounds there, looked up in `bounds`
-    at call time.  side = 'lower' or 'upper' checks one inequality only.
-    Every margin carries one error:
+    hi): a SpecialValue and the bounds there, such as a family's, looked up
+    in `bounds` at call time.  side = 'lower' or 'upper' checks one
+    inequality only.  Every margin carries one error:
 
         target.abs_error_bound + (|target| + |lo| + |hi|) 10^(2-dps),
 
@@ -206,31 +202,26 @@ def _gamma_cases(family: BoundFamily, cfg, grid: GridSpec):
         yield (x, target, *bounds.gamma_bound_log(family, x, cfg))
 
 
-def _run_best_constants(cfg, grid: GridSpec):
-    """The ratio Gamma(x+1) / [((x+1/2)/e)^(x+1/2) e^{-1/(24(x+1/2))}] of
-    Eq. (1.3) is sqrt(2 pi) e^{H_{1/2}(x)}; it tends to sqrt(2 pi) as x -> inf
-    and to sqrt(2) e^{7/12} as x -> 0."""
-    sweep = Sweep()
-    with mp.workdps(cfg.dps):
-        for x, ref in ((1e4, mp.sqrt(2 * mp.pi)), (1e-6, mp.sqrt(2) * mp.exp(mp.mpf(7) / 12))):
-            h = monotone.H_lambda(x, 0.5, cfg)
-            ratio = mp.sqrt(2 * mp.pi) * mp.exp(h.value)
-            rel = abs(ratio - ref) / ref
-            sweep.add(x, float(1e-3 - rel), h.abs_error_bound + 10.0 ** (2 - cfg.dps))
-    return sweep.result()
+def _best_constants_cases(cfg, grid: GridSpec):
+    """H_{1/2}(x) against c + ln(1 -+ 1e-3), c its limit (0 as x -> inf, 7/12 -
+    ln(pi)/2 as x -> 0): the ratio sqrt(2 pi) e^{H_{1/2}(x)} of Eq. (1.3) lies
+    within 1e-3 relative of its limit sqrt(2 pi), resp. sqrt(2) e^{7/12}."""
+    lo, hi = mp.log1p(mp.mpf("-1e-3")), mp.log1p(mp.mpf("1e-3"))
+    for x, c in ((1e4, 0), (1e-6, mp.mpf(7) / 12 - mp.log(mp.pi) / 2)):
+        yield (x, monotone.H_lambda(x, 0.5, cfg), c + lo, c + hi)
 
 
-def _run_section1_comparison(cfg, grid: GridSpec):
-    sweep = Sweep()
+def _section1_cases(cfg, grid: GridSpec):
+    """Section 1's comparison at x = 1, 2, 10: Sevli-Batir's lower bound and
+    Bukac's upper bound both lie in [Bukac lower, Sevli-Batir upper], so
+    each family is the sharper one on its side."""
     bukac = BoundFamily(FamilyId.BUKAC_GAMMA)
     sevli = BoundFamily(FamilyId.SEVLI_BATIR_GAMMA)
-    err = 10.0 ** (2 - cfg.dps)
     for x in (1.0, 2.0, 10.0):
         lo_b, hi_b = bounds.gamma_bound_log(bukac, x, cfg)
         lo_s, hi_s = bounds.gamma_bound_log(sevli, x, cfg)
-        sweep.add(x, float(lo_s - lo_b), err)  # Sevli-Batir lower is stronger
-        sweep.add(x, float(hi_s - hi_b), err)  # Bukac upper is tighter for x >= 1
-    return sweep.result()
+        for target in (lo_s, hi_b):
+            yield (x, SpecialValue(target, 0.0), lo_b, hi_s)
 
 
 # --- harmonic numbers (Theorem 3.2) ----------------------------------------
@@ -416,7 +407,8 @@ REGISTRY: tuple = (
     Claim("thm2.1-item3-cm-lam5", ("thm2.1",), VERIFIED, _CM_GRID, _CMSweep(5.0, "minus"), True),
     Claim("thm2.1-phi-nonpositive-lam0.5", ("thm2.1",), VERIFIED, _PHI_GRID, _run_phi_sign(0.5, "nonpositive"), True),
     Claim("thm2.1-phi-nonnegative-lam1.5", ("thm2.1",), VERIFIED, _PHI_GRID, _run_phi_sign(1.5, "nonnegative"), True),
-    Claim("thm2.1-necessary-limit", ("thm2.1",), VERIFIED, _POINT_GRID, _run_necessary_limit),
+    Claim("thm2.1-necessary-limit", ("thm2.1",), VERIFIED, _POINT_GRID,
+          _run_containment(_necessary_limit_cases)),
     Claim("thm2.1-threshold", ("thm2.1",), VERIFIED, _PHI_GRID, _run_threshold),
     Claim("eq2.12-series-coeffs", ("thm2.1",), VERIFIED, _K_GRID, _run_series_pivot),
     Claim("eq2.16-coefficient-check", ("thm2.1",), VERIFIED, _K_GRID, _run_series_lambda),
@@ -426,8 +418,10 @@ REGISTRY: tuple = (
           _run_containment(_gamma_cases, BoundFamily(FamilyId.QI_GAMMA_LOW)), True),
     Claim("thm3.1-eq3.2-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
           _run_containment(_gamma_cases, BoundFamily(FamilyId.QI_GAMMA_HIGH)), True),
-    Claim("eq1.3-best-constants", ("thm3.1",), VERIFIED, _POINT_GRID, _run_best_constants),
-    Claim("sec1-comparison", ("thm3.1",), VERIFIED, _POINT_GRID, _run_section1_comparison),
+    Claim("eq1.3-best-constants", ("thm3.1",), VERIFIED, _POINT_GRID,
+          _run_containment(_best_constants_cases)),
+    Claim("sec1-comparison", ("thm3.1",), VERIFIED, _POINT_GRID,
+          _run_containment(_section1_cases)),
     Claim("thm3.2-eq3.7", ("thm3.2",), VERIFIED, _HARMONIC_GRID,
           _run_containment(_harmonic_cases, BoundFamily(FamilyId.HARMONIC_LOW),
                            bounds.CORRECTED_HARMONIC_CONSTANT, allow_equality=True)),
@@ -526,17 +520,18 @@ def _fmt(x: float) -> str:
 
 
 def _report_json(rep: VerificationReport) -> str:
+    import json  # on use, as in parse_reports, so the CLI imports faster
     grid = (
         "{"
         + f'"lo": {_fmt(rep.grid.lo)}, "hi": {_fmt(rep.grid.hi)}, '
-        + f'"points": {rep.grid.points}, "spacing": "{rep.grid.spacing}"'
+        + f'"points": {rep.grid.points}, "spacing": {json.dumps(rep.grid.spacing)}'
         + "}"
     )
     return (
         "{"
-        + f'"claim_id": "{rep.claim_id}", "grid": {grid}, '
+        + f'"claim_id": {json.dumps(rep.claim_id)}, "grid": {grid}, '
         + f'"min_margin": {_fmt(rep.min_margin)}, "argmin_x": {_fmt(rep.argmin_x)}, '
-        + f'"verdict": "{rep.verdict}", "precision_digits": {rep.precision_digits}, '
+        + f'"verdict": {json.dumps(rep.verdict)}, "precision_digits": {rep.precision_digits}, '
         + f'"runtime_ms": {rep.runtime_ms}'
         + "}"
     )

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from mpmath import mp
 
@@ -51,12 +51,6 @@ __all__ = [
     "series_coeff_pivot",
     "series_coeff_lambda",
     "kth_root_bound",
-    "midpoint_defect",
-    "G_lambda",
-    "G_lambda_mu",
-    "g_beta",
-    "g_beta_log_deriv",
-    "G_lambda_mu_log_deriv",
     "CMReport",
     "ThresholdResult",
     "default_cm_grid",
@@ -86,14 +80,13 @@ def _x_plus_1(x, cfg: PrecisionConfig):
         return mp.mpf(x) + 1  # keep full precision; never truncate to float64
 
 
-def _ln_g_deriv(k: int, x, beta, lam, cfg: PrecisionConfig, ps=None) -> SpecialValue:
-    """k-th derivative (k >= 1) of x + ln Gamma(x+1) - (x+beta) ln(x+beta),
-    plus that of 1/(24 (x+lam)) when lam is not None:
+def _H_deriv(k: int, x, lam, cfg: PrecisionConfig, ps=None) -> SpecialValue:
+    """k-th derivative (k >= 1) of H_lambda:
 
-        psi^(k-1)(x+1) + (-1)^(k-1) (k-2)! / (x+beta)^(k-1)
-                       + (-1)^k k! / (24 (x+lam)^(k+1)),
+        psi^(k-1)(x+1) + (-1)^(k-1) (k-2)! / (x+1/2)^(k-1)
+                       + (-1)^k k! / (24 (x+lambda)^(k+1)),
 
-    where the middle term reads -ln(x+beta) at k = 1.  `ps` is
+    where the middle term reads -ln(x+1/2) at k = 1.  `ps` is
     psi^(k-1)(x+1) when the caller already has it.
     """
     if not (isinstance(k, int) and k >= 1):
@@ -102,14 +95,12 @@ def _ln_g_deriv(k: int, x, beta, lam, cfg: PrecisionConfig, ps=None) -> SpecialV
         x1 = _x_plus_1(x, cfg)
         ps = specfun.digamma(x1, cfg) if k == 1 else specfun.polygamma(k - 1, x1, cfg)
     with mp.workdps(cfg.dps):
-        xm, bm = mp.mpf(x), mp.mpf(beta)
+        xm = mp.mpf(x)
         if k == 1:
-            t_log = -mp.log(xm + bm)
+            t_log = -mp.log(xm + _HALF)
         else:
-            t_log = (-1) ** (k - 1) * mp.factorial(k - 2) / (xm + bm) ** (k - 1)
-        t_cor = 0
-        if lam is not None:
-            t_cor = (-1) ** k * mp.factorial(k) / (24 * (xm + mp.mpf(lam)) ** (k + 1))
+            t_log = (-1) ** (k - 1) * mp.factorial(k - 2) / (xm + _HALF) ** (k - 1)
+        t_cor = (-1) ** k * mp.factorial(k) / (24 * (xm + mp.mpf(lam)) ** (k + 1))
         val = ps.value + t_log + t_cor
         slack = (abs(ps.value) + abs(t_log) + abs(t_cor)) * mp.mpf(10) ** (2 - cfg.dps)
         return SpecialValue(val, ps.abs_error_bound + float(slack))
@@ -140,7 +131,7 @@ def H_lambda_deriv(n: int, x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> Spe
     """
     require_positive("x", x)
     _check_lambda(lam)
-    return _ln_g_deriv(n, x, _HALF, lam, cfg)
+    return _H_deriv(n, x, lam, cfg)
 
 
 def _phi_taylor_cutoff(lm):
@@ -423,21 +414,30 @@ def cm_check(
         sv = H_lambda(x, lam, cfg)
         sweep.add((0, float(x)), s * float(sv.value), sv.abs_error_bound)
         for order, ps in enumerate(psis, start=1):
-            sv = _ln_g_deriv(order, x, _HALF, lam, cfg, ps)
+            sv = _H_deriv(order, x, lam, cfg, ps)
             margin = s * ((-1.0) ** order) * float(sv.value)
             sweep.add((order, float(x)), margin, sv.abs_error_bound)
 
     return CMReport(float(lam), sign, max_order, tuple(float(x) for x in grid), *sweep.result())
 
 
-def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
-    """-x - 1/(24 f(x)) with f(x) the unshifted Stirling defect; tends to 1/2."""
+def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+    """-x - 1/(24 f(x)) with f(x) the unshifted Stirling defect; tends to 1/2.
+
+    An error d in f moves 1/(24 f) by at most d / (24 |f| (|f| - d)), which
+    needs |f| > d; the bound adds the rounding of -x - 1/(24 f).
+    """
     require_positive("x", x)
     f = _stirling_defect(x, cfg)
-    if abs(f.value) <= f.abs_error_bound:
+    d = f.abs_error_bound
+    if abs(f.value) <= d:
         raise NumericalError(f"f(x) indistinguishable from 0 at x={x}")
     with mp.workdps(cfg.dps):
-        return float(-mp.mpf(x) - 1 / (24 * f.value))
+        xm, af = mp.mpf(x), abs(f.value)
+        inv = 1 / (24 * f.value)
+        propagated = d / (24 * af * (af - d))
+        rounding = (xm + abs(inv)) * mp.mpf(10) ** (2 - cfg.dps)
+        return SpecialValue(-xm - inv, float(propagated + rounding))
 
 
 def series_coeff_pivot(k: int):
@@ -484,98 +484,3 @@ def kth_root_bound(k: int) -> float:
     with mp.workdps(30):
         base = (mp.mpf(3) / 2) ** (k - 2) - (mp.mpf(1) / 2) ** (k - 2)
         return float((base / (k - 2)) ** (mp.mpf(1) / (k - 3)))
-
-
-def midpoint_defect(
-    f: Callable,
-    a: float,
-    b: float,
-    m: float,
-    M: float,
-    cfg: PrecisionConfig = DEFAULT_CONFIG,
-):
-    """Midpoint defect mean(f) - f((a+b)/2) on [a, b] with the two-sided
-    bound (b-a)^2 m / 24 <= defect <= (b-a)^2 M / 24 for m <= f'' <= M.
-
-    Returns (defect, lower, upper) and raises NumericalError if the bound
-    fails beyond quadrature error.
-    """
-    if not a < b:
-        raise DomainError("need a < b")
-    if not m <= M:
-        raise DomainError("need m <= M")
-    with mp.workdps(cfg.dps):
-        am, bm = mp.mpf(a), mp.mpf(b)
-        try:
-            integral, qerr = mp.quad(f, [am, bm], error=True, maxdegree=specfun._QUAD_MAXDEGREE)
-        except Exception as exc:
-            raise NumericalError("midpoint-defect quadrature failed") from exc
-        defect = integral / (bm - am) - mp.mpf(f((am + bm) / 2))
-        lower = (bm - am) ** 2 * mp.mpf(m) / 24
-        upper = (bm - am) ** 2 * mp.mpf(M) / 24
-        tol = 10 * abs(qerr) + (abs(defect) + 1) * mp.mpf(10) ** (4 - cfg.dps)
-        if defect < lower - tol or defect > upper + tol:
-            raise NumericalError(
-                f"midpoint defect {float(defect)} outside "
-                f"[{float(lower)}, {float(upper)}] beyond tolerance"
-            )
-        return float(defect), float(lower), float(upper)
-
-
-def _ln_g(x, beta, lam, cfg: PrecisionConfig) -> SpecialValue:
-    """x + ln Gamma(x+1) - (x+beta) ln(x+beta), plus 1/(24 (x+lam)) when lam
-    is not None: ln g_beta, or ln G_{lambda,mu} with beta = mu."""
-    lg = specfun.ln_gamma(_x_plus_1(x, cfg), cfg)
-    with mp.workdps(cfg.dps):
-        xm, bm = mp.mpf(x), mp.mpf(beta)
-        val = xm + lg.value - (xm + bm) * mp.log(xm + bm)
-        if lam is not None:
-            val += 1 / (24 * (xm + mp.mpf(lam)))
-        slack = (abs(val) + xm + 1) * mp.mpf(10) ** (2 - cfg.dps)
-        return SpecialValue(val, lg.abs_error_bound + float(slack))
-
-
-def _exp(ln: SpecialValue, cfg: PrecisionConfig) -> SpecialValue:
-    """e^ln with the error bound scaled by e^value (e^eps - 1 <= 2 eps)."""
-    with mp.workdps(cfg.dps):
-        v = mp.exp(ln.value)
-        return SpecialValue(v, float(v) * ln.abs_error_bound * 2)
-
-
-def G_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """G_lambda(x) = e^x Gamma(x+1) (x+1/2)^-(x+1/2) exp(1/(24(x+lambda)));
-    ln G_lambda = H_lambda - (1 - ln 2 pi)/2."""
-    require_positive("x", x)
-    _check_lambda(lam)
-    return _exp(_ln_g(x, _HALF, lam, cfg), cfg)
-
-
-def G_lambda_mu(x, lam, mu, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """Open-question generalization with independent shift mu in the
-    power factor; reduces to G_lambda at mu = 1/2.  Exploration only."""
-    if not x > max(0.0, -float(lam), -float(mu)):
-        raise DomainError(f"x must exceed max(0, -lambda, -mu), got x={x!r}")
-    return _exp(_ln_g(x, mu, lam, cfg), cfg)
-
-
-def g_beta(x, beta, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """g_beta(x) = e^x Gamma(x+1)/(x+beta)^(x+beta); LCM iff beta >= 1."""
-    if not x > max(0.0, -float(beta)):
-        raise DomainError(f"x must exceed max(0, -beta), got x={x!r}")
-    return _exp(_ln_g(x, beta, None, cfg), cfg)
-
-
-def g_beta_log_deriv(k: int, x, beta, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """k-th derivative of ln g_beta; the LCM probe tests (-1)^k times this."""
-    if not x > max(0.0, -float(beta)):
-        raise DomainError(f"x must exceed max(0, -beta), got x={x!r}")
-    return _ln_g_deriv(k, x, beta, None, cfg)
-
-
-def G_lambda_mu_log_deriv(
-    k: int, x, lam, mu, cfg: PrecisionConfig = DEFAULT_CONFIG
-) -> SpecialValue:
-    """k-th derivative of ln G_{lambda,mu}; at mu = 1/2 this is H_lambda^(k)."""
-    if not x > max(0.0, -float(lam), -float(mu)):
-        raise DomainError(f"x must exceed max(0, -lambda, -mu), got x={x!r}")
-    return _ln_g_deriv(k, x, mu, lam, cfg)

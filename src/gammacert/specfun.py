@@ -141,8 +141,6 @@ def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
     products with 1/z^2 (Horner's rule).
     """
     require_positive("x", x)
-    if mp.isinf(x):
-        raise DomainError(f"x must be finite, got {x!r}")
     orders = range(mlo, mhi + 1)
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)

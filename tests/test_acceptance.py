@@ -82,7 +82,7 @@ def test_criterion_03_threshold():
 
 
 def test_criterion_04_necessary_limit():
-    assert abs(necessary_limit(1e4) - 0.5) < 1e-3
+    assert abs(float(necessary_limit(1e4)) - 0.5) < 1e-3
     _line(4, "necessary-condition limit")
 
 

@@ -467,6 +467,16 @@ class TestCLI:
         assert cli.main(["eval", "--family", family, "--x", x]) == 2
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--family", "QiGammaLow", "--x", "inf"],
+        ["compare", "--x", "inf"],
+        ["lambda-star", "--tol", "inf"],
+        ["eval", "--family", "BernoulliFraction", "--x", "inf"],
+    ], ids=["eval-gamma", "compare", "lambda-star", "eval-bernoulli"])
+    def test_infinite_input_exit_two(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_eval_integer_n_accepted(self, capsys):
         assert cli.main(["eval", "--family", "HarmonicLow", "--x", "3"]) == 0
         assert cli.main(["eval", "--family", "FactorialLow", "--x", "4.0"]) == 0

@@ -1,7 +1,6 @@
 """Tests for the monotonicity machinery: H_lambda and its derivatives, the
 Laplace-density integrand, the threshold search, and the exact series layer."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -18,17 +17,12 @@ from gammacert import (
     phi_integrand,
 )
 from gammacert import monotone
-from gammacert.config import NumericalError, PrecisionConfig, SpecialValue
+from gammacert.config import PrecisionConfig, SpecialValue
 from gammacert.monotone import (
-    G_lambda,
-    G_lambda_mu_log_deriv,
     default_cm_grid,
-    g_beta,
-    g_beta_log_deriv,
     h_of_t,
     kth_root_bound,
     laplace_check,
-    midpoint_defect,
     necessary_limit,
     series_coeff_lambda,
     series_coeff_pivot,
@@ -255,6 +249,28 @@ class TestCMCheck:
         assert cm_check(0.25, "plus", cfg=cfg30) == cold
         assert monotone._psi_table.cache_info().currsize == 1
 
+    def test_orders_equal_H_lambda_deriv(self, monkeypatch):
+        # cm_check feeds its shared psi table to the helper behind
+        # H_lambda_deriv; both paths must give the same derivative
+        seen = []
+        inner = monotone._H_deriv
+
+        def recording(k, x, lam, cfg, ps=None):
+            sv = inner(k, x, lam, cfg, ps)
+            seen.append((k, x, lam, sv))
+            return sv
+
+        monkeypatch.setattr(monotone, "_H_deriv", recording)
+        monotone._psi_table.cache_clear()
+        cm_check(0.25, "plus", max_order=6, grid=[0.05, 1.0, 30.0])
+        monkeypatch.undo()
+        assert sorted((k, x) for k, x, _, _ in seen) == [
+            (k, x) for k in range(1, 7) for x in (0.05, 1.0, 30.0)
+        ]
+        for k, x, lam, sv in seen:
+            ref = H_lambda_deriv(k, x, lam)
+            assert abs(sv.value - ref.value) <= sv.abs_error_bound + ref.abs_error_bound
+
     def test_rejects_bad_sign(self):
         with pytest.raises(DomainError):
             cm_check(0.5, "positive")
@@ -266,9 +282,21 @@ class TestCMCheck:
 
 class TestNecessaryLimit:
     def test_tends_to_half(self):
-        assert abs(necessary_limit(1e4) - 0.5) < 1e-3
+        assert abs(float(necessary_limit(1e4)) - 0.5) < 1e-3
         # approach improves with x
-        assert abs(necessary_limit(1e4) - 0.5) < abs(necessary_limit(1e2) - 0.5)
+        assert abs(float(necessary_limit(1e4)) - 0.5) < abs(float(necessary_limit(1e2)) - 0.5)
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("x", [1e2, 1e4, 1e6])
+    def test_error_bound_covers_reference(self, digits, x):
+        # the error of f(x) is amplified by about 1/(24 f^2) ~ 6 x^4 in the
+        # limit, so a bare allowance at the working precision does not hold
+        sv = necessary_limit(x, PrecisionConfig(working_digits=digits))
+        with mp.workdps(80):
+            xm, half = mp.mpf(x), mp.mpf(1) / 2
+            f = mp.loggamma(xm + 1) - (xm + half) * mp.log(xm + half) + xm + half - mp.log(2 * mp.pi) / 2
+            ref = -xm - 1 / (24 * f)
+            assert abs(sv.value - ref) <= sv.abs_error_bound
 
 
 class TestExactSeries:
@@ -300,52 +328,6 @@ class TestExactSeries:
         assert all(v <= 1.5 for v in vals)
         assert vals == sorted(vals)  # increases toward 3/2
         assert vals[-1] == pytest.approx(1.46328, abs=1e-4)
-
-
-class TestMidpointDefect:
-    def test_convex_function(self):
-        # f = exp on [0, 1]: f'' in [1, e]
-        defect, lower, upper = midpoint_defect(mp.exp, 0.0, 1.0, 1.0, math.e)
-        assert lower <= defect <= upper
-
-    def test_violation_raises(self):
-        with pytest.raises(NumericalError):
-            midpoint_defect(mp.exp, 0.0, 1.0, 2.9, 3.0)
-
-    def test_bad_interval(self):
-        with pytest.raises(DomainError):
-            midpoint_defect(mp.exp, 1.0, 0.0, 0.0, 1.0)
-
-
-class TestLCMProbes:
-    def test_G_lambda_positive(self):
-        assert float(G_lambda(2.0, 0.5).value) > 0
-
-    def test_G_lambda_mu_reduces_to_H_deriv(self):
-        for k in (1, 2, 3):
-            a = G_lambda_mu_log_deriv(k, 2.0, 0.5, 0.5)
-            b = H_lambda_deriv(k, 2.0, 0.5)
-            assert float(a.value) == pytest.approx(float(b.value), rel=1e-10)
-
-    def test_g_beta_lcm_at_beta_one(self):
-        # beta = 1: (-1)^k (ln g)^(k) >= 0 on a small sweep
-        for k in (1, 2, 3, 4):
-            for x in (0.5, 1.0, 5.0):
-                v = g_beta_log_deriv(k, x, 1.0)
-                assert (-1) ** k * float(v.value) >= 0
-
-    def test_g_beta_fails_below_one_at_high_order(self):
-        # beta = 0.9 < 1: low orders look fine near moderate x, but the
-        # LCM property fails at high derivative order and small x
-        violations = [
-            (-1) ** k * float(g_beta_log_deriv(k, 0.05, 0.9).value)
-            for k in range(2, 61)
-        ]
-        assert min(violations) < 0
-
-    def test_g_beta_value(self):
-        # g_1(1) = e * 1! / 2^2 = e/4
-        assert float(g_beta(1.0, 1.0).value) == pytest.approx(math.e / 4, rel=1e-12)
 
 
 def test_default_cm_grid_shape():

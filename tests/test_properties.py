@@ -1,0 +1,95 @@
+"""Hypothesis properties: bad input raises DomainError, and reports survive a
+render/parse round trip in both formats."""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from mpmath import mp
+
+from gammacert import DomainError, H_lambda, digamma, ln_gamma, polygamma
+from gammacert import harness
+from gammacert.bounds import BoundFamily, FamilyId, gamma_bound_log
+from gammacert.config import FALSIFIED, INDETERMINATE, VERIFIED
+from gammacert.harness import GridSpec, VerificationReport
+
+# nan, +-inf and every x <= 0, as floats or as mpf
+_bad_float = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(max_value=0.0, allow_nan=False),
+)
+bad_x = st.one_of(_bad_float, _bad_float.map(mp.mpf))
+
+_GAMMA_FAMILIES = [
+    BoundFamily(FamilyId.BUKAC_GAMMA),
+    BoundFamily(FamilyId.SEVLI_BATIR_GAMMA),
+    BoundFamily(FamilyId.QI_GAMMA_LOW),
+    BoundFamily(FamilyId.QI_GAMMA_HIGH),
+]
+
+
+class TestBadInputRaises:
+    @given(bad_x)
+    @settings(max_examples=40, deadline=None)
+    def test_ln_gamma(self, x):
+        with pytest.raises(DomainError):
+            ln_gamma(x)
+
+    @given(bad_x)
+    @settings(max_examples=40, deadline=None)
+    def test_digamma(self, x):
+        with pytest.raises(DomainError):
+            digamma(x)
+
+    @given(bad_x)
+    @settings(max_examples=40, deadline=None)
+    def test_polygamma(self, x):
+        with pytest.raises(DomainError):
+            polygamma(1, x)
+
+    @given(bad_x, st.sampled_from([0.0, 0.5, 1.5]))
+    @settings(max_examples=40, deadline=None)
+    def test_H_lambda(self, x, lam):
+        with pytest.raises(DomainError):
+            H_lambda(x, lam)
+
+    @given(bad_x, st.sampled_from(_GAMMA_FAMILIES))
+    @settings(max_examples=40, deadline=None)
+    def test_gamma_bound_log(self, x, family):
+        with pytest.raises(DomainError):
+            gamma_bound_log(family, x)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def grids(draw):
+    spacing = draw(st.sampled_from(["linear", "log"]))
+    ends = st.floats(min_value=5e-324, allow_infinity=False) if spacing == "log" else _finite
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    return GridSpec(lo, hi, draw(st.integers(2, 10 ** 7)), spacing)
+
+
+reports = st.builds(
+    VerificationReport,
+    claim_id=st.one_of(
+        st.sampled_from([c.claim_id for c in harness.REGISTRY]),
+        st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1),
+    ),
+    grid=grids(),
+    min_margin=_finite,
+    argmin_x=_finite,
+    verdict=st.sampled_from([VERIFIED, FALSIFIED, INDETERMINATE]),
+    precision_digits=st.integers(15, 1000),
+    runtime_ms=st.integers(0, 10 ** 9),
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@given(rs=st.lists(reports, max_size=5))
+@example(rs=[VerificationReport('a "quoted" \\ id', GridSpec(1.0, 2.0, 2, "linear"),
+                                0.5, 1.0, VERIFIED, 15, 0)])
+@settings(max_examples=60, deadline=None)
+def test_render_parse_round_trip(fmt, rs):
+    assert harness.parse_reports(harness.render_reports(rs, fmt), fmt) == rs
