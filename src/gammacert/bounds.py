@@ -179,14 +179,15 @@ def _harmonic_constants(family: BoundFamily, constant: Fraction, cfg: PrecisionC
 
 
 def harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
-                   constant: Fraction = CORRECTED_HARMONIC_CONSTANT):
+                   constant: Fraction = CORRECTED_HARMONIC_CONSTANT, ln_m=None):
     """(lower, upper) of the n-th harmonic number at working precision.
 
     HarmonicLow:  ln(n+1/2) + 1/(24(n+1/2)^2) + [1 - ln(3/2) - 1/54, gamma]
     HarmonicHigh: ln(n+1/2) + 1/(24(n+3/2)^2) + [gamma, 1 - ln(3/2) - C]
 
     C defaults to the corrected 1/150; pass constant=PRINTED_HARMONIC_CONSTANT
-    to reproduce (and falsify) the printed 1/90.
+    to reproduce (and falsify) the printed 1/90.  `ln_m` is ln(n+1/2) at
+    cfg.dps when the caller already has it.
     """
     if family.id not in _HARMONIC_S:
         raise ParameterError(f"{family.id.value} is not a harmonic family")
@@ -195,7 +196,7 @@ def harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_C
     c_lo, c_hi, _ = _harmonic_constants(family, constant, cfg)
     with mp.workdps(cfg.dps):
         m = mp.mpf(n) + mp.mpf(1) / 2
-        base = mp.log(m) + 1 / (24 * (m + _HARMONIC_S[family.id]) ** 2)
+        base = (mp.log(m) if ln_m is None else ln_m) + 1 / (24 * (m + _HARMONIC_S[family.id]) ** 2)
         return base + c_lo, base + c_hi
 
 

@@ -2,7 +2,7 @@
 
 Subcommands:
   verify       run a claim suite, optionally writing a JSON/CSV report
-  lambda-star  locate the monotonicity threshold lambda*
+  lambda-star  enclose the monotonicity threshold lambda* in a proven bracket
   compare      pairwise tightness of the gamma bound families at one x
   eval         evaluate one bound family at one point
 
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p_ls = sub.add_parser("lambda-star", help="locate the threshold lambda*")
+    p_ls = sub.add_parser("lambda-star", help="enclose the threshold lambda* in a proven bracket")
     p_ls.add_argument("--tol", type=float, default=1e-8)
     p_ls.add_argument("--digits", type=int, default=None)
 
@@ -97,8 +97,8 @@ def _cmd_verify(args, cfg: PrecisionConfig) -> int:
 
 def _cmd_lambda_star(args, cfg: PrecisionConfig) -> int:
     res = monotone.lambda_star(args.tol, cfg)
-    print(f"lambda_star = {res.lambda_star:.12f}")
-    print(f"bracket     = [{res.bracket[0]:.12f}, {res.bracket[1]:.12f}]")
+    print(f"lambda_star = {res.lambda_star!r}")
+    print(f"bracket     = [{res.bracket[0]!r}, {res.bracket[1]!r}]")
     print(f"t_star      = {res.t_star:.6f}")
     print(f"tolerance   = {res.tolerance:g}")
     return 0

@@ -49,6 +49,8 @@ class GridSpec:
     spacing: str  # "linear" | "log"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ParameterError("GridSpec requires finite lo and hi")
         if not self.lo < self.hi:
             raise ParameterError("GridSpec requires lo < hi")
         if self.points < 2:
@@ -103,60 +105,18 @@ class _CMSweep:
         return rep.min_margin, rep.argmin[1], rep.verdict
 
 
-@functools.lru_cache(maxsize=1)
-def _phi_free_table(grid: GridSpec, cfg) -> tuple:
-    """(e^{-t/2}/t, 1/(e^t-1)) at each t of grid, at cfg.dps; the last
-    table built is kept for the next phi sweep."""
-    with mp.workdps(cfg.dps):
-        return tuple(monotone._phi_terms(mp.mpf(t)) for t in grid.values())
-
-
-def _phi_margin_sweep(lam: float, want: str, cfg, grid: GridSpec) -> Sweep:
-    """want='nonpositive' checks phi <= 0, want='nonnegative' checks phi >= 0.
-
-    The lambda-free terms e^{-t/2}/t and 1/(e^t-1) come from a table keyed
-    on the grid and cfg, so the sweeps that differ only in lambda (the two
-    phi-sign claims and the two inside thm2.1-threshold) compute them once
-    and each adds one e^{-lambda t} per point.
-    """
-    sweep = Sweep()
-    with mp.workdps(cfg.dps):
-        lm = mp.mpf(lam)
-        eps = mp.mpf(10) ** (2 - cfg.dps)
-        for t, free in zip(grid.values(), _phi_free_table(grid, cfg)):
-            # allowance scales with the magnitudes of the cancelling terms
-            phi, scale = monotone._phi_with_scale(mp.mpf(t), lm, free)
-            err = float(scale * eps)
-            margin = float(-phi) if want == "nonpositive" else float(phi)
-            sweep.add(t, margin, err)
-    return sweep
-
-
-def _run_phi_sign(lam: float, want: str):
-    def runner(cfg, grid: GridSpec):
-        return _phi_margin_sweep(lam, want, cfg, grid).result()
-
-    return runner
-
-
 def _necessary_limit_cases(cfg, grid: GridSpec):
     """-x - 1/(24 f(x)) at x = 1e4, which must lie within 1e-3 of its limit 1/2."""
     yield (1e4, monotone.necessary_limit(1e4, cfg), mp.mpf("0.499"), mp.mpf("0.501"))
 
 
 def _run_threshold(cfg, grid: GridSpec):
+    """1/2 < lambda_star < 3/2 on the proven bracket of monotone.lambda_star,
+    whose upper end passed phi_sign_certificate (it raises otherwise)."""
     res = monotone.lambda_star(1e-8, cfg)
     sweep = Sweep()
-    err = 1e-8
-    sweep.add(res.t_star, res.lambda_star - 0.5, err)
-    sweep.add(res.t_star, 1.5 - res.lambda_star, err)
-    # sign dichotomy just above / below the located threshold
-    above = _phi_margin_sweep(res.lambda_star + 0.01, "nonnegative", cfg, grid)
-    am, ax, av = above.result()
-    sweep.add(ax, am, 0.0 if av == VERIFIED else math.inf)
-    # below lambda_star a strictly negative phi value must exist
-    below = _phi_margin_sweep(res.lambda_star - 0.01, "nonnegative", cfg, grid)
-    sweep.add(below.argmin, -below.min_margin, 10.0 ** (2 - cfg.dps))
+    sweep.add(res.t_star, res.bracket[0] - 0.5, 0.0)
+    sweep.add(res.t_star, 1.5 - res.bracket[1], 0.0)
     return sweep.result()
 
 
@@ -231,19 +191,22 @@ _HARMONIC_N0 = 1000
 
 
 @functools.lru_cache(maxsize=1)
-def _harmonic_numbers(nmax: int) -> tuple:
-    """(H_1, ..., H_nmax) as exact Fractions, summed incrementally; the three
-    Thm 3.2 claims share one table."""
-    return tuple(itertools.accumulate(Fraction(1, k) for k in range(1, nmax + 1)))
+def _harmonic_numbers(nmax: int, cfg) -> tuple:
+    """((H_n, ln(n+1/2)) for n = 1..nmax) at cfg.dps, each H_n summed exactly
+    as a Fraction and then rounded; the three Thm 3.2 claims share one table."""
+    with mp.workdps(cfg.dps):
+        return tuple(
+            (mp.mpf(h.numerator) / h.denominator, mp.log(mp.mpf(n) + mp.mpf(1) / 2))
+            for n, h in enumerate(itertools.accumulate(Fraction(1, k) for k in range(1, nmax + 1)), 1)
+        )
 
 
 def _harmonic_cases(family: BoundFamily, constant: Fraction, cfg, grid: GridSpec):
     """Exact H_n for n = 1..N0 against the bounds, then one case from the
     tail lemma that covers every n > N0, labelled N0 + 1.  The check does
     not stop at the grid's 10^6, which only names the claim's range."""
-    for n, h in enumerate(_harmonic_numbers(_HARMONIC_N0), 1):
-        target = SpecialValue(mp.mpf(h.numerator) / h.denominator, 0.0)
-        yield (n, target, *bounds.harmonic_bound(family, n, cfg, constant))
+    for n, (h, ln_m) in enumerate(_harmonic_numbers(_HARMONIC_N0, cfg), 1):
+        yield (n, SpecialValue(h, 0.0), *bounds.harmonic_bound(family, n, cfg, constant, ln_m))
     yield (_HARMONIC_N0 + 1, *bounds.harmonic_tail(family, _HARMONIC_N0, cfg, constant))
 
 
@@ -405,8 +368,12 @@ REGISTRY: tuple = (
     Claim("thm2.1-item3-cm-lam1.5", ("thm2.1",), VERIFIED, _CM_GRID, _CMSweep(1.5, "minus"), True),
     Claim("thm2.1-item3-cm-lam2", ("thm2.1",), VERIFIED, _CM_GRID, _CMSweep(2.0, "minus"), True),
     Claim("thm2.1-item3-cm-lam5", ("thm2.1",), VERIFIED, _CM_GRID, _CMSweep(5.0, "minus"), True),
-    Claim("thm2.1-phi-nonpositive-lam0.5", ("thm2.1",), VERIFIED, _PHI_GRID, _run_phi_sign(0.5, "nonpositive"), True),
-    Claim("thm2.1-phi-nonnegative-lam1.5", ("thm2.1",), VERIFIED, _PHI_GRID, _run_phi_sign(1.5, "nonnegative"), True),
+    # the _PHI_GRID of the phi-sign claims only labels them: the certificate
+    # proves the sign on all of (0, inf)
+    Claim("thm2.1-phi-nonpositive-lam0.5", ("thm2.1",), VERIFIED, _PHI_GRID,
+          lambda cfg, grid: monotone.phi_sign_certificate(0.5, -1, cfg)),
+    Claim("thm2.1-phi-nonnegative-lam1.5", ("thm2.1",), VERIFIED, _PHI_GRID,
+          lambda cfg, grid: monotone.phi_sign_certificate(1.5, 1, cfg)),
     Claim("thm2.1-necessary-limit", ("thm2.1",), VERIFIED, _POINT_GRID,
           _run_containment(_necessary_limit_cases)),
     Claim("thm2.1-threshold", ("thm2.1",), VERIFIED, _PHI_GRID, _run_threshold),

@@ -12,12 +12,15 @@ complete monotonicity of +-H_lambda reduces to the sign of phi_lambda:
     phi_lambda >= 0 on (0, inf)  <=>  -H_lambda is completely monotonic
                                       (holds iff lambda >= lambda_star).
 
-lambda_star = sup_t h(t) with h(t) = -(1/t) ln[(24/t^2)(e^{-t/2} - t/(e^t-1))],
-which lies in [1/2, 3/2]; the solver below locates it numerically.
+lambda_star = sup_t h(t) with h(t) = -(1/t) ln[(24/t^2)(e^{-t/2} - t/(e^t-1))].
+phi_sign_certificate proves the sign of phi_lambda on all of (0, inf) in
+interval arithmetic, and lambda_star returns a bracket of lambda_star that
+is proven the same way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import mp
+from mpmath import iv, mp
 
 from .config import (
     DEFAULT_CONFIG,
@@ -34,6 +37,7 @@ from .config import (
     PrecisionConfig,
     SpecialValue,
     Sweep,
+    VERIFIED,
     require_positive,
 )
 from . import specfun
@@ -46,6 +50,7 @@ __all__ = [
     "laplace_check",
     "h_of_t",
     "lambda_star",
+    "phi_sign_certificate",
     "cm_check",
     "necessary_limit",
     "series_coeff_pivot",
@@ -141,29 +146,41 @@ def _phi_taylor_cutoff(lm):
     return 1e-3 if abs(lm) <= 1000 else 1 / abs(lm)
 
 
+def _phi_coeffs(lam: Fraction):
+    """Yield (c_k, s_k) for k = 2, 3, ..., exactly, where phi_lambda(t) =
+    sum_k c_k t^k, c_k = a_k - b_k - d_k and s_k = |a_k| + |b_k| + |d_k|:
+
+        a_k = (-1/2)^(k+1)/(k+1)!,  b_k = B_(k+1)/(k+1)!,
+        d_k = (-lambda)^(k-1)/(24 (k-1)!),
+
+    from the series of e^{-t/2}/t, 1/(e^t-1) and t e^{-lambda t}/24.  The
+    coefficients of t^-1 .. t^1 cancel, and c_2 = (2 lambda - 1)/48.
+    """
+    for k in itertools.count(2):
+        f = math.factorial(k + 1)
+        a = Fraction((-1) ** (k + 1), 2 ** (k + 1) * f)
+        b = Fraction(*mp.bernfrac(k + 1)) / f
+        d = (-lam) ** (k - 1) / (24 * math.factorial(k - 1))
+        yield a - b - d, abs(a) + abs(b) + abs(d)
+
+
 @functools.lru_cache(maxsize=32)
 def _phi_taylor_coeffs(lm, prec: int) -> tuple:
-    """(c_2, c_3, ...) with phi_lambda(t) = sum_k c_k t^k, at precision prec:
+    """(c_2, c_3, ...) of phi_lambda (see _phi_coeffs) at precision prec.
 
-        c_k = (-1/2)^(k+1)/(k+1)! - B_(k+1)/(k+1)! - (-lambda)^(k-1)/(24 (k-1)!),
-
-    from the series of e^{-t/2}/t, 1/(e^t-1) and t e^{-lambda t}/24 (c_2 =
-    (2 lambda - 1)/48; c_k vanishes for k < 2).  Terms are taken until the
-    next one, bounded by the sum of its three parts at t = cutoff, drops
-    below 2^-prec * 2/t, the relative precision of the cancelling terms.
+    Terms are taken until the next one, bounded by s_k t^k at t = cutoff,
+    drops below 2^-prec * 2/t, the relative precision of the cancelling
+    terms (|lambda| t0 <= 1, so the bound falls).
     """
     with mp.workprec(prec):
         t0 = mp.mpf(_phi_taylor_cutoff(lm))
         tol = mp.ldexp(2 / t0, -prec)
+        man, exp = mp.mpf(lm).man_exp  # lm exactly: it has at most prec bits
         coeffs = []
-        for k in itertools.count(2):  # |lambda| t0 <= 1, so the bound falls
-            f = mp.mpf(1) / math.factorial(k + 1)
-            a = (-_HALF) ** (k + 1) * f
-            b = mp.bernoulli(k + 1) * f
-            c = (-lm) ** (k - 1) / (24 * math.factorial(k - 1))
-            if (abs(a) + abs(b) + abs(c)) * t0 ** k < tol:
+        for k, (c, size) in enumerate(_phi_coeffs(man * Fraction(2) ** exp), 2):
+            if mp.convert(size) * t0 ** k < tol:
                 return tuple(coeffs)
-            coeffs.append(a - b - c)
+            coeffs.append(mp.convert(c))
 
 
 def _phi_taylor(tm, lm):
@@ -173,30 +190,20 @@ def _phi_taylor(tm, lm):
     return s * tm * tm
 
 
-def _phi_terms(tm):
+def _phi_terms(tm, ctx=mp):
     """(e^{-t/2}/t, 1/(e^t-1)), the lambda-free terms of phi, from one
-    exponential of -t/2.  For t < 1, v = expm1(-t/2) gives 1 - e^{-t} =
-    -v (2+v) without cancellation; for t >= 1, u = e^{-t/2} and 1 - u^2
-    lose nothing."""
+    exponential of -t/2, in ctx (mp, or mpmath.iv for an interval t).  For
+    t < 1, v = expm1(-t/2) gives 1 - e^{-t} = -v (2+v) without cancellation;
+    for t >= 1, u = e^{-t/2} and 1 - u^2 lose nothing, and both terms
+    increase with u, so an interval t loses no width to dependency."""
     if tm < 1:
-        v = mp.expm1(-tm / 2)
+        v = ctx.expm1(-tm / 2)
         u = 1 + v
         one_minus_u2 = -v * (2 + v)
     else:
-        u = mp.exp(-tm / 2)
+        u = ctx.exp(-tm / 2)
         one_minus_u2 = 1 - u * u
     return u / tm, u * u / one_minus_u2
-
-
-def _phi_with_scale(tm, lm, free=None):
-    """(phi_lambda(t), e^{-t/2}/t + 1/(e^t-1) + t e^{-lambda t}/24) at the
-    current precision; the sum of the term magnitudes scales the rounding
-    allowance of a phi sign sweep.  `free` is _phi_terms(tm) when the
-    caller already has it, so only e^{-lambda t} is computed here."""
-    a, b = _phi_terms(tm) if free is None else free
-    c = tm * mp.exp(-lm * tm) / 24
-    phi = _phi_taylor(tm, lm) if tm < _phi_taylor_cutoff(lm) else a - b - c
-    return phi, a + b + c
 
 
 def phi_integrand(t, lam):
@@ -214,7 +221,8 @@ def phi_integrand(t, lam):
     tm, lm = mp.mpf(t), mp.mpf(lam)
     if tm < _phi_taylor_cutoff(lm):
         return _phi_taylor(tm, lm)  # needs no exponential
-    return _phi_with_scale(tm, lm)[0]
+    a, b = _phi_terms(tm)
+    return a - b - tm * mp.exp(-lm * tm) / 24
 
 
 def _laplace_quad(x, lam, cfg: PrecisionConfig, phi=None):
@@ -274,9 +282,125 @@ def h_of_t(t):
     return +h
 
 
+# --- the sign of phi_lambda on (0, inf), proved in interval arithmetic -----
+
+_T_TAIL = 20.0  # Taylor piece on (0, 2], centred forms on [2, 20], closed-form tail
+_CERT_MAX_BOXES = 2000  # bisection budget of one certificate
+_TAYLOR_TERMS = 60  # c_2 .. c_61; the remainder is below 1e-30 for lambda <= 3/2
+
+
+@contextlib.contextmanager
+def _iv_dps(dps: int):
+    """mpmath.iv at dps digits; its precision is restored on exit or raise."""
+    prec = iv.prec
+    iv.dps = dps
+    try:
+        yield
+    finally:
+        iv.prec = prec
+
+
+def _phi_series(lam) -> tuple:
+    """(coefficients, remainder): phi_lambda(t)/t^p lies in sum_i
+    coefficients[i] t^i + remainder for 0 < t <= 2, with p = 3 if c_2 = 0
+    (lambda = 1/2), else 2.  Keeping c_p .. c_n, n = _TAYLOR_TERMS + 1, the
+    bounds |a_k| = 2^-(k+1)/(k+1)!, |b_k| <= 4/(2 pi)^(k+1), |d_k| =
+    lambda^(k-1)/(24 (k-1)!) and t^(k-p) <= 2^(k-p) give, for 2 lambda < n + 1,
+
+        2^p |remainder| <= 1/(n+2)! + 2 pi^-(n+2)/(1 - 1/pi)
+                           + (2 lambda)^n/(12 n! (1 - 2 lambda/(n+1))).
+    """
+    coeffs = [c for c, _ in itertools.islice(_phi_coeffs(Fraction(lam)), _TAYLOR_TERMS)]
+    p, n = (2 if coeffs[0] else 3), _TAYLOR_TERMS + 1
+    lm2, inv_pi = 2 * iv.mpf(lam), 1 / iv.pi
+    r = mp.inf
+    if lm2 < n + 1:
+        r = ((1 / iv.mpf(math.factorial(n + 2)) + 2 * inv_pi ** (n + 2) / (1 - inv_pi)
+              + lm2 ** n / (12 * math.factorial(n) * (1 - lm2 / (n + 1)))) / 2 ** p).b
+    return [iv.mpf(c.numerator) / c.denominator for c in coeffs[p - 2:]], iv.mpf([-r, r])
+
+
+def _add_enclosure(sweep: Sweep, at: float, enc) -> None:
+    """Add an interval margin to sweep as its midpoint and radius, the
+    radius rounded up so that the two floats still cover the interval."""
+    margin = float(enc.mid)
+    d = iv.mpf(margin) - enc
+    sweep.add(at, margin, math.nextafter(max(-float(d.a), float(d.b)), math.inf))
+
+
+def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> tuple:
+    """(min_margin, argmin, verdict) of sign * phi_lambda(t) > 0 for all t > 0
+    (sign = 1 or -1), proved in mpmath.iv at cfg.dps digits.
+
+    By Bernstein's theorem phi_lambda < 0 on (0, inf) makes H_lambda
+    completely monotonic and phi_lambda > 0 makes -H_lambda so.  Pieces:
+    (0, 2], the polynomial of _phi_series by Horner's rule plus its
+    remainder, so margins of sign * phi/t^p; [2, 20], the centred form
+    phi(m) + phi'(box) (box - m) with m the midpoint and b = 1/(e^t-1),
+
+        phi'(t) = -(1/2 + 1/t) e^{-t/2}/t + b (1 + b) - (1 - lambda t) e^{-lambda t}/24;
+
+    beyond 20, a closed-form bound whose slack is the margin.  A box whose
+    enclosure holds 0 is bisected, up to _CERT_MAX_BOXES boxes.  Each leaf
+    adds its enclosure to one Sweep under its midpoint: "verified" needs
+    every enclosure to have the wanted sign, one wholly of the other sign
+    gives "falsified" and ends the proof, anything else is "indeterminate"
+    (so is lambda above about 3, where the Taylor piece is too wide).
+    """
+    _check_lambda(lam)
+    if sign not in (1, -1):
+        raise DomainError(f"sign must be 1 or -1, got {sign!r}")
+    sweep, boxes = Sweep(), 0
+    with _iv_dps(cfg.dps):
+        lm = iv.mpf(lam)
+        coeffs, rem = _phi_series(lam)
+
+        def taylor(x, m):
+            s = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                s = s * x + c
+            return s + rem
+
+        def centred(x, m):
+            a, b = _phi_terms(m, iv)
+            phi_m = a - b - m * iv.exp(-lm * m) / 24
+            a, b = _phi_terms(x, iv)
+            dphi = -(0.5 + 1 / x) * a + b * (1 + b) - (1 - lm * x) * iv.exp(-lm * x) / 24
+            return phi_m + dphi * (x - m)
+
+        for enclose, lo, hi in ((taylor, 0.0, 2.0), (centred, 2.0, _T_TAIL)):
+            stack = [(lo, hi)]
+            while stack:
+                l, r = stack.pop()
+                m = (l + r) / 2
+                enc = sign * enclose(iv.mpf([l, r]), iv.mpf(m))
+                boxes += 1
+                if 0 in enc and l < m < r and boxes < _CERT_MAX_BOXES:
+                    stack += [(m, r), (l, m)]
+                    continue
+                _add_enclosure(sweep, m, enc)
+                if sweep.any_falsifying:
+                    return sweep.result()
+        t, mu = iv.mpf(_T_TAIL), lm - 0.5
+        tail = iv.mpf(0)  # slack 0: undecided
+        if sign < 0 and mu <= 0:
+            # -1/(e^t-1) < 0 and e^{-lambda t} >= e^{-t/2}, so for t >= 20:
+            # phi(t) < e^{-t/2} (1/t - t/24) <= e^{-t/2} (1/20 - 20/24)
+            tail = t / 24 - 1 / t
+        elif sign > 0 and mu * t >= 2:
+            # 1/(e^t-1) <= 2 e^{-t}, so t e^{t/2} phi(t) >= 1 - 2t e^{-t/2}
+            # - t^2 e^{-mu t}/24, whose two terms decrease for t >= 2/mu
+            tail = 1 - 2 * t * iv.exp(-t / 2) - t ** 2 * iv.exp(-mu * t) / 24
+        _add_enclosure(sweep, _T_TAIL, tail)
+    return sweep.result()
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Numerically located lambda_star = sup_t h(t)."""
+    """Proven bracket of lambda_star = sup_t h(t), float ends rounded
+    outward: bracket[0] <= h(t_star) in interval arithmetic, and
+    phi_sign_certificate proves phi > 0 at lambda = bracket[1].  The
+    lambda_star field is bracket[0]."""
 
     lambda_star: float
     bracket: tuple
@@ -284,69 +408,32 @@ class ThresholdResult:
     tolerance: float
 
 
-_INV_PHI = (math.sqrt(5) - 1) / 2
-
-
 def lambda_star(tol, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThresholdResult:
-    """Locate lambda_star by coarse log-grid scan over (0, 200] followed by
-    golden-section refinement; the returned bracket has width <= tol.
+    """Enclose lambda_star in a proven bracket of width <= tol.
 
-    Certification: every evaluated h is a lower bound for lambda_star, and
-    h(mid) + M |b-a|^2 / 8 with M >= |h''| near the maximizer is an upper
-    bound once the maximum is interior to [a, b].
+    phi_lambda >= 0 on (0, inf) iff lambda >= h(t) for all t > 0, so
+    lambda_star = sup h.  A golden-section search on [1, 60], where h is
+    unimodal, finds t; the lower end is h(t) in interval arithmetic, and
+    the upper end, the lower plus tol, is proved by phi_sign_certificate.
+    The search decides only whether that proof succeeds; if it fails (tol
+    too small for the precision) NumericalError is raised.
     """
     require_positive("tol", tol)
     with mp.workdps(cfg.dps):
-        n = 600
-        lo_t, hi_t = mp.mpf("1e-4"), mp.mpf(200)
-        ratio = (hi_t / lo_t) ** (mp.mpf(1) / (n - 1))
-        ts = [lo_t * ratio ** i for i in range(n)]
-        hs = [h_of_t(t) for t in ts]
-        i = max(range(n), key=lambda j: hs[j])
-        if i == 0 or i == n - 1:
-            raise NumericalError("failed to bracket an interior maximum of h")
-        # guard: h stays below the grid best beyond the scan cutoff
-        for t_out in (400, 1000, 10000):
-            if not h_of_t(t_out) < hs[i]:
-                raise NumericalError(f"h({t_out}) exceeds grid maximum; enlarge scan domain")
-        a, b = ts[i - 1], ts[i + 1]
-        c = b - _INV_PHI * (b - a)
-        d = a + _INV_PHI * (b - a)
-        hc, hd = h_of_t(c), h_of_t(d)
-        best_lo = max(hs[i], hc, hd)
-        best_hi = mp.inf
-        for _ in range(500):
-            if hc >= hd:
-                b, d, hd = d, c, hc
-                c = b - _INV_PHI * (b - a)
-                hc = h_of_t(c)
-            else:
-                a, c, hc = c, d, hd
-                d = a + _INV_PHI * (b - a)
-                hd = h_of_t(d)
-            best_lo = max(best_lo, hc, hd)
-            m = (a + b) / 2
-            hm = h_of_t(m)
-            best_lo = max(best_lo, hm)
-            w = b - a
-            if w < 1:
-                # second-difference curvature estimate with a safety factor
-                dd = abs(h_of_t(m + w) - 2 * hm + h_of_t(m - w)) / w ** 2
-                best_hi = min(best_hi, hm + 4 * (dd + mp.mpf(10) ** (4 - cfg.dps)) * w ** 2 / 8)
-            if best_hi - best_lo <= tol:
-                break
-        else:
-            raise NumericalError("lambda_star refinement did not converge")
-        lam = float(best_lo)
-        result = ThresholdResult(
-            lambda_star=lam,
-            bracket=(float(best_lo), float(best_hi)),
-            t_star=float(m),
-            tolerance=float(tol),
-        )
-        if not 0.5 <= lam <= 1.5:
-            raise NumericalError(f"lambda_star {lam} outside the proven [1/2, 3/2]")
-        return result
+        g, a, b = (mp.sqrt(5) - 1) / 2, mp.mpf(1), mp.mpf(60)
+        for _ in range(80):
+            c, d = b - g * (b - a), a + g * (b - a)
+            a, b = (a, d) if h_of_t(c) >= h_of_t(d) else (c, b)
+        t = float((a + b) / 2)
+    with _iv_dps(cfg.dps):
+        u, v = _phi_terms(iv.mpf(t), iv)
+        lo = math.nextafter(float((-iv.log(24 * (u - v) / t) / t).a), -math.inf)
+    hi = float(Fraction(lo) + Fraction(tol))
+    if Fraction(hi) - Fraction(lo) > Fraction(tol):
+        hi = math.nextafter(hi, -math.inf)
+    if phi_sign_certificate(hi, 1, cfg)[2] != VERIFIED:
+        raise NumericalError(f"could not prove phi > 0 at lambda = {hi!r}; tol {tol!r} is too small")
+    return ThresholdResult(lo, (lo, hi), t, float(tol))
 
 
 def default_cm_grid(points: int = 48, lo: float = 1e-2, hi: float = 100.0) -> list:

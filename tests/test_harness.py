@@ -2,6 +2,7 @@
 serialization round-trips, and CLI exit codes."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,6 @@ import pytest
 from mpmath import mp
 
 from gammacert import DEFAULT_CONFIG, ParameterError, PrecisionConfig
-from gammacert.config import Sweep
 from gammacert import bounds, cli, harness, monotone, specfun
 from gammacert.bounds import BoundFamily, FamilyId
 from gammacert.harness import GridSpec, VerificationReport
@@ -22,6 +22,12 @@ def normalize(reports):
 
 
 class TestGridSpec:
+    def test_rejects_non_finite_ends(self):
+        for lo, hi, spacing in [(1.0, math.inf, "log"), (-math.inf, 1.0, "linear"),
+                                (math.nan, 1.0, "linear"), (0.0, math.nan, "linear")]:
+            with pytest.raises(ParameterError):
+                GridSpec(lo, hi, 3, spacing)
+
     def test_values_linear(self):
         g = GridSpec(0.0, 1.0, 5, "linear")
         assert g.values() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -60,6 +66,31 @@ class TestRegistry:
 
     def test_all_is_union(self):
         assert harness.claims_for_suite("all") == list(harness.REGISTRY)
+
+    def test_phi_claims_rest_on_the_certificate(self, monkeypatch):
+        calls = []
+        certificate = monotone.phi_sign_certificate
+
+        def recording(lam, sign, cfg):
+            calls.append((lam, sign))
+            return certificate(lam, sign, cfg)
+
+        monkeypatch.setattr(monotone, "phi_sign_certificate", recording)
+        other = GridSpec(1.0, 2.0, 2, "linear")
+        for cid, lam, sign in (("thm2.1-phi-nonpositive-lam0.5", 0.5, -1),
+                               ("thm2.1-phi-nonnegative-lam1.5", 1.5, 1)):
+            claim = _claim(cid)
+            assert not claim.grid_overridable and claim.grid == harness._PHI_GRID
+            assert harness._run_claim(claim, DEFAULT_CONFIG, claim.grid).verdict == "verified"
+            assert calls.pop() == (lam, sign)
+        reports = harness.run_suite("thm2.1", grid_override=other)
+        assert {r.claim_id: r.grid for r in reports}["thm2.1-phi-nonpositive-lam0.5"] == harness._PHI_GRID
+
+    def test_threshold_claim_margins_are_the_bracket(self):
+        rep = harness._run_claim(_claim("thm2.1-threshold"), DEFAULT_CONFIG, harness._PHI_GRID)
+        lo, hi = monotone.lambda_star(1e-8).bracket
+        assert rep.verdict == "verified"
+        assert rep.min_margin == min(lo - 0.5, 1.5 - hi) == lo - 0.5
 
 
 class TestRunSuite:
@@ -223,10 +254,29 @@ class TestContainment:
                 assert abs(sv.value - ref) <= sv.abs_error_bound, x
 
     def test_harmonic_table_is_exact(self):
-        table = harness._harmonic_numbers(harness._HARMONIC_N0)
-        assert len(table) == harness._HARMONIC_N0 == 1000
-        for n in (1, 2, 3, 10, 257, 999, 1000):
-            assert table[n - 1] == specfun.harmonic_exact(n), n
+        # H_n summed exactly, then rounded once; ln(n+1/2) at the same precision
+        for digits in (15, 30):
+            cfg = PrecisionConfig(working_digits=digits)
+            table = harness._harmonic_numbers(harness._HARMONIC_N0, cfg)
+            assert len(table) == harness._HARMONIC_N0 == 1000
+            with mp.workdps(cfg.dps):
+                for n in (1, 2, 3, 10, 257, 999, 1000):
+                    h = specfun.harmonic_exact(n)
+                    assert table[n - 1] == (mp.mpf(h.numerator) / h.denominator, mp.log(n + mp.mpf(1) / 2)), n
+
+    def test_harmonic_claims_share_one_table(self):
+        harness._harmonic_numbers.cache_clear()
+        for cid in ("thm3.2-eq3.7", "thm3.2-eq3.8-corrected", "eq3.8-as-printed"):
+            claim = _claim(cid)
+            assert harness._run_claim(claim, DEFAULT_CONFIG, claim.grid).verdict == claim.expected
+        info = harness._harmonic_numbers.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_harmonic_bound_takes_log_from_caller(self):
+        family = BoundFamily(FamilyId.HARMONIC_HIGH)
+        with mp.workdps(DEFAULT_CONFIG.dps):
+            ln_m = mp.log(mp.mpf(7) + mp.mpf(1) / 2)
+        assert bounds.harmonic_bound(family, 7, DEFAULT_CONFIG, ln_m=ln_m) == bounds.harmonic_bound(family, 7)
 
     @pytest.mark.parametrize("digits", [15, 30])
     def test_verified_harmonic_claims_have_no_float_margin(self, digits):
@@ -329,37 +379,6 @@ class TestSharedWork:
         assert harness._laplace_residuals(DEFAULT_CONFIG) == shared
         assert len(calls) > 2 * shared_calls
 
-    @pytest.mark.parametrize("digits", [15, 30])
-    def test_phi_sweeps_equal_uncached_path(self, digits):
-        cfg = PrecisionConfig(working_digits=digits)
-        grid = harness._PHI_GRID
-
-        def uncached(lam, want):
-            sweep = Sweep()
-            with mp.workdps(cfg.dps):
-                for t in grid.values():
-                    phi, scale = monotone._phi_with_scale(mp.mpf(t), mp.mpf(lam))
-                    margin = float(-phi) if want == "nonpositive" else float(phi)
-                    sweep.add(t, margin, float(scale * mp.mpf(10) ** (2 - cfg.dps)))
-            return sweep.result()
-
-        harness._phi_free_table.cache_clear()
-        sweeps = [(0.5, "nonpositive"), (1.5, "nonnegative"), (0.64, "nonnegative")]
-        for lam, want in sweeps:
-            got = harness._phi_margin_sweep(lam, want, cfg, grid).result()
-            assert got == uncached(lam, want), (lam, want)
-        info = harness._phi_free_table.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-
-    def test_phi_claims_share_one_table(self):
-        harness._phi_free_table.cache_clear()
-        ids = ("thm2.1-phi-nonpositive-lam0.5", "thm2.1-phi-nonnegative-lam1.5", "thm2.1-threshold")
-        for claim in harness.REGISTRY:
-            if claim.claim_id in ids:
-                assert harness._run_claim(claim, DEFAULT_CONFIG, claim.grid).verdict == "verified"
-        info = harness._phi_free_table.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
-
     def test_factorial_sweeps_alone_equal_suite(self, monkeypatch):
         calls = []
         ln_gamma = harness.specfun.ln_gamma
@@ -438,6 +457,10 @@ class TestCLI:
         code = cli.main(["verify", "--suite", "thm3.4", "--out",
                          "/nonexistent-dir/rep.json"])
         assert code == 2
+
+    def test_infinite_grid_exit_two(self, capsys):
+        assert cli.main(["verify", "--suite", "thm3.1", "--grid", "1:inf:3:log"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_bad_grid_exit_two(self):
         assert cli.main(["verify", "--suite", "remark1", "--grid", "1:2:3"]) == 2

@@ -4,11 +4,12 @@ Laplace-density integrand, the threshold search, and the exact series layer."""
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from gammacert import (
     DEFAULT_CONFIG,
     DomainError,
+    NumericalError,
     H_lambda,
     H_lambda_deriv,
     H_lambda_prime,
@@ -24,6 +25,7 @@ from gammacert.monotone import (
     kth_root_bound,
     laplace_check,
     necessary_limit,
+    phi_sign_certificate,
     series_coeff_lambda,
     series_coeff_pivot,
 )
@@ -178,11 +180,85 @@ class TestThreshold:
         assert res.lambda_star == pytest.approx(0.6518498903, abs=1e-8)
         assert res.t_star == pytest.approx(12.237, abs=0.01)
 
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_lambda_star_bracket_is_proven_and_narrow(self, digits):
+        lo, hi = lambda_star(1e-8, PrecisionConfig(working_digits=digits)).bracket
+        assert lo <= 0.65184989034125658 <= hi
+        assert hi - lo <= 1e-8
+
+    def test_lambda_star_tol_below_precision_raises(self):
+        before = iv.prec
+        with pytest.raises(NumericalError):
+            lambda_star(1e-300)
+        assert iv.prec == before
+
     def test_dichotomy_around_threshold(self):
         res = lambda_star(1e-8)
         ts = [10 ** (0.01 * i - 2) for i in range(0, 401, 10)]
         assert all(float(phi_integrand(t, res.lambda_star + 0.01)) >= 0 for t in ts)
         assert any(float(phi_integrand(t, res.lambda_star - 0.01)) < 0 for t in ts)
+
+
+LAMBDA_STAR = mp.mpf("0.65184989034125658")
+
+
+class TestPhiSignCertificate:
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("lam,sign", [(0.5, -1), (0.0, -1), (1.5, 1), (2.0, 1), (0.66, 1)])
+    def test_true_signs_verified(self, lam, sign, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        assert phi_sign_certificate(lam, sign, cfg)[2] == "verified"
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("lam,sign", [(0.501, -1), (float(LAMBDA_STAR - mp.mpf("1e-12")), 1),
+                                          (0.6, 1), (1.5, -1), (0.5, 1)])
+    def test_false_signs_not_verified(self, lam, sign, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        assert phi_sign_certificate(lam, sign, cfg)[2] != "verified"
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_just_below_lambda_star_falsified_near_t_star(self, digits):
+        lam = float(LAMBDA_STAR - mp.mpf("1e-12"))
+        margin, at, verdict = phi_sign_certificate(lam, 1, PrecisionConfig(working_digits=digits))
+        assert verdict == "falsified"
+        assert margin < 0 and abs(at - 12.2378) < 0.01
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("lam", [0.5, 0.65, 1.5])
+    @pytest.mark.parametrize("t", ["1e-6", "0.5", "1.9"])
+    def test_taylor_remainder_covers_phi(self, t, lam, digits):
+        # phi/t^p from an 80-digit direct form lies in the coefficient
+        # intervals' polynomial plus the remainder interval
+        p = 3 if lam == 0.5 else 2
+        with monotone._iv_dps(PrecisionConfig(working_digits=digits).dps):
+            coeffs, rem = monotone._phi_series(lam)
+        with mp.workdps(80), monotone._iv_dps(80):
+            tm, lm = mp.mpf(t), mp.mpf(lam)
+            exact = (mp.exp(-tm / 2) / tm - 1 / mp.expm1(tm) - tm * mp.exp(-lm * tm) / 24) / tm ** p
+            s = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                s = s * iv.mpf(tm) + c
+            enc = s + rem
+            assert mp.mpf(enc.a) <= exact <= mp.mpf(enc.b)
+
+    def test_iv_precision_restored(self, monkeypatch):
+        before = iv.prec
+        phi_sign_certificate(0.5, -1, PrecisionConfig(working_digits=30))
+        assert iv.prec == before
+
+        def failing_series(lam):
+            raise NumericalError("series failed")
+
+        monkeypatch.setattr(monotone, "_phi_series", failing_series)
+        with pytest.raises(NumericalError):
+            phi_sign_certificate(0.5, -1)
+        assert iv.prec == before
+
+    def test_rejects_bad_sign_and_lambda(self):
+        with pytest.raises(DomainError):
+            phi_sign_certificate(0.5, 0)
+        with pytest.raises(DomainError):
+            phi_sign_certificate(-0.1, 1)
 
 
 class TestCMCheck:

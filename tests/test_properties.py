@@ -1,6 +1,8 @@
-"""Hypothesis properties: bad input raises DomainError, and reports survive a
-render/parse round trip in both formats."""
+"""Hypothesis properties: bad input raises DomainError, reports survive a
+render/parse round trip in both formats, and a non-integer n exits 2."""
 
+import contextlib
+import io
 import math
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from gammacert import DomainError, H_lambda, digamma, ln_gamma, polygamma
-from gammacert import harness
+from gammacert import cli, harness
 from gammacert.bounds import BoundFamily, FamilyId, gamma_bound_log
 from gammacert.config import FALSIFIED, INDETERMINATE, VERIFIED
 from gammacert.harness import GridSpec, VerificationReport
@@ -93,3 +95,15 @@ reports = st.builds(
 @settings(max_examples=60, deadline=None)
 def test_render_parse_round_trip(fmt, rs):
     assert harness.parse_reports(harness.render_reports(rs, fmt), fmt) == rs
+
+
+_INTEGER_FAMILIES = ["HarmonicLow", "HarmonicHigh", "FactorialLow", "FactorialHigh", "FactorialAsPrinted"]
+
+
+@given(st.sampled_from(_INTEGER_FAMILIES), st.floats().filter(lambda x: not x.is_integer()))
+@settings(max_examples=60, deadline=None)
+def test_eval_non_integer_n_exits_two(family, x):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["eval", "--family", family, f"--x={x!r}"]) == 2
+    assert "integer" in err.getvalue()
