@@ -1,16 +1,20 @@
 """Closed-form two-sided bound families for Gamma(x+1), harmonic numbers,
 factorials and the Bernoulli-type fraction x/(e^x - 1).
 
-Each family evaluates the displayed lower/upper expressions verbatim; the
-"corrected" factorial and harmonic variants use the constants forced by the
-defining construction (equality at n = 1), while the *AsPrinted variants
-reproduce the printed forms so the harness can falsify them.
+The Qi-type gamma bounds (Eq. (3.1) = QiGammaLow = SevliBatirGamma, Eq. (3.2)
+= QiGammaHigh, QiGammaGeneric) and the corrected factorial Eqs. (3.12), (3.13)
+(constants forced by equality at n = 1) are rows (lambda, c_lo, c_hi) over
+H_lambda: c_lo <= H_lambda <= c_hi.  BukacGamma, the harmonic and Bernoulli
+families and the printed *AsPrinted variants, which the harness falsifies,
+keep their displayed expressions.  sec1-comparison compares BukacGamma
+against Eq. (3.1).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +30,7 @@ from .config import (
     SpecialValue,
     require_positive,
 )
-from . import specfun
+from . import monotone, specfun
 
 __all__ = [
     "FamilyId",
@@ -109,15 +113,49 @@ class BoundPair:
         return self.lower - slop <= value <= self.upper + slop
 
 
-def _pref_log(x):
-    """ln[ sqrt(2 pi) ((x+1/2)/e)^(x+1/2) ], the shared Stirling prefactor."""
-    return mp.log(2 * mp.pi) / 2 + (x + mp.mpf(1) / 2) * (mp.log(x + mp.mpf(1) / 2) - 1)
+# (lambda, x0 of c_lo, x0 of c_hi), c = H_lambda(x0) at x0 = 0+, 1 or inf (c = 0)
+_ROWS = {
+    FamilyId.QI_GAMMA_LOW: (0.5, math.inf, 0),  # Eq. (3.1)
+    FamilyId.SEVLI_BATIR_GAMMA: (0.5, math.inf, 0),  # beta = sqrt(2) e^(7/12) makes it Eq. (3.1)
+    FamilyId.QI_GAMMA_GENERIC: (None, math.inf, 0),  # lambda from the family
+    FamilyId.QI_GAMMA_HIGH: (1.5, 0, math.inf),  # Eq. (3.2)
+    FamilyId.FACTORIAL_HIGH: (0.5, math.inf, 1),  # corrected Eq. (3.12)
+    FamilyId.FACTORIAL_LOW: (1.5, 1, math.inf),  # corrected Eq. (3.13)
+}
 
 
-# H_lambda(1) = (1/24)[1/(lambda+1) + 36 - 12 ln(2 pi) - 36 ln(3/2)];
-# the exponent shifts of the corrected factorial bounds.
-def _H_at_one(lam):
-    return (1 / (lam + mp.mpf(1)) + 36 - 12 * mp.log(2 * mp.pi) - 36 * mp.log(mp.mpf(3) / 2)) / 24
+@functools.lru_cache(maxsize=16)
+def _row(family: BoundFamily, cfg: PrecisionConfig) -> tuple:
+    """(lambda, c_lo, c_hi) of a row family at cfg.dps, once per family and precision, from
+    H_lambda(x0) = 1/(24 (x0+lambda)) - p(x0) at x0 = 0+, 1 (ln Gamma(x0+1) = 0 there)."""
+    lam, x_lo, x_hi = _ROWS[family.id]
+    with mp.workdps(cfg.dps):
+        lm = mp.mpf(family.lam if lam is None else lam)
+
+        def H_at(x0):
+            if x0 == math.inf or x0 + lm == 0:  # H_lambda(inf) = 0, H_0(0+) = inf
+                return mp.zero if x0 == math.inf else mp.inf
+            return 1 / (24 * (x0 + lm)) - monotone._stirling_log(mp.mpf(x0), cfg.dps)[0]
+
+        return lm, H_at(x_lo), H_at(x_hi)
+
+
+def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
+    """(ln lower, ln upper) at cfg.dps: p(x) - 1/(24 (x+lambda)) + (c_lo, c_hi) for a
+    row family, else the displayed BukacGamma or printed Eqs. (3.13), (3.12)."""
+    with mp.workdps(cfg.dps):
+        xm = mp.mpf(x)
+        p = monotone._stirling_log(xm, cfg.dps)[0]
+        if family.id in _ROWS:
+            lam, c_lo, c_hi = _row(family, cfg)
+            base = p - 1 / (24 * (xm + lam))
+            return base + c_lo, base + c_hi
+        if family.id is FamilyId.BUKAC_GAMMA:
+            return (p - 1 / (24 * xm),
+                    p - 1 / (24 * (mp.sqrt(xm ** 2 + 3 * xm + mp.mpf(5) / 2) - mp.mpf(1) / 2)))
+        const = 12 * (3 - mp.log(mp.pi) + mp.log(mp.mpf(4) / 27))
+        return (p + (const + 1 / (5 * (xm + mp.mpf(3) / 2))) / 24,
+                p + (const - 1 / (3 * (xm + mp.mpf(1) / 2))) / 24)
 
 
 def gamma_bound_log(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -126,28 +164,7 @@ def gamma_bound_log(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFI
     if family.id not in _GAMMA_FAMILIES:
         raise ParameterError(f"{family.id.value} is not a gamma-target family")
     require_positive("x", x)
-    with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        p = _pref_log(xm)
-        fid = family.id
-        if fid is FamilyId.BUKAC_GAMMA:
-            lo = p - 1 / (24 * xm)
-            hi = p - 1 / (24 * (mp.sqrt(xm ** 2 + 3 * xm + mp.mpf(5) / 2) - mp.mpf(1) / 2))
-        elif fid is FamilyId.SEVLI_BATIR_GAMMA:
-            lo = p - 1 / (24 * (xm + mp.mpf(1) / 2))
-            # beta = sqrt(2) e^(7/12): upper constant exceeds sqrt(2 pi)
-            hi = p - 1 / (24 * (xm + mp.mpf(1) / 2)) + mp.mpf(7) / 12 - mp.log(mp.pi) / 2
-        elif fid is FamilyId.QI_GAMMA_HIGH:
-            lo = p + (2 * xm / (3 * (xm + mp.mpf(3) / 2)) - 12 * (mp.log(mp.pi) - 1)) / 24
-            hi = p - 1 / (24 * (xm + mp.mpf(3) / 2))
-        else:
-            lam = mp.mpf(1) / 2 if fid is FamilyId.QI_GAMMA_LOW else mp.mpf(family.lam)
-            lo = p - 1 / (24 * (xm + lam))
-            if lam == 0:
-                hi = mp.inf
-            else:
-                hi = p + (1 / lam + 12 - 12 * mp.log(mp.pi) - 1 / (xm + lam)) / 24
-        return lo, hi
+    return _bound_log(family, x, cfg)
 
 
 def eval_gamma_bound(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> BoundPair:
@@ -257,23 +274,7 @@ def factorial_bound_log(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFA
         raise ParameterError(f"{family.id.value} is not a factorial family")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    with mp.workdps(cfg.dps):
-        nm = mp.mpf(n)
-        p = _pref_log(nm)
-        if family.id is FamilyId.FACTORIAL_HIGH:
-            # corrected Eq. (3.12): exponent shift H_{1/2}(1) - 1/(24(n+1/2))
-            lo = p - 1 / (24 * (nm + mp.mpf(1) / 2))
-            hi = p + _H_at_one(mp.mpf(1) / 2) - 1 / (24 * (nm + mp.mpf(1) / 2))
-        elif family.id is FamilyId.FACTORIAL_LOW:
-            # corrected Eq. (3.13): exponent shift H_{3/2}(1) - 1/(24(n+3/2))
-            lo = p + _H_at_one(mp.mpf(3) / 2) - 1 / (24 * (nm + mp.mpf(3) / 2))
-            hi = p - 1 / (24 * (nm + mp.mpf(3) / 2))
-        else:
-            # printed x-dependent exponent terms, kept verbatim for falsification
-            const = 12 * (3 - mp.log(mp.pi) + mp.log(mp.mpf(4) / 27))
-            lo = p + (const + 1 / (5 * (nm + mp.mpf(3) / 2))) / 24
-            hi = p + (const - 1 / (3 * (nm + mp.mpf(1) / 2))) / 24
-        return lo, hi
+    return _bound_log(family, n, cfg)
 
 
 def eval_factorial_bound(
@@ -348,23 +349,14 @@ def compare_families(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> FamilyComparis
     require_positive("x", x)
     logs = {f: gamma_bound_log(f, x, cfg) for f in _COMPARE_SET}
     orderings = []
-    for i, fa in enumerate(_COMPARE_SET):
-        for fb in _COMPARE_SET[i + 1 :]:
-            with mp.workdps(cfg.dps):
-                tol = mp.mpf(10) ** (2 - cfg.dps)
-                lo_a, hi_a = logs[fa]
-                lo_b, hi_b = logs[fb]
-                if lo_a > lo_b + tol:
-                    better_lower = "a"
-                elif lo_b > lo_a + tol:
-                    better_lower = "b"
-                else:
-                    better_lower = "indeterminate"
-                if hi_a < hi_b - tol:
-                    better_upper = "a"
-                elif hi_b < hi_a - tol:
-                    better_upper = "b"
-                else:
-                    better_upper = "indeterminate"
-            orderings.append(PairOrdering(fa, fb, better_lower, better_upper))
+    with mp.workdps(cfg.dps):
+        tol = mp.mpf(10) ** (2 - cfg.dps)
+        for fa, fb in itertools.combinations(_COMPARE_SET, 2):
+            (lo_a, hi_a), (lo_b, hi_b) = logs[fa], logs[fb]
+            orderings.append(PairOrdering(fa, fb, _winner(lo_a, lo_b, tol), _winner(-hi_a, -hi_b, tol)))
     return FamilyComparison(x=float(x), orderings=tuple(orderings))
+
+
+def _winner(a, b, tol) -> str:
+    """"a" or "b", whichever exceeds the other by more than tol, else "indeterminate"."""
+    return "a" if a > b + tol else "b" if b > a + tol else "indeterminate"

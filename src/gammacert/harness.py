@@ -129,7 +129,8 @@ def _run_containment(cases: Callable, *args, side: str = "both", allow_equality:
 
     cases(*args, cfg, grid) runs at cfg.dps and yields (point, target, lo,
     hi): a SpecialValue and the bounds there, such as a family's, looked up
-    in `bounds` at call time.  side = 'lower' or 'upper' checks one
+    in `bounds` at call time (H_lambda and its row's constants for Thm 3.1
+    and the corrected Thm 3.4).  side = 'lower' or 'upper' checks one
     inequality only.  Every margin carries one error:
 
         target.abs_error_bound + (|target| + |lo| + |hi|) 10^(2-dps),
@@ -154,20 +155,25 @@ def _run_containment(cases: Callable, *args, side: str = "both", allow_equality:
     return runner
 
 
-def _gamma_cases(family: BoundFamily, cfg, grid: GridSpec):
-    """ln Gamma(x+1) at each x of the grid, with x + 1 formed at working
-    precision, against the ln-space bounds of a gamma family."""
-    for x in grid.values():
-        target = specfun.ln_gamma(mp.mpf(x) + 1, cfg)
-        yield (x, target, *bounds.gamma_bound_log(family, x, cfg))
+def _row_cases(family: BoundFamily, cfg, grid: GridSpec):
+    """H_lambda against the constants c_lo, c_hi of a row family (see
+    bounds._row): Thm 3.1 at each x of the grid, from ln Gamma(x+1) at exact
+    x + 1; Thm 3.4 at n = lo..hi, from the shared ln n! table."""
+    lam, c_lo, c_hi = bounds._row(family, cfg)
+    if family.id in bounds._GAMMA_FAMILIES:
+        for x in grid.values():
+            yield (x, monotone.H_lambda(x, lam, cfg), c_lo, c_hi)
+    else:
+        for n, lg in _ln_factorials(grid, cfg):
+            yield (n, monotone._H_deriv(0, n, lam, cfg, lg), c_lo, c_hi)
 
 
 def _best_constants_cases(cfg, grid: GridSpec):
-    """H_{1/2}(x) against c + ln(1 -+ 1e-3), c its limit (0 as x -> inf, 7/12 -
-    ln(pi)/2 as x -> 0): the ratio sqrt(2 pi) e^{H_{1/2}(x)} of Eq. (1.3) lies
-    within 1e-3 relative of its limit sqrt(2 pi), resp. sqrt(2) e^{7/12}."""
+    """H_{1/2}(x) against c + ln(1 -+ 1e-3), c its limit (0 as x -> inf, Eq.
+    (3.1)'s H_{1/2}(0+) as x -> 0): the ratio sqrt(2 pi) e^{H_{1/2}(x)} of Eq. (1.3)
+    lies within 1e-3 relative of its limit sqrt(2 pi), resp. sqrt(2) e^{7/12}."""
     lo, hi = mp.log1p(mp.mpf("-1e-3")), mp.log1p(mp.mpf("1e-3"))
-    for x, c in ((1e4, 0), (1e-6, mp.mpf(7) / 12 - mp.log(mp.pi) / 2)):
+    for x, c in ((1e4, 0), (1e-6, bounds._row(BoundFamily(FamilyId.QI_GAMMA_LOW), cfg)[2])):
         yield (x, monotone.H_lambda(x, 0.5, cfg), c + lo, c + hi)
 
 
@@ -382,9 +388,9 @@ REGISTRY: tuple = (
     Claim("kth-root-bound", ("thm2.1",), VERIFIED, _K_GRID, _run_kth_root),
     Claim("two-path-laplace", ("thm2.1",), VERIFIED, _PHI_GRID, _run_laplace),
     Claim("thm3.1-eq3.1-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
-          _run_containment(_gamma_cases, BoundFamily(FamilyId.QI_GAMMA_LOW)), True),
+          _run_containment(_row_cases, BoundFamily(FamilyId.QI_GAMMA_LOW)), True),
     Claim("thm3.1-eq3.2-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
-          _run_containment(_gamma_cases, BoundFamily(FamilyId.QI_GAMMA_HIGH)), True),
+          _run_containment(_row_cases, BoundFamily(FamilyId.QI_GAMMA_HIGH)), True),
     Claim("eq1.3-best-constants", ("thm3.1",), VERIFIED, _POINT_GRID,
           _run_containment(_best_constants_cases)),
     Claim("sec1-comparison", ("thm3.1",), VERIFIED, _POINT_GRID,
@@ -401,9 +407,9 @@ REGISTRY: tuple = (
     Claim("thm3.3-lcm-G-lam0.5", ("thm3.3",), VERIFIED, _CM_GRID, _CMSweep(0.5, "plus"), True),
     Claim("thm3.3-lcm-recip-G-lam1.5", ("thm3.3",), VERIFIED, _CM_GRID, _CMSweep(1.5, "minus"), True),
     Claim("thm3.4-eq3.12-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
-          _run_containment(_factorial_cases, BoundFamily(FamilyId.FACTORIAL_HIGH), allow_equality=True)),
+          _run_containment(_row_cases, BoundFamily(FamilyId.FACTORIAL_HIGH), allow_equality=True)),
     Claim("thm3.4-eq3.13-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
-          _run_containment(_factorial_cases, BoundFamily(FamilyId.FACTORIAL_LOW), allow_equality=True)),
+          _run_containment(_row_cases, BoundFamily(FamilyId.FACTORIAL_LOW), allow_equality=True)),
     Claim("eq3.12-as-printed", ("thm3.4", "falsify-printed"), FALSIFIED, _FACTORIAL_GRID,
           _run_containment(_factorial_cases, BoundFamily(FamilyId.FACTORIAL_AS_PRINTED),
                            side="upper", allow_equality=True)),

@@ -70,44 +70,47 @@ def _check_lambda(lam) -> None:
 _HALF = mp.mpf(1) / 2
 
 
-def _stirling_defect(x, cfg: PrecisionConfig) -> SpecialValue:
-    """f(x) = ln Gamma(x+1) - (x+1/2) ln(x+1/2) + x + 1/2 - ln sqrt(2 pi)."""
-    lg = specfun.ln_gamma(_x_plus_1(x, cfg), cfg)
-    with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        val = lg.value - (xm + _HALF) * mp.log(xm + _HALF) + xm + _HALF - mp.log(2 * mp.pi) / 2
-        slack = (abs(val) + xm + abs(xm * mp.log(xm + 1)) + 1) * mp.mpf(10) ** (2 - cfg.dps)
-        return SpecialValue(val, lg.abs_error_bound + float(slack))
+@functools.lru_cache(maxsize=8)
+def _constants(dps: int) -> tuple:
+    """(ln sqrt(2 pi), 10^(2-dps)) at dps digits, computed once per precision."""
+    with mp.workdps(dps):
+        return mp.log(2 * mp.pi) / 2, mp.mpf(10) ** (2 - dps)
 
 
-def _x_plus_1(x, cfg: PrecisionConfig):
-    with mp.workdps(cfg.dps):
-        return mp.mpf(x) + 1  # keep full precision; never truncate to float64
+def _stirling_log(xm, dps: int) -> tuple:
+    """(p(x), size) at dps digits, the caller's precision: p(x) = ln sqrt(2 pi)
+    + (x+1/2) (ln(x+1/2) - 1), the log of Stirling's sqrt(2 pi) ((x+1/2)/e)^(x+1/2),
+    and size = ln sqrt(2 pi) + (x+1/2) (|ln(x+1/2)| + 1), the sizes of its terms."""
+    c, h = _constants(dps)[0], xm + _HALF
+    ln_h = mp.log(h)
+    return c + h * (ln_h - 1), c + h * (abs(ln_h) + 1)
 
 
 def _H_deriv(k: int, x, lam, cfg: PrecisionConfig, ps=None) -> SpecialValue:
-    """k-th derivative (k >= 1) of H_lambda:
+    """k-th derivative (k >= 0) of H_lambda:
 
         psi^(k-1)(x+1) + (-1)^(k-1) (k-2)! / (x+1/2)^(k-1)
                        + (-1)^k k! / (24 (x+lambda)^(k+1)),
 
-    where the middle term reads -ln(x+1/2) at k = 1.  `ps` is
-    psi^(k-1)(x+1) when the caller already has it.
-    """
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"derivative order must be a positive integer, got {k!r}")
-    if ps is None:
-        x1 = _x_plus_1(x, cfg)
-        ps = specfun.digamma(x1, cfg) if k == 1 else specfun.polygamma(k - 1, x1, cfg)
+    where psi^(-1) is ln Gamma and the middle term reads -ln(x+1/2) at k = 1
+    and -p(x) at k = 0 (see _stirling_log); lambda = inf drops the last term.
+    `ps` is psi^(k-1)(x+1) when the caller already has it."""
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        if k == 1:
-            t_log = -mp.log(xm + _HALF)
+        if ps is None:  # x + 1 at full precision, never rounded to float64
+            ps = (specfun.ln_gamma(xm + 1, cfg) if k == 0 else specfun.digamma(xm + 1, cfg) if k == 1
+                  else specfun.polygamma(k - 1, xm + 1, cfg))
+        if k == 0:
+            p, size = _stirling_log(xm, cfg.dps)
+            t_log = -p
         else:
-            t_log = (-1) ** (k - 1) * mp.factorial(k - 2) / (xm + _HALF) ** (k - 1)
+            t_log = (-mp.log(xm + _HALF) if k == 1
+                     else (-1) ** (k - 1) * mp.factorial(k - 2) / (xm + _HALF) ** (k - 1))
+            size = abs(t_log)
         t_cor = (-1) ** k * mp.factorial(k) / (24 * (xm + mp.mpf(lam)) ** (k + 1))
         val = ps.value + t_log + t_cor
-        slack = (abs(ps.value) + abs(t_log) + abs(t_cor)) * mp.mpf(10) ** (2 - cfg.dps)
+        # rounding: the size of every term rounded, times 10^(2-dps)
+        slack = (abs(ps.value) + size + abs(t_cor)) * _constants(cfg.dps)[1]
         return SpecialValue(val, ps.abs_error_bound + float(slack))
 
 
@@ -115,10 +118,7 @@ def H_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """H_lambda(x); error bound propagated from the ln Gamma evaluation."""
     require_positive("x", x)
     _check_lambda(lam)
-    f = _stirling_defect(x, cfg)
-    with mp.workdps(cfg.dps):
-        val = f.value + 1 / (24 * (mp.mpf(x) + mp.mpf(lam)))
-        return SpecialValue(val, f.abs_error_bound)
+    return _H_deriv(0, x, lam, cfg)
 
 
 def H_lambda_prime(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -134,6 +134,8 @@ def H_lambda_deriv(n: int, x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> Spe
         H^(n)(x) = psi^(n-1)(x+1) + (-1)^(n-1) (n-2)! / (x+1/2)^(n-1)
                                   + (-1)^n n! / (24 (x+lambda)^(n+1))
     """
+    if not (isinstance(n, int) and n >= 1):
+        raise DomainError(f"derivative order must be a positive integer, got {n!r}")
     require_positive("x", x)
     _check_lambda(lam)
     return _H_deriv(n, x, lam, cfg)
@@ -457,9 +459,10 @@ class CMReport:
 
 @functools.lru_cache(maxsize=1)
 def _psi_table(grid: tuple, mhi: int, cfg: PrecisionConfig) -> tuple:
-    """(psi^(0..mhi)(x+1) for each x of grid), the lambda-free part of a
-    CM sweep; the last table built is kept for the next sweep."""
-    return tuple(specfun._psi(0, mhi, _x_plus_1(x, cfg), cfg) for x in grid)
+    """(psi^(-1..mhi)(x+1) for each x of grid), psi^(-1) = ln Gamma, the
+    lambda-free part of a CM sweep; the last table built is kept."""
+    with mp.workdps(cfg.dps):  # x + 1 at full precision, never rounded to float64
+        return tuple(specfun._psi(-1, mhi, mp.mpf(x) + 1, cfg) for x in grid)
 
 
 def cm_check(
@@ -471,13 +474,13 @@ def cm_check(
 ) -> CMReport:
     """Check s * (-1)^n H_lambda^(n)(x) >= 0 for n = 0..max_order on a grid.
 
-    Order 0 is H_lambda itself.  Orders n = 1..max_order need
-    psi^(n-1)(x+1); one specfun._psi call per grid point returns all of
-    them from a single upward shift, each with its own first-omitted-term
-    bound.  These do not depend on lambda, so they are kept in a table
-    keyed on the grid, max_order and cfg (one table at a time): sweeps
-    that differ only in lambda or sign, such as the eight Thm 2.1 sweeps
-    of `gammacert verify`, compute them once.
+    Order n needs psi^(n-1)(x+1), psi^(-1) = ln Gamma, and _H_deriv; one
+    specfun._psi call per grid point returns orders 0..max_order from a
+    single upward shift, each with its own first-omitted-term bound.  These
+    do not depend on lambda, so they are kept in a table keyed on the grid,
+    max_order and cfg (one table at a time): sweeps that differ only in
+    lambda or sign, such as the eight Thm 2.1 sweeps of `gammacert verify`,
+    compute them once.
 
     Margins are computed interval-safely: "verified" needs every margin
     to exceed its evaluation-error bound, "falsified" needs some margin
@@ -498,9 +501,7 @@ def cm_check(
 
     sweep = Sweep()
     for x, psis in zip(grid, _psi_table(tuple(grid), max_order - 1, cfg)):
-        sv = H_lambda(x, lam, cfg)
-        sweep.add((0, float(x)), s * float(sv.value), sv.abs_error_bound)
-        for order, ps in enumerate(psis, start=1):
+        for order, ps in enumerate(psis):
             sv = _H_deriv(order, x, lam, cfg, ps)
             margin = s * ((-1.0) ** order) * float(sv.value)
             sweep.add((order, float(x)), margin, sv.abs_error_bound)
@@ -509,13 +510,13 @@ def cm_check(
 
 
 def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """-x - 1/(24 f(x)) with f(x) the unshifted Stirling defect; tends to 1/2.
+    """-x - 1/(24 f(x)), f = H_inf = H_lambda without its lambda term; tends to 1/2.
 
     An error d in f moves 1/(24 f) by at most d / (24 |f| (|f| - d)), which
     needs |f| > d; the bound adds the rounding of -x - 1/(24 f).
     """
     require_positive("x", x)
-    f = _stirling_defect(x, cfg)
+    f = _H_deriv(0, x, mp.inf, cfg)
     d = f.abs_error_bound
     if abs(f.value) <= d:
         raise NumericalError(f"f(x) indistinguishable from 0 at x={x}")

@@ -215,5 +215,72 @@ class TestCompareFamilies:
         cmp = compare_families(2.0)
         by_pair = {(o.family_a.id, o.family_b.id): o for o in cmp.orderings}
         o = by_pair[(FamilyId.SEVLI_BATIR_GAMMA, FamilyId.QI_GAMMA_LOW)]
-        # the two lower bounds coincide analytically
+        # Sevli-Batir's bound is Eq. (3.1): both sides coincide
         assert o.better_lower == "indeterminate"
+        assert o.better_upper == "indeterminate"
+
+    def test_sevli_batir_is_eq31_row(self):
+        for digits in (15, 30):
+            cfg = PrecisionConfig(working_digits=digits)
+            assert (bounds._row(BoundFamily(FamilyId.SEVLI_BATIR_GAMMA), cfg)
+                    == bounds._row(BoundFamily(FamilyId.QI_GAMMA_LOW), cfg))
+
+
+class TestDisplayedForms:
+    """Each gamma and corrected factorial family against its displayed
+    lower/upper expression, written out here at 60 digits."""
+
+    CFG = PrecisionConfig(working_digits=40)
+
+    @staticmethod
+    def _displayed(fid, x, lam=None):
+        xm, half = mp.mpf(x), mp.mpf(1) / 2
+        p = mp.log(2 * mp.pi) / 2 + (xm + half) * (mp.log(xm + half) - 1)
+        ln_pi = mp.log(mp.pi)
+
+        def h_at_one(lm):
+            return (1 / (lm + 1) + 36 - 12 * mp.log(2 * mp.pi) - 36 * mp.log(mp.mpf(3) / 2)) / 24
+
+        if fid is FamilyId.QI_GAMMA_LOW:
+            return p - 1 / (24 * (xm + half)), p + (2 + 12 - 12 * ln_pi - 1 / (xm + half)) / 24
+        if fid is FamilyId.SEVLI_BATIR_GAMMA:
+            lo = p - 1 / (24 * (xm + half))
+            return lo, lo + mp.mpf(7) / 12 - ln_pi / 2
+        if fid is FamilyId.QI_GAMMA_HIGH:
+            three_halves = mp.mpf(3) / 2
+            lo = p + (2 * xm / (3 * (xm + three_halves)) - 12 * (ln_pi - 1)) / 24
+            return lo, p - 1 / (24 * (xm + three_halves))
+        if fid is FamilyId.QI_GAMMA_GENERIC:
+            lm = mp.mpf(lam)
+            return p - 1 / (24 * (xm + lm)), p + (1 / lm + 12 - 12 * ln_pi - 1 / (xm + lm)) / 24
+        if fid is FamilyId.FACTORIAL_HIGH:
+            lo = p - 1 / (24 * (xm + half))
+            return lo, lo + h_at_one(half)
+        three_halves = mp.mpf(3) / 2
+        hi = p - 1 / (24 * (xm + three_halves))
+        return hi + h_at_one(three_halves), hi
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 7.3, 100.0, 1e4])
+    @pytest.mark.parametrize("family", [
+        BoundFamily(FamilyId.QI_GAMMA_LOW),
+        BoundFamily(FamilyId.QI_GAMMA_HIGH),
+        BoundFamily(FamilyId.SEVLI_BATIR_GAMMA),
+        BoundFamily(FamilyId.QI_GAMMA_GENERIC, lam=0.1),
+        BoundFamily(FamilyId.QI_GAMMA_GENERIC, lam=0.3),
+        BoundFamily(FamilyId.QI_GAMMA_GENERIC, lam=0.5),
+    ], ids=lambda f: f"{f.id.value}-{f.lam}")
+    def test_gamma_families(self, family, x):
+        lo, hi = gamma_bound_log(family, x, self.CFG)
+        with mp.workdps(60):
+            ref_lo, ref_hi = self._displayed(family.id, x, family.lam)
+            assert abs(lo - ref_lo) < 1e-35
+            assert abs(hi - ref_hi) < 1e-35
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 170])
+    @pytest.mark.parametrize("fid", [FamilyId.FACTORIAL_HIGH, FamilyId.FACTORIAL_LOW])
+    def test_corrected_factorial_families(self, fid, n):
+        lo, hi = bounds.factorial_bound_log(BoundFamily(fid), n, self.CFG)
+        with mp.workdps(60):
+            ref_lo, ref_hi = self._displayed(fid, n)
+            assert abs(lo - ref_lo) < 1e-35
+            assert abs(hi - ref_hi) < 1e-35

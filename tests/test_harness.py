@@ -313,6 +313,50 @@ class TestContainment:
         assert rep.verdict == "falsified"
         assert rep.argmin_x == 1.0 and rep.min_margin == pytest.approx(-1e-13, rel=1e-9)
 
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_eq312_upper_constant_lowered_by_1e13_is_falsified(self, digits, monkeypatch):
+        # c_hi of FactorialHigh is H_{1/2}(1), which the bound attains at n = 1
+        cfg = PrecisionConfig(working_digits=digits)
+        row = bounds._row
+
+        def lowered(family, cfg):
+            lam, c_lo, c_hi = row(family, cfg)
+            if family.id is FamilyId.FACTORIAL_HIGH:
+                with mp.workdps(cfg.dps):
+                    c_hi -= mp.mpf("1e-13")
+            return lam, c_lo, c_hi
+
+        monkeypatch.setattr(bounds, "_row", lowered)
+        claim = _claim("thm3.4-eq3.12-corrected")
+        rep = harness._run_claim(claim, cfg, claim.grid)
+        assert rep.verdict == "falsified"
+        assert rep.argmin_x == 1.0 and rep.min_margin == pytest.approx(-1e-13, rel=1e-9)
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_eq31_lower_constant_above_H_at_100_is_falsified(self, digits, monkeypatch):
+        # c_lo of QiGammaLow is 0; 2.4e-9 exceeds H_{1/2}(100) = 2.3944e-9
+        cfg = PrecisionConfig(working_digits=digits)
+        row = bounds._row
+
+        def raised(family, cfg):
+            lam, c_lo, c_hi = row(family, cfg)
+            if family.id is FamilyId.QI_GAMMA_LOW:
+                with mp.workdps(cfg.dps):
+                    c_lo = mp.mpf("2.4e-9")
+            return lam, c_lo, c_hi
+
+        monkeypatch.setattr(bounds, "_row", raised)
+        claim = _claim("thm3.1-eq3.1-containment")
+        rep = harness._run_claim(claim, cfg, claim.grid)
+        x = harness._GAMMA_GRID.values()[-1]
+        assert rep.verdict == "falsified"
+        assert rep.argmin_x == x == pytest.approx(100.0, rel=1e-12)
+        with mp.workdps(60):
+            xm = mp.mpf(x)
+            h = (mp.loggamma(xm + 1) - mp.log(2 * mp.pi) / 2 - (xm + 0.5) * (mp.log(xm + 0.5) - 1)
+                 + 1 / (24 * (xm + 0.5)))
+            assert abs(rep.min_margin - (h - mp.mpf("2.4e-9"))) < 1e-18
+
     def test_harmonic_check_reaches_past_the_grid(self):
         # the last case is the tail lemma, which covers every n > N0
         cfg = DEFAULT_CONFIG
@@ -400,26 +444,42 @@ class TestSharedWork:
         sweeps = []
         cm_check = monotone.cm_check
 
+        in_sweep = []
+
         def counting_cm_check(lam, sign, *args, **kwargs):
             sweeps.append((lam, sign))
-            return cm_check(lam, sign, *args, **kwargs)
+            in_sweep.append(True)
+            try:
+                return cm_check(lam, sign, *args, **kwargs)
+            finally:
+                in_sweep.pop()
 
-        # the 8 sweeps share one psi^(0..5)(x+1) table over the 48-point grid
+        # the 8 sweeps share one (ln Gamma, psi^(0..5))(x+1) table over the
+        # 48-point grid and make no ln Gamma call of their own
         psi_calls = []
         psi = monotone.specfun._psi
+        sweep_ln_gamma_calls = []
+        ln_gamma = monotone.specfun.ln_gamma
 
         def counting_psi(mlo, mhi, x, cfg):
-            if (mlo, mhi) == (0, 5):
+            if (mlo, mhi) == (-1, 5):
                 psi_calls.append(x)
             return psi(mlo, mhi, x, cfg)
 
+        def counting_ln_gamma(x, cfg):
+            if in_sweep:
+                sweep_ln_gamma_calls.append(x)
+            return ln_gamma(x, cfg)
+
         monkeypatch.setattr(monotone, "cm_check", counting_cm_check)
         monkeypatch.setattr(monotone.specfun, "_psi", counting_psi)
+        monkeypatch.setattr(monotone.specfun, "ln_gamma", counting_ln_gamma)
         monotone._psi_table.cache_clear()
         reports = harness.run_suite("all")
         assert len(sweeps) == 8
         assert len(set(sweeps)) == 8
         assert len(psi_calls) == 48 == harness._CM_GRID.points
+        assert sweep_ln_gamma_calls == []
         assert harness.exit_code(reports) == 0
         by_id = {r.claim_id: r for r in reports}
         for alias, source in (("thm3.3-lcm-G-lam0.5", "thm2.1-item1-cm-lam0.5"),

@@ -286,9 +286,12 @@ class TestCMCheck:
 
     def test_borderline_is_indeterminate_without_retry(self, monkeypatch):
         # order-0 margins sit inside their error bound at every grid point
-        monkeypatch.setattr(
-            monotone, "H_lambda", lambda x, lam, cfg: SpecialValue(mp.mpf(0), 1.0)
-        )
+        inner = monotone._H_deriv
+
+        def zero_order_0(k, x, lam, cfg, ps=None):
+            return SpecialValue(mp.mpf(0), 1.0) if k == 0 else inner(k, x, lam, cfg, ps)
+
+        monkeypatch.setattr(monotone, "_H_deriv", zero_order_0)
 
         def no_retry(self):
             raise AssertionError("cm_check must not escalate precision itself")
@@ -303,8 +306,7 @@ class TestCMCheck:
         psi = monotone.specfun._psi
 
         def counting_psi(mlo, mhi, x, cfg):
-            if mlo >= 0:  # order 0 takes ln Gamma from _psi(-1, -1, ...)
-                calls.append((mlo, mhi, cfg.working_digits))
+            calls.append((mlo, mhi, cfg.working_digits))
             return psi(mlo, mhi, x, cfg)
 
         monkeypatch.setattr(monotone.specfun, "_psi", counting_psi)
@@ -312,7 +314,7 @@ class TestCMCheck:
         grid = [0.5, 1.0, 4.0]
         cm_check(0.5, "plus", max_order=4, grid=grid)
         cm_check(1.5, "minus", max_order=4, grid=grid)
-        assert calls == [(0, 3, 15)] * 3
+        assert calls == [(-1, 3, 15)] * 3
         cm_check(1.5, "minus", max_order=4, grid=grid[:2])
         assert len(calls) == 5
 
@@ -326,8 +328,8 @@ class TestCMCheck:
         assert monotone._psi_table.cache_info().currsize == 1
 
     def test_orders_equal_H_lambda_deriv(self, monkeypatch):
-        # cm_check feeds its shared psi table to the helper behind
-        # H_lambda_deriv; both paths must give the same derivative
+        # cm_check feeds its shared table to the helper behind H_lambda and
+        # H_lambda_deriv; both paths must give the same value
         seen = []
         inner = monotone._H_deriv
 
@@ -341,10 +343,10 @@ class TestCMCheck:
         cm_check(0.25, "plus", max_order=6, grid=[0.05, 1.0, 30.0])
         monkeypatch.undo()
         assert sorted((k, x) for k, x, _, _ in seen) == [
-            (k, x) for k in range(1, 7) for x in (0.05, 1.0, 30.0)
+            (k, x) for k in range(0, 7) for x in (0.05, 1.0, 30.0)
         ]
         for k, x, lam, sv in seen:
-            ref = H_lambda_deriv(k, x, lam)
+            ref = H_lambda_deriv(k, x, lam) if k else H_lambda(x, lam)
             assert abs(sv.value - ref.value) <= sv.abs_error_bound + ref.abs_error_bound
 
     def test_rejects_bad_sign(self):
