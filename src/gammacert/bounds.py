@@ -135,7 +135,7 @@ def _row(family: BoundFamily, cfg: PrecisionConfig) -> tuple:
         def H_at(x0):
             if x0 == math.inf or x0 + lm == 0:  # H_lambda(inf) = 0, H_0(0+) = inf
                 return mp.zero if x0 == math.inf else mp.inf
-            return 1 / (24 * (x0 + lm)) - monotone._stirling_log(mp.mpf(x0), cfg.dps)[0]
+            return 1 / (24 * (x0 + lm)) - monotone._stirling_log(mp.mpf(x0), cfg)[0]
 
         return lm, H_at(x_lo), H_at(x_hi)
 
@@ -145,7 +145,7 @@ def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
     row family, else the displayed BukacGamma or printed Eqs. (3.13), (3.12)."""
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        p = monotone._stirling_log(xm, cfg.dps)[0]
+        p = monotone._stirling_log(xm, cfg)[0]
         if family.id in _ROWS:
             lam, c_lo, c_hi = _row(family, cfg)
             base = p - 1 / (24 * (xm + lam))
@@ -168,7 +168,8 @@ def gamma_bound_log(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFI
 
 
 def eval_gamma_bound(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> BoundPair:
-    """Closed-form bracket of Gamma(x+1) for a gamma-target family."""
+    """Closed-form bracket of Gamma(x+1) for a gamma-target family, as floats:
+    both sides are inf from about x = 171 on, where gamma_bound_log stays finite."""
     lo, hi = gamma_bound_log(family, x, cfg)
     with mp.workdps(cfg.dps):
         return BoundPair(float(mp.exp(lo)), float(mp.exp(hi)), family, float(x))
@@ -280,8 +281,9 @@ def factorial_bound_log(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFA
 def eval_factorial_bound(
     family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG
 ) -> BoundPair:
-    """Bracket of n!; FactorialAsPrinted pairs the printed (3.13) lower with
-    the printed (3.12) upper, both of which fail at n = 1."""
+    """Bracket of n! as floats (inf from n = 171 on; factorial_bound_log stays
+    finite); FactorialAsPrinted pairs the printed (3.13) lower with the
+    printed (3.12) upper, both of which fail at n = 1."""
     lo, hi = factorial_bound_log(family, n, cfg)
     with mp.workdps(cfg.dps):
         return BoundPair(float(mp.exp(lo)), float(mp.exp(hi)), family, float(n))
@@ -350,7 +352,7 @@ def compare_families(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> FamilyComparis
     logs = {f: gamma_bound_log(f, x, cfg) for f in _COMPARE_SET}
     orderings = []
     with mp.workdps(cfg.dps):
-        tol = mp.mpf(10) ** (2 - cfg.dps)
+        tol = specfun._constants(cfg).eps
         for fa, fb in itertools.combinations(_COMPARE_SET, 2):
             (lo_a, hi_a), (lo_b, hi_b) = logs[fa], logs[fb]
             orderings.append(PairOrdering(fa, fb, _winner(lo_a, lo_b, tol), _winner(-hi_a, -hi_b, tol)))

@@ -14,10 +14,13 @@ working precision.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
 from typing import Optional
+
+from mpmath import mp
 
 from .config import DEFAULT_CONFIG, DomainError, NumericalError, ParameterError, PrecisionConfig
 from . import bounds, harness, monotone
@@ -119,21 +122,34 @@ def _integer_n(fam_id: bounds.FamilyId, x: float) -> int:
     return int(x)
 
 
+def _fmt_bound(v) -> str:
+    """v to 17 significant digits: as a float where it is one, else as the
+    mpf (Gamma(x+1) and n! pass the float range near x = 171)."""
+    f = float(v)
+    return f"{f:.17g}" if math.isfinite(f) or mp.isinf(v) else mp.nstr(v, 17)
+
+
 def _cmd_eval(args, cfg: PrecisionConfig) -> int:
     fam_id = bounds.FamilyId(args.family)
     family = bounds.BoundFamily(fam_id, lam=args.lam)
     if fam_id in (bounds.FamilyId.HARMONIC_LOW, bounds.FamilyId.HARMONIC_HIGH):
         pair = bounds.eval_harmonic_bound(family, _integer_n(fam_id, args.x), cfg)
-    elif fam_id in (bounds.FamilyId.FACTORIAL_LOW, bounds.FamilyId.FACTORIAL_HIGH,
-                    bounds.FamilyId.FACTORIAL_AS_PRINTED):
-        pair = bounds.eval_factorial_bound(family, _integer_n(fam_id, args.x), cfg)
+        lower, upper = pair.lower, pair.upper
     elif fam_id in (bounds.FamilyId.BERNOULLI_FRACTION, bounds.FamilyId.BERNOULLI_CLASSIC):
         pair = bounds.eval_bernoulli_fraction_bound(args.x, family, cfg)
+        lower, upper = pair.lower, pair.upper
     else:
-        pair = bounds.eval_gamma_bound(family, args.x, cfg)
+        # Gamma(x+1) and n! from their ln-space bounds, as mpf: finite past float range
+        if fam_id in (bounds.FamilyId.FACTORIAL_LOW, bounds.FamilyId.FACTORIAL_HIGH,
+                      bounds.FamilyId.FACTORIAL_AS_PRINTED):
+            logs = bounds.factorial_bound_log(family, _integer_n(fam_id, args.x), cfg)
+        else:
+            logs = bounds.gamma_bound_log(family, args.x, cfg)
+        with mp.workdps(cfg.dps):
+            lower, upper = (mp.exp(v) for v in logs)
     print(f"family = {fam_id.value}, x = {args.x:g}")
-    print(f"lower  = {float(pair.lower):.17g}")
-    print(f"upper  = {float(pair.upper):.17g}")
+    print(f"lower  = {_fmt_bound(lower)}")
+    print(f"upper  = {_fmt_bound(upper)}")
     return 0
 
 

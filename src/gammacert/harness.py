@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 from mpmath import mp
 
 from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, SpecialValue, Sweep
-from .config import FALSIFIED, INDETERMINATE, VERIFIED
+from .config import FALSIFIED, INDETERMINATE, VERIFIED, require_positive
 from . import bounds, monotone, specfun
 from .bounds import BoundFamily, FamilyId
 
@@ -129,9 +129,9 @@ def _run_containment(cases: Callable, *args, side: str = "both", allow_equality:
 
     cases(*args, cfg, grid) runs at cfg.dps and yields (point, target, lo,
     hi): a SpecialValue and the bounds there, such as a family's, looked up
-    in `bounds` at call time (H_lambda and its row's constants for Thm 3.1
-    and the corrected Thm 3.4).  side = 'lower' or 'upper' checks one
-    inequality only.  Every margin carries one error:
+    in `bounds` at call time (H_lambda and its row's constants for the
+    corrected Thm 3.4).  side = 'lower' or 'upper' checks one inequality
+    only.  Every margin carries one error, added by _add_case:
 
         target.abs_error_bound + (|target| + |lo| + |hi|) 10^(2-dps),
 
@@ -141,31 +141,52 @@ def _run_containment(cases: Callable, *args, side: str = "both", allow_equality:
 
     def runner(cfg, grid: GridSpec):
         sweep = Sweep()
-        eps = 10.0 ** (2 - cfg.dps)
         with mp.workdps(cfg.dps):
-            for p, target, lo, hi in cases(*args, cfg, grid):
-                t = target.value
-                err = target.abs_error_bound + (abs(float(t)) + abs(float(lo)) + abs(float(hi))) * eps
-                if side != "upper":
-                    sweep.add(float(p), float(t - lo), err, allow_equality)
-                if side != "lower":
-                    sweep.add(float(p), float(hi - t), err, allow_equality)
+            for case in cases(*args, cfg, grid):
+                _add_case(sweep, cfg, *case, side, allow_equality)
         return sweep.result()
 
     return runner
 
 
+def _add_case(sweep, cfg, p, target, lo, hi, side="both", allow_equality=False):
+    """Add lo <= target <= hi at p to sweep, with _run_containment's error."""
+    t = target.value
+    err = target.abs_error_bound + (abs(float(t)) + abs(float(lo)) + abs(float(hi))) * 10.0 ** (2 - cfg.dps)
+    if side != "upper":
+        sweep.add(float(p), float(t - lo), err, allow_equality)
+    if side != "lower":
+        sweep.add(float(p), float(hi - t), err, allow_equality)
+
+
 def _row_cases(family: BoundFamily, cfg, grid: GridSpec):
-    """H_lambda against the constants c_lo, c_hi of a row family (see
-    bounds._row): Thm 3.1 at each x of the grid, from ln Gamma(x+1) at exact
-    x + 1; Thm 3.4 at n = lo..hi, from the shared ln n! table."""
+    """H_lambda against the constants c_lo, c_hi of a factorial row family
+    (see bounds._row) at n = lo..hi, from the shared ln n! table."""
     lam, c_lo, c_hi = bounds._row(family, cfg)
-    if family.id in bounds._GAMMA_FAMILIES:
+    for n, lg in _ln_factorials(grid, cfg):
+        yield (n, monotone._H_deriv(0, n, lam, cfg, lg), c_lo, c_hi)
+
+
+@functools.lru_cache(maxsize=1)
+def _thm31_pass(rows: tuple, cfg, grid: GridSpec) -> tuple:
+    """The result of c_lo < H_lambda(x) < c_hi on grid for each row (lambda,
+    c_lo, c_hi), from one ln Gamma(x+1) per x at exact x + 1; the last pass
+    is cached, keyed on the rows, cfg and grid."""
+    sweeps = [Sweep() for _ in rows]
+    with mp.workdps(cfg.dps):
         for x in grid.values():
-            yield (x, monotone.H_lambda(x, lam, cfg), c_lo, c_hi)
-    else:
-        for n, lg in _ln_factorials(grid, cfg):
-            yield (n, monotone._H_deriv(0, n, lam, cfg, lg), c_lo, c_hi)
+            require_positive("x", x)
+            lg = specfun.ln_gamma(mp.mpf(x) + 1, cfg)
+            for sweep, (lam, c_lo, c_hi) in zip(sweeps, rows):
+                _add_case(sweep, cfg, x, monotone._H_deriv(0, x, lam, cfg, lg), c_lo, c_hi)
+    return tuple(sweep.result() for sweep in sweeps)
+
+
+def _run_thm31(row: int, cfg, grid: GridSpec):
+    """Thm 3.1 on row 0 (Eq. (3.1), QiGammaLow) or 1 (Eq. (3.2), QiGammaHigh),
+    with the rows looked up in bounds._row when the claim runs."""
+    rows = tuple(bounds._row(BoundFamily(f), cfg) for f in (FamilyId.QI_GAMMA_LOW, FamilyId.QI_GAMMA_HIGH))
+    return _thm31_pass(rows, cfg, grid)[row]
 
 
 def _best_constants_cases(cfg, grid: GridSpec):
@@ -387,10 +408,11 @@ REGISTRY: tuple = (
     Claim("eq2.16-coefficient-check", ("thm2.1",), VERIFIED, _K_GRID, _run_series_lambda),
     Claim("kth-root-bound", ("thm2.1",), VERIFIED, _K_GRID, _run_kth_root),
     Claim("two-path-laplace", ("thm2.1",), VERIFIED, _PHI_GRID, _run_laplace),
+    # both rows run in one pass; eq3.2 reads the pass eq3.1 ran
     Claim("thm3.1-eq3.1-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
-          _run_containment(_row_cases, BoundFamily(FamilyId.QI_GAMMA_LOW)), True),
+          functools.partial(_run_thm31, 0), True),
     Claim("thm3.1-eq3.2-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
-          _run_containment(_row_cases, BoundFamily(FamilyId.QI_GAMMA_HIGH)), True),
+          functools.partial(_run_thm31, 1), True),
     Claim("eq1.3-best-constants", ("thm3.1",), VERIFIED, _POINT_GRID,
           _run_containment(_best_constants_cases)),
     Claim("sec1-comparison", ("thm3.1",), VERIFIED, _POINT_GRID,

@@ -70,18 +70,11 @@ def _check_lambda(lam) -> None:
 _HALF = mp.mpf(1) / 2
 
 
-@functools.lru_cache(maxsize=8)
-def _constants(dps: int) -> tuple:
-    """(ln sqrt(2 pi), 10^(2-dps)) at dps digits, computed once per precision."""
-    with mp.workdps(dps):
-        return mp.log(2 * mp.pi) / 2, mp.mpf(10) ** (2 - dps)
-
-
-def _stirling_log(xm, dps: int) -> tuple:
-    """(p(x), size) at dps digits, the caller's precision: p(x) = ln sqrt(2 pi)
+def _stirling_log(xm, cfg: PrecisionConfig) -> tuple:
+    """(p(x), size) at cfg.dps, the caller's precision: p(x) = ln sqrt(2 pi)
     + (x+1/2) (ln(x+1/2) - 1), the log of Stirling's sqrt(2 pi) ((x+1/2)/e)^(x+1/2),
     and size = ln sqrt(2 pi) + (x+1/2) (|ln(x+1/2)| + 1), the sizes of its terms."""
-    c, h = _constants(dps)[0], xm + _HALF
+    c, h = specfun._constants(cfg).ln_sqrt_2pi, xm + _HALF
     ln_h = mp.log(h)
     return c + h * (ln_h - 1), c + h * (abs(ln_h) + 1)
 
@@ -101,7 +94,7 @@ def _H_deriv(k: int, x, lam, cfg: PrecisionConfig, ps=None) -> SpecialValue:
             ps = (specfun.ln_gamma(xm + 1, cfg) if k == 0 else specfun.digamma(xm + 1, cfg) if k == 1
                   else specfun.polygamma(k - 1, xm + 1, cfg))
         if k == 0:
-            p, size = _stirling_log(xm, cfg.dps)
+            p, size = _stirling_log(xm, cfg)
             t_log = -p
         else:
             t_log = (-mp.log(xm + _HALF) if k == 1
@@ -110,7 +103,7 @@ def _H_deriv(k: int, x, lam, cfg: PrecisionConfig, ps=None) -> SpecialValue:
         t_cor = (-1) ** k * mp.factorial(k) / (24 * (xm + mp.mpf(lam)) ** (k + 1))
         val = ps.value + t_log + t_cor
         # rounding: the size of every term rounded, times 10^(2-dps)
-        slack = (abs(ps.value) + size + abs(t_cor)) * _constants(cfg.dps)[1]
+        slack = (abs(ps.value) + size + abs(t_cor)) * specfun._constants(cfg).eps
         return SpecialValue(val, ps.abs_error_bound + float(slack))
 
 
@@ -524,7 +517,7 @@ def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
         xm, af = mp.mpf(x), abs(f.value)
         inv = 1 / (24 * f.value)
         propagated = d / (24 * af * (af - d))
-        rounding = (xm + abs(inv)) * mp.mpf(10) ** (2 - cfg.dps)
+        rounding = (xm + abs(inv)) * specfun._constants(cfg).eps
         return SpecialValue(-xm - inv, float(propagated + rounding))
 
 

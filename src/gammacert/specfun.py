@@ -6,9 +6,12 @@ positive real axis the truncation error of these series is bounded by the
 first omitted term, which is folded into the returned error bound.  One
 call of the series routine serves a range of orders from a single shift
 (cm_check takes psi^(0..5) at each grid point that way), and the series
-coefficients are cached per order and precision on first use.  The
-Binet remainder theta(x) is evaluated by quadrature of its Laplace-type
-integral with an analytic tail bound.
+coefficients are cached per order and precision on first use.  ln Gamma's
+shift product prod_j (x+j) is formed exactly in integers and rounded once.
+The constants every call needs (ln sqrt(2 pi), the series target and the
+rounding allowance 10^(2-dps), which monotone and bounds use too) are
+computed once per precision.  The Binet remainder theta(x) is evaluated
+by quadrature of its Laplace-type integral with an analytic tail bound.
 
 mpmath supplies the arbitrary-precision arithmetic, Bernoulli numbers and
 the tanh-sinh quadrature rule; the special-function algorithms themselves
@@ -17,8 +20,10 @@ live here so their error bounds are explicit.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -46,6 +51,25 @@ def _shift_threshold(digits: int) -> float:
     # The Stirling series at argument z bottoms out near exp(-2*pi*z); keep
     # that floor a few digits below the requested target.
     return max(10.0, 0.367 * (digits + 8))
+
+
+class _Constants(NamedTuple):
+    """The constants of one precision; see _constants."""
+
+    ln_sqrt_2pi: object  # mpf
+    eps: object  # mpf 10^(2-dps), the relative allowance for rounding
+    target: object  # mpf 10^-(working_digits+6), the Stirling series target
+    log_target: float  # its natural log
+
+
+@functools.lru_cache(maxsize=8)
+def _constants(cfg: PrecisionConfig) -> _Constants:
+    """ln sqrt(2 pi), 10^(2-dps) and the series target at cfg.dps, computed once
+    per precision."""
+    with mp.workdps(cfg.dps):
+        return _Constants(mp.log(2 * mp.pi) / 2, mp.mpf(10) ** (2 - cfg.dps),
+                          mp.mpf(10) ** (-(cfg.working_digits + 6)),
+                          -(cfg.working_digits + 6) * math.log(10))
 
 
 # tanh-sinh at degree d uses on the order of 20 * 2^d nodes.
@@ -78,7 +102,7 @@ def _stirling_coeffs(m: int, n: int) -> list:
     return table
 
 
-def _stirling_series(m: int, z, log_target: float):
+def _stirling_series(m: int, z, consts: _Constants):
     """Stirling series of psi^(m) at large z without its overall sign
     (-1)^(m+1), as in _psi; returns (sum, first omitted term).
 
@@ -87,9 +111,10 @@ def _stirling_series(m: int, z, log_target: float):
     rule in 1/z^2 and the first omitted one is evaluated in full.
     """
     zinv = 1 / z
+    log_target = consts.log_target
     if m == -1:
         log_z = mp.log(z)
-        s = (z - mp.mpf(1) / 2) * log_z - z + mp.log(2 * mp.pi) / 2
+        s = (z - mp.mpf(1) / 2) * log_z - z + consts.ln_sqrt_2pi
         zm = z
     elif m == 0:
         log_z = mp.log(z)
@@ -119,6 +144,19 @@ def _stirling_series(m: int, z, log_target: float):
     return s, abs(coeffs[k - 1][0]) * w ** k * zm
 
 
+def _shift_product(xm, n: int):
+    """prod_{j<n} (x+j) for an mpf x, rounded once.  x = man 2^e exactly, so
+    with s = min(e, 0) every factor is the integer man 2^(e-s) + j 2^-s times
+    2^s, and the product is one integer times 2^(s n)."""
+    man, e = xm.man_exp
+    s = min(e, 0)
+    a, step = man << (e - s), 1 << -s
+    prod = 1
+    for j in range(n):
+        prod *= a + j * step
+    return mp.ldexp(mp.mpf(prod), s * n)
+
+
 def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
     """[psi^(m)(x) for m = mlo..mhi] for finite x > 0 and -1 <= mlo <= mhi,
     where m = -1 stands for ln Gamma.
@@ -139,44 +177,45 @@ def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
     threshold.  The coefficients B_2k (2k+m-1)!/(2k)! are cached per order
     and precision on first use, and the powers of z come from repeated
     products with 1/z^2 (Horner's rule).
+
+    The shift product of ln Gamma is one exact integer product, rounded
+    once into the argument of one log (see _shift_product); the reciprocal
+    powers (x+j)^(-m-1) are formed only when an order m >= 0 is asked for.
+    ln sqrt(2 pi), the series target and 10^(2-dps) come from _constants,
+    once per precision.
     """
     require_positive("x", x)
     orders = range(mlo, mhi + 1)
     with mp.workdps(cfg.dps):
+        consts = _constants(cfg)
         xm = mp.mpf(x)
-        target = mp.mpf(10) ** (-(cfg.working_digits + 6))
-        log_target = -(cfg.working_digits + 6) * math.log(10)
         thr = _shift_threshold(cfg.working_digits) + max(mhi, 0)
         n = 0  # shift steps: x, x+1, ..., x+n-1
         for _ in range(4):
             if xm < thr:
                 n = max(n, math.ceil(thr - float(xm)))
             z = xm + n
-            series = [_stirling_series(m, z, log_target) for m in orders]
-            if all(rem <= target for _, rem in series):
+            series = [_stirling_series(m, z, consts) for m in orders]
+            if all(rem <= consts.target for _, rem in series):
                 break
             thr *= 2
-        steps = [xm + j for j in range(n)]
         shifts = [mp.mpf(0)] * len(orders)
-        if mlo == -1 and steps:
-            prod = mp.mpf(1)
-            for zj in steps:
-                prod *= zj
-            shifts[0] = -mp.log(prod)
-        first = max(mlo, 0)
-        for zj in steps:
-            r = 1 / zj
-            p = r ** (first + 1)
-            for i in range(first - mlo, len(orders)):
-                shifts[i] += p  # (x+j)^-(m+1)
-                p *= r
-        eps = mp.mpf(10) ** (2 - cfg.dps)
+        if mlo == -1 and n:
+            shifts[0] = -mp.log(_shift_product(xm, n))
+        if mhi >= 0:
+            first = max(mlo, 0)
+            for j in range(n):
+                r = 1 / (xm + j)
+                p = r ** (first + 1)
+                for i in range(first - mlo, len(orders)):
+                    shifts[i] += p  # (x+j)^-(m+1)
+                    p *= r
         out = []
         for m, (s, rem), shift in zip(orders, series, shifts):
             fact = math.factorial(max(m, 0))
             val = (-1) ** (m + 1) * (s + fact * shift)
             # rounding slack for the shift products and elementary calls
-            slack = (abs(val) + fact * (abs(shift) + 1)) * eps
+            slack = (abs(val) + fact * (abs(shift) + 1)) * consts.eps
             out.append(SpecialValue(val, float(rem + slack)))
         return out
 
@@ -240,7 +279,7 @@ def binet_theta(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
         tail = mp.exp(-xm * T) / (12 * xm)
         c = abs(_THETA_FIRST_OMITTED)
         taylor = mp.mpf(c.numerator) / c.denominator * t0 ** 13 / 13
-        err = 10 * abs(qerr) + tail + taylor + abs(val) * mp.mpf(10) ** (2 - cfg.dps)
+        err = 10 * abs(qerr) + tail + taylor + abs(val) * _constants(cfg).eps
         return SpecialValue(val, float(err))
 
 

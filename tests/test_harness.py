@@ -244,6 +244,7 @@ class TestContainment:
             return seen[-1]
 
         monkeypatch.setattr(harness.specfun, "ln_gamma", recording_ln_gamma)
+        harness._thm31_pass.cache_clear()  # a cached pass would make no call
         claim = _claim("thm3.1-eq3.1-containment")
         assert harness._run_claim(claim, cfg, claim.grid).verdict == "verified"
         xs = harness._GAMMA_GRID.values()[:50]
@@ -440,6 +441,72 @@ class TestSharedWork:
             alone = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
             assert dataclasses.replace(alone, runtime_ms=0) == suite[claim.claim_id]
 
+    @staticmethod
+    def _count_ln_gamma(monkeypatch) -> list:
+        calls = []  # (x, working digits) of each specfun.ln_gamma call
+        ln_gamma = specfun.ln_gamma
+
+        def counting_ln_gamma(x, cfg):
+            calls.append((x, cfg.working_digits))
+            return ln_gamma(x, cfg)
+
+        monkeypatch.setattr(specfun, "ln_gamma", counting_ln_gamma)
+        return calls
+
+    @pytest.mark.parametrize("grid", [None, GridSpec(1.1e-3, 100.0, 4000, "log")],
+                             ids=["default-grid", "dense-grid"])
+    def test_thm31_rows_share_one_ln_gamma_per_point(self, grid, monkeypatch):
+        calls = self._count_ln_gamma(monkeypatch)
+        harness._thm31_pass.cache_clear()
+        reports = harness.run_suite("thm3.1", grid_override=grid)
+        assert [r.verdict for r in reports] == [c.expected for c in harness.claims_for_suite("thm3.1")]
+        g = grid or harness._GAMMA_GRID
+        assert reports[0].grid == reports[1].grid == g
+        # the two rows: one ln Gamma(x+1) per grid point, at exact x + 1
+        with mp.workdps(DEFAULT_CONFIG.dps):
+            assert [x for x, _ in calls[:g.points]] == [mp.mpf(x) + 1 for x in g.values()]
+        # eq1.3-best-constants: H_{1/2} at x = 1e4 and 1e-6, one call each
+        assert [float(x) for x, _ in calls[g.points:]] == pytest.approx([1e4 + 1, 1 + 1e-6], rel=1e-15)
+
+    def test_thm31_claims_alone_equal_suite(self):
+        harness._thm31_pass.cache_clear()
+        suite = {r.claim_id: dataclasses.replace(r, runtime_ms=0) for r in harness.run_suite("thm3.1")}
+        for cid in ("thm3.1-eq3.1-containment", "thm3.1-eq3.2-containment"):
+            harness._thm31_pass.cache_clear()
+            claim = _claim(cid)
+            alone = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
+            assert dataclasses.replace(alone, runtime_ms=0) == suite[cid]
+
+    def test_thm31_pass_is_not_served_stale(self, monkeypatch):
+        calls = self._count_ln_gamma(monkeypatch)
+        claim = _claim("thm3.1-eq3.2-containment")
+        grid = GridSpec(1e-3, 100.0, 40, "log")
+        harness._thm31_pass.cache_clear()
+        first = harness._run_claim(claim, DEFAULT_CONFIG, grid)
+        assert first.verdict == "verified" and len(calls) == 40
+        # the same rows, precision and grid: served from the pass
+        again = harness._run_claim(claim, DEFAULT_CONFIG, grid)
+        assert dataclasses.replace(again, runtime_ms=0) == dataclasses.replace(first, runtime_ms=0)
+        assert len(calls) == 40
+        # doubled precision recomputes, at that precision
+        doubled = harness._run_claim(claim, DEFAULT_CONFIG.doubled(), grid)
+        assert doubled.precision_digits == 30 and len(calls) == 80
+        assert {d for _, d in calls[:40]} == {15} and {d for _, d in calls[40:]} == {30}
+        # a patched row recomputes: c_hi = -4.1e-6 lies below H_{3/2}(100) = -4.08e-6
+        row = bounds._row
+
+        def lowered(family, cfg):
+            lam, c_lo, c_hi = row(family, cfg)
+            if family.id is FamilyId.QI_GAMMA_HIGH:
+                with mp.workdps(cfg.dps):
+                    c_hi = mp.mpf("-4.1e-6")
+            return lam, c_lo, c_hi
+
+        monkeypatch.setattr(bounds, "_row", lowered)
+        patched = harness._run_claim(claim, DEFAULT_CONFIG, grid)
+        assert patched.verdict == "falsified" and patched.argmin_x == pytest.approx(100.0)
+        assert len(calls) == 120
+
     def test_each_distinct_cm_sweep_runs_once(self, monkeypatch):
         sweeps = []
         cm_check = monotone.cm_check
@@ -559,6 +626,26 @@ class TestCLI:
     def test_infinite_input_exit_two(self, argv, capsys):
         assert cli.main(argv) == 2
         assert "positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,x", [
+        ("QiGammaLow", 1000),
+        ("QiGammaHigh", 1000),
+        ("FactorialHigh", 200),
+        ("FactorialLow", 200),
+    ])
+    def test_eval_past_float_range_is_finite(self, family, x, capsys):
+        # Gamma(1001) and 200! exceed the float range; the printed bounds stay finite
+        assert cli.main(["eval", "--family", family, "--x", str(x)]) == 0
+        printed = dict(line.replace(" ", "").split("=") for line in capsys.readouterr().out.splitlines()[1:])
+        fam = BoundFamily(FamilyId(family))
+        logs = (bounds.factorial_bound_log(fam, x) if family.startswith("Factorial")
+                else bounds.gamma_bound_log(fam, x))
+        with mp.workdps(60):
+            lower, upper = mp.mpf(printed["lower"]), mp.mpf(printed["upper"])
+            assert mp.isfinite(lower) and mp.isfinite(upper)
+            for v, lg in zip((lower, upper), logs):
+                assert abs(mp.log(v) - lg) <= 1e-12 * abs(lg)
+            assert mp.log(lower) < mp.loggamma(x + 1) < mp.log(upper)
 
     def test_eval_integer_n_accepted(self, capsys):
         assert cli.main(["eval", "--family", "HarmonicLow", "--x", "3"]) == 0

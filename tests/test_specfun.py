@@ -142,11 +142,71 @@ class TestSharedShift:
             "from gammacert import monotone, specfun\n"
             "assert not specfun._STIRLING_COEFFS, specfun._STIRLING_COEFFS\n"
             "assert monotone._phi_taylor_coeffs.cache_info().currsize == 0\n"
+            "assert specfun._constants.cache_info().currsize == 0\n"
         )
         src = os.path.dirname(os.path.dirname(specfun.__file__))
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestShiftKernel:
+    # ln Gamma's shift product is one exact integer product of the factors
+    # man 2^(e-s) + j 2^-s, x = man 2^e, s = min(e, 0); these x cover e >= 0
+    # (integers), e near -1000 (1e-300), a mantissa wider than 53 bits, and
+    # x past the shift threshold (n = 0 at 15 digits for 12.5; 1e300)
+    XS = [1, 2, 7, 11, 1e-300, 12.5, 1e300, "wide"]
+
+    @staticmethod
+    def _x(x):
+        if x == "wide":
+            with mp.workdps(40):
+                wide = mp.mpf("0.1") + 1
+            assert wide.man.bit_length() > 53
+            return wide
+        return x
+
+    @pytest.mark.parametrize("digits", [15, 30, 40])
+    @pytest.mark.parametrize("x", XS)
+    def test_against_60_digit_oracle(self, digits, x):
+        cfg = PrecisionConfig(working_digits=digits)
+        x = self._x(x)
+        # psi^(m)(1e-300) ~ m!/x^(m+1) has an error bound past the float
+        # range for m >= 1, so orders -1..0 there
+        mhi = 0 if x == 1e-300 else 5
+        # (order, value); ln_gamma shifts less far than orders -1..mhi together
+        values = [(-1, ln_gamma(x, cfg)), *zip(range(-1, mhi + 1), specfun._psi(-1, mhi, x, cfg))]
+        with mp.workdps(60):
+            xm = mp.mpf(x)
+            for m, sv in values:
+                oracle = mp.loggamma(xm) if m == -1 else mp.polygamma(m, xm)
+                assert abs(sv.value - oracle) <= sv.abs_error_bound, (x, m)
+
+    @pytest.mark.parametrize("digits", [15, 30, 40])
+    @pytest.mark.parametrize("x", [2.5, 7, 1e-300, "wide"])
+    def test_shift_product_is_rounded_once(self, digits, x):
+        cfg = PrecisionConfig(working_digits=digits)
+        with mp.workdps(cfg.dps):
+            xm = mp.mpf(self._x(x))
+            with mp.workprec(20000):  # wide enough to hold the product exactly
+                exact = mp.mpf(1)
+                for j in range(9):
+                    exact *= xm + j
+            assert specfun._shift_product(xm, 9) == +exact
+            assert specfun._shift_product(xm, 0) == 1
+
+    def test_constants_once_per_precision(self):
+        cfg = PrecisionConfig(working_digits=17)
+        specfun._constants.cache_clear()
+        ln_gamma(3.5, cfg)
+        ln_gamma(0.25, cfg)
+        info = specfun._constants.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        consts = specfun._constants(cfg)
+        with mp.workdps(cfg.dps):
+            assert consts.ln_sqrt_2pi == mp.log(2 * mp.pi) / 2
+            assert consts.eps == mp.mpf(10) ** (2 - cfg.dps)
+            assert consts.target == mp.mpf(10) ** -23
 
 
 class TestBinetTheta:
