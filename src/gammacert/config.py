@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from mpmath import mp
 
 # Extra decimal digits of mpmath working precision beyond what is quoted
 # in error bounds; absorbs rounding in the elementary-function calls.
@@ -70,7 +69,7 @@ class SpecialValue:
     abs_error_bound: float
 
     def __post_init__(self) -> None:
-        if not mp.isfinite(mp.mpf(self.abs_error_bound)) or self.abs_error_bound < 0:
+        if not 0 <= self.abs_error_bound < math.inf:  # rejects nan, +-inf and < 0
             raise ParameterError("abs_error_bound must be finite and nonnegative")
 
     def __float__(self) -> float:

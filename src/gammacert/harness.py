@@ -152,7 +152,8 @@ def _run_containment(cases: Callable, *args, side: str = "both", allow_equality:
 def _add_case(sweep, cfg, p, target, lo, hi, side="both", allow_equality=False):
     """Add lo <= target <= hi at p to sweep, with _run_containment's error."""
     t = target.value
-    err = target.abs_error_bound + (abs(float(t)) + abs(float(lo)) + abs(float(hi))) * 10.0 ** (2 - cfg.dps)
+    eps = float(specfun._constants(cfg).eps)
+    err = target.abs_error_bound + (abs(float(t)) + abs(float(lo)) + abs(float(hi))) * eps
     if side != "upper":
         sweep.add(float(p), float(t - lo), err, allow_equality)
     if side != "lower":
@@ -170,15 +171,18 @@ def _row_cases(family: BoundFamily, cfg, grid: GridSpec):
 @functools.lru_cache(maxsize=1)
 def _thm31_pass(rows: tuple, cfg, grid: GridSpec) -> tuple:
     """The result of c_lo < H_lambda(x) < c_hi on grid for each row (lambda,
-    c_lo, c_hi), from one ln Gamma(x+1) per x at exact x + 1; the last pass
-    is cached, keyed on the rows, cfg and grid."""
+    c_lo, c_hi), from one ln Gamma(x+1) per x at exact x + 1 and one
+    lambda-free part F_0(x) = ln Gamma(x+1) - p(x) (see monotone._H_free),
+    to which each row adds its lambda term; the last pass is cached, keyed
+    on the rows, cfg and grid."""
     sweeps = [Sweep() for _ in rows]
     with mp.workdps(cfg.dps):
         for x in grid.values():
             require_positive("x", x)
-            lg = specfun.ln_gamma(mp.mpf(x) + 1, cfg)
+            xm = mp.mpf(x)
+            free = monotone._H_free(0, xm, cfg, specfun.ln_gamma(xm + 1, cfg))
             for sweep, (lam, c_lo, c_hi) in zip(sweeps, rows):
-                _add_case(sweep, cfg, x, monotone._H_deriv(0, x, lam, cfg, lg), c_lo, c_hi)
+                _add_case(sweep, cfg, x, monotone._plus_lambda_term(free, 0, xm, lam, cfg), c_lo, c_hi)
     return tuple(sweep.result() for sweep in sweeps)
 
 
@@ -369,9 +373,9 @@ def _laplace_residuals(cfg) -> list:
 def _run_laplace(cfg, grid: GridSpec):
     """Two-path check of H_lambda' = Laplace transform of phi_lambda with 5
     quadratures for the 30 (x, lambda) pairs; see _laplace_residuals."""
-    sweep = Sweep()
+    sweep, eps = Sweep(), float(specfun._constants(cfg).eps)
     for x, _, res in _laplace_residuals(cfg):
-        sweep.add(x, 1e-10 - abs(res), 10.0 ** (2 - cfg.dps))
+        sweep.add(x, 1e-10 - abs(res), eps)
     return sweep.result()
 
 

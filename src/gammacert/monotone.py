@@ -79,32 +79,52 @@ def _stirling_log(xm, cfg: PrecisionConfig) -> tuple:
     return c + h * (ln_h - 1), c + h * (abs(ln_h) + 1)
 
 
+def _H_free(k: int, xm, cfg: PrecisionConfig, ps=None) -> SpecialValue:
+    """F_k(x) = psi^(k-1)(x+1) + t_log, the lambda-free part of H_lambda^(k)
+    (k >= 0) at cfg.dps, the caller's precision, for an mpf xm; psi^(-1) is
+    ln Gamma and
+
+        t_log = (-1)^(k-1) (k-2)! / (x+1/2)^(k-1),
+
+    which reads -ln(x+1/2) at k = 1 and -p(x) at k = 0 (see _stirling_log).
+    `ps` is psi^(k-1)(x+1) when the caller already has it.  The error adds
+    the rounding of both terms, (|ps| + size) 10^(2-dps), to ps's."""
+    if ps is None:  # x + 1 at full precision, never rounded to float64
+        ps = (specfun.ln_gamma(xm + 1, cfg) if k == 0 else specfun.digamma(xm + 1, cfg) if k == 1
+              else specfun.polygamma(k - 1, xm + 1, cfg))
+    if k == 0:
+        p, size = _stirling_log(xm, cfg)
+        t_log = -p
+    else:
+        t_log = (-mp.log(xm + _HALF) if k == 1
+                 else (-1) ** (k - 1) * mp.factorial(k - 2) / (xm + _HALF) ** (k - 1))
+        size = abs(t_log)
+    slack = (abs(ps.value) + size) * specfun._constants(cfg).eps
+    return SpecialValue(ps.value + t_log, ps.abs_error_bound + float(slack))
+
+
+def _plus_lambda_term(f: SpecialValue, k: int, xm, lam, cfg: PrecisionConfig) -> SpecialValue:
+    """H_lambda^(k)(x) = F_k(x) + (-1)^k k! / (24 (x+lambda)^(k+1)) from
+    f = _H_free(k, xm, cfg) at cfg.dps, the caller's precision; the lambda
+    term adds its rounding, |term| 10^(2-dps), to f's error."""
+    t_cor = (-1) ** k * mp.factorial(k) / (24 * (xm + mp.mpf(lam)) ** (k + 1))
+    slack = abs(t_cor) * specfun._constants(cfg).eps
+    return SpecialValue(f.value + t_cor, f.abs_error_bound + float(slack))
+
+
 def _H_deriv(k: int, x, lam, cfg: PrecisionConfig, ps=None) -> SpecialValue:
     """k-th derivative (k >= 0) of H_lambda:
 
         psi^(k-1)(x+1) + (-1)^(k-1) (k-2)! / (x+1/2)^(k-1)
                        + (-1)^k k! / (24 (x+lambda)^(k+1)),
 
-    where psi^(-1) is ln Gamma and the middle term reads -ln(x+1/2) at k = 1
-    and -p(x) at k = 0 (see _stirling_log); lambda = inf drops the last term.
-    `ps` is psi^(k-1)(x+1) when the caller already has it."""
+    the lambda-free part F_k of _H_free plus the lambda term of
+    _plus_lambda_term.  `ps` is psi^(k-1)(x+1) when the caller already
+    has it.  Callers that sweep lambda at a fixed x compute F_k once and
+    call _plus_lambda_term per lambda."""
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        if ps is None:  # x + 1 at full precision, never rounded to float64
-            ps = (specfun.ln_gamma(xm + 1, cfg) if k == 0 else specfun.digamma(xm + 1, cfg) if k == 1
-                  else specfun.polygamma(k - 1, xm + 1, cfg))
-        if k == 0:
-            p, size = _stirling_log(xm, cfg)
-            t_log = -p
-        else:
-            t_log = (-mp.log(xm + _HALF) if k == 1
-                     else (-1) ** (k - 1) * mp.factorial(k - 2) / (xm + _HALF) ** (k - 1))
-            size = abs(t_log)
-        t_cor = (-1) ** k * mp.factorial(k) / (24 * (xm + mp.mpf(lam)) ** (k + 1))
-        val = ps.value + t_log + t_cor
-        # rounding: the size of every term rounded, times 10^(2-dps)
-        slack = (abs(ps.value) + size + abs(t_cor)) * specfun._constants(cfg).eps
-        return SpecialValue(val, ps.abs_error_bound + float(slack))
+        return _plus_lambda_term(_H_free(k, xm, cfg, ps), k, xm, lam, cfg)
 
 
 def H_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -451,11 +471,17 @@ class CMReport:
 
 
 @functools.lru_cache(maxsize=1)
-def _psi_table(grid: tuple, mhi: int, cfg: PrecisionConfig) -> tuple:
-    """(psi^(-1..mhi)(x+1) for each x of grid), psi^(-1) = ln Gamma, the
-    lambda-free part of a CM sweep; the last table built is kept."""
+def _free_table(grid: tuple, max_order: int, cfg: PrecisionConfig) -> tuple:
+    """((F_0(x), ..., F_max_order(x)) for each x of grid), the lambda-free
+    parts of H_lambda^(0..max_order) (see _H_free), from one specfun._psi
+    call per x for psi^(-1..max_order-1)(x+1); the last table built is kept."""
     with mp.workdps(cfg.dps):  # x + 1 at full precision, never rounded to float64
-        return tuple(specfun._psi(-1, mhi, mp.mpf(x) + 1, cfg) for x in grid)
+        table = []
+        for x in grid:
+            xm = mp.mpf(x)
+            psis = specfun._psi(-1, max_order - 1, xm + 1, cfg)
+            table.append((xm, tuple(_H_free(k, xm, cfg, ps) for k, ps in enumerate(psis))))
+        return tuple(table)
 
 
 def cm_check(
@@ -467,13 +493,14 @@ def cm_check(
 ) -> CMReport:
     """Check s * (-1)^n H_lambda^(n)(x) >= 0 for n = 0..max_order on a grid.
 
-    Order n needs psi^(n-1)(x+1), psi^(-1) = ln Gamma, and _H_deriv; one
-    specfun._psi call per grid point returns orders 0..max_order from a
-    single upward shift, each with its own first-omitted-term bound.  These
-    do not depend on lambda, so they are kept in a table keyed on the grid,
-    max_order and cfg (one table at a time): sweeps that differ only in
-    lambda or sign, such as the eight Thm 2.1 sweeps of `gammacert verify`,
-    compute them once.
+    H_lambda^(n)(x) is F_n(x), which does not depend on lambda, plus the
+    lambda term (see _H_deriv).  F_n needs psi^(n-1)(x+1), psi^(-1) = ln
+    Gamma; one specfun._psi call per grid point returns orders -1..max_order-1
+    from a single upward shift, each with its own first-omitted-term bound.
+    F_0..F_max_order are kept in a table keyed on the grid, max_order and
+    cfg (one table at a time), so sweeps that differ only in lambda or
+    sign, such as the eight Thm 2.1 sweeps of `gammacert verify`, compute
+    them once and add only the lambda term per row.
 
     Margins are computed interval-safely: "verified" needs every margin
     to exceed its evaluation-error bound, "falsified" needs some margin
@@ -493,28 +520,31 @@ def cm_check(
     s = 1.0 if sign == "plus" else -1.0
 
     sweep = Sweep()
-    for x, psis in zip(grid, _psi_table(tuple(grid), max_order - 1, cfg)):
-        for order, ps in enumerate(psis):
-            sv = _H_deriv(order, x, lam, cfg, ps)
-            margin = s * ((-1.0) ** order) * float(sv.value)
-            sweep.add((order, float(x)), margin, sv.abs_error_bound)
+    with mp.workdps(cfg.dps):
+        for x, (xm, frees) in zip(grid, _free_table(tuple(grid), max_order, cfg)):
+            for order, f in enumerate(frees):
+                sv = _plus_lambda_term(f, order, xm, lam, cfg)
+                margin = s * ((-1.0) ** order) * float(sv.value)
+                sweep.add((order, float(x)), margin, sv.abs_error_bound)
 
     return CMReport(float(lam), sign, max_order, tuple(float(x) for x in grid), *sweep.result())
 
 
 def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """-x - 1/(24 f(x)), f = H_inf = H_lambda without its lambda term; tends to 1/2.
+    """-x - 1/(24 f(x)), f = F_0 = H_lambda without its lambda term (see
+    _H_free); tends to 1/2.
 
     An error d in f moves 1/(24 f) by at most d / (24 |f| (|f| - d)), which
     needs |f| > d; the bound adds the rounding of -x - 1/(24 f).
     """
     require_positive("x", x)
-    f = _H_deriv(0, x, mp.inf, cfg)
-    d = f.abs_error_bound
-    if abs(f.value) <= d:
-        raise NumericalError(f"f(x) indistinguishable from 0 at x={x}")
     with mp.workdps(cfg.dps):
-        xm, af = mp.mpf(x), abs(f.value)
+        xm = mp.mpf(x)
+        f = _H_free(0, xm, cfg)
+        d = f.abs_error_bound
+        if abs(f.value) <= d:
+            raise NumericalError(f"f(x) indistinguishable from 0 at x={x}")
+        af = abs(f.value)
         inv = 1 / (24 * f.value)
         propagated = d / (24 * af * (af - d))
         rounding = (xm + abs(inv)) * specfun._constants(cfg).eps

@@ -6,10 +6,15 @@ positive real axis the truncation error of these series is bounded by the
 first omitted term, which is folded into the returned error bound.  One
 call of the series routine serves a range of orders from a single shift
 (cm_check takes psi^(0..5) at each grid point that way), and the series
-coefficients are cached per order and precision on first use.  ln Gamma's
+coefficients are cached per order and precision on first use.  The kept
+terms are summed by Horner's rule in fixed-point integers with 20 bits
+beyond the working precision, and rounded once; the bound of that sum's
+truncation is added to the remainder (see _stirling_series).  ln Gamma's
 shift product prod_j (x+j) is formed exactly in integers and rounded once.
+An order whose error bound would exceed the float range (psi^(m)(x) ~
+m!/x^(m+1) at tiny x) raises DomainError.
 The constants every call needs (ln sqrt(2 pi), the series target and the
-rounding allowance 10^(2-dps), which monotone and bounds use too) are
+rounding allowance 10^(2-dps), which monotone, bounds and harness use too) are
 computed once per precision.  The Binet remainder theta(x) is evaluated
 by quadrature of its Laplace-type integral with an analytic tail bound.
 
@@ -72,6 +77,8 @@ def _constants(cfg: PrecisionConfig) -> _Constants:
                           -(cfg.working_digits + 6) * math.log(10))
 
 
+_HALF = mp.mpf(1) / 2  # exact at every precision
+
 # tanh-sinh at degree d uses on the order of 20 * 2^d nodes.
 _QUAD_MAXDEGREE = 8
 
@@ -82,15 +89,19 @@ def _quad_cutoff(x) -> float:
     return max(50.0, 60.0 / float(x))
 
 
-# (m, mp.prec) -> [(c_k, ln|c_k|) for k = 1, 2, ...], c_k = B_2k (2k+m-1)!/(2k)!
-# rounded at that precision; filled on first use and extended as longer
-# series need it
+# bits below 2^-prec kept by the fixed-point sum of _stirling_series
+_FIXED_GUARD_BITS = 20
+
+# (m, mp.prec) -> [(c_k, ln|c_k|, C_k) for k = 1, 2, ...], c_k = B_2k (2k+m-1)!/(2k)!
+# rounded at that precision and C_k the integer nearest c_k 2^wp, wp = prec +
+# _FIXED_GUARD_BITS; filled on first use and extended as longer series need it
 _STIRLING_COEFFS: dict = {}
 
 
 def _stirling_coeffs(m: int, n: int) -> list:
     """At least n Stirling coefficients of order m at the current precision."""
     table = _STIRLING_COEFFS.setdefault((m, mp.prec), [])
+    wp = mp.prec + _FIXED_GUARD_BITS
     for k in range(len(table) + 1, n + 1):
         # (2k+m-1)!/(2k)! is kept as an exact integer ratio
         if m >= 1:
@@ -98,23 +109,43 @@ def _stirling_coeffs(m: int, n: int) -> list:
         else:
             num, den = 1, math.perm(2 * k, 1 - m)
         c = mp.bernoulli(2 * k) * num / den
-        table.append((c, float(mp.log(abs(c)))))
+        p, q = mp.bernfrac(2 * k)
+        top, bottom = p * num << wp, q * den
+        table.append((c, float(mp.log(abs(c))), (2 * top + bottom) // (2 * bottom)))
     return table
 
 
 def _stirling_series(m: int, z, consts: _Constants):
     """Stirling series of psi^(m) at large z without its overall sign
-    (-1)^(m+1), as in _psi; returns (sum, first omitted term).
+    (-1)^(m+1), as in _psi; returns (sum, remainder bound).
 
-    The terms are taken while they decrease and stay above e^log_target,
-    judged on float log-magnitudes; the kept ones are summed by Horner's
-    rule in 1/z^2 and the first omitted one is evaluated in full.
+    The terms c_j w^j zm, w = 1/z^2, zm = z^-m (z for m = -1), are taken
+    while they decrease and stay above e^log_target, judged on float
+    log-magnitudes; term k is the first omitted one.  The kept part
+    S = sum_{j<k} c_j w^(j-1) is summed by Horner's rule in fixed point at
+    wp = prec + _FIXED_GUARD_BITS bits, on the integers C_j (c_j 2^wp
+    rounded, error <= 1/2) and W = floor(2^wp w) (error < 1):
+
+        A_(k-1) = C_(k-1),  A_j = floor(A_(j+1) W / 2^wp) + C_j,
+
+    and S ~ A_1 2^-wp is rounded into one mpf, then times w zm.  Step j
+    adds at most 1/2 + 1 + |a_(j+1)| units of 2^-wp, where a_(j+1) =
+    sum_{i>j} c_i w^(i-j-1) is the exact partial sum whose product with W
+    is floored, and it is damped by w^(j-1) on the way to A_1.  Since z >= 10
+    (w <= 1/100) and the kept terms decrease, |c_i| w^(i-2) <= |c_2| for i >= 2, so
+
+        |A_1 2^-wp - S| <= 2^-wp (1.52 + |c_2| (k-1)(k-2)/2),
+
+    and 2^-wp (2 + |c_2| k^2) w zm, which also absorbs the float judgement
+    of the decrease, is added to the first omitted term |c_k| w^k zm in the
+    returned bound.  The remaining mpf roundings are relative and are
+    covered by _psi's slack.
     """
     zinv = 1 / z
     log_target = consts.log_target
     if m == -1:
         log_z = mp.log(z)
-        s = (z - mp.mpf(1) / 2) * log_z - z + consts.ln_sqrt_2pi
+        s = (z - _HALF) * log_z - z + consts.ln_sqrt_2pi
         zm = z
     elif m == 0:
         log_z = mp.log(z)
@@ -136,12 +167,25 @@ def _stirling_series(m: int, z, consts: _Constants):
             break  # term k is the first omitted one
         prev = cur
         k += 1
+    wp = mp.prec + _FIXED_GUARD_BITS
     w = zinv * zinv
-    acc = coeffs[k - 2][0]
-    for c, _ in reversed(coeffs[:k - 2]):
-        acc = acc * w + c
-    s += acc * w * zm
-    return s, abs(coeffs[k - 1][0]) * w ** k * zm
+    wzm = w * zm
+    s += mp.mpf((_fixed_horner(coeffs, k, z, wp), -wp)) * wzm
+    fixed = mp.ldexp(wzm * (2 + abs(float(coeffs[1][0])) * k * k), -wp)
+    return s, abs(coeffs[k - 1][0]) * w ** k * zm + fixed
+
+
+def _fixed_horner(coeffs: list, k: int, z, wp: int) -> int:
+    """A_1 of _stirling_series: the integers C_1..C_(k-1) of coeffs summed by
+    Horner's rule in powers of W = floor(2^wp / z^2), each product floored
+    to wp fractional bits, for an mpf z > 0."""
+    man, e = z.man_exp  # z = man 2^e
+    shift = wp - 2 * e
+    big_w = (1 << shift) // (man * man) if shift >= 0 else 0  # 0 when z^2 > 2^wp
+    acc = coeffs[k - 2][2]
+    for _, _, c in reversed(coeffs[:k - 2]):
+        acc = (acc * big_w >> wp) + c
+    return acc
 
 
 def _shift_product(xm, n: int):
@@ -175,8 +219,9 @@ def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
     on the positive axis that first omitted term bounds the remainder.  If
     some order's series misses the target, the shift goes on to a doubled
     threshold.  The coefficients B_2k (2k+m-1)!/(2k)! are cached per order
-    and precision on first use, and the powers of z come from repeated
-    products with 1/z^2 (Horner's rule).
+    and precision on first use, and the kept terms are summed by Horner's
+    rule in 1/z^2, in fixed point (see _stirling_series).  An error bound
+    past the float range raises DomainError naming the order and x.
 
     The shift product of ln Gamma is one exact integer product, rounded
     once into the argument of one log (see _shift_product); the reciprocal
@@ -189,11 +234,11 @@ def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
     with mp.workdps(cfg.dps):
         consts = _constants(cfg)
         xm = mp.mpf(x)
-        thr = _shift_threshold(cfg.working_digits) + max(mhi, 0)
+        xf, thr = float(xm), _shift_threshold(cfg.working_digits) + max(mhi, 0)
         n = 0  # shift steps: x, x+1, ..., x+n-1
         for _ in range(4):
-            if xm < thr:
-                n = max(n, math.ceil(thr - float(xm)))
+            if xf < thr:  # the same n as comparing xm itself
+                n = max(n, math.ceil(thr - xf))
             z = xm + n
             series = [_stirling_series(m, z, consts) for m in orders]
             if all(rem <= consts.target for _, rem in series):
@@ -213,10 +258,16 @@ def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
         out = []
         for m, (s, rem), shift in zip(orders, series, shifts):
             fact = math.factorial(max(m, 0))
-            val = (-1) ** (m + 1) * (s + fact * shift)
+            scaled = shift if fact == 1 else fact * shift  # m! shift
+            total = s + scaled
+            val = total if m % 2 else -total  # (-1)^(m+1) (s + m! shift)
             # rounding slack for the shift products and elementary calls
-            slack = (abs(val) + fact * (abs(shift) + 1)) * consts.eps
-            out.append(SpecialValue(val, float(rem + slack)))
+            slack = (abs(val) + abs(scaled) + fact) * consts.eps
+            err = float(rem + slack)
+            if err == math.inf:  # psi^(m)(x) ~ m!/x^(m+1) for tiny x
+                raise DomainError(f"the error bound of psi^({m}) (order {m}) at x={x!r} "
+                                  "exceeds the float range; x is too small")
+            out.append(SpecialValue(val, err))
         return out
 
 

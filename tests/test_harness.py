@@ -457,6 +457,14 @@ class TestSharedWork:
                              ids=["default-grid", "dense-grid"])
     def test_thm31_rows_share_one_ln_gamma_per_point(self, grid, monkeypatch):
         calls = self._count_ln_gamma(monkeypatch)
+        stirling_calls = []
+        stirling_log = monotone._stirling_log
+
+        def counting_stirling_log(xm, cfg):
+            stirling_calls.append(xm)
+            return stirling_log(xm, cfg)
+
+        monkeypatch.setattr(monotone, "_stirling_log", counting_stirling_log)
         harness._thm31_pass.cache_clear()
         reports = harness.run_suite("thm3.1", grid_override=grid)
         assert [r.verdict for r in reports] == [c.expected for c in harness.claims_for_suite("thm3.1")]
@@ -467,6 +475,10 @@ class TestSharedWork:
             assert [x for x, _ in calls[:g.points]] == [mp.mpf(x) + 1 for x in g.values()]
         # eq1.3-best-constants: H_{1/2} at x = 1e4 and 1e-6, one call each
         assert [float(x) for x, _ in calls[g.points:]] == pytest.approx([1e4 + 1, 1 + 1e-6], rel=1e-15)
+        # one p(x) per grid point for the two rows: 4000, not 8000, on the
+        # dense grid (the rest are the rows' H_lambda(0), eq1.3 and sec1)
+        points = set(g.values())
+        assert [x for x in stirling_calls if float(x) in points] == g.values()
 
     def test_thm31_claims_alone_equal_suite(self):
         harness._thm31_pass.cache_clear()
@@ -541,7 +553,7 @@ class TestSharedWork:
         monkeypatch.setattr(monotone, "cm_check", counting_cm_check)
         monkeypatch.setattr(monotone.specfun, "_psi", counting_psi)
         monkeypatch.setattr(monotone.specfun, "ln_gamma", counting_ln_gamma)
-        monotone._psi_table.cache_clear()
+        monotone._free_table.cache_clear()
         reports = harness.run_suite("all")
         assert len(sweeps) == 8
         assert len(set(sweeps)) == 8

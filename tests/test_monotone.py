@@ -286,12 +286,12 @@ class TestCMCheck:
 
     def test_borderline_is_indeterminate_without_retry(self, monkeypatch):
         # order-0 margins sit inside their error bound at every grid point
-        inner = monotone._H_deriv
+        inner = monotone._plus_lambda_term
 
-        def zero_order_0(k, x, lam, cfg, ps=None):
-            return SpecialValue(mp.mpf(0), 1.0) if k == 0 else inner(k, x, lam, cfg, ps)
+        def zero_order_0(f, k, xm, lam, cfg):
+            return SpecialValue(mp.mpf(0), 1.0) if k == 0 else inner(f, k, xm, lam, cfg)
 
-        monkeypatch.setattr(monotone, "_H_deriv", zero_order_0)
+        monkeypatch.setattr(monotone, "_plus_lambda_term", zero_order_0)
 
         def no_retry(self):
             raise AssertionError("cm_check must not escalate precision itself")
@@ -310,7 +310,7 @@ class TestCMCheck:
             return psi(mlo, mhi, x, cfg)
 
         monkeypatch.setattr(monotone.specfun, "_psi", counting_psi)
-        monotone._psi_table.cache_clear()
+        monotone._free_table.cache_clear()
         grid = [0.5, 1.0, 4.0]
         cm_check(0.5, "plus", max_order=4, grid=grid)
         cm_check(1.5, "minus", max_order=4, grid=grid)
@@ -318,28 +318,59 @@ class TestCMCheck:
         cm_check(1.5, "minus", max_order=4, grid=grid[:2])
         assert len(calls) == 5
 
+    def test_eight_sweeps_build_one_free_table(self, monkeypatch):
+        # the lambda-free parts F_0..F_6 are built once per grid point by the
+        # first sweep; the other seven add only their lambda terms
+        psi_calls, free_calls = [], []
+        psi, free = monotone.specfun._psi, monotone._H_free
+
+        def counting_psi(mlo, mhi, x, cfg):
+            psi_calls.append(x)
+            return psi(mlo, mhi, x, cfg)
+
+        def counting_free(k, xm, cfg, ps=None):
+            free_calls.append((k, xm))
+            return free(k, xm, cfg, ps)
+
+        monkeypatch.setattr(monotone.specfun, "_psi", counting_psi)
+        monkeypatch.setattr(monotone, "_H_free", counting_free)
+        monotone._free_table.cache_clear()
+        grid = [0.01, 0.3, 1.0, 4.0, 25.0, 100.0]
+        sweeps = [(0.0, "plus"), (0.25, "plus"), (0.5, "plus"), (0.6, "plus"), (1.0, "plus"),
+                  (1.5, "minus"), (2.0, "minus"), (5.0, "minus")]
+        reports = []
+        for lam, sign in sweeps:
+            reports.append(cm_check(lam, sign, max_order=6, grid=grid))
+            assert len(psi_calls) == len(grid)
+            assert sorted(free_calls) == sorted((k, x) for k in range(7) for x in grid)
+        monkeypatch.undo()
+        for (lam, sign), rep in zip(sweeps, reports):
+            monotone._free_table.cache_clear()
+            assert cm_check(lam, sign, max_order=6, grid=grid) == rep
+
     def test_table_precision_matches_cold_call(self):
         cfg30 = PrecisionConfig(working_digits=30)
-        monotone._psi_table.cache_clear()
+        monotone._free_table.cache_clear()
         cold = cm_check(0.25, "plus", cfg=cfg30)
-        monotone._psi_table.cache_clear()
+        monotone._free_table.cache_clear()
         cm_check(0.25, "plus")
         assert cm_check(0.25, "plus", cfg=cfg30) == cold
-        assert monotone._psi_table.cache_info().currsize == 1
+        assert monotone._free_table.cache_info().currsize == 1
 
     def test_orders_equal_H_lambda_deriv(self, monkeypatch):
-        # cm_check feeds its shared table to the helper behind H_lambda and
-        # H_lambda_deriv; both paths must give the same value
+        # cm_check adds the lambda term to its shared table of lambda-free
+        # parts with the helper behind H_lambda and H_lambda_deriv; both
+        # paths must give the same value
         seen = []
-        inner = monotone._H_deriv
+        inner = monotone._plus_lambda_term
 
-        def recording(k, x, lam, cfg, ps=None):
-            sv = inner(k, x, lam, cfg, ps)
-            seen.append((k, x, lam, sv))
+        def recording(f, k, xm, lam, cfg):
+            sv = inner(f, k, xm, lam, cfg)
+            seen.append((k, xm, lam, sv))
             return sv
 
-        monkeypatch.setattr(monotone, "_H_deriv", recording)
-        monotone._psi_table.cache_clear()
+        monkeypatch.setattr(monotone, "_plus_lambda_term", recording)
+        monotone._free_table.cache_clear()
         cm_check(0.25, "plus", max_order=6, grid=[0.05, 1.0, 30.0])
         monkeypatch.undo()
         assert sorted((k, x) for k, x, _, _ in seen) == [

@@ -1,5 +1,6 @@
 """Hypothesis properties: bad input raises DomainError, reports survive a
-render/parse round trip in both formats, and a non-integer n exits 2."""
+render/parse round trip in both formats, a non-integer n exits 2, and
+SpecialValue accepts exactly the finite nonnegative error bounds."""
 
 import contextlib
 import io
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
-from gammacert import DomainError, H_lambda, digamma, ln_gamma, polygamma
+from gammacert import DomainError, H_lambda, ParameterError, SpecialValue, digamma, ln_gamma, polygamma
 from gammacert import cli, harness
 from gammacert.bounds import BoundFamily, FamilyId, gamma_bound_log
 from gammacert.config import FALSIFIED, INDETERMINATE, VERIFIED
@@ -107,3 +108,20 @@ def test_eval_non_integer_n_exits_two(family, x):
     with contextlib.redirect_stderr(err):
         assert cli.main(["eval", "--family", family, f"--x={x!r}"]) == 2
     assert "integer" in err.getvalue()
+
+
+@given(st.one_of(st.floats(), st.floats().map(mp.mpf)))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@settings(max_examples=200, deadline=None)
+def test_special_value_accepts_finite_nonnegative_bounds(bound):
+    # the rule the check replaced: finite as an mpf and not negative
+    ok = bool(mp.isfinite(mp.mpf(bound))) and not bound < 0
+    try:
+        SpecialValue(mp.mpf(1), bound)
+    except ParameterError:
+        assert not ok
+    else:
+        assert ok

@@ -121,6 +121,41 @@ class TestDigammaPolygamma:
                 polygamma(m, x)
 
 
+class TestTinyX:
+    # psi^(m)(x) ~ m!/x^(m+1) is a finite mpf, but its error bound, a float,
+    # overflows for tiny x; that is a DomainError naming the order and x
+    CALLS = {
+        "polygamma(1, 1e-167)": (1, 1e-167, lambda cfg: polygamma(1, 1e-167, cfg)),
+        "polygamma(5, 1e-55)": (5, 1e-55, lambda cfg: polygamma(5, 1e-55, cfg)),
+        "_psi(-1, 5, 1e-300)": (1, 1e-300, lambda cfg: specfun._psi(-1, 5, 1e-300, cfg)),
+    }
+
+    @pytest.mark.parametrize("digits", [15, 30, 40])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_overflowing_bound_is_a_domain_error(self, digits, call):
+        m, x, run = self.CALLS[call]
+        cfg = PrecisionConfig(working_digits=digits)
+        try:
+            values = run(cfg)
+        except DomainError as exc:
+            assert f"psi^({m})" in str(exc) and f"x={x!r}" in str(exc)
+            raised = True
+        else:
+            values = values if isinstance(values, list) else [values]
+            assert all(0 <= sv.abs_error_bound < math.inf for sv in values)
+            raised = False
+        # at 15 digits all three overflow; at 30 and 40 the smaller rounding
+        # slack keeps polygamma(1, 1e-167) and polygamma(5, 1e-55) finite
+        assert raised == (digits == 15 or call.startswith("_psi"))
+
+    @pytest.mark.parametrize("digits", [15, 30, 40])
+    def test_largest_finite_bound_still_returns(self, digits):
+        sv = polygamma(1, 1e-165, PrecisionConfig(working_digits=digits))
+        assert 0 < sv.abs_error_bound < math.inf
+        with mp.workdps(60):
+            assert abs(sv.value - mp.polygamma(1, mp.mpf(1e-165))) <= sv.abs_error_bound
+
+
 class TestSharedShift:
     @pytest.mark.parametrize("digits", [15, 30, 40])
     def test_order_range_against_mpmath_oracle(self, digits):
@@ -155,7 +190,7 @@ class TestShiftKernel:
     # man 2^(e-s) + j 2^-s, x = man 2^e, s = min(e, 0); these x cover e >= 0
     # (integers), e near -1000 (1e-300), a mantissa wider than 53 bits, and
     # x past the shift threshold (n = 0 at 15 digits for 12.5; 1e300)
-    XS = [1, 2, 7, 11, 1e-300, 12.5, 1e300, "wide"]
+    XS = [1, 2, 7, 11, 1e-300, 12.5, 1e300, "wide", 0.001, 0.999, 9.99, 37.2, 1e5]
 
     @staticmethod
     def _x(x):
@@ -166,17 +201,20 @@ class TestShiftKernel:
             return wide
         return x
 
-    @pytest.mark.parametrize("digits", [15, 30, 40])
+    @pytest.mark.parametrize("digits", [15, 30, 40, 60])
     @pytest.mark.parametrize("x", XS)
     def test_against_60_digit_oracle(self, digits, x):
+        # the series terms are summed in fixed point (specfun._fixed_horner);
+        # at 60 digits the 70-digit working precision sums them at about 253
+        # bits, so the oracle runs 30 digits above the working digits there
         cfg = PrecisionConfig(working_digits=digits)
         x = self._x(x)
         # psi^(m)(1e-300) ~ m!/x^(m+1) has an error bound past the float
-        # range for m >= 1, so orders -1..0 there
-        mhi = 0 if x == 1e-300 else 5
+        # range for m >= 1 (DomainError, see TestTinyX), so orders -1..0 there
+        mhi = 0 if x == 1e-300 else 6
         # (order, value); ln_gamma shifts less far than orders -1..mhi together
         values = [(-1, ln_gamma(x, cfg)), *zip(range(-1, mhi + 1), specfun._psi(-1, mhi, x, cfg))]
-        with mp.workdps(60):
+        with mp.workdps(max(60, digits + 30)):
             xm = mp.mpf(x)
             for m, sv in values:
                 oracle = mp.loggamma(xm) if m == -1 else mp.polygamma(m, xm)
@@ -194,6 +232,43 @@ class TestShiftKernel:
                     exact *= xm + j
             assert specfun._shift_product(xm, 9) == +exact
             assert specfun._shift_product(xm, 0) == 1
+
+    @pytest.mark.parametrize("digits", [15, 60])
+    @pytest.mark.parametrize("m", range(-1, 7))
+    def test_fixed_point_sum_within_its_bound(self, digits, m):
+        # A_1 2^-wp against the exact sum S = sum_{j<k} c_j w^(j-1), w = 1/z^2,
+        # within the bound of specfun._stirling_series's docstring; z >= 10
+        # and k up to 20 keep the terms c_j w^j decreasing, as it requires
+        cfg = PrecisionConfig(working_digits=digits)
+        with mp.workdps(cfg.dps):
+            wp = mp.prec + specfun._FIXED_GUARD_BITS
+            coeffs = specfun._stirling_coeffs(m, 20)
+            exact = []
+            for j in range(1, 21):
+                p, q = mp.bernfrac(2 * j)
+                num, den = (math.perm(2 * j + m - 1, m - 1), 1) if m >= 1 else (1, math.perm(2 * j, 1 - m))
+                exact.append(Fraction(p * num, q * den))
+                assert abs(coeffs[j - 1][2] - exact[-1] * 2 ** wp) <= Fraction(1, 2)
+            for z in ("10", "10.7", "12.5", "37.2", "1e5", "1e40"):
+                zm = mp.mpf(z)
+                man, e = zm.man_exp
+                w = 1 / (Fraction(man) * Fraction(2) ** e) ** 2
+                for k in (2, 3, 7, 20):
+                    terms = [abs(c) * w ** j for j, c in enumerate(exact[:k - 1], 1)]
+                    assert terms == sorted(terms, reverse=True)
+                    total = sum(c * w ** (j - 1) for j, c in enumerate(exact[:k - 1], 1))
+                    err = abs(Fraction(specfun._fixed_horner(coeffs, k, zm, wp), 2 ** wp) - total)
+                    bound = (Fraction(152, 100) + abs(exact[1]) * (k - 1) * (k - 2) / 2) / 2 ** wp
+                    assert err <= bound, (z, k)
+            # at z = 1e40, W = 0 and the series keeps c_1 alone, so the sum is
+            # C_1 2^-wp; its rounding lies far above the first omitted term
+            # |c_2| w^2 zm, and the returned remainder must cover it too
+            zm = mp.mpf("1e40")
+            _, rem = specfun._stirling_series(m, zm, specfun._constants(cfg))
+            man, e = zm.man_exp
+            zf = Fraction(man) * Fraction(2) ** e
+            rounding = abs(Fraction(coeffs[0][2], 2 ** wp) - exact[0]) / zf ** 2 * (zf if m == -1 else zf ** -m)
+            assert Fraction(rem.man) * Fraction(2) ** rem.exp >= rounding
 
     def test_constants_once_per_precision(self):
         cfg = PrecisionConfig(working_digits=17)
