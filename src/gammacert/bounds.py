@@ -197,15 +197,14 @@ def _harmonic_constants(family: BoundFamily, constant: Fraction, cfg: PrecisionC
 
 
 def harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
-                   constant: Fraction = CORRECTED_HARMONIC_CONSTANT, ln_m=None):
+                   constant: Fraction = CORRECTED_HARMONIC_CONSTANT):
     """(lower, upper) of the n-th harmonic number at working precision.
 
     HarmonicLow:  ln(n+1/2) + 1/(24(n+1/2)^2) + [1 - ln(3/2) - 1/54, gamma]
     HarmonicHigh: ln(n+1/2) + 1/(24(n+3/2)^2) + [gamma, 1 - ln(3/2) - C]
 
     C defaults to the corrected 1/150; pass constant=PRINTED_HARMONIC_CONSTANT
-    to reproduce (and falsify) the printed 1/90.  `ln_m` is ln(n+1/2) at
-    cfg.dps when the caller already has it.
+    to reproduce (and falsify) the printed 1/90.
     """
     if family.id not in _HARMONIC_S:
         raise ParameterError(f"{family.id.value} is not a harmonic family")
@@ -214,7 +213,7 @@ def harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_C
     c_lo, c_hi, _ = _harmonic_constants(family, constant, cfg)
     with mp.workdps(cfg.dps):
         m = mp.mpf(n) + mp.mpf(1) / 2
-        base = (mp.log(m) if ln_m is None else ln_m) + 1 / (24 * (m + _HARMONIC_S[family.id]) ** 2)
+        base = mp.log(m) + 1 / (24 * (m + _HARMONIC_S[family.id]) ** 2)
         return base + c_lo, base + c_hi
 
 
@@ -234,7 +233,8 @@ def _harmonic_defect(m):
     Proof: D = int_0^inf (1/t - 1/(2 sinh(t/2))) e^{-mt} dt, and with u = t/2
     the bracket is (1/u - csch u)/2, where 1/u - u/6 < csch u < 1/u - u/6 +
     7u^3/360 for u > 0; int t e^{-mt} dt = 1/m^2 and int t^3 e^{-mt} dt =
-    6/m^4.  (DeTemple's ln(n+1/2) approximation of H_n - gamma, two-sided.)
+    6/m^4.  (DeTemple's ln(n+1/2) approximation of H_n - gamma, two-sided;
+    D. W. DeTemple, Amer. Math. Monthly 100 (1993) 468-470.)
     """
     return 1 / (24 * m ** 2) - 7 / (960 * m ** 4), 1 / (24 * m ** 2)
 

@@ -86,12 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args, cfg: PrecisionConfig) -> int:
     grid = _parse_grid(args.grid) if args.grid else None
     reports = harness.run_suite(args.suite, cfg, grid_override=grid)
-    text = harness.render_reports(reports, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        harness.emit_report(reports, args.format, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(harness.render_reports(reports, args.format))
     for rep in reports:
         print(f"{rep.claim_id}: {rep.verdict} (min_margin={rep.min_margin:.6g} "
               f"at x={rep.argmin_x:.6g})", file=sys.stderr)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -129,9 +128,9 @@ def _run_containment(cases: Callable, *args, side: str = "both", allow_equality:
 
     cases(*args, cfg, grid) runs at cfg.dps and yields (point, target, lo,
     hi): a SpecialValue and the bounds there, such as a family's, looked up
-    in `bounds` at call time (H_lambda and its row's constants for the
-    corrected Thm 3.4).  side = 'lower' or 'upper' checks one inequality
-    only.  Every margin carries one error, added by _add_case:
+    in `bounds` at call time.  side = 'lower' or 'upper' checks one
+    inequality only.  Every margin carries one error, added by _add_case
+    (also for the rows of _row_pass):
 
         target.abs_error_bound + (|target| + |lo| + |hi|) 10^(2-dps),
 
@@ -160,37 +159,62 @@ def _add_case(sweep, cfg, p, target, lo, hi, side="both", allow_equality=False):
         sweep.add(float(p), float(hi - t), err, allow_equality)
 
 
-def _row_cases(family: BoundFamily, cfg, grid: GridSpec):
-    """H_lambda against the constants c_lo, c_hi of a factorial row family
-    (see bounds._row) at n = lo..hi, from the shared ln n! table."""
-    lam, c_lo, c_hi = bounds._row(family, cfg)
-    for n, lg in _ln_factorials(grid, cfg):
-        yield (n, monotone._H_deriv(0, n, lam, cfg, lg), c_lo, c_hi)
+def _ln_factorials(grid: GridSpec, cfg):
+    """Yield (x, mpf x, ln Gamma(x+1)) for each x of grid, at cfg.dps, the
+    caller's precision, with ln Gamma(x+1) at exact x + 1, never rounded to
+    float64.  The table is streamed, not kept, since one pass reads it:
+    kept, it would hold about 2.5 MiB on a 4000-point grid."""
+    for x in grid.values():
+        require_positive("x", x)
+        xm = mp.mpf(x)
+        yield x, xm, specfun.ln_gamma(xm + 1, cfg)
 
 
 @functools.lru_cache(maxsize=1)
-def _thm31_pass(rows: tuple, cfg, grid: GridSpec) -> tuple:
-    """The result of c_lo < H_lambda(x) < c_hi on grid for each row (lambda,
-    c_lo, c_hi), from one ln Gamma(x+1) per x at exact x + 1 and one
-    lambda-free part F_0(x) = ln Gamma(x+1) - p(x) (see monotone._H_free),
-    to which each row adds its lambda term; the last pass is cached, keyed
-    on the rows, cfg and grid."""
+def _row_pass(rows: tuple, cfg, grid: GridSpec, allow_equality: bool) -> tuple:
+    """The results of one pass over the ln Gamma(x+1) table of
+    _ln_factorials, one per row.  A row is either
+
+      (lambda, c_lo, c_hi): c_lo < H_lambda(x) < c_hi (<= with
+        allow_equality), from one lambda-free part F_0(x) = ln Gamma(x+1) -
+        p(x) per x (see monotone._H_free), to which each row adds its
+        lambda term; or
+      (family, side): ln Gamma(x+1) against one side of a printed factorial
+        family's bounds.
+
+    The pass serves the two Thm 3.1 rows and the four Thm 3.4 claims; the
+    last pass is cached, keyed on the rows, cfg, grid and allow_equality.
+    A printed family's bounds are fixed expressions, so the family names
+    them in the key; a row family's constants are in it as values."""
     sweeps = [Sweep() for _ in rows]
     with mp.workdps(cfg.dps):
-        for x in grid.values():
-            require_positive("x", x)
-            xm = mp.mpf(x)
-            free = monotone._H_free(0, xm, cfg, specfun.ln_gamma(xm + 1, cfg))
-            for sweep, (lam, c_lo, c_hi) in zip(sweeps, rows):
-                _add_case(sweep, cfg, x, monotone._plus_lambda_term(free, 0, xm, lam, cfg), c_lo, c_hi)
+        for x, xm, lg in _ln_factorials(grid, cfg):
+            free = monotone._H_free(0, xm, cfg, lg)
+            for sweep, row in zip(sweeps, rows):
+                if isinstance(row[0], BoundFamily):
+                    family, side = row
+                    _add_case(sweep, cfg, x, lg, *bounds.factorial_bound_log(family, int(x), cfg),
+                              side, allow_equality)
+                else:
+                    lam, c_lo, c_hi = row
+                    _add_case(sweep, cfg, x, monotone._plus_lambda_term(free, 0, xm, lam, cfg),
+                              c_lo, c_hi, "both", allow_equality)
     return tuple(sweep.result() for sweep in sweeps)
 
 
-def _run_thm31(row: int, cfg, grid: GridSpec):
-    """Thm 3.1 on row 0 (Eq. (3.1), QiGammaLow) or 1 (Eq. (3.2), QiGammaHigh),
-    with the rows looked up in bounds._row when the claim runs."""
-    rows = tuple(bounds._row(BoundFamily(f), cfg) for f in (FamilyId.QI_GAMMA_LOW, FamilyId.QI_GAMMA_HIGH))
-    return _thm31_pass(rows, cfg, grid)[row]
+def _run_rows(rows: tuple, row: int, cfg, grid: GridSpec, allow_equality: bool = False):
+    """Row `row` of `rows`, which share one _row_pass: a row family's
+    (lambda, c_lo, c_hi), looked up in bounds._row when the claim runs, or
+    a (printed family, side) pair as it stands."""
+    looked_up = tuple(bounds._row(BoundFamily(r), cfg) if isinstance(r, FamilyId) else r for r in rows)
+    return _row_pass(looked_up, cfg, grid, allow_equality)[row]
+
+
+_PRINTED_FACTORIAL = BoundFamily(FamilyId.FACTORIAL_AS_PRINTED)
+_THM31_ROWS = (FamilyId.QI_GAMMA_LOW, FamilyId.QI_GAMMA_HIGH)  # Eqs. (3.1), (3.2)
+# the corrected Eqs. (3.12), (3.13), then the printed (3.12) upper and (3.13) lower sides
+_THM34_ROWS = (FamilyId.FACTORIAL_HIGH, FamilyId.FACTORIAL_LOW,
+               (_PRINTED_FACTORIAL, "upper"), (_PRINTED_FACTORIAL, "lower"))
 
 
 def _best_constants_cases(cfg, grid: GridSpec):
@@ -217,45 +241,14 @@ def _section1_cases(cfg, grid: GridSpec):
 
 # --- harmonic numbers (Theorem 3.2) ----------------------------------------
 
-# exact H_n up to here, the tail lemma of bounds.harmonic_tail beyond
-_HARMONIC_N0 = 1000
-
-
-@functools.lru_cache(maxsize=1)
-def _harmonic_numbers(nmax: int, cfg) -> tuple:
-    """((H_n, ln(n+1/2)) for n = 1..nmax) at cfg.dps, each H_n summed exactly
-    as a Fraction and then rounded; the three Thm 3.2 claims share one table."""
-    with mp.workdps(cfg.dps):
-        return tuple(
-            (mp.mpf(h.numerator) / h.denominator, mp.log(mp.mpf(n) + mp.mpf(1) / 2))
-            for n, h in enumerate(itertools.accumulate(Fraction(1, k) for k in range(1, nmax + 1)), 1)
-        )
-
 
 def _harmonic_cases(family: BoundFamily, constant: Fraction, cfg, grid: GridSpec):
-    """Exact H_n for n = 1..N0 against the bounds, then one case from the
-    tail lemma that covers every n > N0, labelled N0 + 1.  The check does
-    not stop at the grid's 10^6, which only names the claim's range."""
-    for n, (h, ln_m) in enumerate(_harmonic_numbers(_HARMONIC_N0, cfg), 1):
-        yield (n, SpecialValue(h, 0.0), *bounds.harmonic_bound(family, n, cfg, constant, ln_m))
-    yield (_HARMONIC_N0 + 1, *bounds.harmonic_tail(family, _HARMONIC_N0, cfg, constant))
-
-
-# --- factorials (Theorem 3.4) ----------------------------------------------
-
-
-@functools.lru_cache(maxsize=1)
-def _ln_factorials(grid: GridSpec, cfg) -> tuple:
-    """((n, ln Gamma(n+1)) for n = lo..hi of grid); the last table built is
-    kept, so the four Thm 3.4 sweeps share one."""
-    ns = range(int(grid.lo), int(grid.hi) + 1)
-    return tuple((n, specfun.ln_gamma(n + 1, cfg)) for n in ns)
-
-
-def _factorial_cases(family: BoundFamily, cfg, grid: GridSpec):
-    """ln n! against the ln-space bounds of a factorial family."""
-    for n, lg in _ln_factorials(grid, cfg):
-        yield (n, lg, *bounds.factorial_bound_log(family, n, cfg))
+    """H_1 = 1, the equality case of the corrected constants, against the
+    bounds, then one case from the tail lemma of bounds.harmonic_tail that
+    covers every n >= 2, labelled 2.  The check does not stop at the grid's
+    10^6, which only names the claim's range."""
+    yield (1, SpecialValue(mp.one, 0.0), *bounds.harmonic_bound(family, 1, cfg, constant))
+    yield (2, *bounds.harmonic_tail(family, 1, cfg, constant))
 
 
 # --- Remark 1 (Bernoulli fraction, Mathieu partial sums) -------------------
@@ -271,15 +264,14 @@ def _bernoulli_cases(family: BoundFamily, cfg, grid: GridSpec):
 
 
 def _run_mathieu(cfg, grid: GridSpec):
+    """Mathieu's partial sums increase, since S_n - S_(n-1) = 2n/(n^2+1)^2 > 0
+    exactly (n = 2..50, r = 1), and the analytic tail bound of
+    specfun.mathieu_partial covers the observed remainder S_2000 - S_1000."""
     sweep = Sweep()
-    prev = specfun.mathieu_partial(1.0, 1)
-    for terms in range(2, 51):
-        cur = specfun.mathieu_partial(1.0, terms)
-        sweep.add(float(terms), float(cur.value - prev.value), 1e-15)
-        prev = cur
+    for n in range(2, 51):
+        sweep.add(float(n), float(Fraction(2 * n, (n * n + 1) ** 2)), 0.0)
     coarse = specfun.mathieu_partial(1.0, 1000)
     fine = specfun.mathieu_partial(1.0, 2000)
-    # the analytic tail bound must cover the observed remainder
     sweep.add(1000.0, coarse.abs_error_bound - float(fine.value - coarse.value), 1e-15)
     return sweep.result()
 
@@ -324,23 +316,23 @@ def _run_kth_root(cfg, grid: GridSpec):
 
 
 _LAPLACE_XS = (0.5, 1.0, 2.0, 5.0, 10.0)
-_LAPLACE_LAMBDAS = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
 _LAPLACE_LAM0 = 0.5
 
 
 def _laplace_residuals(cfg) -> list:
-    """[(x, lambda, Q(x, lambda) - H_lambda'(x))] over the 30 two-path pairs,
-    where Q is the quadrature path of H_lambda'(x) = int phi_lambda e^{-xt} dt.
+    """[(x, Q(x, 1/2) - H_{1/2}'(x))] for the 5 x of _LAPLACE_XS, where Q is
+    the quadrature path of H_lambda'(x) = int phi_lambda e^{-xt} dt.
 
-    One full-phi quadrature Q(x, 1/2) per x is the two-path witness.  phi
-    depends on lambda only through its term -t e^{-lambda t}/24, whose
-    Laplace transform is -1/(24 (x+lambda)^2), so for the other lambdas
+    One residual per x stands for every lambda.  phi depends on lambda only
+    through its term -t e^{-lambda t}/24, whose Laplace transform is
+    -1/(24 (x+lambda)^2), and H_lambda' depends on it only through the same
+    -1/(24 (x+lambda)^2), so the two cancel in
 
-        Q(x, lambda) = Q(x, 1/2) + 1/(24 (x+1/2)^2) - 1/(24 (x+lambda)^2).
+        Q(x, lambda) - H_lambda'(x) = Q(x, 1/2) + 1/(24 (x+1/2)^2)
+                                      - psi(x+1) + ln(x+1/2).
 
-    Each pair is still compared with its own closed form H_lambda_prime.
     The quadrature stops at T >= 60/x, so the lambda term's tail beyond T
-    that this difference leaves out is below e^{-60} in scale, far under
+    that this cancellation leaves out is below e^{-60} in scale, far under
     the 1e-10 margin of the claim.
 
     The five quadratures share their interval ends 0, 1, 10 and 30 (and
@@ -359,22 +351,17 @@ def _laplace_residuals(cfg) -> list:
     out = []
     for x in _LAPLACE_XS:
         quad = monotone._laplace_quad(x, _LAPLACE_LAM0, cfg, phi)
+        closed = monotone.H_lambda_prime(x, _LAPLACE_LAM0, cfg)
         with mp.workdps(cfg.dps):
-            xm = mp.mpf(x)
-            free = quad + 1 / (24 * (xm + mp.mpf(_LAPLACE_LAM0)) ** 2)
-        for lam in _LAPLACE_LAMBDAS:
-            closed = monotone.H_lambda_prime(x, lam, cfg)
-            with mp.workdps(cfg.dps):
-                q = free - 1 / (24 * (xm + mp.mpf(lam)) ** 2)
-                out.append((x, lam, float(q - closed.value)))
+            out.append((x, float(quad - closed.value)))
     return out
 
 
 def _run_laplace(cfg, grid: GridSpec):
-    """Two-path check of H_lambda' = Laplace transform of phi_lambda with 5
-    quadratures for the 30 (x, lambda) pairs; see _laplace_residuals."""
+    """Two-path check of H_lambda' = Laplace transform of phi_lambda, for
+    every lambda at once, with one quadrature per x; see _laplace_residuals."""
     sweep, eps = Sweep(), float(specfun._constants(cfg).eps)
-    for x, _, res in _laplace_residuals(cfg):
+    for x, res in _laplace_residuals(cfg):
         sweep.add(x, 1e-10 - abs(res), eps)
     return sweep.result()
 
@@ -414,9 +401,9 @@ REGISTRY: tuple = (
     Claim("two-path-laplace", ("thm2.1",), VERIFIED, _PHI_GRID, _run_laplace),
     # both rows run in one pass; eq3.2 reads the pass eq3.1 ran
     Claim("thm3.1-eq3.1-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
-          functools.partial(_run_thm31, 0), True),
+          functools.partial(_run_rows, _THM31_ROWS, 0), True),
     Claim("thm3.1-eq3.2-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
-          functools.partial(_run_thm31, 1), True),
+          functools.partial(_run_rows, _THM31_ROWS, 1), True),
     Claim("eq1.3-best-constants", ("thm3.1",), VERIFIED, _POINT_GRID,
           _run_containment(_best_constants_cases)),
     Claim("sec1-comparison", ("thm3.1",), VERIFIED, _POINT_GRID,
@@ -432,16 +419,15 @@ REGISTRY: tuple = (
                            bounds.PRINTED_HARMONIC_CONSTANT, allow_equality=True)),
     Claim("thm3.3-lcm-G-lam0.5", ("thm3.3",), VERIFIED, _CM_GRID, _CMSweep(0.5, "plus"), True),
     Claim("thm3.3-lcm-recip-G-lam1.5", ("thm3.3",), VERIFIED, _CM_GRID, _CMSweep(1.5, "minus"), True),
+    # the four Thm 3.4 claims run in one pass
     Claim("thm3.4-eq3.12-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
-          _run_containment(_row_cases, BoundFamily(FamilyId.FACTORIAL_HIGH), allow_equality=True)),
+          functools.partial(_run_rows, _THM34_ROWS, 0, allow_equality=True)),
     Claim("thm3.4-eq3.13-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
-          _run_containment(_row_cases, BoundFamily(FamilyId.FACTORIAL_LOW), allow_equality=True)),
+          functools.partial(_run_rows, _THM34_ROWS, 1, allow_equality=True)),
     Claim("eq3.12-as-printed", ("thm3.4", "falsify-printed"), FALSIFIED, _FACTORIAL_GRID,
-          _run_containment(_factorial_cases, BoundFamily(FamilyId.FACTORIAL_AS_PRINTED),
-                           side="upper", allow_equality=True)),
+          functools.partial(_run_rows, _THM34_ROWS, 2, allow_equality=True)),
     Claim("eq3.13-as-printed", ("thm3.4", "falsify-printed"), FALSIFIED, _FACTORIAL_GRID,
-          _run_containment(_factorial_cases, BoundFamily(FamilyId.FACTORIAL_AS_PRINTED),
-                           side="lower", allow_equality=True)),
+          functools.partial(_run_rows, _THM34_ROWS, 3, allow_equality=True)),
     Claim("remark1-eq4.1-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID,
           _run_containment(_bernoulli_cases, BoundFamily(FamilyId.BERNOULLI_FRACTION)), True),
     Claim("remark1-eq4.2-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID,
@@ -571,6 +557,8 @@ def emit_report(reports: Sequence[VerificationReport], format: str, path: str) -
 def _report_from_row(row: Sequence) -> VerificationReport:
     """Build a report from field values in CSV_HEADER order."""
     claim_id, lo, hi, points, spacing, min_margin, argmin_x, verdict, digits, runtime_ms = row
+    if verdict not in (VERIFIED, FALSIFIED, INDETERMINATE):
+        raise ParameterError(f"report of {claim_id!r} has the unknown verdict {verdict!r}")
     return VerificationReport(
         claim_id=claim_id,
         grid=GridSpec(float(lo), float(hi), int(points), spacing),
@@ -583,18 +571,25 @@ def _report_from_row(row: Sequence) -> VerificationReport:
 
 
 def parse_reports(text: str, format: str) -> list:
-    """Inverse of render_reports; round-trips exactly.  A CSV text without
-    the expected header, or with a row of the wrong width, raises
-    ParameterError."""
+    """Inverse of render_reports; round-trips exactly.  ParameterError is
+    raised for a CSV text without the expected header or with a row of the
+    wrong width, a JSON text that is not a list of objects or whose report
+    lacks a key, and, in both formats, a verdict other than verified,
+    falsified or indeterminate."""
     if format == "json":
         import json
 
-        return [
-            _report_from_row([obj["claim_id"]]
-                             + [obj["grid"][k] for k in CSV_HEADER[1:5]]
-                             + [obj[k] for k in CSV_HEADER[5:]])
-            for obj in json.loads(text)
-        ]
+        objs = json.loads(text)
+        if not (isinstance(objs, list) and all(isinstance(o, dict) for o in objs)):
+            raise ParameterError("JSON report is not a list of objects")
+        try:
+            rows = [[o["claim_id"]] + [o["grid"][k] for k in CSV_HEADER[1:5]] + [o[k] for k in CSV_HEADER[5:]]
+                    for o in objs]
+        except KeyError as exc:
+            raise ParameterError(f"JSON report lacks the key {exc}") from None
+        except TypeError:  # o["grid"] indexed by a key, but not an object
+            raise ParameterError("JSON report has a grid that is not an object") from None
+        return [_report_from_row(row) for row in rows]
     if format == "csv":
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != CSV_HEADER:

@@ -1,7 +1,9 @@
 """Tests for the bound families: containment against reference evaluations,
 the corrected-vs-printed dichotomies, and family comparison."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +115,14 @@ class TestHarmonicBounds:
         assert not pair.contains(1.0)  # H_1 = 1 escapes the printed upper bound
 
 
+@pytest.fixture(scope="module")
+def exact_h():
+    """H_1 .. H_2000, summed exactly and rounded to 60 digits."""
+    with mp.workdps(60):
+        return [mp.mpf(h.numerator) / h.denominator
+                for h in itertools.accumulate(Fraction(1, k) for k in range(1, 2001))]
+
+
 class TestHarmonicTail:
     """The lemma 1/(24m^2) - 7/(960m^4) < psi(m+1/2) - ln m < 1/(24m^2) and
     the enclosure that bounds.harmonic_tail builds from it."""
@@ -141,6 +151,24 @@ class TestHarmonicTail:
             r = mp.digamma(n + 1) - mp.log(m) - 1 / (24 * (m + s) ** 2)
             assert abs(r - target.value) <= target.abs_error_bound
             assert lower < r < upper
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("constant", [CORRECTED_HARMONIC_CONSTANT, PRINTED_HARMONIC_CONSTANT])
+    @pytest.mark.parametrize("fid", [FamilyId.HARMONIC_LOW, FamilyId.HARMONIC_HIGH])
+    def test_tail_from_n0_1_encloses_exact_harmonic_numbers(self, fid, constant, digits, exact_h):
+        # the Thm 3.2 claims check n = 1 exactly and every n >= 2 by this case
+        family = BoundFamily(fid)
+        target, _, _ = bounds.harmonic_tail(family, 1, PrecisionConfig(working_digits=digits), constant)
+        s = 0 if fid is FamilyId.HARMONIC_LOW else 1
+        with mp.workdps(60):
+            lo = target.value - mp.mpf(target.abs_error_bound)
+            hi = target.value + mp.mpf(target.abs_error_bound)
+            for n, h in enumerate(exact_h, 1):
+                if n == 1:
+                    continue
+                m = mp.mpf(n) + mp.mpf(1) / 2
+                r = h - mp.euler - mp.log(m) - 1 / (24 * (m + s) ** 2)
+                assert lo <= r <= hi, n
 
     def test_tail_bounds_are_the_shifted_constants(self):
         # lower/upper are the bounds of harmonic_bound minus their n-dependent

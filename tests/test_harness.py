@@ -2,6 +2,7 @@
 serialization round-trips, and CLI exit codes."""
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from gammacert import DEFAULT_CONFIG, ParameterError, PrecisionConfig
+from gammacert import DEFAULT_CONFIG, ParameterError, PrecisionConfig, SpecialValue
 from gammacert import bounds, cli, harness, monotone, specfun
 from gammacert.bounds import BoundFamily, FamilyId
 from gammacert.harness import GridSpec, VerificationReport
@@ -185,6 +186,32 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             harness.parse_reports(text, "csv")
 
+    @pytest.mark.parametrize("text", ['{"a": 1}', "[1]", '[{"claim_id": "x"}, 2]', '"x"'],
+                             ids=["object", "list-of-int", "mixed-list", "string"])
+    def test_json_not_a_list_of_objects_rejected(self, text):
+        with pytest.raises(ParameterError):
+            harness.parse_reports(text, "json")
+
+    @pytest.mark.parametrize("key", [None, "verdict", "runtime_ms", "grid", "grid.points"])
+    def test_json_report_missing_key_rejected(self, reports, key):
+        objs = json.loads(harness.render_reports(reports, "json"))
+        if key is None:
+            objs = [{}]
+        elif key.startswith("grid."):
+            del objs[0]["grid"][key[5:]]
+        else:
+            del objs[0][key]
+        with pytest.raises(ParameterError):
+            harness.parse_reports(json.dumps(objs), "json")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unknown_verdict_rejected(self, reports, fmt):
+        text = harness.render_reports(reports, fmt)
+        bogus = text.replace('"verified"', '"bogus"', 1) if fmt == "json" else text.replace(",verified,", ",bogus,", 1)
+        assert bogus != text
+        with pytest.raises(ParameterError):
+            harness.parse_reports(bogus, fmt)
+
     def test_malformed_csv_rejected_under_optimize(self):
         # the header check must not be an assert that -O strips
         code = (
@@ -244,7 +271,7 @@ class TestContainment:
             return seen[-1]
 
         monkeypatch.setattr(harness.specfun, "ln_gamma", recording_ln_gamma)
-        harness._thm31_pass.cache_clear()  # a cached pass would make no call
+        harness._row_pass.cache_clear()  # a cached pass would make no call
         claim = _claim("thm3.1-eq3.1-containment")
         assert harness._run_claim(claim, cfg, claim.grid).verdict == "verified"
         xs = harness._GAMMA_GRID.values()[:50]
@@ -253,31 +280,6 @@ class TestContainment:
             for x, sv in zip(xs, seen):
                 ref = mp.loggamma(mp.mpf(x) + 1)
                 assert abs(sv.value - ref) <= sv.abs_error_bound, x
-
-    def test_harmonic_table_is_exact(self):
-        # H_n summed exactly, then rounded once; ln(n+1/2) at the same precision
-        for digits in (15, 30):
-            cfg = PrecisionConfig(working_digits=digits)
-            table = harness._harmonic_numbers(harness._HARMONIC_N0, cfg)
-            assert len(table) == harness._HARMONIC_N0 == 1000
-            with mp.workdps(cfg.dps):
-                for n in (1, 2, 3, 10, 257, 999, 1000):
-                    h = specfun.harmonic_exact(n)
-                    assert table[n - 1] == (mp.mpf(h.numerator) / h.denominator, mp.log(n + mp.mpf(1) / 2)), n
-
-    def test_harmonic_claims_share_one_table(self):
-        harness._harmonic_numbers.cache_clear()
-        for cid in ("thm3.2-eq3.7", "thm3.2-eq3.8-corrected", "eq3.8-as-printed"):
-            claim = _claim(cid)
-            assert harness._run_claim(claim, DEFAULT_CONFIG, claim.grid).verdict == claim.expected
-        info = harness._harmonic_numbers.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-
-    def test_harmonic_bound_takes_log_from_caller(self):
-        family = BoundFamily(FamilyId.HARMONIC_HIGH)
-        with mp.workdps(DEFAULT_CONFIG.dps):
-            ln_m = mp.log(mp.mpf(7) + mp.mpf(1) / 2)
-        assert bounds.harmonic_bound(family, 7, DEFAULT_CONFIG, ln_m=ln_m) == bounds.harmonic_bound(family, 7)
 
     @pytest.mark.parametrize("digits", [15, 30])
     def test_verified_harmonic_claims_have_no_float_margin(self, digits):
@@ -359,13 +361,15 @@ class TestContainment:
             assert abs(rep.min_margin - (h - mp.mpf("2.4e-9"))) < 1e-18
 
     def test_harmonic_check_reaches_past_the_grid(self):
-        # the last case is the tail lemma, which covers every n > N0
+        # exact H_1, then the tail lemma, which covers every n >= 2
         cfg = DEFAULT_CONFIG
         family = BoundFamily(FamilyId.HARMONIC_HIGH)
         cases = list(harness._harmonic_cases(family, bounds.CORRECTED_HARMONIC_CONSTANT,
                                              cfg, harness._HARMONIC_GRID))
-        assert [c[0] for c in cases] == list(range(1, harness._HARMONIC_N0 + 2))
-        assert cases[-1][1:] == bounds.harmonic_tail(family, harness._HARMONIC_N0, cfg)
+        assert [c[0] for c in cases] == [1, 2]
+        assert cases[0][1] == SpecialValue(1, 0.0)
+        assert cases[0][2:] == bounds.harmonic_bound(family, 1, cfg)
+        assert cases[-1][1:] == bounds.harmonic_tail(family, 1, cfg)
 
 
 class TestRetry:
@@ -397,12 +401,12 @@ class TestSharedWork:
         monkeypatch.setattr(mp, "quad", counting_quad)
         residuals = harness._laplace_residuals(DEFAULT_CONFIG)
         assert len(quads) == 5
-        assert [(x, lam) for x, lam, _ in residuals] == [
-            (x, lam) for x in harness._LAPLACE_XS for lam in harness._LAPLACE_LAMBDAS
-        ]
-        assert len(residuals) == 30
-        for x, lam, res in residuals:
-            assert abs(res - monotone.laplace_check(x, lam, DEFAULT_CONFIG)) <= 1e-20, (x, lam)
+        assert [x for x, _ in residuals] == list(harness._LAPLACE_XS)
+        # lambda cancels from Q(x, lambda) - H_lambda'(x), so one residual
+        # per x stands for every lambda
+        for x, res in residuals:
+            for lam in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0):
+                assert abs(res - monotone.laplace_check(x, lam, DEFAULT_CONFIG)) <= 1e-20, (x, lam)
 
     def test_laplace_memo_equals_uncached_path(self, monkeypatch):
         calls = []
@@ -432,12 +436,23 @@ class TestSharedWork:
             calls.append(x)
             return ln_gamma(x, cfg)
 
+        stirling_calls = []
+        stirling_log = monotone._stirling_log
+
+        def counting_stirling_log(xm, cfg):
+            stirling_calls.append(xm)
+            return stirling_log(xm, cfg)
+
         monkeypatch.setattr(harness.specfun, "ln_gamma", counting_ln_gamma)
-        harness._ln_factorials.cache_clear()
+        monkeypatch.setattr(monotone, "_stirling_log", counting_stirling_log)
+        harness._row_pass.cache_clear()
         suite = {r.claim_id: dataclasses.replace(r, runtime_ms=0) for r in harness.run_suite("thm3.4")}
         assert sorted(calls) == list(range(2, 172))
+        # one p(n) per n for both corrected rows, one per n and printed side,
+        # and H_lambda(1) of the two corrected rows
+        assert len(stirling_calls) <= 170 + 2 * 170 + 2
         for claim in harness.claims_for_suite("thm3.4"):
-            harness._ln_factorials.cache_clear()
+            harness._row_pass.cache_clear()
             alone = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
             assert dataclasses.replace(alone, runtime_ms=0) == suite[claim.claim_id]
 
@@ -465,7 +480,7 @@ class TestSharedWork:
             return stirling_log(xm, cfg)
 
         monkeypatch.setattr(monotone, "_stirling_log", counting_stirling_log)
-        harness._thm31_pass.cache_clear()
+        harness._row_pass.cache_clear()
         reports = harness.run_suite("thm3.1", grid_override=grid)
         assert [r.verdict for r in reports] == [c.expected for c in harness.claims_for_suite("thm3.1")]
         g = grid or harness._GAMMA_GRID
@@ -481,10 +496,10 @@ class TestSharedWork:
         assert [x for x in stirling_calls if float(x) in points] == g.values()
 
     def test_thm31_claims_alone_equal_suite(self):
-        harness._thm31_pass.cache_clear()
+        harness._row_pass.cache_clear()
         suite = {r.claim_id: dataclasses.replace(r, runtime_ms=0) for r in harness.run_suite("thm3.1")}
         for cid in ("thm3.1-eq3.1-containment", "thm3.1-eq3.2-containment"):
-            harness._thm31_pass.cache_clear()
+            harness._row_pass.cache_clear()
             claim = _claim(cid)
             alone = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
             assert dataclasses.replace(alone, runtime_ms=0) == suite[cid]
@@ -493,7 +508,7 @@ class TestSharedWork:
         calls = self._count_ln_gamma(monkeypatch)
         claim = _claim("thm3.1-eq3.2-containment")
         grid = GridSpec(1e-3, 100.0, 40, "log")
-        harness._thm31_pass.cache_clear()
+        harness._row_pass.cache_clear()
         first = harness._run_claim(claim, DEFAULT_CONFIG, grid)
         assert first.verdict == "verified" and len(calls) == 40
         # the same rows, precision and grid: served from the pass
