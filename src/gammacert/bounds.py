@@ -30,7 +30,7 @@ from .config import (
     SpecialValue,
     require_positive,
 )
-from . import monotone, specfun
+from . import specfun
 
 __all__ = [
     "FamilyId",
@@ -113,6 +113,14 @@ class BoundPair:
         return self.lower - slop <= value <= self.upper + slop
 
 
+def _stirling_log(xm, cfg: PrecisionConfig):
+    """p(x) = ln sqrt(2 pi) + (x+1/2) (ln(x+1/2) - 1) at cfg.dps, the caller's
+    precision: the log of Stirling's sqrt(2 pi) ((x+1/2)/e)^(x+1/2), which
+    the displayed bound expressions add to their offsets."""
+    h = xm + specfun._HALF
+    return specfun._constants(cfg).ln_sqrt_2pi + h * (mp.log(h) - 1)
+
+
 # (lambda, x0 of c_lo, x0 of c_hi), c = H_lambda(x0) at x0 = 0+, 1 or inf (c = 0)
 _ROWS = {
     FamilyId.QI_GAMMA_LOW: (0.5, math.inf, 0),  # Eq. (3.1)
@@ -135,17 +143,35 @@ def _row(family: BoundFamily, cfg: PrecisionConfig) -> tuple:
         def H_at(x0):
             if x0 == math.inf or x0 + lm == 0:  # H_lambda(inf) = 0, H_0(0+) = inf
                 return mp.zero if x0 == math.inf else mp.inf
-            return 1 / (24 * (x0 + lm)) - monotone._stirling_log(mp.mpf(x0), cfg)[0]
+            return 1 / (24 * (x0 + lm)) - _stirling_log(mp.mpf(x0), cfg)
 
         return lm, H_at(x_lo), H_at(x_hi)
 
 
+@functools.lru_cache(maxsize=8)
+def _printed_constant(cfg: PrecisionConfig):
+    """12 (3 - ln pi + ln(4/27)) of the printed Eqs. (3.12), (3.13) at cfg.dps,
+    once per precision."""
+    with mp.workdps(cfg.dps):
+        return 12 * (3 - mp.log(mp.pi) + mp.log(mp.mpf(4) / 27))
+
+
+def _printed_less_p(xm, cfg: PrecisionConfig) -> tuple:
+    """(ln lower - p(n), ln upper - p(n)) of the printed Eqs. (3.13), (3.12)
+    at n = xm, at cfg.dps, the caller's precision: the two printed bounds
+    of ln n! without Stirling's p(n) (see _stirling_log), which
+    is what F_0(n) = ln n! - p(n) is checked against."""
+    const = _printed_constant(cfg)
+    return ((const + 1 / (5 * (xm + mp.mpf(3) / 2))) / 24,
+            (const - 1 / (3 * (xm + mp.mpf(1) / 2))) / 24)
+
+
 def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
     """(ln lower, ln upper) at cfg.dps: p(x) - 1/(24 (x+lambda)) + (c_lo, c_hi) for a
-    row family, else the displayed BukacGamma or printed Eqs. (3.13), (3.12)."""
+    row family, else the displayed BukacGamma or p(x) plus _printed_less_p."""
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        p = monotone._stirling_log(xm, cfg)[0]
+        p = _stirling_log(xm, cfg)
         if family.id in _ROWS:
             lam, c_lo, c_hi = _row(family, cfg)
             base = p - 1 / (24 * (xm + lam))
@@ -153,9 +179,8 @@ def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
         if family.id is FamilyId.BUKAC_GAMMA:
             return (p - 1 / (24 * xm),
                     p - 1 / (24 * (mp.sqrt(xm ** 2 + 3 * xm + mp.mpf(5) / 2) - mp.mpf(1) / 2)))
-        const = 12 * (3 - mp.log(mp.pi) + mp.log(mp.mpf(4) / 27))
-        return (p + (const + 1 / (5 * (xm + mp.mpf(3) / 2))) / 24,
-                p + (const - 1 / (3 * (xm + mp.mpf(1) / 2))) / 24)
+        lo, hi = _printed_less_p(xm, cfg)
+        return p + lo, p + hi
 
 
 def gamma_bound_log(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFIG):

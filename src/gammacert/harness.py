@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 from mpmath import mp
 
 from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, SpecialValue, Sweep
-from .config import FALSIFIED, INDETERMINATE, VERIFIED, require_positive
+from .config import FALSIFIED, INDETERMINATE, VERIFIED
 from . import bounds, monotone, specfun
 from .bounds import BoundFamily, FamilyId
 
@@ -60,11 +60,21 @@ class GridSpec:
             raise ParameterError("log spacing requires lo > 0")
 
     def values(self) -> list:
+        """The points lo + i step (linear) or lo ratio^i (log), i < points.
+        Where hi/lo overflows the float range, the log points are taken as
+        exp(ln lo + i ln(ratio)) from the logs of the ends, so they stay
+        finite; the ends are then lo and hi themselves."""
         if self.spacing == "linear":
             step = (self.hi - self.lo) / (self.points - 1)
             return [self.lo + i * step for i in range(self.points)]
-        ratio = (self.hi / self.lo) ** (1.0 / (self.points - 1))
-        return [self.lo * ratio ** i for i in range(self.points)]
+        span = self.hi / self.lo
+        if span < math.inf:
+            ratio = span ** (1.0 / (self.points - 1))
+            return [self.lo * ratio ** i for i in range(self.points)]
+        ln_lo = math.log(self.lo)
+        step = (math.log(self.hi) - ln_lo) / (self.points - 1)
+        inner = [math.exp(ln_lo + i * step) for i in range(1, self.points - 1)]
+        return [self.lo, *inner, self.hi]
 
 
 @dataclass(frozen=True)
@@ -139,19 +149,19 @@ def _run_containment(cases: Callable, *args, side: str = "both", allow_equality:
     """
 
     def runner(cfg, grid: GridSpec):
-        sweep = Sweep()
+        sweep, eps = Sweep(), float(specfun._constants(cfg).eps)
         with mp.workdps(cfg.dps):
             for case in cases(*args, cfg, grid):
-                _add_case(sweep, cfg, *case, side, allow_equality)
+                _add_case(sweep, eps, *case, side, allow_equality)
         return sweep.result()
 
     return runner
 
 
-def _add_case(sweep, cfg, p, target, lo, hi, side="both", allow_equality=False):
-    """Add lo <= target <= hi at p to sweep, with _run_containment's error."""
+def _add_case(sweep, eps: float, p, target, lo, hi, side="both", allow_equality=False):
+    """Add lo <= target <= hi at p to sweep, with _run_containment's error;
+    eps is 10^(2-dps) as a float."""
     t = target.value
-    eps = float(specfun._constants(cfg).eps)
     err = target.abs_error_bound + (abs(float(t)) + abs(float(lo)) + abs(float(hi))) * eps
     if side != "upper":
         sweep.add(float(p), float(t - lo), err, allow_equality)
@@ -159,53 +169,45 @@ def _add_case(sweep, cfg, p, target, lo, hi, side="both", allow_equality=False):
         sweep.add(float(p), float(hi - t), err, allow_equality)
 
 
-def _ln_factorials(grid: GridSpec, cfg):
-    """Yield (x, mpf x, ln Gamma(x+1)) for each x of grid, at cfg.dps, the
-    caller's precision, with ln Gamma(x+1) at exact x + 1, never rounded to
-    float64.  The table is streamed, not kept, since one pass reads it:
-    kept, it would hold about 2.5 MiB on a 4000-point grid."""
-    for x in grid.values():
-        require_positive("x", x)
-        xm = mp.mpf(x)
-        yield x, xm, specfun.ln_gamma(xm + 1, cfg)
-
-
 @functools.lru_cache(maxsize=1)
 def _row_pass(rows: tuple, cfg, grid: GridSpec, allow_equality: bool) -> tuple:
-    """The results of one pass over the ln Gamma(x+1) table of
-    _ln_factorials, one per row.  A row is either
+    """The results of one pass over the grid, one per row, from one
+    F_0(x) = ln Gamma(x+1) - p(x) per x, taken by specfun._stirling_defect at
+    exact x (never rounded to float64) and at cfg.dps.  A row is either
 
       (lambda, c_lo, c_hi): c_lo < H_lambda(x) < c_hi (<= with
-        allow_equality), from one lambda-free part F_0(x) = ln Gamma(x+1) -
-        p(x) per x (see monotone._H_free), to which each row adds its
-        lambda term; or
-      (family, side): ln Gamma(x+1) against one side of a printed factorial
-        family's bounds.
+        allow_equality), where each row adds its 1/(24 (x+lambda)) to F_0
+        (see monotone._plus_lambda_term); or
+      (family, side): F_0(n) against one side of the printed factorial
+        family's bounds less p(n) (bounds._printed_less_p), which is ln n!
+        against the printed bound itself.
 
     The pass serves the two Thm 3.1 rows and the four Thm 3.4 claims; the
     last pass is cached, keyed on the rows, cfg, grid and allow_equality.
     A printed family's bounds are fixed expressions, so the family names
-    them in the key; a row family's constants are in it as values."""
-    sweeps = [Sweep() for _ in rows]
+    them in the key; a row family's constants are in it as values.  The
+    F_0 values are streamed, not kept: kept, they would hold about 2.5 MiB
+    on a 4000-point grid."""
+    sweeps, eps = [Sweep() for _ in rows], float(specfun._constants(cfg).eps)
     with mp.workdps(cfg.dps):
-        for x, xm, lg in _ln_factorials(grid, cfg):
-            free = monotone._H_free(0, xm, cfg, lg)
+        for x in grid.values():
+            xm = mp.mpf(x)
+            f = specfun._stirling_defect(xm, cfg)
             for sweep, row in zip(sweeps, rows):
                 if isinstance(row[0], BoundFamily):
-                    family, side = row
-                    _add_case(sweep, cfg, x, lg, *bounds.factorial_bound_log(family, int(x), cfg),
-                              side, allow_equality)
+                    _add_case(sweep, eps, x, f, *bounds._printed_less_p(xm, cfg), row[1], allow_equality)
                 else:
                     lam, c_lo, c_hi = row
-                    _add_case(sweep, cfg, x, monotone._plus_lambda_term(free, 0, xm, lam, cfg),
+                    _add_case(sweep, eps, x, monotone._plus_lambda_term(f, 0, xm, lam, cfg),
                               c_lo, c_hi, "both", allow_equality)
     return tuple(sweep.result() for sweep in sweeps)
 
 
 def _run_rows(rows: tuple, row: int, cfg, grid: GridSpec, allow_equality: bool = False):
     """Row `row` of `rows`, which share one _row_pass: a row family's
-    (lambda, c_lo, c_hi), looked up in bounds._row when the claim runs, or
-    a (printed family, side) pair as it stands."""
+    (lambda, c_lo, c_hi), looked up in bounds._row when the claim runs (its
+    lambda already an mpf at cfg.dps), or a (printed family, side) pair as
+    it stands."""
     looked_up = tuple(bounds._row(BoundFamily(r), cfg) if isinstance(r, FamilyId) else r for r in rows)
     return _row_pass(looked_up, cfg, grid, allow_equality)[row]
 
@@ -306,9 +308,15 @@ def _run_series_lambda(cfg, grid: GridSpec):
 
 
 def _run_kth_root(cfg, grid: GridSpec):
+    """kth_root_bound(k) <= 3/2 for k = 4..200, decided exactly by the sign
+    of the integer monotone.kth_root_gap(k).  The margin reported is
+    1.5 - kth_root_bound(k) with the sign the integer decides, so a float
+    root can size the margin but never turn the verdict."""
     sweep = Sweep()
     for k in range(4, 201):
-        sweep.add(float(k), 1.5 - monotone.kth_root_bound(k), 1.5e-12)
+        margin = 1.5 - monotone.kth_root_bound(k)
+        margin = max(margin, 0.0) if monotone.kth_root_gap(k) >= 0 else min(margin, -math.ulp(0.0))
+        sweep.add(float(k), margin, 0.0, allow_equality=True)
     return sweep.result()
 
 
@@ -554,28 +562,51 @@ def emit_report(reports: Sequence[VerificationReport], format: str, path: str) -
         fh.write(text)
 
 
+# the type of each field of CSV_HEADER; float stands for any number, an int too
+_FIELD_TYPES = (str, float, float, int, str, float, float, str, int, int)
+
+
+def _typed_csv_row(row: Sequence) -> list:
+    """The fields of a CSV row parsed as the types of _FIELD_TYPES; a field
+    that does not parse raises ParameterError."""
+    out = []
+    for name, kind, text in zip(CSV_HEADER, _FIELD_TYPES, row):
+        try:
+            out.append(kind(text))
+        except ValueError:
+            raise ParameterError(f"CSV report field {name} = {text!r} is not {kind.__name__}") from None
+    return out
+
+
 def _report_from_row(row: Sequence) -> VerificationReport:
-    """Build a report from field values in CSV_HEADER order."""
+    """Build a report from typed field values in CSV_HEADER order.  A str
+    field must be a str, an int field an int and a float field a number
+    (an int or a float); a bool, JSON's true or false, is none of these."""
+    for name, kind, value in zip(CSV_HEADER, _FIELD_TYPES, row):
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ParameterError(f"report field {name} = {value!r} is not {kind.__name__}")
     claim_id, lo, hi, points, spacing, min_margin, argmin_x, verdict, digits, runtime_ms = row
     if verdict not in (VERIFIED, FALSIFIED, INDETERMINATE):
         raise ParameterError(f"report of {claim_id!r} has the unknown verdict {verdict!r}")
     return VerificationReport(
         claim_id=claim_id,
-        grid=GridSpec(float(lo), float(hi), int(points), spacing),
+        grid=GridSpec(float(lo), float(hi), points, spacing),
         min_margin=float(min_margin),
         argmin_x=float(argmin_x),
         verdict=verdict,
-        precision_digits=int(digits),
-        runtime_ms=int(runtime_ms),
+        precision_digits=digits,
+        runtime_ms=runtime_ms,
     )
 
 
 def parse_reports(text: str, format: str) -> list:
     """Inverse of render_reports; round-trips exactly.  ParameterError is
-    raised for a CSV text without the expected header or with a row of the
-    wrong width, a JSON text that is not a list of objects or whose report
-    lacks a key, and, in both formats, a verdict other than verified,
-    falsified or indeterminate."""
+    raised for a CSV text without the expected header, with a row of the
+    wrong width or with a field that does not parse as its type, a JSON text
+    that is not a list of objects or whose report lacks a key or has a field
+    of the wrong type (see _report_from_row), and, in both formats, a
+    verdict other than verified, falsified or indeterminate."""
     if format == "json":
         import json
 
@@ -597,5 +628,5 @@ def parse_reports(text: str, format: str) -> list:
         for row in rows[1:]:
             if len(row) != len(CSV_HEADER):
                 raise ParameterError(f"CSV report row has {len(row)} fields, expected {len(CSV_HEADER)}")
-        return [_report_from_row(row) for row in rows[1:]]
+        return [_report_from_row(_typed_csv_row(row)) for row in rows[1:]]
     raise ParameterError(f"unknown report format {format!r}")

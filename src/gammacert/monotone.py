@@ -56,6 +56,7 @@ __all__ = [
     "series_coeff_pivot",
     "series_coeff_lambda",
     "kth_root_bound",
+    "kth_root_gap",
     "CMReport",
     "ThresholdResult",
     "default_cm_grid",
@@ -70,65 +71,58 @@ def _check_lambda(lam) -> None:
 _HALF = mp.mpf(1) / 2
 
 
-def _stirling_log(xm, cfg: PrecisionConfig) -> tuple:
-    """(p(x), size) at cfg.dps, the caller's precision: p(x) = ln sqrt(2 pi)
-    + (x+1/2) (ln(x+1/2) - 1), the log of Stirling's sqrt(2 pi) ((x+1/2)/e)^(x+1/2),
-    and size = ln sqrt(2 pi) + (x+1/2) (|ln(x+1/2)| + 1), the sizes of its terms."""
-    c, h = specfun._constants(cfg).ln_sqrt_2pi, xm + _HALF
-    ln_h = mp.log(h)
-    return c + h * (ln_h - 1), c + h * (abs(ln_h) + 1)
-
-
 def _H_free(k: int, xm, cfg: PrecisionConfig, ps=None) -> SpecialValue:
-    """F_k(x) = psi^(k-1)(x+1) + t_log, the lambda-free part of H_lambda^(k)
-    (k >= 0) at cfg.dps, the caller's precision, for an mpf xm; psi^(-1) is
-    ln Gamma and
+    """F_k(x), the lambda-free part of H_lambda^(k) (k >= 0), at cfg.dps,
+    the caller's precision, for an mpf xm.  F_0(x) = ln Gamma(x+1) - p(x)
+    comes from specfun._stirling_defect, which never forms ln Gamma(x+1) or
+    p(x) themselves; for k >= 1, F_k(x) = psi^(k-1)(x+1) + t_log with
 
         t_log = (-1)^(k-1) (k-2)! / (x+1/2)^(k-1),
 
-    which reads -ln(x+1/2) at k = 1 and -p(x) at k = 0 (see _stirling_log).
-    `ps` is psi^(k-1)(x+1) when the caller already has it.  The error adds
-    the rounding of both terms, (|ps| + size) 10^(2-dps), to ps's."""
-    if ps is None:  # x + 1 at full precision, never rounded to float64
-        ps = (specfun.ln_gamma(xm + 1, cfg) if k == 0 else specfun.digamma(xm + 1, cfg) if k == 1
-              else specfun.polygamma(k - 1, xm + 1, cfg))
+    which reads -ln(x+1/2) at k = 1.  `ps` is psi^(k-1)(x+1) when the
+    caller already has it.  The error adds the rounding of both terms,
+    (|ps| + |t_log|) 10^(2-dps), to ps's."""
     if k == 0:
-        p, size = _stirling_log(xm, cfg)
-        t_log = -p
-    else:
-        t_log = (-mp.log(xm + _HALF) if k == 1
-                 else (-1) ** (k - 1) * mp.factorial(k - 2) / (xm + _HALF) ** (k - 1))
-        size = abs(t_log)
-    slack = (abs(ps.value) + size) * specfun._constants(cfg).eps
+        return specfun._stirling_defect(xm, cfg)
+    if ps is None:  # x + 1 at full precision, never rounded to float64
+        ps = specfun.digamma(xm + 1, cfg) if k == 1 else specfun.polygamma(k - 1, xm + 1, cfg)
+    t_log = (-mp.log(xm + _HALF) if k == 1
+             else (-1) ** (k - 1) * mp.factorial(k - 2) / (xm + _HALF) ** (k - 1))
+    slack = (abs(ps.value) + abs(t_log)) * specfun._constants(cfg).eps
     return SpecialValue(ps.value + t_log, ps.abs_error_bound + float(slack))
 
 
-def _plus_lambda_term(f: SpecialValue, k: int, xm, lam, cfg: PrecisionConfig) -> SpecialValue:
+def _plus_lambda_term(f: SpecialValue, k: int, xm, lm, cfg: PrecisionConfig) -> SpecialValue:
     """H_lambda^(k)(x) = F_k(x) + (-1)^k k! / (24 (x+lambda)^(k+1)) from
-    f = _H_free(k, xm, cfg) at cfg.dps, the caller's precision; the lambda
-    term adds its rounding, |term| 10^(2-dps), to f's error."""
-    t_cor = (-1) ** k * mp.factorial(k) / (24 * (xm + mp.mpf(lam)) ** (k + 1))
+    f = _H_free(k, xm, cfg) at cfg.dps, the caller's precision, for lm =
+    lambda (an mpf, converted once by the caller); k = 0 adds 1/(24 (x+lambda))
+    directly.  The lambda term adds its rounding, |term| 10^(2-dps), to f's
+    error."""
+    y = xm + lm
+    t_cor = 1 / (24 * y) if k == 0 else (-1) ** k * mp.factorial(k) / (24 * y ** (k + 1))
     slack = abs(t_cor) * specfun._constants(cfg).eps
     return SpecialValue(f.value + t_cor, f.abs_error_bound + float(slack))
 
 
 def _H_deriv(k: int, x, lam, cfg: PrecisionConfig, ps=None) -> SpecialValue:
-    """k-th derivative (k >= 0) of H_lambda:
+    """k-th derivative (k >= 0) of H_lambda: F_0(x) + 1/(24 (x+lambda)) at
+    k = 0, and for k >= 1
 
         psi^(k-1)(x+1) + (-1)^(k-1) (k-2)! / (x+1/2)^(k-1)
                        + (-1)^k k! / (24 (x+lambda)^(k+1)),
 
     the lambda-free part F_k of _H_free plus the lambda term of
-    _plus_lambda_term.  `ps` is psi^(k-1)(x+1) when the caller already
-    has it.  Callers that sweep lambda at a fixed x compute F_k once and
+    _plus_lambda_term.  `ps` is psi^(k-1)(x+1), k >= 1, when the caller
+    already has it.  Callers that sweep lambda at a fixed x compute F_k once and
     call _plus_lambda_term per lambda."""
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        return _plus_lambda_term(_H_free(k, xm, cfg, ps), k, xm, lam, cfg)
+        return _plus_lambda_term(_H_free(k, xm, cfg, ps), k, xm, mp.mpf(lam), cfg)
 
 
 def H_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """H_lambda(x); error bound propagated from the ln Gamma evaluation."""
+    """H_lambda(x) = F_0(x) + 1/(24 (x+lambda)), F_0 from
+    specfun._stirling_defect with its certified error bound."""
     require_positive("x", x)
     _check_lambda(lam)
     return _H_deriv(0, x, lam, cfg)
@@ -473,14 +467,16 @@ class CMReport:
 @functools.lru_cache(maxsize=1)
 def _free_table(grid: tuple, max_order: int, cfg: PrecisionConfig) -> tuple:
     """((F_0(x), ..., F_max_order(x)) for each x of grid), the lambda-free
-    parts of H_lambda^(0..max_order) (see _H_free), from one specfun._psi
-    call per x for psi^(-1..max_order-1)(x+1); the last table built is kept."""
+    parts of H_lambda^(0..max_order) (see _H_free): F_0 from
+    specfun._stirling_defect, the others from one specfun._psi call per x
+    for psi^(0..max_order-1)(x+1); the last table built is kept."""
     with mp.workdps(cfg.dps):  # x + 1 at full precision, never rounded to float64
         table = []
         for x in grid:
             xm = mp.mpf(x)
-            psis = specfun._psi(-1, max_order - 1, xm + 1, cfg)
-            table.append((xm, tuple(_H_free(k, xm, cfg, ps) for k, ps in enumerate(psis))))
+            psis = specfun._psi(0, max_order - 1, xm + 1, cfg)
+            frees = (_H_free(0, xm, cfg), *(_H_free(k, xm, cfg, ps) for k, ps in enumerate(psis, 1)))
+            table.append((xm, frees))
         return tuple(table)
 
 
@@ -494,9 +490,10 @@ def cm_check(
     """Check s * (-1)^n H_lambda^(n)(x) >= 0 for n = 0..max_order on a grid.
 
     H_lambda^(n)(x) is F_n(x), which does not depend on lambda, plus the
-    lambda term (see _H_deriv).  F_n needs psi^(n-1)(x+1), psi^(-1) = ln
-    Gamma; one specfun._psi call per grid point returns orders -1..max_order-1
-    from a single upward shift, each with its own first-omitted-term bound.
+    lambda term (see _H_deriv).  F_0 comes from specfun._stirling_defect;
+    F_n for n >= 1 needs psi^(n-1)(x+1), and one specfun._psi call per grid
+    point returns orders 0..max_order-1 from a single upward shift, each
+    with its own first-omitted-term bound.
     F_0..F_max_order are kept in a table keyed on the grid, max_order and
     cfg (one table at a time), so sweeps that differ only in lambda or
     sign, such as the eight Thm 2.1 sweeps of `gammacert verify`, compute
@@ -521,9 +518,10 @@ def cm_check(
 
     sweep = Sweep()
     with mp.workdps(cfg.dps):
+        lm = mp.mpf(lam)
         for x, (xm, frees) in zip(grid, _free_table(tuple(grid), max_order, cfg)):
             for order, f in enumerate(frees):
-                sv = _plus_lambda_term(f, order, xm, lam, cfg)
+                sv = _plus_lambda_term(f, order, xm, lm, cfg)
                 margin = s * ((-1.0) ** order) * float(sv.value)
                 sweep.add((order, float(x)), margin, sv.abs_error_bound)
 
@@ -585,6 +583,17 @@ def series_coeff_lambda(k: int, lam):
     if not isinstance(lhs, Fraction):
         rhs = float(rhs)
     return lhs, rhs
+
+
+def kth_root_gap(k: int) -> int:
+    """2(k-2) 3^(k-3) - (3^(k-2) - 1), an exact integer that is >= 0 iff
+    kth_root_bound(k) <= 3/2, that is iff b <= (3/2)^(k-3) for the root's
+    radicand b = ((3/2)^(k-2) - (1/2)^(k-2))/(k-2); multiplying both sides by
+    2^(k-2) (k-2) clears every denominator.  It is positive for every
+    k >= 4, since 2(k-2) >= 3."""
+    if not (isinstance(k, int) and k >= 4):
+        raise DomainError(f"k must be an integer >= 4, got {k!r}")
+    return 2 * (k - 2) * 3 ** (k - 3) - (3 ** (k - 2) - 1)
 
 
 def kth_root_bound(k: int) -> float:

@@ -13,6 +13,12 @@ truncation is added to the remainder (see _stirling_series).  ln Gamma's
 shift product prod_j (x+j) is formed exactly in integers and rounded once.
 An order whose error bound would exceed the float range (psi^(m)(x) ~
 m!/x^(m+1) at tiny x) raises DomainError.
+F_0(x) = ln Gamma(x+1) - p(x), the lambda-free part of H_lambda that the
+Thm 3.1/3.4 row pass and every H_lambda read, has its own kernel,
+_stirling_defect: it takes the shift of ln_gamma(x+1) and the same series,
+but sums u ln(z/u) - ln(prod/z^n) - (n + 1/2) + S(z) in fixed point, so
+ln sqrt(2 pi) and the x ln x terms cancel before anything is rounded and
+the error bound, stated there as a lemma, does not grow with x.
 The constants every call needs (ln sqrt(2 pi), the series target and the
 rounding allowance 10^(2-dps), which monotone, bounds and harness use too) are
 computed once per precision.  The Binet remainder theta(x) is evaluated
@@ -30,7 +36,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .config import (
     DEFAULT_CONFIG,
@@ -92,9 +98,10 @@ def _quad_cutoff(x) -> float:
 # bits below 2^-prec kept by the fixed-point sum of _stirling_series
 _FIXED_GUARD_BITS = 20
 
-# (m, mp.prec) -> [(c_k, ln|c_k|, C_k) for k = 1, 2, ...], c_k = B_2k (2k+m-1)!/(2k)!
-# rounded at that precision and C_k the integer nearest c_k 2^wp, wp = prec +
-# _FIXED_GUARD_BITS; filled on first use and extended as longer series need it
+# (m, mp.prec) -> [(c_k, ln|c_k|, C_k, |c_k|) for k = 1, 2, ...], c_k = B_2k
+# (2k+m-1)!/(2k)! rounded at that precision, C_k the integer nearest c_k 2^wp,
+# wp = prec + _FIXED_GUARD_BITS, and |c_k| as a float; filled on first use and
+# extended as longer series need it
 _STIRLING_COEFFS: dict = {}
 
 
@@ -111,17 +118,40 @@ def _stirling_coeffs(m: int, n: int) -> list:
         c = mp.bernoulli(2 * k) * num / den
         p, q = mp.bernfrac(2 * k)
         top, bottom = p * num << wp, q * den
-        table.append((c, float(mp.log(abs(c))), (2 * top + bottom) // (2 * bottom)))
+        table.append((c, float(mp.log(abs(c))), (2 * top + bottom) // (2 * bottom), float(abs(c))))
     return table
+
+
+def _series_terms(m: int, lz: float, log_target: float) -> tuple:
+    """(coeffs, k) of the Stirling series of order m at z = e^lz: the terms
+    c_j w^j zm of _stirling_series are taken while they decrease and stay
+    above e^log_target, judged on float log-magnitudes; term k is the first
+    omitted one and coeffs holds at least k coefficients."""
+    coeffs = _stirling_coeffs(m, 2)
+    prev = coeffs[0][1] - (2 + m) * lz  # ln |term 1|
+    k = 2
+    while True:
+        if k > len(coeffs):
+            coeffs = _stirling_coeffs(m, 2 * k)
+        cur = coeffs[k - 1][1] - (2 * k + m) * lz
+        if cur < log_target or cur >= prev or k > 300:
+            return coeffs, k  # term k is the first omitted one
+        prev = cur
+        k += 1
+
+
+def _horner_slack(coeffs: list, k: int) -> float:
+    """2 + |c_2| k^2: the units of 2^-wp, times w zm, that bound the error of
+    the fixed-point sum of _stirling_series."""
+    return 2 + coeffs[1][3] * k * k
 
 
 def _stirling_series(m: int, z, consts: _Constants):
     """Stirling series of psi^(m) at large z without its overall sign
     (-1)^(m+1), as in _psi; returns (sum, remainder bound).
 
-    The terms c_j w^j zm, w = 1/z^2, zm = z^-m (z for m = -1), are taken
-    while they decrease and stay above e^log_target, judged on float
-    log-magnitudes; term k is the first omitted one.  The kept part
+    The terms c_j w^j zm, w = 1/z^2, zm = z^-m (z for m = -1), are kept as
+    _series_terms decides; term k is the first omitted one.  The kept part
     S = sum_{j<k} c_j w^(j-1) is summed by Horner's rule in fixed point at
     wp = prec + _FIXED_GUARD_BITS bits, on the integers C_j (c_j 2^wp
     rounded, error <= 1/2) and W = floor(2^wp w) (error < 1):
@@ -136,13 +166,12 @@ def _stirling_series(m: int, z, consts: _Constants):
 
         |A_1 2^-wp - S| <= 2^-wp (1.52 + |c_2| (k-1)(k-2)/2),
 
-    and 2^-wp (2 + |c_2| k^2) w zm, which also absorbs the float judgement
-    of the decrease, is added to the first omitted term |c_k| w^k zm in the
-    returned bound.  The remaining mpf roundings are relative and are
-    covered by _psi's slack.
+    and 2^-wp (2 + |c_2| k^2) w zm (_horner_slack), which also absorbs the
+    float judgement of the decrease, is added to the first omitted term
+    |c_k| w^k zm in the returned bound.  The remaining mpf roundings are
+    relative and are covered by _psi's slack.
     """
     zinv = 1 / z
-    log_target = consts.log_target
     if m == -1:
         log_z = mp.log(z)
         s = (z - _HALF) * log_z - z + consts.ln_sqrt_2pi
@@ -155,35 +184,24 @@ def _stirling_series(m: int, z, consts: _Constants):
         log_z = math.log(z)
         zm = zinv ** m
         s = zm * (math.factorial(m - 1) + math.factorial(m) * zinv / 2)
-    lz = float(log_z)
-    coeffs = _stirling_coeffs(m, 2)
-    prev = coeffs[0][1] - (2 + m) * lz  # ln |term 1|
-    k = 2
-    while True:
-        if k > len(coeffs):
-            coeffs = _stirling_coeffs(m, 2 * k)
-        cur = coeffs[k - 1][1] - (2 * k + m) * lz
-        if cur < log_target or cur >= prev or k > 300:
-            break  # term k is the first omitted one
-        prev = cur
-        k += 1
+    coeffs, k = _series_terms(m, float(log_z), consts.log_target)
     wp = mp.prec + _FIXED_GUARD_BITS
     w = zinv * zinv
     wzm = w * zm
-    s += mp.mpf((_fixed_horner(coeffs, k, z, wp), -wp)) * wzm
-    fixed = mp.ldexp(wzm * (2 + abs(float(coeffs[1][0])) * k * k), -wp)
+    s += mp.mpf((_fixed_horner(coeffs, k, z.man_exp, wp), -wp)) * wzm
+    fixed = mp.ldexp(wzm * _horner_slack(coeffs, k), -wp)
     return s, abs(coeffs[k - 1][0]) * w ** k * zm + fixed
 
 
-def _fixed_horner(coeffs: list, k: int, z, wp: int) -> int:
+def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
     """A_1 of _stirling_series: the integers C_1..C_(k-1) of coeffs summed by
     Horner's rule in powers of W = floor(2^wp / z^2), each product floored
-    to wp fractional bits, for an mpf z > 0."""
-    man, e = z.man_exp  # z = man 2^e
+    to wp fractional bits, for z = man 2^e > 0 given as man_exp = (man, e)."""
+    man, e = man_exp
     shift = wp - 2 * e
     big_w = (1 << shift) // (man * man) if shift >= 0 else 0  # 0 when z^2 > 2^wp
     acc = coeffs[k - 2][2]
-    for _, _, c in reversed(coeffs[:k - 2]):
+    for _, _, c, _ in reversed(coeffs[:k - 2]):
         acc = (acc * big_w >> wp) + c
     return acc
 
@@ -199,6 +217,22 @@ def _shift_product(xm, n: int):
     for j in range(n):
         prod *= a + j * step
     return mp.ldexp(mp.mpf(prod), s * n)
+
+
+def _shift(xf: float, thr: float, target, series) -> tuple:
+    """(n, series(n)) for the upward shift of an argument xf (a float): n =
+    ceil(thr - xf) steps when xf < thr, else 0.  series(n) returns a list of
+    (value, remainder bound); while some remainder misses the target, the
+    threshold doubles, at most three times."""
+    n = 0
+    for _ in range(4):
+        if xf < thr:
+            n = max(n, math.ceil(thr - xf))
+        out = series(n)
+        if all(rem <= target for _, rem in out):
+            break
+        thr *= 2
+    return n, out
 
 
 def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
@@ -234,16 +268,9 @@ def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
     with mp.workdps(cfg.dps):
         consts = _constants(cfg)
         xm = mp.mpf(x)
-        xf, thr = float(xm), _shift_threshold(cfg.working_digits) + max(mhi, 0)
-        n = 0  # shift steps: x, x+1, ..., x+n-1
-        for _ in range(4):
-            if xf < thr:  # the same n as comparing xm itself
-                n = max(n, math.ceil(thr - xf))
-            z = xm + n
-            series = [_stirling_series(m, z, consts) for m in orders]
-            if all(rem <= consts.target for _, rem in series):
-                break
-            thr *= 2
+        thr = _shift_threshold(cfg.working_digits) + max(mhi, 0)
+        n, series = _shift(float(xm), thr, consts.target,
+                           lambda n: [_stirling_series(m, xm + n, consts) for m in orders])
         shifts = [mp.mpf(0)] * len(orders)
         if mlo == -1 and n:
             shifts[0] = -mp.log(_shift_product(xm, n))
@@ -286,6 +313,86 @@ def polygamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"m must be a positive integer, got {m!r}")
     return _psi(m, m, x, cfg)[0]
+
+
+def _floor_mul(a: int, f, shift: int) -> int:
+    """floor(a f 2^shift) for an integer a and a raw mpf f = (sign, man, exp, bc)."""
+    sign, man, exp, _ = f
+    t, exp = (-a * man if sign else a * man), exp + shift
+    return t << exp if exp >= 0 else t >> -exp
+
+
+def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+    """F_0(x) = ln Gamma(x+1) - p(x) for finite x > 0, where p(x) = ln sqrt(2 pi)
+    + (x+1/2)(ln(x+1/2) - 1), with a certified absolute error bound.
+
+    With u = x + 1/2 and z = x + 1 + n, n the shift that ln_gamma(x+1) takes
+    (see _shift), ln Gamma(x+1) = ln Gamma(z) - ln prod_{j=1..n} (x+j) and
+    Stirling's series at z give
+
+        F_0(x) = u ln(z/u) - ln(prod_{j=1..n} (x+j) / z^n) - (n + 1/2) + S(z),
+        S(z)   = sum_k B_2k / (2k (2k-1) z^(2k-1)),
+
+    in which ln sqrt(2 pi) cancels exactly and no term of size x ln x is
+    formed.  x = man 2^e is taken apart as a 2^s, s = min(e, 0), so x + j,
+    u and z are exact integers times powers of two, and the four terms are
+    summed in fixed point at wp = max(wl, -e) bits, wl = prec +
+    _FIXED_GUARD_BITS, a scale at which x itself is exact.  ln(z/u) is taken
+    as ln(1 + q), q = (n + 1/2)/u, whose error relative to its size keeps
+    u ln(z/u) accurate for every x; the ratio prod/z^n lies in
+    (e^-(n+1), 1].  S(z) keeps the terms that _series_terms picks and is
+    summed by _fixed_horner at wl bits.
+
+    Error lemma.  Assume that mpmath's log is within 1 ulp of the exact
+    value at the precision requested, wl bits; its divisions round to
+    nearest, within half an ulp.  Then
+      - each of the three floors (of u ln(z/u), of the log of the ratio and
+        of S(z), each times 2^wp) is off by less than 1 unit of 2^-wp;
+      - u ln(z/u) is off by at most (n + 1/2)(2^-wl + 2^(1-wl)) <= (3n+2) 2^-wl,
+        from the rounding of q and of the log, as u ln(1+q) <= n + 1/2;
+      - the log of the ratio, of size below n + 1, is off by at most
+        (2n + 4) 2^-wl, from the division and the log;
+      - S(z) is off by at most its first omitted term |c_k| z^(1-2k) plus
+        2^-wl (2 + |c_2| k^2)/z, the bound of _stirling_series's fixed-point
+        sum (_horner_slack), whose slack also covers the float rounding of
+        these two terms;
+      - the result, rounded once into an mpf of prec bits, moves by at most
+        2^-prec of its size.
+    The returned bound is the sum of these terms.
+    """
+    with mp.workdps(cfg.dps):
+        consts = _constants(cfg)
+        sign, man, e, _ = mp.mpf(x)._mpf_
+        if sign or not man:  # x <= 0, or not finite
+            require_positive("x", x)
+        s = min(e, 0)
+        a, step = man << (e - s), 1 << -s  # x + j = (a + j step) 2^s
+        wl = mp.prec + _FIXED_GUARD_BITS
+        wp = max(wl, -e)
+        xf = float(x) + 1
+
+        def series(n):
+            zf, zi = xf + n, a + (n + 1) * step  # z = zi 2^s
+            coeffs, k = _series_terms(-1, math.log(zf), consts.log_target)
+            big_s = (_fixed_horner(coeffs, k, (zi, s), wl) << (wp - wl - s)) // zi  # S(z) 2^wp
+            rem = (coeffs[k - 1][3] * zf ** (1 - 2 * k)
+                   + math.ldexp(_horner_slack(coeffs, k), -wl) / zf)
+            return [(big_s, rem)]
+
+        n, [(big_s, rem)] = _shift(xf, _shift_threshold(cfg.working_digits), consts.target, series)
+        ui = 2 * a + step  # u = ui 2^(s-1)
+        q = libmp.mpf_div(libmp.from_int(2 * n + 1), libmp.from_man_exp(ui, s), wl, "n")
+        fixed = _floor_mul(ui, libmp.mpf_log(libmp.mpf_add(q, libmp.fone), wl, "n"), s - 1 + wp)
+        fixed += big_s - ((2 * n + 1) << (wp - 1))
+        if n:
+            zi = a + (n + 1) * step
+            prod = math.prod(range(a + step, zi, step))
+            ratio = libmp.mpf_div(libmp.from_int(prod), libmp.from_int(zi ** n), wl, "n")
+            fixed -= _floor_mul(1, libmp.mpf_log(ratio, wl, "n"), wp)
+        val = mp.mpf((fixed, -wp))
+        err = (math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + rem
+               + math.ldexp(abs(float(val)), -mp.prec))
+        return SpecialValue(val, err)
 
 
 # Maclaurin coefficients B_2k/(2k)!, k = 1..7, of

@@ -1,7 +1,9 @@
 """Tests for the verification harness: suite wiring, report determinism,
 serialization round-trips, and CLI exit codes."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -40,6 +42,29 @@ class TestGridSpec:
         assert vals[-1] == pytest.approx(100.0)
         ratios = [vals[i + 1] / vals[i] for i in range(8)]
         assert max(ratios) == pytest.approx(min(ratios))
+
+    def test_log_values_stay_finite_where_hi_over_lo_overflows(self):
+        g = GridSpec(1e-300, 1e15, 400, "log")
+        assert g.hi / g.lo == math.inf
+        vals = g.values()
+        assert len(vals) == 400 and vals[0] == 1e-300 and vals[-1] == 1e15
+        assert all(0 < v < math.inf for v in vals)
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+        ratios = [b / a for a, b in zip(vals, vals[1:])]
+        assert max(ratios) == pytest.approx(min(ratios), rel=1e-12)
+
+    def test_verify_takes_a_grid_whose_span_overflows(self, capsys):
+        # before, the grid held inf points and verify exited 2
+        assert cli.main(["verify", "--suite", "thm3.1", "--grid", "1e-300:1e15:400:log"]) != 2
+        reps = harness.parse_reports(capsys.readouterr().out, "json")
+        assert reps[0].grid == GridSpec(1e-300, 1e15, 400, "log")
+
+    @pytest.mark.parametrize("grid", sorted({c.grid for c in harness.REGISTRY if c.grid.spacing == "log"},
+                                            key=repr) + [GridSpec(1.1e-3, 100.0, 4000, "log")],
+                             ids=repr)
+    def test_log_values_unchanged_where_hi_over_lo_is_finite(self, grid):
+        ratio = (grid.hi / grid.lo) ** (1.0 / (grid.points - 1))
+        assert grid.values() == [grid.lo * ratio ** i for i in range(grid.points)]
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -212,6 +237,43 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             harness.parse_reports(bogus, fmt)
 
+    @pytest.mark.parametrize("key, value", [
+        ("claim_id", 5), ("grid.spacing", None), ("verdict", True),
+        ("grid.points", 2.7), ("grid.points", None), ("grid.points", True), ("grid.points", "5"),
+        ("precision_digits", 15.0), ("runtime_ms", True), ("runtime_ms", None),
+        ("grid.lo", True), ("grid.hi", "100"), ("min_margin", "abc"), ("min_margin", None),
+        ("argmin_x", False), ("argmin_x", [1.0]),
+    ])
+    def test_json_field_of_wrong_type_rejected(self, reports, key, value):
+        # str fields take a str, int fields an int (not a bool, not a float),
+        # float fields any number but a bool
+        objs = json.loads(harness.render_reports(reports, "json"))
+        if key.startswith("grid."):
+            objs[0]["grid"][key[5:]] = value
+        else:
+            objs[0][key] = value
+        with pytest.raises(ParameterError):
+            harness.parse_reports(json.dumps(objs), "json")
+
+    def test_json_int_where_a_float_is_expected_parses(self, reports):
+        objs = json.loads(harness.render_reports(reports, "json"))
+        objs[0]["min_margin"], objs[0]["grid"]["lo"] = 0, 1
+        back = harness.parse_reports(json.dumps(objs), "json")[0]
+        assert back.min_margin == 0.0 and back.grid.lo == 1.0
+        assert isinstance(back.min_margin, float) and isinstance(back.grid.lo, float)
+
+    @pytest.mark.parametrize("field, text", [
+        ("points", "2.7"), ("points", ""), ("precision_digits", "15.0"), ("runtime_ms", "True"),
+        ("lo", "abc"), ("min_margin", "abc"), ("argmin_x", ""),
+    ])
+    def test_csv_field_that_does_not_parse_rejected(self, reports, field, text):
+        rows = list(csv.reader(io.StringIO(harness.render_reports(reports, "csv"))))
+        rows[1][harness.CSV_HEADER.index(field)] = text
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        with pytest.raises(ParameterError):
+            harness.parse_reports(buf.getvalue(), "csv")
+
     def test_malformed_csv_rejected_under_optimize(self):
         # the header check must not be an assert that -O strips
         code = (
@@ -261,24 +323,27 @@ def _claim(claim_id):
 
 class TestContainment:
     def test_gamma_target_is_ln_gamma_of_exact_x_plus_1(self, monkeypatch):
-        # x + 1 must not be rounded to float64 before the certified evaluation
+        # x must not be rounded to float64 before the certified evaluation of
+        # F_0(x) = ln Gamma(x+1) - p(x), which the rows read
         cfg = PrecisionConfig(working_digits=30)
         seen = []
-        ln_gamma = specfun.ln_gamma
+        defect = specfun._stirling_defect
 
-        def recording_ln_gamma(x, cfg):
-            seen.append(ln_gamma(x, cfg))
-            return seen[-1]
+        def recording_defect(x, cfg):
+            seen.append((x, defect(x, cfg)))
+            return seen[-1][1]
 
-        monkeypatch.setattr(harness.specfun, "ln_gamma", recording_ln_gamma)
+        monkeypatch.setattr(harness.specfun, "_stirling_defect", recording_defect)
         harness._row_pass.cache_clear()  # a cached pass would make no call
         claim = _claim("thm3.1-eq3.1-containment")
         assert harness._run_claim(claim, cfg, claim.grid).verdict == "verified"
         xs = harness._GAMMA_GRID.values()[:50]
         assert len(seen) >= 50
         with mp.workdps(60):
-            for x, sv in zip(xs, seen):
-                ref = mp.loggamma(mp.mpf(x) + 1)
+            for x, (xm, sv) in zip(xs, seen):
+                assert xm == x and isinstance(xm, mp.mpf)
+                h = mp.mpf(x) + mp.mpf(1) / 2
+                ref = mp.loggamma(mp.mpf(x) + 1) - (mp.log(2 * mp.pi) / 2 + h * (mp.log(h) - 1))
                 assert abs(sv.value - ref) <= sv.abs_error_bound, x
 
     @pytest.mark.parametrize("digits", [15, 30])
@@ -429,71 +494,94 @@ class TestSharedWork:
         assert len(calls) > 2 * shared_calls
 
     def test_factorial_sweeps_alone_equal_suite(self, monkeypatch):
-        calls = []
-        ln_gamma = harness.specfun.ln_gamma
-
-        def counting_ln_gamma(x, cfg):
-            calls.append(x)
-            return ln_gamma(x, cfg)
-
+        calls = self._count_defect(monkeypatch)
         stirling_calls = []
-        stirling_log = monotone._stirling_log
+        stirling_log = bounds._stirling_log
 
         def counting_stirling_log(xm, cfg):
             stirling_calls.append(xm)
             return stirling_log(xm, cfg)
 
-        monkeypatch.setattr(harness.specfun, "ln_gamma", counting_ln_gamma)
-        monkeypatch.setattr(monotone, "_stirling_log", counting_stirling_log)
+        monkeypatch.setattr(bounds, "_stirling_log", counting_stirling_log)
         harness._row_pass.cache_clear()
         suite = {r.claim_id: dataclasses.replace(r, runtime_ms=0) for r in harness.run_suite("thm3.4")}
-        assert sorted(calls) == list(range(2, 172))
-        # one p(n) per n for both corrected rows, one per n and printed side,
-        # and H_lambda(1) of the two corrected rows
-        assert len(stirling_calls) <= 170 + 2 * 170 + 2
+        # one F_0(n) per n serves all four claims
+        assert sorted(x for x, _ in calls) == list(range(1, 171))
+        # no p(n) per n: at most H_lambda(1) of the two corrected rows
+        assert len(stirling_calls) <= 2
         for claim in harness.claims_for_suite("thm3.4"):
             harness._row_pass.cache_clear()
             alone = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
             assert dataclasses.replace(alone, runtime_ms=0) == suite[claim.claim_id]
 
-    @staticmethod
-    def _count_ln_gamma(monkeypatch) -> list:
-        calls = []  # (x, working digits) of each specfun.ln_gamma call
-        ln_gamma = specfun.ln_gamma
-
-        def counting_ln_gamma(x, cfg):
-            calls.append((x, cfg.working_digits))
-            return ln_gamma(x, cfg)
-
-        monkeypatch.setattr(specfun, "ln_gamma", counting_ln_gamma)
-        return calls
-
-    @pytest.mark.parametrize("grid", [None, GridSpec(1.1e-3, 100.0, 4000, "log")],
-                             ids=["default-grid", "dense-grid"])
-    def test_thm31_rows_share_one_ln_gamma_per_point(self, grid, monkeypatch):
-        calls = self._count_ln_gamma(monkeypatch)
+    def test_thm34_pass_makes_no_stirling_log_call_per_n(self, monkeypatch):
+        # the printed sides compare F_0(n) with the printed bound less p(n),
+        # so p(n) is formed for no n; the two calls are the row constants
+        # H_lambda(1) of the corrected Eqs. (3.12), (3.13)
         stirling_calls = []
-        stirling_log = monotone._stirling_log
+        stirling_log = bounds._stirling_log
 
         def counting_stirling_log(xm, cfg):
             stirling_calls.append(xm)
             return stirling_log(xm, cfg)
 
-        monkeypatch.setattr(monotone, "_stirling_log", counting_stirling_log)
+        monkeypatch.setattr(bounds, "_stirling_log", counting_stirling_log)
+        harness._row_pass.cache_clear()
+        bounds._row.cache_clear()
+        reports = harness.run_suite("thm3.4")
+        assert harness.exit_code(reports) == 0
+        assert stirling_calls == [1, 1]
+
+    @staticmethod
+    def _count_defect(monkeypatch) -> list:
+        calls = []  # (x, working digits) of each specfun._stirling_defect call
+        defect = specfun._stirling_defect
+
+        def counting_defect(x, cfg):
+            calls.append((x, cfg.working_digits))
+            return defect(x, cfg)
+
+        monkeypatch.setattr(specfun, "_stirling_defect", counting_defect)
+        return calls
+
+    @pytest.mark.parametrize("grid", [None, GridSpec(1.1e-3, 100.0, 4000, "log")],
+                             ids=["default-grid", "dense-grid"])
+    def test_thm31_rows_share_one_ln_gamma_per_point(self, grid, monkeypatch):
+        calls = self._count_defect(monkeypatch)
+        stirling_calls = []
+        stirling_log = bounds._stirling_log
+
+        def counting_stirling_log(xm, cfg):
+            stirling_calls.append(xm)
+            return stirling_log(xm, cfg)
+
+        monkeypatch.setattr(bounds, "_stirling_log", counting_stirling_log)
         harness._row_pass.cache_clear()
         reports = harness.run_suite("thm3.1", grid_override=grid)
         assert [r.verdict for r in reports] == [c.expected for c in harness.claims_for_suite("thm3.1")]
         g = grid or harness._GAMMA_GRID
         assert reports[0].grid == reports[1].grid == g
-        # the two rows: one ln Gamma(x+1) per grid point, at exact x + 1
+        # the two rows: one F_0(x) = ln Gamma(x+1) - p(x) per grid point, at exact x
         with mp.workdps(DEFAULT_CONFIG.dps):
-            assert [x for x, _ in calls[:g.points]] == [mp.mpf(x) + 1 for x in g.values()]
+            assert [x for x, _ in calls[:g.points]] == [mp.mpf(x) for x in g.values()]
         # eq1.3-best-constants: H_{1/2} at x = 1e4 and 1e-6, one call each
-        assert [float(x) for x, _ in calls[g.points:]] == pytest.approx([1e4 + 1, 1 + 1e-6], rel=1e-15)
-        # one p(x) per grid point for the two rows: 4000, not 8000, on the
-        # dense grid (the rest are the rows' H_lambda(0), eq1.3 and sec1)
+        assert [float(x) for x, _ in calls[g.points:]] == [1e4, 1e-6]
+        # no p(x) at any grid point: F_0 never forms it (the rest are the
+        # rows' H_lambda(0) and sec1)
         points = set(g.values())
-        assert [x for x in stirling_calls if float(x) in points] == g.values()
+        assert [x for x in stirling_calls if float(x) in points] == []
+
+    def test_kth_root_report_is_decided_in_integers(self, monkeypatch):
+        claim = _claim("kth-root-bound")
+        rep = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
+        assert (rep.verdict, rep.argmin_x) == ("verified", 200.0)
+        assert rep.min_margin == 1.5 - monotone.kth_root_bound(200)
+        # one k whose integer gap fails turns the verdict, whatever the float root
+        gap = monotone.kth_root_gap
+        monkeypatch.setattr(monotone, "kth_root_gap", lambda k: -1 if k == 57 else gap(k))
+        rep = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
+        assert rep.verdict != "verified"
+        assert (rep.verdict, rep.argmin_x) == ("falsified", 57.0) and rep.min_margin < 0
 
     def test_thm31_claims_alone_equal_suite(self):
         harness._row_pass.cache_clear()
@@ -505,7 +593,7 @@ class TestSharedWork:
             assert dataclasses.replace(alone, runtime_ms=0) == suite[cid]
 
     def test_thm31_pass_is_not_served_stale(self, monkeypatch):
-        calls = self._count_ln_gamma(monkeypatch)
+        calls = self._count_defect(monkeypatch)
         claim = _claim("thm3.1-eq3.2-containment")
         grid = GridSpec(1e-3, 100.0, 40, "log")
         harness._row_pass.cache_clear()
@@ -548,7 +636,7 @@ class TestSharedWork:
             finally:
                 in_sweep.pop()
 
-        # the 8 sweeps share one (ln Gamma, psi^(0..5))(x+1) table over the
+        # the 8 sweeps share one table of F_0(x) and psi^(0..5)(x+1) over the
         # 48-point grid and make no ln Gamma call of their own
         psi_calls = []
         psi = monotone.specfun._psi
@@ -556,7 +644,7 @@ class TestSharedWork:
         ln_gamma = monotone.specfun.ln_gamma
 
         def counting_psi(mlo, mhi, x, cfg):
-            if (mlo, mhi) == (-1, 5):
+            if (mlo, mhi) == (0, 5):
                 psi_calls.append(x)
             return psi(mlo, mhi, x, cfg)
 

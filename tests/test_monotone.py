@@ -23,6 +23,7 @@ from gammacert.monotone import (
     default_cm_grid,
     h_of_t,
     kth_root_bound,
+    kth_root_gap,
     laplace_check,
     necessary_limit,
     phi_sign_certificate,
@@ -314,7 +315,7 @@ class TestCMCheck:
         grid = [0.5, 1.0, 4.0]
         cm_check(0.5, "plus", max_order=4, grid=grid)
         cm_check(1.5, "minus", max_order=4, grid=grid)
-        assert calls == [(-1, 3, 15)] * 3
+        assert calls == [(0, 3, 15)] * 3
         cm_check(1.5, "minus", max_order=4, grid=grid[:2])
         assert len(calls) == 5
 
@@ -431,6 +432,18 @@ class TestExactSeries:
         for k in range(4, 31):
             lhs, rhs = series_coeff_lambda(k, lam)
             assert lhs > rhs
+
+    def test_kth_root_gap_decides_the_bound(self):
+        # gap = 2^(k-2) (k-2) ((3/2)^(k-3) - base), base the k-th root's
+        # radicand, so its sign is that of 3/2 - kth_root_bound(k)
+        for k in range(4, 201):
+            base = (Fraction(3, 2) ** (k - 2) - Fraction(1, 2) ** (k - 2)) / (k - 2)
+            gap = kth_root_gap(k)
+            assert gap == 2 ** (k - 2) * (k - 2) * (Fraction(3, 2) ** (k - 3) - base)
+            assert gap > 0 and kth_root_bound(k) <= 1.5, k
+        for bad in (3, 4.0, "5"):
+            with pytest.raises(DomainError):
+                kth_root_gap(bad)
 
     def test_kth_root_bound(self):
         vals = [kth_root_bound(k) for k in range(4, 201)]

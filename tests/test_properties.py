@@ -1,6 +1,8 @@
 """Hypothesis properties: bad input raises DomainError, reports survive a
-render/parse round trip in both formats, a non-integer n exits 2, and
-SpecialValue accepts exactly the finite nonnegative error bounds."""
+render/parse round trip in both formats, a non-integer n exits 2,
+SpecialValue accepts exactly the finite nonnegative error bounds, and the
+F_0 kernel stays within its bound, which is no wider than the bound of
+ln Gamma(x+1) - p(x) formed the long way."""
 
 import contextlib
 import io
@@ -11,9 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from gammacert import DomainError, H_lambda, ParameterError, SpecialValue, digamma, ln_gamma, polygamma
-from gammacert import cli, harness
+from gammacert import cli, harness, specfun
 from gammacert.bounds import BoundFamily, FamilyId, gamma_bound_log
-from gammacert.config import FALSIFIED, INDETERMINATE, VERIFIED
+from gammacert.config import FALSIFIED, INDETERMINATE, VERIFIED, PrecisionConfig
 from gammacert.harness import GridSpec, VerificationReport
 
 # nan, +-inf and every x <= 0, as floats or as mpf
@@ -37,6 +39,12 @@ class TestBadInputRaises:
     def test_ln_gamma(self, x):
         with pytest.raises(DomainError):
             ln_gamma(x)
+
+    @given(bad_x)
+    @settings(max_examples=40, deadline=None)
+    def test_stirling_defect(self, x):
+        with pytest.raises(DomainError):
+            specfun._stirling_defect(x)
 
     @given(bad_x)
     @settings(max_examples=40, deadline=None)
@@ -125,3 +133,32 @@ def test_special_value_accepts_finite_nonnegative_bounds(bound):
         assert not ok
     else:
         assert ok
+
+
+# x log-uniform on [1e-300, 1e15]
+_log_uniform_x = st.floats(math.log(1e-300), math.log(1e15)).map(math.exp)
+
+
+@given(x=_log_uniform_x, digits=st.sampled_from([15, 30, 60]))
+@example(x=1e-300, digits=60)
+@example(x=1e15, digits=15)
+@example(x=9.0, digits=15)  # x + 1 at the shift threshold: no shift
+@settings(max_examples=80, deadline=None)
+def test_stirling_defect_within_its_bound_and_the_long_ways(x, digits):
+    cfg = PrecisionConfig(working_digits=digits)
+    sv = specfun._stirling_defect(x, cfg)
+    with mp.workdps(2 * cfg.dps + 20):
+        xm = mp.mpf(x)
+        h = xm + mp.mpf(1) / 2
+        ref = mp.loggamma(xm + 1) - (mp.log(2 * mp.pi) / 2 + h * (mp.log(h) - 1))
+        assert abs(sv.value - ref) <= sv.abs_error_bound, (x, digits)
+    # the long way: ln_gamma(x+1) with its bound, less p(x), with the rounding
+    # of both, (|ln Gamma| + size) 10^(2-dps), size that of p's terms
+    with mp.workdps(cfg.dps):
+        xm = mp.mpf(x)
+        lg = ln_gamma(xm + 1, cfg)
+        h = xm + mp.mpf(1) / 2
+        consts = specfun._constants(cfg)
+        size = consts.ln_sqrt_2pi + h * (abs(mp.log(h)) + 1)
+        long_way = lg.abs_error_bound + float((abs(lg.value) + size) * consts.eps)
+    assert sv.abs_error_bound <= long_way, (x, digits)
