@@ -354,11 +354,13 @@ def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
         (2n + 4) 2^-wl, from the division and the log;
       - S(z) is off by at most its first omitted term |c_k| z^(1-2k) plus
         2^-wl (2 + |c_2| k^2)/z, the bound of _stirling_series's fixed-point
-        sum (_horner_slack), whose slack also covers the float rounding of
-        these two terms;
+        sum (_horner_slack);
       - the result, rounded once into an mpf of prec bits, moves by at most
         2^-prec of its size.
-    The returned bound is the sum of these terms.
+    The returned bound is the sum of these terms.  The counts 3n + 2 and
+    2n + 4 exceed the roundings they cover by at least 1.4 units of 2^-wl,
+    which covers the float arithmetic of the bound itself, off by at most
+    (6k + 8) 2^-53 of it while the series meets its target.
     """
     with mp.workdps(cfg.dps):
         consts = _constants(cfg)
