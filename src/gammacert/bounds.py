@@ -4,10 +4,11 @@ factorials and the Bernoulli-type fraction x/(e^x - 1).
 The Qi-type gamma bounds (Eq. (3.1) = QiGammaLow = SevliBatirGamma, Eq. (3.2)
 = QiGammaHigh, QiGammaGeneric) and the corrected factorial Eqs. (3.12), (3.13)
 (constants forced by equality at n = 1) are rows (lambda, c_lo, c_hi) over
-H_lambda: c_lo <= H_lambda <= c_hi.  BukacGamma, the harmonic and Bernoulli
-families and the printed *AsPrinted variants, which the harness falsifies,
-keep their displayed expressions.  sec1-comparison compares BukacGamma
-against Eq. (3.1).
+H_lambda: c_lo <= H_lambda <= c_hi.  The printed factorial sides, which
+the harness falsifies, are rows of the same shape, F_0(n) + 1/(d (n+lambda))
+against a constant (see _row_shape).  BukacGamma, the harmonic and
+Bernoulli families and the printed harmonic constant keep their displayed
+expressions.  sec1-comparison compares BukacGamma against Eq. (3.1).
 """
 
 from __future__ import annotations
@@ -156,31 +157,58 @@ def _printed_constant(cfg: PrecisionConfig):
         return 12 * (3 - mp.log(mp.pi) + mp.log(mp.mpf(4) / 27))
 
 
-def _printed_less_p(xm, cfg: PrecisionConfig) -> tuple:
-    """(ln lower - p(n), ln upper - p(n)) of the printed Eqs. (3.13), (3.12)
-    at n = xm, at cfg.dps, the caller's precision: the two printed bounds
-    of ln n! without Stirling's p(n) (see _stirling_log), which
-    is what F_0(n) = ln n! - p(n) is checked against."""
-    const = _printed_constant(cfg)
-    return ((const + 1 / (5 * (xm + mp.mpf(3) / 2))) / 24,
-            (const - 1 / (3 * (xm + mp.mpf(1) / 2))) / 24)
+def _row_shape(row, cfg: PrecisionConfig) -> tuple:
+    """(d, lambda, c_lo, c_hi, size), at cfg.dps, of the one shape every row
+    takes,
+
+        c_lo <= F_0(x) + 1/(d (x+lambda)) <= c_hi,  F_0(x) = ln Gamma(x+1) - p(x),
+
+    a side being missing where its c is -inf or +inf.  size is the sum of
+    the magnitudes of the terms the finite constants are formed from, so
+    size 10^(2-dps) bounds their rounding (the rule of specfun._constants);
+    a float, as rough as that rule.  A row family of fixed lambda, named by
+    its FamilyId, has d = 24 and the (lambda, c_lo, c_hi) of _row, each c
+    being 1/(24 (x0+lambda)) - p(x0).  "upper" and "lower" name the printed
+    Eq. (3.12) upper and Eq. (3.13) lower sides,
+
+        ln n! <= p(n) + (K' - 1/(3 (n+1/2)))/24,  ln n! >= p(n) + (K' + 1/(5 (n+3/2)))/24,
+
+    K' = _printed_constant, with p(n) and the n-dependent term moved left:
+
+        F_0(n) + 1/(72 (n+1/2)) <= K   and   K <= F_0(n) - 1/(120 (n+3/2)),
+
+    K = K'/24 = (3 - ln pi + ln(4/27)) / 2."""
+    if isinstance(row, FamilyId):
+        lam, *ends = _ROWS[row]
+        size = sum(1 / (24 * (x0 + lam)) + math.log(2 * math.pi) / 2 + (x0 + 0.5) * (abs(math.log(x0 + 0.5)) + 1)
+                   for x0 in ends if x0 < math.inf)
+        return (24, *_row(BoundFamily(row), cfg), size)
+    with mp.workdps(cfg.dps):
+        k = _printed_constant(cfg) / 24
+    size = (3 + math.log(math.pi) + abs(math.log(4 / 27))) / 2
+    if row == "upper":
+        return 72, mp.mpf(1) / 2, mp.ninf, k, size
+    return -120, mp.mpf(3) / 2, k, mp.inf, size
 
 
 def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
-    """(ln lower, ln upper) at cfg.dps: p(x) - 1/(24 (x+lambda)) + (c_lo, c_hi) for a
-    row family, else the displayed BukacGamma or p(x) plus _printed_less_p."""
+    """(ln lower, ln upper) at cfg.dps: p(x) - 1/(d (x+lambda)) + c on each
+    side, c being c_lo below and c_hi above, for a row family (d = 24) and
+    for the printed factorial family, whose lower side is the "lower" row
+    of _row_shape and whose upper side is its "upper" row; else the
+    displayed BukacGamma."""
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
         p = _stirling_log(xm, cfg)
-        if family.id in _ROWS:
-            lam, c_lo, c_hi = _row(family, cfg)
-            base = p - 1 / (24 * (xm + lam))
-            return base + c_lo, base + c_hi
         if family.id is FamilyId.BUKAC_GAMMA:
             return (p - 1 / (24 * xm),
                     p - 1 / (24 * (mp.sqrt(xm ** 2 + 3 * xm + mp.mpf(5) / 2) - mp.mpf(1) / 2)))
-        lo, hi = _printed_less_p(xm, cfg)
-        return p + lo, p + hi
+        if family.id is FamilyId.FACTORIAL_AS_PRINTED:
+            lower, upper = _row_shape("lower", cfg), _row_shape("upper", cfg)
+        else:
+            lower = upper = (24, *_row(family, cfg))
+        return (p - 1 / (lower[0] * (xm + lower[1])) + lower[2],
+                p - 1 / (upper[0] * (xm + upper[1])) + upper[3])
 
 
 def gamma_bound_log(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFIG):

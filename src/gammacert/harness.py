@@ -63,18 +63,23 @@ class GridSpec:
         """The points lo + i step (linear) or lo ratio^i (log), i < points.
         Where hi/lo overflows the float range, the log points are taken as
         exp(ln lo + i ln(ratio)) from the logs of the ends, so they stay
-        finite; the ends are then lo and hi themselves."""
+        finite; the ends are then lo and hi themselves.  Points closer than
+        the float spacing would repeat, so a grid whose points are not
+        strictly increasing raises ParameterError."""
         if self.spacing == "linear":
             step = (self.hi - self.lo) / (self.points - 1)
-            return [self.lo + i * step for i in range(self.points)]
-        span = self.hi / self.lo
-        if span < math.inf:
-            ratio = span ** (1.0 / (self.points - 1))
-            return [self.lo * ratio ** i for i in range(self.points)]
-        ln_lo = math.log(self.lo)
-        step = (math.log(self.hi) - ln_lo) / (self.points - 1)
-        inner = [math.exp(ln_lo + i * step) for i in range(1, self.points - 1)]
-        return [self.lo, *inner, self.hi]
+            vals = [self.lo + i * step for i in range(self.points)]
+        elif self.hi / self.lo < math.inf:
+            ratio = (self.hi / self.lo) ** (1.0 / (self.points - 1))
+            vals = [self.lo * ratio ** i for i in range(self.points)]
+        else:
+            ln_lo = math.log(self.lo)
+            step = (math.log(self.hi) - ln_lo) / (self.points - 1)
+            vals = [self.lo, *(math.exp(ln_lo + i * step) for i in range(1, self.points - 1)), self.hi]
+        if not all(a < b for a, b in zip(vals, vals[1:])):
+            raise ParameterError(f"the {self.points} points of the {self.spacing} grid on "
+                                 f"[{self.lo!r}, {self.hi!r}] are finer than the float spacing")
+        return vals
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,7 @@ def _run_containment(cases: Callable, *args, side: str = "both", allow_equality:
     cases(*args, cfg, grid) runs at cfg.dps and yields (point, target, lo,
     hi): a SpecialValue and the bounds there, such as a family's, looked up
     in `bounds` at call time.  side = 'lower' or 'upper' checks one
-    inequality only.  Every margin carries one error, added by _add_case
-    (also for the rows of _row_pass):
+    inequality only.  Every margin carries one error, added by _add_case:
 
         target.abs_error_bound + (|target| + |lo| + |hi|) 10^(2-dps),
 
@@ -169,54 +173,97 @@ def _add_case(sweep, eps: float, p, target, lo, hi, side="both", allow_equality=
         sweep.add(float(p), float(hi - t), err, allow_equality)
 
 
+def _row_margins(rows: tuple, cfg, xs):
+    """Yield (x, 2^wp, [(row, M, err)]) for each x of xs, one entry per
+    side of each row: M 2^-wp is the margin of lo <= target on a lower side
+    and of target <= hi on an upper one.  A row is (d, lambda, c_lo, c_hi,
+    size), the shape c_lo <= F_0(x) + 1/(d (x+lambda)) <= c_hi of
+    bounds._row_shape, with mpf constants at cfg.dps formed from terms of
+    magnitudes summing to size; a side whose c is infinite is left out.
+
+    Everything is decided in the fixed point of the F_0 kernel: F 2^-wp is
+    F_0(x) from specfun._stirling_defect_fixed at exact x, never rounded,
+    and x + lambda = Y 2^t is exact, so with
+
+        T = floor(2^(wp-t) / (d Y)),  C = floor(c 2^wp)  (once per row and wp),
+
+    the lower margin is M = F + T - C_lo, the upper M = C_hi - F - T, in
+    units of 2^-wp; _row_pass rounds each once to the nearest float.
+
+    Error lemma (in the style of Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed. 2002, sec. 3.1).  Each margin is within
+
+        err + 3 2^-wl + size 10^(2-dps),  wl = prec + _FIXED_GUARD_BITS <= wp,
+
+    of its true value, where
+      - err is the kernel's bound on F (its lemma; nothing is rounded);
+      - the floors of T and of C are each off by less than 2^-wp <= 2^-wl;
+      - c, an expression of a few mpmath operations at cfg.dps, is off from
+        the exact constant by at most size 10^(2-dps), the project's
+        rounding rule (specfun._constants) on the magnitudes of its terms,
+        which can far exceed |c|: H_{1/2}(1) = 1/36 - p(1) is 6.4e-4, its
+        terms near 1; it is counted once per row, never per point;
+      - one more 2^-wl covers the float sum of these terms and the rounding
+        of the margin to a float, each at most 2^-53 of the bound where
+        the margin meets it: while the kernel's series meets its target
+        the bound is at most about 10^(4-dps), below 2^(51-wl) (above
+        10^(8-dps)), so 2^-51 of it is under 2^-wl.
+    The verdict is then sound: a float margin above the bound means a true
+    margin above 0, one below minus the bound a true margin below 0."""
+    with mp.workdps(cfg.dps):
+        wl = mp.prec + specfun._FIXED_GUARD_BITS
+        eps = float(specfun._constants(cfg).eps)
+        shapes = []  # (d, man and exp of lambda, [(row, sign, c, error of the side)])
+        for i, (d, lam, c_lo, c_hi, size) in enumerate(rows):
+            _, lman, lexp, _ = lam._mpf_
+            c_err = math.ldexp(3, -wl) + size * eps
+            sides = [(i, sign, c._mpf_, c_err) for sign, c in ((1, c_lo), (-1, c_hi)) if not mp.isinf(c)]
+            shapes.append((d, lman, lexp, sides))
+        scaled = {}  # wp -> (2^wp, [C of each side, in shapes order])
+        for x in xs:
+            xm = mp.mpf(x)
+            fixed, wp, err = specfun._stirling_defect_fixed(xm, cfg)
+            if wp not in scaled:
+                scaled[wp] = (1 << wp, [specfun._floor_mul(1, c, wp)
+                                        for *_, sides in shapes for _, _, c, _ in sides])
+            scale, big_cs = scaled[wp]
+            _, man, e, _ = xm._mpf_
+            margins, j = [], 0
+            for d, lman, lexp, sides in shapes:
+                t = min(e, lexp)
+                big_t = (1 << (wp - t)) // (d * ((man << (e - t)) + (lman << (lexp - t))))
+                for i, sign, _, c_err in sides:
+                    margins.append((i, sign * (fixed + big_t - big_cs[j]), err + c_err))
+                    j += 1
+            yield x, scale, margins
+
+
 @functools.lru_cache(maxsize=1)
 def _row_pass(rows: tuple, cfg, grid: GridSpec, allow_equality: bool) -> tuple:
-    """The results of one pass over the grid, one per row, from one
-    F_0(x) = ln Gamma(x+1) - p(x) per x, taken by specfun._stirling_defect at
-    exact x (never rounded to float64) and at cfg.dps.  A row is either
-
-      (lambda, c_lo, c_hi): c_lo < H_lambda(x) < c_hi (<= with
-        allow_equality), where each row adds its 1/(24 (x+lambda)) to F_0
-        (see monotone._plus_lambda_term); or
-      (family, side): F_0(n) against one side of the printed factorial
-        family's bounds less p(n) (bounds._printed_less_p), which is ln n!
-        against the printed bound itself.
+    """The results of one pass over the grid, one per row (see
+    _row_margins), from one F_0(x) = ln Gamma(x+1) - p(x) per x; a row's
+    margins hold with <= under allow_equality, else with <.
 
     The pass serves the two Thm 3.1 rows and the four Thm 3.4 claims; the
-    last pass is cached, keyed on the rows, cfg, grid and allow_equality.
-    A printed family's bounds are fixed expressions, so the family names
-    them in the key; a row family's constants are in it as values.  The
-    F_0 values are streamed, not kept: kept, they would hold about 2.5 MiB
-    on a 4000-point grid."""
-    sweeps, eps = [Sweep() for _ in rows], float(specfun._constants(cfg).eps)
-    with mp.workdps(cfg.dps):
-        for x in grid.values():
-            xm = mp.mpf(x)
-            f = specfun._stirling_defect(xm, cfg)
-            for sweep, row in zip(sweeps, rows):
-                if isinstance(row[0], BoundFamily):
-                    _add_case(sweep, eps, x, f, *bounds._printed_less_p(xm, cfg), row[1], allow_equality)
-                else:
-                    lam, c_lo, c_hi = row
-                    _add_case(sweep, eps, x, monotone._plus_lambda_term(f, 0, xm, lam, cfg),
-                              c_lo, c_hi, "both", allow_equality)
+    last pass is cached, keyed on the rows, cfg, grid and allow_equality,
+    the rows' constants in the key as values.  The F_0 values are streamed,
+    not kept: kept, they would hold about 2.5 MiB on a 4000-point grid."""
+    sweeps = [Sweep() for _ in rows]
+    for x, scale, margins in _row_margins(rows, cfg, grid.values()):
+        for i, big_m, err in margins:
+            sweeps[i].add(x, big_m / scale, err, allow_equality)
     return tuple(sweep.result() for sweep in sweeps)
 
 
 def _run_rows(rows: tuple, row: int, cfg, grid: GridSpec, allow_equality: bool = False):
-    """Row `row` of `rows`, which share one _row_pass: a row family's
-    (lambda, c_lo, c_hi), looked up in bounds._row when the claim runs (its
-    lambda already an mpf at cfg.dps), or a (printed family, side) pair as
-    it stands."""
-    looked_up = tuple(bounds._row(BoundFamily(r), cfg) if isinstance(r, FamilyId) else r for r in rows)
-    return _row_pass(looked_up, cfg, grid, allow_equality)[row]
+    """Row `row` of `rows`, which share one _row_pass, each row's shape
+    looked up in bounds._row_shape when the claim runs."""
+    return _row_pass(tuple(bounds._row_shape(r, cfg) for r in rows), cfg, grid, allow_equality)[row]
 
 
-_PRINTED_FACTORIAL = BoundFamily(FamilyId.FACTORIAL_AS_PRINTED)
 _THM31_ROWS = (FamilyId.QI_GAMMA_LOW, FamilyId.QI_GAMMA_HIGH)  # Eqs. (3.1), (3.2)
 # the corrected Eqs. (3.12), (3.13), then the printed (3.12) upper and (3.13) lower sides
-_THM34_ROWS = (FamilyId.FACTORIAL_HIGH, FamilyId.FACTORIAL_LOW,
-               (_PRINTED_FACTORIAL, "upper"), (_PRINTED_FACTORIAL, "lower"))
+_THM34_ROWS = (FamilyId.FACTORIAL_HIGH, FamilyId.FACTORIAL_LOW, "upper", "lower")
 
 
 def _best_constants_cases(cfg, grid: GridSpec):
@@ -267,14 +314,20 @@ def _bernoulli_cases(family: BoundFamily, cfg, grid: GridSpec):
 
 def _run_mathieu(cfg, grid: GridSpec):
     """Mathieu's partial sums increase, since S_n - S_(n-1) = 2n/(n^2+1)^2 > 0
-    exactly (n = 2..50, r = 1), and the analytic tail bound of
-    specfun.mathieu_partial covers the observed remainder S_2000 - S_1000."""
+    exactly (n = 2..50, r = 1), and the tail bound 1/(N^2+1) of
+    specfun.mathieu_partial at N = 1000 covers the observed remainder
+    S_2000 - S_1000, decided in the fixed point of specfun._mathieu_fixed:
+    the two sums share their first 1000 floored terms, so their difference
+    is low by less than 1000 units of 2^-wp and the tail bound high by less
+    than one; one more unit covers the rounding of the margin to a float."""
     sweep = Sweep()
     for n in range(2, 51):
         sweep.add(float(n), float(Fraction(2 * n, (n * n + 1) ** 2)), 0.0)
-    coarse = specfun.mathieu_partial(1.0, 1000)
-    fine = specfun.mathieu_partial(1.0, 2000)
-    sweep.add(1000.0, coarse.abs_error_bound - float(fine.value - coarse.value), 1e-15)
+    with mp.workdps(cfg.dps):
+        wp = mp.prec + specfun._FIXED_GUARD_BITS
+    coarse, tail = specfun._mathieu_fixed(1.0, 1000, wp)
+    fine, _ = specfun._mathieu_fixed(1.0, 2000, wp)
+    sweep.add(1000.0, (tail - (fine - coarse)) / (1 << wp), math.ldexp(1002, -wp))
     return sweep.result()
 
 

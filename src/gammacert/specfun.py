@@ -13,16 +13,20 @@ truncation is added to the remainder (see _stirling_series).  ln Gamma's
 shift product prod_j (x+j) is formed exactly in integers and rounded once.
 An order whose error bound would exceed the float range (psi^(m)(x) ~
 m!/x^(m+1) at tiny x) raises DomainError.
-F_0(x) = ln Gamma(x+1) - p(x), the lambda-free part of H_lambda that the
-Thm 3.1/3.4 row pass and every H_lambda read, has its own kernel,
-_stirling_defect: it takes the shift of ln_gamma(x+1) and the same series,
-but sums u ln(z/u) - ln(prod/z^n) - (n + 1/2) + S(z) in fixed point, so
-ln sqrt(2 pi) and the x ln x terms cancel before anything is rounded and
-the error bound, stated there as a lemma, does not grow with x.
+F_0(x) = ln Gamma(x+1) - p(x), the lambda-free part of H_lambda, has its
+own kernel, _stirling_defect_fixed: it takes the shift of ln_gamma(x+1) and
+the same series, but sums u ln(z/u) - ln(prod/z^n) - (n + 1/2) + S(z) in
+fixed point, so ln sqrt(2 pi) and the x ln x terms cancel before anything
+is rounded and the error bound, stated there as a lemma, does not grow
+with x.  It returns the unrounded integer F_0 2^wp, in which the harness's
+Thm 3.1/3.4 row pass decides every row; _stirling_defect, which every
+H_lambda reads, is that integer rounded once into an mpf.
 The constants every call needs (ln sqrt(2 pi), the series target and the
 rounding allowance 10^(2-dps), which monotone, bounds and harness use too) are
 computed once per precision.  The Binet remainder theta(x) is evaluated
 by quadrature of its Laplace-type integral with an analytic tail bound.
+Mathieu's partial sums are formed in fixed point too, each term floored
+and the tail bound rounded up, so their error is counted, not allowed for.
 
 mpmath supplies the arbitrary-precision arithmetic, Bernoulli numbers and
 the tanh-sinh quadrature rule; the special-function algorithms themselves
@@ -322,9 +326,10 @@ def _floor_mul(a: int, f, shift: int) -> int:
     return t << exp if exp >= 0 else t >> -exp
 
 
-def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """F_0(x) = ln Gamma(x+1) - p(x) for finite x > 0, where p(x) = ln sqrt(2 pi)
-    + (x+1/2)(ln(x+1/2) - 1), with a certified absolute error bound.
+def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> tuple:
+    """(F, wp, err) with F 2^-wp = F_0(x) = ln Gamma(x+1) - p(x) for finite
+    x > 0, where p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1), to within
+    err, a float: F is the integer the kernel sums, not rounded.
 
     With u = x + 1/2 and z = x + 1 + n, n the shift that ln_gamma(x+1) takes
     (see _shift), ln Gamma(x+1) = ln Gamma(z) - ln prod_{j=1..n} (x+j) and
@@ -354,10 +359,8 @@ def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
         (2n + 4) 2^-wl, from the division and the log;
       - S(z) is off by at most its first omitted term |c_k| z^(1-2k) plus
         2^-wl (2 + |c_2| k^2)/z, the bound of _stirling_series's fixed-point
-        sum (_horner_slack);
-      - the result, rounded once into an mpf of prec bits, moves by at most
-        2^-prec of its size.
-    The returned bound is the sum of these terms.  The counts 3n + 2 and
+        sum (_horner_slack).
+    err is the sum of these terms.  The counts 3n + 2 and
     2n + 4 exceed the roundings they cover by at least 1.4 units of 2^-wl,
     which covers the float arithmetic of the bound itself, off by at most
     (6k + 8) 2^-53 of it while the series meets its target.
@@ -391,10 +394,17 @@ def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
             prod = math.prod(range(a + step, zi, step))
             ratio = libmp.mpf_div(libmp.from_int(prod), libmp.from_int(zi ** n), wl, "n")
             fixed -= _floor_mul(1, libmp.mpf_log(ratio, wl, "n"), wp)
+        return fixed, wp, math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + rem
+
+
+def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+    """F_0(x) of _stirling_defect_fixed rounded once into an mpf of prec
+    bits at cfg.dps, which moves it by at most 2^-prec of its size; that is
+    added to the kernel's bound."""
+    fixed, wp, err = _stirling_defect_fixed(x, cfg)
+    with mp.workdps(cfg.dps):
         val = mp.mpf((fixed, -wp))
-        err = (math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + rem
-               + math.ldexp(abs(float(val)), -mp.prec))
-        return SpecialValue(val, err)
+        return SpecialValue(val, err + math.ldexp(abs(float(val)), -mp.prec))
 
 
 # Maclaurin coefficients B_2k/(2k)!, k = 1..7, of
@@ -453,19 +463,39 @@ def harmonic_exact(n: int) -> Fraction:
     return total
 
 
-def mathieu_partial(r, terms: int) -> SpecialValue:
-    """Partial sum of Mathieu's series sum_{n>=1} 2n/(n^2+r^2)^2.
+def _mathieu_fixed(r, terms: int, wp: int) -> tuple:
+    """(S, B): S 2^-wp the partial sum sum_{n<=terms} 2n/(n^2+r^2)^2, every
+    term floored to wp fractional bits, and B 2^-wp its tail bound
+    1/(terms^2+r^2) rounded up.  r = R 2^s exactly (s = min(exp, 0)), so
+    n^2 + r^2 = (n^2 2^(-2s) + R^2) 2^(2s) is an exact integer times a power
+    of two; S is low by less than `terms` units of 2^-wp, B high by less
+    than one."""
+    _, man, e, _ = mp.mpf(r)._mpf_
+    s = min(e, 0)
+    r2, shift = (man << (e - s)) ** 2, -2 * s  # r^2 = r2 2^-shift
+    top = 1 << (wp + 2 * shift)
+    total = sum((2 * n * top) // ((n * n << shift) + r2) ** 2 for n in range(1, terms + 1))
+    return total, -((-1 << (wp + shift)) // ((terms * terms << shift) + r2))
 
-    The tail beyond N is below int_N^inf 2u/(u^2+r^2)^2 du = 1/(N^2+r^2),
-    which is folded into the error bound.
+
+def mathieu_partial(r, terms: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+    """Partial sum of Mathieu's series sum_{n>=1} 2n/(n^2+r^2)^2, formed in
+    fixed point at prec + _FIXED_GUARD_BITS bits of cfg.dps (_mathieu_fixed)
+    and rounded once.
+
+    The tail beyond N is below int_N^inf 2u/(u^2+r^2)^2 du = 1/(N^2+r^2).
+    The error bound adds that tail, rounded up, the N floors of the terms
+    and the exact rounding of the sum to an mpf, and is itself rounded up.
     """
     require_positive("r", r)
     if not (isinstance(terms, int) and terms >= 1):
         raise DomainError(f"terms must be a positive integer, got {terms!r}")
-    r2 = float(r) * float(r)
-    total = math.fsum(2.0 * n / (n * n + r2) ** 2 for n in range(1, terms + 1))
-    tail = 1.0 / (terms * terms + r2)
-    return SpecialValue(mp.mpf(total), tail + 1e-14 * total)
+    with mp.workdps(cfg.dps):
+        wp = mp.prec + _FIXED_GUARD_BITS
+        total, tail = _mathieu_fixed(r, terms, wp)
+        val = mp.mpf((total, -wp))
+        units = tail + terms + abs(_floor_mul(1, val._mpf_, wp) - total)
+        return SpecialValue(val, math.nextafter(units / (1 << wp), math.inf))
 
 
 def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:

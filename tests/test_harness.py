@@ -76,6 +76,30 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec(0.0, 1.0, 5, "geometric")
 
+    # points closer than the float spacing: 5e-324 repeats at the subnormal
+    # end; the linear grid repeats points; the log ratio rounds to 1, so
+    # every point is 1.0 and hi is never reached
+    _TOO_FINE = [(5e-324, 1.7976931348623157e308, 4000, "log"),
+                 (1.0, 1.0000000000000004, 10, "linear"),
+                 (1.0, 1.0000000000000004, 10, "log")]
+
+    @pytest.mark.parametrize("lo,hi,points,spacing", _TOO_FINE)
+    def test_values_finer_than_the_float_spacing_rejected(self, lo, hi, points, spacing):
+        with pytest.raises(ParameterError, match="finer than the float spacing"):
+            GridSpec(lo, hi, points, spacing).values()
+
+    @pytest.mark.parametrize("lo,hi,points,spacing", _TOO_FINE)
+    def test_verify_exits_two_on_a_grid_finer_than_the_float_spacing(self, lo, hi, points, spacing, capsys):
+        text = f"{lo!r}:{hi!r}:{points}:{spacing[:3]}"
+        assert cli.main(["verify", "--suite", "thm3.1", "--grid", text]) == 2
+        assert "finer than the float spacing" in capsys.readouterr().err
+
+    def test_values_just_coarser_than_the_float_spacing_accepted(self):
+        # 1 + k ulp for k = 0..4: the finest grids that stay strictly increasing
+        for spacing in ("linear", "log"):
+            vals = GridSpec(1.0, 1.0000000000000009, 5, spacing).values()
+            assert vals == [1.0 + k * math.ulp(1.0) for k in range(5)], spacing
+
 
 class TestRegistry:
     def test_suite_ids_cover_registry(self):
@@ -327,24 +351,24 @@ class TestContainment:
         # F_0(x) = ln Gamma(x+1) - p(x), which the rows read
         cfg = PrecisionConfig(working_digits=30)
         seen = []
-        defect = specfun._stirling_defect
+        defect = specfun._stirling_defect_fixed
 
         def recording_defect(x, cfg):
             seen.append((x, defect(x, cfg)))
             return seen[-1][1]
 
-        monkeypatch.setattr(harness.specfun, "_stirling_defect", recording_defect)
+        monkeypatch.setattr(harness.specfun, "_stirling_defect_fixed", recording_defect)
         harness._row_pass.cache_clear()  # a cached pass would make no call
         claim = _claim("thm3.1-eq3.1-containment")
         assert harness._run_claim(claim, cfg, claim.grid).verdict == "verified"
         xs = harness._GAMMA_GRID.values()[:50]
         assert len(seen) >= 50
         with mp.workdps(60):
-            for x, (xm, sv) in zip(xs, seen):
+            for x, (xm, (fixed, wp, err)) in zip(xs, seen):
                 assert xm == x and isinstance(xm, mp.mpf)
                 h = mp.mpf(x) + mp.mpf(1) / 2
                 ref = mp.loggamma(mp.mpf(x) + 1) - (mp.log(2 * mp.pi) / 2 + h * (mp.log(h) - 1))
-                assert abs(sv.value - ref) <= sv.abs_error_bound, x
+                assert abs(mp.ldexp(fixed, -wp) - ref) <= err, x
 
     @pytest.mark.parametrize("digits", [15, 30])
     def test_verified_harmonic_claims_have_no_float_margin(self, digits):
@@ -534,14 +558,14 @@ class TestSharedWork:
 
     @staticmethod
     def _count_defect(monkeypatch) -> list:
-        calls = []  # (x, working digits) of each specfun._stirling_defect call
-        defect = specfun._stirling_defect
+        calls = []  # (x, working digits) of each F_0 kernel call
+        defect = specfun._stirling_defect_fixed
 
         def counting_defect(x, cfg):
             calls.append((x, cfg.working_digits))
             return defect(x, cfg)
 
-        monkeypatch.setattr(specfun, "_stirling_defect", counting_defect)
+        monkeypatch.setattr(specfun, "_stirling_defect_fixed", counting_defect)
         return calls
 
     @pytest.mark.parametrize("grid", [None, GridSpec(1.1e-3, 100.0, 4000, "log")],
@@ -582,6 +606,26 @@ class TestSharedWork:
         rep = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
         assert rep.verdict != "verified"
         assert (rep.verdict, rep.argmin_x) == ("falsified", 57.0) and rep.min_margin < 0
+
+    @pytest.mark.parametrize("suite,grid", [("thm3.1", harness._GAMMA_GRID), ("thm3.4", harness._FACTORIAL_GRID)],
+                             ids=["thm3.1", "thm3.4"])
+    def test_row_pass_forms_no_lambda_term_per_point(self, suite, grid, monkeypatch):
+        # every row, the printed sides too, is decided in the F_0 kernel's
+        # fixed point: no grid point forms H_lambda as a SpecialValue
+        calls = []
+        inner = monotone._plus_lambda_term
+
+        def recording(f, k, xm, lm, cfg):
+            calls.append(float(xm))
+            return inner(f, k, xm, lm, cfg)
+
+        monkeypatch.setattr(monotone, "_plus_lambda_term", recording)
+        harness._row_pass.cache_clear()
+        reports = harness.run_suite(suite)
+        assert harness.exit_code(reports) == 0
+        assert set(calls).isdisjoint(grid.values())
+        # the rest is eq1.3's H_{1/2} at x = 1e4 and 1e-6, off the rows' grid
+        assert calls == ([1e4, 1e-6] if suite == "thm3.1" else [])
 
     def test_thm31_claims_alone_equal_suite(self):
         harness._row_pass.cache_clear()

@@ -1,8 +1,9 @@
 """Hypothesis properties: bad input raises DomainError, reports survive a
 render/parse round trip in both formats, a non-integer n exits 2,
-SpecialValue accepts exactly the finite nonnegative error bounds, and the
+SpecialValue accepts exactly the finite nonnegative error bounds, the
 F_0 kernel stays within its bound, which is no wider than the bound of
-ln Gamma(x+1) - p(x) formed the long way."""
+ln Gamma(x+1) - p(x) formed the long way, and every row margin of the
+fused Thm 3.1/3.4 pass lies within its stated error of a reference."""
 
 import contextlib
 import io
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from gammacert import DomainError, H_lambda, ParameterError, SpecialValue, digamma, ln_gamma, polygamma
-from gammacert import cli, harness, specfun
+from gammacert import bounds, cli, harness, specfun
 from gammacert.bounds import BoundFamily, FamilyId, gamma_bound_log
 from gammacert.config import FALSIFIED, INDETERMINATE, VERIFIED, PrecisionConfig
 from gammacert.harness import GridSpec, VerificationReport
@@ -162,3 +163,35 @@ def test_stirling_defect_within_its_bound_and_the_long_ways(x, digits):
         size = consts.ln_sqrt_2pi + h * (abs(mp.log(h)) + 1)
         long_way = lg.abs_error_bound + float((abs(lg.value) + size) * consts.eps)
     assert sv.abs_error_bound <= long_way, (x, digits)
+
+
+# the two Thm 3.1 rows, the corrected Thm 3.4 rows, then the printed sides
+_ALL_ROWS = harness._THM31_ROWS + harness._THM34_ROWS
+
+
+@given(x=_log_uniform_x, digits=st.sampled_from([15, 30]))
+@example(x=1e-300, digits=15)
+@example(x=1e15, digits=30)
+@example(x=1.0, digits=15)  # the corrected rows hold with equality at n = 1
+@example(x=100.0, digits=30)
+@settings(max_examples=60, deadline=None)
+def test_row_margins_within_their_error_of_a_reference(x, digits):
+    cfg = PrecisionConfig(working_digits=digits)
+    ref_cfg = PrecisionConfig(working_digits=2 * cfg.dps + 10)  # at 2 dps + 20 digits
+    rows = tuple(bounds._row_shape(r, cfg) for r in _ALL_ROWS)
+    [(at, scale, margins)] = harness._row_margins(rows, cfg, [x])
+    assert at == x
+    # one margin per side: both sides of the first four rows, one of the printed
+    assert [i for i, _, _ in margins] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 5]
+    with mp.workdps(ref_cfg.dps):
+        xm = mp.mpf(x)
+        h = xm + mp.mpf(1) / 2
+        f0 = mp.loggamma(xm + 1) - (mp.log(2 * mp.pi) / 2 + h * (mp.log(h) - 1))
+        refs = []
+        for r in _ALL_ROWS:
+            d, lam, c_lo, c_hi, _ = bounds._row_shape(r, ref_cfg)
+            target = f0 + 1 / (d * (xm + lam))
+            refs += [target - c for c in (c_lo,) if not mp.isinf(c)]
+            refs += [c - target for c in (c_hi,) if not mp.isinf(c)]
+        for (i, big_m, err), ref in zip(margins, refs):
+            assert abs(mp.mpf(big_m) / scale - ref) <= err, (x, digits, i, big_m / scale, ref, err)

@@ -28,7 +28,7 @@ from gammacert import (
     mathieu_partial,
     polygamma,
 )
-from gammacert import specfun
+from gammacert import harness, specfun
 from gammacert.monotone import default_cm_grid
 
 HI = PrecisionConfig(working_digits=30)
@@ -270,6 +270,24 @@ class TestShiftKernel:
             rounding = abs(Fraction(coeffs[0][2], 2 ** wp) - exact[0]) / zf ** 2 * (zf if m == -1 else zf ** -m)
             assert Fraction(rem.man) * Fraction(2) ** rem.exp >= rounding
 
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("x", [1, 12.5, 1e-300, 1e300, "wide", 0.001])
+    def test_defect_is_the_fixed_kernel_rounded_once(self, digits, x):
+        # F 2^-wp rounded into one mpf of prec bits, and the kernel's bound
+        # plus that rounding, 2^-prec of the value
+        cfg = PrecisionConfig(working_digits=digits)
+        x = self._x(x)
+        fixed, wp, err = specfun._stirling_defect_fixed(x, cfg)
+        sv = specfun._stirling_defect(x, cfg)
+        with mp.workdps(cfg.dps):
+            assert sv.value == mp.mpf((fixed, -wp))
+            assert sv.abs_error_bound == err + math.ldexp(abs(float(sv.value)), -mp.prec)
+        with mp.workdps(2 * cfg.dps + 20):
+            xm = mp.mpf(x)
+            h = xm + mp.mpf(1) / 2
+            ref = mp.loggamma(xm + 1) - (mp.log(2 * mp.pi) / 2 + h * (mp.log(h) - 1))
+            assert abs(mp.ldexp(fixed, -wp) - ref) <= err
+
     def test_constants_once_per_precision(self):
         cfg = PrecisionConfig(working_digits=17)
         specfun._constants.cache_clear()
@@ -344,6 +362,39 @@ class TestMathieu:
         # S(r) < 1/r^2 (classical), and S(1) > 0.5 (first two terms)
         s = mathieu_partial(1.0, 10000)
         assert 0.5 < float(s.value) < 1.0
+
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("r,terms", [(1.0, 1), (1.0, 1000), (0.3, 50), (2.5, 200), (1e-3, 10)])
+    def test_bound_holds_against_exact_sums(self, digits, r, terms):
+        # the fixed-point sum, its N floors and the rounded-up tail: S_N and
+        # S_N + 1/(N^2+r^2), which brackets the series, lie within the bound
+        sv = mathieu_partial(r, terms, PrecisionConfig(working_digits=digits))
+        exact = sum(Fraction(2 * n) / (n * n + Fraction(r) ** 2) ** 2 for n in range(1, terms + 1))
+        tail = 1 / (terms * terms + Fraction(r) ** 2)
+        man, exp = sv.value.man_exp
+        value = man * Fraction(2) ** exp
+        assert abs(value - exact) <= sv.abs_error_bound
+        assert abs(value - exact - tail) <= sv.abs_error_bound
+        # no relative allowance: the bound is the tail plus a few units of
+        # 2^-wp, rounded up to a float
+        assert Fraction(sv.abs_error_bound) - tail < 2 * math.ulp(sv.abs_error_bound) + Fraction(1, 10 ** 20)
+
+    @pytest.mark.parametrize("r,terms", [(1.0, 1000), (0.3, 50), (1e-3, 10), (1e3, 20)])
+    def test_fixed_sum_counts_one_floor_per_term(self, r, terms):
+        wp = 106
+        total, tail = specfun._mathieu_fixed(r, terms, wp)
+        exact = sum(Fraction(2 * n) / (n * n + Fraction(r) ** 2) ** 2 for n in range(1, terms + 1)) * 2 ** wp
+        assert 0 <= exact - total < terms
+        assert 0 <= tail - 2 ** wp / (terms * terms + Fraction(r) ** 2) < 1
+
+    def test_remark1_margin_keeps_its_digits(self):
+        # tail bound at N = 1000 less S_2000 - S_1000, in fixed point, at r = 1
+        claim = next(c for c in harness.REGISTRY if c.claim_id == "remark1-mathieu-partial")
+        margin, at, verdict = claim.runner(DEFAULT_CONFIG, claim.grid)
+        assert (verdict, at, format(margin, ".6g")) == ("verified", 1000.0, "2.50874e-07")
+        exact = Fraction(1, 1000 ** 2 + 1) - sum(Fraction(2 * n, (n * n + 1) ** 2) for n in range(1001, 2001))
+        assert margin == float(exact)
 
 
 class TestEulerGamma:
