@@ -114,12 +114,15 @@ class BoundPair:
         return self.lower - slop <= value <= self.upper + slop
 
 
-def _stirling_log(xm, cfg: PrecisionConfig):
-    """p(x) = ln sqrt(2 pi) + (x+1/2) (ln(x+1/2) - 1) at cfg.dps, the caller's
-    precision: the log of Stirling's sqrt(2 pi) ((x+1/2)/e)^(x+1/2), which
-    the displayed bound expressions add to their offsets."""
+def _stirling_log(xm, cfg: PrecisionConfig) -> tuple:
+    """(p(x), size) at cfg.dps, the caller's precision: p(x) = ln sqrt(2 pi) +
+    (x+1/2) (ln(x+1/2) - 1), the log of Stirling's sqrt(2 pi) ((x+1/2)/e)^(x+1/2),
+    which the displayed bound expressions add to their offsets, and size, a
+    float, the sum of the magnitudes of the terms p is formed from, so
+    size 10^(2-dps) bounds its rounding (the rule of specfun._constants)."""
     h = xm + specfun._HALF
-    return specfun._constants(cfg).ln_sqrt_2pi + h * (mp.log(h) - 1)
+    ln_s, log_h = specfun._constants(cfg).ln_sqrt_2pi, mp.log(h)
+    return ln_s + h * (log_h - 1), float(ln_s + h * (abs(log_h) + 1))
 
 
 # (lambda, x0 of c_lo, x0 of c_hi), c = H_lambda(x0) at x0 = 0+, 1 or inf (c = 0)
@@ -135,26 +138,33 @@ _ROWS = {
 
 @functools.lru_cache(maxsize=16)
 def _row(family: BoundFamily, cfg: PrecisionConfig) -> tuple:
-    """(lambda, c_lo, c_hi) of a row family at cfg.dps, once per family and precision, from
-    H_lambda(x0) = 1/(24 (x0+lambda)) - p(x0) at x0 = 0+, 1 (ln Gamma(x0+1) = 0 there)."""
+    """(lambda, c_lo, c_hi, size) of a row family at cfg.dps, once per family
+    and precision, from H_lambda(x0) = 1/(24 (x0+lambda)) - p(x0) at x0 = 0+, 1
+    (ln Gamma(x0+1) = 0 there); size, the sum of the magnitudes of the terms
+    the finite c are formed from, is summed next to each c."""
     lam, x_lo, x_hi = _ROWS[family.id]
     with mp.workdps(cfg.dps):
         lm = mp.mpf(family.lam if lam is None else lam)
 
         def H_at(x0):
             if x0 == math.inf or x0 + lm == 0:  # H_lambda(inf) = 0, H_0(0+) = inf
-                return mp.zero if x0 == math.inf else mp.inf
-            return 1 / (24 * (x0 + lm)) - _stirling_log(mp.mpf(x0), cfg)
+                return (mp.zero if x0 == math.inf else mp.inf), 0.0
+            a = 1 / (24 * (x0 + lm))
+            p, size = _stirling_log(mp.mpf(x0), cfg)
+            return a - p, float(abs(a)) + size
 
-        return lm, H_at(x_lo), H_at(x_hi)
+        (c_lo, size_lo), (c_hi, size_hi) = H_at(x_lo), H_at(x_hi)
+        return lm, c_lo, c_hi, size_lo + size_hi
 
 
 @functools.lru_cache(maxsize=8)
-def _printed_constant(cfg: PrecisionConfig):
-    """12 (3 - ln pi + ln(4/27)) of the printed Eqs. (3.12), (3.13) at cfg.dps,
-    once per precision."""
+def _printed_constant(cfg: PrecisionConfig) -> tuple:
+    """(K', size): K' = 12 (3 - ln pi + ln(4/27)) of the printed Eqs. (3.12),
+    (3.13) at cfg.dps, once per precision, and size, the sum of the
+    magnitudes of the terms it is formed from, as in _row."""
     with mp.workdps(cfg.dps):
-        return 12 * (3 - mp.log(mp.pi) + mp.log(mp.mpf(4) / 27))
+        ln_pi, ln_4_27 = mp.log(mp.pi), mp.log(mp.mpf(4) / 27)
+        return 12 * (3 - ln_pi + ln_4_27), float(12 * (3 + ln_pi + abs(ln_4_27)))
 
 
 def _row_shape(row, cfg: PrecisionConfig) -> tuple:
@@ -167,9 +177,9 @@ def _row_shape(row, cfg: PrecisionConfig) -> tuple:
     the magnitudes of the terms the finite constants are formed from, so
     size 10^(2-dps) bounds their rounding (the rule of specfun._constants);
     a float, as rough as that rule.  A row family of fixed lambda, named by
-    its FamilyId, has d = 24 and the (lambda, c_lo, c_hi) of _row, each c
-    being 1/(24 (x0+lambda)) - p(x0).  "upper" and "lower" name the printed
-    Eq. (3.12) upper and Eq. (3.13) lower sides,
+    its FamilyId, has d = 24 and the (lambda, c_lo, c_hi, size) of _row,
+    each c being 1/(24 (x0+lambda)) - p(x0).  "upper" and "lower" name the
+    printed Eq. (3.12) upper and Eq. (3.13) lower sides,
 
         ln n! <= p(n) + (K' - 1/(3 (n+1/2)))/24,  ln n! >= p(n) + (K' + 1/(5 (n+3/2)))/24,
 
@@ -179,16 +189,13 @@ def _row_shape(row, cfg: PrecisionConfig) -> tuple:
 
     K = K'/24 = (3 - ln pi + ln(4/27)) / 2."""
     if isinstance(row, FamilyId):
-        lam, *ends = _ROWS[row]
-        size = sum(1 / (24 * (x0 + lam)) + math.log(2 * math.pi) / 2 + (x0 + 0.5) * (abs(math.log(x0 + 0.5)) + 1)
-                   for x0 in ends if x0 < math.inf)
-        return (24, *_row(BoundFamily(row), cfg), size)
+        return (24, *_row(BoundFamily(row), cfg))
+    k_24, size_24 = _printed_constant(cfg)
     with mp.workdps(cfg.dps):
-        k = _printed_constant(cfg) / 24
-    size = (3 + math.log(math.pi) + abs(math.log(4 / 27))) / 2
+        k = k_24 / 24
     if row == "upper":
-        return 72, mp.mpf(1) / 2, mp.ninf, k, size
-    return -120, mp.mpf(3) / 2, k, mp.inf, size
+        return 72, mp.mpf(1) / 2, mp.ninf, k, size_24 / 24
+    return -120, mp.mpf(3) / 2, k, mp.inf, size_24 / 24
 
 
 def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
@@ -199,14 +206,14 @@ def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
     displayed BukacGamma."""
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        p = _stirling_log(xm, cfg)
+        p, _ = _stirling_log(xm, cfg)
         if family.id is FamilyId.BUKAC_GAMMA:
             return (p - 1 / (24 * xm),
                     p - 1 / (24 * (mp.sqrt(xm ** 2 + 3 * xm + mp.mpf(5) / 2) - mp.mpf(1) / 2)))
         if family.id is FamilyId.FACTORIAL_AS_PRINTED:
             lower, upper = _row_shape("lower", cfg), _row_shape("upper", cfg)
         else:
-            lower = upper = (24, *_row(family, cfg))
+            lower = upper = (24, *_row(family, cfg)[:3])
         return (p - 1 / (lower[0] * (xm + lower[1])) + lower[2],
                 p - 1 / (upper[0] * (xm + upper[1])) + upper[3])
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, SpecialValue, Sweep
 from .config import FALSIFIED, INDETERMINATE, VERIFIED
@@ -174,7 +174,7 @@ def _add_case(sweep, eps: float, p, target, lo, hi, side="both", allow_equality=
 
 
 def _row_margins(rows: tuple, cfg, xs):
-    """Yield (x, 2^wp, [(row, M, err)]) for each x of xs, one entry per
+    """Yield (x, 2^wp, [(row, M, err)]) for each float x of xs, one entry per
     side of each row: M 2^-wp is the margin of lo <= target on a lower side
     and of target <= hi on an upper one.  A row is (d, lambda, c_lo, c_hi,
     size), the shape c_lo <= F_0(x) + 1/(d (x+lambda)) <= c_hi of
@@ -213,29 +213,29 @@ def _row_margins(rows: tuple, cfg, xs):
     with mp.workdps(cfg.dps):
         wl = mp.prec + specfun._FIXED_GUARD_BITS
         eps = float(specfun._constants(cfg).eps)
-        shapes = []  # (d, man and exp of lambda, [(row, sign, c, error of the side)])
-        for i, (d, lam, c_lo, c_hi, size) in enumerate(rows):
-            _, lman, lexp, _ = lam._mpf_
-            c_err = math.ldexp(3, -wl) + size * eps
-            sides = [(i, sign, c._mpf_, c_err) for sign, c in ((1, c_lo), (-1, c_hi)) if not mp.isinf(c)]
-            shapes.append((d, lman, lexp, sides))
-        scaled = {}  # wp -> (2^wp, [C of each side, in shapes order])
-        for x in xs:
-            xm = mp.mpf(x)
-            fixed, wp, err = specfun._stirling_defect_fixed(xm, cfg)
-            if wp not in scaled:
-                scaled[wp] = (1 << wp, [specfun._floor_mul(1, c, wp)
-                                        for *_, sides in shapes for _, _, c, _ in sides])
-            scale, big_cs = scaled[wp]
-            _, man, e, _ = xm._mpf_
-            margins, j = [], 0
-            for d, lman, lexp, sides in shapes:
-                t = min(e, lexp)
-                big_t = (1 << (wp - t)) // (d * ((man << (e - t)) + (lman << (lexp - t))))
-                for i, sign, _, c_err in sides:
-                    margins.append((i, sign * (fixed + big_t - big_cs[j]), err + c_err))
-                    j += 1
-            yield x, scale, margins
+    shapes = []  # (d, man and exp of lambda, [(row, sign, c, error of the side)])
+    for i, (d, lam, c_lo, c_hi, size) in enumerate(rows):
+        _, lman, lexp, _ = lam._mpf_
+        c_err = math.ldexp(3, -wl) + size * eps
+        sides = [(i, sign, c._mpf_, c_err) for sign, c in ((1, c_lo), (-1, c_hi)) if not mp.isinf(c)]
+        shapes.append((d, lman, lexp, sides))
+    scaled = {}  # wp -> (2^wp, [C of each side, in shapes order])
+    for x in xs:
+        xm = mp.make_mpf(libmp.from_float(x))  # exact at any ambient precision
+        fixed, wp, err = specfun._stirling_defect_fixed(xm, cfg)
+        if wp not in scaled:
+            scaled[wp] = (1 << wp, [specfun._floor_mul(1, c, wp)
+                                    for *_, sides in shapes for _, _, c, _ in sides])
+        scale, big_cs = scaled[wp]
+        _, man, e, _ = xm._mpf_
+        margins, j = [], 0
+        for d, lman, lexp, sides in shapes:
+            t = min(e, lexp)
+            big_t = (1 << (wp - t)) // (d * ((man << (e - t)) + (lman << (lexp - t))))
+            for i, sign, _, c_err in sides:
+                margins.append((i, sign * (fixed + big_t - big_cs[j]), err + c_err))
+                j += 1
+        yield x, scale, margins
 
 
 @functools.lru_cache(maxsize=1)
@@ -319,7 +319,10 @@ def _run_mathieu(cfg, grid: GridSpec):
     S_2000 - S_1000, decided in the fixed point of specfun._mathieu_fixed:
     the two sums share their first 1000 floored terms, so their difference
     is low by less than 1000 units of 2^-wp and the tail bound high by less
-    than one; one more unit covers the rounding of the margin to a float."""
+    than one.  The margin is rounded once to a float, within 2^-53 of
+    itself; one more unit covers 2^-53 of the bound where the margin meets
+    it, so a float margin above 1002 units means a margin in integers above
+    1001 units and a true margin above 0."""
     sweep = Sweep()
     for n in range(2, 51):
         sweep.add(float(n), float(Fraction(2 * n, (n * n + 1) ** 2)), 0.0)

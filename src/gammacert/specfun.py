@@ -478,10 +478,10 @@ def _mathieu_fixed(r, terms: int, wp: int) -> tuple:
     return total, -((-1 << (wp + shift)) // ((terms * terms << shift) + r2))
 
 
-def mathieu_partial(r, terms: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+def mathieu_partial(r, terms: int) -> SpecialValue:
     """Partial sum of Mathieu's series sum_{n>=1} 2n/(n^2+r^2)^2, formed in
-    fixed point at prec + _FIXED_GUARD_BITS bits of cfg.dps (_mathieu_fixed)
-    and rounded once.
+    fixed point at prec + _FIXED_GUARD_BITS bits of DEFAULT_CONFIG.dps
+    (_mathieu_fixed) and rounded once.
 
     The tail beyond N is below int_N^inf 2u/(u^2+r^2)^2 du = 1/(N^2+r^2).
     The error bound adds that tail, rounded up, the N floors of the terms
@@ -490,7 +490,7 @@ def mathieu_partial(r, terms: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> Spe
     require_positive("r", r)
     if not (isinstance(terms, int) and terms >= 1):
         raise DomainError(f"terms must be a positive integer, got {terms!r}")
-    with mp.workdps(cfg.dps):
+    with mp.workdps(DEFAULT_CONFIG.dps):
         wp = mp.prec + _FIXED_GUARD_BITS
         total, tail = _mathieu_fixed(r, terms, wp)
         val = mp.mpf((total, -wp))

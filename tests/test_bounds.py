@@ -253,6 +253,31 @@ class TestCompareFamilies:
             assert (bounds._row(BoundFamily(FamilyId.SEVLI_BATIR_GAMMA), cfg)
                     == bounds._row(BoundFamily(FamilyId.QI_GAMMA_LOW), cfg))
 
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("row", [FamilyId.QI_GAMMA_LOW, FamilyId.QI_GAMMA_HIGH, FamilyId.FACTORIAL_HIGH,
+                                     FamilyId.FACTORIAL_LOW, "upper", "lower"])
+    def test_row_constants_within_size_of_a_reference(self, row, digits):
+        # size, summed where each constant is formed, covers the constants'
+        # rounding: size 10^(2-dps) against the same constants at 3 dps
+        cfg = PrecisionConfig(working_digits=digits)
+        *_, c_lo, c_hi, size = bounds._row_shape(row, cfg)
+        *_, ref_lo, ref_hi, _ = bounds._row_shape(row, PrecisionConfig(working_digits=3 * digits))
+        assert size > 0
+        with mp.workdps(3 * cfg.dps):
+            for c, ref in ((c_lo, ref_lo), (c_hi, ref_hi)):
+                assert mp.isinf(c) == mp.isinf(ref)
+                if not mp.isinf(c):
+                    assert abs(c - ref) <= size * mp.mpf(10) ** (2 - cfg.dps)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
+    def test_generic_row_has_a_size(self, lam):
+        # lambda from the family; c_lo = H_lambda(inf) = 0 is exact, and at
+        # lambda = 0 so is c_hi = H_0(0+) = inf, so no term is rounded
+        cfg = PrecisionConfig(working_digits=15)
+        lm, c_lo, c_hi, size = bounds._row(BoundFamily(FamilyId.QI_GAMMA_GENERIC, lam=lam), cfg)
+        assert lm == lam and c_lo == 0 and mp.isinf(c_hi) == (lam == 0)
+        assert size == 0 if lam == 0 else 1 < size < math.inf
+
 
 class TestDisplayedForms:
     """Each gamma and corrected factorial family against its displayed
