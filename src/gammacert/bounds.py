@@ -138,10 +138,12 @@ _ROWS = {
 
 @functools.lru_cache(maxsize=16)
 def _row(family: BoundFamily, cfg: PrecisionConfig) -> tuple:
-    """(lambda, c_lo, c_hi, size) of a row family at cfg.dps, once per family
-    and precision, from H_lambda(x0) = 1/(24 (x0+lambda)) - p(x0) at x0 = 0+, 1
-    (ln Gamma(x0+1) = 0 there); size, the sum of the magnitudes of the terms
-    the finite c are formed from, is summed next to each c."""
+    """((lambda, size), c_lo, c_hi) of a row family at cfg.dps, once per
+    family and precision, from H_lambda(x0) = 1/(24 (x0+lambda)) - p(x0) at
+    x0 = 0+, 1 (ln Gamma(x0+1) = 0 there).  size, the sum of the magnitudes
+    of the terms the finite c are formed from, is summed next to each c and
+    kept with lambda, apart from the two constants, which a caller may
+    replace by tightened ones."""
     lam, x_lo, x_hi = _ROWS[family.id]
     with mp.workdps(cfg.dps):
         lm = mp.mpf(family.lam if lam is None else lam)
@@ -154,7 +156,7 @@ def _row(family: BoundFamily, cfg: PrecisionConfig) -> tuple:
             return a - p, float(abs(a)) + size
 
         (c_lo, size_lo), (c_hi, size_hi) = H_at(x_lo), H_at(x_hi)
-        return lm, c_lo, c_hi, size_lo + size_hi
+        return (lm, size_lo + size_hi), c_lo, c_hi
 
 
 @functools.lru_cache(maxsize=8)
@@ -177,7 +179,7 @@ def _row_shape(row, cfg: PrecisionConfig) -> tuple:
     the magnitudes of the terms the finite constants are formed from, so
     size 10^(2-dps) bounds their rounding (the rule of specfun._constants);
     a float, as rough as that rule.  A row family of fixed lambda, named by
-    its FamilyId, has d = 24 and the (lambda, c_lo, c_hi, size) of _row,
+    its FamilyId, has d = 24 and the lambda, c_lo, c_hi and size of _row,
     each c being 1/(24 (x0+lambda)) - p(x0).  "upper" and "lower" name the
     printed Eq. (3.12) upper and Eq. (3.13) lower sides,
 
@@ -189,7 +191,8 @@ def _row_shape(row, cfg: PrecisionConfig) -> tuple:
 
     K = K'/24 = (3 - ln pi + ln(4/27)) / 2."""
     if isinstance(row, FamilyId):
-        return (24, *_row(BoundFamily(row), cfg))
+        (lam, size), c_lo, c_hi = _row(BoundFamily(row), cfg)
+        return 24, lam, c_lo, c_hi, size
     k_24, size_24 = _printed_constant(cfg)
     with mp.workdps(cfg.dps):
         k = k_24 / 24
@@ -213,7 +216,8 @@ def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
         if family.id is FamilyId.FACTORIAL_AS_PRINTED:
             lower, upper = _row_shape("lower", cfg), _row_shape("upper", cfg)
         else:
-            lower = upper = (24, *_row(family, cfg)[:3])
+            (lam, _), c_lo, c_hi = _row(family, cfg)
+            lower = upper = (24, lam, c_lo, c_hi)
         return (p - 1 / (lower[0] * (xm + lower[1])) + lower[2],
                 p - 1 / (upper[0] * (xm + upper[1])) + upper[3])
 

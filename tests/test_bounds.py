@@ -274,7 +274,7 @@ class TestCompareFamilies:
         # lambda from the family; c_lo = H_lambda(inf) = 0 is exact, and at
         # lambda = 0 so is c_hi = H_0(0+) = inf, so no term is rounded
         cfg = PrecisionConfig(working_digits=15)
-        lm, c_lo, c_hi, size = bounds._row(BoundFamily(FamilyId.QI_GAMMA_GENERIC, lam=lam), cfg)
+        (lm, size), c_lo, c_hi = bounds._row(BoundFamily(FamilyId.QI_GAMMA_GENERIC, lam=lam), cfg)
         assert lm == lam and c_lo == 0 and mp.isinf(c_hi) == (lam == 0)
         assert size == 0 if lam == 0 else 1 < size < math.inf
 

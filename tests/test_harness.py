@@ -412,11 +412,11 @@ class TestContainment:
         row = bounds._row
 
         def lowered(family, cfg):
-            lam, c_lo, c_hi, size = row(family, cfg)
+            lam, c_lo, c_hi = row(family, cfg)
             if family.id is FamilyId.FACTORIAL_HIGH:
                 with mp.workdps(cfg.dps):
                     c_hi -= mp.mpf("1e-13")
-            return lam, c_lo, c_hi, size
+            return lam, c_lo, c_hi
 
         monkeypatch.setattr(bounds, "_row", lowered)
         claim = _claim("thm3.4-eq3.12-corrected")
@@ -431,11 +431,11 @@ class TestContainment:
         row = bounds._row
 
         def raised(family, cfg):
-            lam, c_lo, c_hi, size = row(family, cfg)
+            lam, c_lo, c_hi = row(family, cfg)
             if family.id is FamilyId.QI_GAMMA_LOW:
                 with mp.workdps(cfg.dps):
                     c_lo = mp.mpf("2.4e-9")
-            return lam, c_lo, c_hi, size
+            return lam, c_lo, c_hi
 
         monkeypatch.setattr(bounds, "_row", raised)
         claim = _claim("thm3.1-eq3.1-containment")
@@ -655,11 +655,11 @@ class TestSharedWork:
         row = bounds._row
 
         def lowered(family, cfg):
-            lam, c_lo, c_hi, size = row(family, cfg)
+            lam, c_lo, c_hi = row(family, cfg)
             if family.id is FamilyId.QI_GAMMA_HIGH:
                 with mp.workdps(cfg.dps):
                     c_hi = mp.mpf("-4.1e-6")
-            return lam, c_lo, c_hi, size
+            return lam, c_lo, c_hi
 
         monkeypatch.setattr(bounds, "_row", lowered)
         patched = harness._run_claim(claim, DEFAULT_CONFIG, grid)
