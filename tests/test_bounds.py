@@ -258,7 +258,8 @@ class TestCompareFamilies:
                                      FamilyId.FACTORIAL_LOW, "upper", "lower"])
     def test_row_constants_within_size_of_a_reference(self, row, digits):
         # size, summed where each constant is formed, covers the constants'
-        # rounding: size 10^(2-dps) against the same constants at 3 dps
+        # rounding: size 10^(2-dps) against the same constants at three
+        # times the digits
         cfg = PrecisionConfig(working_digits=digits)
         *_, c_lo, c_hi, size = bounds._row_shape(row, cfg)
         *_, ref_lo, ref_hi, _ = bounds._row_shape(row, PrecisionConfig(working_digits=3 * digits))
