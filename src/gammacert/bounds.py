@@ -114,17 +114,6 @@ class BoundPair:
         return self.lower - slop <= value <= self.upper + slop
 
 
-def _stirling_log(xm, cfg: PrecisionConfig) -> tuple:
-    """(p(x), size) at cfg.dps, the caller's precision: p(x) = ln sqrt(2 pi) +
-    (x+1/2) (ln(x+1/2) - 1), the log of Stirling's sqrt(2 pi) ((x+1/2)/e)^(x+1/2),
-    which the displayed bound expressions add to their offsets, and size, a
-    float, the sum of the magnitudes of the terms p is formed from, so
-    size 10^(2-dps) bounds its rounding (the rule of specfun._constants)."""
-    h = xm + specfun._HALF
-    ln_s, log_h = specfun._constants(cfg).ln_sqrt_2pi, mp.log(h)
-    return ln_s + h * (log_h - 1), float(ln_s + h * (abs(log_h) + 1))
-
-
 # (lambda, x0 of c_lo, x0 of c_hi), c = H_lambda(x0) at x0 = 0+, 1 or inf (c = 0)
 _ROWS = {
     FamilyId.QI_GAMMA_LOW: (0.5, math.inf, 0),  # Eq. (3.1)
@@ -152,8 +141,8 @@ def _row(family: BoundFamily, cfg: PrecisionConfig) -> tuple:
             if x0 == math.inf or x0 + lm == 0:  # H_lambda(inf) = 0, H_0(0+) = inf
                 return (mp.zero if x0 == math.inf else mp.inf), 0.0
             a = 1 / (24 * (x0 + lm))
-            p, size = _stirling_log(mp.mpf(x0), cfg)
-            return a - p, float(abs(a)) + size
+            p, size = specfun._stirling_log(mp.mpf(x0), cfg)
+            return a - p, float(abs(a)) + float(size)
 
         (c_lo, size_lo), (c_hi, size_hi) = H_at(x_lo), H_at(x_hi)
         return (lm, size_lo + size_hi), c_lo, c_hi
@@ -209,7 +198,7 @@ def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
     displayed BukacGamma."""
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        p, _ = _stirling_log(xm, cfg)
+        p, _ = specfun._stirling_log(xm, cfg)
         if family.id is FamilyId.BUKAC_GAMMA:
             return (p - 1 / (24 * xm),
                     p - 1 / (24 * (mp.sqrt(xm ** 2 + 3 * xm + mp.mpf(5) / 2) - mp.mpf(1) / 2)))

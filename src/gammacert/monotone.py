@@ -234,19 +234,29 @@ def phi_integrand(t, lam):
     return a - b - tm * mp.exp(-lm * tm) / 24
 
 
+# tanh-sinh at degree d uses on the order of 20 * 2^d nodes.
+_QUAD_MAXDEGREE = 8
+
+
+def _quad_cutoff(x) -> float:
+    """Truncation point T = max(50, 60/x) of an improper Laplace-type
+    integral at x > 0, which puts e^{-xT} below e^{-60}."""
+    return max(50.0, 60.0 / float(x))
+
+
 def _laplace_quad(x, lam, cfg: PrecisionConfig, phi=None):
     """int_0^T phi_lambda(t) e^{-xt} dt by tanh-sinh quadrature with
-    T = specfun._quad_cutoff(x), so the omitted tail is e^{-60}-small in scale.
+    T = _quad_cutoff(x), so the omitted tail is e^{-60}-small in scale.
     `phi(t)` stands in for phi_integrand(t, lam) when given (a memo of it)."""
     if phi is None:
         phi = lambda t: phi_integrand(t, lam)
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        T = mp.mpf(specfun._quad_cutoff(x))
+        T = mp.mpf(_quad_cutoff(x))
         f = lambda t: phi(t) * mp.exp(-xm * t)
         pts = sorted({mp.mpf(0), min(1, T), min(10, T), min(30, T), T})
         try:
-            return mp.quad(f, pts, maxdegree=specfun._QUAD_MAXDEGREE)
+            return mp.quad(f, pts, maxdegree=_QUAD_MAXDEGREE)
         except Exception as exc:
             raise NumericalError(f"Laplace quadrature failed at x={x}, lambda={lam}") from exc
 
@@ -424,8 +434,12 @@ def lambda_star(tol, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThresholdResult:
     lambda_star = sup h.  A golden-section search on [1, 60], where h is
     unimodal, finds t; the lower end is h(t) in interval arithmetic, and
     the upper end, the lower plus tol, is proved by phi_sign_certificate.
-    The search decides only whether that proof succeeds; if it fails (tol
-    too small for the precision) NumericalError is raised.
+    Since d phi_lambda / d lambda = t^2 e^{-lambda t}/24 > 0, phi_lambda > 0
+    at one lambda proves it at every larger one, so the certificate runs at
+    min(upper end, 3/2): it cannot decide lambda above about 3, and a wide
+    tol would otherwise fail.  The search decides only whether that proof
+    succeeds; if it fails (tol too small for the precision) NumericalError
+    is raised.
     """
     require_positive("tol", tol)
     with mp.workdps(cfg.dps):
@@ -440,8 +454,9 @@ def lambda_star(tol, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThresholdResult:
     hi = float(Fraction(lo) + Fraction(tol))
     if Fraction(hi) - Fraction(lo) > Fraction(tol):
         hi = math.nextafter(hi, -math.inf)
-    if phi_sign_certificate(hi, 1, cfg)[2] != VERIFIED:
-        raise NumericalError(f"could not prove phi > 0 at lambda = {hi!r}; tol {tol!r} is too small")
+    proved_at = min(hi, 1.5)
+    if phi_sign_certificate(proved_at, 1, cfg)[2] != VERIFIED:
+        raise NumericalError(f"could not prove phi > 0 at lambda = {proved_at!r}; tol {tol!r} is too small")
     return ThresholdResult(lo, (lo, hi), t, float(tol))
 
 

@@ -1,36 +1,37 @@
 """Reference evaluation of gamma-related special functions.
 
-ln Gamma, psi and the polygammas are computed by recurrence-shifting the
-argument upward and applying the Stirling-type asymptotic series; on the
-positive real axis the truncation error of these series is bounded by the
-first omitted term, which is folded into the returned error bound.  One
+psi and the polygammas (orders m >= 0) are computed by recurrence-shifting
+the argument upward and applying the Stirling-type asymptotic series; on
+the positive real axis the truncation error of these series is bounded by
+the first omitted term, which is folded into the returned error bound.  One
 call of the series routine serves a range of orders from a single shift
 (cm_check takes psi^(0..5) at each grid point that way), and the series
 coefficients are cached per order and precision on first use.  The kept
 terms are summed by Horner's rule in fixed-point integers with 20 bits
 beyond the working precision, and rounded once; the bound of that sum's
-truncation is added to the remainder (see _stirling_series).  ln Gamma's
-shift product prod_j (x+j) is formed exactly in integers and rounded once.
-An order whose error bound would exceed the float range (psi^(m)(x) ~
-m!/x^(m+1) at tiny x) raises DomainError.
-F_0(x) = ln Gamma(x+1) - p(x), the lambda-free part of H_lambda, has its
-own kernel, _stirling_defect_fixed: it takes the shift of ln_gamma(x+1) and
-the same series, but sums u ln(z/u) - ln(prod/z^n) - (n + 1/2) + S(z) in
-fixed point, so ln sqrt(2 pi) and the x ln x terms cancel before anything
-is rounded and the error bound, stated there as a lemma, does not grow
-with x.  It returns the unrounded integer F_0 2^wp, in which the harness's
-Thm 3.1/3.4 row pass decides every row; _stirling_defect, which every
-H_lambda reads, is that integer rounded once into an mpf.
+truncation is added to the remainder (see _stirling_series).  An order
+whose error bound would exceed the float range (psi^(m)(x) ~ m!/x^(m+1) at
+tiny x) raises DomainError.
+ln Gamma has one route: F_0(x) = ln Gamma(x+1) - p(x), the lambda-free part
+of H_lambda, has its own kernel, _stirling_defect_fixed, which shifts x + 1
+upward the same way and sums u ln(z/u) - ln(prod/z^n) - (n + 1/2) + S(z)
+in fixed point, so ln sqrt(2 pi) and the x ln x terms cancel before
+anything is rounded and the error bound, stated there as a lemma, does not
+grow with x.  It returns the unrounded integer F_0 2^wp, in which the
+harness's Thm 3.1/3.4 row pass decides every row; _stirling_defect, which
+every H_lambda reads, is that integer rounded once into an mpf.  ln_gamma
+adds p(x) - ln x to it (p formed once, in _stirling_log) and binet_theta
+adds (x+1/2) ln(1 + 1/(2x)) - 1/2, each with the rounding rule below on
+the magnitudes of the terms it adds.
 The constants every call needs (ln sqrt(2 pi), the series target and the
 rounding allowance 10^(2-dps), which monotone, bounds and harness use too) are
-computed once per precision.  The Binet remainder theta(x) is evaluated
-by quadrature of its Laplace-type integral with an analytic tail bound.
-Mathieu's partial sums are formed in fixed point too, each term floored
-and the tail bound rounded up, so their error is counted, not allowed for.
+computed once per precision.  Mathieu's partial sums are formed in fixed
+point too, each term floored and the tail bound rounded up, so their error
+is counted, not allowed for.
 
-mpmath supplies the arbitrary-precision arithmetic, Bernoulli numbers and
-the tanh-sinh quadrature rule; the special-function algorithms themselves
-live here so their error bounds are explicit.
+mpmath supplies the arbitrary-precision arithmetic and the Bernoulli
+numbers; the special-function algorithms themselves live here so their
+error bounds are explicit.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from mpmath import libmp, mp
 from .config import (
     DEFAULT_CONFIG,
     DomainError,
-    NumericalError,
     PrecisionConfig,
     SpecialValue,
     require_positive,
@@ -88,16 +88,6 @@ def _constants(cfg: PrecisionConfig) -> _Constants:
 
 
 _HALF = mp.mpf(1) / 2  # exact at every precision
-
-# tanh-sinh at degree d uses on the order of 20 * 2^d nodes.
-_QUAD_MAXDEGREE = 8
-
-
-def _quad_cutoff(x) -> float:
-    """Truncation point T = max(50, 60/x) of an improper Laplace-type
-    integral at x > 0, which puts e^{-xT} below e^{-60}."""
-    return max(50.0, 60.0 / float(x))
-
 
 # bits below 2^-prec kept by the fixed-point sum of _stirling_series
 _FIXED_GUARD_BITS = 20
@@ -151,10 +141,10 @@ def _horner_slack(coeffs: list, k: int) -> float:
 
 
 def _stirling_series(m: int, z, consts: _Constants):
-    """Stirling series of psi^(m) at large z without its overall sign
-    (-1)^(m+1), as in _psi; returns (sum, remainder bound).
+    """Stirling series of psi^(m), m >= 0, at large z without its overall
+    sign (-1)^(m+1), as in _psi; returns (sum, remainder bound).
 
-    The terms c_j w^j zm, w = 1/z^2, zm = z^-m (z for m = -1), are kept as
+    The terms c_j w^j zm, w = 1/z^2, zm = z^-m, are kept as
     _series_terms decides; term k is the first omitted one.  The kept part
     S = sum_{j<k} c_j w^(j-1) is summed by Horner's rule in fixed point at
     wp = prec + _FIXED_GUARD_BITS bits, on the integers C_j (c_j 2^wp
@@ -176,11 +166,7 @@ def _stirling_series(m: int, z, consts: _Constants):
     relative and are covered by _psi's slack.
     """
     zinv = 1 / z
-    if m == -1:
-        log_z = mp.log(z)
-        s = (z - _HALF) * log_z - z + consts.ln_sqrt_2pi
-        zm = z
-    elif m == 0:
+    if m == 0:
         log_z = mp.log(z)
         s = zinv / 2 - log_z
         zm = mp.mpf(1)
@@ -210,19 +196,6 @@ def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
     return acc
 
 
-def _shift_product(xm, n: int):
-    """prod_{j<n} (x+j) for an mpf x, rounded once.  x = man 2^e exactly, so
-    with s = min(e, 0) every factor is the integer man 2^(e-s) + j 2^-s times
-    2^s, and the product is one integer times 2^(s n)."""
-    man, e = xm.man_exp
-    s = min(e, 0)
-    a, step = man << (e - s), 1 << -s
-    prod = 1
-    for j in range(n):
-        prod *= a + j * step
-    return mp.ldexp(mp.mpf(prod), s * n)
-
-
 def _shift(xf: float, thr: float, target, series) -> tuple:
     """(n, series(n)) for the upward shift of an argument xf (a float): n =
     ceil(thr - xf) steps when xf < thr, else 0.  series(n) returns a list of
@@ -240,13 +213,11 @@ def _shift(xf: float, thr: float, target, series) -> tuple:
 
 
 def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
-    """[psi^(m)(x) for m = mlo..mhi] for finite x > 0 and -1 <= mlo <= mhi,
-    where m = -1 stands for ln Gamma.
+    """[psi^(m)(x) for m = mlo..mhi] for finite x > 0 and 0 <= mlo <= mhi.
 
-    All orders share one upward shift to z = x + n by the recurrences
+    All orders share one upward shift to z = x + n by the recurrence
 
-        ln Gamma(x) = ln Gamma(z) - ln prod_j (x+j)
-        psi^(m)(x)  = psi^(m)(z) + (-1)^(m+1) m! sum_j (x+j)^(-m-1),
+        psi^(m)(x) = psi^(m)(z) + (-1)^(m+1) m! sum_j (x+j)^(-m-1),
 
     with n set by the shift threshold of the highest order, and psi^(m)(z)
     is summed from its Stirling series
@@ -260,39 +231,31 @@ def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
     and precision on first use, and the kept terms are summed by Horner's
     rule in 1/z^2, in fixed point (see _stirling_series).  An error bound
     past the float range raises DomainError naming the order and x.
-
-    The shift product of ln Gamma is one exact integer product, rounded
-    once into the argument of one log (see _shift_product); the reciprocal
-    powers (x+j)^(-m-1) are formed only when an order m >= 0 is asked for.
-    ln sqrt(2 pi), the series target and 10^(2-dps) come from _constants,
-    once per precision.
+    The series target and 10^(2-dps) come from _constants, once per
+    precision.
     """
     require_positive("x", x)
     orders = range(mlo, mhi + 1)
     with mp.workdps(cfg.dps):
         consts = _constants(cfg)
         xm = mp.mpf(x)
-        thr = _shift_threshold(cfg.working_digits) + max(mhi, 0)
+        thr = _shift_threshold(cfg.working_digits) + mhi
         n, series = _shift(float(xm), thr, consts.target,
                            lambda n: [_stirling_series(m, xm + n, consts) for m in orders])
         shifts = [mp.mpf(0)] * len(orders)
-        if mlo == -1 and n:
-            shifts[0] = -mp.log(_shift_product(xm, n))
-        if mhi >= 0:
-            first = max(mlo, 0)
-            for j in range(n):
-                r = 1 / (xm + j)
-                p = r ** (first + 1)
-                for i in range(first - mlo, len(orders)):
-                    shifts[i] += p  # (x+j)^-(m+1)
-                    p *= r
+        for j in range(n):
+            r = 1 / (xm + j)
+            p = r ** (mlo + 1)
+            for i in range(len(orders)):
+                shifts[i] += p  # (x+j)^-(m+1)
+                p *= r
         out = []
         for m, (s, rem), shift in zip(orders, series, shifts):
-            fact = math.factorial(max(m, 0))
+            fact = math.factorial(m)
             scaled = shift if fact == 1 else fact * shift  # m! shift
             total = s + scaled
             val = total if m % 2 else -total  # (-1)^(m+1) (s + m! shift)
-            # rounding slack for the shift products and elementary calls
+            # rounding slack for the shift sums and elementary calls
             slack = (abs(val) + abs(scaled) + fact) * consts.eps
             err = float(rem + slack)
             if err == math.inf:  # psi^(m)(x) ~ m!/x^(m+1) for tiny x
@@ -300,11 +263,6 @@ def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
                                   "exceeds the float range; x is too small")
             out.append(SpecialValue(val, err))
         return out
-
-
-def ln_gamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """ln Gamma(x) for finite x > 0 with a certified absolute error bound."""
-    return _psi(-1, -1, x, cfg)[0]
 
 
 def digamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -331,8 +289,8 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> tuple:
     x > 0, where p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1), to within
     err, a float: F is the integer the kernel sums, not rounded.
 
-    With u = x + 1/2 and z = x + 1 + n, n the shift that ln_gamma(x+1) takes
-    (see _shift), ln Gamma(x+1) = ln Gamma(z) - ln prod_{j=1..n} (x+j) and
+    With u = x + 1/2 and z = x + 1 + n, n the upward shift of x + 1 that
+    _shift picks, ln Gamma(x+1) = ln Gamma(z) - ln prod_{j=1..n} (x+j) and
     Stirling's series at z give
 
         F_0(x) = u ln(z/u) - ln(prod_{j=1..n} (x+j) / z^n) - (n + 1/2) + S(z),
@@ -407,50 +365,51 @@ def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
         return SpecialValue(val, err + math.ldexp(abs(float(val)), -mp.prec))
 
 
-# Maclaurin coefficients B_2k/(2k)!, k = 1..7, of
-# (1/(e^t - 1) - 1/t + 1/2)/t = sum B_2k t^(2k-2)/(2k)!.  Below the cutoff the
-# kernel is the polynomial through k = 6; the series alternates with
-# decreasing terms there, so the truncation is at most |B_14/14!| t^12.
-*_THETA_KERNEL_COEFFS, _THETA_FIRST_OMITTED = [
-    Fraction(*mp.bernfrac(2 * k)) / math.factorial(2 * k) for k in range(1, 8)
-]
-_THETA_TAYLOR_CUTOFF = "1e-2"
+def _stirling_log(xm, cfg: PrecisionConfig) -> tuple:
+    """(p(x), size) at cfg.dps, the caller's precision: p(x) = ln sqrt(2 pi) +
+    (x+1/2) (ln(x+1/2) - 1), the log of Stirling's sqrt(2 pi) ((x+1/2)/e)^(x+1/2),
+    which ln_gamma and the displayed bound expressions add, and size, an
+    mpf, the sum of the magnitudes of the terms p is formed from, so
+    size 10^(2-dps) bounds its rounding (the rule of _constants)."""
+    h = xm + _HALF
+    ln_s, log_h = _constants(cfg).ln_sqrt_2pi, mp.log(h)
+    return ln_s + h * (log_h - 1), ln_s + h * (abs(log_h) + 1)
 
 
-def _theta_kernel(t):
-    """(1/(e^t-1) - 1/t + 1/2)/t with the removable singularity patched."""
-    if t < mp.mpf(_THETA_TAYLOR_CUTOFF):
-        t2 = t * t
-        s = mp.mpf(0)
-        for c in reversed(_THETA_KERNEL_COEFFS):
-            s = s * t2 + mp.mpf(c.numerator) / c.denominator
-        return s
-    return (1 / mp.expm1(t) - 1 / t + mp.mpf(1) / 2) / t
+def ln_gamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+    """ln Gamma(x) for finite x > 0 with a certified absolute error bound,
+    read from the F_0 kernel (one _stirling_defect call) as
+
+        ln Gamma(x) = ln Gamma(x+1) - ln x = F_0(x) + p(x) - ln x,
+
+    p(x) from _stirling_log.  The bound is the kernel's plus the rounding of
+    the sum, 10^(2-dps) (|F_0| + size of p + |ln x|), the rule of _constants."""
+    with mp.workdps(cfg.dps):
+        xm = mp.mpf(x)
+        f0 = _stirling_defect(xm, cfg)
+        p, size = _stirling_log(xm, cfg)
+        log_x = mp.log(xm)
+        err = (abs(f0.value) + size + abs(log_x)) * _constants(cfg).eps
+        return SpecialValue(f0.value + p - log_x, f0.abs_error_bound + float(err))
 
 
 def binet_theta(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """Binet remainder theta(x) = int_0^inf (1/(e^t-1) - 1/t + 1/2) e^{-xt}/t dt.
+    """Binet remainder theta(x) = ln Gamma(x) - (x-1/2) ln x + x - ln sqrt(2 pi)
+    for finite x > 0, read from the F_0 kernel (one _stirling_defect call) as
 
-    The kernel is completely monotonic with value 1/12 at t = 0, so the
-    truncated tail beyond T is at most e^{-xT}/(12 x).  The Taylor form used
-    on [0, t0] adds at most |B_14/14!| t0^13 / 13.
-    """
-    require_positive("x", x)
+        theta(x) = F_0(x) + (x+1/2) ln(1 + 1/(2x)) - 1/2,
+
+    in which ln sqrt(2 pi) and the x ln x terms cancel.  The bound is the
+    kernel's plus the rounding of the sum, 10^(2-dps) (|F_0| +
+    |(x+1/2) ln(1 + 1/(2x))| + 1/2), the rule of _constants.  It is an
+    absolute bound: theta ~ 1/(12x) while the middle term stays near 1/2,
+    so at 15 digits it is about 1.2e-7 of theta at x = 1e15."""
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        T = mp.mpf(_quad_cutoff(x))
-        f = lambda t: _theta_kernel(t) * mp.exp(-xm * t)
-        t0 = mp.mpf(_THETA_TAYLOR_CUTOFF)
-        pts = sorted({mp.mpf(0), min(t0, T), min(1, T), min(10, T), T})
-        try:
-            val, qerr = mp.quad(f, pts, error=True, maxdegree=_QUAD_MAXDEGREE)
-        except Exception as exc:  # pragma: no cover
-            raise NumericalError(f"theta quadrature failed at x={x}") from exc
-        tail = mp.exp(-xm * T) / (12 * xm)
-        c = abs(_THETA_FIRST_OMITTED)
-        taylor = mp.mpf(c.numerator) / c.denominator * t0 ** 13 / 13
-        err = 10 * abs(qerr) + tail + taylor + abs(val) * _constants(cfg).eps
-        return SpecialValue(val, float(err))
+        f0 = _stirling_defect(xm, cfg)
+        b = (xm + _HALF) * mp.log1p(1 / (2 * xm))
+        err = (abs(f0.value) + abs(b) + _HALF) * _constants(cfg).eps
+        return SpecialValue(f0.value + b - _HALF, f0.abs_error_bound + float(err))
 
 
 def harmonic_exact(n: int) -> Fraction:

@@ -520,13 +520,13 @@ class TestSharedWork:
     def test_factorial_sweeps_alone_equal_suite(self, monkeypatch):
         calls = self._count_defect(monkeypatch)
         stirling_calls = []
-        stirling_log = bounds._stirling_log
+        stirling_log = specfun._stirling_log
 
         def counting_stirling_log(xm, cfg):
             stirling_calls.append(xm)
             return stirling_log(xm, cfg)
 
-        monkeypatch.setattr(bounds, "_stirling_log", counting_stirling_log)
+        monkeypatch.setattr(specfun, "_stirling_log", counting_stirling_log)
         harness._row_pass.cache_clear()
         suite = {r.claim_id: dataclasses.replace(r, runtime_ms=0) for r in harness.run_suite("thm3.4")}
         # one F_0(n) per n serves all four claims
@@ -543,13 +543,13 @@ class TestSharedWork:
         # so p(n) is formed for no n; the two calls are the row constants
         # H_lambda(1) of the corrected Eqs. (3.12), (3.13)
         stirling_calls = []
-        stirling_log = bounds._stirling_log
+        stirling_log = specfun._stirling_log
 
         def counting_stirling_log(xm, cfg):
             stirling_calls.append(xm)
             return stirling_log(xm, cfg)
 
-        monkeypatch.setattr(bounds, "_stirling_log", counting_stirling_log)
+        monkeypatch.setattr(specfun, "_stirling_log", counting_stirling_log)
         harness._row_pass.cache_clear()
         bounds._row.cache_clear()
         reports = harness.run_suite("thm3.4")
@@ -573,13 +573,13 @@ class TestSharedWork:
     def test_thm31_rows_share_one_ln_gamma_per_point(self, grid, monkeypatch):
         calls = self._count_defect(monkeypatch)
         stirling_calls = []
-        stirling_log = bounds._stirling_log
+        stirling_log = specfun._stirling_log
 
         def counting_stirling_log(xm, cfg):
             stirling_calls.append(xm)
             return stirling_log(xm, cfg)
 
-        monkeypatch.setattr(bounds, "_stirling_log", counting_stirling_log)
+        monkeypatch.setattr(specfun, "_stirling_log", counting_stirling_log)
         harness._row_pass.cache_clear()
         reports = harness.run_suite("thm3.1", grid_override=grid)
         assert [r.verdict for r in reports] == [c.expected for c in harness.claims_for_suite("thm3.1")]

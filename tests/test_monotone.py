@@ -1,6 +1,7 @@
 """Tests for the monotonicity machinery: H_lambda and its derivatives, the
 Laplace-density integrand, the threshold search, and the exact series layer."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,15 @@ class TestThreshold:
         lo, hi = lambda_star(1e-8, PrecisionConfig(working_digits=digits)).bracket
         assert lo <= 0.65184989034125658 <= hi
         assert hi - lo <= 1e-8
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_lambda_star_wide_tol_is_proven_at_three_halves(self, digits):
+        # phi_lambda increases in lambda, so the proof at min(hi, 3/2) covers
+        # hi = lo + 5, a lambda the certificate cannot decide by itself
+        lo, hi = lambda_star(5, PrecisionConfig(working_digits=digits)).bracket
+        assert lo <= 0.65184989034125658 <= hi
+        assert Fraction(hi) - Fraction(lo) <= 5
+        assert lo + 5 - hi <= math.ulp(lo + 5)
 
     def test_lambda_star_tol_below_precision_raises(self):
         before = iv.prec

@@ -2,8 +2,9 @@
 render/parse round trip in both formats, a non-integer n exits 2,
 SpecialValue accepts exactly the finite nonnegative error bounds, the
 F_0 kernel stays within its bound, which is no wider than the bound of
-ln Gamma(x+1) - p(x) formed the long way, and every row margin of the
-fused Thm 3.1/3.4 pass lies within its stated error of a reference."""
+ln Gamma(x+1) - p(x) formed the long way, ln_gamma and binet_theta, which
+read that kernel, stay within theirs, and every row margin of the fused
+Thm 3.1/3.4 pass lies within its stated error of a reference."""
 
 import contextlib
 import io
@@ -13,7 +14,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
-from gammacert import DomainError, H_lambda, ParameterError, SpecialValue, digamma, ln_gamma, polygamma
+from gammacert import (
+    DomainError,
+    H_lambda,
+    ParameterError,
+    SpecialValue,
+    binet_theta,
+    digamma,
+    ln_gamma,
+    polygamma,
+)
 from gammacert import bounds, cli, harness, specfun
 from gammacert.bounds import BoundFamily, FamilyId, gamma_bound_log
 from gammacert.config import FALSIFIED, INDETERMINATE, VERIFIED, PrecisionConfig
@@ -144,11 +154,17 @@ _log_uniform_x = st.floats(math.log(1e-300), math.log(1e15)).map(math.exp)
 @example(x=1e-300, digits=60)
 @example(x=1e15, digits=15)
 @example(x=9.0, digits=15)  # x + 1 at the shift threshold: no shift
+# z = x + 1 = 1e40: W = 0 and the series keeps c_1 alone, whose rounding
+# the bound must cover too
+@example(x=1e40, digits=15)
+@example(x=1e40, digits=60)
 @settings(max_examples=80, deadline=None)
 def test_stirling_defect_within_its_bound_and_the_long_ways(x, digits):
     cfg = PrecisionConfig(working_digits=digits)
     sv = specfun._stirling_defect(x, cfg)
-    with mp.workdps(2 * cfg.dps + 20):
+    # digits enough to keep the cancellation of ln Gamma(x+1) ~ x ln x exact
+    # past x = 1e15, as at the x = 1e40 example
+    with mp.workdps(2 * cfg.dps + 20 + max(0, math.ceil(math.log10(x)) - 15)):
         xm = mp.mpf(x)
         h = xm + mp.mpf(1) / 2
         ref = mp.loggamma(xm + 1) - (mp.log(2 * mp.pi) / 2 + h * (mp.log(h) - 1))
@@ -163,6 +179,24 @@ def test_stirling_defect_within_its_bound_and_the_long_ways(x, digits):
         size = consts.ln_sqrt_2pi + h * (abs(mp.log(h)) + 1)
         long_way = lg.abs_error_bound + float((abs(lg.value) + size) * consts.eps)
     assert sv.abs_error_bound <= long_way, (x, digits)
+
+
+@given(x=_log_uniform_x, digits=st.sampled_from([15, 30, 60]))
+# theta(1e10) = 8.3e-12; at 15 digits mp.quad errs by 6.5e-33 here, above
+# the 8.3e-35 that its error estimate gave as a bound
+@example(x=1e10, digits=15)
+@example(x=1e-300, digits=60)
+@example(x=1e15, digits=15)
+@settings(max_examples=80, deadline=None)
+def test_ln_gamma_and_binet_theta_within_their_bounds(x, digits):
+    cfg = PrecisionConfig(working_digits=digits)
+    lg, theta = ln_gamma(x, cfg), binet_theta(x, cfg)
+    with mp.workdps(2 * cfg.dps + 20):
+        xm = mp.mpf(x)
+        ref = mp.loggamma(xm)
+        assert abs(lg.value - ref) <= lg.abs_error_bound, (x, digits)
+        ref_theta = ref - (xm - mp.mpf(1) / 2) * mp.log(xm) + xm - mp.log(2 * mp.pi) / 2
+        assert abs(theta.value - ref_theta) <= theta.abs_error_bound, (x, digits)
 
 
 # the two Thm 3.1 rows, the corrected Thm 3.4 rows, then the printed sides
