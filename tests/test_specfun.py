@@ -9,11 +9,12 @@ import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 
 from gammacert import (
     DEFAULT_CONFIG,
@@ -222,6 +223,43 @@ class TestShiftKernel:
             for m, sv in values:
                 oracle = mp.loggamma(xm) if m == -1 else mp.polygamma(m, xm)
                 assert abs(sv.value - oracle) <= sv.abs_error_bound, (x, m)
+
+    @pytest.mark.parametrize("digits", [15, 30, 40])
+    @pytest.mark.parametrize("x", [2.5, 7, 1e-300, "wide"])
+    def test_shift_product_is_rounded_once(self, digits, x, monkeypatch):
+        # the F_0 kernel forms prod_{j=1..n} (x+j) as one exact integer
+        # product and rounds its ratio to z^n, z = x + 1 + n, once, to nearest
+        # at wl bits, before taking its log; past the shift threshold (n = 0)
+        # it forms no product
+        cfg = PrecisionConfig(working_digits=digits)
+        products, logs = [], []
+
+        def prod(factors):
+            products.append(list(factors))
+            return math.prod(products[-1])
+
+        def mpf_log(f, prec, rnd):
+            logs.append(f)
+            return libmp.mpf_log(f, prec, rnd)
+
+        monkeypatch.setattr(specfun, "math", types.SimpleNamespace(**{**vars(math), "prod": prod}))
+        monkeypatch.setattr(specfun, "libmp", types.SimpleNamespace(**{**vars(libmp), "mpf_log": mpf_log}))
+        specfun._stirling_defect_fixed(self._x(x), cfg)
+        with mp.workdps(cfg.dps):
+            wl = mp.prec + specfun._FIXED_GUARD_BITS
+            man, e = mp.mpf(self._x(x)).man_exp
+        xq, scale = Fraction(man) * Fraction(2) ** e, Fraction(2) ** min(e, 0)
+        [factors] = products
+        n = len(factors)
+        assert n >= 1
+        assert [f * scale for f in factors] == [xq + j for j in range(1, n + 1)]
+        ratio = math.prod(xq + j for j in range(1, n + 1)) / (xq + 1 + n) ** n
+        assert len(logs) == 2  # ln(1 + q), then the log of the ratio
+        assert logs[1] == libmp.from_rational(ratio.numerator, ratio.denominator, wl, "n")
+        products.clear()
+        logs.clear()
+        specfun._stirling_defect_fixed(1e300, cfg)
+        assert products == [] and len(logs) == 1
 
     @pytest.mark.parametrize("digits", [15, 60])
     @pytest.mark.parametrize("m", range(-1, 7))
