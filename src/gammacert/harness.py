@@ -220,7 +220,7 @@ def _row_margins(rows: tuple, cfg, xs):
     scaled = {}  # wp -> (2^wp, [C of each side, in shapes order])
     for x in xs:
         xm = mp.make_mpf(libmp.from_float(x))  # exact at any ambient precision
-        fixed, wp, err = specfun._stirling_defect_fixed(xm, cfg)
+        [fixed], wp, [err] = specfun._stirling_defect_fixed(xm, cfg)
         if wp not in scaled:
             scaled[wp] = (1 << wp, [specfun._floor_mul(1, c, wp)
                                     for *_, sides in shapes for _, _, c, _ in sides])
@@ -365,7 +365,9 @@ def _run_kth_root(cfg, grid: GridSpec):
     """kth_root_bound(k) <= 3/2 for k = 4..200, decided exactly by the sign
     of the integer monotone.kth_root_gap(k).  The margin reported is
     1.5 - kth_root_bound(k) with the sign the integer decides, so a float
-    root can size the margin but never turn the verdict."""
+    root can size the margin but never turn the verdict.  Every k >= 4
+    holds, not only the sampled ones: 3^(k-2) - 1 < 3 3^(k-3) <= 2(k-2) 3^(k-3),
+    since 2(k-2) >= 3."""
     sweep = Sweep()
     for k in range(4, 201):
         margin = 1.5 - monotone.kth_root_bound(k)

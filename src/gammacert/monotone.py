@@ -64,88 +64,68 @@ __all__ = [
 
 
 def _check_lambda(lam) -> None:
-    if lam < 0:
-        raise DomainError(f"lambda must be nonnegative, got {lam!r}")
+    if not 0 <= lam < math.inf:  # rejects nan and +-inf too
+        raise DomainError(f"lambda must be finite and nonnegative, got {lam!r}")
 
 
-_HALF = mp.mpf(1) / 2
+def _plus_lambda_fixed(f: int, k: int, xm, lm, wp: int) -> int:
+    """H_lambda^(k)(x) 2^wp = f + (-1)^k floor(k! 2^wp / (24 (x+lambda)^(k+1))),
+    within one unit more than f = F_k(x) 2^wp, an integer of the kernel
+    (specfun._stirling_defect_fixed); xm = x and lm = lambda are mpf.  Both
+    are exact integers times powers of two, so x + lambda = Y 2^t is exact
+    and the lambda term is the floor of one integer quotient."""
+    _, xman, xe, _ = xm._mpf_
+    _, lman, le, _ = lm._mpf_
+    t = min(xe, le)
+    shift, num = wp - t * (k + 1), math.factorial(k)
+    den = 24 * ((xman << (xe - t)) + (lman << (le - t))) ** (k + 1)
+    term = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    return f - term if k % 2 else f + term
 
 
-def _H_free(k: int, xm, cfg: PrecisionConfig, ps=None) -> SpecialValue:
-    """F_k(x), the lambda-free part of H_lambda^(k) (k >= 0), at cfg.dps,
-    the caller's precision, for an mpf xm.  F_0(x) = ln Gamma(x+1) - p(x)
-    comes from specfun._stirling_defect, which never forms ln Gamma(x+1) or
-    p(x) themselves; for k >= 1, F_k(x) = psi^(k-1)(x+1) + t_log with
-
-        t_log = (-1)^(k-1) (k-2)! / (x+1/2)^(k-1),
-
-    which reads -ln(x+1/2) at k = 1.  `ps` is psi^(k-1)(x+1) when the
-    caller already has it.  The error adds the rounding of both terms,
-    (|ps| + |t_log|) 10^(2-dps), to ps's."""
-    if k == 0:
-        return specfun._stirling_defect(xm, cfg)
-    if ps is None:  # x + 1 at full precision, never rounded to float64
-        ps = specfun.digamma(xm + 1, cfg) if k == 1 else specfun.polygamma(k - 1, xm + 1, cfg)
-    t_log = (-mp.log(xm + _HALF) if k == 1
-             else (-1) ** (k - 1) * mp.factorial(k - 2) / (xm + _HALF) ** (k - 1))
-    slack = (abs(ps.value) + abs(t_log)) * specfun._constants(cfg).eps
-    return SpecialValue(ps.value + t_log, ps.abs_error_bound + float(slack))
-
-
-def _plus_lambda_term(f: SpecialValue, k: int, xm, lm, cfg: PrecisionConfig) -> SpecialValue:
-    """H_lambda^(k)(x) = F_k(x) + (-1)^k k! / (24 (x+lambda)^(k+1)) from
-    f = _H_free(k, xm, cfg) at cfg.dps, the caller's precision, for lm =
-    lambda (an mpf, converted once by the caller); k = 0 adds 1/(24 (x+lambda))
-    directly.  The lambda term adds its rounding, |term| 10^(2-dps), to f's
-    error."""
-    y = xm + lm
-    t_cor = 1 / (24 * y) if k == 0 else (-1) ** k * mp.factorial(k) / (24 * y ** (k + 1))
-    slack = abs(t_cor) * specfun._constants(cfg).eps
-    return SpecialValue(f.value + t_cor, f.abs_error_bound + float(slack))
-
-
-def _H_deriv(k: int, x, lam, cfg: PrecisionConfig, ps=None) -> SpecialValue:
-    """k-th derivative (k >= 0) of H_lambda: F_0(x) + 1/(24 (x+lambda)) at
-    k = 0, and for k >= 1
-
-        psi^(k-1)(x+1) + (-1)^(k-1) (k-2)! / (x+1/2)^(k-1)
-                       + (-1)^k k! / (24 (x+lambda)^(k+1)),
-
-    the lambda-free part F_k of _H_free plus the lambda term of
-    _plus_lambda_term.  `ps` is psi^(k-1)(x+1), k >= 1, when the caller
-    already has it.  Callers that sweep lambda at a fixed x compute F_k once and
-    call _plus_lambda_term per lambda."""
+def _H_rounded(k: int, x, lam, cfg: PrecisionConfig) -> SpecialValue:
+    """H_lambda^(k)(x), k >= 0: the kernel's F_k plus the lambda term
+    (_plus_lambda_fixed), one integer rounded once (specfun._rounded).  The
+    bound is the kernel's, one unit of 2^-wp for the term's floor and the
+    rounding."""
     with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        return _plus_lambda_term(_H_free(k, xm, cfg, ps), k, xm, mp.mpf(lam), cfg)
+        xm, lm = mp.mpf(x), mp.mpf(lam)
+    fs, wp, errs = specfun._stirling_defect_fixed(xm, cfg, k)
+    return specfun._rounded(_plus_lambda_fixed(fs[k], k, xm, lm, wp), wp,
+                            errs[k] + math.ldexp(1, -wp), cfg)
 
 
 def H_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """H_lambda(x) = F_0(x) + 1/(24 (x+lambda)), F_0 from
-    specfun._stirling_defect with its certified error bound."""
+    """H_lambda(x) = F_0(x) + 1/(24 (x+lambda)), F_0 from the kernel
+    specfun._stirling_defect_fixed, with its certified error bound (see
+    _H_rounded)."""
     require_positive("x", x)
     _check_lambda(lam)
-    return _H_deriv(0, x, lam, cfg)
+    return _H_rounded(0, x, lam, cfg)
 
 
 def H_lambda_prime(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """H_lambda'(x) = psi(x+1) - ln(x+1/2) - 1/(24 (x+lambda)^2)."""
+    """H_lambda'(x) = psi(x+1) - ln(x+1/2) - 1/(24 (x+lambda)^2), the
+    closed-form path of the Laplace check."""
     return H_lambda_deriv(1, x, lam, cfg)
 
 
 def H_lambda_deriv(n: int, x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """n-th derivative of H_lambda, n >= 1, in closed form.
+    """n-th derivative of H_lambda, n >= 1, in closed form:
 
-    For n >= 2 (validated against central finite differences):
+        H^(n)(x) = F_n(x) + (-1)^n n! / (24 (x+lambda)^(n+1)),
 
-        H^(n)(x) = psi^(n-1)(x+1) + (-1)^(n-1) (n-2)! / (x+1/2)^(n-1)
-                                  + (-1)^n n! / (24 (x+lambda)^(n+1))
+    F_n(x) = psi^(n-1)(x+1) + (-1)^(n-1) (n-2)! / (x+1/2)^(n-1) for n >= 2
+    and psi(x+1) - ln(x+1/2) at n = 1, summed by the kernel
+    specfun._stirling_defect_fixed; the lambda term is added to its integer
+    and the sum rounded once (_H_rounded).  Validated against central
+    finite differences and mpmath's polygamma.
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"derivative order must be a positive integer, got {n!r}")
     require_positive("x", x)
     _check_lambda(lam)
-    return _H_deriv(n, x, lam, cfg)
+    return _H_rounded(n, x, lam, cfg)
 
 
 def _phi_taylor_cutoff(lm):
@@ -228,6 +208,8 @@ def phi_integrand(t, lam):
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
     tm, lm = mp.mpf(t), mp.mpf(lam)
+    if mp.isnan(lm):
+        raise DomainError(f"lambda must not be nan, got {lam!r}")
     if tm < _phi_taylor_cutoff(lm):
         return _phi_taylor(tm, lm)  # needs no exponential
     a, b = _phi_terms(tm)
@@ -481,18 +463,13 @@ class CMReport:
 
 @functools.lru_cache(maxsize=1)
 def _free_table(grid: tuple, max_order: int, cfg: PrecisionConfig) -> tuple:
-    """((F_0(x), ..., F_max_order(x)) for each x of grid), the lambda-free
-    parts of H_lambda^(0..max_order) (see _H_free): F_0 from
-    specfun._stirling_defect, the others from one specfun._psi call per x
-    for psi^(0..max_order-1)(x+1); the last table built is kept."""
-    with mp.workdps(cfg.dps):  # x + 1 at full precision, never rounded to float64
-        table = []
-        for x in grid:
-            xm = mp.mpf(x)
-            psis = specfun._psi(0, max_order - 1, xm + 1, cfg)
-            frees = (_H_free(0, xm, cfg), *(_H_free(k, xm, cfg, ps) for k, ps in enumerate(psis, 1)))
-            table.append((xm, frees))
-        return tuple(table)
+    """((x, Fs, wp, errs) for each x of grid): x an mpf and Fs[k] 2^-wp =
+    F_k(x), k = 0..max_order, the lambda-free parts of H_lambda^(0..max_order)
+    within errs[k], from one call of the kernel specfun._stirling_defect_fixed
+    per x, never rounded; the last table built is kept."""
+    with mp.workdps(cfg.dps):  # x at full precision, never rounded to float64
+        xms = [mp.mpf(x) for x in grid]
+    return tuple((xm, *specfun._stirling_defect_fixed(xm, cfg, max_order)) for xm in xms)
 
 
 def cm_check(
@@ -505,47 +482,54 @@ def cm_check(
     """Check s * (-1)^n H_lambda^(n)(x) >= 0 for n = 0..max_order on a grid.
 
     H_lambda^(n)(x) is F_n(x), which does not depend on lambda, plus the
-    lambda term (see _H_deriv).  F_0 comes from specfun._stirling_defect;
-    F_n for n >= 1 needs psi^(n-1)(x+1), and one specfun._psi call per grid
-    point returns orders 0..max_order-1 from a single upward shift, each
-    with its own first-omitted-term bound.
-    F_0..F_max_order are kept in a table keyed on the grid, max_order and
-    cfg (one table at a time), so sweeps that differ only in lambda or
-    sign, such as the eight Thm 2.1 sweeps of `gammacert verify`, compute
-    them once and add only the lambda term per row.
+    lambda term (-1)^n n!/(24 (x+lambda)^(n+1)).  One call of the kernel
+    specfun._stirling_defect_fixed per grid point returns F_0..F_max_order
+    as integers F 2^wp from a single upward shift, each with its own bound
+    err.  They are kept in a table keyed on the grid, max_order and cfg
+    (one table at a time, _free_table), so sweeps that differ only in
+    lambda or sign, such as the eight Thm 2.1 sweeps of `gammacert verify`,
+    compute them once.
 
-    Margins are computed interval-safely: "verified" needs every margin
-    to exceed its evaluation-error bound, "falsified" needs some margin
-    below minus its bound, and a borderline sweep is "indeterminate".
-    This call does not retry; `gammacert verify` reruns an indeterminate
-    claim once at doubled working precision.
+    Each margin is one integer, s (-1)^n (F + T) with T the floor of the
+    lambda term (_plus_lambda_fixed), rounded once to the nearest float.
+    Its error is err, one unit of 2^-wp for T's floor and one of 2^-wl,
+    wl = prec + specfun._FIXED_GUARD_BITS, for the float rounding of the
+    margin and of the sum of the bound, each at most 2^-53 of the bound
+    where the margin meets it: while the kernel's series meet their target
+    its bound stays below 10^(4-dps), under 2^(51-wl), so 2^-51 of it is
+    under 2^-wl (the argument of harness._row_margins).
+    "verified" needs every margin to exceed its bound, "falsified" needs
+    some margin below minus its bound, and a borderline sweep is
+    "indeterminate".  This call does not retry; `gammacert verify` reruns
+    an indeterminate claim once at doubled working precision.
     """
     if sign not in ("plus", "minus"):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    if max_order < 1:
-        raise DomainError("max_order must be >= 1")
+    if not (isinstance(max_order, int) and max_order >= 1):
+        raise DomainError(f"max_order must be an integer >= 1, got {max_order!r}")
     _check_lambda(lam)
     if grid is None:
         grid = default_cm_grid()
     if not grid or any(not x > 0 for x in grid):
         raise DomainError("grid must be nonempty with positive entries")
-    s = 1.0 if sign == "plus" else -1.0
+    s = 1 if sign == "plus" else -1
 
     sweep = Sweep()
     with mp.workdps(cfg.dps):
         lm = mp.mpf(lam)
-        for x, (xm, frees) in zip(grid, _free_table(tuple(grid), max_order, cfg)):
-            for order, f in enumerate(frees):
-                sv = _plus_lambda_term(f, order, xm, lm, cfg)
-                margin = s * ((-1.0) ** order) * float(sv.value)
-                sweep.add((order, float(x)), margin, sv.abs_error_bound)
+        wl = mp.prec + specfun._FIXED_GUARD_BITS
+    for x, (xm, fs, wp, errs) in zip(grid, _free_table(tuple(grid), max_order, cfg)):
+        scale, slack = 1 << wp, math.ldexp(1, -wp) + math.ldexp(1, -wl)
+        for order, (f, err) in enumerate(zip(fs, errs)):
+            big_m = _plus_lambda_fixed(f, order, xm, lm, wp)
+            sweep.add((order, float(x)), (-s if order % 2 else s) * big_m / scale, err + slack)
 
     return CMReport(float(lam), sign, max_order, tuple(float(x) for x in grid), *sweep.result())
 
 
 def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """-x - 1/(24 f(x)), f = F_0 = H_lambda without its lambda term (see
-    _H_free); tends to 1/2.
+    """-x - 1/(24 f(x)), f = F_0 = H_lambda without its lambda term
+    (specfun._stirling_defect); tends to 1/2.
 
     An error d in f moves 1/(24 f) by at most d / (24 |f| (|f| - d)), which
     needs |f| > d; the bound adds the rounding of -x - 1/(24 f).
@@ -553,7 +537,7 @@ def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     require_positive("x", x)
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        f = _H_free(0, xm, cfg)
+        f = specfun._stirling_defect(xm, cfg)
         d = f.abs_error_bound
         if abs(f.value) <= d:
             raise NumericalError(f"f(x) indistinguishable from 0 at x={x}")

@@ -1,28 +1,24 @@
 """Reference evaluation of gamma-related special functions.
 
-psi and the polygammas (orders m >= 0) are computed by recurrence-shifting
-the argument upward and applying the Stirling-type asymptotic series; on
-the positive real axis the truncation error of these series is bounded by
-the first omitted term, which is folded into the returned error bound.  One
-call of the series routine serves a range of orders from a single shift
-(cm_check takes psi^(0..5) at each grid point that way), and the series
-coefficients are cached per order and precision on first use.  The kept
-terms are summed by Horner's rule in fixed-point integers with 20 bits
-beyond the working precision, and rounded once; the bound of that sum's
-truncation is added to the remainder (see _stirling_series).  An order
-whose error bound would exceed the float range (psi^(m)(x) ~ m!/x^(m+1) at
-tiny x) raises DomainError.
-ln Gamma has one route: F_0(x) = ln Gamma(x+1) - p(x), the lambda-free part
-of H_lambda, has its own kernel, _stirling_defect_fixed, which shifts x + 1
-upward the same way and sums u ln(z/u) - ln(prod/z^n) - (n + 1/2) + S(z)
-in fixed point, so ln sqrt(2 pi) and the x ln x terms cancel before
-anything is rounded and the error bound, stated there as a lemma, does not
-grow with x.  It returns the unrounded integer F_0 2^wp, in which the
-harness's Thm 3.1/3.4 row pass decides every row; _stirling_defect, which
-every H_lambda reads, is that integer rounded once into an mpf.  ln_gamma
-adds p(x) - ln x to it (p formed once, in _stirling_log) and binet_theta
-adds (x+1/2) ln(1 + 1/(2x)) - 1/2, each with the rounding rule below on
-the magnitudes of the terms it adds.
+Everything rests on one kernel, _stirling_defect_fixed.  With p(x) = ln
+sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1), it sums F_0(x) = ln Gamma(x+1) - p(x),
+the lambda-free part of H_lambda, and its derivatives F_1..F_K in
+fixed-point integers from one upward shift of x + 1 and Stirling's series
+at the shifted argument, so ln sqrt(2 pi) and the x ln x terms cancel
+before anything is rounded.  Its error bound, a lemma in its docstring, is
+one unit per floor plus each series' first omitted term; it does not grow
+with x, and F_k stays finite at tiny x, since its argument is x + 1.  The
+series coefficients are cached per order and precision on first use, and
+the kept terms are summed by Horner's rule (_fixed_horner) with 20 bits
+beyond the working precision.  The harness's Thm 3.1/3.4 row pass and
+monotone's cm_check decide their margins in the kernel's integers;
+_stirling_defect rounds one F_k into an mpf.  The public functions add
+what F_k leaves out: ln_gamma adds p(x) - ln x to F_0 (p formed once, in
+_stirling_log), binet_theta adds (x+1/2) ln(1 + 1/(2x)) - 1/2, and
+digamma and polygamma add the log term of F_(m+1) and the step from x + 1
+to x, each with the rounding rule below on the magnitudes of the terms it
+adds.  An order whose error bound would exceed the float range
+(psi^(m)(x) ~ m!/x^(m+1) at tiny x) raises DomainError.
 The constants every call needs (ln sqrt(2 pi), the series target and the
 rounding allowance 10^(2-dps), which monotone, bounds and harness use too) are
 computed once per precision.  Mathieu's partial sums are formed in fixed
@@ -89,7 +85,7 @@ def _constants(cfg: PrecisionConfig) -> _Constants:
 
 _HALF = mp.mpf(1) / 2  # exact at every precision
 
-# bits below 2^-prec kept by the fixed-point sum of _stirling_series
+# bits below 2^-prec kept by the kernel's fixed-point sums
 _FIXED_GUARD_BITS = 20
 
 # (m, mp.prec) -> [(c_k, ln|c_k|, C_k, |c_k|) for k = 1, 2, ...], c_k = B_2k
@@ -118,9 +114,9 @@ def _stirling_coeffs(m: int, n: int) -> list:
 
 def _series_terms(m: int, lz: float, log_target: float) -> tuple:
     """(coeffs, k) of the Stirling series of order m at z = e^lz: the terms
-    c_j w^j zm of _stirling_series are taken while they decrease and stay
-    above e^log_target, judged on float log-magnitudes; term k is the first
-    omitted one and coeffs holds at least k coefficients."""
+    c_j z^-(2j+m) are taken while they decrease and stay above e^log_target,
+    judged on float log-magnitudes; term k is the first omitted one and
+    coeffs holds at least k coefficients."""
     coeffs = _stirling_coeffs(m, 2)
     prev = coeffs[0][1] - (2 + m) * lz  # ln |term 1|
     k = 2
@@ -135,58 +131,30 @@ def _series_terms(m: int, lz: float, log_target: float) -> tuple:
 
 
 def _horner_slack(coeffs: list, k: int) -> float:
-    """2 + |c_2| k^2: the units of 2^-wp, times w zm, that bound the error of
-    the fixed-point sum of _stirling_series."""
+    """2 + |c_2| k^2: the units of 2^-wp that bound the error of the sum of
+    _fixed_horner."""
     return 2 + coeffs[1][3] * k * k
 
 
-def _stirling_series(m: int, z, consts: _Constants):
-    """Stirling series of psi^(m), m >= 0, at large z without its overall
-    sign (-1)^(m+1), as in _psi; returns (sum, remainder bound).
+def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
+    """A_1 ~ 2^wp S, S = sum_{j<k} c_j w^(j-1), w = 1/z^2, for z = man 2^e >= 10
+    given as man_exp = (man, e) and coeffs, k from _series_terms.
 
-    The terms c_j w^j zm, w = 1/z^2, zm = z^-m, are kept as
-    _series_terms decides; term k is the first omitted one.  The kept part
-    S = sum_{j<k} c_j w^(j-1) is summed by Horner's rule in fixed point at
-    wp = prec + _FIXED_GUARD_BITS bits, on the integers C_j (c_j 2^wp
-    rounded, error <= 1/2) and W = floor(2^wp w) (error < 1):
+    Horner's rule runs on the integers C_j of coeffs (c_j 2^wp rounded,
+    error <= 1/2) and W = floor(2^wp w) (error < 1), each product floored:
 
-        A_(k-1) = C_(k-1),  A_j = floor(A_(j+1) W / 2^wp) + C_j,
+        A_(k-1) = C_(k-1),  A_j = floor(A_(j+1) W / 2^wp) + C_j.
 
-    and S ~ A_1 2^-wp is rounded into one mpf, then times w zm.  Step j
-    adds at most 1/2 + 1 + |a_(j+1)| units of 2^-wp, where a_(j+1) =
+    Step j adds at most 1/2 + 1 + |a_(j+1)| units of 2^-wp, where a_(j+1) =
     sum_{i>j} c_i w^(i-j-1) is the exact partial sum whose product with W
-    is floored, and it is damped by w^(j-1) on the way to A_1.  Since z >= 10
-    (w <= 1/100) and the kept terms decrease, |c_i| w^(i-2) <= |c_2| for i >= 2, so
+    is floored, and it is damped by w^(j-1) on the way to A_1.  Since
+    z >= 10 (w <= 1/100) and the kept terms decrease, |c_i| w^(i-2) <= |c_2|
+    for i >= 2, so
 
         |A_1 2^-wp - S| <= 2^-wp (1.52 + |c_2| (k-1)(k-2)/2),
 
-    and 2^-wp (2 + |c_2| k^2) w zm (_horner_slack), which also absorbs the
-    float judgement of the decrease, is added to the first omitted term
-    |c_k| w^k zm in the returned bound.  The remaining mpf roundings are
-    relative and are covered by _psi's slack.
-    """
-    zinv = 1 / z
-    if m == 0:
-        log_z = mp.log(z)
-        s = zinv / 2 - log_z
-        zm = mp.mpf(1)
-    else:
-        log_z = math.log(z)
-        zm = zinv ** m
-        s = zm * (math.factorial(m - 1) + math.factorial(m) * zinv / 2)
-    coeffs, k = _series_terms(m, float(log_z), consts.log_target)
-    wp = mp.prec + _FIXED_GUARD_BITS
-    w = zinv * zinv
-    wzm = w * zm
-    s += mp.mpf((_fixed_horner(coeffs, k, z.man_exp, wp), -wp)) * wzm
-    fixed = mp.ldexp(wzm * _horner_slack(coeffs, k), -wp)
-    return s, abs(coeffs[k - 1][0]) * w ** k * zm + fixed
-
-
-def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
-    """A_1 of _stirling_series: the integers C_1..C_(k-1) of coeffs summed by
-    Horner's rule in powers of W = floor(2^wp / z^2), each product floored
-    to wp fractional bits, for z = man 2^e > 0 given as man_exp = (man, e)."""
+    below 2^-wp (2 + |c_2| k^2) (_horner_slack), which also absorbs the
+    float judgement of the decrease."""
     man, e = man_exp
     shift = wp - 2 * e
     big_w = (1 << shift) // (man * man) if shift >= 0 else 0  # 0 when z^2 > 2^wp
@@ -212,71 +180,6 @@ def _shift(xf: float, thr: float, target, series) -> tuple:
     return n, out
 
 
-def _psi(mlo: int, mhi: int, x, cfg: PrecisionConfig) -> list:
-    """[psi^(m)(x) for m = mlo..mhi] for finite x > 0 and 0 <= mlo <= mhi.
-
-    All orders share one upward shift to z = x + n by the recurrence
-
-        psi^(m)(x) = psi^(m)(z) + (-1)^(m+1) m! sum_j (x+j)^(-m-1),
-
-    with n set by the shift threshold of the highest order, and psi^(m)(z)
-    is summed from its Stirling series
-
-        (-1)^(m+1) [lead_m(z) + sum_k B_2k (2k+m-1)! / ((2k)! z^(2k+m))],
-
-    stopping when the next term drops below the target or starts growing;
-    on the positive axis that first omitted term bounds the remainder.  If
-    some order's series misses the target, the shift goes on to a doubled
-    threshold.  The coefficients B_2k (2k+m-1)!/(2k)! are cached per order
-    and precision on first use, and the kept terms are summed by Horner's
-    rule in 1/z^2, in fixed point (see _stirling_series).  An error bound
-    past the float range raises DomainError naming the order and x.
-    The series target and 10^(2-dps) come from _constants, once per
-    precision.
-    """
-    require_positive("x", x)
-    orders = range(mlo, mhi + 1)
-    with mp.workdps(cfg.dps):
-        consts = _constants(cfg)
-        xm = mp.mpf(x)
-        thr = _shift_threshold(cfg.working_digits) + mhi
-        n, series = _shift(float(xm), thr, consts.target,
-                           lambda n: [_stirling_series(m, xm + n, consts) for m in orders])
-        shifts = [mp.mpf(0)] * len(orders)
-        for j in range(n):
-            r = 1 / (xm + j)
-            p = r ** (mlo + 1)
-            for i in range(len(orders)):
-                shifts[i] += p  # (x+j)^-(m+1)
-                p *= r
-        out = []
-        for m, (s, rem), shift in zip(orders, series, shifts):
-            fact = math.factorial(m)
-            scaled = shift if fact == 1 else fact * shift  # m! shift
-            total = s + scaled
-            val = total if m % 2 else -total  # (-1)^(m+1) (s + m! shift)
-            # rounding slack for the shift sums and elementary calls
-            slack = (abs(val) + abs(scaled) + fact) * consts.eps
-            err = float(rem + slack)
-            if err == math.inf:  # psi^(m)(x) ~ m!/x^(m+1) for tiny x
-                raise DomainError(f"the error bound of psi^({m}) (order {m}) at x={x!r} "
-                                  "exceeds the float range; x is too small")
-            out.append(SpecialValue(val, err))
-        return out
-
-
-def digamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """psi(x) = Gamma'(x)/Gamma(x) for finite x > 0."""
-    return _psi(0, 0, x, cfg)[0]
-
-
-def polygamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """psi^(m)(x) for m >= 1, finite x > 0; (-1)^(m+1) psi^(m) > 0."""
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"m must be a positive integer, got {m!r}")
-    return _psi(m, m, x, cfg)[0]
-
-
 def _floor_mul(a: int, f, shift: int) -> int:
     """floor(a f 2^shift) for an integer a and a raw mpf f = (sign, man, exp, bc)."""
     sign, man, exp, _ = f
@@ -284,44 +187,57 @@ def _floor_mul(a: int, f, shift: int) -> int:
     return t << exp if exp >= 0 else t >> -exp
 
 
-def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> tuple:
-    """(F, wp, err) with F 2^-wp = F_0(x) = ln Gamma(x+1) - p(x) for finite
-    x > 0, where p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1), to within
-    err, a float: F is the integer the kernel sums, not rounded.
+def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
+    """(Fs, wp, errs) for finite x > 0: Fs[k] 2^-wp = F_k(x), the k-th
+    derivative of F_0(x) = ln Gamma(x+1) - p(x), to within errs[k], a float,
+    for k = 0..max_order, where p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1).
+    Fs[k] is the integer the kernel sums, not rounded.
 
     With u = x + 1/2 and z = x + 1 + n, n the upward shift of x + 1 that
-    _shift picks, ln Gamma(x+1) = ln Gamma(z) - ln prod_{j=1..n} (x+j) and
-    Stirling's series at z give
+    _shift picks for all orders at once, ln Gamma(x+1) = ln Gamma(z) - ln
+    prod_{j=1..n} (x+j), the recurrence psi^(m)(y) = psi^(m)(y+1) +
+    (-1)^(m+1) m!/y^(m+1) and Stirling's series at z give
 
-        F_0(x) = u ln(z/u) - ln(prod_{j=1..n} (x+j) / z^n) - (n + 1/2) + S(z),
-        S(z)   = sum_k B_2k / (2k (2k-1) z^(2k-1)),
+        F_0(x) = u ln(z/u) - ln(prod_{j=1..n} (x+j) / z^n) - (n + 1/2) + S_0(z),
+        F_1(x) = ln(z/u) - 1/(2z) - S_1(z) - sum_{j=1..n} 1/(x+j),
+        F_k(x) = (-1)^k [(k-2)!/z^(k-1) + (k-1)!/(2 z^k) + S_k(z)
+                         + (k-1)! sum_{j=1..n} (x+j)^-k - (k-2)!/u^(k-1)],  k >= 2,
 
-    in which ln sqrt(2 pi) cancels exactly and no term of size x ln x is
-    formed.  x = man 2^e is taken apart as a 2^s, s = min(e, 0), so x + j,
-    u and z are exact integers times powers of two, and the four terms are
-    summed in fixed point at wp = max(wl, -e) bits, wl = prec +
-    _FIXED_GUARD_BITS, a scale at which x itself is exact.  ln(z/u) is taken
-    as ln(1 + q), q = (n + 1/2)/u, whose error relative to its size keeps
-    u ln(z/u) accurate for every x; the ratio prod/z^n lies in
-    (e^-(n+1), 1].  S(z) keeps the terms that _series_terms picks and is
-    summed by _fixed_horner at wl bits.
+    S_k(z) = sum_i c_i z^-(2i+k-1), with c_i the coefficients of order
+    k - 1 of _stirling_coeffs (B_2i/(2i(2i-1)) at k = 0, B_2i (2i+k-2)!/(2i)!
+    above).  ln sqrt(2 pi) cancels exactly, no term of size x ln x is formed,
+    and ln(z/u) is one log for every order.  x = man 2^e is taken apart as
+    a 2^s, s = min(e, 0), so x + j, u and z are exact integers times powers
+    of two, and the terms are summed in fixed point at wp = max(wl, -e)
+    bits, wl = prec + _FIXED_GUARD_BITS, a scale at which x itself is exact.
+    ln(z/u) is taken as ln(1 + q), q = (n + 1/2)/u, whose error relative to
+    its size keeps u ln(z/u) accurate for every x; the ratio prod/z^n lies
+    in (e^-(n+1), 1].  Each rational term is the floor of one exact integer
+    quotient; S_k(z) keeps the terms that _series_terms picks for order
+    k - 1, is summed by _fixed_horner at wl bits and divided by z^(k+1),
+    one floor more.  The shift threshold grows by max_order - 1, so that
+    the highest order's series meets its target too; max_order = 0 is F_0
+    alone.
 
     Error lemma.  Assume that mpmath's log is within 1 ulp of the exact
     value at the precision requested, wl bits; its divisions round to
     nearest, within half an ulp.  Then
-      - each of the three floors (of u ln(z/u), of the log of the ratio and
-        of S(z), each times 2^wp) is off by less than 1 unit of 2^-wp;
+      - each floor is off by less than 1 unit of 2^-wp: three in F_0 (of
+        u ln(z/u), of the log of the ratio and of S_0(z), each times 2^wp),
+        at most n + 4 in F_k, k >= 1;
       - u ln(z/u) is off by at most (n + 1/2)(2^-wl + 2^(1-wl)) <= (3n+2) 2^-wl,
-        from the rounding of q and of the log, as u ln(1+q) <= n + 1/2;
+        from the rounding of q and of the log, as u ln(1+q) <= n + 1/2, so
+        ln(z/u) in F_1 by at most 3q 2^-wl <= (6n + 3) 2^-wl, as u >= 1/2;
       - the log of the ratio, of size below n + 1, is off by at most
         (2n + 4) 2^-wl, from the division and the log;
-      - S(z) is off by at most its first omitted term |c_k| z^(1-2k) plus
-        2^-wl (2 + |c_2| k^2)/z, the bound of _stirling_series's fixed-point
+      - S_k(z) is off by at most its first omitted term |c_i| z^-(2i+k-1)
+        plus 2^-wl (2 + |c_2| i^2)/z^(k+1), the bound of _fixed_horner's
         sum (_horner_slack).
-    err is the sum of these terms.  The counts 3n + 2 and
-    2n + 4 exceed the roundings they cover by at least 1.4 units of 2^-wl,
-    which covers the float arithmetic of the bound itself, off by at most
-    (6k + 8) 2^-53 of it while the series meets its target.
+    errs[k] is the sum of the terms of F_k.  The counts 3n + 2 and 2n + 4
+    exceed the roundings they cover by at least 1.4 units of 2^-wl, and
+    errs[k], k >= 1, adds one unit of 2^-wl more; that covers the float
+    arithmetic of the bound itself, off by at most (6i + 2k + 8) 2^-53 of
+    it while the series meets its target.
     """
     with mp.workdps(cfg.dps):
         consts = _constants(cfg)
@@ -336,33 +252,54 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> tuple:
 
         def series(n):
             zf, zi = xf + n, a + (n + 1) * step  # z = zi 2^s
-            coeffs, k = _series_terms(-1, math.log(zf), consts.log_target)
-            big_s = (_fixed_horner(coeffs, k, (zi, s), wl) << (wp - wl - s)) // zi  # S(z) 2^wp
-            rem = (coeffs[k - 1][3] * zf ** (1 - 2 * k)
-                   + math.ldexp(_horner_slack(coeffs, k), -wl) / zf)
-            return [(big_s, rem)]
+            lz, out = math.log(zf), []
+            for k in range(max_order + 1):  # (S_k(z) 2^wp, its bound)
+                coeffs, i = _series_terms(k - 1, lz, consts.log_target)
+                big_s = (_fixed_horner(coeffs, i, (zi, s), wl) << (wp - wl - s * (k + 1))) // zi ** (k + 1)
+                out.append((big_s, coeffs[i - 1][3] * zf ** -(2 * i + k - 1)
+                            + math.ldexp(_horner_slack(coeffs, i), -wl) / zf * zf ** -k))
+            return out
 
-        n, [(big_s, rem)] = _shift(xf, _shift_threshold(cfg.working_digits), consts.target, series)
-        ui = 2 * a + step  # u = ui 2^(s-1)
+        thr = _shift_threshold(cfg.working_digits) + max(max_order - 1, 0)
+        n, sums = _shift(xf, thr, consts.target, series)
+        ui, zi = 2 * a + step, a + (n + 1) * step  # u = ui 2^(s-1)
         q = libmp.mpf_div(libmp.from_int(2 * n + 1), libmp.from_man_exp(ui, s), wl, "n")
-        fixed = _floor_mul(ui, libmp.mpf_log(libmp.mpf_add(q, libmp.fone), wl, "n"), s - 1 + wp)
-        fixed += big_s - ((2 * n + 1) << (wp - 1))
+        log_zu = libmp.mpf_log(libmp.mpf_add(q, libmp.fone), wl, "n")
+        fixed = _floor_mul(ui, log_zu, s - 1 + wp) + sums[0][0] - ((2 * n + 1) << (wp - 1))
+        factors = range(a + step, zi, step)  # x + j = factors[j-1] 2^s
         if n:
-            zi = a + (n + 1) * step
-            prod = math.prod(range(a + step, zi, step))
+            prod = math.prod(factors)
             ratio = libmp.mpf_div(libmp.from_int(prod), libmp.from_int(zi ** n), wl, "n")
             fixed -= _floor_mul(1, libmp.mpf_log(ratio, wl, "n"), wp)
-        return fixed, wp, math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + rem
+        fs, errs = [fixed], [math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + sums[0][1]]
+        powers = [1] * n  # (x + j)^k 2^-(s k)
+        for k in range(1, max_order + 1):
+            powers = [p * f for p, f in zip(powers, factors)]
+            unit = math.factorial(k - 1) << (wp - s * k)  # (k-1)! 2^wp / 2^(s k)
+            g = sums[k][0] + unit // (2 * zi ** k) + sum(unit // p for p in powers)
+            if k == 1:
+                g -= _floor_mul(1, log_zu, wp)
+            else:
+                lead = math.factorial(k - 2) << (wp - s * (k - 1))
+                g += lead // zi ** (k - 1) - (lead << (k - 1)) // ui ** (k - 1)
+            fs.append(-g if k % 2 else g)
+            errs.append(math.ldexp(n + 4, -wp) + math.ldexp(6 * n + 4 if k == 1 else 1, -wl)
+                        + sums[k][1])
+        return fs, wp, errs
 
 
-def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """F_0(x) of _stirling_defect_fixed rounded once into an mpf of prec
-    bits at cfg.dps, which moves it by at most 2^-prec of its size; that is
-    added to the kernel's bound."""
-    fixed, wp, err = _stirling_defect_fixed(x, cfg)
+def _rounded(fixed: int, wp: int, err: float, cfg: PrecisionConfig) -> SpecialValue:
+    """fixed 2^-wp rounded once into an mpf of prec bits at cfg.dps, which
+    moves it by at most 2^-prec of its size; that is added to err."""
     with mp.workdps(cfg.dps):
         val = mp.mpf((fixed, -wp))
         return SpecialValue(val, err + math.ldexp(abs(float(val)), -mp.prec))
+
+
+def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG, order: int = 0) -> SpecialValue:
+    """F_order(x) of _stirling_defect_fixed, rounded once (_rounded)."""
+    fs, wp, errs = _stirling_defect_fixed(x, cfg, order)
+    return _rounded(fs[order], wp, errs[order], cfg)
 
 
 def _stirling_log(xm, cfg: PrecisionConfig) -> tuple:
@@ -410,6 +347,44 @@ def binet_theta(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
         b = (xm + _HALF) * mp.log1p(1 / (2 * xm))
         err = (abs(f0.value) + abs(b) + _HALF) * _constants(cfg).eps
         return SpecialValue(f0.value + b - _HALF, f0.abs_error_bound + float(err))
+
+
+def _polygamma(m: int, x, cfg: PrecisionConfig) -> SpecialValue:
+    """psi^(m)(x) for m >= 0 and finite x > 0, read from the kernel's
+    F_(m+1) (one _stirling_defect call) as
+
+        psi^(m)(x) = psi^(m)(x+1) - (-1)^m m!/x^(m+1) = F_(m+1)(x) - t - (-1)^m r,
+
+    r = m!/x^(m+1), t = -ln(x+1/2) at m = 0 and (-1)^m (m-1)!/(x+1/2)^m
+    above: F_(m+1) is psi^(m)(x+1) plus the m-th derivative of -ln(x+1/2).
+    The bound is the kernel's plus the rounding of the sum, 10^(2-dps)
+    (|F_(m+1)| + |t| + r), the rule of _constants.  A bound past the float
+    range raises DomainError naming the order and x."""
+    require_positive("x", x)
+    with mp.workdps(cfg.dps):
+        xm = mp.mpf(x)
+        f = _stirling_defect(xm, cfg, m + 1)
+        u = xm + _HALF
+        t = -mp.log(u) if m == 0 else (-1) ** m * math.factorial(m - 1) / u ** m
+        r = math.factorial(m) / xm ** (m + 1)
+        err = f.abs_error_bound + float((abs(f.value) + abs(t) + r) * _constants(cfg).eps)
+        if err == math.inf:  # psi^(m)(x) ~ m!/x^(m+1) for tiny x
+            raise DomainError(f"the error bound of psi^({m}) (order {m}) at x={x!r} "
+                              "exceeds the float range; x is too small")
+        return SpecialValue(f.value - t - r if m % 2 == 0 else f.value - t + r, err)
+
+
+def digamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+    """psi(x) = Gamma'(x)/Gamma(x) for finite x > 0 (see _polygamma)."""
+    return _polygamma(0, x, cfg)
+
+
+def polygamma(m: int, x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+    """psi^(m)(x) for m >= 1, finite x > 0; (-1)^(m+1) psi^(m) > 0 (see
+    _polygamma)."""
+    if not (isinstance(m, int) and m >= 1):
+        raise DomainError(f"m must be a positive integer, got {m!r}")
+    return _polygamma(m, x, cfg)
 
 
 def harmonic_exact(n: int) -> Fraction:

@@ -353,8 +353,8 @@ class TestContainment:
         seen = []
         defect = specfun._stirling_defect_fixed
 
-        def recording_defect(x, cfg):
-            seen.append((x, defect(x, cfg)))
+        def recording_defect(x, cfg, max_order=0):
+            seen.append((x, defect(x, cfg, max_order)))
             return seen[-1][1]
 
         monkeypatch.setattr(harness.specfun, "_stirling_defect_fixed", recording_defect)
@@ -364,7 +364,7 @@ class TestContainment:
         xs = harness._GAMMA_GRID.values()[:50]
         assert len(seen) >= 50
         with mp.workdps(60):
-            for x, (xm, (fixed, wp, err)) in zip(xs, seen):
+            for x, (xm, ([fixed], wp, [err])) in zip(xs, seen):
                 assert xm == x and isinstance(xm, mp.mpf)
                 h = mp.mpf(x) + mp.mpf(1) / 2
                 ref = mp.loggamma(mp.mpf(x) + 1) - (mp.log(2 * mp.pi) / 2 + h * (mp.log(h) - 1))
@@ -561,9 +561,9 @@ class TestSharedWork:
         calls = []  # (x, working digits) of each F_0 kernel call
         defect = specfun._stirling_defect_fixed
 
-        def counting_defect(x, cfg):
+        def counting_defect(x, cfg, max_order=0):
             calls.append((x, cfg.working_digits))
-            return defect(x, cfg)
+            return defect(x, cfg, max_order)
 
         monkeypatch.setattr(specfun, "_stirling_defect_fixed", counting_defect)
         return calls
@@ -613,13 +613,13 @@ class TestSharedWork:
         # every row, the printed sides too, is decided in the F_0 kernel's
         # fixed point: no grid point forms H_lambda as a SpecialValue
         calls = []
-        inner = monotone._plus_lambda_term
+        inner = monotone._plus_lambda_fixed
 
-        def recording(f, k, xm, lm, cfg):
+        def recording(f, k, xm, lm, wp):
             calls.append(float(xm))
-            return inner(f, k, xm, lm, cfg)
+            return inner(f, k, xm, lm, wp)
 
-        monkeypatch.setattr(monotone, "_plus_lambda_term", recording)
+        monkeypatch.setattr(monotone, "_plus_lambda_fixed", recording)
         harness._row_pass.cache_clear()
         reports = harness.run_suite(suite)
         assert harness.exit_code(reports) == 0
@@ -680,17 +680,17 @@ class TestSharedWork:
             finally:
                 in_sweep.pop()
 
-        # the 8 sweeps share one table of F_0(x) and psi^(0..5)(x+1) over the
-        # 48-point grid and make no ln Gamma call of their own
-        psi_calls = []
-        psi = monotone.specfun._psi
+        # the 8 sweeps share one table of F_0..F_6, one kernel call per point
+        # of the 48-point grid, and make no ln Gamma call of their own
+        kernel_calls = []
+        kernel = monotone.specfun._stirling_defect_fixed
         sweep_ln_gamma_calls = []
         ln_gamma = monotone.specfun.ln_gamma
 
-        def counting_psi(mlo, mhi, x, cfg):
-            if (mlo, mhi) == (0, 5):
-                psi_calls.append(x)
-            return psi(mlo, mhi, x, cfg)
+        def counting_kernel(x, cfg, max_order=0):
+            if max_order == 6:
+                kernel_calls.append(x)
+            return kernel(x, cfg, max_order)
 
         def counting_ln_gamma(x, cfg):
             if in_sweep:
@@ -698,13 +698,13 @@ class TestSharedWork:
             return ln_gamma(x, cfg)
 
         monkeypatch.setattr(monotone, "cm_check", counting_cm_check)
-        monkeypatch.setattr(monotone.specfun, "_psi", counting_psi)
+        monkeypatch.setattr(monotone.specfun, "_stirling_defect_fixed", counting_kernel)
         monkeypatch.setattr(monotone.specfun, "ln_gamma", counting_ln_gamma)
         monotone._free_table.cache_clear()
         reports = harness.run_suite("all")
         assert len(sweeps) == 8
         assert len(set(sweeps)) == 8
-        assert len(psi_calls) == 48 == harness._CM_GRID.points
+        assert len(kernel_calls) == 48 == harness._CM_GRID.points
         assert sweep_ln_gamma_calls == []
         assert harness.exit_code(reports) == 0
         by_id = {r.claim_id: r for r in reports}

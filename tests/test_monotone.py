@@ -19,7 +19,7 @@ from gammacert import (
     phi_integrand,
 )
 from gammacert import monotone
-from gammacert.config import PrecisionConfig, SpecialValue
+from gammacert.config import PrecisionConfig
 from gammacert.monotone import (
     default_cm_grid,
     h_of_t,
@@ -31,6 +31,7 @@ from gammacert.monotone import (
     series_coeff_lambda,
     series_coeff_pivot,
 )
+from oracles import free_part
 
 
 class TestHLambda:
@@ -285,6 +286,14 @@ class TestCMCheck:
     def test_sufficiency_minus(self, lam):
         assert cm_check(lam, "minus", max_order=6).verdict == "verified"
 
+    @pytest.mark.parametrize("lam,sign", [(0.0, "plus"), (0.25, "plus"), (0.5, "plus"),
+                                          (1.5, "minus"), (2.0, "minus"), (5.0, "minus")])
+    def test_wide_grid_verified_at_15_digits(self, lam, sign):
+        # lambda = 1/2's order-6 margin at x = 1000 is 4.9e-26, above the
+        # kernel's bound there (5.5e-26 off a margin read as 1.04e-25)
+        grid = default_cm_grid(96, 1e-2, 1e3)
+        assert cm_check(lam, sign, grid=grid).verdict == "verified"
+
     def test_just_below_threshold_falsified(self):
         assert cm_check(0.64, "minus", max_order=6).verdict == "falsified"
 
@@ -297,12 +306,12 @@ class TestCMCheck:
 
     def test_borderline_is_indeterminate_without_retry(self, monkeypatch):
         # order-0 margins sit inside their error bound at every grid point
-        inner = monotone._plus_lambda_term
+        inner = monotone._plus_lambda_fixed
 
-        def zero_order_0(f, k, xm, lam, cfg):
-            return SpecialValue(mp.mpf(0), 1.0) if k == 0 else inner(f, k, xm, lam, cfg)
+        def zero_order_0(f, k, xm, lam, wp):
+            return 0 if k == 0 else inner(f, k, xm, lam, wp)
 
-        monkeypatch.setattr(monotone, "_plus_lambda_term", zero_order_0)
+        monkeypatch.setattr(monotone, "_plus_lambda_fixed", zero_order_0)
 
         def no_retry(self):
             raise AssertionError("cm_check must not escalate precision itself")
@@ -314,37 +323,35 @@ class TestCMCheck:
 
     def test_sweeps_share_one_psi_table(self, monkeypatch):
         calls = []
-        psi = monotone.specfun._psi
+        kernel = monotone.specfun._stirling_defect_fixed
 
-        def counting_psi(mlo, mhi, x, cfg):
-            calls.append((mlo, mhi, cfg.working_digits))
-            return psi(mlo, mhi, x, cfg)
+        def counting_kernel(x, cfg, max_order=0):
+            calls.append((max_order, cfg.working_digits))
+            return kernel(x, cfg, max_order)
 
-        monkeypatch.setattr(monotone.specfun, "_psi", counting_psi)
+        monkeypatch.setattr(monotone.specfun, "_stirling_defect_fixed", counting_kernel)
         monotone._free_table.cache_clear()
         grid = [0.5, 1.0, 4.0]
         cm_check(0.5, "plus", max_order=4, grid=grid)
         cm_check(1.5, "minus", max_order=4, grid=grid)
-        assert calls == [(0, 3, 15)] * 3
+        assert calls == [(4, 15)] * 3
         cm_check(1.5, "minus", max_order=4, grid=grid[:2])
         assert len(calls) == 5
 
     def test_eight_sweeps_build_one_free_table(self, monkeypatch):
         # the lambda-free parts F_0..F_6 are built once per grid point by the
-        # first sweep; the other seven add only their lambda terms
-        psi_calls, free_calls = [], []
-        psi, free = monotone.specfun._psi, monotone._H_free
+        # first sweep, one kernel call each; the other seven add only their
+        # lambda terms
+        kernel_calls, free_calls = [], []
+        kernel = monotone.specfun._stirling_defect_fixed
 
-        def counting_psi(mlo, mhi, x, cfg):
-            psi_calls.append(x)
-            return psi(mlo, mhi, x, cfg)
+        def counting_kernel(x, cfg, max_order=0):
+            kernel_calls.append(x)
+            fs, wp, errs = kernel(x, cfg, max_order)
+            free_calls.extend((k, x) for k in range(len(fs)))
+            return fs, wp, errs
 
-        def counting_free(k, xm, cfg, ps=None):
-            free_calls.append((k, xm))
-            return free(k, xm, cfg, ps)
-
-        monkeypatch.setattr(monotone.specfun, "_psi", counting_psi)
-        monkeypatch.setattr(monotone, "_H_free", counting_free)
+        monkeypatch.setattr(monotone.specfun, "_stirling_defect_fixed", counting_kernel)
         monotone._free_table.cache_clear()
         grid = [0.01, 0.3, 1.0, 4.0, 25.0, 100.0]
         sweeps = [(0.0, "plus"), (0.25, "plus"), (0.5, "plus"), (0.6, "plus"), (1.0, "plus"),
@@ -352,7 +359,7 @@ class TestCMCheck:
         reports = []
         for lam, sign in sweeps:
             reports.append(cm_check(lam, sign, max_order=6, grid=grid))
-            assert len(psi_calls) == len(grid)
+            assert len(kernel_calls) == len(grid)
             assert sorted(free_calls) == sorted((k, x) for k in range(7) for x in grid)
         monkeypatch.undo()
         for (lam, sign), rep in zip(sweeps, reports):
@@ -370,26 +377,35 @@ class TestCMCheck:
 
     def test_orders_equal_H_lambda_deriv(self, monkeypatch):
         # cm_check adds the lambda term to its shared table of lambda-free
-        # parts with the helper behind H_lambda and H_lambda_deriv; both
-        # paths must give the same value
-        seen = []
-        inner = monotone._plus_lambda_term
+        # parts with the helper behind H_lambda and H_lambda_deriv; each sum
+        # must lie within the kernel's bound plus the term's floor of a
+        # 2 dps + 20-digit mpmath reference (H_lambda_deriv reads the same
+        # kernel, so it is no independent check)
+        seen, errs = [], {}
+        kernel, inner = monotone.specfun._stirling_defect_fixed, monotone._plus_lambda_fixed
 
-        def recording(f, k, xm, lam, cfg):
-            sv = inner(f, k, xm, lam, cfg)
-            seen.append((k, xm, lam, sv))
-            return sv
+        def recording_kernel(x, cfg, max_order=0):
+            out = kernel(x, cfg, max_order)
+            errs[x] = out[2]
+            return out
 
-        monkeypatch.setattr(monotone, "_plus_lambda_term", recording)
+        def recording(f, k, xm, lam, wp):
+            big = inner(f, k, xm, lam, wp)
+            seen.append((k, xm, lam, big, wp))
+            return big
+
+        monkeypatch.setattr(monotone.specfun, "_stirling_defect_fixed", recording_kernel)
+        monkeypatch.setattr(monotone, "_plus_lambda_fixed", recording)
         monotone._free_table.cache_clear()
         cm_check(0.25, "plus", max_order=6, grid=[0.05, 1.0, 30.0])
         monkeypatch.undo()
-        assert sorted((k, x) for k, x, _, _ in seen) == [
+        assert sorted((k, x) for k, x, *_ in seen) == [
             (k, x) for k in range(0, 7) for x in (0.05, 1.0, 30.0)
         ]
-        for k, x, lam, sv in seen:
-            ref = H_lambda_deriv(k, x, lam) if k else H_lambda(x, lam)
-            assert abs(sv.value - ref.value) <= sv.abs_error_bound + ref.abs_error_bound
+        with mp.workdps(2 * DEFAULT_CONFIG.dps + 20):
+            for k, x, lam, big, wp in seen:
+                ref = free_part(k, x) + (-1) ** k * mp.factorial(k) / (24 * (mp.mpf(x) + lam) ** (k + 1))
+                assert abs(mp.ldexp(big, -wp) - ref) <= errs[x][k] + 2.0 ** -wp, (k, x)
 
     def test_rejects_bad_sign(self):
         with pytest.raises(DomainError):

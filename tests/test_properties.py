@@ -2,9 +2,10 @@
 render/parse round trip in both formats, a non-integer n exits 2,
 SpecialValue accepts exactly the finite nonnegative error bounds, the
 F_0 kernel stays within its bound, which is no wider than the bound of
-ln Gamma(x+1) - p(x) formed the long way, ln_gamma and binet_theta, which
-read that kernel, stay within theirs, and every row margin of the fused
-Thm 3.1/3.4 pass lies within its stated error of a reference."""
+ln Gamma(x+1) - p(x) formed the long way, so does each of its orders
+F_0..F_6, ln_gamma and binet_theta, which read that kernel, stay within
+theirs, and every row margin of the fused Thm 3.1/3.4 pass lies within
+its stated error of a reference."""
 
 import contextlib
 import io
@@ -17,17 +18,22 @@ from mpmath import mp
 from gammacert import (
     DomainError,
     H_lambda,
+    H_lambda_deriv,
     ParameterError,
     SpecialValue,
     binet_theta,
+    cm_check,
     digamma,
     ln_gamma,
+    phi_integrand,
     polygamma,
 )
 from gammacert import bounds, cli, harness, specfun
 from gammacert.bounds import BoundFamily, FamilyId, gamma_bound_log
 from gammacert.config import FALSIFIED, INDETERMINATE, VERIFIED, PrecisionConfig
 from gammacert.harness import GridSpec, VerificationReport
+from gammacert.monotone import laplace_check, phi_sign_certificate
+from oracles import free_part
 
 # nan, +-inf and every x <= 0, as floats or as mpf
 _bad_float = st.one_of(
@@ -35,6 +41,13 @@ _bad_float = st.one_of(
     st.floats(max_value=0.0, allow_nan=False),
 )
 bad_x = st.one_of(_bad_float, _bad_float.map(mp.mpf))
+
+# nan, +-inf and every lambda < 0, as floats or as mpf
+_bad_float_lambda = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(max_value=0.0, exclude_max=True, allow_nan=False),
+)
+bad_lambda = st.one_of(_bad_float_lambda, _bad_float_lambda.map(mp.mpf))
 
 _GAMMA_FAMILIES = [
     BoundFamily(FamilyId.BUKAC_GAMMA),
@@ -80,6 +93,35 @@ class TestBadInputRaises:
     def test_gamma_bound_log(self, x, family):
         with pytest.raises(DomainError):
             gamma_bound_log(family, x)
+
+    # nan raised ParameterError from inside SpecialValue, or a bare
+    # ValueError from the certificate, and cm_check(inf, "minus") said
+    # "verified"
+    @given(bad_lambda)
+    @example(math.nan)
+    @example(math.inf)
+    @settings(max_examples=40, deadline=None)
+    def test_lambda(self, lam):
+        calls = [lambda: H_lambda(1.0, lam), lambda: H_lambda_deriv(2, 1.0, lam),
+                 lambda: laplace_check(1.0, lam), lambda: phi_sign_certificate(lam, 1),
+                 lambda: cm_check(lam, "plus", grid=[1.0]), lambda: cm_check(lam, "minus", grid=[1.0])]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
+    @given(st.sampled_from([math.nan, mp.nan]))
+    @settings(max_examples=10, deadline=None)
+    def test_phi_integrand_nan_lambda(self, lam):
+        # it returned nan
+        with pytest.raises(DomainError):
+            phi_integrand(1.0, lam)
+
+    @given(st.one_of(st.floats(), st.integers(max_value=0), st.text(max_size=3), st.none()))
+    @example(3.0)  # a TypeError before
+    @settings(max_examples=40, deadline=None)
+    def test_cm_check_max_order(self, max_order):
+        with pytest.raises(DomainError):
+            cm_check(0.5, "plus", max_order=max_order, grid=[1.0])
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -179,6 +221,25 @@ def test_stirling_defect_within_its_bound_and_the_long_ways(x, digits):
         size = consts.ln_sqrt_2pi + h * (abs(mp.log(h)) + 1)
         long_way = lg.abs_error_bound + float((abs(lg.value) + size) * consts.eps)
     assert sv.abs_error_bound <= long_way, (x, digits)
+
+
+@given(x=_log_uniform_x, digits=st.sampled_from([15, 30, 60]))
+# the tightest case: the series remainders nearly equal their first omitted
+# terms (F_6 is 0.99999999 of its bound off at 15 digits)
+@example(x=1e4, digits=15)
+@example(x=1e-300, digits=60)
+# z = x + 1 = 1e40: W = 0 and each series keeps c_1 alone, whose rounding
+# the bound must cover too
+@example(x=1e40, digits=15)
+@settings(max_examples=60, deadline=None)
+def test_every_order_of_the_kernel_within_its_bound(x, digits):
+    cfg = PrecisionConfig(working_digits=digits)
+    fs, wp, errs = specfun._stirling_defect_fixed(x, cfg, 6)
+    assert len(fs) == len(errs) == 7
+    # past x = 1e15 F_0's reference needs the digits of ln Gamma(x+1) ~ x ln x
+    with mp.workdps(2 * cfg.dps + 20 + max(0, math.ceil(math.log10(x)) - 15)):
+        for k, (f, err) in enumerate(zip(fs, errs)):
+            assert abs(mp.ldexp(f, -wp) - free_part(k, x)) <= err, (x, digits, k)
 
 
 @given(x=_log_uniform_x, digits=st.sampled_from([15, 30, 60]))

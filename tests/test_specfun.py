@@ -31,6 +31,7 @@ from gammacert import (
 )
 from gammacert import harness, specfun
 from gammacert.monotone import default_cm_grid
+from oracles import free_part
 
 HI = PrecisionConfig(working_digits=30)
 
@@ -128,8 +129,9 @@ class TestTinyX:
     CALLS = {
         "polygamma(1, 1e-167)": (1, 1e-167, lambda cfg: polygamma(1, 1e-167, cfg)),
         "polygamma(5, 1e-55)": (5, 1e-55, lambda cfg: polygamma(5, 1e-55, cfg)),
-        "ln_gamma+_psi(0, 5, 1e-300)": (1, 1e-300, lambda cfg: [ln_gamma(1e-300, cfg),
-                                                                *specfun._psi(0, 5, 1e-300, cfg)]),
+        "ln_gamma+digamma+polygamma(1..5, 1e-300)": (
+            1, 1e-300, lambda cfg: [ln_gamma(1e-300, cfg), digamma(1e-300, cfg),
+                                    *(polygamma(m, 1e-300, cfg) for m in range(1, 6))]),
     }
 
     @pytest.mark.parametrize("digits", [15, 30, 40])
@@ -148,7 +150,7 @@ class TestTinyX:
             raised = False
         # at 15 digits all three overflow; at 30 and 40 the smaller rounding
         # slack keeps polygamma(1, 1e-167) and polygamma(5, 1e-55) finite
-        assert raised == (digits == 15 or "_psi" in call)
+        assert raised == (digits == 15 or "1e-300" in call)
 
     @pytest.mark.parametrize("digits", [15, 30, 40])
     def test_largest_finite_bound_still_returns(self, digits):
@@ -161,18 +163,16 @@ class TestTinyX:
 class TestSharedShift:
     @pytest.mark.parametrize("digits", [15, 30, 40])
     def test_order_range_against_mpmath_oracle(self, digits):
-        # ln Gamma and one _psi call for orders 0..5, as cm_check's table
-        # takes F_0 and psi^(0..5) at every grid point, each value within
-        # its own bound
+        # one kernel call for orders 0..6 from one shift, as cm_check's
+        # table takes F_0..F_6 at every grid point, each value within its
+        # own bound
         cfg = PrecisionConfig(working_digits=digits)
         for x in default_cm_grid() + [1e-3, 171.6, 1e4]:
-            values = [ln_gamma(x, cfg), *specfun._psi(0, 5, x, cfg)]
-            assert len(values) == 7
+            fs, wp, errs = specfun._stirling_defect_fixed(x, cfg, 6)
+            assert len(fs) == len(errs) == 7
             with mp.workdps(60):
-                xm = mp.mpf(x)
-                for m, sv in zip(range(-1, 6), values):
-                    oracle = mp.loggamma(xm) if m == -1 else mp.psi(m, xm)
-                    assert abs(sv.value - oracle) <= sv.abs_error_bound, (x, m)
+                for k, (f, err) in enumerate(zip(fs, errs)):
+                    assert abs(mp.ldexp(f, -wp) - free_part(k, x)) <= err, (x, k)
 
     def test_no_table_built_at_import(self):
         code = (
@@ -217,7 +217,8 @@ class TestShiftKernel:
         # order 0 there
         mhi = 0 if x == 1e-300 else 6
         # (order, value), order -1 standing for ln_gamma
-        values = [(-1, ln_gamma(x, cfg)), *zip(range(mhi + 1), specfun._psi(0, mhi, x, cfg))]
+        values = [(-1, ln_gamma(x, cfg)), (0, digamma(x, cfg)),
+                  *((m, polygamma(m, x, cfg)) for m in range(1, mhi + 1))]
         with mp.workdps(max(60, digits + 30)):
             xm = mp.mpf(x)
             for m, sv in values:
@@ -265,7 +266,7 @@ class TestShiftKernel:
     @pytest.mark.parametrize("m", range(-1, 7))
     def test_fixed_point_sum_within_its_bound(self, digits, m):
         # A_1 2^-wp against the exact sum S = sum_{j<k} c_j w^(j-1), w = 1/z^2,
-        # within the bound of specfun._stirling_series's docstring; z >= 10
+        # within the bound of specfun._fixed_horner's docstring; z >= 10
         # and k up to 20 keep the terms c_j w^j decreasing, as it requires
         cfg = PrecisionConfig(working_digits=digits)
         with mp.workdps(cfg.dps):
@@ -288,18 +289,10 @@ class TestShiftKernel:
                     err = abs(Fraction(specfun._fixed_horner(coeffs, k, zm.man_exp, wp), 2 ** wp) - total)
                     bound = (Fraction(152, 100) + abs(exact[1]) * (k - 1) * (k - 2) / 2) / 2 ** wp
                     assert err <= bound, (z, k)
-            # at z = 1e40, W = 0 and the series keeps c_1 alone, so the sum is
-            # C_1 2^-wp; its rounding lies far above the first omitted term
-            # |c_2| w^2 zm, and the returned remainder must cover it too (for
-            # m = -1, summed by the F_0 kernel only, its x = 1e40 example in
-            # test_properties.py checks that)
-            if m >= 0:
-                zm = mp.mpf("1e40")
-                _, rem = specfun._stirling_series(m, zm, specfun._constants(cfg))
-                man, e = zm.man_exp
-                zf = Fraction(man) * Fraction(2) ** e
-                rounding = abs(Fraction(coeffs[0][2], 2 ** wp) - exact[0]) / zf ** 2 * zf ** -m
-                assert Fraction(rem.man) * Fraction(2) ** rem.exp >= rounding
+        # at z = 1e40, W = 0 and the series keeps c_1 alone, so the sum is
+        # C_1 2^-wp; its rounding lies far above the first omitted term, and
+        # the kernel's bound must cover it too: the x = 1e40 examples of
+        # test_properties.py check that for every order
 
     @pytest.mark.parametrize("digits", [15, 30])
     @pytest.mark.parametrize("x", [1, 12.5, 1e-300, 1e300, "wide", 0.001])
@@ -308,7 +301,7 @@ class TestShiftKernel:
         # plus that rounding, 2^-prec of the value
         cfg = PrecisionConfig(working_digits=digits)
         x = self._x(x)
-        fixed, wp, err = specfun._stirling_defect_fixed(x, cfg)
+        [fixed], wp, [err] = specfun._stirling_defect_fixed(x, cfg)
         sv = specfun._stirling_defect(x, cfg)
         with mp.workdps(cfg.dps):
             assert sv.value == mp.mpf((fixed, -wp))
@@ -324,9 +317,9 @@ class TestShiftKernel:
         calls = []
         kernel = specfun._stirling_defect_fixed
 
-        def counting_kernel(x, cfg):
+        def counting_kernel(x, cfg, max_order=0):
             calls.append(x)
-            return kernel(x, cfg)
+            return kernel(x, cfg, max_order)
 
         monkeypatch.setattr(specfun, "_stirling_defect_fixed", counting_kernel)
         read(2.5)
