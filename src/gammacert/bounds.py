@@ -25,6 +25,7 @@ from mpmath import mp
 
 from .config import (
     DEFAULT_CONFIG,
+    GUARD_DIGITS,
     DomainError,
     ParameterError,
     PrecisionConfig,
@@ -239,9 +240,13 @@ _HARMONIC_S = {FamilyId.HARMONIC_LOW: 0, FamilyId.HARMONIC_HIGH: 1}
 @functools.lru_cache(maxsize=16)
 def _harmonic_constants(family: BoundFamily, constant: Fraction, cfg: PrecisionConfig):
     """(c_lo, c_hi, gamma) at cfg.dps, computed once per family, constant and
-    precision.  gamma is taken to cfg.dps quoted digits, so its error, like
-    the rounding of the other terms, is below 10^(2-dps) in relative terms."""
-    gamma_c = specfun.euler_gamma(PrecisionConfig(working_digits=cfg.dps)).value
+    precision.  gamma is mpmath's constant rounded to nearest at cfg.dps +
+    GUARD_DIGITS digits, the precision euler_gamma works at for cfg.dps
+    quoted digits, so it is within 2^-prec of itself in relative terms,
+    prec the bits of those digits; like the rounding of the other terms,
+    that is below 10^(2-dps), the rule of specfun._constants."""
+    with mp.workdps(cfg.dps + GUARD_DIGITS):
+        gamma_c = +mp.euler
     with mp.workdps(cfg.dps):
         if family.id is FamilyId.HARMONIC_LOW:
             return 1 - mp.log(mp.mpf(3) / 2) - mp.mpf(1) / 54, gamma_c, gamma_c

@@ -208,9 +208,8 @@ def _row_margins(rows: tuple, cfg, xs):
         10^(8-dps)), so 2^-51 of it is under 2^-wl.
     The verdict is then sound: a float margin above the bound means a true
     margin above 0, one below minus the bound a true margin below 0."""
-    with mp.workdps(cfg.dps):
-        wl = mp.prec + specfun._FIXED_GUARD_BITS
-        eps = float(specfun._constants(cfg).eps)
+    consts = specfun._constants(cfg)
+    wl, eps = consts.wl, float(consts.eps)
     shapes = []  # (d, man and exp of lambda, [(row, sign, c, error of the side)])
     for i, (d, lam, c_lo, c_hi, size) in enumerate(rows):
         _, lman, lexp, _ = lam._mpf_
@@ -324,8 +323,7 @@ def _run_mathieu(cfg, grid: GridSpec):
     sweep = Sweep()
     for n in range(2, 51):
         sweep.add(float(n), float(Fraction(2 * n, (n * n + 1) ** 2)), 0.0)
-    with mp.workdps(cfg.dps):
-        wp = mp.prec + specfun._FIXED_GUARD_BITS
+    wp = specfun._constants(cfg).wl
     coarse, tail = specfun._mathieu_fixed(1.0, 1000, wp)
     fine, _ = specfun._mathieu_fixed(1.0, 2000, wp)
     sweep.add(1000.0, (tail - (fine - coarse)) / (1 << wp), math.ldexp(1002, -wp))

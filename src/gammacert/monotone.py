@@ -517,7 +517,7 @@ def cm_check(
     sweep = Sweep()
     with mp.workdps(cfg.dps):
         lm = mp.mpf(lam)
-        wl = mp.prec + specfun._FIXED_GUARD_BITS
+    wl = specfun._constants(cfg).wl
     for x, (xm, fs, wp, errs) in zip(grid, _free_table(tuple(grid), max_order, cfg)):
         scale, slack = 1 << wp, math.ldexp(1, -wp) + math.ldexp(1, -wl)
         for order, (f, err) in enumerate(zip(fs, errs)):

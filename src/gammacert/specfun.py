@@ -10,20 +10,25 @@ one unit per floor plus each series' first omitted term; it does not grow
 with x, and F_k stays finite at tiny x, since its argument is x + 1.  The
 series coefficients are cached per order and precision on first use, and
 the kept terms are summed by Horner's rule (_fixed_horner) with 20 bits
-beyond the working precision.  The harness's Thm 3.1/3.4 row pass and
-monotone's cm_check decide their margins in the kernel's integers;
-_stirling_defect rounds one F_k into an mpf.  The public functions add
-what F_k leaves out: ln_gamma adds p(x) - ln x to F_0 (p formed once, in
-_stirling_log), binet_theta adds (x+1/2) ln(1 + 1/(2x)) - 1/2, and
-digamma and polygamma add the log term of F_(m+1) and the step from x + 1
-to x, each with the rounding rule below on the magnitudes of the terms it
-adds.  An order whose error bound would exceed the float range
-(psi^(m)(x) ~ m!/x^(m+1) at tiny x) raises DomainError.
-The constants every call needs (ln sqrt(2 pi), the series target and the
-rounding allowance 10^(2-dps), which monotone, bounds and harness use too) are
-computed once per precision.  Mathieu's partial sums are formed in fixed
-point too, each term floored and the tail bound rounded up, so their error
-is counted, not allowed for.
+beyond the working precision.  Every precision-dependent value the kernel
+reads (the bits prec of cfg.dps, its fixed-point scale wl, the shift
+threshold and the series target) comes from one per-precision record,
+_constants(cfg), so a call enters no mpmath precision context and does
+only its integer arithmetic, two divisions and two logs.  The harness's
+Thm 3.1/3.4 row pass and monotone's cm_check decide their margins in the
+kernel's integers; _stirling_defect rounds one F_k into an mpf.  The public
+functions add what F_k leaves out: ln_gamma adds p(x) - ln x to F_0 (p
+formed once, in _stirling_log), binet_theta adds (x+1/2) ln(1 + 1/(2x)) -
+1/2 (from x = 1 on by its series in 1/(2x), summed in fixed point, so its
+bound stays relative), and digamma and polygamma add the log term of
+F_(m+1) and the step from x + 1 to x, each with the rounding rule below on
+the magnitudes of the terms it adds.  An order whose error bound would
+exceed the float range (psi^(m)(x) ~ m!/x^(m+1) at tiny x) raises
+DomainError.  The same record holds the constants every call needs (ln
+sqrt(2 pi) and the rounding allowance 10^(2-dps), which monotone, bounds and
+harness use too); it is computed once per precision.  Mathieu's partial
+sums are formed in fixed point too, each term floored and the tail bound
+rounded up, so their error is counted, not allowed for.
 
 mpmath supplies the arbitrary-precision arithmetic and the Bernoulli
 numbers; the special-function algorithms themselves live here so their
@@ -65,69 +70,66 @@ def _shift_threshold(digits: int) -> float:
 
 
 class _Constants(NamedTuple):
-    """The constants of one precision; see _constants."""
+    """The values of one precision; see _constants."""
 
     ln_sqrt_2pi: object  # mpf
     eps: object  # mpf 10^(2-dps), the relative allowance for rounding
     target: object  # mpf 10^-(working_digits+6), the Stirling series target
     log_target: float  # its natural log
+    prec: int  # the bits of cfg.dps
+    wl: int  # prec + _FIXED_GUARD_BITS, the kernel's fixed-point scale
+    shift_threshold: float  # _shift_threshold(working_digits)
+    target_float: float  # the largest float <= target
 
 
 @functools.lru_cache(maxsize=8)
 def _constants(cfg: PrecisionConfig) -> _Constants:
-    """ln sqrt(2 pi), 10^(2-dps) and the series target at cfg.dps, computed once
-    per precision."""
+    """The values of cfg's precision, computed once per precision: ln sqrt(2
+    pi), 10^(2-dps) and the series target at cfg.dps, and the bits, scale
+    and threshold that the kernel reads, so that it enters no precision
+    context per call.  A float remainder bound lies at or below target
+    exactly when it lies at or below target_float."""
     with mp.workdps(cfg.dps):
-        return _Constants(mp.log(2 * mp.pi) / 2, mp.mpf(10) ** (2 - cfg.dps),
-                          mp.mpf(10) ** (-(cfg.working_digits + 6)),
-                          -(cfg.working_digits + 6) * math.log(10))
+        target = mp.mpf(10) ** (-(cfg.working_digits + 6))
+        return _Constants(mp.log(2 * mp.pi) / 2, mp.mpf(10) ** (2 - cfg.dps), target,
+                          -(cfg.working_digits + 6) * math.log(10), mp.prec,
+                          mp.prec + _FIXED_GUARD_BITS, _shift_threshold(cfg.working_digits),
+                          libmp.to_float(target._mpf_, rnd=libmp.round_floor))
 
 
 _HALF = mp.mpf(1) / 2  # exact at every precision
+_MPF = type(_HALF)
 
 # bits below 2^-prec kept by the kernel's fixed-point sums
 _FIXED_GUARD_BITS = 20
 
-# (m, mp.prec) -> [(c_k, ln|c_k|, C_k, |c_k|) for k = 1, 2, ...], c_k = B_2k
+# (m, prec) -> [(c_k, ln|c_k|, C_k, |c_k|) for k = 1, 2, ...], c_k = B_2k
 # (2k+m-1)!/(2k)! rounded at that precision, C_k the integer nearest c_k 2^wp,
 # wp = prec + _FIXED_GUARD_BITS, and |c_k| as a float; filled on first use and
 # extended as longer series need it
 _STIRLING_COEFFS: dict = {}
 
 
-def _stirling_coeffs(m: int, n: int) -> list:
-    """At least n Stirling coefficients of order m at the current precision."""
-    table = _STIRLING_COEFFS.setdefault((m, mp.prec), [])
-    wp = mp.prec + _FIXED_GUARD_BITS
-    for k in range(len(table) + 1, n + 1):
-        # (2k+m-1)!/(2k)! is kept as an exact integer ratio
-        if m >= 1:
-            num, den = math.perm(2 * k + m - 1, m - 1), 1
-        else:
-            num, den = 1, math.perm(2 * k, 1 - m)
-        c = mp.bernoulli(2 * k) * num / den
-        p, q = mp.bernfrac(2 * k)
-        top, bottom = p * num << wp, q * den
-        table.append((c, float(mp.log(abs(c))), (2 * top + bottom) // (2 * bottom), float(abs(c))))
+def _stirling_coeffs(m: int, n: int, prec: int | None = None) -> list:
+    """At least n Stirling coefficients of order m at prec bits, by default
+    the current precision; only a table that grows is built under prec."""
+    prec = prec or mp.prec
+    table = _STIRLING_COEFFS.setdefault((m, prec), [])
+    if len(table) >= n:
+        return table
+    wp = prec + _FIXED_GUARD_BITS
+    with mp.workprec(prec):
+        for k in range(len(table) + 1, n + 1):
+            # (2k+m-1)!/(2k)! is kept as an exact integer ratio
+            if m >= 1:
+                num, den = math.perm(2 * k + m - 1, m - 1), 1
+            else:
+                num, den = 1, math.perm(2 * k, 1 - m)
+            c = mp.bernoulli(2 * k) * num / den
+            p, q = mp.bernfrac(2 * k)
+            top, bottom = p * num << wp, q * den
+            table.append((c, float(mp.log(abs(c))), (2 * top + bottom) // (2 * bottom), float(abs(c))))
     return table
-
-
-def _series_terms(m: int, lz: float, log_target: float) -> tuple:
-    """(coeffs, k) of the Stirling series of order m at z = e^lz: the terms
-    c_j z^-(2j+m) are taken while they decrease and stay above e^log_target,
-    judged on float log-magnitudes; term k is the first omitted one and
-    coeffs holds at least k coefficients."""
-    coeffs = _stirling_coeffs(m, 2)
-    prev = coeffs[0][1] - (2 + m) * lz  # ln |term 1|
-    k = 2
-    while True:
-        if k > len(coeffs):
-            coeffs = _stirling_coeffs(m, 2 * k)
-        cur = coeffs[k - 1][1] - (2 * k + m) * lz
-        if cur < log_target or cur >= prev or k > 300:
-            return coeffs, k  # term k is the first omitted one
-        prev = cur
-        k += 1
 
 
 def _horner_slack(coeffs: list, k: int) -> float:
@@ -138,7 +140,8 @@ def _horner_slack(coeffs: list, k: int) -> float:
 
 def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
     """A_1 ~ 2^wp S, S = sum_{j<k} c_j w^(j-1), w = 1/z^2, for z = man 2^e >= 10
-    given as man_exp = (man, e) and coeffs, k from _series_terms.
+    given as man_exp = (man, e), coeffs from _stirling_coeffs and k the first
+    omitted term that the kernel's walk over the terms picks.
 
     Horner's rule runs on the integers C_j of coeffs (c_j 2^wp rounded,
     error <= 1/2) and W = floor(2^wp w) (error < 1), each product floored:
@@ -164,22 +167,6 @@ def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
     return acc
 
 
-def _shift(xf: float, thr: float, target, series) -> tuple:
-    """(n, series(n)) for the upward shift of an argument xf (a float): n =
-    ceil(thr - xf) steps when xf < thr, else 0.  series(n) returns a list of
-    (value, remainder bound); while some remainder misses the target, the
-    threshold doubles, at most three times."""
-    n = 0
-    for _ in range(4):
-        if xf < thr:
-            n = max(n, math.ceil(thr - xf))
-        out = series(n)
-        if all(rem <= target for _, rem in out):
-            break
-        thr *= 2
-    return n, out
-
-
 def _floor_mul(a: int, f, shift: int) -> int:
     """floor(a f 2^shift) for an integer a and a raw mpf f = (sign, man, exp, bc)."""
     sign, man, exp, _ = f
@@ -193,8 +180,8 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
     for k = 0..max_order, where p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1).
     Fs[k] is the integer the kernel sums, not rounded.
 
-    With u = x + 1/2 and z = x + 1 + n, n the upward shift of x + 1 that
-    _shift picks for all orders at once, ln Gamma(x+1) = ln Gamma(z) - ln
+    With u = x + 1/2 and z = x + 1 + n, n the upward shift of x + 1 picked
+    for all orders at once (below), ln Gamma(x+1) = ln Gamma(z) - ln
     prod_{j=1..n} (x+j), the recurrence psi^(m)(y) = psi^(m)(y+1) +
     (-1)^(m+1) m!/y^(m+1) and Stirling's series at z give
 
@@ -206,18 +193,31 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
     S_k(z) = sum_i c_i z^-(2i+k-1), with c_i the coefficients of order
     k - 1 of _stirling_coeffs (B_2i/(2i(2i-1)) at k = 0, B_2i (2i+k-2)!/(2i)!
     above).  ln sqrt(2 pi) cancels exactly, no term of size x ln x is formed,
-    and ln(z/u) is one log for every order.  x = man 2^e is taken apart as
-    a 2^s, s = min(e, 0), so x + j, u and z are exact integers times powers
-    of two, and the terms are summed in fixed point at wp = max(wl, -e)
-    bits, wl = prec + _FIXED_GUARD_BITS, a scale at which x itself is exact.
+    and ln(z/u) is one log for every order.  x, rounded to prec bits as
+    mp.mpf(x) rounds it at cfg.dps, is taken apart once as man 2^e = a 2^s,
+    s = min(e, 0), so x + j, u and z are exact integers times powers of two,
+    and the terms are summed in fixed point at wp = max(wl, -e) bits, a
+    scale at which x itself is exact.  prec, wl = prec + _FIXED_GUARD_BITS,
+    the shift threshold and the series target come from the per-precision
+    record _constants(cfg), and the coefficients from _stirling_coeffs at
+    prec, so a call enters no mpmath precision context unless a coefficient
+    table grows, and rounds nothing but its divisions and logs, each at wl
+    bits.
+
+    The shift: n = ceil(thr - xf) when xf = float(x) + 1 < thr, else 0, with
+    thr = _shift_threshold(working digits) + max(max_order - 1, 0), so that
+    the highest order's series meets its target too.  The series of order
+    k - 1 keeps the terms c_i z^-(2i+k-1) while they decrease and stay above
+    the target, judged on float log-magnitudes at zf = xf + n; term i is the
+    first omitted one.  While some order's remainder bound (below) exceeds
+    the target, thr doubles and n is picked again, at most three times.
+    max_order = 0 is F_0 alone.
+
     ln(z/u) is taken as ln(1 + q), q = (n + 1/2)/u, whose error relative to
     its size keeps u ln(z/u) accurate for every x; the ratio prod/z^n lies
     in (e^-(n+1), 1].  Each rational term is the floor of one exact integer
-    quotient; S_k(z) keeps the terms that _series_terms picks for order
-    k - 1, is summed by _fixed_horner at wl bits and divided by z^(k+1),
-    one floor more.  The shift threshold grows by max_order - 1, so that
-    the highest order's series meets its target too; max_order = 0 is F_0
-    alone.
+    quotient; S_k(z) is summed by _fixed_horner at wl bits and divided by
+    z^(k+1), one floor more.
 
     Error lemma.  Assume that mpmath's log is within 1 ulp of the exact
     value at the precision requested, wl bits; its divisions round to
@@ -239,61 +239,82 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
     arithmetic of the bound itself, off by at most (6i + 2k + 8) 2^-53 of
     it while the series meets its target.
     """
-    with mp.workdps(cfg.dps):
-        consts = _constants(cfg)
-        sign, man, e, _ = mp.mpf(x)._mpf_
-        if sign or not man:  # x <= 0, or not finite
-            require_positive("x", x)
-        s = min(e, 0)
-        a, step = man << (e - s), 1 << -s  # x + j = (a + j step) 2^s
-        wl = mp.prec + _FIXED_GUARD_BITS
-        wp = max(wl, -e)
-        xf = float(x) + 1
+    consts = _constants(cfg)
+    prec, wl = consts.prec, consts.wl
+    raw = x._mpf_ if type(x) is _MPF else _MPF.mpf_convert_arg(x, prec, "n")
+    sign, man, e, bc = raw
+    if sign or not man:  # x <= 0, or not finite
+        require_positive("x", x)
+    if bc > prec:  # to nearest at prec bits, as mp.mpf(x) rounds x at cfg.dps
+        _, man, e, _ = libmp.mpf_pos(raw, prec, "n")
+    xf = float(x) + 1
+    s = min(e, 0)
+    a, step = man << (e - s), 1 << -s  # x + j = (a + j step) 2^s
+    wp = max(wl, -e)
 
-        def series(n):
-            zf, zi = xf + n, a + (n + 1) * step  # z = zi 2^s
-            lz, out = math.log(zf), []
-            for k in range(max_order + 1):  # (S_k(z) 2^wp, its bound)
-                coeffs, i = _series_terms(k - 1, lz, consts.log_target)
-                big_s = (_fixed_horner(coeffs, i, (zi, s), wl) << (wp - wl - s * (k + 1))) // zi ** (k + 1)
-                out.append((big_s, coeffs[i - 1][3] * zf ** -(2 * i + k - 1)
-                            + math.ldexp(_horner_slack(coeffs, i), -wl) / zf * zf ** -k))
-            return out
+    log_target, target = consts.log_target, consts.target_float
+    thr, n = consts.shift_threshold + max(max_order - 1, 0), 0
+    for _ in range(4):
+        if xf < thr:
+            n = max(n, math.ceil(thr - xf))
+        zf = xf + n
+        lz = math.log(zf)
+        picks, fits = [], True  # (coeffs, i, remainder bound of S_k(z)) per order k = m + 1
+        for m in range(-1, max_order):
+            coeffs = _STIRLING_COEFFS.get((m, prec)) or _stirling_coeffs(m, 2, prec)
+            prev, i = coeffs[0][1] - (2 + m) * lz, 2  # ln |term 1|
+            while True:
+                if i > len(coeffs):
+                    coeffs = _stirling_coeffs(m, 2 * i, prec)
+                cur = coeffs[i - 1][1] - (2 * i + m) * lz
+                if cur < log_target or cur >= prev or i > 300:
+                    break  # term i is the first omitted one
+                prev, i = cur, i + 1
+            rem = (coeffs[i - 1][3] * zf ** -(2 * i + m)
+                   + math.ldexp(_horner_slack(coeffs, i), -wl) / zf * zf ** -(m + 1))
+            fits = fits and rem <= target
+            picks.append((coeffs, i, rem))
+        if fits:
+            break
+        thr *= 2
 
-        thr = _shift_threshold(cfg.working_digits) + max(max_order - 1, 0)
-        n, sums = _shift(xf, thr, consts.target, series)
-        ui, zi = 2 * a + step, a + (n + 1) * step  # u = ui 2^(s-1)
-        q = libmp.mpf_div(libmp.from_int(2 * n + 1), libmp.from_man_exp(ui, s), wl, "n")
-        log_zu = libmp.mpf_log(libmp.mpf_add(q, libmp.fone), wl, "n")
-        fixed = _floor_mul(ui, log_zu, s - 1 + wp) + sums[0][0] - ((2 * n + 1) << (wp - 1))
-        factors = range(a + step, zi, step)  # x + j = factors[j-1] 2^s
-        if n:
-            prod = math.prod(factors)
-            ratio = libmp.mpf_div(libmp.from_int(prod), libmp.from_int(zi ** n), wl, "n")
-            fixed -= _floor_mul(1, libmp.mpf_log(ratio, wl, "n"), wp)
-        fs, errs = [fixed], [math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + sums[0][1]]
-        powers = [1] * n  # (x + j)^k 2^-(s k)
-        for k in range(1, max_order + 1):
-            powers = [p * f for p, f in zip(powers, factors)]
-            unit = math.factorial(k - 1) << (wp - s * k)  # (k-1)! 2^wp / 2^(s k)
-            g = sums[k][0] + unit // (2 * zi ** k) + sum(unit // p for p in powers)
-            if k == 1:
-                g -= _floor_mul(1, log_zu, wp)
-            else:
-                lead = math.factorial(k - 2) << (wp - s * (k - 1))
-                g += lead // zi ** (k - 1) - (lead << (k - 1)) // ui ** (k - 1)
-            fs.append(-g if k % 2 else g)
-            errs.append(math.ldexp(n + 4, -wp) + math.ldexp(6 * n + 4 if k == 1 else 1, -wl)
-                        + sums[k][1])
-        return fs, wp, errs
+    ui, zi = 2 * a + step, a + (n + 1) * step  # u = ui 2^(s-1), z = zi 2^s
+    sums = [((_fixed_horner(coeffs, i, (zi, s), wl) << (wp - wl - s * (k + 1))) // zi ** (k + 1), rem)
+            for k, (coeffs, i, rem) in enumerate(picks)]  # (S_k(z) 2^wp, its bound)
+    # mpf_div rounds the exact quotient, so its operands are passed as raw
+    # mpfs (sign, man, exp, bitcount) without stripping the man's trailing zeros
+    q = libmp.mpf_div((0, 2 * n + 1, 0, (2 * n + 1).bit_length()), (0, ui, s, ui.bit_length()), wl, "n")
+    log_zu = libmp.mpf_log(libmp.mpf_add(q, libmp.fone), wl, "n")
+    fixed = _floor_mul(ui, log_zu, s - 1 + wp) + sums[0][0] - ((2 * n + 1) << (wp - 1))
+    factors = range(a + step, zi, step)  # x + j = factors[j-1] 2^s
+    if n:
+        prod, zn = math.prod(factors), zi ** n
+        ratio = libmp.mpf_div((0, prod, 0, prod.bit_length()), (0, zn, 0, zn.bit_length()), wl, "n")
+        fixed -= _floor_mul(1, libmp.mpf_log(ratio, wl, "n"), wp)
+    fs, errs = [fixed], [math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + sums[0][1]]
+    powers = [1] * n  # (x + j)^k 2^-(s k)
+    for k in range(1, max_order + 1):
+        powers = [p * f for p, f in zip(powers, factors)]
+        unit = math.factorial(k - 1) << (wp - s * k)  # (k-1)! 2^wp / 2^(s k)
+        g = sums[k][0] + unit // (2 * zi ** k) + sum(unit // p for p in powers)
+        if k == 1:
+            g -= _floor_mul(1, log_zu, wp)
+        else:
+            lead = math.factorial(k - 2) << (wp - s * (k - 1))
+            g += lead // zi ** (k - 1) - (lead << (k - 1)) // ui ** (k - 1)
+        fs.append(-g if k % 2 else g)
+        errs.append(math.ldexp(n + 4, -wp) + math.ldexp(6 * n + 4 if k == 1 else 1, -wl)
+                    + sums[k][1])
+    return fs, wp, errs
 
 
 def _rounded(fixed: int, wp: int, err: float, cfg: PrecisionConfig) -> SpecialValue:
-    """fixed 2^-wp rounded once into an mpf of prec bits at cfg.dps, which
-    moves it by at most 2^-prec of its size; that is added to err."""
-    with mp.workdps(cfg.dps):
-        val = mp.mpf((fixed, -wp))
-        return SpecialValue(val, err + math.ldexp(abs(float(val)), -mp.prec))
+    """fixed 2^-wp rounded once to nearest into an mpf of prec bits, the bits
+    of cfg.dps, which moves it by at most 2^-prec of its size; that is added
+    to err."""
+    prec = _constants(cfg).prec
+    val = libmp.from_man_exp(fixed, -wp, prec, "n")
+    return SpecialValue(mp.make_mpf(val), err + math.ldexp(abs(libmp.to_float(val, rnd="n")), -prec))
 
 
 def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG, order: int = 0) -> SpecialValue:
@@ -330,23 +351,65 @@ def ln_gamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
         return SpecialValue(f0.value + p - log_x, f0.abs_error_bound + float(err))
 
 
+def _binet_series_fixed(x, wl: int) -> int:
+    """G ~ 2^wl g(t) for an mpf x >= 1, t = 1/(2x) <= 1/2, where
+
+        (x+1/2) ln(1 + t) - 1/2 = t g(t),  g(t) = sum_{k>=1} (-1)^(k+1) t^(k-1)/(2k(k+1)),
+
+    with |G 2^-wl - g(t)| <= (2K + 2) 2^-wl, K the number of terms summed.
+
+    Lemma.  With T = floor(2^wl t) (error < 1 unit of 2^-wl), P_1 = 2^wl and
+    P_k = floor(P_(k-1) T / 2^wl), the gap e_k = 2^wl t^(k-1) - P_k obeys
+    0 <= e_k <= t e_(k-1) + 2, so e_k <= 2/(1-t) <= 4; each kept term
+    floor(P_k / (2k(k+1))) is then off by at most 4/4 + 1 = 2 units.  The sum
+    stops at the first P_(K+1) = 0, so 2^wl t^K <= 4, and the omitted
+    alternating tail is below 4/(2(K+1)(K+2)) <= 1 unit.  P halves at each
+    step, so K <= wl + 1."""
+    _, man, e, _ = x._mpf_
+    shift = wl - e - 1
+    big_t = (1 << shift) // man if shift >= 0 else 0  # t = 2^(-e-1)/man
+    big_g, power, k = 0, 1 << wl, 1
+    while power:
+        term = power // (2 * k * (k + 1))
+        big_g += term if k % 2 else -term
+        power = power * big_t >> wl
+        k += 1
+    return big_g
+
+
 def binet_theta(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """Binet remainder theta(x) = ln Gamma(x) - (x-1/2) ln x + x - ln sqrt(2 pi)
     for finite x > 0, read from the F_0 kernel (one _stirling_defect call) as
 
-        theta(x) = F_0(x) + (x+1/2) ln(1 + 1/(2x)) - 1/2,
+        theta(x) = F_0(x) + D(x),  D(x) = (x+1/2) ln(1 + 1/(2x)) - 1/2,
 
-    in which ln sqrt(2 pi) and the x ln x terms cancel.  The bound is the
-    kernel's plus the rounding of the sum, 10^(2-dps) (|F_0| +
-    |(x+1/2) ln(1 + 1/(2x))| + 1/2), the rule of _constants.  It is an
-    absolute bound: theta ~ 1/(12x) while the middle term stays near 1/2,
-    so at 15 digits it is about 1.2e-7 of theta at x = 1e15."""
+    in which ln sqrt(2 pi) and the x ln x terms cancel.
+
+    Below x = 1, D is formed as written, and the bound is the kernel's plus
+    the rounding of the sum, 10^(2-dps) (|F_0| + |(x+1/2) ln(1 + 1/(2x))| +
+    1/2), the rule of _constants.
+
+    From x = 1 on, D = t g(t), t = 1/(2x), with g summed in fixed point at
+    wl bits by _binet_series_fixed and divided by 2x: no term near 1/2 is
+    formed, so nothing cancels (D ~ 1/(8x), F_0 ~ -1/(24x)).  g >= 1/4 - t/12
+    >= 1/5, so G's (2K + 2) units of 2^-wl, K <= wl + 1, are below 2^-prec of
+    g; rounding G 2^-wl into an mpf, dividing it by x and adding F_0 add
+    three roundings of 2^-prec more.  All are within 10^(2-dps) (|F_0| +
+    |D|), the rule of _constants, so the bound is the kernel's plus that.
+    It stays relative while the kernel's absolute bound, about 2^(3-wl)
+    without a shift, is below theta ~ 1/(12x): at 15 digits it is about
+    1.3e-5 of theta at x = 1e25."""
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
         f0 = _stirling_defect(xm, cfg)
-        b = (xm + _HALF) * mp.log1p(1 / (2 * xm))
-        err = (abs(f0.value) + abs(b) + _HALF) * _constants(cfg).eps
-        return SpecialValue(f0.value + b - _HALF, f0.abs_error_bound + float(err))
+        consts = _constants(cfg)
+        if xm < 1:
+            b = (xm + _HALF) * mp.log1p(1 / (2 * xm))
+            err = (abs(f0.value) + abs(b) + _HALF) * consts.eps
+            return SpecialValue(f0.value + b - _HALF, f0.abs_error_bound + float(err))
+        d = mp.mpf((_binet_series_fixed(xm, consts.wl), -consts.wl - 1)) / xm
+        err = (abs(f0.value) + abs(d)) * consts.eps
+        return SpecialValue(f0.value + d, f0.abs_error_bound + float(err))
 
 
 def _polygamma(m: int, x, cfg: PrecisionConfig) -> SpecialValue:

@@ -4,7 +4,8 @@ SpecialValue accepts exactly the finite nonnegative error bounds, the
 F_0 kernel stays within its bound, which is no wider than the bound of
 ln Gamma(x+1) - p(x) formed the long way, so does each of its orders
 F_0..F_6, ln_gamma and binet_theta, which read that kernel, stay within
-theirs, and every row margin of the fused Thm 3.1/3.4 pass lies within
+theirs, the kernel returns its reference's integers and bounds bit for bit
+(tests/oracles.py), and every row margin of the fused Thm 3.1/3.4 pass lies within
 its stated error of a reference."""
 
 import contextlib
@@ -33,6 +34,7 @@ from gammacert.bounds import BoundFamily, FamilyId, gamma_bound_log
 from gammacert.config import FALSIFIED, INDETERMINATE, VERIFIED, PrecisionConfig
 from gammacert.harness import GridSpec, VerificationReport
 from gammacert.monotone import laplace_check, phi_sign_certificate
+import oracles
 from oracles import free_part
 
 # nan, +-inf and every x <= 0, as floats or as mpf
@@ -240,6 +242,34 @@ def test_every_order_of_the_kernel_within_its_bound(x, digits):
     with mp.workdps(2 * cfg.dps + 20 + max(0, math.ceil(math.log10(x)) - 15)):
         for k, (f, err) in enumerate(zip(fs, errs)):
             assert abs(mp.ldexp(f, -wp) - free_part(k, x)) <= err, (x, digits, k)
+
+
+# x log-uniform on [1e-300, 1e300]
+_full_range_x = st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)
+
+with mp.workdps(40):
+    _WIDE_X = mp.mpf("0.1") + 1  # 136 bits, rounded to 86 at 15 digits
+
+
+@given(x=_full_range_x, max_order=st.integers(0, 6), digits=st.sampled_from([15, 30, 60]))
+@example(x=_WIDE_X, max_order=0, digits=15)
+@example(x=_WIDE_X, max_order=6, digits=30)
+@example(x=1e-300, max_order=6, digits=15)
+@example(x=1e300, max_order=6, digits=60)
+@example(x=1, max_order=6, digits=15)
+@example(x=2, max_order=1, digits=30)
+@example(x=7, max_order=3, digits=60)
+@example(x=11, max_order=0, digits=15)
+# x + 1 on both sides of the shift threshold, 10 at 15 digits and order 0
+@example(x=8.999999999999998, max_order=0, digits=15)
+@example(x=9.0, max_order=0, digits=15)
+@settings(max_examples=80, deadline=None)
+def test_kernel_equals_its_reference(x, max_order, digits):
+    # the same (Fs, wp, errs) as the kernel before its per-call plumbing was
+    # removed: the same shift, terms, integers and float bounds
+    cfg = PrecisionConfig(working_digits=digits)
+    got = specfun._stirling_defect_fixed(x, cfg, max_order)
+    assert got == oracles._stirling_defect_fixed(x, cfg, max_order), (x, max_order, digits)
 
 
 @given(x=_log_uniform_x, digits=st.sampled_from([15, 30, 60]))

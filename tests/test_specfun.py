@@ -29,7 +29,8 @@ from gammacert import (
     mathieu_partial,
     polygamma,
 )
-from gammacert import harness, specfun
+import oracles
+from gammacert import bounds, harness, specfun
 from gammacert.monotone import default_cm_grid
 from oracles import free_part
 
@@ -262,6 +263,50 @@ class TestShiftKernel:
         specfun._stirling_defect_fixed(1e300, cfg)
         assert products == [] and len(logs) == 1
 
+    @pytest.mark.parametrize("x", [0.5, 2, 5])
+    def test_threshold_doubling_retry(self, x, monkeypatch):
+        # with the shift threshold at 3, the series of order 0 misses its
+        # target at z = x + 1 + n twice, so the threshold doubles to 6 and
+        # then to 12, where it meets it: n = ceil(12 - (x + 1)) factors
+        cfg = PrecisionConfig()
+        shifts = []
+
+        def prod(factors):
+            shifts.append(len(factors))
+            return math.prod(factors)
+
+        for module in (specfun, oracles):
+            monkeypatch.setattr(module, "_shift_threshold", lambda digits: 3.0)
+        monkeypatch.setattr(specfun, "math", types.SimpleNamespace(**{**vars(math), "prod": prod}))
+        specfun._constants.cache_clear()  # the per-precision record holds the threshold
+        try:
+            fs, wp, errs = specfun._stirling_defect_fixed(x, cfg)
+            assert specfun._constants(cfg).shift_threshold == 3.0
+        finally:
+            specfun._constants.cache_clear()
+        assert shifts == [math.ceil(12 - (x + 1))]
+        assert (fs, wp, errs) == oracles._stirling_defect_fixed(x, cfg)
+        with mp.workdps(2 * cfg.dps + 20):
+            assert abs(mp.ldexp(fs[0], -wp) - free_part(0, x)) <= errs[0]
+
+    @pytest.mark.parametrize("digits", [15, 30, 60])
+    def test_float_target_is_the_largest_float_at_or_below_the_target(self, digits):
+        # so a float remainder bound meets the mpf target exactly when it
+        # meets this float, and the kernel's retry decisions stay those of
+        # the comparison with the mpf
+        consts = specfun._constants(PrecisionConfig(working_digits=digits))
+        assert consts.target_float <= consts.target < math.nextafter(consts.target_float, math.inf)
+
+    @pytest.mark.parametrize("ambient", [20, 53, 400])
+    def test_kernel_ignores_the_ambient_precision(self, ambient):
+        # the kernel enters no precision context; every precision it uses
+        # comes from cfg, whatever precision its caller runs at
+        cfg = PrecisionConfig(working_digits=30)
+        xs = [0.37, 12.5, self._x("wide"), "2.5", 10 ** 40 + 1]
+        expected = [oracles._stirling_defect_fixed(x, cfg, 3) for x in xs]
+        with mp.workprec(ambient):
+            assert [specfun._stirling_defect_fixed(x, cfg, 3) for x in xs] == expected
+
     @pytest.mark.parametrize("digits", [15, 60])
     @pytest.mark.parametrize("m", range(-1, 7))
     def test_fixed_point_sum_within_its_bound(self, digits, m):
@@ -361,6 +406,33 @@ class TestBinetTheta:
             oracle = mp.loggamma(xm) - (xm - mp.mpf(1) / 2) * mp.log(xm) + xm - mp.log(2 * mp.pi) / 2
             assert abs(sv.value - oracle) <= sv.abs_error_bound
 
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("x", [1e20, 1e23, 1e25])
+    def test_bound_stays_relative_at_large_x(self, digits, x):
+        # from x = 1 on, (x+1/2) ln(1 + 1/(2x)) - 1/2 is summed from its
+        # alternating series in 1/(2x), so no term near 1/2 rounds away
+        # theta ~ 1/(12x), and the bound stays a small part of theta
+        cfg = PrecisionConfig(working_digits=digits)
+        sv = binet_theta(x, cfg)
+        with mp.workdps(2 * cfg.dps + 20):
+            xm = mp.mpf(x)
+            oracle = mp.loggamma(xm) - (xm - mp.mpf(1) / 2) * mp.log(xm) + xm - mp.log(2 * mp.pi) / 2
+            assert abs(sv.value - oracle) <= sv.abs_error_bound
+            assert sv.abs_error_bound <= 1e-4 * oracle
+
+    @pytest.mark.parametrize("wl", [106, 156, 256])
+    @pytest.mark.parametrize("x", [1, 1.5, 2.5, 1e3, 1e20, 2.0 ** 300])
+    def test_series_within_its_lemma(self, wl, x):
+        # G 2^-wl against g(t) = ((x+1/2) ln(1 + t) - 1/2)/t, t = 1/(2x),
+        # within (2K + 2) units, K <= wl + 1 terms
+        big_g = specfun._binet_series_fixed(mp.mpf(x), wl)
+        # the reference cancels about log2(x) bits on its way to g
+        with mp.workprec(2 * wl + 60 + math.ceil(math.log2(x))):
+            xm = mp.mpf(x)
+            t = 1 / (2 * xm)
+            g = ((xm + mp.mpf(1) / 2) * mp.log1p(t) - mp.mpf(1) / 2) / t
+            assert abs(mp.ldexp(big_g, -wl) - g) <= mp.ldexp(2 * (wl + 1) + 2, -wl)
+
     def test_classical_bracket(self):
         # 1/(12x+1) < theta(x) < 1/(12x)
         for x in (1.0, 3.0, 10.0):
@@ -438,6 +510,22 @@ class TestEulerGamma:
         with mp.workdps(40):
             sv = euler_gamma(DEFAULT_CONFIG)
             assert abs(float(sv.value - mp.euler)) <= sv.abs_error_bound
+
+    @pytest.mark.parametrize("digits", [15, 30, 60])
+    def test_harmonic_constants_read_mpmaths_gamma(self, digits):
+        # Thm 3.2's gamma is mpmath's constant at the precision of
+        # euler_gamma for cfg.dps quoted digits, within euler_gamma's bound
+        cfg = PrecisionConfig(working_digits=digits)
+        family = bounds.BoundFamily(bounds.FamilyId.HARMONIC_HIGH)
+        *_, gamma_c = bounds._harmonic_constants(family, bounds.CORRECTED_HARMONIC_CONSTANT, cfg)
+        sv = euler_gamma(PrecisionConfig(working_digits=cfg.dps))
+        with mp.workdps(cfg.dps + 10):
+            assert gamma_c == +mp.euler
+            prec = mp.prec
+        with mp.workdps(2 * cfg.dps + 40):
+            # within 2^-prec of gamma, as its docstring states
+            assert abs(gamma_c - mp.euler) <= mp.ldexp(gamma_c, -prec)
+            assert abs(gamma_c - sv.value) <= sv.abs_error_bound + mp.ldexp(gamma_c, -prec)
 
     @pytest.mark.parametrize("digits", [15, 30])
     def test_value_at_default_global_precision(self, digits):
