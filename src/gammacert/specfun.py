@@ -91,10 +91,14 @@ def _constants(cfg: PrecisionConfig) -> _Constants:
     exactly when it lies at or below target_float."""
     with mp.workdps(cfg.dps):
         target = mp.mpf(10) ** (-(cfg.working_digits + 6))
+        # to_float floors to 53 bits, but below 2^-1022 its ldexp rounds to nearest
+        target_float = libmp.to_float(target._mpf_, rnd=libmp.round_floor)
+        while mp.mpf(target_float) > target:
+            target_float = math.nextafter(target_float, 0)
         return _Constants(mp.log(2 * mp.pi) / 2, mp.mpf(10) ** (2 - cfg.dps), target,
                           -(cfg.working_digits + 6) * math.log(10), mp.prec,
                           mp.prec + _FIXED_GUARD_BITS, _shift_threshold(cfg.working_digits),
-                          libmp.to_float(target._mpf_, rnd=libmp.round_floor))
+                          target_float)
 
 
 _HALF = mp.mpf(1) / 2  # exact at every precision
@@ -261,7 +265,7 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
         lz = math.log(zf)
         picks, fits = [], True  # (coeffs, i, remainder bound of S_k(z)) per order k = m + 1
         for m in range(-1, max_order):
-            coeffs = _STIRLING_COEFFS.get((m, prec)) or _stirling_coeffs(m, 2, prec)
+            coeffs = _stirling_coeffs(m, 2, prec)
             prev, i = coeffs[0][1] - (2 + m) * lz, 2  # ln |term 1|
             while True:
                 if i > len(coeffs):

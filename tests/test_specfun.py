@@ -289,11 +289,13 @@ class TestShiftKernel:
         with mp.workdps(2 * cfg.dps + 20):
             assert abs(mp.ldexp(fs[0], -wp) - free_part(0, x)) <= errs[0]
 
-    @pytest.mark.parametrize("digits", [15, 30, 60])
+    @pytest.mark.parametrize("digits", [15, 30, 60, 311, 312, 330])
     def test_float_target_is_the_largest_float_at_or_below_the_target(self, digits):
         # so a float remainder bound meets the mpf target exactly when it
         # meets this float, and the kernel's retry decisions stay those of
-        # the comparison with the mpf
+        # the comparison with the mpf; from 311 digits on the target,
+        # 10^-(digits+6), is subnormal (1e-317 lies 0.53 units of 2^-1074
+        # above a float) or below the least float (then the float is 0)
         consts = specfun._constants(PrecisionConfig(working_digits=digits))
         assert consts.target_float <= consts.target < math.nextafter(consts.target_float, math.inf)
 
