@@ -30,7 +30,7 @@ class ParameterError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A quadrature or search failed to reach its certified target."""
+    """A series, enclosure or search could not reach its certified target."""
 
 
 @dataclass(frozen=True)

@@ -382,8 +382,10 @@ _LAPLACE_LAM0 = 0.5
 
 
 def _laplace_residuals(cfg) -> list:
-    """[(x, Q(x, 1/2) - H_{1/2}'(x))] for the 5 x of _LAPLACE_XS, where Q is
-    the quadrature path of H_lambda'(x) = int phi_lambda e^{-xt} dt.
+    """[(x, R)] for the 5 x of _LAPLACE_XS, R an mpmath.iv interval that
+    holds Q(x, 1/2) - H_{1/2}'(x): Q the certified enclosure of
+    H_lambda'(x) = int_0^inf phi_lambda e^{-xt} dt (monotone.laplace_enclosure),
+    less the closed form with its bound (monotone._laplace_residual).
 
     One residual per x stands for every lambda.  phi depends on lambda only
     through its term -t e^{-lambda t}/24, whose Laplace transform is
@@ -392,44 +394,25 @@ def _laplace_residuals(cfg) -> list:
 
         Q(x, lambda) - H_lambda'(x) = Q(x, 1/2) + 1/(24 (x+1/2)^2)
                                       - psi(x+1) + ln(x+1/2).
-
-    The quadrature stops at T >= 60/x, so the lambda term's tail beyond T
-    that this cancellation leaves out is below e^{-60} in scale, far under
-    the 1e-10 margin of the claim.
-
-    The five quadratures share their interval ends 0, 1, 10 and 30 (and
-    T = 50 for x >= 2), hence their tanh-sinh nodes there, so phi is
-    evaluated through a memo local to this call; each distinct node and
-    precision is computed once.
     """
-    memo = {}
-
-    def phi(t):
-        key = (t, mp.prec)
-        if key not in memo:
-            memo[key] = monotone.phi_integrand(t, _LAPLACE_LAM0)
-        return memo[key]
-
-    out = []
-    for x in _LAPLACE_XS:
-        quad = monotone._laplace_quad(x, _LAPLACE_LAM0, cfg, phi)
-        closed = monotone.H_lambda_prime(x, _LAPLACE_LAM0, cfg)
-        with mp.workdps(cfg.dps):
-            out.append((x, float(quad - closed.value)))
-    return out
+    return [(x, monotone._laplace_residual(x, _LAPLACE_LAM0, cfg)) for x in _LAPLACE_XS]
 
 
 def _run_laplace(cfg, grid: GridSpec):
     """Two-path check of H_lambda' = Laplace transform of phi_lambda, for
-    every lambda at once, with one quadrature per x; see _laplace_residuals.
+    every lambda at once, with one enclosure per x; see _laplace_residuals.
 
-    mp.quad's error estimate is not a certified bound, so this claim is a
-    sample cross-check, not a proof: each residual must stay below 1e-10,
-    far above the residuals seen (under 1e-21 at 15, 30 and 60 digits),
-    and a margin's error is the rounding rule's 10^(2-dps) alone."""
-    sweep, eps = Sweep(), float(specfun._constants(cfg).eps)
-    for x, res in _laplace_residuals(cfg):
-        sweep.add(x, 1e-10 - abs(res), eps)
+    Each margin 1e-10 - |R| is formed as an interval at cfg.dps digits and
+    added through monotone._add_enclosure, so it is certified at its point:
+    the enclosure of Q is proved, the closed form's bound is folded into R,
+    and the float rounding of the margin is covered too.  The claim still
+    checks 5 points x: it is certified at its points, a sample of the
+    identity rather than a proof of it.
+    """
+    sweep = Sweep()
+    with monotone._iv_dps(cfg.dps):
+        for x, res in _laplace_residuals(cfg):
+            monotone._add_enclosure(sweep, x, 1e-10 - abs(res))
     return sweep.result()
 
 

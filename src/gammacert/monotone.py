@@ -13,9 +13,13 @@ complete monotonicity of +-H_lambda reduces to the sign of phi_lambda:
                                       (holds iff lambda >= lambda_star).
 
 lambda_star = sup_t h(t) with h(t) = -(1/t) ln[(24/t^2)(e^{-t/2} - t/(e^t-1))].
-phi_sign_certificate proves the sign of phi_lambda on all of (0, inf) in
-interval arithmetic, and lambda_star returns a bracket of lambda_star that
-is proven the same way.
+Everything about phi_lambda is decided in mpmath.iv from one set of Taylor
+coefficients (_phi_series, whose lambda-free part is built once):
+phi_sign_certificate proves the sign of phi_lambda on all of (0, inf), with
+a second-order centred form in phi'' on [2, 20]; lambda_star returns a
+bracket of lambda_star that is proven the same way; and laplace_enclosure
+encloses the Laplace transform of phi_lambda, the integral path of
+H_lambda' that laplace_check compares with the closed form.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "H_lambda_prime",
     "H_lambda_deriv",
     "phi_integrand",
+    "laplace_enclosure",
     "laplace_check",
     "h_of_t",
     "lambda_star",
@@ -135,6 +140,16 @@ def _phi_taylor_cutoff(lm):
     return 1e-3 if abs(lm) <= 1000 else 1 / abs(lm)
 
 
+@functools.lru_cache(maxsize=None)
+def _phi_free_coeff(k: int) -> tuple:
+    """(a_k - b_k, |a_k| + |b_k|) of _phi_coeffs exactly, the part of c_k and
+    s_k that does not depend on lambda; built once per k."""
+    f = math.factorial(k + 1)
+    a = Fraction((-1) ** (k + 1), 2 ** (k + 1) * f)
+    b = Fraction(*mp.bernfrac(k + 1)) / f
+    return a - b, abs(a) + abs(b)
+
+
 def _phi_coeffs(lam: Fraction):
     """Yield (c_k, s_k) for k = 2, 3, ..., exactly, where phi_lambda(t) =
     sum_k c_k t^k, c_k = a_k - b_k - d_k and s_k = |a_k| + |b_k| + |d_k|:
@@ -143,14 +158,15 @@ def _phi_coeffs(lam: Fraction):
         d_k = (-lambda)^(k-1)/(24 (k-1)!),
 
     from the series of e^{-t/2}/t, 1/(e^t-1) and t e^{-lambda t}/24.  The
-    coefficients of t^-1 .. t^1 cancel, and c_2 = (2 lambda - 1)/48.
+    coefficients of t^-1 .. t^1 cancel, and c_2 = (2 lambda - 1)/48.  The
+    lambda-free parts come from _phi_free_coeff; per lambda only d_k is
+    formed, d_(k+1) = d_k (-lambda)/k.
     """
+    d = -lam / 24
     for k in itertools.count(2):
-        f = math.factorial(k + 1)
-        a = Fraction((-1) ** (k + 1), 2 ** (k + 1) * f)
-        b = Fraction(*mp.bernfrac(k + 1)) / f
-        d = (-lam) ** (k - 1) / (24 * math.factorial(k - 1))
-        yield a - b - d, abs(a) + abs(b) + abs(d)
+        free, size = _phi_free_coeff(k)
+        yield free - d, size + abs(d)
+        d = d * -lam / k
 
 
 @functools.lru_cache(maxsize=32)
@@ -214,44 +230,6 @@ def phi_integrand(t, lam):
         return _phi_taylor(tm, lm)  # needs no exponential
     a, b = _phi_terms(tm)
     return a - b - tm * mp.exp(-lm * tm) / 24
-
-
-# tanh-sinh at degree d uses on the order of 20 * 2^d nodes.
-_QUAD_MAXDEGREE = 8
-
-
-def _quad_cutoff(x) -> float:
-    """Truncation point T = max(50, 60/x) of an improper Laplace-type
-    integral at x > 0, which puts e^{-xT} below e^{-60}."""
-    return max(50.0, 60.0 / float(x))
-
-
-def _laplace_quad(x, lam, cfg: PrecisionConfig, phi=None):
-    """int_0^T phi_lambda(t) e^{-xt} dt by tanh-sinh quadrature with
-    T = _quad_cutoff(x), so the omitted tail is e^{-60}-small in scale.
-    `phi(t)` stands in for phi_integrand(t, lam) when given (a memo of it)."""
-    if phi is None:
-        phi = lambda t: phi_integrand(t, lam)
-    with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        T = mp.mpf(_quad_cutoff(x))
-        f = lambda t: phi(t) * mp.exp(-xm * t)
-        pts = sorted({mp.mpf(0), min(1, T), min(10, T), min(30, T), T})
-        try:
-            return mp.quad(f, pts, maxdegree=_QUAD_MAXDEGREE)
-        except Exception as exc:
-            raise NumericalError(f"Laplace quadrature failed at x={x}, lambda={lam}") from exc
-
-
-def laplace_check(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
-    """Residual between the quadrature of the Laplace representation of
-    H_lambda' and its closed form; expected within combined error bounds."""
-    require_positive("x", x)
-    _check_lambda(lam)
-    closed = H_lambda_prime(x, lam, cfg)
-    quad = _laplace_quad(x, lam, cfg)
-    with mp.workdps(cfg.dps):
-        return float(quad - closed.value)
 
 
 # h(t) amplifies the rounding of e^{-t/2}/t and 1/(e^t-1), and the Taylor
@@ -329,6 +307,41 @@ def _add_enclosure(sweep: Sweep, at: float, enc) -> None:
     sweep.add(at, margin, math.nextafter(max(-float(d.a), float(d.b)), math.inf))
 
 
+@functools.lru_cache(maxsize=1)
+def _iv_numbers() -> tuple:
+    """1/2, 1, 2 and 24 as mpmath.iv numbers, exact at every precision, so
+    that no box converts them again."""
+    return tuple(iv.mpf(v) for v in (0.5, 1, 2, 24))
+
+
+def _phi_d2(x, lm):
+    """phi_lambda''(x) in mpmath.iv, for an interval x >= 1 and lm = lambda
+    as an iv number, with a = e^{-t/2}/t and b = 1/(e^t-1) (_phi_terms):
+
+        phi'' = a (1/t^2 + (1/2 + 1/t)^2) - b (1+b) (1+2b)
+                - (lambda^2 t - 2 lambda) e^{-lambda t}/24.
+    """
+    half, one, two, c24 = _iv_numbers()
+    a, b = _phi_terms(x, iv)
+    inv = one / x
+    return (a * (inv ** 2 + (half + inv) ** 2) - b * (one + b) * (one + two * b)
+            - (lm * lm * x - two * lm) * iv.exp(-lm * x) / c24)
+
+
+def _phi_centred(x, m, lm):
+    """An mpmath.iv enclosure of phi_lambda on the box x (within [1, inf))
+    with midpoint m, lm = lambda as an iv number: the second-order centred
+    form phi(m) + phi'(m) (x - m) + phi''(x) (x - m)^2 / 2 of
+    phi_sign_certificate, with (x - m)^2 an even power, so [0, r^2]."""
+    half, one, two, c24 = _iv_numbers()
+    a, b = _phi_terms(m, iv)
+    e = iv.exp(-lm * m) / c24
+    phi_m = a - b - m * e
+    dphi_m = b * (one + b) - (half + one / m) * a - (one - lm * m) * e
+    d = x - m
+    return phi_m + dphi_m * d + _phi_d2(x, lm) * d ** 2 / two
+
+
 def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> tuple:
     """(min_margin, argmin, verdict) of sign * phi_lambda(t) > 0 for all t > 0
     (sign = 1 or -1), proved in mpmath.iv at cfg.dps digits.
@@ -336,17 +349,23 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
     By Bernstein's theorem phi_lambda < 0 on (0, inf) makes H_lambda
     completely monotonic and phi_lambda > 0 makes -H_lambda so.  Pieces:
     (0, 2], the polynomial of _phi_series by Horner's rule plus its
-    remainder, so margins of sign * phi/t^p; [2, 20], the centred form
-    phi(m) + phi'(box) (box - m) with m the midpoint and b = 1/(e^t-1),
+    remainder, so margins of sign * phi/t^p; [2, 20], the second-order
+    centred form of _phi_centred on a box X with midpoint m,
 
-        phi'(t) = -(1/2 + 1/t) e^{-t/2}/t + b (1 + b) - (1 - lambda t) e^{-lambda t}/24;
+        phi(m) + phi'(m) (X - m) + phi''(X) (X - m)^2 / 2,
 
-    beyond 20, a closed-form bound whose slack is the margin.  A box whose
-    enclosure holds 0 is bisected, up to _CERT_MAX_BOXES boxes.  Each leaf
-    adds its enclosure to one Sweep under its midpoint: "verified" needs
-    every enclosure to have the wanted sign, one wholly of the other sign
-    gives "falsified" and ends the proof, anything else is "indeterminate"
-    (so is lambda above about 3, where the Taylor piece is too wide).
+    with phi(m) and phi'(m) taken at the point m, b = 1/(e^t-1) and
+
+        phi'(t) = -(1/2 + 1/t) e^{-t/2}/t + b (1 + b) - (1 - lambda t) e^{-lambda t}/24,
+
+    phi'' over the box from _phi_d2, and (X - m)^2 an even power, so
+    [0, r^2] for a box of radius r; beyond 20, a closed-form bound whose
+    slack is the margin.  A box whose enclosure holds 0 is bisected, up to
+    _CERT_MAX_BOXES boxes.  Each leaf adds its enclosure to one Sweep under
+    its midpoint: "verified" needs every enclosure to have the wanted sign,
+    one wholly of the other sign gives "falsified" and ends the proof,
+    anything else is "indeterminate" (so is lambda above about 3, where the
+    Taylor piece is too wide).
     """
     _check_lambda(lam)
     if sign not in (1, -1):
@@ -355,19 +374,13 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
     with _iv_dps(cfg.dps):
         lm = iv.mpf(lam)
         coeffs, rem = _phi_series(lam)
+        centred = functools.partial(_phi_centred, lm=lm)
 
         def taylor(x, m):
             s = coeffs[-1]
             for c in reversed(coeffs[:-1]):
                 s = s * x + c
             return s + rem
-
-        def centred(x, m):
-            a, b = _phi_terms(m, iv)
-            phi_m = a - b - m * iv.exp(-lm * m) / 24
-            a, b = _phi_terms(x, iv)
-            dphi = -(0.5 + 1 / x) * a + b * (1 + b) - (1 - lm * x) * iv.exp(-lm * x) / 24
-            return phi_m + dphi * (x - m)
 
         for enclose, lo, hi in ((taylor, 0.0, 2.0), (centred, 2.0, _T_TAIL)):
             stack = [(lo, hi)]
@@ -394,6 +407,131 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
             tail = 1 - 2 * t * iv.exp(-t / 2) - t ** 2 * iv.exp(-mu * t) / 24
         _add_enclosure(sweep, _T_TAIL, tail)
     return sweep.result()
+
+
+# --- the Laplace transform of phi_lambda, enclosed in mpmath.iv -----------
+
+
+def _moments(xi, n: int, e2x) -> list:
+    """[M_0(x), ..., M_n(x)] in mpmath.iv, M_k(x) = int_0^2 t^k e^{-xt} dt,
+    for an iv x > 0 and e2x = e^{-2x}.  Integration by parts gives
+    M_k = (k M_(k-1) - 2^k e^{-2x})/x, so a step up scales an error by k/x
+    and a step down by x/k.  The recursion runs down while e x < n, where
+    the factors multiply to at most 1, from the positive series
+    (DLMF 8.7.1)
+
+        M_n(x) = e^{-2x} sum_i n! 2^(n+1+i) x^i/(n+1+i)!,
+
+    whose term ratio 2x/(n+2+i) < 1 falls, so the first omitted term over
+    1 minus its ratio bounds the rest.  Otherwise it runs up from
+    M_0 = (1 - e^{-2x})/x, where they multiply to at most n! (e/n)^n, about
+    sqrt(2 pi n).
+    """
+    half, _, two, _ = _iv_numbers()
+    two_x = two * xi
+    if float(xi.b) * math.e < n:
+        tol = mp.ldexp(1, -iv.prec)
+        s, term, i = iv.mpf(0), iv.mpf(2 ** (n + 1)) / (n + 1), 0
+        while not term.b < tol * s.a:
+            s, term, i = s + term, term * two_x / (n + 2 + i), i + 1
+        ms = [e2x * (s + iv.mpf([0, (term / (1 - two_x / (n + 2 + i))).b]))]
+        w = e2x * 2 ** n  # 2^k e^{-2x}
+        for k in range(n, 0, -1):
+            ms.append((xi * ms[-1] + w) / k)
+            w *= half
+        return ms[::-1]
+    ms, w = [-iv.expm1(-two_x) / xi], e2x
+    for k in range(1, n + 1):
+        w *= two
+        ms.append((k * ms[-1] - w) / xi)
+    return ms
+
+
+def _e1(y):
+    """E_1(y) in mpmath.iv for an iv y >= 1.  Up to y = iv.prec, from
+    E_1(y) = -gamma - ln y - sum_k (-y)^k/(k k!) (DLMF 6.6.2), summed with
+    y/2.3 + 5 extra digits, as many as its terms cancel; once the terms
+    decrease (k + 1 >= y) the first omitted one bounds the alternating
+    rest.  Above, from E_1(y) = e^{-y}/y (sum_(k<N) (-1)^k k!/y^k + R) with
+    |R| <= N!/y^N (DLMF 6.12.1), whose terms fall below 2^-prec before k
+    reaches y."""
+    tol = mp.ldexp(1, -iv.prec)
+    if y.b > iv.prec:
+        s, u, k = iv.mpf(0), iv.mpf(1), 0  # u = k!/y^k
+        while u.b >= tol and k < y.a:
+            s, k = (s - u if k % 2 else s + u), k + 1
+            u = u * k / y
+        return iv.exp(-y) / y * (s + iv.mpf([-u.b, u.b]))
+    y_hi = float(y.b)
+    with _iv_dps(iv.dps + int(y_hi / 2.3) + 5):
+        s, u, k, minus_y = iv.mpf(0), iv.mpf(1), 1, -y  # u = (-y)^k/k!
+        while True:
+            ki = iv.mpf(k)
+            u = u * minus_y / ki
+            term = u / ki
+            if k + 1 >= y_hi and abs(term).b < tol:
+                break
+            s, k = s + term, k + 1
+        e1 = -iv.euler - iv.log(y) - s + iv.mpf([-1, 1]) * abs(term).b
+    return +e1
+
+
+def laplace_enclosure(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG):
+    """An mpmath.iv interval, at cfg.dps digits, that contains
+
+        Q(x, lambda) = int_0^inf phi_lambda(t) e^{-xt} dt = H_lambda'(x).
+
+    On (0, 2], phi_lambda = t^p (sum_i c_i t^i + r) with the exact
+    coefficients and remainder of _phi_series, so that piece lies in
+    sum_i c_i M_(p+i)(x) + r M_p(x) (_moments).  On [2, inf), term by term,
+
+        int_2^inf phi_lambda(t) e^{-xt} dt = E_1(2x+1)
+            - sum_(j>=1) e^{-2(x+j)}/(x+j) - e^{-2s} (2/s + 1/s^2)/24,
+
+    s = x + lambda, with E_1 from _e1 and the j-sum's tail bounded by its
+    first omitted term over 1 - e^{-2}.  Raises NumericalError where the
+    remainder of _phi_series is infinite (2 lambda >= 62).
+    """
+    require_positive("x", x)
+    _check_lambda(lam)
+    with _iv_dps(cfg.dps):
+        coeffs, rem = _phi_series(lam)
+        if mp.isinf(rem.b):
+            raise NumericalError(f"no Taylor remainder bound for lambda = {lam!r}")
+        xi, n = iv.mpf(x), _TAYLOR_TERMS + 1
+        e2x, tol = iv.exp(-2 * xi), mp.ldexp(1, -iv.prec)
+        ms = _moments(xi, n, e2x)
+        p = n + 1 - len(coeffs)  # coeffs[i] is the coefficient of t^(p+i)
+        near = sum(c * m for c, m in zip(coeffs, ms[p:])) + rem * ms[p]
+        q = iv.exp(iv.mpf(-2))
+        jsum, qj, j = iv.mpf(0), q, 1
+        while True:  # qj = e^{-2j}
+            term = qj / (xi + j)
+            if term.b < tol:
+                break
+            jsum, qj, j = jsum + term, qj * q, j + 1
+        jsum += iv.mpf([0, (term / (1 - q)).b])
+        s = xi + iv.mpf(lam)
+        far = _e1(2 * xi + 1) - e2x * jsum - iv.exp(-2 * s) * (2 / s + 1 / s ** 2) / 24
+        return near + far
+
+
+def _laplace_residual(x, lam, cfg: PrecisionConfig):
+    """Q(x, lambda) - H_lambda'(x) as an mpmath.iv interval: the enclosure
+    of laplace_enclosure less the closed form, whose certified bound is
+    folded in."""
+    closed = H_lambda_prime(x, lam, cfg)
+    q = laplace_enclosure(x, lam, cfg)
+    with _iv_dps(cfg.dps):
+        err = closed.abs_error_bound
+        return q - (iv.mpf(closed.value) + iv.mpf([-err, err]))
+
+
+def laplace_check(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
+    """Residual between the Laplace representation of H_lambda', enclosed by
+    laplace_enclosure, and its closed form: the midpoint of
+    _laplace_residual, expected within their combined bounds."""
+    return float(_laplace_residual(x, lam, cfg).mid)
 
 
 @dataclass(frozen=True)

@@ -479,43 +479,29 @@ class TestRetry:
 
 
 class TestSharedWork:
-    def test_laplace_residuals_match_direct_quadrature(self, monkeypatch):
-        quads = []
-        quad = mp.quad
-
-        def counting_quad(*args, **kwargs):
-            quads.append(1)
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(mp, "quad", counting_quad)
+    def test_laplace_residuals_match_direct_quadrature(self):
         residuals = harness._laplace_residuals(DEFAULT_CONFIG)
-        assert len(quads) == 5
         assert [x for x, _ in residuals] == list(harness._LAPLACE_XS)
         # lambda cancels from Q(x, lambda) - H_lambda'(x), so one residual
-        # per x stands for every lambda
+        # per x stands for every lambda; res is an mpmath.iv interval, and
+        # the comparison holds for all of it
         for x, res in residuals:
             for lam in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0):
                 assert abs(res - monotone.laplace_check(x, lam, DEFAULT_CONFIG)) <= 1e-20, (x, lam)
 
-    def test_laplace_memo_equals_uncached_path(self, monkeypatch):
-        calls = []
-        phi_integrand = monotone.phi_integrand
+    def test_shifted_closed_form_falsifies_laplace(self, monkeypatch):
+        # the closed form moved by 2e-10 at x = 2 puts that residual beyond
+        # the claim's 1e-10, whatever the enclosure's width
+        closed = monotone.H_lambda_prime
 
-        def counting_phi(t, lam):
-            calls.append(lam)
-            return phi_integrand(t, lam)
+        def shifted(x, lam, cfg):
+            sv = closed(x, lam, cfg)
+            return SpecialValue(sv.value + mp.mpf("2e-10"), sv.abs_error_bound) if x == 2.0 else sv
 
-        monkeypatch.setattr(monotone, "phi_integrand", counting_phi)
-        shared = harness._laplace_residuals(DEFAULT_CONFIG)
-        assert 0 < len(calls) <= 756
-        shared_calls = len(calls)
-
-        quad = monotone._laplace_quad
-        monkeypatch.setattr(monotone, "_laplace_quad",
-                            lambda x, lam, cfg, phi=None: quad(x, lam, cfg))
-        calls.clear()
-        assert harness._laplace_residuals(DEFAULT_CONFIG) == shared
-        assert len(calls) > 2 * shared_calls
+        monkeypatch.setattr(monotone, "H_lambda_prime", shifted)
+        margin, at, verdict = harness._run_laplace(DEFAULT_CONFIG, harness._PHI_GRID)
+        assert verdict == "falsified"
+        assert at == 2.0 and margin < 0
 
     def test_factorial_sweeps_alone_equal_suite(self, monkeypatch):
         calls = self._count_defect(monkeypatch)

@@ -26,6 +26,7 @@ from gammacert.monotone import (
     kth_root_bound,
     kth_root_gap,
     laplace_check,
+    laplace_enclosure,
     necessary_limit,
     phi_sign_certificate,
     series_coeff_lambda,
@@ -138,9 +139,53 @@ class TestPhiIntegrand:
         assert self._error_over_allowance(t, lam, digits) <= mp.mpf("0.1")
 
     def test_laplace_consistency(self):
-        # quadrature of phi e^{-xt} against the closed form of H'
+        # the enclosure of the Laplace form of H' against its closed form
         for x, lam in ((1.0, 0.5), (2.0, 1.5), (5.0, 1.0)):
             assert abs(laplace_check(x, lam)) < 1e-10
+
+
+_LAPLACE_XS = (0.5, 1.0, 2.0, 5.0, 10.0)
+
+
+class TestLaplaceEnclosure:
+    @pytest.mark.parametrize("digits", [15, 30, 60])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.5, 2.0])
+    def test_contains_closed_form(self, lam, digits):
+        # H_lambda'(x) = psi(x+1) - ln(x+1/2) - 1/(24 (x+lambda)^2), from
+        # mpmath's digamma at twice the working precision
+        cfg = PrecisionConfig(working_digits=digits)
+        for x in _LAPLACE_XS:
+            enc = laplace_enclosure(x, lam, cfg)
+            with mp.workdps(2 * cfg.dps + 20):
+                xm = mp.mpf(x)
+                ref = mp.digamma(xm + 1) - mp.log(xm + mp.mpf(1) / 2) - 1 / (24 * (xm + lam) ** 2)
+                assert mp.mpf(enc.a) <= ref <= mp.mpf(enc.b), (x, lam, digits)
+                assert mp.mpf(enc.b) - mp.mpf(enc.a) <= mp.mpf("1e-20"), (x, lam, digits)
+
+    @pytest.mark.parametrize("lam", [31.0, 31.5, 100.0])
+    def test_no_remainder_bound_raises(self, lam):
+        # 2 lambda >= 62: the Taylor remainder of _phi_series is infinite
+        with pytest.raises(NumericalError):
+            laplace_enclosure(1.0, lam)
+
+    def test_iv_precision_restored(self):
+        before = iv.prec
+        laplace_enclosure(1.0, 0.5, PrecisionConfig(working_digits=30))
+        assert iv.prec == before
+        with pytest.raises(NumericalError):
+            laplace_enclosure(1.0, 40.0, PrecisionConfig(working_digits=30))
+        assert iv.prec == before
+
+    @pytest.mark.parametrize("x", [30.0, 200.0])
+    def test_large_x_contains_closed_form(self, x):
+        # e x >= 61 takes the moments upward, and 2x + 1 > iv.prec the
+        # asymptotic series of E_1
+        enc = laplace_enclosure(x, 0.5)
+        with mp.workdps(60):
+            xm = mp.mpf(x)
+            ref = mp.digamma(xm + 1) - mp.log(xm + mp.mpf(1) / 2) - 1 / (24 * (xm + mp.mpf(1) / 2) ** 2)
+            assert mp.mpf(enc.a) <= ref <= mp.mpf(enc.b)
+            assert mp.mpf(enc.b) - mp.mpf(enc.a) <= mp.mpf("1e-20")
 
 
 class TestThreshold:
@@ -252,6 +297,33 @@ class TestPhiSignCertificate:
                 s = s * iv.mpf(tm) + c
             enc = s + rem
             assert mp.mpf(enc.a) <= exact <= mp.mpf(enc.b)
+
+    @pytest.mark.parametrize("t", ["2", "5.5", "12.2378", "20"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.5, 3.0])
+    def test_second_derivative_matches_numerical(self, lam, t):
+        with mp.workdps(50), monotone._iv_dps(50):
+            phi = lambda u: mp.exp(-u / 2) / u - 1 / mp.expm1(u) - u * mp.exp(-lam * u) / 24
+            ref = mp.diff(phi, mp.mpf(t), 2)
+            enc = monotone._phi_d2(iv.mpf(t), iv.mpf(lam))
+            assert abs(mp.mpf(enc.mid) - ref) <= mp.mpf("1e-40")
+            assert mp.mpf(enc.b) - mp.mpf(enc.a) <= mp.mpf("1e-45")
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_second_order_form_leaves_near_lambda_star(self, monkeypatch, digits):
+        # at the upper end of lambda_star(1e-8) the first-order form added
+        # 194 leaves; the second-order one needs far fewer boxes near t_star
+        cfg = PrecisionConfig(working_digits=digits)
+        hi = lambda_star(1e-8, cfg).bracket[1]
+        leaves = []
+        add = monotone._add_enclosure
+
+        def counting_add(sweep, at, enc):
+            leaves.append(at)
+            add(sweep, at, enc)
+
+        monkeypatch.setattr(monotone, "_add_enclosure", counting_add)
+        assert phi_sign_certificate(hi, 1, cfg)[2] == "verified"
+        assert len(leaves) <= 64
 
     def test_iv_precision_restored(self, monkeypatch):
         before = iv.prec

@@ -5,8 +5,9 @@ F_0 kernel stays within its bound, which is no wider than the bound of
 ln Gamma(x+1) - p(x) formed the long way, so does each of its orders
 F_0..F_6, ln_gamma and binet_theta, which read that kernel, stay within
 theirs, the kernel returns its reference's integers and bounds bit for bit
-(tests/oracles.py), and every row margin of the fused Thm 3.1/3.4 pass lies within
-its stated error of a reference."""
+(tests/oracles.py), every row margin of the fused Thm 3.1/3.4 pass lies within
+its stated error of a reference, and the second-order centred form of the
+phi-sign certificate encloses phi_lambda on its box."""
 
 import contextlib
 import io
@@ -14,7 +15,7 @@ import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
 from gammacert import (
     DomainError,
@@ -29,7 +30,7 @@ from gammacert import (
     phi_integrand,
     polygamma,
 )
-from gammacert import bounds, cli, harness, specfun
+from gammacert import bounds, cli, harness, monotone, specfun
 from gammacert.bounds import BoundFamily, FamilyId, gamma_bound_log
 from gammacert.config import FALSIFIED, INDETERMINATE, VERIFIED, PrecisionConfig
 from gammacert.harness import GridSpec, VerificationReport
@@ -320,3 +321,23 @@ def test_row_margins_within_their_error_of_a_reference(x, digits):
             refs += [c - target for c in (c_hi,) if not mp.isinf(c)]
         for (i, big_m, err), ref in zip(margins, refs):
             assert abs(mp.mpf(big_m) / scale - ref) <= err, (x, digits, i, big_m / scale, ref, err)
+
+
+@given(lo=st.floats(2.0, 20.0), width=st.floats(1e-6, 18.0),
+       lam=st.sampled_from([0.0, 0.5, 0.6518498903412566, 1.5, 3.0]),
+       digits=st.sampled_from([15, 30]))
+@example(lo=12.2, width=0.0703125, lam=0.6518498903412566, digits=15)
+@example(lo=2.0, width=18.0, lam=3.0, digits=30)
+@settings(max_examples=60, deadline=None)
+def test_centred_form_encloses_phi_on_its_box(lo, width, lam, digits):
+    # phi_lambda at the box's ends and midpoint, from the direct form at 80
+    # digits, lies in the second-order enclosure of the whole box
+    hi = min(lo + width, 20.0)
+    mid = (lo + hi) / 2
+    with monotone._iv_dps(PrecisionConfig(working_digits=digits).dps):
+        enc = monotone._phi_centred(iv.mpf([lo, hi]), iv.mpf(mid), iv.mpf(lam))
+    with mp.workdps(80):
+        for t in (lo, mid, hi):
+            tm = mp.mpf(t)
+            phi = mp.exp(-tm / 2) / tm - 1 / mp.expm1(tm) - tm * mp.exp(-lam * tm) / 24
+            assert mp.mpf(enc.a) <= phi <= mp.mpf(enc.b), (lo, hi, lam, digits, t)
