@@ -106,19 +106,6 @@ class Claim:
 # --- Theorem 2.1 -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _CMSweep:
-    """Runner of the complete-monotonicity sweep of s * H_lambda, orders 0..6.
-    Equal sweeps compare equal, so run_suite runs each one once."""
-
-    lam: float
-    sign: str
-
-    def __call__(self, cfg, grid: GridSpec):
-        rep = monotone.cm_check(self.lam, self.sign, max_order=6, grid=grid.values(), cfg=cfg)
-        return rep.min_margin, rep.argmin[1], rep.verdict
-
-
 def _necessary_limit_cases(cfg, grid: GridSpec):
     """-x - 1/(24 f(x)) at x = 1e4, which must lie within 1e-3 of its limit 1/2."""
     yield (1e4, monotone.necessary_limit(1e4, cfg), mp.mpf("0.499"), mp.mpf("0.501"))
@@ -134,7 +121,45 @@ def _run_threshold(cfg, grid: GridSpec):
     return sweep.result()
 
 
-# --- containment: Theorems 3.1, 3.2, 3.4, Remark 1 and point checks -------
+# --- one row pass: the CM sweeps of Thms 2.1, 3.3 and the Thm 3.1, 3.4 rows
+
+
+@functools.lru_cache(maxsize=1)
+def _row_pass(claims: tuple, cfg, grid: GridSpec, allow_equality: bool) -> tuple:
+    """monotone._row_pass at grid's points as exact mpfs, the last pass kept,
+    keyed on the rows (their constants as values), cfg, grid and
+    allow_equality, so another precision or a patched row recomputes."""
+    xs = (mp.make_mpf(libmp.from_float(x)) for x in grid.values())
+    return monotone._row_pass(claims, cfg, xs, allow_equality)
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Runner of claim `index` of `claims`, which share one _row_pass: a
+    sweep (lambda, sign) is the rows of monotone._cm_rows, orders 0..6, a
+    row name the order-0 row of bounds._row_shape, both formed when the
+    claim runs.  Equal runners compare equal, so run_suite runs each once."""
+
+    claims: tuple
+    index: int
+    allow_equality: bool = False
+
+    def __call__(self, cfg, grid: GridSpec):
+        rows = tuple(monotone._cm_rows(*c, 6, cfg) if isinstance(c, tuple)
+                     else ((0, *bounds._row_shape(c, cfg)),) for c in self.claims)
+        min_margin, (_, x), verdict = _row_pass(rows, cfg, grid, self.allow_equality)[self.index]
+        return min_margin, x, verdict
+
+
+# the eight Thm 2.1 CM sweeps (lambda, sign); Thm 3.3's claims are the 3rd and 6th
+_CM_SWEEPS = ((0.0, "plus"), (0.25, "plus"), (0.5, "plus"), (0.6, "plus"), (1.0, "plus"),
+              (1.5, "minus"), (2.0, "minus"), (5.0, "minus"))
+_THM31_ROWS = (FamilyId.QI_GAMMA_LOW, FamilyId.QI_GAMMA_HIGH)  # Eqs. (3.1), (3.2)
+# the corrected Eqs. (3.12), (3.13), then the printed (3.12) upper and (3.13) lower sides
+_THM34_ROWS = (FamilyId.FACTORIAL_HIGH, FamilyId.FACTORIAL_LOW, "upper", "lower")
+
+
+# --- containment: Theorem 3.2, Remark 1 and point checks -------------------
 
 
 def _run_containment(cases: Callable, *args, allow_equality: bool = False):
@@ -169,98 +194,6 @@ def _add_case(sweep, eps: float, p, target, lo, hi, allow_equality=False):
     err = target.abs_error_bound + (abs(float(t)) + abs(float(lo)) + abs(float(hi))) * eps
     sweep.add(float(p), float(t - lo), err, allow_equality)
     sweep.add(float(p), float(hi - t), err, allow_equality)
-
-
-def _row_margins(rows: tuple, cfg, xs):
-    """Yield (x, 2^wp, [(row, M, err)]) for each float x of xs, one entry per
-    side of each row: M 2^-wp is the margin of lo <= target on a lower side
-    and of target <= hi on an upper one.  A row is (d, lambda, c_lo, c_hi,
-    size), the shape c_lo <= F_0(x) + 1/(d (x+lambda)) <= c_hi of
-    bounds._row_shape, with mpf constants at cfg.dps formed from terms of
-    magnitudes summing to size; a side whose c is infinite is left out.
-
-    Everything is decided in the fixed point of the F_0 kernel: F 2^-wp is
-    F_0(x) from specfun._stirling_defect_fixed at exact x, never rounded,
-    and x + lambda = Y 2^t is exact, so with
-
-        T = floor(2^(wp-t) / (d Y)),  C = floor(c 2^wp)  (once per row and wp),
-
-    the lower margin is M = F + T - C_lo, the upper M = C_hi - F - T, in
-    units of 2^-wp; _row_pass rounds each once to the nearest float.
-
-    Error lemma (in the style of Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed. 2002, sec. 3.1).  Each margin is within
-
-        err + 3 2^-wl + size 10^(2-dps),  wl = prec + _FIXED_GUARD_BITS <= wp,
-
-    of its true value, where
-      - err is the kernel's bound on F (its lemma; nothing is rounded);
-      - the floors of T and of C are each off by less than 2^-wp <= 2^-wl;
-      - c, an expression of a few mpmath operations at cfg.dps, is off from
-        the exact constant by at most size 10^(2-dps), the project's
-        rounding rule (specfun._constants) on the magnitudes of its terms,
-        which can far exceed |c|: H_{1/2}(1) = 1/36 - p(1) is 6.4e-4, its
-        terms near 1; it is counted once per row, never per point;
-      - one more 2^-wl covers the float sum of these terms and the rounding
-        of the margin to a float, each at most 2^-53 of the bound where
-        the margin meets it: while the kernel's series meets its target
-        the bound is at most about 10^(4-dps), below 2^(51-wl) (above
-        10^(8-dps)), so 2^-51 of it is under 2^-wl.
-    The verdict is then sound: a float margin above the bound means a true
-    margin above 0, one below minus the bound a true margin below 0."""
-    consts = specfun._constants(cfg)
-    wl, eps = consts.wl, float(consts.eps)
-    shapes = []  # (d, man and exp of lambda, [(row, sign, c, error of the side)])
-    for i, (d, lam, c_lo, c_hi, size) in enumerate(rows):
-        _, lman, lexp, _ = lam._mpf_
-        c_err = math.ldexp(3, -wl) + size * eps
-        sides = [(i, sign, c._mpf_, c_err) for sign, c in ((1, c_lo), (-1, c_hi)) if not mp.isinf(c)]
-        shapes.append((d, lman, lexp, sides))
-    scaled = {}  # wp -> (2^wp, [C of each side, in shapes order])
-    for x in xs:
-        xm = mp.make_mpf(libmp.from_float(x))  # exact at any ambient precision
-        [fixed], wp, [err] = specfun._stirling_defect_fixed(xm, cfg)
-        if wp not in scaled:
-            scaled[wp] = (1 << wp, [specfun._floor_mul(1, c, wp)
-                                    for *_, sides in shapes for _, _, c, _ in sides])
-        scale, big_cs = scaled[wp]
-        _, man, e, _ = xm._mpf_
-        margins, j = [], 0
-        for d, lman, lexp, sides in shapes:
-            t = min(e, lexp)
-            big_t = (1 << (wp - t)) // (d * ((man << (e - t)) + (lman << (lexp - t))))
-            for i, sign, _, c_err in sides:
-                margins.append((i, sign * (fixed + big_t - big_cs[j]), err + c_err))
-                j += 1
-        yield x, scale, margins
-
-
-@functools.lru_cache(maxsize=1)
-def _row_pass(rows: tuple, cfg, grid: GridSpec, allow_equality: bool) -> tuple:
-    """The results of one pass over the grid, one per row (see
-    _row_margins), from one F_0(x) = ln Gamma(x+1) - p(x) per x; a row's
-    margins hold with <= under allow_equality, else with <.
-
-    The pass serves the two Thm 3.1 rows and the four Thm 3.4 claims; the
-    last pass is cached, keyed on the rows, cfg, grid and allow_equality,
-    the rows' constants in the key as values.  The F_0 values are streamed,
-    not kept: kept, they would hold about 2.5 MiB on a 4000-point grid."""
-    sweeps = [Sweep() for _ in rows]
-    for x, scale, margins in _row_margins(rows, cfg, grid.values()):
-        for i, big_m, err in margins:
-            sweeps[i].add(x, big_m / scale, err, allow_equality)
-    return tuple(sweep.result() for sweep in sweeps)
-
-
-def _run_rows(rows: tuple, row: int, cfg, grid: GridSpec, allow_equality: bool = False):
-    """Row `row` of `rows`, which share one _row_pass, each row's shape
-    looked up in bounds._row_shape when the claim runs."""
-    return _row_pass(tuple(bounds._row_shape(r, cfg) for r in rows), cfg, grid, allow_equality)[row]
-
-
-_THM31_ROWS = (FamilyId.QI_GAMMA_LOW, FamilyId.QI_GAMMA_HIGH)  # Eqs. (3.1), (3.2)
-# the corrected Eqs. (3.12), (3.13), then the printed (3.12) upper and (3.13) lower sides
-_THM34_ROWS = (FamilyId.FACTORIAL_HIGH, FamilyId.FACTORIAL_LOW, "upper", "lower")
 
 
 def _best_constants_cases(cfg, grid: GridSpec):
@@ -428,14 +361,14 @@ _POINT_GRID = GridSpec(1.0, 1e4, 2, "log")
 _K_GRID = GridSpec(3.0, 200.0, 198, "linear")
 
 REGISTRY: tuple = (
-    Claim("thm2.1-item1-cm-lam0", ("thm2.1",), VERIFIED, _CM_GRID, _CMSweep(0.0, "plus"), True),
-    Claim("thm2.1-item1-cm-lam0.25", ("thm2.1",), VERIFIED, _CM_GRID, _CMSweep(0.25, "plus"), True),
-    Claim("thm2.1-item1-cm-lam0.5", ("thm2.1",), VERIFIED, _CM_GRID, _CMSweep(0.5, "plus"), True),
-    Claim("thm2.1-item1-necessity-lam0.6", ("thm2.1",), FALSIFIED, _CM_GRID, _CMSweep(0.6, "plus"), True),
-    Claim("thm2.1-item1-necessity-lam1.0", ("thm2.1",), FALSIFIED, _CM_GRID, _CMSweep(1.0, "plus"), True),
-    Claim("thm2.1-item3-cm-lam1.5", ("thm2.1",), VERIFIED, _CM_GRID, _CMSweep(1.5, "minus"), True),
-    Claim("thm2.1-item3-cm-lam2", ("thm2.1",), VERIFIED, _CM_GRID, _CMSweep(2.0, "minus"), True),
-    Claim("thm2.1-item3-cm-lam5", ("thm2.1",), VERIFIED, _CM_GRID, _CMSweep(5.0, "minus"), True),
+    Claim("thm2.1-item1-cm-lam0", ("thm2.1",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 0), True),
+    Claim("thm2.1-item1-cm-lam0.25", ("thm2.1",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 1), True),
+    Claim("thm2.1-item1-cm-lam0.5", ("thm2.1",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 2), True),
+    Claim("thm2.1-item1-necessity-lam0.6", ("thm2.1",), FALSIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 3), True),
+    Claim("thm2.1-item1-necessity-lam1.0", ("thm2.1",), FALSIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 4), True),
+    Claim("thm2.1-item3-cm-lam1.5", ("thm2.1",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 5), True),
+    Claim("thm2.1-item3-cm-lam2", ("thm2.1",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 6), True),
+    Claim("thm2.1-item3-cm-lam5", ("thm2.1",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 7), True),
     # the _PHI_GRID of the phi-sign claims only labels them: the certificate
     # proves the sign on all of (0, inf)
     Claim("thm2.1-phi-nonpositive-lam0.5", ("thm2.1",), VERIFIED, _PHI_GRID,
@@ -451,9 +384,9 @@ REGISTRY: tuple = (
     Claim("two-path-laplace", ("thm2.1",), VERIFIED, _PHI_GRID, _run_laplace),
     # both rows run in one pass; eq3.2 reads the pass eq3.1 ran
     Claim("thm3.1-eq3.1-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
-          functools.partial(_run_rows, _THM31_ROWS, 0), True),
+          _Rows(_THM31_ROWS, 0), True),
     Claim("thm3.1-eq3.2-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
-          functools.partial(_run_rows, _THM31_ROWS, 1), True),
+          _Rows(_THM31_ROWS, 1), True),
     Claim("eq1.3-best-constants", ("thm3.1",), VERIFIED, _POINT_GRID,
           _run_containment(_best_constants_cases)),
     Claim("sec1-comparison", ("thm3.1",), VERIFIED, _POINT_GRID,
@@ -467,17 +400,17 @@ REGISTRY: tuple = (
     Claim("eq3.8-as-printed", ("thm3.2", "falsify-printed"), FALSIFIED, _HARMONIC_GRID,
           _run_containment(_harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH),
                            bounds.PRINTED_HARMONIC_CONSTANT, allow_equality=True)),
-    Claim("thm3.3-lcm-G-lam0.5", ("thm3.3",), VERIFIED, _CM_GRID, _CMSweep(0.5, "plus"), True),
-    Claim("thm3.3-lcm-recip-G-lam1.5", ("thm3.3",), VERIFIED, _CM_GRID, _CMSweep(1.5, "minus"), True),
+    Claim("thm3.3-lcm-G-lam0.5", ("thm3.3",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 2), True),
+    Claim("thm3.3-lcm-recip-G-lam1.5", ("thm3.3",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 5), True),
     # the four Thm 3.4 claims run in one pass
     Claim("thm3.4-eq3.12-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
-          functools.partial(_run_rows, _THM34_ROWS, 0, allow_equality=True)),
+          _Rows(_THM34_ROWS, 0, allow_equality=True)),
     Claim("thm3.4-eq3.13-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
-          functools.partial(_run_rows, _THM34_ROWS, 1, allow_equality=True)),
+          _Rows(_THM34_ROWS, 1, allow_equality=True)),
     Claim("eq3.12-as-printed", ("thm3.4", "falsify-printed"), FALSIFIED, _FACTORIAL_GRID,
-          functools.partial(_run_rows, _THM34_ROWS, 2, allow_equality=True)),
+          _Rows(_THM34_ROWS, 2, allow_equality=True)),
     Claim("eq3.13-as-printed", ("thm3.4", "falsify-printed"), FALSIFIED, _FACTORIAL_GRID,
-          functools.partial(_run_rows, _THM34_ROWS, 3, allow_equality=True)),
+          _Rows(_THM34_ROWS, 3, allow_equality=True)),
     Claim("remark1-eq4.1-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID,
           _run_containment(_bernoulli_cases, BoundFamily(FamilyId.BERNOULLI_FRACTION)), True),
     Claim("remark1-eq4.2-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID,

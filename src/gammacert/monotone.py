@@ -12,9 +12,15 @@ complete monotonicity of +-H_lambda reduces to the sign of phi_lambda:
     phi_lambda >= 0 on (0, inf)  <=>  -H_lambda is completely monotonic
                                       (holds iff lambda >= lambda_star).
 
+One fixed-point row pass (_row_pass, its lemma in _row_margins) decides
+every bound c_lo <= F_k(x) + (-1)^k k!/(d (x+lambda)^(k+1)) <= c_hi, F_k =
+H_lambda^(k) without its lambda term: cm_check, the Thm 2.1 sweeps and the
+Thm 3.1/3.4 rows.  It reads specfun._constants(cfg).eps for its constants.
+
 lambda_star = sup_t h(t) with h(t) = -(1/t) ln[(24/t^2)(e^{-t/2} - t/(e^t-1))].
 Everything about phi_lambda is decided in mpmath.iv from one set of Taylor
-coefficients (_phi_series, whose lambda-free part is built once):
+coefficients (_phi_series, built once per lambda and precision, whose
+lambda-free part is built once):
 phi_sign_certificate proves the sign of phi_lambda on all of (0, inf), with
 a second-order centred form in phi'' on [2, 20]; lambda_star returns a
 bracket of lambda_star that is proven the same way; and laplace_enclosure
@@ -73,8 +79,8 @@ def _check_lambda(lam) -> None:
         raise DomainError(f"lambda must be finite and nonnegative, got {lam!r}")
 
 
-def _plus_lambda_fixed(f: int, k: int, xm, lm, wp: int) -> int:
-    """H_lambda^(k)(x) 2^wp = f + (-1)^k floor(k! 2^wp / (24 (x+lambda)^(k+1))),
+def _plus_lambda_fixed(f: int, k: int, xm, lm, wp: int, d: int) -> int:
+    """(F_k(x) + (-1)^k k!/(d (x+lambda)^(k+1))) 2^wp, d = 24 in H_lambda^(k),
     within one unit more than f = F_k(x) 2^wp, an integer of the kernel
     (specfun._stirling_defect_fixed); xm = x and lm = lambda are mpf.  Both
     are exact integers times powers of two, so x + lambda = Y 2^t is exact
@@ -83,7 +89,7 @@ def _plus_lambda_fixed(f: int, k: int, xm, lm, wp: int) -> int:
     _, lman, le, _ = lm._mpf_
     t = min(xe, le)
     shift, num = wp - t * (k + 1), math.factorial(k)
-    den = 24 * ((xman << (xe - t)) + (lman << (le - t))) ** (k + 1)
+    den = d * ((xman << (xe - t)) + (lman << (le - t))) ** (k + 1)
     term = (num << shift) // den if shift >= 0 else num // (den << -shift)
     return f - term if k % 2 else f + term
 
@@ -96,7 +102,7 @@ def _H_rounded(k: int, x, lam, cfg: PrecisionConfig) -> SpecialValue:
     with mp.workdps(cfg.dps):
         xm, lm = mp.mpf(x), mp.mpf(lam)
     fs, wp, errs = specfun._stirling_defect_fixed(xm, cfg, k)
-    return specfun._rounded(_plus_lambda_fixed(fs[k], k, xm, lm, wp), wp,
+    return specfun._rounded(_plus_lambda_fixed(fs[k], k, xm, lm, wp, 24), wp,
                             errs[k] + math.ldexp(1, -wp), cfg)
 
 
@@ -279,12 +285,15 @@ def _iv_dps(dps: int):
         iv.prec = prec
 
 
-def _phi_series(lam) -> tuple:
+@functools.lru_cache(maxsize=16)
+def _phi_series(lam, prec: int) -> tuple:
     """(coefficients, remainder): phi_lambda(t)/t^p lies in sum_i
     coefficients[i] t^i + remainder for 0 < t <= 2, with p = 3 if c_2 = 0
-    (lambda = 1/2), else 2.  Keeping c_p .. c_n, n = _TAYLOR_TERMS + 1, the
-    bounds |a_k| = 2^-(k+1)/(k+1)!, |b_k| <= 4/(2 pi)^(k+1), |d_k| =
-    lambda^(k-1)/(24 (k-1)!) and t^(k-p) <= 2^(k-p) give, for 2 lambda < n + 1,
+    (lambda = 1/2), else 2, in mpmath.iv at prec bits, which must be
+    iv.prec; built once per (lambda, prec).  Keeping c_p .. c_n, n =
+    _TAYLOR_TERMS + 1, the bounds |a_k| = 2^-(k+1)/(k+1)!, |b_k| <= 4/(2
+    pi)^(k+1), |d_k| = lambda^(k-1)/(24 (k-1)!) and t^(k-p) <= 2^(k-p) give,
+    for 2 lambda < n + 1,
 
         2^p |remainder| <= 1/(n+2)! + 2 pi^-(n+2)/(1 - 1/pi)
                            + (2 lambda)^n/(12 n! (1 - 2 lambda/(n+1))).
@@ -296,7 +305,7 @@ def _phi_series(lam) -> tuple:
     if lm2 < n + 1:
         r = ((1 / iv.mpf(math.factorial(n + 2)) + 2 * inv_pi ** (n + 2) / (1 - inv_pi)
               + lm2 ** n / (12 * math.factorial(n) * (1 - lm2 / (n + 1)))) / 2 ** p).b
-    return [iv.mpf(c.numerator) / c.denominator for c in coeffs[p - 2:]], iv.mpf([-r, r])
+    return tuple(iv.mpf(c.numerator) / c.denominator for c in coeffs[p - 2:]), iv.mpf([-r, r])
 
 
 def _add_enclosure(sweep: Sweep, at: float, enc) -> None:
@@ -373,7 +382,7 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
     sweep, boxes = Sweep(), 0
     with _iv_dps(cfg.dps):
         lm = iv.mpf(lam)
-        coeffs, rem = _phi_series(lam)
+        coeffs, rem = _phi_series(lam, iv.prec)
         centred = functools.partial(_phi_centred, lm=lm)
 
         def taylor(x, m):
@@ -495,7 +504,7 @@ def laplace_enclosure(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG):
     require_positive("x", x)
     _check_lambda(lam)
     with _iv_dps(cfg.dps):
-        coeffs, rem = _phi_series(lam)
+        coeffs, rem = _phi_series(lam, iv.prec)
         if mp.isinf(rem.b):
             raise NumericalError(f"no Taylor remainder bound for lambda = {lam!r}")
         xi, n = iv.mpf(x), _TAYLOR_TERMS + 1
@@ -599,15 +608,91 @@ class CMReport:
     verdict: str  # "verified" | "falsified" | "indeterminate"
 
 
-@functools.lru_cache(maxsize=1)
-def _free_table(grid: tuple, max_order: int, cfg: PrecisionConfig) -> tuple:
-    """((x, Fs, wp, errs) for each x of grid): x an mpf and Fs[k] 2^-wp =
-    F_k(x), k = 0..max_order, the lambda-free parts of H_lambda^(0..max_order)
-    within errs[k], from one call of the kernel specfun._stirling_defect_fixed
-    per x, never rounded; the last table built is kept."""
-    with mp.workdps(cfg.dps):  # x at full precision, never rounded to float64
-        xms = [mp.mpf(x) for x in grid]
-    return tuple((xm, *specfun._stirling_defect_fixed(xm, cfg, max_order)) for xm in xms)
+def _row_margins(rows: tuple, cfg: PrecisionConfig, xs):
+    """Yield (x, 2^wp, [(row, M, err)]) for each mpf x > 0 of xs, one entry
+    per side of each row.  A row is (k, d, lambda, c_lo, c_hi, size):
+
+        c_lo <= F_k(x) + (-1)^k k!/(d (x+lambda)^(k+1)) <= c_hi,
+
+    F_k the k-th derivative of F_0(x) = ln Gamma(x+1) - p(x), d a nonzero
+    integer, lambda and the c mpf at cfg.dps, the c formed from terms whose
+    magnitudes sum to size; a side whose c is infinite is left out.  One
+    kernel call per x, at the highest k of the rows, gives F_k 2^-wp at
+    exact x, never rounded; with H = _plus_lambda_fixed(F_k, k, x, lambda,
+    wp, d) and C = floor(c 2^wp), once per side and wp, the lower margin is
+    M = H - C_lo and the upper M = C_hi - H, in units of 2^-wp.
+
+    Error lemma (in the style of Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed. 2002, sec. 3.1).  M 2^-wp is within
+
+        err + 3 2^-wl + size 10^(2-dps),  wl = prec + _FIXED_GUARD_BITS <= wp,
+
+    of the true margin, 10^(2-dps) being specfun._constants(cfg).eps, where
+      - err is the kernel's bound on F_k (its lemma; nothing is rounded);
+      - the floors of the lambda term and of C are each off by less than 2^-wp;
+      - c, a few mpmath operations at cfg.dps, is within size 10^(2-dps) of
+        the exact constant, the rule of specfun._constants on the magnitudes
+        of its terms, which can far exceed |c| (H_{1/2}(1) = 1/36 - p(1) is
+        6.4e-4, its terms near 1); an exact c = 0 has size 0;
+      - one more 2^-wl covers the float sum of the bound and the rounding of
+        the margin to a float, each at most 2^-53 of the bound where the
+        margin meets it: while the kernel's series meet their target the
+        bound is at most about 10^(4-dps), below 2^(51-wl), so 2^-51 of it
+        is under 2^-wl.
+    So a float margin above the bound means a true margin above 0, one
+    below minus the bound a true margin below 0."""
+    consts = specfun._constants(cfg)
+    wl, eps = consts.wl, float(consts.eps)
+    shapes = []  # (k, d, lambda, [(row, sign, c, error of the side)])
+    for i, (k, d, lam, c_lo, c_hi, size) in enumerate(rows):
+        c_err = math.ldexp(3, -wl) + size * eps
+        sides = [(i, sign, c._mpf_, c_err) for sign, c in ((1, c_lo), (-1, c_hi)) if not mp.isinf(c)]
+        shapes.append((k, d, lam, sides))
+    max_order, scaled = max(k for k, *_ in shapes), {}  # wp -> (2^wp, [C of each side])
+    for xm in xs:
+        fs, wp, errs = specfun._stirling_defect_fixed(xm, cfg, max_order)
+        if wp not in scaled:
+            scaled[wp] = (1 << wp, [specfun._floor_mul(1, c, wp)
+                                    for *_, sides in shapes for _, _, c, _ in sides])
+        scale, big_cs = scaled[wp]
+        margins, j = [], 0
+        for k, d, lam, sides in shapes:
+            big_h = _plus_lambda_fixed(fs[k], k, xm, lam, wp, d)
+            for i, sign, _, c_err in sides:
+                margins.append((i, sign * (big_h - big_cs[j]), errs[k] + c_err))
+                j += 1
+        yield xm, scale, margins
+
+
+def _row_pass(claims: tuple, cfg: PrecisionConfig, xs, allow_equality: bool = False) -> tuple:
+    """(min_margin, (k, x), verdict) of each claim, a tuple of rows (see
+    _row_margins), over the mpf points of xs: the one pass behind cm_check,
+    the Thm 2.1 sweeps and the Thm 3.1/3.4 rows.  Each margin is rounded
+    once to the nearest float (+-inf beyond the float range) and holds with
+    <= under allow_equality, else <; the kernel's integers are streamed,
+    not kept (about 2.5 MiB on a 4000-point grid)."""
+    sweeps = [Sweep() for _ in claims]
+    adds = [(sweep.add, row[0]) for sweep, claim in zip(sweeps, claims) for row in claim]
+    for xm, scale, margins in _row_margins(tuple(row for claim in claims for row in claim), cfg, xs):
+        for i, big_m, err in margins:
+            add, k = adds[i]
+            try:
+                margin = big_m / scale
+            except OverflowError:  # beyond the float range, its sign exact
+                margin = math.inf if big_m > 0 else -math.inf
+            add((k, xm), margin, err, allow_equality)
+    return tuple((m, (k, float(xm)), verdict) for m, (k, xm), verdict in (s.result() for s in sweeps))
+
+
+def _cm_rows(lam, sign: str, max_order: int, cfg: PrecisionConfig) -> tuple:
+    """The rows (see _row_margins) of s (-1)^k H_lambda^(k) >= 0, k = 0..
+    max_order, s = 1 for "plus", -1 for "minus": d = 24, c = 0 (size 0) on
+    the side s (-1)^k asks for, the other side infinite."""
+    with mp.workdps(cfg.dps):
+        lm = mp.mpf(lam)
+    sides = {1: (mp.zero, mp.inf), -1: (mp.ninf, mp.zero)}
+    s = 1 if sign == "plus" else -1
+    return tuple((k, 24, lm, *sides[s * (-1) ** k], 0.0) for k in range(max_order + 1))
 
 
 def cm_check(
@@ -617,25 +702,13 @@ def cm_check(
     grid: Sequence | None = None,
     cfg: PrecisionConfig = DEFAULT_CONFIG,
 ) -> CMReport:
-    """Check s * (-1)^n H_lambda^(n)(x) >= 0 for n = 0..max_order on a grid.
-
-    H_lambda^(n)(x) is F_n(x), which does not depend on lambda, plus the
-    lambda term (-1)^n n!/(24 (x+lambda)^(n+1)).  One call of the kernel
-    specfun._stirling_defect_fixed per grid point returns F_0..F_max_order
-    as integers F 2^wp from a single upward shift, each with its own bound
-    err.  They are kept in a table keyed on the grid, max_order and cfg
-    (one table at a time, _free_table), so sweeps that differ only in
-    lambda or sign, such as the eight Thm 2.1 sweeps of `gammacert verify`,
-    compute them once.
-
-    Each margin is one integer, s (-1)^n (F + T) with T the floor of the
-    lambda term (_plus_lambda_fixed), rounded once to the nearest float.
-    Its error is err, one unit of 2^-wp for T's floor and one of 2^-wl,
-    wl = prec + specfun._FIXED_GUARD_BITS, for the float rounding of the
-    margin and of the sum of the bound, each at most 2^-53 of the bound
-    where the margin meets it: while the kernel's series meet their target
-    its bound stays below 10^(4-dps), under 2^(51-wl), so 2^-51 of it is
-    under 2^-wl (the argument of harness._row_margins).
+    """Check s * (-1)^n H_lambda^(n)(x) >= 0 for n = 0..max_order on a grid,
+    s = 1 for "plus" and -1 for "minus": the rows of _cm_rows in one
+    uncached _row_pass, x at full precision.  Each margin is one integer of
+    the kernel's fixed point, F_n plus the floor of the lambda term,
+    rounded once to a float, within the kernel's bound plus 3 2^-wl (the
+    lemma of _row_margins; its rounding rule, specfun._constants(cfg).eps,
+    adds nothing for the exact zero constants here).
     "verified" needs every margin to exceed its bound, "falsified" needs
     some margin below minus its bound, and a borderline sweep is
     "indeterminate".  This call does not retry; `gammacert verify` reruns
@@ -650,19 +723,10 @@ def cm_check(
         grid = default_cm_grid()
     if not grid or any(not x > 0 for x in grid):
         raise DomainError("grid must be nonempty with positive entries")
-    s = 1 if sign == "plus" else -1
-
-    sweep = Sweep()
-    with mp.workdps(cfg.dps):
-        lm = mp.mpf(lam)
-    wl = specfun._constants(cfg).wl
-    for x, (xm, fs, wp, errs) in zip(grid, _free_table(tuple(grid), max_order, cfg)):
-        scale, slack = 1 << wp, math.ldexp(1, -wp) + math.ldexp(1, -wl)
-        for order, (f, err) in enumerate(zip(fs, errs)):
-            big_m = _plus_lambda_fixed(f, order, xm, lm, wp)
-            sweep.add((order, float(x)), (-s if order % 2 else s) * big_m / scale, err + slack)
-
-    return CMReport(float(lam), sign, max_order, tuple(float(x) for x in grid), *sweep.result())
+    with mp.workdps(cfg.dps):  # x at full precision, never rounded to float64
+        xms = [mp.mpf(x) for x in grid]
+    [result] = _row_pass((_cm_rows(lam, sign, max_order, cfg),), cfg, xms)
+    return CMReport(float(lam), sign, max_order, tuple(float(x) for x in grid), *result)
 
 
 def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:

@@ -14,8 +14,8 @@ beyond the working precision.  Every precision-dependent value the kernel
 reads (the bits prec of cfg.dps, its fixed-point scale wl, the shift
 threshold and the series target) comes from one per-precision record,
 _constants(cfg), so a call enters no mpmath precision context and does
-only its integer arithmetic, two divisions and two logs.  The harness's
-Thm 3.1/3.4 row pass and monotone's cm_check decide their margins in the
+only its integer arithmetic, two divisions and two logs.  monotone's row
+pass (cm_check, the Thm 2.1 sweeps, the Thm 3.1/3.4 rows) decides in the
 kernel's integers; _stirling_defect rounds one F_k into an mpf.  The public
 functions add what F_k leaves out: ln_gamma adds p(x) - ln x to F_0 (p
 formed once, in _stirling_log), binet_theta adds (x+1/2) ln(1 + 1/(2x)) -
@@ -26,7 +26,7 @@ the magnitudes of the terms it adds.  An order whose error bound would
 exceed the float range (psi^(m)(x) ~ m!/x^(m+1) at tiny x) raises
 DomainError.  The same record holds the constants every call needs (ln
 sqrt(2 pi) and the rounding allowance 10^(2-dps), which monotone, bounds and
-harness use too); it is computed once per precision.  Mathieu's partial
+the harness's point checks use too), once per precision.  Mathieu's partial
 sums are formed in fixed point too, each term floored and the tail bound
 rounded up, so their error is counted, not allowed for.
 
@@ -500,7 +500,8 @@ def mathieu_partial(r, terms: int) -> SpecialValue:
 
 
 def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """Euler-Mascheroni constant produced as -psi(1), the shared provenance."""
+    """Euler-Mascheroni constant as -psi(1) from digamma, with its bound.  No
+    claim reads it: Thm 3.2 takes +mp.euler (bounds._harmonic_constants)."""
     sv = digamma(1, cfg)
     with mp.workdps(cfg.dps):
         return SpecialValue(-sv.value, sv.abs_error_bound)

@@ -599,13 +599,13 @@ class TestSharedWork:
         # every row, the printed sides too, is decided in the F_0 kernel's
         # fixed point: no grid point forms H_lambda as a SpecialValue
         calls = []
-        inner = monotone._plus_lambda_fixed
+        inner = monotone._H_rounded
 
-        def recording(f, k, xm, lm, wp):
-            calls.append(float(xm))
-            return inner(f, k, xm, lm, wp)
+        def recording(k, x, lam, cfg):
+            calls.append(float(x))
+            return inner(k, x, lam, cfg)
 
-        monkeypatch.setattr(monotone, "_plus_lambda_fixed", recording)
+        monkeypatch.setattr(monotone, "_H_rounded", recording)
         harness._row_pass.cache_clear()
         reports = harness.run_suite(suite)
         assert harness.exit_code(reports) == 0
@@ -653,21 +653,22 @@ class TestSharedWork:
         assert len(calls) == 120
 
     def test_each_distinct_cm_sweep_runs_once(self, monkeypatch):
-        sweeps = []
-        cm_check = monotone.cm_check
+        passes = []
+        row_pass = monotone._row_pass
 
-        in_sweep = []
+        in_pass = []
 
-        def counting_cm_check(lam, sign, *args, **kwargs):
-            sweeps.append((lam, sign))
-            in_sweep.append(True)
+        def counting_pass(claims, cfg, xs, allow_equality=False):
+            passes.append(claims)
+            in_pass.append(True)
             try:
-                return cm_check(lam, sign, *args, **kwargs)
+                return row_pass(claims, cfg, xs, allow_equality)
             finally:
-                in_sweep.pop()
+                in_pass.pop()
 
-        # the 8 sweeps share one table of F_0..F_6, one kernel call per point
-        # of the 48-point grid, and make no ln Gamma call of their own
+        # the 8 sweeps are the claims of one pass, one kernel call of orders
+        # 0..6 per point of the 48-point grid, and make no ln Gamma call of
+        # their own
         kernel_calls = []
         kernel = monotone.specfun._stirling_defect_fixed
         sweep_ln_gamma_calls = []
@@ -679,17 +680,19 @@ class TestSharedWork:
             return kernel(x, cfg, max_order)
 
         def counting_ln_gamma(x, cfg):
-            if in_sweep:
+            if in_pass:
                 sweep_ln_gamma_calls.append(x)
             return ln_gamma(x, cfg)
 
-        monkeypatch.setattr(monotone, "cm_check", counting_cm_check)
+        monkeypatch.setattr(monotone, "_row_pass", counting_pass)
         monkeypatch.setattr(monotone.specfun, "_stirling_defect_fixed", counting_kernel)
         monkeypatch.setattr(monotone.specfun, "ln_gamma", counting_ln_gamma)
-        monotone._free_table.cache_clear()
+        harness._row_pass.cache_clear()
         reports = harness.run_suite("all")
-        assert len(sweeps) == 8
-        assert len(set(sweeps)) == 8
+        cm_passes = [claims for claims in passes if len(claims[0]) == 7]
+        assert len(cm_passes) == 1
+        assert len(cm_passes[0]) == 8
+        assert len(set(cm_passes[0])) == 8
         assert len(kernel_calls) == 48 == harness._CM_GRID.points
         assert sweep_ln_gamma_calls == []
         assert harness.exit_code(reports) == 0
@@ -698,11 +701,105 @@ class TestSharedWork:
                               ("thm3.3-lcm-recip-G-lam1.5", "thm2.1-item3-cm-lam1.5")):
             assert by_id[alias] == dataclasses.replace(by_id[source], claim_id=alias, runtime_ms=0)
 
-        sweeps.clear()
+        passes.clear()
         reports = harness.run_suite("thm3.3")
-        assert sorted(sweeps) == [(0.5, "plus"), (1.5, "minus")]
+        assert passes == cm_passes
         assert [r.claim_id for r in reports] == ["thm3.3-lcm-G-lam0.5", "thm3.3-lcm-recip-G-lam1.5"]
         assert [r.verdict for r in reports] == ["verified", "verified"]
+
+    def test_thm33_runs_where_another_sweep_overflows(self):
+        # the thm3.3 claims share a pass with lambda = 0, whose order-6
+        # margin at x = 1e-60 is beyond the float range
+        assert cli.main(["verify", "--suite", "thm3.3", "--grid", "1e-60:1:10:log"]) == 0
+
+    # the eight CM claims and the (lambda, sign) of the sweep each names
+    _CM_CLAIMS = {
+        "thm2.1-item1-cm-lam0": (0.0, "plus"), "thm2.1-item1-cm-lam0.25": (0.25, "plus"),
+        "thm2.1-item1-cm-lam0.5": (0.5, "plus"), "thm2.1-item1-necessity-lam0.6": (0.6, "plus"),
+        "thm2.1-item1-necessity-lam1.0": (1.0, "plus"), "thm2.1-item3-cm-lam1.5": (1.5, "minus"),
+        "thm2.1-item3-cm-lam2": (2.0, "minus"), "thm2.1-item3-cm-lam5": (5.0, "minus"),
+    }
+
+    def test_cm_sweeps_share_one_kernel_call_per_point(self, monkeypatch):
+        calls = []
+        kernel = specfun._stirling_defect_fixed
+
+        def counting_kernel(x, cfg, max_order=0):
+            calls.append((max_order, cfg.working_digits))
+            return kernel(x, cfg, max_order)
+
+        monkeypatch.setattr(specfun, "_stirling_defect_fixed", counting_kernel)
+        harness._row_pass.cache_clear()
+        grid = GridSpec(0.5, 4.0, 3, "log")
+        for cid in ("thm2.1-item1-cm-lam0.5", "thm2.1-item3-cm-lam1.5"):
+            harness._run_claim(_claim(cid), DEFAULT_CONFIG, grid)
+        assert calls == [(6, 15)] * 3
+        harness._run_claim(_claim("thm2.1-item3-cm-lam1.5"), DEFAULT_CONFIG, GridSpec(0.5, 1.0, 2, "log"))
+        assert len(calls) == 5
+
+    def test_eight_sweeps_read_one_pass(self, monkeypatch):
+        # F_0..F_6 come from one kernel call per grid point, made by the
+        # first sweep's pass; the other seven read the same pass
+        kernel_calls, free_calls = [], []
+        kernel = specfun._stirling_defect_fixed
+
+        def counting_kernel(x, cfg, max_order=0):
+            kernel_calls.append(x)
+            fs, wp, errs = kernel(x, cfg, max_order)
+            free_calls.extend((k, float(x)) for k in range(len(fs)))
+            return fs, wp, errs
+
+        monkeypatch.setattr(specfun, "_stirling_defect_fixed", counting_kernel)
+        harness._row_pass.cache_clear()
+        grid = GridSpec(0.01, 100.0, 6, "log")
+        reports = []
+        for cid in self._CM_CLAIMS:
+            reports.append(harness._run_claim(_claim(cid), DEFAULT_CONFIG, grid))
+            assert len(kernel_calls) == grid.points
+            assert sorted(free_calls) == sorted((k, x) for k in range(7) for x in grid.values())
+        monkeypatch.undo()
+        for cid, rep in zip(self._CM_CLAIMS, reports):
+            harness._row_pass.cache_clear()
+            assert normalize([harness._run_claim(_claim(cid), DEFAULT_CONFIG, grid)]) == normalize([rep])
+
+    def test_cm_pass_precision_matches_cold_call(self):
+        cfg30 = PrecisionConfig(working_digits=30)
+        claim = _claim("thm2.1-item1-cm-lam0.25")
+        harness._row_pass.cache_clear()
+        cold = claim.runner(cfg30, claim.grid)
+        harness._row_pass.cache_clear()
+        claim.runner(DEFAULT_CONFIG, claim.grid)
+        assert claim.runner(cfg30, claim.grid) == cold
+        assert harness._row_pass.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("grid", [harness._CM_GRID, GridSpec(1e-2, 1e3, 96, "log")], ids=["cm-grid", "wide"])
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_cm_check_agrees_with_each_cm_claim(self, digits, grid):
+        # the two entry points of the pass, the public cm_check and the
+        # registry's claims, give the same (min_margin, argmin_x, verdict)
+        cfg = PrecisionConfig(working_digits=digits)
+        harness._row_pass.cache_clear()
+        for cid, (lam, sign) in self._CM_CLAIMS.items():
+            claim = _claim(cid)
+            rep = monotone.cm_check(lam, sign, 6, grid.values(), cfg)
+            assert claim.runner(cfg, grid) == (rep.min_margin, rep.argmin[1], rep.verdict), cid
+
+    def test_suite_builds_each_phi_series_once(self, monkeypatch):
+        # the five Laplace enclosures and the three certificates of
+        # `verify --suite all` read one series per (lambda, precision)
+        keys = []
+        series = monotone._phi_series
+
+        def recording(lam, prec):
+            keys.append((lam, prec))
+            return series(lam, prec)
+
+        monkeypatch.setattr(monotone, "_phi_series", recording)
+        series.cache_clear()
+        harness._row_pass.cache_clear()
+        assert harness.exit_code(harness.run_suite("all")) == 0
+        assert len(keys) == 8 and len(set(keys)) == 3
+        assert series.cache_info().misses == len(set(keys))
 
 
 class TestCLI:

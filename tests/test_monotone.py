@@ -288,7 +288,7 @@ class TestPhiSignCertificate:
         # intervals' polynomial plus the remainder interval
         p = 3 if lam == 0.5 else 2
         with monotone._iv_dps(PrecisionConfig(working_digits=digits).dps):
-            coeffs, rem = monotone._phi_series(lam)
+            coeffs, rem = monotone._phi_series(lam, iv.prec)
         with mp.workdps(80), monotone._iv_dps(80):
             tm, lm = mp.mpf(t), mp.mpf(lam)
             exact = (mp.exp(-tm / 2) / tm - 1 / mp.expm1(tm) - tm * mp.exp(-lm * tm) / 24) / tm ** p
@@ -330,7 +330,7 @@ class TestPhiSignCertificate:
         phi_sign_certificate(0.5, -1, PrecisionConfig(working_digits=30))
         assert iv.prec == before
 
-        def failing_series(lam):
+        def failing_series(lam, prec):
             raise NumericalError("series failed")
 
         monkeypatch.setattr(monotone, "_phi_series", failing_series)
@@ -380,8 +380,8 @@ class TestCMCheck:
         # order-0 margins sit inside their error bound at every grid point
         inner = monotone._plus_lambda_fixed
 
-        def zero_order_0(f, k, xm, lam, wp):
-            return 0 if k == 0 else inner(f, k, xm, lam, wp)
+        def zero_order_0(f, k, xm, lam, wp, d):
+            return 0 if k == 0 else inner(f, k, xm, lam, wp, d)
 
         monkeypatch.setattr(monotone, "_plus_lambda_fixed", zero_order_0)
 
@@ -393,63 +393,9 @@ class TestCMCheck:
         assert rep.verdict == "indeterminate"
         assert rep.min_margin == 0.0
 
-    def test_sweeps_share_one_psi_table(self, monkeypatch):
-        calls = []
-        kernel = monotone.specfun._stirling_defect_fixed
-
-        def counting_kernel(x, cfg, max_order=0):
-            calls.append((max_order, cfg.working_digits))
-            return kernel(x, cfg, max_order)
-
-        monkeypatch.setattr(monotone.specfun, "_stirling_defect_fixed", counting_kernel)
-        monotone._free_table.cache_clear()
-        grid = [0.5, 1.0, 4.0]
-        cm_check(0.5, "plus", max_order=4, grid=grid)
-        cm_check(1.5, "minus", max_order=4, grid=grid)
-        assert calls == [(4, 15)] * 3
-        cm_check(1.5, "minus", max_order=4, grid=grid[:2])
-        assert len(calls) == 5
-
-    def test_eight_sweeps_build_one_free_table(self, monkeypatch):
-        # the lambda-free parts F_0..F_6 are built once per grid point by the
-        # first sweep, one kernel call each; the other seven add only their
-        # lambda terms
-        kernel_calls, free_calls = [], []
-        kernel = monotone.specfun._stirling_defect_fixed
-
-        def counting_kernel(x, cfg, max_order=0):
-            kernel_calls.append(x)
-            fs, wp, errs = kernel(x, cfg, max_order)
-            free_calls.extend((k, x) for k in range(len(fs)))
-            return fs, wp, errs
-
-        monkeypatch.setattr(monotone.specfun, "_stirling_defect_fixed", counting_kernel)
-        monotone._free_table.cache_clear()
-        grid = [0.01, 0.3, 1.0, 4.0, 25.0, 100.0]
-        sweeps = [(0.0, "plus"), (0.25, "plus"), (0.5, "plus"), (0.6, "plus"), (1.0, "plus"),
-                  (1.5, "minus"), (2.0, "minus"), (5.0, "minus")]
-        reports = []
-        for lam, sign in sweeps:
-            reports.append(cm_check(lam, sign, max_order=6, grid=grid))
-            assert len(kernel_calls) == len(grid)
-            assert sorted(free_calls) == sorted((k, x) for k in range(7) for x in grid)
-        monkeypatch.undo()
-        for (lam, sign), rep in zip(sweeps, reports):
-            monotone._free_table.cache_clear()
-            assert cm_check(lam, sign, max_order=6, grid=grid) == rep
-
-    def test_table_precision_matches_cold_call(self):
-        cfg30 = PrecisionConfig(working_digits=30)
-        monotone._free_table.cache_clear()
-        cold = cm_check(0.25, "plus", cfg=cfg30)
-        monotone._free_table.cache_clear()
-        cm_check(0.25, "plus")
-        assert cm_check(0.25, "plus", cfg=cfg30) == cold
-        assert monotone._free_table.cache_info().currsize == 1
-
     def test_orders_equal_H_lambda_deriv(self, monkeypatch):
-        # cm_check adds the lambda term to its shared table of lambda-free
-        # parts with the helper behind H_lambda and H_lambda_deriv; each sum
+        # cm_check adds the lambda term to the kernel's lambda-free parts
+        # with the helper behind H_lambda and H_lambda_deriv; each sum
         # must lie within the kernel's bound plus the term's floor of a
         # 2 dps + 20-digit mpmath reference (H_lambda_deriv reads the same
         # kernel, so it is no independent check)
@@ -461,23 +407,33 @@ class TestCMCheck:
             errs[x] = out[2]
             return out
 
-        def recording(f, k, xm, lam, wp):
-            big = inner(f, k, xm, lam, wp)
-            seen.append((k, xm, lam, big, wp))
+        def recording(f, k, xm, lam, wp, d):
+            big = inner(f, k, xm, lam, wp, d)
+            seen.append((k, xm, lam, big, wp, d))
             return big
 
         monkeypatch.setattr(monotone.specfun, "_stirling_defect_fixed", recording_kernel)
         monkeypatch.setattr(monotone, "_plus_lambda_fixed", recording)
-        monotone._free_table.cache_clear()
         cm_check(0.25, "plus", max_order=6, grid=[0.05, 1.0, 30.0])
         monkeypatch.undo()
         assert sorted((k, x) for k, x, *_ in seen) == [
             (k, x) for k in range(0, 7) for x in (0.05, 1.0, 30.0)
         ]
         with mp.workdps(2 * DEFAULT_CONFIG.dps + 20):
-            for k, x, lam, big, wp in seen:
+            for k, x, lam, big, wp, d in seen:
+                assert d == 24
                 ref = free_part(k, x) + (-1) ** k * mp.factorial(k) / (24 * (mp.mpf(x) + lam) ** (k + 1))
                 assert abs(mp.ldexp(big, -wp) - ref) <= errs[x][k] + 2.0 ** -wp, (k, x)
+
+    def test_margin_beyond_the_float_range_is_infinite(self):
+        # at lambda = 0 and x = 1e-60 the terms k!/(24 x^(k+1)) of orders 5
+        # and 6 exceed the float range; their margins are +-inf with their
+        # exact signs, and order 5 is the first of them
+        rep = cm_check(0.0, "plus", grid=[1e-60, 1.0])
+        assert rep.verdict == "verified" and math.isfinite(rep.min_margin)
+        rep = cm_check(0.0, "minus", grid=[1e-60])
+        assert rep.verdict == "falsified" and rep.min_margin == -math.inf
+        assert rep.argmin == (5, 1e-60)
 
     def test_rejects_bad_sign(self):
         with pytest.raises(DomainError):

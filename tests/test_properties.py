@@ -5,8 +5,9 @@ F_0 kernel stays within its bound, which is no wider than the bound of
 ln Gamma(x+1) - p(x) formed the long way, so does each of its orders
 F_0..F_6, ln_gamma and binet_theta, which read that kernel, stay within
 theirs, the kernel returns its reference's integers and bounds bit for bit
-(tests/oracles.py), every row margin of the fused Thm 3.1/3.4 pass lies within
-its stated error of a reference, and the second-order centred form of the
+(tests/oracles.py), every row margin of the one row pass, the Thm 3.1/3.4
+rows and the rows of a complete-monotonicity sweep, lies within its stated
+error of a reference, and the second-order centred form of the
 phi-sign certificate encloses phi_lambda on its box."""
 
 import contextlib
@@ -304,8 +305,8 @@ _ALL_ROWS = harness._THM31_ROWS + harness._THM34_ROWS
 def test_row_margins_within_their_error_of_a_reference(x, digits):
     cfg = PrecisionConfig(working_digits=digits)
     ref_cfg = PrecisionConfig(working_digits=2 * cfg.dps + 10)  # at 2 dps + 20 digits
-    rows = tuple(bounds._row_shape(r, cfg) for r in _ALL_ROWS)
-    [(at, scale, margins)] = harness._row_margins(rows, cfg, [x])
+    rows = tuple((0, *bounds._row_shape(r, cfg)) for r in _ALL_ROWS)
+    [(at, scale, margins)] = monotone._row_margins(rows, cfg, [mp.mpf(x)])
     assert at == x
     # one margin per side: both sides of the first four rows, one of the printed
     assert [i for i, _, _ in margins] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 5]
@@ -321,6 +322,29 @@ def test_row_margins_within_their_error_of_a_reference(x, digits):
             refs += [c - target for c in (c_hi,) if not mp.isinf(c)]
         for (i, big_m, err), ref in zip(margins, refs):
             assert abs(mp.mpf(big_m) / scale - ref) <= err, (x, digits, i, big_m / scale, ref, err)
+
+
+@given(x=st.floats(math.log(1e-3), math.log(1e6)).map(math.exp),
+       lam=st.sampled_from([0.0, 0.25, 0.5, 0.6, 1.0, 1.5, 2.0, 5.0]),
+       sign=st.sampled_from(["plus", "minus"]), digits=st.sampled_from([15, 30]))
+@example(x=0.01, lam=1.0, sign="plus", digits=15)  # the falsified order-6 margin of -552
+@example(x=100.0, lam=0.5, sign="plus", digits=15)  # lambda = 1/2's smallest margins
+@settings(max_examples=40, deadline=None)
+def test_cm_row_margins_within_their_error_of_a_reference(x, lam, sign, digits):
+    # the rows of a complete-monotonicity sweep, orders 0..6: each margin
+    # s (-1)^k H_lambda^(k)(x) lies within its stated error of a 2 dps +
+    # 20-digit reference
+    cfg = PrecisionConfig(working_digits=digits)
+    rows = monotone._cm_rows(lam, sign, 6, cfg)
+    [(at, scale, margins)] = monotone._row_margins(rows, cfg, [mp.mpf(x)])
+    assert at == x
+    assert [i for i, _, _ in margins] == list(range(7))
+    s = 1 if sign == "plus" else -1
+    with mp.workdps(2 * cfg.dps + 20):
+        for k, big_m, err in margins:  # row k is of order k
+            h = free_part(k, x) + (-1) ** k * mp.factorial(k) / (24 * (mp.mpf(x) + lam) ** (k + 1))
+            ref = s * (-1) ** k * h
+            assert abs(mp.mpf(big_m) / scale - ref) <= err, (x, lam, sign, digits, k)
 
 
 @given(lo=st.floats(2.0, 20.0), width=st.floats(1e-6, 18.0),

@@ -164,9 +164,9 @@ class TestTinyX:
 class TestSharedShift:
     @pytest.mark.parametrize("digits", [15, 30, 40])
     def test_order_range_against_mpmath_oracle(self, digits):
-        # one kernel call for orders 0..6 from one shift, as cm_check's
-        # table takes F_0..F_6 at every grid point, each value within its
-        # own bound
+        # one kernel call for orders 0..6 from one shift, as the row pass
+        # takes F_0..F_6 at every grid point of a CM sweep, each value
+        # within its own bound
         cfg = PrecisionConfig(working_digits=digits)
         for x in default_cm_grid() + [1e-3, 171.6, 1e4]:
             fs, wp, errs = specfun._stirling_defect_fixed(x, cfg, 6)
