@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from mpmath import libmp, mp
+from mpmath import iv, libmp, mp
 
 from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, SpecialValue, Sweep
-from .config import FALSIFIED, INDETERMINATE, VERIFIED
+from .config import FALSIFIED, INDETERMINATE, VERIFIED, require_positive
 from . import bounds, monotone, specfun
 from .bounds import BoundFamily, FamilyId
 
@@ -159,12 +159,13 @@ _THM31_ROWS = (FamilyId.QI_GAMMA_LOW, FamilyId.QI_GAMMA_HIGH)  # Eqs. (3.1), (3.
 _THM34_ROWS = (FamilyId.FACTORIAL_HIGH, FamilyId.FACTORIAL_LOW, "upper", "lower")
 
 
-# --- containment: Theorem 3.2, Remark 1 and point checks -------------------
+# --- containment: Theorem 3.2 and point checks -----------------------------
 
 
 def _run_containment(cases: Callable, *args, allow_equality: bool = False):
     """Runner of a claim that a certified target lies between a lower and
-    an upper bound at every check point.
+    an upper bound at every check point: Thm 3.2 and the three point checks
+    (Remark 1's bounds are decided in the fixed point of _remark1_pass).
 
     cases(*args, cfg, grid) runs at cfg.dps and yields (point, target, lo,
     hi): a SpecialValue and the bounds there, such as a family's, looked up
@@ -233,13 +234,68 @@ def _harmonic_cases(family: BoundFamily, constant: Fraction, cfg, grid: GridSpec
 # --- Remark 1 (Bernoulli fraction, Mathieu partial sums) -------------------
 
 
-def _bernoulli_cases(family: BoundFamily, cfg, grid: GridSpec):
-    """x/(e^x - 1) at working precision against a Bernoulli-fraction family;
-    its rounding is the target's only error."""
+# the 24s of Eq. (4.1)'s lower side x^2 u/24 and upper side x^2 u^3/24, read
+# when the runners run, so that a changed value keys a new _remark1_pass
+_EQ41_DENOMINATORS = (24, 24)
+# from here on every Remark 1 margin is below x^2 e^{-x/2} < 1e-340
+_REMARK1_X_MAX = 1600.0
+
+
+def _remark1_margins(x: float, prec: int, dens: tuple) -> tuple:
+    """(wp, intervals): Remark 1's four margins at x > 0 as integer intervals
+    (lo, hi) in units of 2^(-2 wp), with u = e^{-x/2}, xb = x u^2/(1 - u^2) =
+    x/(e^x - 1) and dens the two 24s of Eq. (4.1):
+
+        Eq. (4.1):  xb - (u - x^2 u/24),  (u - x^2 u^3/24) - xb,
+        Eq. (4.2):  xb - u^2,             u - xb.
+
+    One round-floor and one round-ceiling exponential at wp bits give
+    integers U_lo <= u 2^wp <= U_hi, wp = prec + 20 + floor(x/ln 2) +
+    max(0, -mag x), so 2^-wp lies far below both e^{-x} and x.  1 - u^2 is
+    the exact 2^(2wp) - U^2, so no expm1 is needed near x = 0.  Every term
+    increases with u: it is floored at U_lo and ceiled at U_hi, and each
+    margin takes the ends of its terms that make it widest."""
+    wp = prec + 20 + int(x / math.log(2)) + max(0, -math.frexp(x)[1])
+    half = libmp.mpf_neg(libmp.mpf_shift(libmp.from_float(x), -1))
+    xn, xd = x.as_integer_ratio()
+    one = 1 << 2 * wp
+
+    def terms(rnd, div):  # u, u^2, xb, x^2 u/24, x^2 u^3/24, in units of 2^(-2 wp)
+        big_u = libmp.to_int(libmp.mpf_shift(libmp.mpf_exp(half, wp, rnd), wp), rnd)
+        u2 = big_u * big_u
+        x2u = xn * xn * big_u
+        return (big_u << wp, u2, div(xn * u2 << 2 * wp, xd * (one - u2)),
+                div(x2u << wp, dens[0] * xd * xd), div(x2u * u2, dens[1] * xd * xd << wp))
+
+    u, u2, xb, a, c = terms(libmp.round_floor, lambda n, d: n // d)
+    u_, u2_, xb_, a_, c_ = terms(libmp.round_ceiling, lambda n, d: -(-n // d))
+    return wp, ((xb - u_ + a, xb_ - u + a_), (u - c_ - xb_, u_ - c - xb),
+                (xb - u2_, xb_ - u2), (u - xb_, u_ - xb))
+
+
+@functools.lru_cache(maxsize=1)
+def _remark1_pass(cfg, grid: GridSpec, dens: tuple) -> tuple:
+    """(Eq. (4.1)'s, Eq. (4.2)'s) (min_margin, argmin_x, verdict) on grid's
+    points, from the integer intervals of _remark1_margins at cfg's
+    precision, the last pass kept.  Each margin enters its Sweep as the
+    float nearest its midpoint, correctly rounded by Python's integer
+    division, with error its radius rounded up, plus |mid| 2^-53 for that
+    rounding and the least subnormal where the midpoint underflows.  From
+    _REMARK1_X_MAX on a margin is 0 within the least subnormal."""
+    prec, eq41, eq42 = libmp.dps_to_prec(cfg.dps), Sweep(), Sweep()
     for x in grid.values():
-        xm = mp.mpf(x)
-        target = SpecialValue(xm / mp.expm1(xm), 0.0)
-        yield (x, target, *bounds.bernoulli_fraction_bound(family, x, cfg))
+        require_positive("x", x)
+        if x >= _REMARK1_X_MAX:
+            for sweep in (eq41, eq41, eq42, eq42):
+                sweep.add(x, 0.0, math.ulp(0.0))
+            continue
+        wp, margins = _remark1_margins(x, prec, dens)
+        two_units = 1 << 2 * wp + 1
+        for sweep, (lo, hi) in zip((eq41, eq41, eq42, eq42), margins):
+            mid = (lo + hi) / two_units
+            rad = math.nextafter((hi - lo) / two_units, math.inf)
+            sweep.add(x, mid, math.nextafter(rad + abs(mid) * 2.0 ** -53 + math.ulp(0.0), math.inf))
+    return eq41.result(), eq42.result()
 
 
 def _run_mathieu(cfg, grid: GridSpec):
@@ -345,7 +401,7 @@ def _run_laplace(cfg, grid: GridSpec):
     sweep = Sweep()
     with monotone._iv_dps(cfg.dps):
         for x, res in _laplace_residuals(cfg):
-            monotone._add_enclosure(sweep, x, 1e-10 - abs(res))
+            monotone._add_enclosure(sweep, x, (1e-10 - abs(res))._mpi_, iv.prec)
     return sweep.result()
 
 
@@ -411,10 +467,11 @@ REGISTRY: tuple = (
           _Rows(_THM34_ROWS, 2, allow_equality=True)),
     Claim("eq3.13-as-printed", ("thm3.4", "falsify-printed"), FALSIFIED, _FACTORIAL_GRID,
           _Rows(_THM34_ROWS, 3, allow_equality=True)),
+    # both Remark 1 bounds run in one pass; eq4.2 reads the pass eq4.1 ran
     Claim("remark1-eq4.1-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID,
-          _run_containment(_bernoulli_cases, BoundFamily(FamilyId.BERNOULLI_FRACTION)), True),
+          lambda cfg, grid: _remark1_pass(cfg, grid, _EQ41_DENOMINATORS)[0], True),
     Claim("remark1-eq4.2-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID,
-          _run_containment(_bernoulli_cases, BoundFamily(FamilyId.BERNOULLI_CLASSIC)), True),
+          lambda cfg, grid: _remark1_pass(cfg, grid, _EQ41_DENOMINATORS)[1], True),
     Claim("remark1-mathieu-partial", ("remark1",), VERIFIED, _POINT_GRID, _run_mathieu),
 )
 

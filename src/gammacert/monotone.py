@@ -18,14 +18,15 @@ H_lambda^(k) without its lambda term: cm_check, the Thm 2.1 sweeps and the
 Thm 3.1/3.4 rows.  It reads specfun._constants(cfg).eps for its constants.
 
 lambda_star = sup_t h(t) with h(t) = -(1/t) ln[(24/t^2)(e^{-t/2} - t/(e^t-1))].
-Everything about phi_lambda is decided in mpmath.iv from one set of Taylor
-coefficients (_phi_series, built once per lambda and precision, whose
-lambda-free part is built once):
-phi_sign_certificate proves the sign of phi_lambda on all of (0, inf), with
-a second-order centred form in phi'' on [2, 20]; lambda_star returns a
+Everything about phi_lambda is decided in interval arithmetic from one set
+of Taylor coefficients (_phi_series, in mpmath.iv, built once per lambda and
+precision, whose lambda-free part is built once):
+phi_sign_certificate proves the sign of phi_lambda on all of (0, inf), its
+boxes enclosed on raw libmp interval pairs (Horner's rule on (0, 2], a
+second-order centred form in phi'' on [2, 20]); lambda_star returns a
 bracket of lambda_star that is proven the same way; and laplace_enclosure
-encloses the Laplace transform of phi_lambda, the integral path of
-H_lambda' that laplace_check compares with the closed form.
+encloses the Laplace transform of phi_lambda in mpmath.iv, the integral
+path of H_lambda' that laplace_check compares with the closed form.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from mpmath import iv, mp
+from mpmath.libmp import (dps_to_prec, fhalf, fone, from_float, from_int, ftwo, mpf_sign, mpi_add,
+                          mpi_div, mpi_exp, mpi_log, mpi_mid, mpi_mul, mpi_neg, mpi_pow_int,
+                          mpi_sub, to_float)
 
 from .config import (
     DEFAULT_CONFIG,
@@ -201,18 +205,17 @@ def _phi_taylor(tm, lm):
     return s * tm * tm
 
 
-def _phi_terms(tm, ctx=mp):
+def _phi_terms(tm):
     """(e^{-t/2}/t, 1/(e^t-1)), the lambda-free terms of phi, from one
-    exponential of -t/2, in ctx (mp, or mpmath.iv for an interval t).  For
-    t < 1, v = expm1(-t/2) gives 1 - e^{-t} = -v (2+v) without cancellation;
-    for t >= 1, u = e^{-t/2} and 1 - u^2 lose nothing, and both terms
-    increase with u, so an interval t loses no width to dependency."""
+    exponential of -t/2.  For t < 1, v = expm1(-t/2) gives 1 - e^{-t} =
+    -v (2+v) without cancellation; for t >= 1, u = e^{-t/2} and 1 - u^2
+    lose nothing (_phi_terms_mpi is this branch on intervals)."""
     if tm < 1:
-        v = ctx.expm1(-tm / 2)
+        v = mp.expm1(-tm / 2)
         u = 1 + v
         one_minus_u2 = -v * (2 + v)
     else:
-        u = ctx.exp(-tm / 2)
+        u = mp.exp(-tm / 2)
         one_minus_u2 = 1 - u * u
     return u / tm, u * u / one_minus_u2
 
@@ -308,52 +311,78 @@ def _phi_series(lam, prec: int) -> tuple:
     return tuple(iv.mpf(c.numerator) / c.denominator for c in coeffs[p - 2:]), iv.mpf([-r, r])
 
 
-def _add_enclosure(sweep: Sweep, at: float, enc) -> None:
-    """Add an interval margin to sweep as its midpoint and radius, the
-    radius rounded up so that the two floats still cover the interval."""
-    margin = float(enc.mid)
-    d = iv.mpf(margin) - enc
-    sweep.add(at, margin, math.nextafter(max(-float(d.a), float(d.b)), math.inf))
+def _add_enclosure(sweep: Sweep, at: float, enc, prec: int) -> None:
+    """Add an interval margin, a libmp pair at prec bits, to sweep as its
+    midpoint (mpi_mid) and radius, the radius rounded up so that the two
+    floats still cover the interval."""
+    margin = to_float(mpi_mid(enc, prec))
+    m = from_float(margin)
+    lo, hi = mpi_sub((m, m), enc, prec)
+    sweep.add(at, margin, math.nextafter(max(-to_float(lo), to_float(hi)), math.inf))
 
 
-@functools.lru_cache(maxsize=1)
-def _iv_numbers() -> tuple:
-    """1/2, 1, 2 and 24 as mpmath.iv numbers, exact at every precision, so
-    that no box converts them again."""
-    return tuple(iv.mpf(v) for v in (0.5, 1, 2, 24))
+# The enclosures of the certificate boxes run on raw libmp interval pairs
+# (a, b) at prec bits, the same mpi_* calls with the same roundings as
+# mpmath.iv makes for them, without its wrapper objects or conversions.
+_HALF, _ONE, _TWO, _C24 = ((v, v) for v in (fhalf, fone, ftwo, from_int(24)))
 
 
-def _phi_d2(x, lm):
-    """phi_lambda''(x) in mpmath.iv, for an interval x >= 1 and lm = lambda
-    as an iv number, with a = e^{-t/2}/t and b = 1/(e^t-1) (_phi_terms):
+def _phi_terms_mpi(t, prec: int) -> tuple:
+    """_phi_terms' branch t >= 1 for a pair t: u = e^{-t/2}, and u/t and
+    u^2/(1 - u^2) both increase with u, so no width is lost to dependency."""
+    u = mpi_exp(mpi_div(mpi_neg(t, prec), _TWO, prec), prec)
+    u2 = mpi_mul(u, u, prec)
+    return mpi_div(u, t, prec), mpi_div(u2, mpi_sub(_ONE, u2, prec), prec)
+
+
+def _phi_d2(x, lm, prec: int):
+    """phi_lambda''(x) for a pair x >= 1 and lm = lambda as a pair, with
+    a = e^{-t/2}/t and b = 1/(e^t-1) (_phi_terms_mpi):
 
         phi'' = a (1/t^2 + (1/2 + 1/t)^2) - b (1+b) (1+2b)
                 - (lambda^2 t - 2 lambda) e^{-lambda t}/24.
     """
-    half, one, two, c24 = _iv_numbers()
-    a, b = _phi_terms(x, iv)
-    inv = one / x
-    return (a * (inv ** 2 + (half + inv) ** 2) - b * (one + b) * (one + two * b)
-            - (lm * lm * x - two * lm) * iv.exp(-lm * x) / c24)
+    a, b = _phi_terms_mpi(x, prec)
+    inv = mpi_div(_ONE, x, prec)
+    a_part = mpi_mul(a, mpi_add(mpi_pow_int(inv, 2, prec),
+                                mpi_pow_int(mpi_add(_HALF, inv, prec), 2, prec), prec), prec)
+    b_part = mpi_mul(mpi_mul(b, mpi_add(_ONE, b, prec), prec),
+                     mpi_add(_ONE, mpi_mul(_TWO, b, prec), prec), prec)
+    poly = mpi_sub(mpi_mul(mpi_mul(lm, lm, prec), x, prec), mpi_mul(_TWO, lm, prec), prec)
+    lam_part = mpi_div(mpi_mul(poly, mpi_exp(mpi_mul(mpi_neg(lm, prec), x, prec), prec), prec),
+                       _C24, prec)
+    return mpi_sub(mpi_sub(a_part, b_part, prec), lam_part, prec)
 
 
-def _phi_centred(x, m, lm):
-    """An mpmath.iv enclosure of phi_lambda on the box x (within [1, inf))
-    with midpoint m, lm = lambda as an iv number: the second-order centred
+def _phi_centred(x, m, lm, prec: int):
+    """An enclosure of phi_lambda on the box x (a pair within [1, inf)) with
+    midpoint m (a pair), lm = lambda as a pair: the second-order centred
     form phi(m) + phi'(m) (x - m) + phi''(x) (x - m)^2 / 2 of
     phi_sign_certificate, with (x - m)^2 an even power, so [0, r^2]."""
-    half, one, two, c24 = _iv_numbers()
-    a, b = _phi_terms(m, iv)
-    e = iv.exp(-lm * m) / c24
-    phi_m = a - b - m * e
-    dphi_m = b * (one + b) - (half + one / m) * a - (one - lm * m) * e
-    d = x - m
-    return phi_m + dphi_m * d + _phi_d2(x, lm) * d ** 2 / two
+    a, b = _phi_terms_mpi(m, prec)
+    e = mpi_div(mpi_exp(mpi_mul(mpi_neg(lm, prec), m, prec), prec), _C24, prec)
+    phi_m = mpi_sub(mpi_sub(a, b, prec), mpi_mul(m, e, prec), prec)
+    dphi_m = mpi_sub(mpi_sub(mpi_mul(b, mpi_add(_ONE, b, prec), prec),
+                             mpi_mul(mpi_add(_HALF, mpi_div(_ONE, m, prec), prec), a, prec), prec),
+                     mpi_mul(mpi_sub(_ONE, mpi_mul(lm, m, prec), prec), e, prec), prec)
+    d = mpi_sub(x, m, prec)
+    d2_part = mpi_div(mpi_mul(_phi_d2(x, lm, prec), mpi_pow_int(d, 2, prec), prec), _TWO, prec)
+    return mpi_add(mpi_add(phi_m, mpi_mul(dphi_m, d, prec), prec), d2_part, prec)
+
+
+def _phi_horner(x, coeffs, rem, prec: int):
+    """sum_i coeffs[i] x^i + rem by Horner's rule, all pairs: the Taylor
+    piece of phi_sign_certificate on a box x within (0, 2]."""
+    s = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        s = mpi_add(mpi_mul(s, x, prec), c, prec)
+    return mpi_add(s, rem, prec)
 
 
 def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> tuple:
     """(min_margin, argmin, verdict) of sign * phi_lambda(t) > 0 for all t > 0
-    (sign = 1 or -1), proved in mpmath.iv at cfg.dps digits.
+    (sign = 1 or -1), proved in interval arithmetic at cfg.dps digits: the
+    boxes on libmp pairs, the Taylor remainder and the tail in mpmath.iv.
 
     By Bernstein's theorem phi_lambda < 0 on (0, inf) makes H_lambda
     completely monotonic and phi_lambda > 0 makes -H_lambda so.  Pieces:
@@ -381,27 +410,24 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
         raise DomainError(f"sign must be 1 or -1, got {sign!r}")
     sweep, boxes = Sweep(), 0
     with _iv_dps(cfg.dps):
-        lm = iv.mpf(lam)
-        coeffs, rem = _phi_series(lam, iv.prec)
-        centred = functools.partial(_phi_centred, lm=lm)
-
-        def taylor(x, m):
-            s = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                s = s * x + c
-            return s + rem
-
-        for enclose, lo, hi in ((taylor, 0.0, 2.0), (centred, 2.0, _T_TAIL)):
+        prec, lm = iv.prec, iv.mpf(lam)
+        coeffs, rem = _phi_series(lam, prec)
+        coeffs, rem, lm_mpi = tuple(c._mpi_ for c in coeffs), rem._mpi_, lm._mpi_
+        sgn = (from_int(sign),) * 2
+        pieces = ((lambda x, m: _phi_horner(x, coeffs, rem, prec), 0.0, 2.0),
+                  (lambda x, m: _phi_centred(x, m, lm_mpi, prec), 2.0, _T_TAIL))
+        for enclose, lo, hi in pieces:
             stack = [(lo, hi)]
             while stack:
                 l, r = stack.pop()
                 m = (l + r) / 2
-                enc = sign * enclose(iv.mpf([l, r]), iv.mpf(m))
+                fm = from_float(m)
+                enc = mpi_mul(sgn, enclose((from_float(l), from_float(r)), (fm, fm)), prec)
                 boxes += 1
-                if 0 in enc and l < m < r and boxes < _CERT_MAX_BOXES:
+                if mpf_sign(enc[0]) <= 0 <= mpf_sign(enc[1]) and l < m < r and boxes < _CERT_MAX_BOXES:
                     stack += [(m, r), (l, m)]
                     continue
-                _add_enclosure(sweep, m, enc)
+                _add_enclosure(sweep, m, enc, prec)
                 if sweep.any_falsifying:
                     return sweep.result()
         t, mu = iv.mpf(_T_TAIL), lm - 0.5
@@ -414,7 +440,7 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
             # 1/(e^t-1) <= 2 e^{-t}, so t e^{t/2} phi(t) >= 1 - 2t e^{-t/2}
             # - t^2 e^{-mu t}/24, whose two terms decrease for t >= 2/mu
             tail = 1 - 2 * t * iv.exp(-t / 2) - t ** 2 * iv.exp(-mu * t) / 24
-        _add_enclosure(sweep, _T_TAIL, tail)
+        _add_enclosure(sweep, _T_TAIL, tail._mpi_, prec)
     return sweep.result()
 
 
@@ -436,7 +462,7 @@ def _moments(xi, n: int, e2x) -> list:
     M_0 = (1 - e^{-2x})/x, where they multiply to at most n! (e/n)^n, about
     sqrt(2 pi n).
     """
-    half, _, two, _ = _iv_numbers()
+    half, two = iv.mpf(0.5), iv.mpf(2)
     two_x = two * xi
     if float(xi.b) * math.e < n:
         tol = mp.ldexp(1, -iv.prec)
@@ -577,9 +603,10 @@ def lambda_star(tol, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThresholdResult:
             c, d = b - g * (b - a), a + g * (b - a)
             a, b = (a, d) if h_of_t(c) >= h_of_t(d) else (c, b)
         t = float((a + b) / 2)
-    with _iv_dps(cfg.dps):
-        u, v = _phi_terms(iv.mpf(t), iv)
-        lo = math.nextafter(float((-iv.log(24 * (u - v) / t) / t).a), -math.inf)
+    prec, tp = dps_to_prec(cfg.dps), (from_float(t),) * 2
+    u, v = _phi_terms_mpi(tp, prec)
+    log_bracket = mpi_log(mpi_div(mpi_mul(_C24, mpi_sub(u, v, prec), prec), tp, prec), prec)
+    lo = math.nextafter(to_float(mpi_div(mpi_neg(log_bracket, prec), tp, prec)[0]), -math.inf)
     hi = float(Fraction(lo) + Fraction(tol))
     if Fraction(hi) - Fraction(lo) > Fraction(tol):
         hi = math.nextafter(hi, -math.inf)

@@ -1,6 +1,8 @@
-"""References shared by the test modules: mpmath's own values of F_k, and
-the fixed-point Stirling kernel as it stood before its per-call plumbing was
-removed, which specfun._stirling_defect_fixed must match bit for bit."""
+"""References shared by the test modules: mpmath's own values of F_k, the
+fixed-point Stirling kernel as it stood before its per-call plumbing was
+removed, which specfun._stirling_defect_fixed must match bit for bit, and the
+mpmath.iv forms of the phi-sign certificate's box enclosures, which the
+libmp-pair forms of monotone must match bit for bit."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from mpmath import libmp, mp
+from mpmath import iv, libmp, mp
 
 from gammacert.config import DEFAULT_CONFIG, PrecisionConfig, require_positive
 
@@ -261,3 +263,50 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
             errs.append(math.ldexp(n + 4, -wp) + math.ldexp(6 * n + 4 if k == 1 else 1, -wl)
                         + sums[k][1])
         return fs, wp, errs
+
+
+# The phi-sign certificate's box enclosures in mpmath.iv, copied from monotone
+# as they were before they moved onto raw libmp interval pairs.  Call them
+# with iv at the certificate's precision.
+
+
+@functools.lru_cache(maxsize=1)
+def _iv_numbers() -> tuple:
+    """1/2, 1, 2 and 24 as mpmath.iv numbers, exact at every precision."""
+    return tuple(iv.mpf(v) for v in (0.5, 1, 2, 24))
+
+
+def phi_terms_iv(tm):
+    """(e^{-t/2}/t, 1/(e^t-1)) for an iv t >= 1, from u = e^{-t/2}."""
+    u = iv.exp(-tm / 2)
+    one_minus_u2 = 1 - u * u
+    return u / tm, u * u / one_minus_u2
+
+
+def phi_d2_iv(x, lm):
+    """phi_lambda''(x) for an iv x >= 1 and lm = lambda as an iv number."""
+    half, one, two, c24 = _iv_numbers()
+    a, b = phi_terms_iv(x)
+    inv = one / x
+    return (a * (inv ** 2 + (half + inv) ** 2) - b * (one + b) * (one + two * b)
+            - (lm * lm * x - two * lm) * iv.exp(-lm * x) / c24)
+
+
+def phi_centred_iv(x, m, lm):
+    """The second-order centred form of phi_lambda on the iv box x (within
+    [1, inf)) with iv midpoint m, lm = lambda as an iv number."""
+    half, one, two, c24 = _iv_numbers()
+    a, b = phi_terms_iv(m)
+    e = iv.exp(-lm * m) / c24
+    phi_m = a - b - m * e
+    dphi_m = b * (one + b) - (half + one / m) * a - (one - lm * m) * e
+    d = x - m
+    return phi_m + dphi_m * d + phi_d2_iv(x, lm) * d ** 2 / two
+
+
+def phi_horner_iv(x, coeffs, rem):
+    """sum_i coeffs[i] x^i + rem by Horner's rule, all iv numbers."""
+    s = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        s = s * x + c
+    return s + rem

@@ -12,9 +12,9 @@ import sys
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
-from gammacert import DEFAULT_CONFIG, ParameterError, PrecisionConfig, SpecialValue
+from gammacert import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, SpecialValue
 from gammacert import bounds, cli, harness, monotone, specfun
 from gammacert.bounds import BoundFamily, FamilyId
 from gammacert.harness import GridSpec, VerificationReport
@@ -459,6 +459,54 @@ class TestContainment:
         assert cases[0][1] == SpecialValue(1, 0.0)
         assert cases[0][2:] == bounds.harmonic_bound(family, 1, cfg)
         assert cases[-1][1:] == bounds.harmonic_tail(family, 1, cfg)
+
+
+class TestRemark1:
+    @pytest.mark.parametrize("dens", [(25, 24), (24, 23)], ids=["lower-25", "upper-23"])
+    def test_eq41_with_a_wrong_24_is_falsified(self, dens, monkeypatch):
+        # 24 -> 25 in x^2 u/24, or 24 -> 23 in x^2 u^3/24, makes Eq. (4.1)
+        # false by about 1.7e-9 at x = 1e-3
+        monkeypatch.setattr(harness, "_EQ41_DENOMINATORS", dens)
+        by_id = {r.claim_id: r for r in harness.run_suite("remark1")}
+        assert by_id["remark1-eq4.1-containment"].verdict == "falsified"
+        assert by_id["remark1-eq4.1-containment"].precision_digits == 15
+        assert by_id["remark1-eq4.2-containment"].verdict == "verified"
+        prec = libmp.dps_to_prec(DEFAULT_CONFIG.dps)
+        wp, intervals = harness._remark1_margins(1e-3, prec, dens)
+        lo, hi = intervals[0 if dens[0] != 24 else 1]
+        assert hi < 0
+        assert mp.ldexp(hi, -2 * wp) == pytest.approx(-1.7e-9, rel=0.05)
+
+    def test_two_exponentials_per_point(self, monkeypatch):
+        calls = []
+        mpf_exp = libmp.mpf_exp
+
+        def counting_exp(*args, **kwargs):
+            calls.append(args[0])
+            return mpf_exp(*args, **kwargs)
+
+        monkeypatch.setattr(libmp, "mpf_exp", counting_exp)
+        harness._remark1_pass.cache_clear()  # a cached pass would make no call
+        reports = harness.run_suite("remark1")
+        assert [r.verdict for r in reports] == ["verified"] * 3
+        assert len(calls) == 2 * harness._BERNOULLI_GRID.points
+
+    def test_wide_grid_is_verified_without_the_retry(self):
+        # to x = 700, where Eq. (4.2)'s lower margin is 6.9e-302
+        g = GridSpec(1e-3, 700.0, 300, "log")
+        reports = harness.run_suite("remark1", grid_override=g)
+        assert [(r.verdict, r.precision_digits) for r in reports] == [("verified", 15)] * 3
+        assert reports[1].min_margin == pytest.approx(6.89e-302, rel=1e-3)
+
+    def test_margins_past_the_float_range_are_indeterminate(self):
+        # from x = 1600 every margin is below the least subnormal
+        g = GridSpec(1e3, 1e9, 4, "log")
+        reports = harness.run_suite("remark1", grid_override=g)
+        assert [r.verdict for r in reports[:2]] == ["indeterminate"] * 2
+
+    def test_nonpositive_point_raises(self):
+        with pytest.raises(DomainError):
+            harness.run_suite("remark1", grid_override=GridSpec(0.0, 5.0, 3, "linear"))
 
 
 class TestRetry:

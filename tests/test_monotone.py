@@ -304,7 +304,7 @@ class TestPhiSignCertificate:
         with mp.workdps(50), monotone._iv_dps(50):
             phi = lambda u: mp.exp(-u / 2) / u - 1 / mp.expm1(u) - u * mp.exp(-lam * u) / 24
             ref = mp.diff(phi, mp.mpf(t), 2)
-            enc = monotone._phi_d2(iv.mpf(t), iv.mpf(lam))
+            enc = iv.make_mpf(monotone._phi_d2(iv.mpf(t)._mpi_, iv.mpf(lam)._mpi_, iv.prec))
             assert abs(mp.mpf(enc.mid) - ref) <= mp.mpf("1e-40")
             assert mp.mpf(enc.b) - mp.mpf(enc.a) <= mp.mpf("1e-45")
 
@@ -317,9 +317,9 @@ class TestPhiSignCertificate:
         leaves = []
         add = monotone._add_enclosure
 
-        def counting_add(sweep, at, enc):
+        def counting_add(sweep, at, enc, prec):
             leaves.append(at)
-            add(sweep, at, enc)
+            add(sweep, at, enc, prec)
 
         monkeypatch.setattr(monotone, "_add_enclosure", counting_add)
         assert phi_sign_certificate(hi, 1, cfg)[2] == "verified"

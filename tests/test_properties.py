@@ -7,8 +7,10 @@ F_0..F_6, ln_gamma and binet_theta, which read that kernel, stay within
 theirs, the kernel returns its reference's integers and bounds bit for bit
 (tests/oracles.py), every row margin of the one row pass, the Thm 3.1/3.4
 rows and the rows of a complete-monotonicity sweep, lies within its stated
-error of a reference, and the second-order centred form of the
-phi-sign certificate encloses phi_lambda on its box."""
+error of a reference, the second-order centred form of the
+phi-sign certificate encloses phi_lambda on its box, the certificate's
+libmp-pair enclosures equal their mpmath.iv references bit for bit, and
+each integer interval of the Remark 1 pass holds its margin."""
 
 import contextlib
 import io
@@ -16,7 +18,7 @@ import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import iv, mp
+from mpmath import iv, libmp, mp
 
 from gammacert import (
     DomainError,
@@ -359,9 +361,55 @@ def test_centred_form_encloses_phi_on_its_box(lo, width, lam, digits):
     hi = min(lo + width, 20.0)
     mid = (lo + hi) / 2
     with monotone._iv_dps(PrecisionConfig(working_digits=digits).dps):
-        enc = monotone._phi_centred(iv.mpf([lo, hi]), iv.mpf(mid), iv.mpf(lam))
+        enc = iv.make_mpf(monotone._phi_centred(iv.mpf([lo, hi])._mpi_, iv.mpf(mid)._mpi_,
+                                                iv.mpf(lam)._mpi_, iv.prec))
     with mp.workdps(80):
         for t in (lo, mid, hi):
             tm = mp.mpf(t)
             phi = mp.exp(-tm / 2) / tm - 1 / mp.expm1(tm) - tm * mp.exp(-lam * tm) / 24
             assert mp.mpf(enc.a) <= phi <= mp.mpf(enc.b), (lo, hi, lam, digits, t)
+
+
+@given(lo=st.floats(2.0, 20.0), width=st.floats(1e-6, 18.0),
+       lam=st.sampled_from([0.0, 0.5, 0.6518498903412566, 1.5, 3.0]),
+       digits=st.sampled_from([15, 30]))
+@example(lo=12.2, width=0.0703125, lam=0.6518498903412566, digits=15)
+@example(lo=2.0, width=18.0, lam=3.0, digits=30)
+@settings(max_examples=60, deadline=None)
+def test_pair_enclosures_equal_their_iv_references(lo, width, lam, digits):
+    # the certificate's libmp-pair enclosures, on a box within [2, 20] and on
+    # the box scaled into (0, 2], equal the mpmath.iv forms of
+    # tests/oracles.py bit for bit
+    hi = min(lo + width, 20.0)
+    with monotone._iv_dps(PrecisionConfig(working_digits=digits).dps):
+        prec = iv.prec
+        for box in ((lo, hi), (lo / 10, hi / 10)):
+            x, m, lm = iv.mpf(list(box)), iv.mpf(sum(box) / 2), iv.mpf(lam)
+            if box[0] >= 1:
+                assert monotone._phi_terms_mpi(x._mpi_, prec) == tuple(
+                    v._mpi_ for v in oracles.phi_terms_iv(x))
+                assert monotone._phi_d2(x._mpi_, lm._mpi_, prec) == oracles.phi_d2_iv(x, lm)._mpi_
+                assert (monotone._phi_centred(x._mpi_, m._mpi_, lm._mpi_, prec)
+                        == oracles.phi_centred_iv(x, m, lm)._mpi_)
+            else:
+                coeffs, rem = monotone._phi_series(lam, prec)
+                pairs = tuple(c._mpi_ for c in coeffs)
+                assert (monotone._phi_horner(x._mpi_, pairs, rem._mpi_, prec)
+                        == oracles.phi_horner_iv(x, coeffs, rem)._mpi_)
+
+
+@given(x=st.floats(1e-3, 700.0), digits=st.sampled_from([15, 30, 60]))
+@example(x=1e-3, digits=15)  # Eq. (4.1)'s smallest margin on the default grid
+@example(x=700.0, digits=15)  # Eq. (4.2)'s lower margin is 6.9e-302 here
+@settings(max_examples=40, deadline=None)
+def test_remark1_intervals_hold_their_margins(x, digits):
+    # each integer interval of _remark1_margins, in units of 2^(-2 wp), holds
+    # its margin from mpmath at 100 digits past that unit
+    prec = libmp.dps_to_prec(PrecisionConfig(working_digits=digits).dps)
+    wp, intervals = harness._remark1_margins(x, prec, harness._EQ41_DENOMINATORS)
+    with mp.workprec(2 * wp + 333):
+        xm = mp.mpf(x)
+        u, xb = mp.exp(-xm / 2), xm / mp.expm1(xm)
+        margins = (xb - (u - xm ** 2 * u / 24), (u - xm ** 2 * u ** 3 / 24) - xb, xb - u ** 2, u - xb)
+        for i, ((lo, hi), margin) in enumerate(zip(intervals, margins)):
+            assert lo <= mp.ldexp(margin, 2 * wp) <= hi, (x, digits, i)
