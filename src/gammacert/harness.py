@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from mpmath import iv, libmp, mp
+from mpmath import libmp, mp
 
 from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, SpecialValue, Sweep
 from .config import FALSIFIED, INDETERMINATE, VERIFIED, require_positive
@@ -249,26 +249,28 @@ def _remark1_margins(x: float, prec: int, dens: tuple) -> tuple:
         Eq. (4.1):  xb - (u - x^2 u/24),  (u - x^2 u^3/24) - xb,
         Eq. (4.2):  xb - u^2,             u - xb.
 
-    One round-floor and one round-ceiling exponential at wp bits give
-    integers U_lo <= u 2^wp <= U_hi, wp = prec + 20 + floor(x/ln 2) +
-    max(0, -mag x), so 2^-wp lies far below both e^{-x} and x.  1 - u^2 is
-    the exact 2^(2wp) - U^2, so no expm1 is needed near x = 0.  Every term
-    increases with u: it is floored at U_lo and ceiled at U_hi, and each
-    margin takes the ends of its terms that make it widest."""
+    One exponential at wp bits, from monotone._exp_fixed, gives integers
+    U_lo <= u 2^wp <= U_hi, wp = prec + 20 + floor(x/ln 2) + max(0, -mag x),
+    so 2^-wp lies far below both e^{-x} and x.  The lemma: e^{-x/2} is
+    irrational for rational x != 0, so a correct U_lo = floor(u 2^wp) gives
+    U_hi = U_lo + 1 (_exp_fixed widens this by a unit only where u 2^wp
+    lies within 2^-8 of an integer).  1 - u^2 is the exact 2^(2wp) - U^2,
+    so no expm1 is needed near x = 0.  Every term increases with u: it is
+    floored at U_lo and ceiled at U_hi, and each margin takes the ends of
+    its terms that make it widest."""
     wp = prec + 20 + int(x / math.log(2)) + max(0, -math.frexp(x)[1])
-    half = libmp.mpf_neg(libmp.mpf_shift(libmp.from_float(x), -1))
     xn, xd = x.as_integer_ratio()
     one = 1 << 2 * wp
 
-    def terms(rnd, div):  # u, u^2, xb, x^2 u/24, x^2 u^3/24, in units of 2^(-2 wp)
-        big_u = libmp.to_int(libmp.mpf_shift(libmp.mpf_exp(half, wp, rnd), wp), rnd)
+    def terms(big_u, div):  # u, u^2, xb, x^2 u/24, x^2 u^3/24, in units of 2^(-2 wp)
         u2 = big_u * big_u
         x2u = xn * xn * big_u
         return (big_u << wp, u2, div(xn * u2 << 2 * wp, xd * (one - u2)),
                 div(x2u << wp, dens[0] * xd * xd), div(x2u * u2, dens[1] * xd * xd << wp))
 
-    u, u2, xb, a, c = terms(libmp.round_floor, lambda n, d: n // d)
-    u_, u2_, xb_, a_, c_ = terms(libmp.round_ceiling, lambda n, d: -(-n // d))
+    u_lo, u_hi = monotone._exp_fixed(-xn, 2 * xd, wp)
+    u, u2, xb, a, c = terms(u_lo, lambda n, d: n // d)
+    u_, u2_, xb_, a_, c_ = terms(u_hi, monotone._cdiv)
     return wp, ((xb - u_ + a, xb_ - u + a_), (u - c_ - xb_, u_ - c - xb),
                 (xb - u2_, xb_ - u2), (u - xb_, u_ - xb))
 
@@ -371,8 +373,9 @@ _LAPLACE_LAM0 = 0.5
 
 
 def _laplace_residuals(cfg) -> list:
-    """[(x, R)] for the 5 x of _LAPLACE_XS, R an mpmath.iv interval that
-    holds Q(x, 1/2) - H_{1/2}'(x): Q the certified enclosure of
+    """[(x, R)] for the 5 x of _LAPLACE_XS, R an integer interval at scale
+    2^-monotone._fixed_prec(cfg) that holds Q(x, 1/2) - H_{1/2}'(x): Q the
+    certified enclosure of
     H_lambda'(x) = int_0^inf phi_lambda e^{-xt} dt (monotone.laplace_enclosure),
     less the closed form with its bound (monotone._laplace_residual).
 
@@ -391,17 +394,18 @@ def _run_laplace(cfg, grid: GridSpec):
     """Two-path check of H_lambda' = Laplace transform of phi_lambda, for
     every lambda at once, with one enclosure per x; see _laplace_residuals.
 
-    Each margin 1e-10 - |R| is formed as an interval at cfg.dps digits and
-    added through monotone._add_enclosure, so it is certified at its point:
-    the enclosure of Q is proved, the closed form's bound is folded into R,
-    and the float rounding of the margin is covered too.  The claim still
+    Each margin 1e-10 - |R| is formed as an integer interval and added
+    through monotone._add_enclosure, so it is certified at its point: the
+    enclosure of Q is proved, the closed form's bound is folded into R, and
+    the float rounding of the margin is covered too.  The claim still
     checks 5 points x: it is certified at its points, a sample of the
     identity rather than a proof of it.
     """
-    sweep = Sweep()
-    with monotone._iv_dps(cfg.dps):
-        for x, res in _laplace_residuals(cfg):
-            monotone._add_enclosure(sweep, x, (1e-10 - abs(res))._mpi_, iv.prec)
+    sweep, wp = Sweep(), monotone._fixed_prec(cfg)
+    tol_lo, tol_hi = monotone._fixed_end(1e-10, wp)
+    for x, (lo, hi) in _laplace_residuals(cfg):
+        abs_lo = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+        monotone._add_enclosure(sweep, x, (tol_lo - max(-lo, hi), tol_hi - abs_lo), wp)
     return sweep.result()
 
 

@@ -18,20 +18,19 @@ H_lambda^(k) without its lambda term: cm_check, the Thm 2.1 sweeps and the
 Thm 3.1/3.4 rows.  It reads specfun._constants(cfg).eps for its constants.
 
 lambda_star = sup_t h(t) with h(t) = -(1/t) ln[(24/t^2)(e^{-t/2} - t/(e^t-1))].
-Everything about phi_lambda is decided in interval arithmetic from one set
-of Taylor coefficients (_phi_series, in mpmath.iv, built once per lambda and
-precision, whose lambda-free part is built once):
-phi_sign_certificate proves the sign of phi_lambda on all of (0, inf), its
-boxes enclosed on raw libmp interval pairs (Horner's rule on (0, 2], a
-second-order centred form in phi'' on [2, 20]); lambda_star returns a
-bracket of lambda_star that is proven the same way; and laplace_enclosure
-encloses the Laplace transform of phi_lambda in mpmath.iv, the integral
-path of H_lambda' that laplace_check compares with the closed form.
+Everything about phi_lambda is decided on one layer of integer intervals,
+pairs of ints at a scale 2^-wp rounded outward at every step, from one set
+of Taylor coefficients (_phi_series, built once per lambda and scale):
+phi_sign_certificate proves the sign of phi_lambda on all of (0, inf)
+(Horner's rule on (0, 2], a second-order centred form in phi'' on [2, 20]);
+lambda_star returns a bracket of lambda_star, from t_star found by Newton's
+method and the certificate; and laplace_enclosure encloses the Laplace
+transform of phi_lambda, the integral path of H_lambda' that laplace_check
+compares with the closed form.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -39,10 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import iv, mp
-from mpmath.libmp import (dps_to_prec, fhalf, fone, from_float, from_int, ftwo, mpf_sign, mpi_add,
-                          mpi_div, mpi_exp, mpi_log, mpi_mid, mpi_mul, mpi_neg, mpi_pow_int,
-                          mpi_sub, to_float)
+from mpmath import iv, libmp, mp
+from mpmath.libmp import dps_to_prec, from_man_exp, to_float
 
 from .config import (
     DEFAULT_CONFIG,
@@ -150,13 +147,35 @@ def _phi_taylor_cutoff(lm):
     return 1e-3 if abs(lm) <= 1000 else 1 / abs(lm)
 
 
+@functools.lru_cache(maxsize=2)
+def _tangent_numbers(n: int) -> tuple:
+    """(0, T_1, ..., T_n), the tangent numbers, by the integer recurrence of
+    Brent and Harvey (Fast computation of Bernoulli, tangent and secant
+    numbers, 2013), which gives B_2k = (-1)^(k-1) 2k T_k/(4^k (4^k - 1))."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t)
+
+
+def _bernoulli(n: int) -> tuple:
+    """B_n = num/den for n >= 2, as (num, den): 0 for odd n, else from
+    _tangent_numbers."""
+    j = n // 2
+    if n % 2:
+        return 0, 1
+    return (-1) ** (j - 1) * 2 * j * _tangent_numbers(max(j, 32))[j], 4 ** j * (4 ** j - 1)
+
+
 @functools.lru_cache(maxsize=None)
 def _phi_free_coeff(k: int) -> tuple:
-    """(a_k - b_k, |a_k| + |b_k|) of _phi_coeffs exactly, the part of c_k and
-    s_k that does not depend on lambda; built once per k."""
+    """(a_k - b_k, |a_k| + |b_k|) of _phi_coeffs exactly, k >= 2, the part of
+    c_k and s_k that does not depend on lambda; built once per k."""
     f = math.factorial(k + 1)
-    a = Fraction((-1) ** (k + 1), 2 ** (k + 1) * f)
-    b = Fraction(*mp.bernfrac(k + 1)) / f
+    a, b = Fraction((-1) ** (k + 1), 2 ** (k + 1) * f), Fraction(*_bernoulli(k + 1)) / f
     return a - b, abs(a) + abs(b)
 
 
@@ -209,7 +228,7 @@ def _phi_terms(tm):
     """(e^{-t/2}/t, 1/(e^t-1)), the lambda-free terms of phi, from one
     exponential of -t/2.  For t < 1, v = expm1(-t/2) gives 1 - e^{-t} =
     -v (2+v) without cancellation; for t >= 1, u = e^{-t/2} and 1 - u^2
-    lose nothing (_phi_terms_mpi is this branch on intervals)."""
+    lose nothing (_phi_b is this branch on integer intervals)."""
     if tm < 1:
         v = mp.expm1(-tm / 2)
         u = 1 + v
@@ -230,8 +249,7 @@ def phi_integrand(t, lam):
     its coefficients are generated from the closed form to the current
     precision (see _phi_taylor_coeffs).
     """
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t!r}")
+    require_positive("t", t)
     tm, lm = mp.mpf(t), mp.mpf(lam)
     if mp.isnan(lm):
         raise DomainError(f"lambda must not be nan, got {lam!r}")
@@ -255,8 +273,7 @@ def h_of_t(t):
     lambda-free terms of phi come from _phi_terms.  Both run with
     _H_GUARD_BITS extra bits, so h keeps the working precision.
     """
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t!r}")
+    require_positive("t", t)
     with mp.extraprec(_H_GUARD_BITS):
         tm = mp.mpf(t)
         if tm < _phi_taylor_cutoff(0):
@@ -270,124 +287,279 @@ def h_of_t(t):
     return +h
 
 
-# --- the sign of phi_lambda on (0, inf), proved in interval arithmetic -----
+# --- the integer interval layer of phi_lambda -------------------------------
+#
+# An interval is a pair of ints (lo, hi) that stands for [lo 2^-wp, hi 2^-wp],
+# wp = _fixed_prec(cfg).  Every lower end is floored and every upper end
+# ceiled at each product and quotient, so an interval always holds its real.
+# Box ends, x and lambda enter as exact ratios (_ratio), and e^q, ln y and
+# Euler's gamma through _fixed_pair.
 
 _T_TAIL = 20.0  # Taylor piece on (0, 2], centred forms on [2, 20], closed-form tail
 _CERT_MAX_BOXES = 2000  # bisection budget of one certificate
 _TAYLOR_TERMS = 60  # c_2 .. c_61; the remainder is below 1e-30 for lambda <= 3/2
+_FIXED_GUARD_BITS = 20  # bits of the integer intervals below 2^-prec
 
 
-@contextlib.contextmanager
-def _iv_dps(dps: int):
-    """mpmath.iv at dps digits; its precision is restored on exit or raise."""
-    prec = iv.prec
-    iv.dps = dps
-    try:
-        yield
-    finally:
-        iv.prec = prec
+def _fixed_prec(cfg: PrecisionConfig) -> int:
+    """wp, the scale 2^-wp of the integer intervals at cfg's precision."""
+    return dps_to_prec(cfg.dps) + _FIXED_GUARD_BITS
+
+
+def _ratio(v) -> tuple:
+    """(num, den), den > 0, with v = num/den exactly, for an int, float,
+    Fraction or mpf v."""
+    if isinstance(v, mp.mpf):
+        sign, man, exp, _ = v._mpf_
+        man = -man if sign else man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    return Fraction(v).as_integer_ratio()
+
+
+def _cdiv(n: int, d: int) -> int:
+    """ceil(n/d) for d > 0."""
+    return -(-n // d)
+
+
+def _fixed_pair(v: tuple, prec: int, wp: int) -> tuple:
+    """(lo, hi) with lo <= y 2^wp <= hi, for v the raw mpf that a libmp
+    function returned for y at prec bits.  libmp evaluates its elementary
+    functions and constants with 14 or more guard bits and rounds once, so
+    y lies within 2 units of the last place of v, 2^(mag v - prec).  With
+    prec >= wp + mag v + 10 those 2 units are below 2^-(wp+8), so hi = lo + 1
+    unless y 2^wp lies that close to an integer."""
+    sign, man, exp, bc = v
+    man = (-man if sign else man) << (prec - bc)
+    s = exp - (prec - bc) + wp  # v 2^wp = man 2^s
+    if s >= 0:
+        return (man - 2) << s, (man + 2) << s
+    return (man - 2) >> -s, ((man + 2) >> -s) + 1
+
+
+def _exp_fixed(num: int, den: int, wp: int) -> tuple:
+    """(lo, hi) with lo <= e^q 2^wp <= hi for q = num/den: one mpf_exp at
+    exact q, made an interval by _fixed_pair; e^0 = 1 is exact.  q must be a
+    binary fraction (den a power of two), as every float is."""
+    if num == 0:
+        return (1 << wp,) * 2
+    if den & (den - 1):
+        raise DomainError(f"x and lambda must be binary fractions, as floats are; e^({num}/{den}) is asked")
+    prec = wp + 10 + max(0, 2 * num // den + 2)  # e^q < 2^(2q + 1) for q > 0
+    return _fixed_pair(libmp.mpf_exp(from_man_exp(num, 1 - den.bit_length()), prec), prec, wp)
+
+
+def _fixed_end(v, wp: int) -> tuple:
+    """floor and ceil of v 2^wp for an int, float, Fraction or mpf v."""
+    num, den = _ratio(v)
+    return (num << wp) // den, _cdiv(num << wp, den)
+
+
+def _fixed_float(enc: tuple, wp: int) -> float:
+    """The float of enc's midpoint (lo + hi) 2^-(wp+1), rounded toward zero
+    as libmp.to_float rounds."""
+    return to_float(from_man_exp(enc[0] + enc[1], -wp - 1))
+
+
+def _add_enclosure(sweep: Sweep, at: float, enc: tuple, wp: int) -> None:
+    """Add an interval margin enc, at scale 2^-wp, to sweep as its midpoint
+    m (_fixed_float) and the distance from m to enc's farther end, an exact
+    integer quotient rounded up, so that the two floats cover the interval."""
+    margin = _fixed_float(enc, wp)
+    mn, md = margin.as_integer_ratio()
+    far = max((mn << wp) - enc[0] * md, enc[1] * md - (mn << wp))
+    sweep.add(at, margin, math.nextafter(far / (md << wp), math.inf))
 
 
 @functools.lru_cache(maxsize=16)
-def _phi_series(lam, prec: int) -> tuple:
-    """(coefficients, remainder): phi_lambda(t)/t^p lies in sum_i
-    coefficients[i] t^i + remainder for 0 < t <= 2, with p = 3 if c_2 = 0
-    (lambda = 1/2), else 2, in mpmath.iv at prec bits, which must be
-    iv.prec; built once per (lambda, prec).  Keeping c_p .. c_n, n =
-    _TAYLOR_TERMS + 1, the bounds |a_k| = 2^-(k+1)/(k+1)!, |b_k| <= 4/(2
-    pi)^(k+1), |d_k| = lambda^(k-1)/(24 (k-1)!) and t^(k-p) <= 2^(k-p) give,
-    for 2 lambda < n + 1,
+def _phi_series(lam, wp: int) -> tuple:
+    """(coefficients, remainder): phi_lambda(t)/t^p lies in sum_i C_i y^i
+    + [-R, R] 2^-wp for y = t/2 in (0, 1], p = 3 if c_2 = 0 (lambda = 1/2),
+    else 2.  coefficients holds the intervals C_i of c_(p+i) 2^(i+wp), each
+    term a_k, b_k, d_k of _phi_coeffs floored and ceiled exactly, and
+    remainder is the int R, or None where it is unbounded.  Built once per
+    (lambda, wp).  Keeping c_p .. c_n, n = _TAYLOR_TERMS + 1, the bounds
+    |a_k| = 2^-(k+1)/(k+1)!, |b_k| <= 4/(2 pi)^(k+1), |d_k| = lambda^(k-1)/(24
+    (k-1)!) and t^(k-p) <= 2^(k-p) give, for 2 lambda < n + 1,
 
         2^p |remainder| <= 1/(n+2)! + 2 pi^-(n+2)/(1 - 1/pi)
-                           + (2 lambda)^n/(12 n! (1 - 2 lambda/(n+1))).
+                           + (2 lambda)^n/(12 n! (1 - 2 lambda/(n+1))),
+
+    formed exactly from a lower bound of pi.
     """
-    coeffs = [c for c, _ in itertools.islice(_phi_coeffs(Fraction(lam)), _TAYLOR_TERMS)]
-    p, n = (2 if coeffs[0] else 3), _TAYLOR_TERMS + 1
-    lm2, inv_pi = 2 * iv.mpf(lam), 1 / iv.pi
-    r = mp.inf
-    if lm2 < n + 1:
-        r = ((1 / iv.mpf(math.factorial(n + 2)) + 2 * inv_pi ** (n + 2) / (1 - inv_pi)
-              + lm2 ** n / (12 * math.factorial(n) * (1 - lm2 / (n + 1)))) / 2 ** p).b
-    return tuple(iv.mpf(c.numerator) / c.denominator for c in coeffs[p - 2:]), iv.mpf([-r, r])
+    lm = Fraction(*_ratio(lam))
+    p, n = (3 if 2 * lm == 1 else 2), _TAYLOR_TERMS + 1
+    big = []
+    for k in range(p, n + 1):  # c_k = a_k - b_k - d_k, each term rounded at 2^(k-p+wp)
+        shift, f = k - p + wp, math.factorial(k + 1)
+        bn, bd = _bernoulli(k + 1)
+        terms = (((-1) ** (k + 1) << shift, 2 ** (k + 1) * f), (-bn << shift, bd * f),
+                 (-((-lm.numerator) ** (k - 1)) << shift,
+                  24 * math.factorial(k - 1) * lm.denominator ** (k - 1)))
+        big.append((sum(t // d for t, d in terms), sum(_cdiv(t, d) for t, d in terms)))
+    if not 2 * lm < n + 1:
+        return tuple(big), None
+    pi_lo = Fraction(_fixed_pair(libmp.mpf_pi(wp + 20), wp + 20, wp + 8)[0], 1 << (wp + 8))
+    r = (Fraction(1, math.factorial(n + 2)) + 2 / pi_lo ** (n + 2) / (1 - 1 / pi_lo)
+         + (2 * lm) ** n / (12 * math.factorial(n) * (1 - 2 * lm / (n + 1)))) / 2 ** p
+    return tuple(big), _cdiv(r.numerator << wp, r.denominator)
 
 
-def _add_enclosure(sweep: Sweep, at: float, enc, prec: int) -> None:
-    """Add an interval margin, a libmp pair at prec bits, to sweep as its
-    midpoint (mpi_mid) and radius, the radius rounded up so that the two
-    floats still cover the interval."""
-    margin = to_float(mpi_mid(enc, prec))
-    m = from_float(margin)
-    lo, hi = mpi_sub((m, m), enc, prec)
-    sweep.add(at, margin, math.nextafter(max(-to_float(lo), to_float(hi)), math.inf))
+def _phi_horner(y: tuple, coeffs: tuple, rem: int, wp: int) -> tuple:
+    """sum_i coeffs[i] y^i + [-rem, rem] by Horner's rule on a box y = (lo,
+    hi), 0 <= lo <= hi <= 2^wp: the Taylor piece of phi_sign_certificate in
+    y = t/2 (see _phi_series).  With y <= 1 no step amplifies an earlier
+    rounding."""
+    ylo, yhi = y
+    slo, shi = coeffs[-1]
+    for clo, chi in coeffs[-2::-1]:
+        slo = ((slo * (ylo if slo >= 0 else yhi)) >> wp) + clo
+        shi = -((-shi * (yhi if shi >= 0 else ylo)) >> wp) + chi
+    return slo - rem, shi + rem
 
 
-# The enclosures of the certificate boxes run on raw libmp interval pairs
-# (a, b) at prec bits, the same mpi_* calls with the same roundings as
-# mpmath.iv makes for them, without its wrapper objects or conversions.
-_HALF, _ONE, _TWO, _C24 = ((v, v) for v in (fhalf, fone, ftwo, from_int(24)))
+def _phi_b(u: tuple, wp: int) -> tuple:
+    """b = 1/(e^t-1) = u^2/(1 - u^2), increasing in u, from u = (lo, hi)
+    of e^{-t/2} < 1."""
+    one = 1 << 2 * wp
+    return (u[0] * u[0] << wp) // (one - u[0] * u[0]), _cdiv(u[1] * u[1] << wp, one - u[1] * u[1])
 
 
-def _phi_terms_mpi(t, prec: int) -> tuple:
-    """_phi_terms' branch t >= 1 for a pair t: u = e^{-t/2}, and u/t and
-    u^2/(1 - u^2) both increase with u, so no width is lost to dependency."""
-    u = mpi_exp(mpi_div(mpi_neg(t, prec), _TWO, prec), prec)
-    u2 = mpi_mul(u, u, prec)
-    return mpi_div(u, t, prec), mpi_div(u2, mpi_sub(_ONE, u2, prec), prec)
+def _phi_d2(t: tuple, u: tuple, e: tuple, lr: tuple, wp: int) -> tuple:
+    """phi_lambda'' on the box t = (tl, tr) of floats, 1 <= tl <= tr, given
+    u = (lo of e^{-tr/2}, hi of e^{-tl/2}), e = (lo of e^{-lambda tr}, hi of
+    e^{-lambda tl}) and lr = _ratio(lambda):
+
+        phi'' = a g - b (1+b) (1+2b) - lambda (lambda t - 2) e^{-lambda t}/24,
+
+    a = e^{-t/2}/t, g = 1/t^2 + (1/2 + 1/t)^2 and b = 1/(e^t-1).  a g and
+    b (1+b) (1+2b) decrease in t, so take their ends at the box's ends;
+    lambda (lambda t - 2), increasing, is multiplied as an interval."""
+    (tln, tld), (trn, trd) = t[0].as_integer_ratio(), t[1].as_integer_ratio()
+    ln, ld = lr
+    one = 1 << wp
+    # a g = e^{-t/2} (4 + (t+2)^2)/(4 t^3)
+    ag_lo = (u[0] * (4 * trd * trd + (trn + 2 * trd) ** 2) * trd) // (4 * trn ** 3)
+    ag_hi = _cdiv(u[1] * (4 * tld * tld + (tln + 2 * tld) ** 2) * tld, 4 * tln ** 3)
+    blo, bhi = _phi_b(u, wp)
+    b3_lo = (blo * (one + blo) * (one + 2 * blo)) >> 2 * wp
+    b3_hi = _cdiv(bhi * (one + bhi) * (one + 2 * bhi), one * one)
+    # lambda (lambda t - 2)/24 at tl and tr, each over its own denominator
+    p_lo, p_hi = ln * (ln * tln - 2 * ld * tld), ln * (ln * trn - 2 * ld * trd)
+    lam_lo = (p_lo * (e[1] if p_lo < 0 else e[0])) // (24 * ld * ld * tld)
+    lam_hi = _cdiv(p_hi * (e[1] if p_hi >= 0 else e[0]), 24 * ld * ld * trd)
+    return ag_lo - b3_hi - lam_hi, ag_hi - b3_lo - lam_lo
 
 
-def _phi_d2(x, lm, prec: int):
-    """phi_lambda''(x) for a pair x >= 1 and lm = lambda as a pair, with
-    a = e^{-t/2}/t and b = 1/(e^t-1) (_phi_terms_mpi):
-
-        phi'' = a (1/t^2 + (1/2 + 1/t)^2) - b (1+b) (1+2b)
-                - (lambda^2 t - 2 lambda) e^{-lambda t}/24.
-    """
-    a, b = _phi_terms_mpi(x, prec)
-    inv = mpi_div(_ONE, x, prec)
-    a_part = mpi_mul(a, mpi_add(mpi_pow_int(inv, 2, prec),
-                                mpi_pow_int(mpi_add(_HALF, inv, prec), 2, prec), prec), prec)
-    b_part = mpi_mul(mpi_mul(b, mpi_add(_ONE, b, prec), prec),
-                     mpi_add(_ONE, mpi_mul(_TWO, b, prec), prec), prec)
-    poly = mpi_sub(mpi_mul(mpi_mul(lm, lm, prec), x, prec), mpi_mul(_TWO, lm, prec), prec)
-    lam_part = mpi_div(mpi_mul(poly, mpi_exp(mpi_mul(mpi_neg(lm, prec), x, prec), prec), prec),
-                       _C24, prec)
-    return mpi_sub(mpi_sub(a_part, b_part, prec), lam_part, prec)
+def _point_exps(t: tuple, lr: tuple, wp: int) -> tuple:
+    """The intervals of e^{-t/2} and e^{-lambda t} at a point t = (num,
+    den), lr = _ratio(lambda)."""
+    (tn, td), (ln, ld) = t, lr
+    return _exp_fixed(-tn, 2 * td, wp), _exp_fixed(-ln * tn, ld * td, wp)
 
 
-def _phi_centred(x, m, lm, prec: int):
-    """An enclosure of phi_lambda on the box x (a pair within [1, inf)) with
-    midpoint m (a pair), lm = lambda as a pair: the second-order centred
-    form phi(m) + phi'(m) (x - m) + phi''(x) (x - m)^2 / 2 of
-    phi_sign_certificate, with (x - m)^2 an even power, so [0, r^2]."""
-    a, b = _phi_terms_mpi(m, prec)
-    e = mpi_div(mpi_exp(mpi_mul(mpi_neg(lm, prec), m, prec), prec), _C24, prec)
-    phi_m = mpi_sub(mpi_sub(a, b, prec), mpi_mul(m, e, prec), prec)
-    dphi_m = mpi_sub(mpi_sub(mpi_mul(b, mpi_add(_ONE, b, prec), prec),
-                             mpi_mul(mpi_add(_HALF, mpi_div(_ONE, m, prec), prec), a, prec), prec),
-                     mpi_mul(mpi_sub(_ONE, mpi_mul(lm, m, prec), prec), e, prec), prec)
-    d = mpi_sub(x, m, prec)
-    d2_part = mpi_div(mpi_mul(_phi_d2(x, lm, prec), mpi_pow_int(d, 2, prec), prec), _TWO, prec)
-    return mpi_add(mpi_add(phi_m, mpi_mul(dphi_m, d, prec), prec), d2_part, prec)
+def _radius_exps(r: tuple, lr: tuple, wp: int, factors: dict) -> tuple:
+    """The intervals of e^{r/2}, e^{lambda r}, e^{-r/2} and e^{-lambda r}
+    for r = (num, den) in lowest terms, kept in factors per r: bisection
+    makes few distinct radii."""
+    if r not in factors:
+        factors[r] = _point_exps((-r[0], r[1]), lr, wp) + _point_exps(r, lr, wp)
+    return factors[r]
 
 
-def _phi_horner(x, coeffs, rem, prec: int):
-    """sum_i coeffs[i] x^i + rem by Horner's rule, all pairs: the Taylor
-    piece of phi_sign_certificate on a box x within (0, 2]."""
-    s = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        s = mpi_add(mpi_mul(s, x, prec), c, prec)
-    return mpi_add(s, rem, prec)
+def _float_sub(x: float, y: float) -> tuple:
+    """x - y exactly, as (num, den) in lowest terms, den a power of two."""
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    d = max(xd, yd)
+    n = xn * (d // xd) - yn * (d // yd)
+    k = min((n & -n).bit_length(), d.bit_length()) - 1 if n else d.bit_length() - 1
+    return n >> k, d >> k
+
+
+def _scaled(v: tuple, f: tuple, wp: int) -> tuple:
+    """The product of two intervals of positive reals."""
+    return (v[0] * f[0]) >> wp, _cdiv(v[1] * f[1], 1 << wp)
+
+
+def _phi_centred(t: tuple, mid: tuple, lr: tuple, wp: int, factors: dict) -> tuple:
+    """An enclosure of phi_lambda on the box t = (tl, tr) of floats within
+    [1, inf), lr = _ratio(lambda): the second-order centred form
+
+        phi(m) + phi'(m) (t - m) + phi''(t) (t - m)^2 / 2
+
+    of phi_sign_certificate at the float m = (tl + tr)/2, t - m in [-a, b]
+    with a = m - tl and b = tr - m exact, so (t - m)^2 in [0, max(a, b)^2].
+    mid holds the intervals of e^{-m/2} and e^{-lambda m} (_point_exps); the
+    box's ends take theirs times those of e^{a/2}, e^{lambda a}, e^{-b/2}
+    and e^{-lambda b} (_radius_exps), so a box makes no exponential of its
+    own."""
+    tl, tr = t
+    m = (tl + tr) / 2
+    (mn, md), (an, ad), (bn, bd) = m.as_integer_ratio(), _float_sub(m, tl), _float_sub(tr, m)
+    ln, ld = lr
+    one = 1 << wp
+    um, em = mid
+    up, lam_up = _radius_exps((an, ad), lr, wp, factors)[:2]
+    down, lam_down = _radius_exps((bn, bd), lr, wp, factors)[2:]
+    u = _scaled(um, down, wp)[0], _scaled(um, up, wp)[1]
+    e = _scaled(em, lam_down, wp)[0], _scaled(em, lam_up, wp)[1]
+    # phi(m) = a - b - m e^{-lambda m}/24, a = e^{-m/2}/m
+    blo, bhi = _phi_b(um, wp)
+    me_lo, me_hi = (em[0] * mn) // (24 * md), _cdiv(em[1] * mn, 24 * md)
+    phi_lo = (um[0] * md) // mn - bhi - me_hi
+    phi_hi = _cdiv(um[1] * md, mn) - blo - me_lo
+    # phi'(m) = b (1+b) - (1/2 + 1/m) a - (1 - lambda m) e^{-lambda m}/24,
+    # (1/2 + 1/m) a = e^{-m/2} (m + 2)/(2 m^2)
+    cn, cd = (mn + 2 * md) * md, 2 * mn * mn
+    kn, kd = ld * md - ln * mn, 24 * ld * md  # (1 - lambda m)/24
+    ke_lo = (kn * (em[0] if kn >= 0 else em[1])) // kd
+    ke_hi = _cdiv(kn * (em[1] if kn >= 0 else em[0]), kd)
+    dphi_lo = ((blo * (one + blo)) >> wp) - _cdiv(um[1] * cn, cd) - ke_hi
+    dphi_hi = _cdiv(bhi * (one + bhi), one) - (um[0] * cn) // cd - ke_lo
+    d2_lo, d2_hi = _phi_d2(t, u, e, lr, wp)
+    # phi'(m) [-a, b] + phi''(t) [0, max(a, b)^2]/2, a and b over den
+    a, b, den = an * bd, bn * ad, ad * bd
+    r2, den2 = max(a, b) ** 2, 2 * den * den
+    return (phi_lo + min(-dphi_hi * a, dphi_lo * b) // den + (min(d2_lo, 0) * r2) // den2,
+            phi_hi + _cdiv(max(-dphi_lo * a, dphi_hi * b), den) + _cdiv(max(d2_hi, 0) * r2, den2))
+
+
+def _centred_prec(wp: int, lr: tuple) -> int:
+    """The scale of the centred boxes of phi_sign_certificate: a box's
+    exponentials come from its parent's (or, for its ends, its midpoint's)
+    times e^{+-d/2} and e^{+-lambda d}, which multiply an error by up to
+    e^{9 max(lambda, 1/2)} between t = 2 and 20, so they run at 13.1
+    max(lambda, 1/2) + 8 more bits than wp."""
+    return wp + 8 + math.ceil(13.1 * max(Fraction(*lr), Fraction(1, 2)))
+
+
+def _phi_tail(lr: tuple, sign: int, wp: int) -> tuple:
+    """An enclosure of a closed-form margin of sign * phi_lambda > 0 on
+    [_T_TAIL, inf), (0, 0) where none applies (undecided)."""
+    t, mu = Fraction(_T_TAIL), Fraction(*lr) - Fraction(1, 2)
+    if sign < 0 and mu <= 0:
+        # -1/(e^t-1) < 0 and e^{-lambda t} >= e^{-t/2}, so for t >= 20:
+        # phi(t) < e^{-t/2} (1/t - t/24) <= e^{-t/2} (1/20 - 20/24)
+        return _fixed_end(t / 24 - 1 / t, wp)
+    if sign > 0 and mu * t >= 2:
+        # 1/(e^t-1) <= 2 e^{-t}, so t e^{t/2} phi(t) >= 1 - 2t e^{-t/2}
+        # - t^2 e^{-mu t}/24, whose two terms decrease for t >= 2/mu
+        a = _exp_fixed(-int(t), 2, wp)
+        b = _exp_fixed(-(mu * t).numerator, (mu * t).denominator, wp)
+        c = 2 * int(t)
+        return ((1 << wp) - c * a[1] - _cdiv(int(t) ** 2 * b[1], 24),
+                (1 << wp) - c * a[0] - (int(t) ** 2 * b[0]) // 24)
+    return 0, 0
 
 
 def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> tuple:
     """(min_margin, argmin, verdict) of sign * phi_lambda(t) > 0 for all t > 0
-    (sign = 1 or -1), proved in interval arithmetic at cfg.dps digits: the
-    boxes on libmp pairs, the Taylor remainder and the tail in mpmath.iv.
+    (sign = 1 or -1), proved on the integer intervals at cfg's precision
+    (_fixed_prec).
 
     By Bernstein's theorem phi_lambda < 0 on (0, inf) makes H_lambda
     completely monotonic and phi_lambda > 0 makes -H_lambda so.  Pieces:
-    (0, 2], the polynomial of _phi_series by Horner's rule plus its
-    remainder, so margins of sign * phi/t^p; [2, 20], the second-order
+    (0, 2], the polynomial of _phi_series in y = t/2 by Horner's rule plus
+    its remainder, so margins of sign * phi/t^p; [2, 20], the second-order
     centred form of _phi_centred on a box X with midpoint m,
 
         phi(m) + phi'(m) (X - m) + phi''(X) (X - m)^2 / 2,
@@ -397,176 +569,202 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
         phi'(t) = -(1/2 + 1/t) e^{-t/2}/t + b (1 + b) - (1 - lambda t) e^{-lambda t}/24,
 
     phi'' over the box from _phi_d2, and (X - m)^2 an even power, so
-    [0, r^2] for a box of radius r; beyond 20, a closed-form bound whose
-    slack is the margin.  A box whose enclosure holds 0 is bisected, up to
-    _CERT_MAX_BOXES boxes.  Each leaf adds its enclosure to one Sweep under
-    its midpoint: "verified" needs every enclosure to have the wanted sign,
-    one wholly of the other sign gives "falsified" and ends the proof,
-    anything else is "indeterminate" (so is lambda above about 3, where the
-    Taylor piece is too wide).
+    [0, r^2] for r the box's larger half; beyond 20, a closed-form bound whose
+    slack is the margin (_phi_tail).  A box whose enclosure holds 0 is
+    bisected, up to _CERT_MAX_BOXES boxes.  Each leaf adds its enclosure to
+    one Sweep under its midpoint (_add_enclosure): "verified" needs every
+    enclosure to have the wanted sign, one wholly of the other sign gives
+    "falsified" and ends the proof, anything else is "indeterminate" (so is
+    lambda above about 3, where the Taylor piece is too wide, and 2 lambda
+    >= 62, where its remainder is unbounded).
     """
     _check_lambda(lam)
     if sign not in (1, -1):
         raise DomainError(f"sign must be 1 or -1, got {sign!r}")
-    sweep, boxes = Sweep(), 0
-    with _iv_dps(cfg.dps):
-        prec, lm = iv.prec, iv.mpf(lam)
-        coeffs, rem = _phi_series(lam, prec)
-        coeffs, rem, lm_mpi = tuple(c._mpi_ for c in coeffs), rem._mpi_, lm._mpi_
-        sgn = (from_int(sign),) * 2
-        pieces = ((lambda x, m: _phi_horner(x, coeffs, rem, prec), 0.0, 2.0),
-                  (lambda x, m: _phi_centred(x, m, lm_mpi, prec), 2.0, _T_TAIL))
-        for enclose, lo, hi in pieces:
-            stack = [(lo, hi)]
-            while stack:
-                l, r = stack.pop()
-                m = (l + r) / 2
-                fm = from_float(m)
-                enc = mpi_mul(sgn, enclose((from_float(l), from_float(r)), (fm, fm)), prec)
-                boxes += 1
-                if mpf_sign(enc[0]) <= 0 <= mpf_sign(enc[1]) and l < m < r and boxes < _CERT_MAX_BOXES:
-                    stack += [(m, r), (l, m)]
-                    continue
-                _add_enclosure(sweep, m, enc, prec)
-                if sweep.any_falsifying:
-                    return sweep.result()
-        t, mu = iv.mpf(_T_TAIL), lm - 0.5
-        tail = iv.mpf(0)  # slack 0: undecided
-        if sign < 0 and mu <= 0:
-            # -1/(e^t-1) < 0 and e^{-lambda t} >= e^{-t/2}, so for t >= 20:
-            # phi(t) < e^{-t/2} (1/t - t/24) <= e^{-t/2} (1/20 - 20/24)
-            tail = t / 24 - 1 / t
-        elif sign > 0 and mu * t >= 2:
-            # 1/(e^t-1) <= 2 e^{-t}, so t e^{t/2} phi(t) >= 1 - 2t e^{-t/2}
-            # - t^2 e^{-mu t}/24, whose two terms decrease for t >= 2/mu
-            tail = 1 - 2 * t * iv.exp(-t / 2) - t ** 2 * iv.exp(-mu * t) / 24
-        _add_enclosure(sweep, _T_TAIL, tail._mpi_, prec)
+    wp, lr = _fixed_prec(cfg), _ratio(lam)
+    coeffs, rem = _phi_series(lam, wp)
+    sweep, boxes, factors = Sweep(), 0, {}
+    if rem is None:
+        sweep.add(1.0, 0.0, math.inf)  # the Taylor piece decides nothing
+    # a centred box carries its midpoint's exponentials (_point_exps), and
+    # hands each half those at its own midpoint m' = m -+ d, e^{-m'/2} =
+    # e^{-m/2} e^{+-d/2} and e^{-lambda m'} = e^{-lambda m} e^{+-lambda d},
+    # with d = |m - m'| exact, the half's radius (_radius_exps), at the finer
+    # scale of _centred_prec
+    pieces = ((False, 0.0, 2.0, wp), (True, 2.0, _T_TAIL, _centred_prec(wp, lr)))
+    for centred, lo, hi, w in pieces[rem is None:]:
+        stack = [(lo, hi, centred and _point_exps(((lo + hi) / 2).as_integer_ratio(), lr, w))]
+        while stack:
+            l, r, mid = stack.pop()
+            m = (l + r) / 2
+            if centred:
+                enc = _phi_centred((l, r), mid, lr, w, factors)
+            else:
+                y = (math.floor(math.ldexp(l, w - 1)), math.ceil(math.ldexp(r, w - 1)))
+                enc = _phi_horner(y, coeffs, rem, w)
+            if sign < 0:
+                enc = (-enc[1], -enc[0])
+            boxes += 1
+            if enc[0] <= 0 <= enc[1] and l < m < r and boxes < _CERT_MAX_BOXES:
+                halves = (None, None)
+                if centred:
+                    up, lam_up = _radius_exps(_float_sub(m, (l + m) / 2), lr, w, factors)[:2]
+                    down, lam_down = _radius_exps(_float_sub((m + r) / 2, m), lr, w, factors)[2:]
+                    halves = ((_scaled(mid[0], up, w), _scaled(mid[1], lam_up, w)),
+                              (_scaled(mid[0], down, w), _scaled(mid[1], lam_down, w)))
+                stack += [(m, r, halves[1]), (l, m, halves[0])]
+                continue
+            _add_enclosure(sweep, m, enc, w)
+            if sweep.any_falsifying:
+                return sweep.result()
+    _add_enclosure(sweep, _T_TAIL, _phi_tail(lr, sign, wp), wp)
     return sweep.result()
 
 
-# --- the Laplace transform of phi_lambda, enclosed in mpmath.iv -----------
+# --- the Laplace transform of phi_lambda, on the integer intervals ----------
 
 
-def _moments(xi, n: int, e2x) -> list:
-    """[M_0(x), ..., M_n(x)] in mpmath.iv, M_k(x) = int_0^2 t^k e^{-xt} dt,
-    for an iv x > 0 and e2x = e^{-2x}.  Integration by parts gives
-    M_k = (k M_(k-1) - 2^k e^{-2x})/x, so a step up scales an error by k/x
-    and a step down by x/k.  The recursion runs down while e x < n, where
-    the factors multiply to at most 1, from the positive series
-    (DLMF 8.7.1)
+def _moments(x: tuple, n: int, e2x: tuple, wp: int) -> list:
+    """[N_0, ..., N_n], intervals of N_k(x) = M_k(x)/2^k, M_k(x) = int_0^2
+    t^k e^{-xt} dt, for x = (num, den) > 0 and e2x the interval of
+    e^{-2x}.  Integration by parts gives N_k = (k N_(k-1)/2 - e^{-2x})/x,
+    so a step up scales an error by k/(2x) and a step down by 2x/k.  The
+    recursion runs down while 2 e x < n, where the factors multiply to at
+    most 1, from the positive series (DLMF 8.7.1)
 
-        M_n(x) = e^{-2x} sum_i n! 2^(n+1+i) x^i/(n+1+i)!,
+        N_n(x) = 2 e^{-2x} sum_i n! (2x)^i/(n+1+i)!,
 
     whose term ratio 2x/(n+2+i) < 1 falls, so the first omitted term over
     1 minus its ratio bounds the rest.  Otherwise it runs up from
-    M_0 = (1 - e^{-2x})/x, where they multiply to at most n! (e/n)^n, about
-    sqrt(2 pi n).
+    N_0 = (1 - e^{-2x})/x, where they multiply to at most n! (e/n)^n, about
+    sqrt(2 pi n); N_k > 0 clips each lower end at 0.
     """
-    half, two = iv.mpf(0.5), iv.mpf(2)
-    two_x = two * xi
-    if float(xi.b) * math.e < n:
-        tol = mp.ldexp(1, -iv.prec)
-        s, term, i = iv.mpf(0), iv.mpf(2 ** (n + 1)) / (n + 1), 0
-        while not term.b < tol * s.a:
-            s, term, i = s + term, term * two_x / (n + 2 + i), i + 1
-        ms = [e2x * (s + iv.mpf([0, (term / (1 - two_x / (n + 2 + i))).b]))]
-        w = e2x * 2 ** n  # 2^k e^{-2x}
+    (xn, xd), (elo, ehi) = x, e2x
+    if 5437 * xn < 1000 * n * xd:  # 2 e x < n
+        tlo, thi, slo, shi, i = (2 << wp) // (n + 1), _cdiv(2 << wp, n + 1), 0, 0, 0
+        while thi > 1:
+            slo, shi = slo + tlo, shi + thi
+            d = xd * (n + 2 + i)
+            tlo, thi, i = (tlo * 2 * xn) // d, _cdiv(thi * 2 * xn, d), i + 1
+        d = xd * (n + 2 + i)
+        shi += _cdiv(thi * d, d - 2 * xn)
+        ns = [((elo * slo) >> wp, _cdiv(ehi * shi, 1 << wp))]
         for k in range(n, 0, -1):
-            ms.append((xi * ms[-1] + w) / k)
-            w *= half
-        return ms[::-1]
-    ms, w = [-iv.expm1(-two_x) / xi], e2x
+            lo, hi = ns[-1]
+            ns.append(((2 * (xn * lo + xd * elo)) // (xd * k), _cdiv(2 * (xn * hi + xd * ehi), xd * k)))
+        return ns[::-1]
+    one = 1 << wp
+    ns = [(((one - ehi) * xd) // xn, _cdiv((one - elo) * xd, xn))]
     for k in range(1, n + 1):
-        w *= two
-        ms.append((k * ms[-1] - w) / xi)
-    return ms
+        lo, hi = ns[-1]
+        ns.append((max(0, ((k * lo - 2 * ehi) * xd) // (2 * xn)), _cdiv((k * hi - 2 * elo) * xd, 2 * xn)))
+    return ns
 
 
-def _e1(y):
-    """E_1(y) in mpmath.iv for an iv y >= 1.  Up to y = iv.prec, from
-    E_1(y) = -gamma - ln y - sum_k (-y)^k/(k k!) (DLMF 6.6.2), summed with
-    y/2.3 + 5 extra digits, as many as its terms cancel; once the terms
-    decrease (k + 1 >= y) the first omitted one bounds the alternating
-    rest.  Above, from E_1(y) = e^{-y}/y (sum_(k<N) (-1)^k k!/y^k + R) with
-    |R| <= N!/y^N (DLMF 6.12.1), whose terms fall below 2^-prec before k
-    reaches y."""
-    tol = mp.ldexp(1, -iv.prec)
-    if y.b > iv.prec:
-        s, u, k = iv.mpf(0), iv.mpf(1), 0  # u = k!/y^k
-        while u.b >= tol and k < y.a:
-            s, k = (s - u if k % 2 else s + u), k + 1
-            u = u * k / y
-        return iv.exp(-y) / y * (s + iv.mpf([-u.b, u.b]))
-    y_hi = float(y.b)
-    with _iv_dps(iv.dps + int(y_hi / 2.3) + 5):
-        s, u, k, minus_y = iv.mpf(0), iv.mpf(1), 1, -y  # u = (-y)^k/k!
-        while True:
-            ki = iv.mpf(k)
-            u = u * minus_y / ki
-            term = u / ki
-            if k + 1 >= y_hi and abs(term).b < tol:
-                break
-            s, k = s + term, k + 1
-        e1 = -iv.euler - iv.log(y) - s + iv.mpf([-1, 1]) * abs(term).b
-    return +e1
+def _e1(y: tuple, wp: int) -> tuple:
+    """E_1(y), y = (num, den) >= 1, at scale 2^-wp.  Up to y = prec = wp -
+    _FIXED_GUARD_BITS, from E_1(y) = -gamma - ln y - sum_k (-y)^k/(k k!)
+    (DLMF 6.6.2), summed with about y log2(e) + 17 extra bits, as many as
+    its terms cancel; once the terms decrease (k + 1 >= y) the first omitted
+    one bounds the alternating rest.  Above, 0 < E_1(y) < e^{-y}/y (DLMF
+    6.8.1) < 2^-wp, since prec >= 86 makes e^-prec < 2^-(prec+20)."""
+    yn, yd = y
+    if yn > (wp - _FIXED_GUARD_BITS) * yd:
+        return 0, 1
+    extra = 145 * yn // (100 * yd) + 17
+    we = wp + extra
+    alo, ahi, slo, shi, k = 1 << we, 1 << we, 0, 0, 1  # a = y^k/k!
+    while True:
+        alo, ahi = (alo * yn) // (yd * k), _cdiv(ahi * yn, yd * k)
+        tlo, thi = alo // k, _cdiv(ahi, k)  # |(-y)^k/(k k!)|
+        if (k + 1) * yd >= yn and thi < 1 << extra:
+            break
+        slo, shi, k = (slo - thi, shi - tlo, k + 1) if k % 2 else (slo + tlo, shi + thi, k + 1)
+    prec = we + 14
+    glo, ghi = _fixed_pair(libmp.mpf_euler(prec), prec, we)
+    llo, lhi = _fixed_pair(libmp.mpf_log(from_man_exp(yn, 1 - yd.bit_length()), prec), prec, we)
+    return (-ghi - lhi - shi - thi) >> extra, _cdiv(-glo - llo - slo + thi, 1 << extra)
+
+
+def _laplace_fixed(x, lam, cfg: PrecisionConfig) -> tuple:
+    """The interval, at scale 2^-_fixed_prec(cfg), of Q(x, lambda) (see
+    laplace_enclosure)."""
+    require_positive("x", x)
+    _check_lambda(lam)
+    wp = _fixed_prec(cfg)
+    coeffs, rem = _phi_series(lam, wp)
+    if rem is None:
+        raise NumericalError(f"no Taylor remainder bound for lambda = {lam!r}")
+    (xn, xd), (ln, ld), n = _ratio(x), _ratio(lam), _TAYLOR_TERMS + 1
+    # the moments at 8 more bits, so that their roundings, times the
+    # coefficients, stay below a unit of 2^-wp
+    wm = wp + 8
+    e2x_m = _exp_fixed(-2 * xn, xd, wm)
+    ns = _moments((xn, xd), n, e2x_m, wm)
+    p = n + 1 - len(coeffs)  # coeffs[i] is the interval of c_(p+i) 2^i
+    near_lo, near_hi = -rem * ns[p][1], rem * ns[p][1]
+    for (clo, chi), (nlo, nhi) in zip(coeffs, ns[p:]):
+        near_lo += clo * (nlo if clo >= 0 else nhi)
+        near_hi += chi * (nhi if chi >= 0 else nlo)
+    one, e2x = 1 << wp, (e2x_m[0] >> 8, _cdiv(e2x_m[1], 1 << 8))
+    q = _exp_fixed(-2, 1, wp)
+    jlo, jhi, qlo, qhi, j = 0, 0, q[0], q[1], 1  # (qlo, qhi) holds e^{-2j}
+    while True:
+        d = xn + j * xd
+        tlo, thi = (qlo * xd) // d, _cdiv(qhi * xd, d)
+        if thi <= 1:
+            break
+        jlo, jhi, j = jlo + tlo, jhi + thi, j + 1
+        qlo, qhi = (qlo * q[0]) >> wp, _cdiv(qhi * q[1], one)
+    jhi += _cdiv(thi * one, one - q[1])
+    sn, sd = xn * ld + ln * xd, xd * ld  # s = x + lambda
+    es = _exp_fixed(-2 * sn, sd, wp)
+    gn, gd = 2 * sn * sd + sd * sd, 24 * sn * sn  # (2/s + 1/s^2)/24
+    e1lo, e1hi = _e1((2 * xn + xd, xd), wp)
+    return (((near_lo << p) >> wm) + e1lo - _cdiv(e2x[1] * jhi, one) - _cdiv(es[1] * gn, gd),
+            _cdiv(near_hi << p, 1 << wm) + e1hi - ((e2x[0] * jlo) >> wp) - (es[0] * gn) // gd)
 
 
 def laplace_enclosure(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """An mpmath.iv interval, at cfg.dps digits, that contains
+    """An mpmath.iv interval that contains
 
-        Q(x, lambda) = int_0^inf phi_lambda(t) e^{-xt} dt = H_lambda'(x).
+        Q(x, lambda) = int_0^inf phi_lambda(t) e^{-xt} dt = H_lambda'(x),
 
-    On (0, 2], phi_lambda = t^p (sum_i c_i t^i + r) with the exact
-    coefficients and remainder of _phi_series, so that piece lies in
-    sum_i c_i M_(p+i)(x) + r M_p(x) (_moments).  On [2, inf), term by term,
+    formed on the integer intervals (_laplace_fixed); its ends are theirs,
+    exact at the scale 2^-_fixed_prec(cfg).
+    On (0, 2], phi_lambda = t^p (sum_i C_i (t/2)^i + r) with the intervals
+    and remainder of _phi_series, so that piece lies in 2^p (sum_i C_i
+    N_(p+i)(x) + r N_p(x)) with N_k = M_k/2^k (_moments).  On [2, inf),
+    term by term,
 
         int_2^inf phi_lambda(t) e^{-xt} dt = E_1(2x+1)
             - sum_(j>=1) e^{-2(x+j)}/(x+j) - e^{-2s} (2/s + 1/s^2)/24,
 
     s = x + lambda, with E_1 from _e1 and the j-sum's tail bounded by its
     first omitted term over 1 - e^{-2}.  Raises NumericalError where the
-    remainder of _phi_series is infinite (2 lambda >= 62).
+    remainder of _phi_series is unbounded (2 lambda >= 62).
     """
-    require_positive("x", x)
-    _check_lambda(lam)
-    with _iv_dps(cfg.dps):
-        coeffs, rem = _phi_series(lam, iv.prec)
-        if mp.isinf(rem.b):
-            raise NumericalError(f"no Taylor remainder bound for lambda = {lam!r}")
-        xi, n = iv.mpf(x), _TAYLOR_TERMS + 1
-        e2x, tol = iv.exp(-2 * xi), mp.ldexp(1, -iv.prec)
-        ms = _moments(xi, n, e2x)
-        p = n + 1 - len(coeffs)  # coeffs[i] is the coefficient of t^(p+i)
-        near = sum(c * m for c, m in zip(coeffs, ms[p:])) + rem * ms[p]
-        q = iv.exp(iv.mpf(-2))
-        jsum, qj, j = iv.mpf(0), q, 1
-        while True:  # qj = e^{-2j}
-            term = qj / (xi + j)
-            if term.b < tol:
-                break
-            jsum, qj, j = jsum + term, qj * q, j + 1
-        jsum += iv.mpf([0, (term / (1 - q)).b])
-        s = xi + iv.mpf(lam)
-        far = _e1(2 * xi + 1) - e2x * jsum - iv.exp(-2 * s) * (2 / s + 1 / s ** 2) / 24
-        return near + far
+    lo, hi = _laplace_fixed(x, lam, cfg)
+    wp = _fixed_prec(cfg)
+    return iv.make_mpf((from_man_exp(lo, -wp), from_man_exp(hi, -wp)))
 
 
-def _laplace_residual(x, lam, cfg: PrecisionConfig):
-    """Q(x, lambda) - H_lambda'(x) as an mpmath.iv interval: the enclosure
-    of laplace_enclosure less the closed form, whose certified bound is
-    folded in."""
+def _laplace_residual(x, lam, cfg: PrecisionConfig) -> tuple:
+    """Q(x, lambda) - H_lambda'(x) as an integer interval at scale
+    2^-_fixed_prec(cfg): the enclosure of _laplace_fixed less the closed
+    form, whose certified bound is folded in."""
     closed = H_lambda_prime(x, lam, cfg)
-    q = laplace_enclosure(x, lam, cfg)
-    with _iv_dps(cfg.dps):
-        err = closed.abs_error_bound
-        return q - (iv.mpf(closed.value) + iv.mpf([-err, err]))
+    lo, hi = _laplace_fixed(x, lam, cfg)
+    wp = _fixed_prec(cfg)
+    (vlo, vhi), err = _fixed_end(closed.value, wp), _fixed_end(closed.abs_error_bound, wp)[1]
+    return lo - vhi - err, hi - vlo + err
 
 
 def laplace_check(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
     """Residual between the Laplace representation of H_lambda', enclosed by
     laplace_enclosure, and its closed form: the midpoint of
     _laplace_residual, expected within their combined bounds."""
-    return float(_laplace_residual(x, lam, cfg).mid)
+    return _fixed_float(_laplace_residual(x, lam, cfg), _fixed_prec(cfg))
 
 
 @dataclass(frozen=True)
@@ -582,31 +780,56 @@ class ThresholdResult:
     tolerance: float
 
 
+def _t_star(cfg: PrecisionConfig) -> float:
+    """t_star as a float: mp Newton steps at cfg.dps on F(t, lambda) =
+    (phi_lambda(t), d phi_lambda/dt (t)) = 0 from (12.24, 0.652), with the
+    Jacobian [[phi_t, t^2 e^{-lambda t}/24], [phi_tt, -t (lambda t - 2)
+    e^{-lambda t}/24]].  It stops once a step is below 2^-(prec/2) of t, so
+    the next would be below 2^-prec."""
+    with mp.workdps(cfg.dps):
+        t, lam, tol = mp.mpf("12.24"), mp.mpf("0.652"), mp.ldexp(1, -mp.prec // 2)
+        for _ in range(30):
+            u = mp.exp(-t / 2)
+            a, b, e = u / t, u * u / (1 - u * u), mp.exp(-lam * t) / 24
+            c = (1 + 2 / t) / 2
+            phi = a - b - t * e
+            phi_t = b * (1 + b) - c * a - (1 - lam * t) * e
+            phi_tt = a * (1 / t ** 2 + c * c) - b * (1 + b) * (1 + 2 * b) - lam * (lam * t - 2) * e
+            j12, j22 = t * t * e, -t * (lam * t - 2) * e
+            det = phi_t * j22 - j12 * phi_tt
+            dt = (j12 * phi_t - phi * j22) / det
+            t, lam = t + dt, lam + (phi * phi_tt - phi_t * phi_t) / det
+            if abs(dt) < tol * t:
+                break
+        if not 1 < t < 60:
+            raise NumericalError(f"Newton's method for t_star left [1, 60]: t = {t}")
+        return float(t)
+
+
 def lambda_star(tol, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThresholdResult:
     """Enclose lambda_star in a proven bracket of width <= tol.
 
     phi_lambda >= 0 on (0, inf) iff lambda >= h(t) for all t > 0, so
-    lambda_star = sup h.  A golden-section search on [1, 60], where h is
-    unimodal, finds t; the lower end is h(t) in interval arithmetic, and
-    the upper end, the lower plus tol, is proved by phi_sign_certificate.
-    Since d phi_lambda / d lambda = t^2 e^{-lambda t}/24 > 0, phi_lambda > 0
-    at one lambda proves it at every larger one, so the certificate runs at
-    min(upper end, 3/2): it cannot decide lambda above about 3, and a wide
-    tol would otherwise fail.  The search decides only whether that proof
-    succeeds; if it fails (tol too small for the precision) NumericalError
-    is raised.
+    lambda_star = sup h.  Newton's method on phi = phi_t = 0 finds t
+    (_t_star); the lower end is h(t) = -(1/t) ln(24 (a - b)/t), a =
+    e^{-t/2}/t, b = 1/(e^t-1), on the integer intervals at that float t, so
+    it holds whatever t is; and the upper end, the lower plus tol, is proved
+    by phi_sign_certificate.  Since d phi_lambda / d lambda = t^2
+    e^{-lambda t}/24 > 0, phi_lambda > 0 at one lambda proves it at every
+    larger one, so the certificate runs at min(upper end, 3/2): it cannot
+    decide lambda above about 3, and a wide tol would otherwise fail.  A
+    poor t only makes that proof fail; then (or when tol is too small for
+    the precision) NumericalError is raised.
     """
     require_positive("tol", tol)
-    with mp.workdps(cfg.dps):
-        g, a, b = (mp.sqrt(5) - 1) / 2, mp.mpf(1), mp.mpf(60)
-        for _ in range(80):
-            c, d = b - g * (b - a), a + g * (b - a)
-            a, b = (a, d) if h_of_t(c) >= h_of_t(d) else (c, b)
-        t = float((a + b) / 2)
-    prec, tp = dps_to_prec(cfg.dps), (from_float(t),) * 2
-    u, v = _phi_terms_mpi(tp, prec)
-    log_bracket = mpi_log(mpi_div(mpi_mul(_C24, mpi_sub(u, v, prec), prec), tp, prec), prec)
-    lo = math.nextafter(to_float(mpi_div(mpi_neg(log_bracket, prec), tp, prec)[0]), -math.inf)
+    t, wp = _t_star(cfg), _fixed_prec(cfg)
+    (tn, td), prec = t.as_integer_ratio(), wp + 14
+    u = _exp_fixed(-tn, 2 * td, wp)
+    br_hi = _cdiv(24 * (_cdiv(u[1] * td, tn) - _phi_b(u, wp)[0]) * td, tn)  # 24 (a - b)/t
+    if br_hi <= 0:
+        raise NumericalError(f"h(t) has no real value at t = {t!r}")
+    log_hi = _fixed_pair(libmp.mpf_log(from_man_exp(br_hi, -wp), prec), prec, wp)[1]
+    lo = math.nextafter(to_float(from_man_exp((-log_hi * td) // tn, -wp)), -math.inf)
     hi = float(Fraction(lo) + Fraction(tol))
     if Fraction(hi) - Fraction(lo) > Fraction(tol):
         hi = math.nextafter(hi, -math.inf)

@@ -1,18 +1,28 @@
 """References shared by the test modules: mpmath's own values of F_k, the
 fixed-point Stirling kernel as it stood before its per-call plumbing was
 removed, which specfun._stirling_defect_fixed must match bit for bit, and the
-mpmath.iv forms of the phi-sign certificate's box enclosures, which the
-libmp-pair forms of monotone must match bit for bit."""
+phi_lambda layer as it stood before it moved onto integer intervals (the
+certificate's boxes on libmp interval pairs, the Laplace enclosure in
+mpmath.iv), whose enclosures the integer forms of monotone must match to a
+few units of their scale."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
-from mpmath import iv, libmp, mp
+from fractions import Fraction
 
-from gammacert.config import DEFAULT_CONFIG, PrecisionConfig, require_positive
+from mpmath import iv, libmp, mp
+from mpmath.libmp import (fhalf, fone, from_int, ftwo, mpi_add, mpi_div, mpi_exp, mpi_mul, mpi_neg,
+                          mpi_pow_int, mpi_sub)
+
+from gammacert import monotone
+from gammacert.config import DEFAULT_CONFIG, NumericalError, PrecisionConfig, require_positive
+from gammacert.monotone import _TAYLOR_TERMS
 
 
 def free_part(k: int, x):
@@ -265,48 +275,198 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
         return fs, wp, errs
 
 
-# The phi-sign certificate's box enclosures in mpmath.iv, copied from monotone
-# as they were before they moved onto raw libmp interval pairs.  Call them
-# with iv at the certificate's precision.
+# The phi_lambda layer as it stood before it moved onto integer intervals,
+# copied from monotone: the certificate's box enclosures on raw libmp interval
+# pairs at prec bits, and the Laplace enclosure in mpmath.iv.  The integer
+# forms must hold what these hold, at most a few units of their scale wider.
 
 
-@functools.lru_cache(maxsize=1)
-def _iv_numbers() -> tuple:
-    """1/2, 1, 2 and 24 as mpmath.iv numbers, exact at every precision."""
-    return tuple(iv.mpf(v) for v in (0.5, 1, 2, 24))
+@contextlib.contextmanager
+def iv_dps(dps: int):
+    """mpmath.iv at dps digits; its precision is restored on exit or raise."""
+    prec = iv.prec
+    iv.dps = dps
+    try:
+        yield
+    finally:
+        iv.prec = prec
 
 
-def phi_terms_iv(tm):
-    """(e^{-t/2}/t, 1/(e^t-1)) for an iv t >= 1, from u = e^{-t/2}."""
-    u = iv.exp(-tm / 2)
-    one_minus_u2 = 1 - u * u
-    return u / tm, u * u / one_minus_u2
+def iv_of(enc, wp):
+    """The mpmath.iv interval of an integer interval enc at scale 2^-wp,
+    rounded outward at iv.prec."""
+    return iv.mpf([mp.make_mpf(libmp.from_man_exp(v, -wp)) for v in enc])
 
 
-def phi_d2_iv(x, lm):
-    """phi_lambda''(x) for an iv x >= 1 and lm = lambda as an iv number."""
-    half, one, two, c24 = _iv_numbers()
-    a, b = phi_terms_iv(x)
-    inv = one / x
-    return (a * (inv ** 2 + (half + inv) ** 2) - b * (one + b) * (one + two * b)
-            - (lm * lm * x - two * lm) * iv.exp(-lm * x) / c24)
+@functools.lru_cache(maxsize=16)
+def phi_series_iv(lam, prec: int) -> tuple:
+    """(coefficients, remainder) of monotone._phi_series in mpmath.iv at prec
+    bits, which must be iv.prec: phi_lambda(t)/t^p lies in sum_i
+    coefficients[i] t^i + remainder for 0 < t <= 2."""
+    coeffs = [c for c, _ in itertools.islice(monotone._phi_coeffs(Fraction(lam)), _TAYLOR_TERMS)]
+    p, n = (2 if coeffs[0] else 3), _TAYLOR_TERMS + 1
+    lm2, inv_pi = 2 * iv.mpf(lam), 1 / iv.pi
+    r = mp.inf
+    if lm2 < n + 1:
+        r = ((1 / iv.mpf(math.factorial(n + 2)) + 2 * inv_pi ** (n + 2) / (1 - inv_pi)
+              + lm2 ** n / (12 * math.factorial(n) * (1 - lm2 / (n + 1)))) / 2 ** p).b
+    return tuple(iv.mpf(c.numerator) / c.denominator for c in coeffs[p - 2:]), iv.mpf([-r, r])
 
 
-def phi_centred_iv(x, m, lm):
-    """The second-order centred form of phi_lambda on the iv box x (within
-    [1, inf)) with iv midpoint m, lm = lambda as an iv number."""
-    half, one, two, c24 = _iv_numbers()
-    a, b = phi_terms_iv(m)
-    e = iv.exp(-lm * m) / c24
-    phi_m = a - b - m * e
-    dphi_m = b * (one + b) - (half + one / m) * a - (one - lm * m) * e
-    d = x - m
-    return phi_m + dphi_m * d + phi_d2_iv(x, lm) * d ** 2 / two
+_HALF, _ONE, _TWO, _C24 = ((v, v) for v in (fhalf, fone, ftwo, from_int(24)))
 
 
-def phi_horner_iv(x, coeffs, rem):
-    """sum_i coeffs[i] x^i + rem by Horner's rule, all iv numbers."""
+def phi_terms_mpi(t, prec: int) -> tuple:
+    """(e^{-t/2}/t, 1/(e^t-1)) for a pair t >= 1: u = e^{-t/2}, and u/t and
+    u^2/(1 - u^2) both increase with u, so no width is lost to dependency."""
+    u = mpi_exp(mpi_div(mpi_neg(t, prec), _TWO, prec), prec)
+    u2 = mpi_mul(u, u, prec)
+    return mpi_div(u, t, prec), mpi_div(u2, mpi_sub(_ONE, u2, prec), prec)
+
+
+def phi_d2_mpi(x, lm, prec: int):
+    """phi_lambda''(x) for a pair x >= 1 and lm = lambda as a pair, with
+    a = e^{-t/2}/t and b = 1/(e^t-1) (phi_terms_mpi):
+
+        phi'' = a (1/t^2 + (1/2 + 1/t)^2) - b (1+b) (1+2b)
+                - (lambda^2 t - 2 lambda) e^{-lambda t}/24.
+    """
+    a, b = phi_terms_mpi(x, prec)
+    inv = mpi_div(_ONE, x, prec)
+    a_part = mpi_mul(a, mpi_add(mpi_pow_int(inv, 2, prec),
+                                mpi_pow_int(mpi_add(_HALF, inv, prec), 2, prec), prec), prec)
+    b_part = mpi_mul(mpi_mul(b, mpi_add(_ONE, b, prec), prec),
+                     mpi_add(_ONE, mpi_mul(_TWO, b, prec), prec), prec)
+    poly = mpi_sub(mpi_mul(mpi_mul(lm, lm, prec), x, prec), mpi_mul(_TWO, lm, prec), prec)
+    lam_part = mpi_div(mpi_mul(poly, mpi_exp(mpi_mul(mpi_neg(lm, prec), x, prec), prec), prec),
+                       _C24, prec)
+    return mpi_sub(mpi_sub(a_part, b_part, prec), lam_part, prec)
+
+
+def phi_centred_mpi(x, m, lm, prec: int):
+    """An enclosure of phi_lambda on the box x (a pair within [1, inf)) with
+    midpoint m (a pair), lm = lambda as a pair: the second-order centred
+    form phi(m) + phi'(m) (x - m) + phi''(x) (x - m)^2 / 2 of
+    phi_sign_certificate, with (x - m)^2 an even power, so [0, r^2]."""
+    a, b = phi_terms_mpi(m, prec)
+    e = mpi_div(mpi_exp(mpi_mul(mpi_neg(lm, prec), m, prec), prec), _C24, prec)
+    phi_m = mpi_sub(mpi_sub(a, b, prec), mpi_mul(m, e, prec), prec)
+    dphi_m = mpi_sub(mpi_sub(mpi_mul(b, mpi_add(_ONE, b, prec), prec),
+                             mpi_mul(mpi_add(_HALF, mpi_div(_ONE, m, prec), prec), a, prec), prec),
+                     mpi_mul(mpi_sub(_ONE, mpi_mul(lm, m, prec), prec), e, prec), prec)
+    d = mpi_sub(x, m, prec)
+    d2_part = mpi_div(mpi_mul(phi_d2_mpi(x, lm, prec), mpi_pow_int(d, 2, prec), prec), _TWO, prec)
+    return mpi_add(mpi_add(phi_m, mpi_mul(dphi_m, d, prec), prec), d2_part, prec)
+
+
+def phi_horner_mpi(x, coeffs, rem, prec: int):
+    """sum_i coeffs[i] x^i + rem by Horner's rule, all pairs: the Taylor
+    piece of phi_sign_certificate on a box x within (0, 2]."""
     s = coeffs[-1]
     for c in reversed(coeffs[:-1]):
-        s = s * x + c
-    return s + rem
+        s = mpi_add(mpi_mul(s, x, prec), c, prec)
+    return mpi_add(s, rem, prec)
+
+
+def moments_iv(xi, n: int, e2x) -> list:
+    """[M_0(x), ..., M_n(x)] in mpmath.iv, M_k(x) = int_0^2 t^k e^{-xt} dt,
+    for an iv x > 0 and e2x = e^{-2x}.  Integration by parts gives
+    M_k = (k M_(k-1) - 2^k e^{-2x})/x, so a step up scales an error by k/x
+    and a step down by x/k.  The recursion runs down while e x < n, where
+    the factors multiply to at most 1, from the positive series
+    (DLMF 8.7.1)
+
+        M_n(x) = e^{-2x} sum_i n! 2^(n+1+i) x^i/(n+1+i)!,
+
+    whose term ratio 2x/(n+2+i) < 1 falls, so the first omitted term over
+    1 minus its ratio bounds the rest.  Otherwise it runs up from
+    M_0 = (1 - e^{-2x})/x, where they multiply to at most n! (e/n)^n, about
+    sqrt(2 pi n).
+    """
+    half, two = iv.mpf(0.5), iv.mpf(2)
+    two_x = two * xi
+    if float(xi.b) * math.e < n:
+        tol = mp.ldexp(1, -iv.prec)
+        s, term, i = iv.mpf(0), iv.mpf(2 ** (n + 1)) / (n + 1), 0
+        while not term.b < tol * s.a:
+            s, term, i = s + term, term * two_x / (n + 2 + i), i + 1
+        ms = [e2x * (s + iv.mpf([0, (term / (1 - two_x / (n + 2 + i))).b]))]
+        w = e2x * 2 ** n  # 2^k e^{-2x}
+        for k in range(n, 0, -1):
+            ms.append((xi * ms[-1] + w) / k)
+            w *= half
+        return ms[::-1]
+    ms, w = [-iv.expm1(-two_x) / xi], e2x
+    for k in range(1, n + 1):
+        w *= two
+        ms.append((k * ms[-1] - w) / xi)
+    return ms
+
+
+def e1_iv(y):
+    """E_1(y) in mpmath.iv for an iv y >= 1.  Up to y = iv.prec, from
+    E_1(y) = -gamma - ln y - sum_k (-y)^k/(k k!) (DLMF 6.6.2), summed with
+    y/2.3 + 5 extra digits, as many as its terms cancel; once the terms
+    decrease (k + 1 >= y) the first omitted one bounds the alternating
+    rest.  Above, from E_1(y) = e^{-y}/y (sum_(k<N) (-1)^k k!/y^k + R) with
+    |R| <= N!/y^N (DLMF 6.12.1), whose terms fall below 2^-prec before k
+    reaches y."""
+    tol = mp.ldexp(1, -iv.prec)
+    if y.b > iv.prec:
+        s, u, k = iv.mpf(0), iv.mpf(1), 0  # u = k!/y^k
+        while u.b >= tol and k < y.a:
+            s, k = (s - u if k % 2 else s + u), k + 1
+            u = u * k / y
+        return iv.exp(-y) / y * (s + iv.mpf([-u.b, u.b]))
+    y_hi = float(y.b)
+    with iv_dps(iv.dps + int(y_hi / 2.3) + 5):
+        s, u, k, minus_y = iv.mpf(0), iv.mpf(1), 1, -y  # u = (-y)^k/k!
+        while True:
+            ki = iv.mpf(k)
+            u = u * minus_y / ki
+            term = u / ki
+            if k + 1 >= y_hi and abs(term).b < tol:
+                break
+            s, k = s + term, k + 1
+        e1 = -iv.euler - iv.log(y) - s + iv.mpf([-1, 1]) * abs(term).b
+    return +e1
+
+
+def laplace_enclosure_iv(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG):
+    """An mpmath.iv interval, at cfg.dps digits, that contains
+
+        Q(x, lambda) = int_0^inf phi_lambda(t) e^{-xt} dt = H_lambda'(x).
+
+    On (0, 2], phi_lambda = t^p (sum_i c_i t^i + r) with the exact
+    coefficients and remainder of phi_series_iv, so that piece lies in
+    sum_i c_i M_(p+i)(x) + r M_p(x) (moments_iv).  On [2, inf), term by term,
+
+        int_2^inf phi_lambda(t) e^{-xt} dt = E_1(2x+1)
+            - sum_(j>=1) e^{-2(x+j)}/(x+j) - e^{-2s} (2/s + 1/s^2)/24,
+
+    s = x + lambda, with E_1 from e1_iv and the j-sum's tail bounded by its
+    first omitted term over 1 - e^{-2}.  Raises NumericalError where the
+    remainder of phi_series_iv is infinite (2 lambda >= 62).
+    """
+    require_positive("x", x)
+    monotone._check_lambda(lam)
+    with iv_dps(cfg.dps):
+        coeffs, rem = phi_series_iv(lam, iv.prec)
+        if mp.isinf(rem.b):
+            raise NumericalError(f"no Taylor remainder bound for lambda = {lam!r}")
+        xi, n = iv.mpf(x), _TAYLOR_TERMS + 1
+        e2x, tol = iv.exp(-2 * xi), mp.ldexp(1, -iv.prec)
+        ms = moments_iv(xi, n, e2x)
+        p = n + 1 - len(coeffs)  # coeffs[i] is the coefficient of t^(p+i)
+        near = sum(c * m for c, m in zip(coeffs, ms[p:])) + rem * ms[p]
+        q = iv.exp(iv.mpf(-2))
+        jsum, qj, j = iv.mpf(0), q, 1
+        while True:  # qj = e^{-2j}
+            term = qj / (xi + j)
+            if term.b < tol:
+                break
+            jsum, qj, j = jsum + term, qj * q, j + 1
+        jsum += iv.mpf([0, (term / (1 - q)).b])
+        s = xi + iv.mpf(lam)
+        far = e1_iv(2 * xi + 1) - e2x * jsum - iv.exp(-2 * s) * (2 / s + 1 / s ** 2) / 24
+        return near + far

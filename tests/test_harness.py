@@ -477,7 +477,7 @@ class TestRemark1:
         assert hi < 0
         assert mp.ldexp(hi, -2 * wp) == pytest.approx(-1.7e-9, rel=0.05)
 
-    def test_two_exponentials_per_point(self, monkeypatch):
+    def test_one_exponential_per_point(self, monkeypatch):
         calls = []
         mpf_exp = libmp.mpf_exp
 
@@ -489,7 +489,7 @@ class TestRemark1:
         harness._remark1_pass.cache_clear()  # a cached pass would make no call
         reports = harness.run_suite("remark1")
         assert [r.verdict for r in reports] == ["verified"] * 3
-        assert len(calls) == 2 * harness._BERNOULLI_GRID.points
+        assert len(calls) == harness._BERNOULLI_GRID.points
 
     def test_wide_grid_is_verified_without_the_retry(self):
         # to x = 700, where Eq. (4.2)'s lower margin is 6.9e-302
@@ -531,11 +531,13 @@ class TestSharedWork:
         residuals = harness._laplace_residuals(DEFAULT_CONFIG)
         assert [x for x, _ in residuals] == list(harness._LAPLACE_XS)
         # lambda cancels from Q(x, lambda) - H_lambda'(x), so one residual
-        # per x stands for every lambda; res is an mpmath.iv interval, and
-        # the comparison holds for all of it
+        # per x stands for every lambda; res is an integer interval, and the
+        # comparison holds for both of its ends
+        wp = monotone._fixed_prec(DEFAULT_CONFIG)
         for x, res in residuals:
             for lam in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0):
-                assert abs(res - monotone.laplace_check(x, lam, DEFAULT_CONFIG)) <= 1e-20, (x, lam)
+                check = monotone.laplace_check(x, lam, DEFAULT_CONFIG)
+                assert all(abs(math.ldexp(end, -wp) - check) <= 1e-20 for end in res), (x, lam)
 
     def test_shifted_closed_form_falsifies_laplace(self, monkeypatch):
         # the closed form moved by 2e-10 at x = 2 puts that residual beyond

@@ -32,6 +32,7 @@ from gammacert.monotone import (
     series_coeff_lambda,
     series_coeff_pivot,
 )
+import oracles
 from oracles import free_part
 
 
@@ -176,10 +177,21 @@ class TestLaplaceEnclosure:
             laplace_enclosure(1.0, 40.0, PrecisionConfig(working_digits=30))
         assert iv.prec == before
 
+    @pytest.mark.parametrize("x", [1e-300, 1e300])
+    def test_extreme_x(self, x):
+        # no float conversion of x's integer ratio overflows; at 1e-300 the
+        # transform is -1/(24 x^2) to 17 digits, at 1e300 it is within 1e-31
+        enc = laplace_enclosure(x, 0.0)
+        if x < 1:
+            ref = -1 / (24 * mp.mpf(x) ** 2)
+            assert abs(mp.mpf(enc.a) / ref - 1) < 1e-17 and abs(mp.mpf(enc.b) / ref - 1) < 1e-17
+        else:
+            assert -1e-31 < enc.a <= enc.b < 1e-31
+
     @pytest.mark.parametrize("x", [30.0, 200.0])
     def test_large_x_contains_closed_form(self, x):
-        # e x >= 61 takes the moments upward, and 2x + 1 > iv.prec the
-        # asymptotic series of E_1
+        # 2 e x >= 61 takes the moments upward, and 2x + 1 > prec bounds
+        # E_1(2x + 1) by 0 and 2^-wp
         enc = laplace_enclosure(x, 0.5)
         with mp.workdps(60):
             xm = mp.mpf(x)
@@ -228,13 +240,32 @@ class TestThreshold:
         assert res.lambda_star == pytest.approx(0.6518498903, abs=1e-8)
         assert res.t_star == pytest.approx(12.237, abs=0.01)
 
-    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("digits", [15, 30, 60])
     def test_lambda_star_bracket_is_proven_and_narrow(self, digits):
         lo, hi = lambda_star(1e-8, PrecisionConfig(working_digits=digits)).bracket
         assert lo <= 0.65184989034125658 <= hi
         assert hi - lo <= 1e-8
 
-    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("digits", [15, 30, 60])
+    def test_t_star_is_the_maximiser_of_h(self, digits):
+        # Newton's method on phi = phi_t = 0 lands on the float nearest the
+        # 70-digit maximiser of h
+        res = lambda_star(1e-8, PrecisionConfig(working_digits=digits))
+        assert abs(Fraction(res.t_star) - T_STAR) <= Fraction(1, 10 ** 12)
+        assert res.t_star == float(T_STAR)
+        assert Fraction(res.bracket[0]) <= LAMBDA_STAR_70 <= Fraction(res.bracket[1])
+
+    def test_lambda_star_calls_no_h_of_t(self, monkeypatch):
+        # the lower end is h at t_star on the integer intervals, and t_star
+        # comes from Newton's method, not from a search over h
+        def failing_h(t):
+            raise AssertionError("h_of_t called")
+
+        monkeypatch.setattr(monotone, "h_of_t", failing_h)
+        lo, hi = lambda_star(1e-8).bracket
+        assert lo <= 0.65184989034125658 <= hi
+
+    @pytest.mark.parametrize("digits", [15, 30, 60])
     def test_lambda_star_wide_tol_is_proven_at_three_halves(self, digits):
         # phi_lambda increases in lambda, so the proof at min(hi, 3/2) covers
         # hi = lo + 5, a lambda the certificate cannot decide by itself
@@ -257,6 +288,10 @@ class TestThreshold:
 
 
 LAMBDA_STAR = mp.mpf("0.65184989034125658")
+# the maximiser of h and its maximum lambda_star, to 70 digits
+T_STAR = Fraction("12.2378099615298730549559723650224")
+LAMBDA_STAR_70 = Fraction("0.6518498903412565758219740569066137")
+
 
 
 class TestPhiSignCertificate:
@@ -287,24 +322,26 @@ class TestPhiSignCertificate:
         # phi/t^p from an 80-digit direct form lies in the coefficient
         # intervals' polynomial plus the remainder interval
         p = 3 if lam == 0.5 else 2
-        with monotone._iv_dps(PrecisionConfig(working_digits=digits).dps):
-            coeffs, rem = monotone._phi_series(lam, iv.prec)
-        with mp.workdps(80), monotone._iv_dps(80):
+        wp = monotone._fixed_prec(PrecisionConfig(working_digits=digits))
+        coeffs, rem = monotone._phi_series(lam, wp)
+        with mp.workdps(80), oracles.iv_dps(80):
             tm, lm = mp.mpf(t), mp.mpf(lam)
             exact = (mp.exp(-tm / 2) / tm - 1 / mp.expm1(tm) - tm * mp.exp(-lm * tm) / 24) / tm ** p
-            s = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                s = s * iv.mpf(tm) + c
-            enc = s + rem
+            # Horner's rule in y = t/2, on the box of one unit around t/2
+            enc = oracles.iv_of(monotone._phi_horner(monotone._fixed_end(tm / 2, wp), coeffs, rem, wp), wp)
             assert mp.mpf(enc.a) <= exact <= mp.mpf(enc.b)
 
     @pytest.mark.parametrize("t", ["2", "5.5", "12.2378", "20"])
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.5, 3.0])
     def test_second_derivative_matches_numerical(self, lam, t):
-        with mp.workdps(50), monotone._iv_dps(50):
+        with mp.workdps(50), oracles.iv_dps(50):
             phi = lambda u: mp.exp(-u / 2) / u - 1 / mp.expm1(u) - u * mp.exp(-lam * u) / 24
             ref = mp.diff(phi, mp.mpf(t), 2)
-            enc = iv.make_mpf(monotone._phi_d2(iv.mpf(t)._mpi_, iv.mpf(lam)._mpi_, iv.prec))
+            # the box of the one point t, exact at 50 digits
+            wp, lr = monotone._fixed_prec(PrecisionConfig(working_digits=40)), monotone._ratio(lam)
+            tf = Fraction(*monotone._ratio(mp.mpf(t)))
+            exps = monotone._point_exps(tf.as_integer_ratio(), lr, wp)
+            enc = oracles.iv_of(monotone._phi_d2((tf, tf), *exps, lr, wp), wp)
             assert abs(mp.mpf(enc.mid) - ref) <= mp.mpf("1e-40")
             assert mp.mpf(enc.b) - mp.mpf(enc.a) <= mp.mpf("1e-45")
 
@@ -343,6 +380,17 @@ class TestPhiSignCertificate:
             phi_sign_certificate(0.5, 0)
         with pytest.raises(DomainError):
             phi_sign_certificate(-0.1, 1)
+
+    def test_binary_fractions_only(self):
+        # the integer intervals take x and lambda as exact binary fractions;
+        # 2/3 raised NotImplementedError from mpmath.iv
+        assert phi_sign_certificate(Fraction(3, 4), 1)[2] == "verified"
+        with pytest.raises(DomainError):
+            phi_sign_certificate(Fraction(2, 3), 1)
+        with pytest.raises(DomainError):
+            laplace_enclosure(Fraction(1, 3), 0.5)
+        with pytest.raises(DomainError):
+            laplace_enclosure(1.0, Fraction(2, 3))
 
 
 class TestCMCheck:

@@ -9,8 +9,10 @@ theirs, the kernel returns its reference's integers and bounds bit for bit
 rows and the rows of a complete-monotonicity sweep, lies within its stated
 error of a reference, the second-order centred form of the
 phi-sign certificate encloses phi_lambda on its box, the certificate's
-libmp-pair enclosures equal their mpmath.iv references bit for bit, and
-each integer interval of the Remark 1 pass holds its margin."""
+integer box enclosures and the integer Laplace enclosure hold an 80-digit
+value and are at most a few units of their scale wider than their
+references (tests/oracles.py), and each integer interval of the Remark 1
+pass holds its margin."""
 
 import contextlib
 import io
@@ -37,7 +39,7 @@ from gammacert import bounds, cli, harness, monotone, specfun
 from gammacert.bounds import BoundFamily, FamilyId, gamma_bound_log
 from gammacert.config import FALSIFIED, INDETERMINATE, VERIFIED, PrecisionConfig
 from gammacert.harness import GridSpec, VerificationReport
-from gammacert.monotone import laplace_check, phi_sign_certificate
+from gammacert.monotone import h_of_t, laplace_check, phi_sign_certificate
 import oracles
 from oracles import free_part
 
@@ -114,6 +116,22 @@ class TestBadInputRaises:
         for call in calls:
             with pytest.raises(DomainError):
                 call()
+
+    # phi_integrand(inf, 1/2) returned nan, and h_of_t(inf) raised
+    # NumericalError
+    @given(bad_x)
+    @example(math.inf)
+    @settings(max_examples=40, deadline=None)
+    def test_phi_integrand(self, t):
+        with pytest.raises(DomainError):
+            phi_integrand(t, 0.5)
+
+    @given(bad_x)
+    @example(math.inf)
+    @settings(max_examples=40, deadline=None)
+    def test_h_of_t(self, t):
+        with pytest.raises(DomainError):
+            h_of_t(t)
 
     @given(st.sampled_from([math.nan, mp.nan]))
     @settings(max_examples=10, deadline=None)
@@ -349,6 +367,13 @@ def test_cm_row_margins_within_their_error_of_a_reference(x, lam, sign, digits):
             assert abs(mp.mpf(big_m) / scale - ref) <= err, (x, lam, sign, digits, k)
 
 
+def _phi80(t, lam):
+    """phi_lambda(t) from the direct form at 80 digits."""
+    with mp.workdps(80):
+        tm = mp.mpf(t)
+        return mp.exp(-tm / 2) / tm - 1 / mp.expm1(tm) - tm * mp.exp(-lam * tm) / 24
+
+
 @given(lo=st.floats(2.0, 20.0), width=st.floats(1e-6, 18.0),
        lam=st.sampled_from([0.0, 0.5, 0.6518498903412566, 1.5, 3.0]),
        digits=st.sampled_from([15, 30]))
@@ -360,9 +385,10 @@ def test_centred_form_encloses_phi_on_its_box(lo, width, lam, digits):
     # digits, lies in the second-order enclosure of the whole box
     hi = min(lo + width, 20.0)
     mid = (lo + hi) / 2
-    with monotone._iv_dps(PrecisionConfig(working_digits=digits).dps):
-        enc = iv.make_mpf(monotone._phi_centred(iv.mpf([lo, hi])._mpi_, iv.mpf(mid)._mpi_,
-                                                iv.mpf(lam)._mpi_, iv.prec))
+    wp, lr = monotone._fixed_prec(PrecisionConfig(working_digits=digits)), monotone._ratio(lam)
+    wc = monotone._centred_prec(wp, lr)
+    mid_exps = monotone._point_exps(mid.as_integer_ratio(), lr, wc)
+    enc = oracles.iv_of(monotone._phi_centred((lo, hi), mid_exps, lr, wc, {}), wc)
     with mp.workdps(80):
         for t in (lo, mid, hi):
             tm = mp.mpf(t)
@@ -370,32 +396,69 @@ def test_centred_form_encloses_phi_on_its_box(lo, width, lam, digits):
             assert mp.mpf(enc.a) <= phi <= mp.mpf(enc.b), (lo, hi, lam, digits, t)
 
 
-@given(lo=st.floats(2.0, 20.0), width=st.floats(1e-6, 18.0),
-       lam=st.sampled_from([0.0, 0.5, 0.6518498903412566, 1.5, 3.0]),
-       digits=st.sampled_from([15, 30]))
-@example(lo=12.2, width=0.0703125, lam=0.6518498903412566, digits=15)
-@example(lo=2.0, width=18.0, lam=3.0, digits=30)
+_LAMBDAS = [0.0, 0.5, 0.6518498903412566 + 1e-8, 1.5, 3.0]
+_FEW_UNITS = 8  # of 2^-wp: how much wider an integer enclosure may be
+
+
+@given(lo=st.floats(2.0, 20.0), width=st.floats(1e-6, 18.0), lam=st.sampled_from(_LAMBDAS),
+       digits=st.sampled_from([15, 30, 60]))
+@example(lo=12.2, width=0.0703125, lam=0.6518498903412566 + 1e-8, digits=15)
+@example(lo=2.0, width=18.0, lam=3.0, digits=60)
 @settings(max_examples=60, deadline=None)
-def test_pair_enclosures_equal_their_iv_references(lo, width, lam, digits):
-    # the certificate's libmp-pair enclosures, on a box within [2, 20] and on
-    # the box scaled into (0, 2], equal the mpmath.iv forms of
-    # tests/oracles.py bit for bit
+def test_box_enclosures_hold_phi_and_match_their_references(lo, width, lam, digits):
+    # each integer enclosure of the certificate, on a box within [2, 20] and
+    # on the box scaled into (0, 2], holds phi_lambda (phi/t^p on (0, 2]) at
+    # the box's ends and midpoint from the direct form at 80 digits, and is
+    # at most a few units of 2^-wp wider than its libmp-pair reference in
+    # tests/oracles.py
     hi = min(lo + width, 20.0)
-    with monotone._iv_dps(PrecisionConfig(working_digits=digits).dps):
+    cfg = PrecisionConfig(working_digits=digits)
+    wp, lr = monotone._fixed_prec(cfg), monotone._ratio(lam)
+    with oracles.iv_dps(cfg.dps):
         prec = iv.prec
-        for box in ((lo, hi), (lo / 10, hi / 10)):
-            x, m, lm = iv.mpf(list(box)), iv.mpf(sum(box) / 2), iv.mpf(lam)
-            if box[0] >= 1:
-                assert monotone._phi_terms_mpi(x._mpi_, prec) == tuple(
-                    v._mpi_ for v in oracles.phi_terms_iv(x))
-                assert monotone._phi_d2(x._mpi_, lm._mpi_, prec) == oracles.phi_d2_iv(x, lm)._mpi_
-                assert (monotone._phi_centred(x._mpi_, m._mpi_, lm._mpi_, prec)
-                        == oracles.phi_centred_iv(x, m, lm)._mpi_)
-            else:
-                coeffs, rem = monotone._phi_series(lam, prec)
-                pairs = tuple(c._mpi_ for c in coeffs)
-                assert (monotone._phi_horner(x._mpi_, pairs, rem._mpi_, prec)
-                        == oracles.phi_horner_iv(x, coeffs, rem)._mpi_)
+        x, m, lm = iv.mpf([lo, hi]), iv.mpf((lo + hi) / 2), iv.mpf(lam)
+        ref = iv.make_mpf(oracles.phi_centred_mpi(x._mpi_, m._mpi_, lm._mpi_, prec))
+        coeffs, rem = oracles.phi_series_iv(lam, prec)
+        x = iv.mpf([lo / 10, hi / 10])
+        ref_taylor = iv.make_mpf(oracles.phi_horner_mpi(x._mpi_, tuple(c._mpi_ for c in coeffs),
+                                                        rem._mpi_, prec))
+    mid, wc = (lo + hi) / 2, monotone._centred_prec(wp, lr)
+    enc = monotone._phi_centred((lo, hi), monotone._point_exps(mid.as_integer_ratio(), lr, wc), lr, wc, {})
+    enc = (enc[0] >> wc - wp, -(-enc[1] >> wc - wp))  # at the certificate's finer scale, then at wp
+    coeffs, rem = monotone._phi_series(lam, wp)
+    y = (math.floor(math.ldexp(lo / 10, wp - 1)), math.ceil(math.ldexp(hi / 10, wp - 1)))
+    enc_taylor = monotone._phi_horner(y, coeffs, rem, wp)
+    p = 3 if lam == 0.5 else 2
+    with mp.workdps(80):
+        unit = mp.ldexp(1, -wp)
+        for (elo, ehi), r, ts, power in ((enc, ref, (lo, mid, hi), 0),
+                                         (enc_taylor, ref_taylor, (lo / 10, hi / 10), p)):
+            for t in ts:
+                v = _phi80(t, lam) / mp.mpf(t) ** power
+                assert mp.ldexp(elo, -wp) <= v <= mp.ldexp(ehi, -wp), (lo, hi, lam, digits, t)
+            width = mp.ldexp(ehi - elo, -wp)
+            assert width <= mp.mpf(r.b) - mp.mpf(r.a) + _FEW_UNITS * unit, (lo, hi, lam, digits)
+
+
+@given(x=st.floats(1e-3, 200.0), lam=st.sampled_from(_LAMBDAS), digits=st.sampled_from([15, 30, 60]))
+@example(x=1e-3, lam=0.0, digits=60)
+@example(x=200.0, lam=3.0, digits=15)
+@example(x=22.5, lam=0.5, digits=30)  # near the switch of the moments' recursion
+@settings(max_examples=30, deadline=None)
+def test_laplace_enclosure_holds_h_prime_and_matches_its_reference(x, lam, digits):
+    # the integer enclosure of Q(x, lambda) = H_lambda'(x) holds the closed
+    # form from mpmath's digamma at 80 digits, and is at most a few units of
+    # 2^-wp wider than the mpmath.iv reference of tests/oracles.py
+    cfg = PrecisionConfig(working_digits=digits)
+    wp = monotone._fixed_prec(cfg)
+    lo, hi = monotone._laplace_fixed(x, lam, cfg)
+    ref = oracles.laplace_enclosure_iv(x, lam, cfg)
+    with mp.workdps(80):
+        xm = mp.mpf(x)
+        h1 = mp.digamma(xm + 1) - mp.log(xm + mp.mpf(1) / 2) - 1 / (24 * (xm + lam) ** 2)
+        assert mp.ldexp(lo, -wp) <= h1 <= mp.ldexp(hi, -wp), (x, lam, digits)
+        width = mp.mpf(ref.b) - mp.mpf(ref.a)
+        assert mp.ldexp(hi - lo, -wp) <= width + _FEW_UNITS * mp.ldexp(1, -wp), (x, lam, digits)
 
 
 @given(x=st.floats(1e-3, 700.0), digits=st.sampled_from([15, 30, 60]))
