@@ -24,9 +24,11 @@ of Taylor coefficients (_phi_series, built once per lambda and scale):
 phi_sign_certificate proves the sign of phi_lambda on all of (0, inf)
 (Horner's rule on (0, 2], a second-order centred form in phi'' on [2, 20]);
 lambda_star returns a bracket of lambda_star, from t_star found by Newton's
-method and the certificate; and laplace_enclosure encloses the Laplace
+method and the certificate; laplace_enclosure encloses the Laplace
 transform of phi_lambda, the integral path of H_lambda' that laplace_check
-compares with the closed form.
+compares with the closed form; and phi_integrand and h_of_t return the
+midpoints of the point forms that the certificate and lambda_star use
+(_phi_point, _h_fixed), at a scale worked out from t and lambda.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from mpmath import iv, libmp, mp
-from mpmath.libmp import dps_to_prec, from_man_exp, to_float
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_float
 
 from .config import (
     DEFAULT_CONFIG,
@@ -140,13 +142,6 @@ def H_lambda_deriv(n: int, x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> Spe
     return _H_rounded(n, x, lam, cfg)
 
 
-def _phi_taylor_cutoff(lm):
-    """phi is summed from its Taylor series below this t, where its three
-    terms cancel: 1e-3, or 1/lambda when that is smaller, so that lambda t
-    stays below 1 and the series of e^{-lambda t} does not cancel either."""
-    return 1e-3 if abs(lm) <= 1000 else 1 / abs(lm)
-
-
 @functools.lru_cache(maxsize=2)
 def _tangent_numbers(n: int) -> tuple:
     """(0, T_1, ..., T_n), the tangent numbers, by the integer recurrence of
@@ -198,100 +193,12 @@ def _phi_coeffs(lam: Fraction):
         d = d * -lam / k
 
 
-@functools.lru_cache(maxsize=32)
-def _phi_taylor_coeffs(lm, prec: int) -> tuple:
-    """(c_2, c_3, ...) of phi_lambda (see _phi_coeffs) at precision prec.
-
-    Terms are taken until the next one, bounded by s_k t^k at t = cutoff,
-    drops below 2^-prec * 2/t, the relative precision of the cancelling
-    terms (|lambda| t0 <= 1, so the bound falls).
-    """
-    with mp.workprec(prec):
-        t0 = mp.mpf(_phi_taylor_cutoff(lm))
-        tol = mp.ldexp(2 / t0, -prec)
-        man, exp = mp.mpf(lm).man_exp  # lm exactly: it has at most prec bits
-        coeffs = []
-        for k, (c, size) in enumerate(_phi_coeffs(man * Fraction(2) ** exp), 2):
-            if mp.convert(size) * t0 ** k < tol:
-                return tuple(coeffs)
-            coeffs.append(mp.convert(c))
-
-
-def _phi_taylor(tm, lm):
-    s = mp.mpf(0)
-    for c in reversed(_phi_taylor_coeffs(lm, mp.prec)):
-        s = s * tm + c
-    return s * tm * tm
-
-
-def _phi_terms(tm):
-    """(e^{-t/2}/t, 1/(e^t-1)), the lambda-free terms of phi, from one
-    exponential of -t/2.  For t < 1, v = expm1(-t/2) gives 1 - e^{-t} =
-    -v (2+v) without cancellation; for t >= 1, u = e^{-t/2} and 1 - u^2
-    lose nothing (_phi_b is this branch on integer intervals)."""
-    if tm < 1:
-        v = mp.expm1(-tm / 2)
-        u = 1 + v
-        one_minus_u2 = -v * (2 + v)
-    else:
-        u = mp.exp(-tm / 2)
-        one_minus_u2 = 1 - u * u
-    return u / tm, u * u / one_minus_u2
-
-
-def phi_integrand(t, lam):
-    """phi_lambda(t) = e^{-t/2}/t - 1/(e^t-1) - t e^{-lambda t}/24 for t > 0.
-
-    The three terms come from one exponential of -t/2 (see _phi_terms)
-    and one of -lambda t.  Below t = 1e-3 (1/lambda for lambda >
-    1000) the direct form loses digits to cancellation, so the Taylor
-    series with leading coefficient (2 lambda - 1)/48 is summed instead;
-    its coefficients are generated from the closed form to the current
-    precision (see _phi_taylor_coeffs).
-    """
-    require_positive("t", t)
-    tm, lm = mp.mpf(t), mp.mpf(lam)
-    if mp.isnan(lm):
-        raise DomainError(f"lambda must not be nan, got {lam!r}")
-    if tm < _phi_taylor_cutoff(lm):
-        return _phi_taylor(tm, lm)  # needs no exponential
-    a, b = _phi_terms(tm)
-    return a - b - tm * mp.exp(-lm * tm) / 24
-
-
-# h(t) amplifies the rounding of e^{-t/2}/t and 1/(e^t-1), and the Taylor
-# truncation of phi_0 at its 1e-3 cutoff, by up to 48/t^3 < 2^36 for t >= 1e-3
-_H_GUARD_BITS = 36
-
-
-def h_of_t(t):
-    """h(t) = -(1/t) ln[(24/t^2)(e^{-t/2} - t/(e^t-1))]; h -> 1/2 at both ends.
-
-    The bracket is 1 + 24 phi_0(t)/t.  Below the Taylor cutoff of phi_0
-    (t = 1e-3) it is summed from the series of phi_0, generated to the
-    working precision (see _phi_taylor_coeffs); above it the two
-    lambda-free terms of phi come from _phi_terms.  Both run with
-    _H_GUARD_BITS extra bits, so h keeps the working precision.
-    """
-    require_positive("t", t)
-    with mp.extraprec(_H_GUARD_BITS):
-        tm = mp.mpf(t)
-        if tm < _phi_taylor_cutoff(0):
-            h = -mp.log1p(24 * _phi_taylor(tm, 0) / tm) / tm
-        else:
-            a, b = _phi_terms(tm)
-            bracket = 24 * (a - b) / tm
-            if not bracket > 0:
-                raise NumericalError(f"bracket non-positive at t={t}: {bracket}")
-            h = -mp.log(bracket) / tm
-    return +h
-
-
 # --- the integer interval layer of phi_lambda -------------------------------
 #
 # An interval is a pair of ints (lo, hi) that stands for [lo 2^-wp, hi 2^-wp],
-# wp = _fixed_prec(cfg).  Every lower end is floored and every upper end
-# ceiled at each product and quotient, so an interval always holds its real.
+# wp = _fixed_prec(cfg), or _point_prec for phi_integrand and h_of_t.  Every
+# lower end is floored and every upper end ceiled at each product and
+# quotient, so an interval always holds its real.
 # Box ends, x and lambda enter as exact ratios (_ratio), and e^q, ln y and
 # Euler's gamma through _fixed_pair.
 
@@ -299,6 +206,7 @@ _T_TAIL = 20.0  # Taylor piece on (0, 2], centred forms on [2, 20], closed-form 
 _CERT_MAX_BOXES = 2000  # bisection budget of one certificate
 _TAYLOR_TERMS = 60  # c_2 .. c_61; the remainder is below 1e-30 for lambda <= 3/2
 _FIXED_GUARD_BITS = 20  # bits of the integer intervals below 2^-prec
+_POINT_MAX_BITS = 1 << 16  # most bits phi_integrand and h_of_t add for t (_point_prec)
 
 
 def _fixed_prec(cfg: PrecisionConfig) -> int:
@@ -424,6 +332,29 @@ def _phi_b(u: tuple, wp: int) -> tuple:
     return (u[0] * u[0] << wp) // (one - u[0] * u[0]), _cdiv(u[1] * u[1] << wp, one - u[1] * u[1])
 
 
+def _phi_point(t: tuple, u: tuple, e: tuple, wp: int) -> tuple:
+    """(phi, b), the intervals of phi_lambda(t) = a - b - t e/24, a = u/t,
+    and of b = _phi_b(u) at a point t = (num, den), given the intervals u of
+    e^{-t/2} and e of e^{-lambda t}."""
+    (tn, td), b = t, _phi_b(u, wp)
+    return ((u[0] * td) // tn - b[1] - _cdiv(e[1] * tn, 24 * td),
+            _cdiv(u[1] * td, tn) - b[0] - (e[0] * tn) // (24 * td)), b
+
+
+def _h_fixed(t: tuple, wp: int) -> tuple:
+    """The interval of h(t) = -ln(24 (a - b)/t)/t at a point t = (num, den),
+    a - b from _phi_point with e = 0, with one log at each end of the
+    bracket 24 (a - b)/t = 1 + 24 phi_0(t)/t."""
+    (tn, td), prec = t, wp + 14
+    (lo, hi), _ = _phi_point(t, _exp_fixed(-tn, 2 * td, wp), (0, 0), wp)
+    bracket = (24 * lo * td) // tn, _cdiv(24 * hi * td, tn)
+    if bracket[0] <= 0:
+        raise NumericalError(f"h(t) has no real value at t = {Fraction(tn, td)}")
+    log_lo = _fixed_pair(libmp.mpf_log(from_man_exp(bracket[0], -wp), prec), prec, wp)[0]
+    log_hi = _fixed_pair(libmp.mpf_log(from_man_exp(bracket[1], -wp), prec), prec, wp)[1]
+    return (-log_hi * td) // tn, _cdiv(-log_lo * td, tn)
+
+
 def _phi_d2(t: tuple, u: tuple, e: tuple, lr: tuple, wp: int) -> tuple:
     """phi_lambda'' on the box t = (tl, tr) of floats, 1 <= tl <= tr, given
     u = (lo of e^{-tr/2}, hi of e^{-tl/2}), e = (lo of e^{-lambda tr}, hi of
@@ -455,6 +386,54 @@ def _point_exps(t: tuple, lr: tuple, wp: int) -> tuple:
     den), lr = _ratio(lambda)."""
     (tn, td), (ln, ld) = t, lr
     return _exp_fixed(-tn, 2 * td, wp), _exp_fixed(-ln * tn, ld * td, wp)
+
+
+def _point_prec(t: tuple, lr: tuple) -> int:
+    """wp of the point functions for t = (num, den) and lr = _ratio(lambda)
+    at mp.prec: the terms of phi are about 1/t, phi can be as small as t^3
+    (lambda = 1/2) and 1 - e^{-t} ~ t costs one more factor of t, so 5 bits
+    per halving of t below 1 (-mag t of them); and at large t, phi is about
+    e^{-min(lambda, 1/2) t}, which needs t min(lambda, 1/2) log2(e) more
+    bits to keep mp.prec of its own.  Beyond _POINT_MAX_BITS of these two
+    (t below about 1e-3945, or t min(lambda, 1/2) above about 45000) the
+    integers would take seconds, so NumericalError is raised."""
+    (tn, td), (ln, ld) = t, lr
+    extra = (5 * max(0, td.bit_length() - 1 - tn.bit_length())
+             + _cdiv(145 * tn * min(2 * ln, ld), 200 * td * ld))
+    if extra > _POINT_MAX_BITS:
+        raise NumericalError(f"t = {mp.nstr(mp.mpf(tn) / td, 5)} needs over {_POINT_MAX_BITS} more bits")
+    return mp.prec + _FIXED_GUARD_BITS + extra
+
+
+def _fixed_mpf(enc: tuple, wp: int):
+    """The mpf of enc's midpoint (lo + hi) 2^-(wp+1), rounded once to the
+    nearest at mp.prec."""
+    return mp.make_mpf(from_man_exp(enc[0] + enc[1], -wp - 1, mp.prec, round_nearest))
+
+
+def phi_integrand(t, lam):
+    """phi_lambda(t) = e^{-t/2}/t - 1/(e^t-1) - t e^{-lambda t}/24 for t > 0,
+    lambda >= 0: the midpoint of _phi_point, the certificate's point form,
+    at t and lambda rounded to mp.prec, on the integer intervals at
+    _point_prec bits, from one exponential of -t/2 and one of -lambda t."""
+    require_positive("t", t)
+    _check_lambda(lam)
+    tr, lr = _ratio(mp.mpf(t)), _ratio(mp.mpf(lam))
+    wp = _point_prec(tr, lr)
+    return _fixed_mpf(_phi_point(tr, *_point_exps(tr, lr, wp), wp)[0], wp)
+
+
+def h_of_t(t):
+    """h(t) = -(1/t) ln[(24/t^2)(e^{-t/2} - t/(e^t-1))]; h -> 1/2 at both ends.
+
+    The midpoint of the interval of _h_fixed, whose lower end lambda_star
+    takes, at t rounded to mp.prec, on the integer intervals at _point_prec
+    bits with lambda = 1/2: the bracket 24 (a - b)/t falls like e^{-t/2},
+    and its log needs the bracket's relative precision."""
+    require_positive("t", t)
+    tr = _ratio(mp.mpf(t))
+    wp = _point_prec(tr, (1, 2))
+    return _fixed_mpf(_h_fixed(tr, wp), wp)
 
 
 def _radius_exps(r: tuple, lr: tuple, wp: int, factors: dict) -> tuple:
@@ -502,11 +481,7 @@ def _phi_centred(t: tuple, mid: tuple, lr: tuple, wp: int, factors: dict) -> tup
     down, lam_down = _radius_exps((bn, bd), lr, wp, factors)[2:]
     u = _scaled(um, down, wp)[0], _scaled(um, up, wp)[1]
     e = _scaled(em, lam_down, wp)[0], _scaled(em, lam_up, wp)[1]
-    # phi(m) = a - b - m e^{-lambda m}/24, a = e^{-m/2}/m
-    blo, bhi = _phi_b(um, wp)
-    me_lo, me_hi = (em[0] * mn) // (24 * md), _cdiv(em[1] * mn, 24 * md)
-    phi_lo = (um[0] * md) // mn - bhi - me_hi
-    phi_hi = _cdiv(um[1] * md, mn) - blo - me_lo
+    (phi_lo, phi_hi), (blo, bhi) = _phi_point((mn, md), um, em, wp)
     # phi'(m) = b (1+b) - (1/2 + 1/m) a - (1 - lambda m) e^{-lambda m}/24,
     # (1/2 + 1/m) a = e^{-m/2} (m + 2)/(2 m^2)
     cn, cd = (mn + 2 * md) * md, 2 * mn * mn
@@ -811,8 +786,8 @@ def lambda_star(tol, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThresholdResult:
 
     phi_lambda >= 0 on (0, inf) iff lambda >= h(t) for all t > 0, so
     lambda_star = sup h.  Newton's method on phi = phi_t = 0 finds t
-    (_t_star); the lower end is h(t) = -(1/t) ln(24 (a - b)/t), a =
-    e^{-t/2}/t, b = 1/(e^t-1), on the integer intervals at that float t, so
+    (_t_star); the lower end is that of h(t) on the integer intervals at
+    that float t (_h_fixed, the interval h_of_t takes the midpoint of), so
     it holds whatever t is; and the upper end, the lower plus tol, is proved
     by phi_sign_certificate.  Since d phi_lambda / d lambda = t^2
     e^{-lambda t}/24 > 0, phi_lambda > 0 at one lambda proves it at every
@@ -823,13 +798,7 @@ def lambda_star(tol, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThresholdResult:
     """
     require_positive("tol", tol)
     t, wp = _t_star(cfg), _fixed_prec(cfg)
-    (tn, td), prec = t.as_integer_ratio(), wp + 14
-    u = _exp_fixed(-tn, 2 * td, wp)
-    br_hi = _cdiv(24 * (_cdiv(u[1] * td, tn) - _phi_b(u, wp)[0]) * td, tn)  # 24 (a - b)/t
-    if br_hi <= 0:
-        raise NumericalError(f"h(t) has no real value at t = {t!r}")
-    log_hi = _fixed_pair(libmp.mpf_log(from_man_exp(br_hi, -wp), prec), prec, wp)[1]
-    lo = math.nextafter(to_float(from_man_exp((-log_hi * td) // tn, -wp)), -math.inf)
+    lo = math.nextafter(to_float(from_man_exp(_h_fixed(t.as_integer_ratio(), wp)[0], -wp)), -math.inf)
     hi = float(Fraction(lo) + Fraction(tol))
     if Fraction(hi) - Fraction(lo) > Fraction(tol):
         hi = math.nextafter(hi, -math.inf)

@@ -91,7 +91,7 @@ class TestHLambda:
 
 class TestPhiIntegrand:
     def test_signs(self):
-        ts = [10 ** (0.01 * i - 4) for i in range(0, 601, 20)]
+        ts = [1e-300, 1e-30, 1e-8] + [10 ** (0.01 * i - 4) for i in range(0, 601, 20)]
         for t in ts:
             assert float(phi_integrand(t, 0.5)) <= 0
             assert float(phi_integrand(t, 1.5)) >= 0
@@ -124,11 +124,12 @@ class TestPhiIntegrand:
     def test_taylor_branch_within_tenth_of_sweep_allowance(self, t, lam, digits):
         assert self._error_over_allowance(t, lam, digits) <= mp.mpf("0.1")
 
-    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("digits", [15, 30, 60])
     @pytest.mark.parametrize("lam", [0, 0.5, 1.5])
-    @pytest.mark.parametrize("t", ["1e-3", "0.5", "0.999", "1", "3", "50", "200"])
+    @pytest.mark.parametrize("t", ["1e-30", "1e-3", "0.5", "0.999", "1", "3", "50", "200", "1e3"])
     def test_direct_branch_within_tenth_of_sweep_allowance(self, t, lam, digits):
-        # expm1 form below t = 1, exp form from t = 1 on
+        # the integer-interval point form from t = 1e-30, where terms of
+        # about 1/t cancel to t^2 or t^3, to t = 1e3
         assert self._error_over_allowance(t, lam, digits) <= mp.mpf("0.1")
 
     @pytest.mark.parametrize("digits", [15, 30])
@@ -138,6 +139,15 @@ class TestPhiIntegrand:
         # the Taylor range shrinks to t < 1/lambda, where e^{-lambda t} has no
         # cancelling series
         assert self._error_over_allowance(t, lam, digits) <= mp.mpf("0.1")
+
+    @pytest.mark.parametrize("t", [1e5, 1e300, mp.mpf("1e-4000")])
+    def test_past_point_bits_raises(self, t):
+        # the fixed point would need more than _POINT_MAX_BITS bits beyond
+        # mp.prec; it raises at once instead of working for minutes
+        with pytest.raises(NumericalError):
+            phi_integrand(t, 0.5)
+        with pytest.raises(NumericalError):
+            h_of_t(t)
 
     def test_laplace_consistency(self):
         # the enclosure of the Laplace form of H' against its closed form
@@ -211,15 +221,17 @@ class TestThreshold:
 
     @staticmethod
     def _h_reference(t):
-        with mp.workdps(100):
+        # the bracket's terms cancel to t^2, and h needs t 10^-digits of it
+        with mp.workdps(100 + 4 * max(0, -int(mp.log10(t)))):
             tm = mp.mpf(t)
             return -mp.log(24 / tm ** 2 * (mp.exp(-tm / 2) - tm / mp.expm1(tm))) / tm
 
     @pytest.mark.parametrize("digits", [15, 30])
-    @pytest.mark.parametrize("t", ["1e-4", "5e-4", "9.99e-4", "1e-3", "1.001e-3", "2e-3",
-                                   "1e-2", "1", "2.6", "10", "200", "1e3"])
+    @pytest.mark.parametrize("t", ["1e-30", "1e-4", "5e-4", "9.99e-4", "1e-3", "1.001e-3", "2e-3",
+                                   "1e-2", "1", "2.6", "10", "200", "1e3", "1e4"])
     def test_h_keeps_working_precision(self, t, digits):
-        # the Taylor branch below t = 1e-3 and the direct branch above it
+        # the bracket on the integer intervals, whose precision grows as t
+        # falls below 1 and with t above it
         cfg = PrecisionConfig(working_digits=digits)
         with mp.workdps(cfg.dps):
             tm = mp.mpf(t)

@@ -112,7 +112,8 @@ class TestBadInputRaises:
     def test_lambda(self, lam):
         calls = [lambda: H_lambda(1.0, lam), lambda: H_lambda_deriv(2, 1.0, lam),
                  lambda: laplace_check(1.0, lam), lambda: phi_sign_certificate(lam, 1),
-                 lambda: cm_check(lam, "plus", grid=[1.0]), lambda: cm_check(lam, "minus", grid=[1.0])]
+                 lambda: cm_check(lam, "plus", grid=[1.0]), lambda: cm_check(lam, "minus", grid=[1.0]),
+                 lambda: phi_integrand(1.0, lam)]
         for call in calls:
             with pytest.raises(DomainError):
                 call()

@@ -180,7 +180,7 @@ class TestSharedShift:
             "import gammacert.cli\n"
             "from gammacert import monotone, specfun\n"
             "assert not specfun._STIRLING_COEFFS, specfun._STIRLING_COEFFS\n"
-            "assert monotone._phi_taylor_coeffs.cache_info().currsize == 0\n"
+            "assert monotone._phi_series.cache_info().currsize == 0\n"
             "assert specfun._constants.cache_info().currsize == 0\n"
         )
         src = os.path.dirname(os.path.dirname(specfun.__file__))
