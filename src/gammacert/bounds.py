@@ -149,6 +149,16 @@ def _row(family: BoundFamily, cfg: PrecisionConfig) -> tuple:
         return (lm, size_lo + size_hi), c_lo, c_hi
 
 
+def _row_ties(row, cfg: PrecisionConfig) -> tuple:
+    """(x0 of c_lo, x0 of c_hi) of a row of _row_shape: x0 = 1 (an mpf) where
+    that side's c is H_lambda(1), bit for bit _BUILT_ROW's, so it holds with
+    equality at x = 1 (corrected Eqs. (3.12), (3.13)); else None (strict)."""
+    if not isinstance(row, FamilyId):
+        return None, None
+    cs, built = _row(BoundFamily(row), cfg)[1:], _BUILT_ROW(BoundFamily(row), cfg)[1:]
+    return tuple(mp.one if x0 == 1 and c == b else None for x0, c, b in zip(_ROWS[row][1:], cs, built))
+
+
 @functools.lru_cache(maxsize=8)
 def _printed_constant(cfg: PrecisionConfig) -> tuple:
     """(K', size): K' = 12 (3 - ln pi + ln(4/27)) of the printed Eqs. (3.12),
@@ -239,19 +249,23 @@ _HARMONIC_S = {FamilyId.HARMONIC_LOW: 0, FamilyId.HARMONIC_HIGH: 1}
 
 @functools.lru_cache(maxsize=16)
 def _harmonic_constants(family: BoundFamily, constant: Fraction, cfg: PrecisionConfig):
-    """(c_lo, c_hi, gamma) at cfg.dps, computed once per family, constant and
-    precision.  gamma is mpmath's constant rounded to nearest at cfg.dps +
-    GUARD_DIGITS digits, the precision euler_gamma works at for cfg.dps
-    quoted digits, so it is within 2^-prec of itself in relative terms,
-    prec the bits of those digits; like the rounding of the other terms,
-    that is below 10^(2-dps), the rule of specfun._constants."""
+    """(c_lo, c_hi, gamma) at cfg.dps, once per family, constant and
+    precision: side s of _HARMONIC_S is 1 - ln(3/2) - r (r = 1/54, or C for
+    HarmonicHigh), the other gamma, mpmath's constant rounded to nearest at
+    cfg.dps + GUARD_DIGITS digits, as euler_gamma works for cfg.dps quoted
+    digits: within 2^-prec of itself in relative terms, prec the bits of
+    those digits, below 10^(2-dps) like the rounding of the other terms
+    (the rule of specfun._constants)."""
     with mp.workdps(cfg.dps + GUARD_DIGITS):
         gamma_c = +mp.euler
+    r = Fraction(1, 54) if family.id is FamilyId.HARMONIC_LOW else constant
     with mp.workdps(cfg.dps):
-        if family.id is FamilyId.HARMONIC_LOW:
-            return 1 - mp.log(mp.mpf(3) / 2) - mp.mpf(1) / 54, gamma_c, gamma_c
-        c = mp.mpf(constant.numerator) / constant.denominator
-        return gamma_c, 1 - mp.log(mp.mpf(3) / 2) - c, gamma_c
+        c = 1 - mp.log(mp.mpf(3) / 2) - mp.mpf(r.numerator) / r.denominator
+    return (c, gamma_c, gamma_c) if family.id is FamilyId.HARMONIC_LOW else (gamma_c, c, gamma_c)
+
+
+# the constants as built here, whatever a caller puts in their place
+_BUILT_ROW, _BUILT_HARMONIC = _row, _harmonic_constants
 
 
 def harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
@@ -262,17 +276,23 @@ def harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_C
     HarmonicHigh: ln(n+1/2) + 1/(24(n+3/2)^2) + [gamma, 1 - ln(3/2) - C]
 
     C defaults to the corrected 1/150; pass constant=PRINTED_HARMONIC_CONSTANT
-    to reproduce (and falsify) the printed 1/90.
+    to reproduce (and falsify) the printed 1/90.  At n = 1 the side that
+    r = 1/54 or the corrected C make exactly H_1 (_harmonic_constants; ln m
+    cancels its ln(3/2)) is the int 1, if its constant is _BUILT_HARMONIC's.
     """
     if family.id not in _HARMONIC_S:
         raise ParameterError(f"{family.id.value} is not a harmonic family")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    c_lo, c_hi, _ = _harmonic_constants(family, constant, cfg)
+    consts, s = _harmonic_constants(family, constant, cfg), _HARMONIC_S[family.id]
     with mp.workdps(cfg.dps):
         m = mp.mpf(n) + mp.mpf(1) / 2
-        base = mp.log(m) + 1 / (24 * (m + _HARMONIC_S[family.id]) ** 2)
-        return base + c_lo, base + c_hi
+        base = mp.log(m) + 1 / (24 * (m + s) ** 2)
+        sides = [base + consts[0], base + consts[1]]
+    tie = n == 1 and (s == 0 or constant == CORRECTED_HARMONIC_CONSTANT)
+    if tie and consts[s] == _BUILT_HARMONIC(family, constant, cfg)[s]:
+        sides[s] = 1
+    return tuple(sides)
 
 
 def eval_harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
@@ -310,17 +330,19 @@ def harmonic_tail(family: BoundFamily, n0: int, cfg: PrecisionConfig = DEFAULT_C
       s = 0: e = 0 and the lower end increases in m;
       s = 1: e decreases in m, and e(m) > 7/(960m^4) for m >= 1, since
              (2m+1) 40 m^2 > 7 (m+1)^2.
-    So at m0 = n0 + 3/2 the target [min(0, e - 7/(960m^4)), max(0, e)]
-    encloses R(n) for every n > n0.  Its float radius is rounded up.
+    So at m0 = n0 + 3/2 the rationals a = min(0, e - 7/(960m^4)) and
+    b = max(0, e), the one not 0 rounded outward to a float, enclose R(n)
+    for every n > n0; the target is exactly [a, b], and its end 0 gives
+    the margin against the gamma side (c - gamma = 0) the lower end 0.
     """
     c_lo, c_hi, gamma_c = _harmonic_constants(family, constant, cfg)
+    m = Fraction(2 * n0 + 3, 2)
+    d_lo, d_hi = _harmonic_defect(m)
+    e = d_hi - Fraction(1, 24) / (m + _HARMONIC_S[family.id]) ** 2
+    a, b = (math.nextafter(float(v), math.copysign(math.inf, v)) if v else 0.0
+            for v in (min(0, e + d_lo - d_hi), max(0, e)))
     with mp.workdps(cfg.dps):
-        m = mp.mpf(n0) + mp.mpf(3) / 2
-        d_lo, d_hi = _harmonic_defect(m)
-        e = d_hi - 1 / (24 * (m + _HARMONIC_S[family.id]) ** 2)
-        a, b = min(0, e + d_lo - d_hi), max(0, e)
-        target = SpecialValue((a + b) / 2, math.nextafter(float((b - a) / 2), math.inf))
-        return target, c_lo - gamma_c, c_hi - gamma_c
+        return SpecialValue((a + b) / 2, (b - a) / 2), c_lo - gamma_c, c_hi - gamma_c
 
 
 def factorial_bound_log(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG):

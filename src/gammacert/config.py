@@ -1,8 +1,7 @@
 """Precision policy and certified-value plumbing shared by all modules.
 
-Every numeric result that feeds an inequality verdict is carried as a
-SpecialValue: a value together with an absolute error bound, so that
-comparisons can be made interval-safely instead of on bare floats.
+A numeric result is carried as a SpecialValue, a value with an absolute
+error bound, and a verdict reads the signs of exact enclosures (Sweep).
 """
 
 from __future__ import annotations
@@ -83,37 +82,32 @@ def require_positive(name: str, x) -> None:
 
 
 class Sweep:
-    """Turns interval-safe margins over a set of check points into a verdict.
-
-    Each point contributes a margin (>= 0 means the claim holds there) and
-    the error bound of that margin.  "verified" needs every margin to clear
-    its bound, "falsified" needs some margin below minus its bound, and
-    anything in between is "indeterminate".
-    """
+    """Turns exact enclosures lo <= margin <= hi over a set of check points
+    into a verdict (margin >= 0 means the claim holds): lo and hi are ints
+    at one scale or Fractions, and only their signs are read.  A point holds
+    when lo >= 0 and falsifies when hi < 0; "verified" needs every point to
+    hold, "falsified" some point to falsify, else "indeterminate".  Equality
+    holds only as the exact [0, 0], never by an allowance (Moore, Kearfott
+    and Cloud, Introduction to Interval Analysis, SIAM 2009, ch. 2-3)."""
 
     def __init__(self) -> None:
-        self.min_margin = math.inf
-        self.argmin = 0.0
-        self.all_clear = True
-        self.any_falsifying = False
+        self.min_margin, self.argmin = math.inf, None  # argmin: set by the first margin
+        self.all_clear, self.any_falsifying = True, False
 
-    def add(self, at, margin: float, err: float, allow_equality: bool = False) -> None:
-        """Record one margin; `at` labels the point reported as argmin."""
-        if margin < self.min_margin:
+    def add(self, at, margin: float, lo, hi) -> None:
+        """Record one margin at `at`; the float takes the sign lo and hi decide."""
+        if lo < 0:
+            self.all_clear = False
+            if hi < 0:
+                self.any_falsifying = True
+                margin = min(margin, -math.ulp(0.0))
+        elif margin < 0:
+            margin = 0.0
+        if margin < self.min_margin or self.argmin is None:
             self.min_margin = margin
             self.argmin = at
-        ok = margin >= -err if allow_equality else margin > err
-        if not ok:
-            self.all_clear = False
-        if margin < -err:
-            self.any_falsifying = True
 
     def result(self):
         """(min_margin, argmin, verdict) of the margins added so far."""
-        if self.all_clear:
-            verdict = VERIFIED
-        elif self.any_falsifying:
-            verdict = FALSIFIED
-        else:
-            verdict = INDETERMINATE
+        verdict = VERIFIED if self.all_clear else FALSIFIED if self.any_falsifying else INDETERMINATE
         return self.min_margin, self.argmin, verdict

@@ -114,40 +114,43 @@ def _necessary_limit_cases(cfg, grid: GridSpec):
 def _run_threshold(cfg, grid: GridSpec):
     """1/2 < lambda_star < 3/2 on the proven bracket of monotone.lambda_star,
     whose upper end passed phi_sign_certificate (it raises otherwise)."""
-    res = monotone.lambda_star(1e-8, cfg)
-    sweep = Sweep()
-    sweep.add(res.t_star, res.bracket[0] - 0.5, 0.0)
-    sweep.add(res.t_star, 1.5 - res.bracket[1], 0.0)
+    res, sweep = monotone.lambda_star(1e-8, cfg), Sweep()
+    _add_exact(sweep, res.t_star, Fraction(res.bracket[0]) - Fraction(1, 2))
+    _add_exact(sweep, res.t_star, Fraction(3, 2) - Fraction(res.bracket[1]))
     return sweep.result()
+
+
+def _add_exact(sweep: Sweep, at: float, q) -> None:
+    """Add an exact margin q, an int or Fraction, reported as its float."""
+    sweep.add(at, float(q), q, q)
 
 
 # --- one row pass: the CM sweeps of Thms 2.1, 3.3 and the Thm 3.1, 3.4 rows
 
 
 @functools.lru_cache(maxsize=1)
-def _row_pass(claims: tuple, cfg, grid: GridSpec, allow_equality: bool) -> tuple:
+def _row_pass(claims: tuple, cfg, grid: GridSpec) -> tuple:
     """monotone._row_pass at grid's points as exact mpfs, the last pass kept,
-    keyed on the rows (their constants as values), cfg, grid and
-    allow_equality, so another precision or a patched row recomputes."""
+    keyed on the rows (their constants as values), cfg and grid, so another
+    precision or a patched row recomputes."""
     xs = (mp.make_mpf(libmp.from_float(x)) for x in grid.values())
-    return monotone._row_pass(claims, cfg, xs, allow_equality)
+    return monotone._row_pass(claims, cfg, xs)
 
 
 @dataclass(frozen=True)
 class _Rows:
     """Runner of claim `index` of `claims`, which share one _row_pass: a
-    sweep (lambda, sign) is the rows of monotone._cm_rows, orders 0..6, a
-    row name the order-0 row of bounds._row_shape, both formed when the
-    claim runs.  Equal runners compare equal, so run_suite runs each once."""
+    sweep (lambda, sign) is the rows of monotone._cm_rows, orders 0..6, a row
+    name the order-0 row of bounds._row_shape and _row_ties, both formed when
+    the claim runs.  Equal runners compare equal, so run_suite runs each once."""
 
     claims: tuple
     index: int
-    allow_equality: bool = False
 
     def __call__(self, cfg, grid: GridSpec):
         rows = tuple(monotone._cm_rows(*c, 6, cfg) if isinstance(c, tuple)
-                     else ((0, *bounds._row_shape(c, cfg)),) for c in self.claims)
-        min_margin, (_, x), verdict = _row_pass(rows, cfg, grid, self.allow_equality)[self.index]
+                     else ((0, *bounds._row_shape(c, cfg), bounds._row_ties(c, cfg)),) for c in self.claims)
+        min_margin, (_, x), verdict = _row_pass(rows, cfg, grid)[self.index]
         return min_margin, x, verdict
 
 
@@ -162,39 +165,43 @@ _THM34_ROWS = (FamilyId.FACTORIAL_HIGH, FamilyId.FACTORIAL_LOW, "upper", "lower"
 # --- containment: Theorem 3.2 and point checks -----------------------------
 
 
-def _run_containment(cases: Callable, *args, allow_equality: bool = False):
+def _run_containment(cases: Callable, *args):
     """Runner of a claim that a certified target lies between a lower and
     an upper bound at every check point: Thm 3.2 and the three point checks
     (Remark 1's bounds are decided in the fixed point of _remark1_pass).
 
     cases(*args, cfg, grid) runs at cfg.dps and yields (point, target, lo,
     hi): a SpecialValue and the bounds there, such as a family's, looked up
-    in `bounds` at call time.  Every margin carries one error, added by
-    _add_case:
-
-        target.abs_error_bound + (|target| + |lo| + |hi|) 10^(2-dps),
-
-    the target's certified error plus the rounding of the target and of the
-    bound expressions, which are evaluated at cfg.dps.
+    in `bounds` at call time.  Each margin enters as an exact interval
+    (_add_case): the target adds its abs_error_bound, and an mpf v, a value
+    evaluated at cfg.dps, stands for v (1 -+ 10^(2-dps)), the rounding rule
+    of specfun._constants; an int or float is exact.
     """
 
     def runner(cfg, grid: GridSpec):
-        sweep, eps = Sweep(), float(specfun._constants(cfg).eps)
+        sweep, eps = Sweep(), Fraction(1, 10 ** (cfg.dps - 2))
         with mp.workdps(cfg.dps):
             for case in cases(*args, cfg, grid):
-                _add_case(sweep, eps, *case, allow_equality)
+                _add_case(sweep, eps, *case)
         return sweep.result()
 
     return runner
 
 
-def _add_case(sweep, eps: float, p, target, lo, hi, allow_equality=False):
-    """Add lo <= target <= hi at p to sweep, with _run_containment's error;
-    eps is 10^(2-dps) as a float."""
-    t = target.value
-    err = target.abs_error_bound + (abs(float(t)) + abs(float(lo)) + abs(float(hi))) * eps
-    sweep.add(float(p), float(t - lo), err, allow_equality)
-    sweep.add(float(p), float(hi - t), err, allow_equality)
+def _add_case(sweep, eps: Fraction, p, target, lo, hi):
+    """Add lo <= target <= hi at p to sweep, with _run_containment's
+    intervals; eps is 10^(2-dps)."""
+    t, err = target.value, Fraction(target.abs_error_bound)
+    (t_lo, t_hi), (l_lo, l_hi), (h_lo, h_hi) = (_enclose(v, eps) for v in (t, lo, hi))
+    sweep.add(float(p), float(t - lo), t_lo - err - l_hi, t_hi + err - l_lo)
+    sweep.add(float(p), float(hi - t), h_lo - t_hi - err, h_hi - t_lo + err)
+
+
+def _enclose(v, eps: Fraction) -> tuple:
+    """The exact (lo, hi) that v stands for in _run_containment."""
+    q = Fraction(*monotone._ratio(v))
+    r = abs(q) * eps if isinstance(v, mp.mpf) else 0
+    return q - r, q + r
 
 
 def _best_constants_cases(cfg, grid: GridSpec):
@@ -223,11 +230,11 @@ def _section1_cases(cfg, grid: GridSpec):
 
 
 def _harmonic_cases(family: BoundFamily, constant: Fraction, cfg, grid: GridSpec):
-    """H_1 = 1, the equality case of the corrected constants, against the
-    bounds, then one case from the tail lemma of bounds.harmonic_tail that
-    covers every n >= 2, labelled 2.  The check does not stop at the grid's
-    10^6, which only names the claim's range."""
-    yield (1, SpecialValue(mp.one, 0.0), *bounds.harmonic_bound(family, 1, cfg, constant))
+    """H_1 = 1, the equality case of the corrected constants, exact, against
+    the bounds, then one case from the tail lemma of bounds.harmonic_tail
+    that covers every n >= 2, labelled 2.  The check does not stop at the
+    grid's 10^6, which only names the claim's range."""
+    yield (1, SpecialValue(1, 0.0), *bounds.harmonic_bound(family, 1, cfg, constant))
     yield (2, *bounds.harmonic_tail(family, 1, cfg, constant))
 
 
@@ -279,24 +286,16 @@ def _remark1_margins(x: float, prec: int, dens: tuple) -> tuple:
 def _remark1_pass(cfg, grid: GridSpec, dens: tuple) -> tuple:
     """(Eq. (4.1)'s, Eq. (4.2)'s) (min_margin, argmin_x, verdict) on grid's
     points, from the integer intervals of _remark1_margins at cfg's
-    precision, the last pass kept.  Each margin enters its Sweep as the
-    float nearest its midpoint, correctly rounded by Python's integer
-    division, with error its radius rounded up, plus |mid| 2^-53 for that
-    rounding and the least subnormal where the midpoint underflows.  From
-    _REMARK1_X_MAX on a margin is 0 within the least subnormal."""
+    precision, the last pass kept.  Each margin enters its Sweep as that
+    interval, reported as the float nearest its midpoint (0 once it
+    underflows).  From _REMARK1_X_MAX on a margin enters as an interval
+    around 0, undecided."""
     prec, eq41, eq42 = libmp.dps_to_prec(cfg.dps), Sweep(), Sweep()
     for x in grid.values():
         require_positive("x", x)
-        if x >= _REMARK1_X_MAX:
-            for sweep in (eq41, eq41, eq42, eq42):
-                sweep.add(x, 0.0, math.ulp(0.0))
-            continue
-        wp, margins = _remark1_margins(x, prec, dens)
-        two_units = 1 << 2 * wp + 1
+        wp, margins = _remark1_margins(x, prec, dens) if x < _REMARK1_X_MAX else (0, ((-1, 1),) * 4)
         for sweep, (lo, hi) in zip((eq41, eq41, eq42, eq42), margins):
-            mid = (lo + hi) / two_units
-            rad = math.nextafter((hi - lo) / two_units, math.inf)
-            sweep.add(x, mid, math.nextafter(rad + abs(mid) * 2.0 ** -53 + math.ulp(0.0), math.inf))
+            sweep.add(x, (lo + hi) / (1 << 2 * wp + 1), lo, hi)
     return eq41.result(), eq42.result()
 
 
@@ -305,19 +304,17 @@ def _run_mathieu(cfg, grid: GridSpec):
     exactly (n = 2..50, r = 1), and the tail bound 1/(N^2+1) of
     specfun.mathieu_partial at N = 1000 covers the observed remainder
     S_2000 - S_1000, decided in the fixed point of specfun._mathieu_fixed:
-    the two sums share their first 1000 floored terms, so their difference
-    is low by less than 1000 units of 2^-wp and the tail bound high by less
-    than one.  The margin is rounded once to a float, within 2^-53 of
-    itself; one more unit covers 2^-53 of the bound where the margin meets
-    it, so a float margin above 1002 units means a margin in integers above
-    1001 units and a true margin above 0."""
-    sweep = Sweep()
+    the two sums share their first 1000 floored terms, which puts their
+    difference less than 1000 units of 2^-wp low and the tail bound less
+    than one high: the true margin lies in (M - 1001, M] units for the M
+    formed."""
+    sweep, wp = Sweep(), specfun._constants(cfg).wl
     for n in range(2, 51):
-        sweep.add(float(n), float(Fraction(2 * n, (n * n + 1) ** 2)), 0.0)
-    wp = specfun._constants(cfg).wl
+        _add_exact(sweep, float(n), Fraction(2 * n, (n * n + 1) ** 2))
     coarse, tail = specfun._mathieu_fixed(1.0, 1000, wp)
     fine, _ = specfun._mathieu_fixed(1.0, 2000, wp)
-    sweep.add(1000.0, (tail - (fine - coarse)) / (1 << wp), math.ldexp(1002, -wp))
+    big_m = tail - (fine - coarse)
+    sweep.add(1000.0, big_m / (1 << wp), big_m - 1001, big_m)
     return sweep.result()
 
 
@@ -325,43 +322,42 @@ def _run_mathieu(cfg, grid: GridSpec):
 
 
 def _run_series_pivot(cfg, grid: GridSpec):
+    """c_4 = 0, c_5 = 112 (t^5 term 7/240) and c_5 > 0 as margins 1 or -1,
+    then 0 < k^3 + 23k - 24 < c_k for k = 6..60, all exact."""
     sweep = Sweep()
     c4, _ = monotone.series_coeff_pivot(4)
-    sweep.add(4.0, float(c4 == 0), 0.5)
     c5, term5 = monotone.series_coeff_pivot(5)
-    sweep.add(5.0, float(c5 == 112 and term5 == Fraction(7, 240)), 0.5)
-    sweep.add(5.0, float(c5 > 0), 0.5)
+    for k, ok in ((4, c4 == 0), (5, c5 == 112 and term5 == Fraction(7, 240)), (5, c5 > 0)):
+        _add_exact(sweep, float(k), 1 if ok else -1)
     for k in range(6, 61):
         ck, _ = monotone.series_coeff_pivot(k)
         chained = k ** 3 + 23 * k - 24
-        sweep.add(float(k), float(min(ck - chained, chained)), 0.0, allow_equality=False)
+        _add_exact(sweep, float(k), min(ck - chained, chained))
     return sweep.result()
 
 
 def _run_series_lambda(cfg, grid: GridSpec):
-    lam = Fraction(3, 2)
-    sweep = Sweep()
+    lam, sweep = Fraction(3, 2), Sweep()
     for k in range(3, 31):
         lhs, rhs = monotone.series_coeff_lambda(k, lam)
-        sweep.add(float(k), float(lhs - rhs), 0.0, allow_equality=True)
+        _add_exact(sweep, float(k), lhs - rhs)
         mid = (lam + 1) ** k - lam ** k - k * (lam + Fraction(1, 2)) ** (k - 1)
         bound = Fraction(k * (k - 1) * (k - 2)) * lam ** (k - 3) / 24
-        sweep.add(float(k), float(mid - bound), 0.0, allow_equality=True)
+        _add_exact(sweep, float(k), mid - bound)
     return sweep.result()
 
 
 def _run_kth_root(cfg, grid: GridSpec):
     """kth_root_bound(k) <= 3/2 for k = 4..200, decided exactly by the sign
-    of the integer monotone.kth_root_gap(k).  The margin reported is
-    1.5 - kth_root_bound(k) with the sign the integer decides, so a float
-    root can size the margin but never turn the verdict.  Every k >= 4
-    holds, not only the sampled ones: 3^(k-2) - 1 < 3 3^(k-3) <= 2(k-2) 3^(k-3),
-    since 2(k-2) >= 3."""
+    of the integer monotone.kth_root_gap(k), both ends of each margin.  The
+    margin reported is 1.5 - kth_root_bound(k), with the sign the integer
+    decides (config.Sweep), so a float root can size the margin but never
+    turn the verdict.  Every k >= 4 holds, not only the sampled ones:
+    3^(k-2) - 1 < 3 3^(k-3) <= 2(k-2) 3^(k-3), since 2(k-2) >= 3."""
     sweep = Sweep()
     for k in range(4, 201):
-        margin = 1.5 - monotone.kth_root_bound(k)
-        margin = max(margin, 0.0) if monotone.kth_root_gap(k) >= 0 else min(margin, -math.ulp(0.0))
-        sweep.add(float(k), margin, 0.0, allow_equality=True)
+        gap = monotone.kth_root_gap(k)
+        sweep.add(float(k), 1.5 - monotone.kth_root_bound(k), gap, gap)
     return sweep.result()
 
 
@@ -396,8 +392,7 @@ def _run_laplace(cfg, grid: GridSpec):
 
     Each margin 1e-10 - |R| is formed as an integer interval and added
     through monotone._add_enclosure, so it is certified at its point: the
-    enclosure of Q is proved, the closed form's bound is folded into R, and
-    the float rounding of the margin is covered too.  The claim still
+    enclosure of Q is proved and the closed form's bound is folded into R.  The claim still
     checks 5 points x: it is certified at its points, a sample of the
     identity rather than a proof of it.
     """
@@ -453,24 +448,24 @@ REGISTRY: tuple = (
           _run_containment(_section1_cases)),
     Claim("thm3.2-eq3.7", ("thm3.2",), VERIFIED, _HARMONIC_GRID,
           _run_containment(_harmonic_cases, BoundFamily(FamilyId.HARMONIC_LOW),
-                           bounds.CORRECTED_HARMONIC_CONSTANT, allow_equality=True)),
+                           bounds.CORRECTED_HARMONIC_CONSTANT)),
     Claim("thm3.2-eq3.8-corrected", ("thm3.2",), VERIFIED, _HARMONIC_GRID,
           _run_containment(_harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH),
-                           bounds.CORRECTED_HARMONIC_CONSTANT, allow_equality=True)),
+                           bounds.CORRECTED_HARMONIC_CONSTANT)),
     Claim("eq3.8-as-printed", ("thm3.2", "falsify-printed"), FALSIFIED, _HARMONIC_GRID,
           _run_containment(_harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH),
-                           bounds.PRINTED_HARMONIC_CONSTANT, allow_equality=True)),
+                           bounds.PRINTED_HARMONIC_CONSTANT)),
     Claim("thm3.3-lcm-G-lam0.5", ("thm3.3",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 2), True),
     Claim("thm3.3-lcm-recip-G-lam1.5", ("thm3.3",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 5), True),
     # the four Thm 3.4 claims run in one pass
     Claim("thm3.4-eq3.12-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
-          _Rows(_THM34_ROWS, 0, allow_equality=True)),
+          _Rows(_THM34_ROWS, 0)),
     Claim("thm3.4-eq3.13-corrected", ("thm3.4",), VERIFIED, _FACTORIAL_GRID,
-          _Rows(_THM34_ROWS, 1, allow_equality=True)),
+          _Rows(_THM34_ROWS, 1)),
     Claim("eq3.12-as-printed", ("thm3.4", "falsify-printed"), FALSIFIED, _FACTORIAL_GRID,
-          _Rows(_THM34_ROWS, 2, allow_equality=True)),
+          _Rows(_THM34_ROWS, 2)),
     Claim("eq3.13-as-printed", ("thm3.4", "falsify-printed"), FALSIFIED, _FACTORIAL_GRID,
-          _Rows(_THM34_ROWS, 3, allow_equality=True)),
+          _Rows(_THM34_ROWS, 3)),
     # both Remark 1 bounds run in one pass; eq4.2 reads the pass eq4.1 ran
     Claim("remark1-eq4.1-containment", ("remark1",), VERIFIED, _BERNOULLI_GRID,
           lambda cfg, grid: _remark1_pass(cfg, grid, _EQ41_DENOMINATORS)[0], True),

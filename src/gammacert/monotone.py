@@ -15,7 +15,7 @@ complete monotonicity of +-H_lambda reduces to the sign of phi_lambda:
 One fixed-point row pass (_row_pass, its lemma in _row_margins) decides
 every bound c_lo <= F_k(x) + (-1)^k k!/(d (x+lambda)^(k+1)) <= c_hi, F_k =
 H_lambda^(k) without its lambda term: cm_check, the Thm 2.1 sweeps and the
-Thm 3.1/3.4 rows.  It reads specfun._constants(cfg).eps for its constants.
+Thm 3.1/3.4 rows, each margin an exact integer interval (config.Sweep).
 
 lambda_star = sup_t h(t) with h(t) = -(1/t) ln[(24/t^2)(e^{-t/2} - t/(e^t-1))].
 Everything about phi_lambda is decided on one layer of integer intervals,
@@ -218,7 +218,9 @@ def _ratio(v) -> tuple:
     """(num, den), den > 0, with v = num/den exactly, for an int, float,
     Fraction or mpf v."""
     if isinstance(v, mp.mpf):
-        sign, man, exp, _ = v._mpf_
+        sign, man, exp, bc = v._mpf_
+        if bc < 0:  # mpmath's inf, -inf and nan
+            raise DomainError(f"{v} is not a finite number")
         man = -man if sign else man
         return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     return Fraction(v).as_integer_ratio()
@@ -269,13 +271,9 @@ def _fixed_float(enc: tuple, wp: int) -> float:
 
 
 def _add_enclosure(sweep: Sweep, at: float, enc: tuple, wp: int) -> None:
-    """Add an interval margin enc, at scale 2^-wp, to sweep as its midpoint
-    m (_fixed_float) and the distance from m to enc's farther end, an exact
-    integer quotient rounded up, so that the two floats cover the interval."""
-    margin = _fixed_float(enc, wp)
-    mn, md = margin.as_integer_ratio()
-    far = max((mn << wp) - enc[0] * md, enc[1] * md - (mn << wp))
-    sweep.add(at, margin, math.nextafter(far / (md << wp), math.inf))
+    """Add an interval margin enc, at scale 2^-wp, to sweep: its ends decide,
+    its midpoint (_fixed_float) is reported."""
+    sweep.add(at, _fixed_float(enc, wp), *enc)
 
 
 @functools.lru_cache(maxsize=16)
@@ -509,7 +507,7 @@ def _centred_prec(wp: int, lr: tuple) -> int:
 
 def _phi_tail(lr: tuple, sign: int, wp: int) -> tuple:
     """An enclosure of a closed-form margin of sign * phi_lambda > 0 on
-    [_T_TAIL, inf), (0, 0) where none applies (undecided)."""
+    [_T_TAIL, inf), (-1, 1) where none applies (undecided)."""
     t, mu = Fraction(_T_TAIL), Fraction(*lr) - Fraction(1, 2)
     if sign < 0 and mu <= 0:
         # -1/(e^t-1) < 0 and e^{-lambda t} >= e^{-t/2}, so for t >= 20:
@@ -523,16 +521,16 @@ def _phi_tail(lr: tuple, sign: int, wp: int) -> tuple:
         c = 2 * int(t)
         return ((1 << wp) - c * a[1] - _cdiv(int(t) ** 2 * b[1], 24),
                 (1 << wp) - c * a[0] - (int(t) ** 2 * b[0]) // 24)
-    return 0, 0
+    return -1, 1
 
 
 def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> tuple:
-    """(min_margin, argmin, verdict) of sign * phi_lambda(t) > 0 for all t > 0
-    (sign = 1 or -1), proved on the integer intervals at cfg's precision
-    (_fixed_prec).
+    """(min_margin, argmin, verdict) of sign * phi_lambda(t) >= 0 for all
+    t > 0 (sign = 1 or -1), proved on the integer intervals at cfg's
+    precision (_fixed_prec).
 
-    By Bernstein's theorem phi_lambda < 0 on (0, inf) makes H_lambda
-    completely monotonic and phi_lambda > 0 makes -H_lambda so.  Pieces:
+    By Bernstein's theorem phi_lambda <= 0 on (0, inf) makes H_lambda
+    completely monotonic and phi_lambda >= 0 makes -H_lambda so.  Pieces:
     (0, 2], the polynomial of _phi_series in y = t/2 by Horner's rule plus
     its remainder, so margins of sign * phi/t^p; [2, 20], the second-order
     centred form of _phi_centred on a box X with midpoint m,
@@ -547,8 +545,8 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
     [0, r^2] for r the box's larger half; beyond 20, a closed-form bound whose
     slack is the margin (_phi_tail).  A box whose enclosure holds 0 is
     bisected, up to _CERT_MAX_BOXES boxes.  Each leaf adds its enclosure to
-    one Sweep under its midpoint (_add_enclosure): "verified" needs every
-    enclosure to have the wanted sign, one wholly of the other sign gives
+    one Sweep (_add_enclosure): "verified" needs every enclosure to have
+    its lower end >= 0 after the sign, one wholly below 0 gives
     "falsified" and ends the proof, anything else is "indeterminate" (so is
     lambda above about 3, where the Taylor piece is too wide, and 2 lambda
     >= 62, where its remainder is unbounded).
@@ -560,7 +558,7 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
     coeffs, rem = _phi_series(lam, wp)
     sweep, boxes, factors = Sweep(), 0, {}
     if rem is None:
-        sweep.add(1.0, 0.0, math.inf)  # the Taylor piece decides nothing
+        sweep.add(1.0, 0.0, -1, 1)  # the Taylor piece decides nothing
     # a centred box carries its midpoint's exponentials (_point_exps), and
     # hands each half those at its own midpoint m' = m -+ d, e^{-m'/2} =
     # e^{-m/2} e^{+-d/2} and e^{-lambda m'} = e^{-lambda m} e^{+-lambda d},
@@ -828,78 +826,72 @@ class CMReport:
 
 
 def _row_margins(rows: tuple, cfg: PrecisionConfig, xs):
-    """Yield (x, 2^wp, [(row, M, err)]) for each mpf x > 0 of xs, one entry
-    per side of each row.  A row is (k, d, lambda, c_lo, c_hi, size):
+    """Yield (x, 2^wp, [(row, M, E)]) for each mpf x > 0 of xs, one entry
+    per side of each row, M - E <= 2^wp margin <= M + E.  A row (k, d,
+    lambda, c_lo, c_hi, size) is
 
         c_lo <= F_k(x) + (-1)^k k!/(d (x+lambda)^(k+1)) <= c_hi,
 
     F_k the k-th derivative of F_0(x) = ln Gamma(x+1) - p(x), d a nonzero
     integer, lambda and the c mpf at cfg.dps, the c formed from terms whose
-    magnitudes sum to size; a side whose c is infinite is left out.  One
-    kernel call per x, at the highest k of the rows, gives F_k 2^-wp at
+    magnitudes sum to size; a side whose c is infinite is left out, and a
+    row may end in the pair (x0 of c_lo, x0 of c_hi) of bounds._row_ties.
+    One kernel call per x, at the highest k of the rows, gives F_k 2^-wp at
     exact x, never rounded; with H = _plus_lambda_fixed(F_k, k, x, lambda,
-    wp, d) and C = floor(c 2^wp), once per side and wp, the lower margin is
-    M = H - C_lo and the upper M = C_hi - H, in units of 2^-wp.
+    wp, d) and C = floor(c 2^wp), the lower margin is M = H - C_lo and the
+    upper M = C_hi - H.  A side with an x0 holds with equality at x = x0 by
+    how its c was built, so there M = E = 0.
 
     Error lemma (in the style of Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed. 2002, sec. 3.1).  M 2^-wp is within
-
-        err + 3 2^-wl + size 10^(2-dps),  wl = prec + _FIXED_GUARD_BITS <= wp,
-
-    of the true margin, 10^(2-dps) being specfun._constants(cfg).eps, where
+    Numerical Algorithms, 2nd ed. 2002, sec. 3.1).  M is within
+    E = ceil(err 2^wp) + 2 + ceil(size 10^(2-dps) 2^wp) of 2^wp margin:
       - err is the kernel's bound on F_k (its lemma; nothing is rounded);
-      - the floors of the lambda term and of C are each off by less than 2^-wp;
+      - the floors of the lambda term and of C are each off by less than 1;
       - c, a few mpmath operations at cfg.dps, is within size 10^(2-dps) of
         the exact constant, the rule of specfun._constants on the magnitudes
         of its terms, which can far exceed |c| (H_{1/2}(1) = 1/36 - p(1) is
-        6.4e-4, its terms near 1); an exact c = 0 has size 0;
-      - one more 2^-wl covers the float sum of the bound and the rounding of
-        the margin to a float, each at most 2^-53 of the bound where the
-        margin meets it: while the kernel's series meet their target the
-        bound is at most about 10^(4-dps), below 2^(51-wl), so 2^-51 of it
-        is under 2^-wl.
-    So a float margin above the bound means a true margin above 0, one
-    below minus the bound a true margin below 0."""
-    consts = specfun._constants(cfg)
-    wl, eps = consts.wl, float(consts.eps)
-    shapes = []  # (k, d, lambda, [(row, sign, c, error of the side)])
-    for i, (k, d, lam, c_lo, c_hi, size) in enumerate(rows):
-        c_err = math.ldexp(3, -wl) + size * eps
-        sides = [(i, sign, c._mpf_, c_err) for sign, c in ((1, c_lo), (-1, c_hi)) if not mp.isinf(c)]
+        6.4e-4, its terms near 1); an exact c = 0 has size 0.
+    C and its two terms of E are integers formed once per side and wp."""
+    shapes, ten = [], 10 ** (cfg.dps - 2)  # (k, d, lambda, [(row, sign, c, size as a ratio, x0)])
+    for i, (k, d, lam, c_lo, c_hi, size, *ties) in enumerate(rows):
+        ties = ties[0] if ties else (None, None)
+        sides = [(i, sign, c._mpf_, size.as_integer_ratio(), x0)
+                 for sign, c, x0 in zip((1, -1), (c_lo, c_hi), ties) if not mp.isinf(c)]
         shapes.append((k, d, lam, sides))
-    max_order, scaled = max(k for k, *_ in shapes), {}  # wp -> (2^wp, [C of each side])
+    max_order, scaled = max(k for k, *_ in shapes), {}  # wp -> (2^wp, [(C, 2 + its E) of each side])
     for xm in xs:
         fs, wp, errs = specfun._stirling_defect_fixed(xm, cfg, max_order)
         if wp not in scaled:
-            scaled[wp] = (1 << wp, [specfun._floor_mul(1, c, wp)
-                                    for *_, sides in shapes for _, _, c, _ in sides])
+            scaled[wp] = (1 << wp, [(specfun._floor_mul(1, c, wp), 2 + _cdiv(sn << wp, sd * ten))
+                                    for *_, sides in shapes for _, _, c, (sn, sd), _ in sides])
         scale, big_cs = scaled[wp]
-        margins, j = [], 0
+        margins, cs = [], iter(big_cs)
         for k, d, lam, sides in shapes:
             big_h = _plus_lambda_fixed(fs[k], k, xm, lam, wp, d)
-            for i, sign, _, c_err in sides:
-                margins.append((i, sign * (big_h - big_cs[j]), errs[k] + c_err))
-                j += 1
+            big_e = math.ceil(math.ldexp(errs[k], wp))
+            for (i, sign, _, _, x0), (big_c, c_e) in zip(sides, cs):
+                tie = x0 is not None and xm == x0  # the exact margin 0
+                margins.append((i, 0, 0) if tie else (i, sign * (big_h - big_c), big_e + c_e))
         yield xm, scale, margins
 
 
-def _row_pass(claims: tuple, cfg: PrecisionConfig, xs, allow_equality: bool = False) -> tuple:
+def _row_pass(claims: tuple, cfg: PrecisionConfig, xs) -> tuple:
     """(min_margin, (k, x), verdict) of each claim, a tuple of rows (see
     _row_margins), over the mpf points of xs: the one pass behind cm_check,
-    the Thm 2.1 sweeps and the Thm 3.1/3.4 rows.  Each margin is rounded
-    once to the nearest float (+-inf beyond the float range) and holds with
-    <= under allow_equality, else <; the kernel's integers are streamed,
-    not kept (about 2.5 MiB on a 4000-point grid)."""
+    the Thm 2.1 sweeps and the Thm 3.1/3.4 rows.  Each margin enters its
+    Sweep as the integers M - E and M + E, reported as M 2^-wp rounded once
+    to the nearest float (+-inf beyond the float range); the kernel's
+    integers are streamed, not kept (about 2.5 MiB on a 4000-point grid)."""
     sweeps = [Sweep() for _ in claims]
     adds = [(sweep.add, row[0]) for sweep, claim in zip(sweeps, claims) for row in claim]
     for xm, scale, margins in _row_margins(tuple(row for claim in claims for row in claim), cfg, xs):
-        for i, big_m, err in margins:
+        for i, big_m, big_e in margins:
             add, k = adds[i]
             try:
                 margin = big_m / scale
             except OverflowError:  # beyond the float range, its sign exact
                 margin = math.inf if big_m > 0 else -math.inf
-            add((k, xm), margin, err, allow_equality)
+            add((k, xm), margin, big_m - big_e, big_m + big_e)
     return tuple((m, (k, float(xm)), verdict) for m, (k, xm), verdict in (s.result() for s in sweeps))
 
 
@@ -924,14 +916,11 @@ def cm_check(
     """Check s * (-1)^n H_lambda^(n)(x) >= 0 for n = 0..max_order on a grid,
     s = 1 for "plus" and -1 for "minus": the rows of _cm_rows in one
     uncached _row_pass, x at full precision.  Each margin is one integer of
-    the kernel's fixed point, F_n plus the floor of the lambda term,
-    rounded once to a float, within the kernel's bound plus 3 2^-wl (the
-    lemma of _row_margins; its rounding rule, specfun._constants(cfg).eps,
-    adds nothing for the exact zero constants here).
-    "verified" needs every margin to exceed its bound, "falsified" needs
-    some margin below minus its bound, and a borderline sweep is
-    "indeterminate".  This call does not retry; `gammacert verify` reruns
-    an indeterminate claim once at doubled working precision.
+    the kernel's fixed point, F_n plus the floor of the lambda term, within
+    the kernel's bound plus 2 units of 2^-wp (the lemma of _row_margins),
+    and a margin that straddles 0 leaves the sweep "indeterminate".  This
+    call does not retry; `gammacert verify` reruns an indeterminate claim
+    once at doubled working precision.
     """
     if sign not in ("plus", "minus"):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")

@@ -15,6 +15,7 @@ import pytest
 from mpmath import libmp, mp
 
 from gammacert import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, SpecialValue
+from gammacert.config import Sweep
 from gammacert import bounds, cli, harness, monotone, specfun
 from gammacert.bounds import BoundFamily, FamilyId
 from gammacert.harness import GridSpec, VerificationReport
@@ -383,8 +384,7 @@ class TestContainment:
     def test_eq38_constant_tightened_by_1e13_is_falsified(self, digits):
         cfg = PrecisionConfig(working_digits=digits)
         c = bounds.CORRECTED_HARMONIC_CONSTANT + Fraction(1, 10 ** 13)
-        runner = harness._run_containment(harness._harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH),
-                                          c, allow_equality=True)
+        runner = harness._run_containment(harness._harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH), c)
         margin, at, verdict = runner(cfg, harness._HARMONIC_GRID)
         assert verdict == "falsified"
         assert at == 1.0 and margin == pytest.approx(-1e-13, rel=1e-9)
@@ -449,6 +449,39 @@ class TestContainment:
                  + 1 / (24 * (xm + 0.5)))
             assert abs(rep.min_margin - (h - mp.mpf("2.4e-9"))) < 1e-18
 
+    @pytest.mark.parametrize("claim_id", ["thm3.4-eq3.12-corrected", "thm3.2-eq3.8-corrected"])
+    def test_bound_false_by_1e25_at_n1_is_not_verified(self, claim_id, monkeypatch):
+        # lowered by 1e-25, corrected Eq. (3.12)'s c_hi, or C = 1/150 + 1e-25 in
+        # Eq. (3.8), makes the bound false at n = 1 by 1e-25: below the 15-digit
+        # error, so undecided there, and a counterexample at 30 digits
+        cfg = PrecisionConfig(working_digits=15)
+        if claim_id.startswith("thm3.4"):
+            row = bounds._row
+
+            def lowered(family, cfg):
+                lam, c_lo, c_hi = row(family, cfg)
+                if family.id is FamilyId.FACTORIAL_HIGH:
+                    with mp.workdps(cfg.dps):
+                        c_hi -= mp.mpf("1e-25")
+                return lam, c_lo, c_hi
+
+            monkeypatch.setattr(bounds, "_row", lowered)
+            claim = _claim(claim_id)
+        else:
+            runner = harness._run_containment(harness._harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH),
+                                              bounds.CORRECTED_HARMONIC_CONSTANT + Fraction(1, 10 ** 25))
+            claim = dataclasses.replace(_claim(claim_id), runner=runner)
+        assert claim.runner(cfg, claim.grid)[2] == "indeterminate"
+        rep = harness._run_claim(claim, cfg, claim.grid)
+        assert (rep.verdict, rep.precision_digits, rep.argmin_x) == ("falsified", 30, 1.0)
+        assert rep.min_margin == pytest.approx(-1e-25, rel=1e-6)
+
+    @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_bound_is_rejected(self, bad):
+        # an mpf inf or nan has no exact ratio, so no enclosure is formed from it
+        with pytest.raises(DomainError):
+            harness._add_case(Sweep(), Fraction(1, 10 ** 23), 1.0, SpecialValue(mp.one, 0.0), mp.zero, bad)
+
     def test_harmonic_check_reaches_past_the_grid(self):
         # exact H_1, then the tail lemma, which covers every n >= 2
         cfg = DEFAULT_CONFIG
@@ -459,6 +492,116 @@ class TestContainment:
         assert cases[0][1] == SpecialValue(1, 0.0)
         assert cases[0][2:] == bounds.harmonic_bound(family, 1, cfg)
         assert cases[-1][1:] == bounds.harmonic_tail(family, 1, cfg)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("adds,expected", [
+        ([(1.0, 0.0, 0, 0)], (0.0, 1.0, "verified")),
+        ([(1.0, 2.5, 0, 5)], (2.5, 1.0, "verified")),
+        ([(1.0, 0.0, -1, 1)], (0.0, 1.0, "indeterminate")),
+        ([(1.0, -1.5, -2, -1)], (-1.5, 1.0, "falsified")),
+        ([(1.0, 0.5, Fraction(1, 3), Fraction(2, 3)), (2.0, 0.25, 0, 1)], (0.25, 2.0, "verified")),
+        ([(1.0, -0.5, Fraction(-2, 3), -Fraction(1, 3)), (2.0, 0.25, 0, 1)], (-0.5, 1.0, "falsified")),
+        ([(1.0, 0.5, 1, 1), (2.0, 0.5, 1, 1), (3.0, 0.75, 0, 2)], (0.5, 1.0, "verified")),
+        ([(1.0, math.inf, 1, 2)], (math.inf, 1.0, "verified")),
+        ([(1.0, 3.0, 1, 2), (2.0, -math.inf, -2, -1)], (-math.inf, 2.0, "falsified")),
+        # the reported float takes the sign that the ends decide
+        ([(1.0, 0.5, -2, -1)], (-math.ulp(0.0), 1.0, "falsified")),
+        ([(1.0, -0.5, 0, 1)], (0.0, 1.0, "verified")),
+    ], ids=["zero", "zero-to-5", "straddles", "below", "fractions", "fraction-below",
+            "first-argmin", "plus-inf", "minus-inf", "sign-below", "sign-holds"])
+    def test_verdict_from_the_ends(self, adds, expected):
+        sweep = Sweep()
+        for add in adds:
+            sweep.add(*add)
+        assert sweep.result() == expected
+
+
+def _one_ulp_away(c, cfg, step):
+    with mp.workdps(cfg.dps):
+        return c + step * mp.ldexp(1, mp.mag(c) - mp.prec)
+
+
+class TestEquality:
+    """The corrected Thm 3.4 rows and Thm 3.2 sides hold with equality at
+    n = 1 by how their constants are built, and only then."""
+
+    SIDES = {  # claim -> (patched function, family, index of the side's constant)
+        "thm3.4-eq3.12-corrected": ("_row", FamilyId.FACTORIAL_HIGH, 2),
+        "thm3.4-eq3.13-corrected": ("_row", FamilyId.FACTORIAL_LOW, 1),
+        "thm3.2-eq3.7": ("_harmonic_constants", FamilyId.HARMONIC_LOW, 0),
+        "thm3.2-eq3.8-corrected": ("_harmonic_constants", FamilyId.HARMONIC_HIGH, 1),
+    }
+
+    @pytest.mark.parametrize("digits", [15, 30, 60])
+    @pytest.mark.parametrize("claim_id", sorted(SIDES))
+    def test_equality_side_is_exact_zero(self, claim_id, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        claim = _claim(claim_id)
+        rep = harness._run_claim(claim, cfg, claim.grid)
+        assert (rep.verdict, rep.min_margin, rep.argmin_x, rep.precision_digits) == ("verified", 0.0, 1.0, digits)
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_ties_are_the_built_constants_at_one(self, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        assert bounds._row_ties(FamilyId.FACTORIAL_HIGH, cfg) == (None, 1)
+        assert bounds._row_ties(FamilyId.FACTORIAL_LOW, cfg) == (1, None)
+        for row in harness._THM31_ROWS + ("upper", "lower"):
+            assert bounds._row_ties(row, cfg) == (None, None)
+        rows = tuple((0, *bounds._row_shape(r, cfg), bounds._row_ties(r, cfg)) for r in harness._THM34_ROWS[:2])
+        [(_, _, margins)] = monotone._row_margins(rows, cfg, [mp.mpf(1)])
+        assert [m for m in margins if m[1:] == (0, 0)] == [(0, 0, 0), (1, 0, 0)]
+        low, high = BoundFamily(FamilyId.HARMONIC_LOW), BoundFamily(FamilyId.HARMONIC_HIGH)
+        assert type(bounds.harmonic_bound(low, 1, cfg)[0]) is int
+        assert type(bounds.harmonic_bound(high, 1, cfg)[1]) is int
+        printed = bounds.harmonic_bound(high, 1, cfg, bounds.PRINTED_HARMONIC_CONSTANT)
+        assert all(isinstance(v, mp.mpf) for v in printed + bounds.harmonic_bound(low, 2, cfg))
+
+    @pytest.mark.parametrize("step", [-1, 1], ids=["down", "up"])
+    @pytest.mark.parametrize("claim_id", sorted(SIDES))
+    def test_constant_one_ulp_away_is_not_verified(self, claim_id, step, monkeypatch):
+        # the same constant rebuilt one ulp away at cfg.dps carries no tie:
+        # n = 1 is then checked strictly, below the error at every precision
+        name, fid, index = self.SIDES[claim_id]
+        built = getattr(bounds, name)
+
+        def moved(family, *args):
+            values = list(built(family, *args))
+            if family.id is fid:
+                values[index] = _one_ulp_away(values[index], args[-1], step)
+            return tuple(values)
+
+        monkeypatch.setattr(bounds, name, moved)
+        claim = _claim(claim_id)
+        rep = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
+        assert rep.verdict != "verified"
+        assert rep.argmin_x == 1.0
+
+    def test_series_lambda_exact_zero_at_k3_holds(self):
+        lhs, rhs = monotone.series_coeff_lambda(3, Fraction(3, 2))
+        assert lhs - rhs == 0
+        claim = _claim("eq2.16-coefficient-check")
+        rep = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
+        assert (rep.verdict, rep.min_margin, rep.argmin_x, rep.precision_digits) == ("verified", 0.0, 3.0, 15)
+
+    @pytest.mark.parametrize("digits", [15, 30, 60])
+    @pytest.mark.parametrize("fid", [FamilyId.HARMONIC_LOW, FamilyId.HARMONIC_HIGH])
+    def test_gamma_side_tail_margin_has_lower_end_zero(self, fid, digits):
+        # R(n) < 0 for s = 0 and R(n) > 0 for s = 1 (bounds.harmonic_tail):
+        # the margin against c - gamma = 0 starts at exactly 0
+        cfg = PrecisionConfig(working_digits=digits)
+        added = []
+
+        class Recorder:
+            def add(self, at, margin, lo, hi):
+                added.append((margin, lo, hi))
+
+        case = bounds.harmonic_tail(BoundFamily(fid), 1, cfg)
+        with mp.workdps(cfg.dps):
+            harness._add_case(Recorder(), Fraction(1, 10 ** (cfg.dps - 2)), 2, *case)
+        lower, upper = added
+        margin, lo, hi = upper if fid is FamilyId.HARMONIC_LOW else lower
+        assert lo == 0 and hi > 0 and margin > 0
 
 
 class TestRemark1:
@@ -497,6 +640,14 @@ class TestRemark1:
         reports = harness.run_suite("remark1", grid_override=g)
         assert [(r.verdict, r.precision_digits) for r in reports] == [("verified", 15)] * 3
         assert reports[1].min_margin == pytest.approx(6.89e-302, rel=1e-3)
+
+    def test_margins_below_the_least_subnormal_are_decided(self):
+        # to x = 1500: Eq. (4.2)'s lower margin underflows a float from x = 745
+        # on, but its integer ends are positive
+        g = GridSpec(1e-3, 1500.0, 300, "log")
+        reports = harness.run_suite("remark1", grid_override=g)
+        assert [(r.verdict, r.precision_digits) for r in reports] == [("verified", 15)] * 3
+        assert reports[1].min_margin == 0.0 and reports[1].argmin_x == pytest.approx(770.743, rel=1e-6)
 
     def test_margins_past_the_float_range_are_indeterminate(self):
         # from x = 1600 every margin is below the least subnormal
@@ -708,11 +859,11 @@ class TestSharedWork:
 
         in_pass = []
 
-        def counting_pass(claims, cfg, xs, allow_equality=False):
+        def counting_pass(claims, cfg, xs):
             passes.append(claims)
             in_pass.append(True)
             try:
-                return row_pass(claims, cfg, xs, allow_equality)
+                return row_pass(claims, cfg, xs)
             finally:
                 in_pass.pop()
 

@@ -342,7 +342,7 @@ def test_row_margins_within_their_error_of_a_reference(x, digits):
             refs += [target - c for c in (c_lo,) if not mp.isinf(c)]
             refs += [c - target for c in (c_hi,) if not mp.isinf(c)]
         for (i, big_m, err), ref in zip(margins, refs):
-            assert abs(mp.mpf(big_m) / scale - ref) <= err, (x, digits, i, big_m / scale, ref, err)
+            assert abs(mp.mpf(big_m) / scale - ref) <= mp.mpf(err) / scale, (x, digits, i, big_m / scale, ref, err)
 
 
 @given(x=st.floats(math.log(1e-3), math.log(1e6)).map(math.exp),
@@ -365,7 +365,7 @@ def test_cm_row_margins_within_their_error_of_a_reference(x, lam, sign, digits):
         for k, big_m, err in margins:  # row k is of order k
             h = free_part(k, x) + (-1) ** k * mp.factorial(k) / (24 * (mp.mpf(x) + lam) ** (k + 1))
             ref = s * (-1) ** k * h
-            assert abs(mp.mpf(big_m) / scale - ref) <= err, (x, lam, sign, digits, k)
+            assert abs(mp.mpf(big_m) / scale - ref) <= mp.mpf(err) / scale, (x, lam, sign, digits, k)
 
 
 def _phi80(t, lam):
