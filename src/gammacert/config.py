@@ -14,6 +14,10 @@ from dataclasses import dataclass, replace
 # in error bounds; absorbs rounding in the elementary-function calls.
 GUARD_DIGITS = 10
 
+# The most working digits accepted: from 292 on, float error bounds and box
+# ends leave the float range (the phi certificate overflows, errs turn 0).
+MAX_WORKING_DIGITS = 291
+
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -34,14 +38,14 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision: working_digits decimal digits of quoted precision
-    (>= 15)."""
+    """Working precision: working_digits decimal digits of quoted precision,
+    15 to MAX_WORKING_DIGITS."""
 
     working_digits: int = 15
 
     def __post_init__(self) -> None:
-        if self.working_digits < 15:
-            raise ParameterError("working_digits must be >= 15")
+        if not 15 <= self.working_digits <= MAX_WORKING_DIGITS:
+            raise ParameterError(f"working_digits must be between 15 and {MAX_WORKING_DIGITS}")
 
     @property
     def dps(self) -> int:

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 from mpmath import libmp, mp
 
 from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, SpecialValue, Sweep
-from .config import FALSIFIED, INDETERMINATE, VERIFIED, require_positive
+from .config import FALSIFIED, INDETERMINATE, MAX_WORKING_DIGITS, VERIFIED, require_positive
 from . import bounds, monotone, specfun
 from .bounds import BoundFamily, FamilyId
 
@@ -488,8 +488,8 @@ def claims_for_suite(suite_id: str) -> list:
 def _run_claim(claim: Claim, cfg: PrecisionConfig, grid: GridSpec) -> VerificationReport:
     start = time.perf_counter()
     min_margin, argmin_x, verdict = claim.runner(cfg, grid)
-    if verdict == INDETERMINATE:
-        # one automatic retry at doubled working precision
+    if verdict == INDETERMINATE and 2 * cfg.working_digits <= MAX_WORKING_DIGITS:
+        # one automatic retry at doubled working precision, within the limit
         cfg = cfg.doubled()
         min_margin, argmin_x, verdict = claim.runner(cfg, grid)
     runtime_ms = int((time.perf_counter() - start) * 1000)

@@ -34,7 +34,6 @@ midpoints of the point forms that the certificate and lambda_star use
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,34 +164,6 @@ def _bernoulli(n: int) -> tuple:
     return (-1) ** (j - 1) * 2 * j * _tangent_numbers(max(j, 32))[j], 4 ** j * (4 ** j - 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _phi_free_coeff(k: int) -> tuple:
-    """(a_k - b_k, |a_k| + |b_k|) of _phi_coeffs exactly, k >= 2, the part of
-    c_k and s_k that does not depend on lambda; built once per k."""
-    f = math.factorial(k + 1)
-    a, b = Fraction((-1) ** (k + 1), 2 ** (k + 1) * f), Fraction(*_bernoulli(k + 1)) / f
-    return a - b, abs(a) + abs(b)
-
-
-def _phi_coeffs(lam: Fraction):
-    """Yield (c_k, s_k) for k = 2, 3, ..., exactly, where phi_lambda(t) =
-    sum_k c_k t^k, c_k = a_k - b_k - d_k and s_k = |a_k| + |b_k| + |d_k|:
-
-        a_k = (-1/2)^(k+1)/(k+1)!,  b_k = B_(k+1)/(k+1)!,
-        d_k = (-lambda)^(k-1)/(24 (k-1)!),
-
-    from the series of e^{-t/2}/t, 1/(e^t-1) and t e^{-lambda t}/24.  The
-    coefficients of t^-1 .. t^1 cancel, and c_2 = (2 lambda - 1)/48.  The
-    lambda-free parts come from _phi_free_coeff; per lambda only d_k is
-    formed, d_(k+1) = d_k (-lambda)/k.
-    """
-    d = -lam / 24
-    for k in itertools.count(2):
-        free, size = _phi_free_coeff(k)
-        yield free - d, size + abs(d)
-        d = d * -lam / k
-
-
 # --- the integer interval layer of phi_lambda -------------------------------
 #
 # An interval is a pair of ints (lo, hi) that stands for [lo 2^-wp, hi 2^-wp],
@@ -280,10 +251,12 @@ def _add_enclosure(sweep: Sweep, at: float, enc: tuple, wp: int) -> None:
 def _phi_series(lam, wp: int) -> tuple:
     """(coefficients, remainder): phi_lambda(t)/t^p lies in sum_i C_i y^i
     + [-R, R] 2^-wp for y = t/2 in (0, 1], p = 3 if c_2 = 0 (lambda = 1/2),
-    else 2.  coefficients holds the intervals C_i of c_(p+i) 2^(i+wp), each
-    term a_k, b_k, d_k of _phi_coeffs floored and ceiled exactly, and
-    remainder is the int R, or None where it is unbounded.  Built once per
-    (lambda, wp).  Keeping c_p .. c_n, n = _TAYLOR_TERMS + 1, the bounds
+    else 2, and phi_lambda(t) = sum_{k>=2} c_k t^k, c_k = a_k - b_k - d_k =
+    (-1/2)^(k+1)/(k+1)! - B_(k+1)/(k+1)! - (-lambda)^(k-1)/(24 (k-1)!), from
+    the series of e^{-t/2}/t, 1/(e^t-1) and t e^{-lambda t}/24.  coefficients
+    holds the intervals C_i of c_(p+i) 2^(i+wp), each term floored and ceiled
+    exactly, and remainder is the int R, or None where it is unbounded.
+    Built once per (lambda, wp).  Keeping c_p .. c_n, n = _TAYLOR_TERMS + 1, the bounds
     |a_k| = 2^-(k+1)/(k+1)!, |b_k| <= 4/(2 pi)^(k+1), |d_k| = lambda^(k-1)/(24
     (k-1)!) and t^(k-p) <= 2^(k-p) give, for 2 lambda < n + 1,
 

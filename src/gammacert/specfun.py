@@ -5,30 +5,22 @@ sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1), it sums F_0(x) = ln Gamma(x+1) - p(x),
 the lambda-free part of H_lambda, and its derivatives F_1..F_K in
 fixed-point integers from one upward shift of x + 1 and Stirling's series
 at the shifted argument, so ln sqrt(2 pi) and the x ln x terms cancel
-before anything is rounded.  Its error bound, a lemma in its docstring, is
-one unit per floor plus each series' first omitted term; it does not grow
-with x, and F_k stays finite at tiny x, since its argument is x + 1.  The
-series coefficients are cached per order and precision on first use, and
-the kept terms are summed by Horner's rule (_fixed_horner) with 20 bits
-beyond the working precision.  Every precision-dependent value the kernel
-reads (the bits prec of cfg.dps, its fixed-point scale wl, the shift
-threshold and the series target) comes from one per-precision record,
-_constants(cfg), so a call enters no mpmath precision context and does
-only its integer arithmetic, two divisions and two logs.  monotone's row
-pass (cm_check, the Thm 2.1 sweeps, the Thm 3.1/3.4 rows) decides in the
-kernel's integers; _stirling_defect rounds one F_k into an mpf.  The public
-functions add what F_k leaves out: ln_gamma adds p(x) - ln x to F_0 (p
-formed once, in _stirling_log), binet_theta adds (x+1/2) ln(1 + 1/(2x)) -
-1/2 (from x = 1 on by its series in 1/(2x), summed in fixed point, so its
-bound stays relative), and digamma and polygamma add the log term of
-F_(m+1) and the step from x + 1 to x, each with the rounding rule below on
-the magnitudes of the terms it adds.  An order whose error bound would
-exceed the float range (psi^(m)(x) ~ m!/x^(m+1) at tiny x) raises
-DomainError.  The same record holds the constants every call needs (ln
-sqrt(2 pi) and the rounding allowance 10^(2-dps), which monotone, bounds and
-the harness's point checks use too), once per precision.  Mathieu's partial
-sums are formed in fixed point too, each term floored and the tail bound
-rounded up, so their error is counted, not allowed for.
+before anything is rounded.  Its error bound, a lemma in its docstring,
+does not grow with x, and F_k stays finite at tiny x, since its argument
+is x + 1.  A call reads every precision-dependent value from one record
+per precision, _constants(cfg), enters no mpmath precision context and
+does only integer arithmetic, its two logs included (_ln_fixed).
+monotone's row pass (cm_check, the Thm 2.1 sweeps, the Thm 3.1/3.4 rows)
+decides in the kernel's integers; _stirling_defect rounds one F_k into an
+mpf.  The public functions add what F_k leaves out: ln_gamma adds p(x) -
+ln x to F_0, binet_theta adds (x+1/2) ln(1 + 1/(2x)) - 1/2 (from x = 1 on
+by its series in 1/(2x), in fixed point, so its bound stays relative), and
+digamma and polygamma add the log term of F_(m+1) and the step from x + 1
+to x, each with the rounding rule 10^(2-dps) of _constants on the
+magnitudes of the terms it adds; a bound past the float range raises
+DomainError.  Mathieu's partial sums are formed in fixed point too, each
+term floored and the tail bound rounded up, so their error is counted, not
+allowed for.
 
 mpmath supplies the arbitrary-precision arithmetic and the Bernoulli
 numbers; the special-function algorithms themselves live here so their
@@ -88,17 +80,14 @@ def _constants(cfg: PrecisionConfig) -> _Constants:
     pi), 10^(2-dps) and the series target at cfg.dps, and the bits, scale
     and threshold that the kernel reads, so that it enters no precision
     context per call.  A float remainder bound lies at or below target
-    exactly when it lies at or below target_float."""
+    exactly when it lies at or below target_float, target floored to 53
+    bits, a normal float up to MAX_WORKING_DIGITS."""
     with mp.workdps(cfg.dps):
         target = mp.mpf(10) ** (-(cfg.working_digits + 6))
-        # to_float floors to 53 bits, but below 2^-1022 its ldexp rounds to nearest
-        target_float = libmp.to_float(target._mpf_, rnd=libmp.round_floor)
-        while mp.mpf(target_float) > target:
-            target_float = math.nextafter(target_float, 0)
         return _Constants(mp.log(2 * mp.pi) / 2, mp.mpf(10) ** (2 - cfg.dps), target,
                           -(cfg.working_digits + 6) * math.log(10), mp.prec,
                           mp.prec + _FIXED_GUARD_BITS, _shift_threshold(cfg.working_digits),
-                          target_float)
+                          libmp.to_float(target._mpf_, rnd=libmp.round_floor))
 
 
 _HALF = mp.mpf(1) / 2  # exact at every precision
@@ -178,6 +167,77 @@ def _floor_mul(a: int, f, shift: int) -> int:
     return t << exp if exp >= 0 else t >> -exp
 
 
+_LN_T = 7  # _ln_fixed reads ln c_j, c_j = 1 + j/2^_LN_T, from a table
+_LN_TABLES: dict = {}  # B -> _ln_table(B), built on first use
+
+
+def _ln_fixed(num: int, den: int, w: int) -> int:
+    """L with |L - 2^w ln(num/den)| < 5/4 for integers num, den >= 1, w >= 0
+    and |log2(num/den)| < 2^60, and L <= 2^w ln(num/den) when num >= den.
+    Tang's table-driven method (ACM TOMS 16, 1990) with the atanh series of
+    Brent and Zimmermann (Modern Computer Arithmetic, 2010, 4.4): with
+    num/den = 2^k m exactly, m in [1, 2), j = floor(2^T (m - 1)), T = _LN_T,
+
+        ln(num/den) = k ln 2 + ln c_j + 2 atanh v,  v = (m - c_j)/(m + c_j) in [0, 2^-(T+1)),
+
+    summed at W = w + g bits, g = bitlen(w) + 6, every step floored.
+
+    Lemma.  V = floor(2^W v), V2 = floor(V^2 2^-W), P_0 = V and P_(i+1) =
+    floor(P_i V2 2^-W); the sum takes floor(P_i/(2i+1)) while P_i > 0.  The
+    gaps e_i = 2^W v^(2i+1) - P_i obey 0 <= e_0 < 1, 0 <= 2^W v^2 - V2 < 1.03
+    and 0 <= e_(i+1) < e_i v^2 + 1.03 v^(2i+1) + 1 < 1.01.  Term 0 is low by
+    e_0, term i >= 1 by less than 1 + e_i/3 < 1.34, and the tail from the
+    first P_I = 0 by less than 1.02/(2I+1), so 2 atanh v is low by less than
+    2.68 I + 2.04 units of 2^-W, I <= W/16 + 1/2.  ln c_j + k ln 2, from
+    _ln_table at B >= W + 64 bits and floored to W, is off by less than 1 +
+    (3/2)(1 + |k|) 2^-64 < 1.1 units, and low for k >= 0.  The sum is off by
+    less than 0.1675 W + 4.48 <= 2^g/4 units, and the last floor adds one
+    unit of 2^-w.  A ratio in [1, 1 + 2^-T) has j = k = 0 and reads no table."""
+    k = num.bit_length() - den.bit_length()
+    top, bot = (num, den << k) if k >= 0 else (num << -k, den)
+    if top < bot:
+        k, top = k - 1, top << 1
+    j = ((top - bot) << _LN_T) // bot  # m = top/bot
+    c = (1 << _LN_T) + j  # c_j 2^T
+    g = w.bit_length() + 6
+    big_w = w + g
+    top <<= _LN_T
+    p = ((top - c * bot) << big_w) // (top + c * bot)  # V = floor(2^W v)
+    v2 = p * p >> big_w
+    total, d = 0, 1
+    while p:
+        total += p // d
+        p, d = p * v2 >> big_w, d + 2
+    total <<= 1
+    if j or k:
+        big_b = (big_w + 127) & -64
+        table = _ln_table(big_b)
+        total += (table[j] + k * table[-1]) >> (big_b - big_w)
+    return total >> g
+
+
+def _ln_table(big_b: int) -> list:
+    """[E_j for j = 0..2^_LN_T], 2^B ln c_j - 3/2 < E_j <= 2^B ln c_j, for
+    B >= 64, from exact integers alone: ln c_j = ln c_(j-1) + 2 atanh(1/N),
+    N = 2^(T+1) + 2j - 1, at B' = B + g' bits, g' = bitlen(B) + 7, floored
+    to B.  Each term floor(2^B'/((2i+1) N^(2i+1))) is an exact floor, as
+    P_(i+1) = floor(P_i/N^2), so a step is low by less than 2 (I + 1.01)
+    units of 2^-B', I <= B'/16 + 1/2 as N > 2^8, and the 2^T steps by less
+    than 16 B' + 387 <= 2^(g'-1)."""
+    table = _LN_TABLES.get(big_b)
+    if table is None:
+        g = big_b.bit_length() + 7
+        one, acc, table = 1 << (big_b + g), 0, [0]
+        for big_n in range((2 << _LN_T) + 1, 4 << _LN_T, 2):
+            p, n2, d = one // big_n, big_n * big_n, 1
+            while p:
+                acc += 2 * (p // d)
+                p, d = p // n2, d + 2
+            table.append(acc >> g)
+        _LN_TABLES[big_b] = table
+    return table
+
+
 def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
     """(Fs, wp, errs) for finite x > 0: Fs[k] 2^-wp = F_k(x), the k-th
     derivative of F_0(x) = ln Gamma(x+1) - p(x), to within errs[k], a float,
@@ -205,8 +265,7 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
     the shift threshold and the series target come from the per-precision
     record _constants(cfg), and the coefficients from _stirling_coeffs at
     prec, so a call enters no mpmath precision context unless a coefficient
-    table grows, and rounds nothing but its divisions and logs, each at wl
-    bits.
+    table grows, and rounds nothing but its floors.
 
     The shift: n = ceil(thr - xf) when xf = float(x) + 1 < thr, else 0, with
     thr = _shift_threshold(working digits) + max(max_order - 1, 0), so that
@@ -217,31 +276,29 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
     the target, thr doubles and n is picked again, at most three times.
     max_order = 0 is F_0 alone.
 
-    ln(z/u) is taken as ln(1 + q), q = (n + 1/2)/u, whose error relative to
-    its size keeps u ln(z/u) accurate for every x; the ratio prod/z^n lies
-    in (e^-(n+1), 1].  Each rational term is the floor of one exact integer
-    quotient; S_k(z) is summed by _fixed_horner at wl bits and divided by
-    z^(k+1), one floor more.
+    Both logs come from _ln_fixed on the exact integers: ln(z/u) = ln(2
+    zi/ui) at w1 = wl + bitlen(u) + 2 bits, u < 2^bitlen(u), so that u
+    ln(z/u) stays accurate for every x, and ln(prod/z^n) at wl bits.
+    Without a shift, z/u = 1 + 1/(2x+1) reads no log table above x = 63.5.
+    Each rational term is the floor of one exact integer quotient; S_k(z) is
+    summed by _fixed_horner at wl bits and divided by z^(k+1), one floor more.
 
-    Error lemma.  Assume that mpmath's log is within 1 ulp of the exact
-    value at the precision requested, wl bits; its divisions round to
-    nearest, within half an ulp.  Then
-      - each floor is off by less than 1 unit of 2^-wp: three in F_0 (of
-        u ln(z/u), of the log of the ratio and of S_0(z), each times 2^wp),
-        at most n + 4 in F_k, k >= 1;
-      - u ln(z/u) is off by at most (n + 1/2)(2^-wl + 2^(1-wl)) <= (3n+2) 2^-wl,
-        from the rounding of q and of the log, as u ln(1+q) <= n + 1/2, so
-        ln(z/u) in F_1 by at most 3q 2^-wl <= (6n + 3) 2^-wl, as u >= 1/2;
-      - the log of the ratio, of size below n + 1, is off by at most
-        (2n + 4) 2^-wl, from the division and the log;
+    Error lemma.  It assumes nothing of mpmath's elementary functions.
+      - each floor is off by less than 1 unit of 2^-wp: two in F_0 (of
+        u ln(z/u) and of S_0(z)), at most n + 4 in F_k, k >= 1;
+      - by _ln_fixed's bound, u ln(z/u) is off by less than u (5/4) 2^-w1 <
+        (5/16) 2^-wl, ln(z/u) in F_1 by less than (5/16) 2^-wl, and the log
+        of the ratio by less than (5/4) 2^-wl;
       - S_k(z) is off by at most its first omitted term |c_i| z^-(2i+k-1)
         plus 2^-wl (2 + |c_2| i^2)/z^(k+1), the bound of _fixed_horner's
         sum (_horner_slack).
-    errs[k] is the sum of the terms of F_k.  The counts 3n + 2 and 2n + 4
-    exceed the roundings they cover by at least 1.4 units of 2^-wl, and
-    errs[k], k >= 1, adds one unit of 2^-wl more; that covers the float
-    arithmetic of the bound itself, off by at most (6i + 2k + 8) 2^-53 of
-    it while the series meets its target.
+    errs[k] is the sum of the terms of F_k, with three floors in F_0 and
+    the logs counted as (3n + 2), (2n + 4) and, in F_1, (6n + 3) units of
+    2^-wl, the counts of an earlier route through mpf_log, kept so that errs
+    does not move.  They exceed the logs' bounds by at least 1.6 units of
+    2^-wl, and errs[k], k >= 1, adds one unit of 2^-wl more; that covers
+    the float arithmetic of the bound itself, off by at most (6i + 2k + 8)
+    2^-53 of it while the series meets its target.
     """
     consts = _constants(cfg)
     prec, wl = consts.prec, consts.wl
@@ -285,16 +342,12 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
     ui, zi = 2 * a + step, a + (n + 1) * step  # u = ui 2^(s-1), z = zi 2^s
     sums = [((_fixed_horner(coeffs, i, (zi, s), wl) << (wp - wl - s * (k + 1))) // zi ** (k + 1), rem)
             for k, (coeffs, i, rem) in enumerate(picks)]  # (S_k(z) 2^wp, its bound)
-    # mpf_div rounds the exact quotient, so its operands are passed as raw
-    # mpfs (sign, man, exp, bitcount) without stripping the man's trailing zeros
-    q = libmp.mpf_div((0, 2 * n + 1, 0, (2 * n + 1).bit_length()), (0, ui, s, ui.bit_length()), wl, "n")
-    log_zu = libmp.mpf_log(libmp.mpf_add(q, libmp.fone), wl, "n")
-    fixed = _floor_mul(ui, log_zu, s - 1 + wp) + sums[0][0] - ((2 * n + 1) << (wp - 1))
+    w1 = wl + max(ui.bit_length() + s - 1, 0) + 2  # wl + bitlen(u) + 2
+    log_zu = _ln_fixed(2 * zi, ui, w1)  # ln(z/u) 2^w1
+    fixed = (ui * log_zu >> (w1 + 1 - s - wp)) + sums[0][0] - ((2 * n + 1) << (wp - 1))
     factors = range(a + step, zi, step)  # x + j = factors[j-1] 2^s
     if n:
-        prod, zn = math.prod(factors), zi ** n
-        ratio = libmp.mpf_div((0, prod, 0, prod.bit_length()), (0, zn, 0, zn.bit_length()), wl, "n")
-        fixed -= _floor_mul(1, libmp.mpf_log(ratio, wl, "n"), wp)
+        fixed -= _ln_fixed(math.prod(factors), zi ** n, wl) << (wp - wl)
     fs, errs = [fixed], [math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + sums[0][1]]
     powers = [1] * n  # (x + j)^k 2^-(s k)
     for k in range(1, max_order + 1):
@@ -302,7 +355,7 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
         unit = math.factorial(k - 1) << (wp - s * k)  # (k-1)! 2^wp / 2^(s k)
         g = sums[k][0] + unit // (2 * zi ** k) + sum(unit // p for p in powers)
         if k == 1:
-            g -= _floor_mul(1, log_zu, wp)
+            g -= (log_zu << wp) >> w1
         else:
             lead = math.factorial(k - 2) << (wp - s * (k - 1))
             g += lead // zi ** (k - 1) - (lead << (k - 1)) // ui ** (k - 1)

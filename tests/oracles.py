@@ -1,10 +1,13 @@
-"""References shared by the test modules: mpmath's own values of F_k, the
+"""References shared by the test modules: mpmath's own values of F_k; the
 fixed-point Stirling kernel as it stood before its per-call plumbing was
-removed, which specfun._stirling_defect_fixed must match bit for bit, and the
-phi_lambda layer as it stood before it moved onto integer intervals (the
-certificate's boxes on libmp interval pairs, the Laplace enclosure in
-mpmath.iv), whose enclosures the integer forms of monotone must match to a
-few units of their scale."""
+removed and before its logs left mpf_log, whose error bounds
+specfun._stirling_defect_fixed must match bit for bit and whose integers it
+must match up to the two routes' log bounds (kernel_off_reference); the
+exact Taylor coefficients of phi_lambda (phi_coeffs); and the phi_lambda
+layer as it stood before it moved onto integer intervals (the certificate's
+boxes on libmp interval pairs, the Laplace enclosure in mpmath.iv), whose
+enclosures the integer forms of monotone must match to a few units of their
+scale."""
 
 from __future__ import annotations
 
@@ -42,9 +45,10 @@ def free_part(k: int, x):
     return mp.polygamma(k - 1, xm + 1) + (-1) ** (k - 1) * mp.factorial(k - 2) / u ** (k - 1)
 
 
-# The reference kernel: _stirling_defect_fixed and the helpers it used, copied
-# verbatim from specfun as they were before the per-call workdps, the series
-# closure and the mpf re-wrap were removed.
+# The reference kernel: _stirling_defect_fixed, here _stirling_defect_shifted,
+# which also returns its shift, and the helpers it used, copied from specfun as
+# they were before the per-call workdps, the series closure, the mpf re-wrap
+# and the mpf_log route were removed.
 
 
 def _shift_threshold(digits: int) -> float:
@@ -174,9 +178,9 @@ def _floor_mul(a: int, f, shift: int) -> int:
     return t << exp if exp >= 0 else t >> -exp
 
 
-def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
-    """(Fs, wp, errs) for finite x > 0: Fs[k] 2^-wp = F_k(x), the k-th
-    derivative of F_0(x) = ln Gamma(x+1) - p(x), to within errs[k], a float,
+def _stirling_defect_shifted(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
+    """(Fs, wp, errs, n) for finite x > 0, n the shift: Fs[k] 2^-wp = F_k(x),
+    the k-th derivative of F_0(x) = ln Gamma(x+1) - p(x), within errs[k], a float,
     for k = 0..max_order, where p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1).
     Fs[k] is the integer the kernel sums, not rounded.
 
@@ -272,7 +276,53 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
             fs.append(-g if k % 2 else g)
             errs.append(math.ldexp(n + 4, -wp) + math.ldexp(6 * n + 4 if k == 1 else 1, -wl)
                         + sums[k][1])
-        return fs, wp, errs
+        return fs, wp, errs, n
+
+
+def kernel_off_reference(got: tuple, x, cfg: PrecisionConfig, max_order: int) -> list:
+    """The orders k at which the kernel's result got = (Fs, wp, errs) is
+    further from the reference kernel's than the two routes' logs allow.
+    wp and errs must be equal, and so must Fs at k >= 2, which read no log.
+    The reference takes ln(z/u) and the log of the ratio from mpf_log, off
+    by at most (3n+2) and (2n+4) units of 2^-wl in F_0 and (6n+3) in F_1 by
+    its lemma; specfun._ln_fixed, by less than 5/16, 5/4 and 5/16 units;
+    each route floors each log term at most once at 2^-wp."""
+    fs, wp, errs, n = _stirling_defect_shifted(x, cfg, max_order)
+    if got[1:] != (wp, errs):
+        return ["wp or errs"]
+    with mp.workdps(cfg.dps):
+        units = 1 << (wp - mp.prec - _FIXED_GUARD_BITS)  # 2^-wl in units of 2^-wp
+    bounds = [(3 * n + 2 + Fraction(5, 16) + (2 * n + 4 + Fraction(5, 4) if n else 0)) * units + 1 + (n > 0),
+              (6 * n + 3 + Fraction(5, 16)) * units + 1] + [1] * (max_order - 1)
+    return [k for k, (f, ref, bound) in enumerate(zip(got[0], fs, bounds)) if abs(f - ref) >= bound]
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_free_coeff(k: int) -> tuple:
+    """(a_k - b_k, |a_k| + |b_k|) of phi_coeffs exactly, k >= 2, the part of
+    c_k and s_k that does not depend on lambda; built once per k."""
+    f = math.factorial(k + 1)
+    a, b = Fraction((-1) ** (k + 1), 2 ** (k + 1) * f), Fraction(*monotone._bernoulli(k + 1)) / f
+    return a - b, abs(a) + abs(b)
+
+
+def phi_coeffs(lam: Fraction):
+    """Yield (c_k, s_k) for k = 2, 3, ..., exactly, where phi_lambda(t) =
+    sum_k c_k t^k, c_k = a_k - b_k - d_k and s_k = |a_k| + |b_k| + |d_k|:
+
+        a_k = (-1/2)^(k+1)/(k+1)!,  b_k = B_(k+1)/(k+1)!,
+        d_k = (-lambda)^(k-1)/(24 (k-1)!),
+
+    from the series of e^{-t/2}/t, 1/(e^t-1) and t e^{-lambda t}/24.  The
+    coefficients of t^-1 .. t^1 cancel, and c_2 = (2 lambda - 1)/48.  The
+    lambda-free parts come from _phi_free_coeff; per lambda only d_k is
+    formed, d_(k+1) = d_k (-lambda)/k.
+    """
+    d = -lam / 24
+    for k in itertools.count(2):
+        free, size = _phi_free_coeff(k)
+        yield free - d, size + abs(d)
+        d = d * -lam / k
 
 
 # The phi_lambda layer as it stood before it moved onto integer intervals,
@@ -303,7 +353,7 @@ def phi_series_iv(lam, prec: int) -> tuple:
     """(coefficients, remainder) of monotone._phi_series in mpmath.iv at prec
     bits, which must be iv.prec: phi_lambda(t)/t^p lies in sum_i
     coefficients[i] t^i + remainder for 0 < t <= 2."""
-    coeffs = [c for c, _ in itertools.islice(monotone._phi_coeffs(Fraction(lam)), _TAYLOR_TERMS)]
+    coeffs = [c for c, _ in itertools.islice(phi_coeffs(Fraction(lam)), _TAYLOR_TERMS)]
     p, n = (2 if coeffs[0] else 3), _TAYLOR_TERMS + 1
     lm2, inv_pi = 2 * iv.mpf(lam), 1 / iv.pi
     r = mp.inf

@@ -16,7 +16,7 @@ from mpmath import libmp, mp
 
 from gammacert import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, SpecialValue
 from gammacert.config import Sweep
-from gammacert import bounds, cli, harness, monotone, specfun
+from gammacert import bounds, cli, config, harness, monotone, specfun
 from gammacert.bounds import BoundFamily, FamilyId
 from gammacert.harness import GridSpec, VerificationReport
 
@@ -1109,3 +1109,52 @@ class TestCLI:
         monkeypatch.setenv("GAMMA_CERTIFY_DIGITS", "20")
         assert cli.main(["verify", "--suite", "thm3.4", "--digits", "25"]) == 0
         assert '"precision_digits": 25' in capsys.readouterr().out
+
+
+class TestPrecisionLimit:
+    # from 292 working digits on, the float error bounds leave the float
+    # range: the phi certificate's box ends overflowed, and the kernel's errs
+    # turned subnormal, then 0, so every precision past the limit is refused
+
+    @pytest.mark.parametrize("suite", ["thm2.1", "thm3.4"])
+    def test_suite_at_the_limit(self, suite):
+        # the certificates, the CM sweeps and the n = 1 ties, about 2 s and
+        # 0.1 s; each claim is decided at the limit itself
+        reports = harness.run_suite(suite, PrecisionConfig(config.MAX_WORKING_DIGITS))
+        assert harness.exit_code(reports) == 0
+        assert {r.precision_digits for r in reports} == {config.MAX_WORKING_DIGITS}
+
+    @pytest.mark.parametrize("digits", [15, config.MAX_WORKING_DIGITS // 2 + 1])
+    def test_no_retry_past_the_limit(self, digits):
+        # an indeterminate claim is retried at doubled precision only while
+        # that stays within the limit, else it stays indeterminate at its own
+        calls = []
+
+        def runner(cfg, grid):
+            calls.append(cfg.working_digits)
+            return 0.0, 1.0, harness.INDETERMINATE
+
+        claim = harness.Claim("stub", ("stub",), harness.VERIFIED, GridSpec(1.0, 2.0, 2, "linear"), runner)
+        report = harness._run_claim(claim, PrecisionConfig(digits), claim.grid)
+        assert report.verdict == harness.INDETERMINATE
+        expected = [digits, 2 * digits] if 2 * digits <= config.MAX_WORKING_DIGITS else [digits]
+        assert calls == expected and report.precision_digits == expected[-1]
+
+    @pytest.mark.parametrize("argv, digits_env", [
+        (["verify", "--suite", "all", "--digits", "400"], None),
+        (["lambda-star", "--digits", "300"], None),
+        (["verify", "--suite", "thm3.4"], "400"),
+        (["verify", "--suite", "thm2.1", "--digits", str(config.MAX_WORKING_DIGITS + 1)], None),
+    ])
+    def test_past_the_limit_exits_two_without_a_traceback(self, argv, digits_env):
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("GAMMA_CERTIFY_DIGITS", None)
+        if digits_env:
+            env["GAMMA_CERTIFY_DIGITS"] = digits_env
+        proc = subprocess.run([sys.executable, "-m", "gammacert.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: working_digits must be between 15 and 291"), line
+        assert proc.stdout == ""

@@ -4,8 +4,10 @@ SpecialValue accepts exactly the finite nonnegative error bounds, the
 F_0 kernel stays within its bound, which is no wider than the bound of
 ln Gamma(x+1) - p(x) formed the long way, so does each of its orders
 F_0..F_6, ln_gamma and binet_theta, which read that kernel, stay within
-theirs, the kernel returns its reference's integers and bounds bit for bit
-(tests/oracles.py), every row margin of the one row pass, the Thm 3.1/3.4
+theirs, the kernel returns its reference's bounds bit for bit and its
+integers within the two routes' log bounds (tests/oracles.py), the
+fixed-point log specfun._ln_fixed lies within its bound of a reference of
+100 digits or more, every row margin of the one row pass, the Thm 3.1/3.4
 rows and the rows of a complete-monotonicity sweep, lies within its stated
 error of a reference, the second-order centred form of the
 phi-sign certificate encloses phi_lambda on its box, the certificate's
@@ -17,6 +19,7 @@ pass holds its margin."""
 import contextlib
 import io
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -288,11 +291,107 @@ with mp.workdps(40):
 @example(x=9.0, max_order=0, digits=15)
 @settings(max_examples=80, deadline=None)
 def test_kernel_equals_its_reference(x, max_order, digits):
-    # the same (Fs, wp, errs) as the kernel before its per-call plumbing was
-    # removed: the same shift, terms, integers and float bounds
+    # the same wp and errs as the kernel before its per-call plumbing was
+    # removed (the same shift, terms and float bounds), and the same Fs but
+    # for the logs in F_0 and F_1, within the sum of the two routes' log bounds
     cfg = PrecisionConfig(working_digits=digits)
     got = specfun._stirling_defect_fixed(x, cfg, max_order)
-    assert got == oracles._stirling_defect_fixed(x, cfg, max_order), (x, max_order, digits)
+    assert oracles.kernel_off_reference(got, x, cfg, max_order) == [], (x, max_order, digits)
+
+
+def _ln_fixed_error(num: int, den: int, w: int):
+    """specfun._ln_fixed(num, den, w) - 2^w ln(num/den), the log taken at
+    100 digits or at w + 80 bits, whichever is more, so that the reference
+    is off by less than 2^-60 units of 2^-w for |ln(num/den)| < 2^15."""
+    prec = max(333, w + 80)
+    ratio = libmp.from_rational(num, den, prec, "n")
+    with mp.workprec(prec):
+        return specfun._ln_fixed(num, den, w) - mp.ldexp(mp.log(mp.make_mpf(ratio)), w)
+
+
+_LN_BOUND = mp.mpf(5) / 4 + mp.mpf(2) ** -60
+
+
+@given(e=st.integers(-1100, 1100), num=st.integers(1, 2 ** 64), den=st.integers(1, 2 ** 64),
+       w=st.integers(0, 400))
+@example(e=0, num=1, den=1, w=0)
+@example(e=1100, num=2 ** 64, den=1, w=400)
+@example(e=-1100, num=1, den=2 ** 64, w=400)
+@settings(max_examples=150, deadline=None)
+def test_ln_fixed_within_its_bound(e, num, den, w):
+    # ratios from 2^-1164 to 2^1164, with k ln 2 far from 0
+    num, den = num << max(e, 0), den << max(-e, 0)
+    assert abs(_ln_fixed_error(num, den, w)) < _LN_BOUND, (num, den, w)
+
+
+@given(den=st.integers(2 ** 1040, 2 ** 1060), delta=st.integers(-2 ** 60, 2 ** 60),
+       w=st.integers(900, 1300))
+@example(den=2 ** 1040, delta=-1, w=1300)
+@example(den=2 ** 1040, delta=0, w=1300)
+@settings(max_examples=100, deadline=None)
+def test_ln_fixed_near_one_within_its_bound(den, delta, w):
+    # num/den within 2^-979 of 1, on both sides: ln(num/den) ~ delta/den
+    # is resolved at w > 1040 bits, and the table is read below 1
+    assert abs(_ln_fixed_error(den + delta, den, w)) < _LN_BOUND, (den, delta, w)
+
+
+@pytest.mark.parametrize("w", [0, 30, 106, 250])
+def test_ln_fixed_every_table_entry_within_its_bound(w):
+    # each c_j = 1 + j/2^7 itself, times 2^k for k = -70, 0, 9, so that
+    # every entry, ln 2 among them, is read alone and beside k ln 2
+    for j in range(1, 129):
+        for k in (-70, 0, 9):
+            num, den = (128 + j) << max(k, 0), 128 << max(-k, 0)
+            assert abs(_ln_fixed_error(num, den, w)) < _LN_BOUND, (j, k, w)
+
+
+@pytest.mark.parametrize("big_b", [64, 192, 256, 1216])
+def test_ln_table_entries_are_floored_below_their_logs(big_b):
+    # every term of the table's series is floored, so each entry lies in
+    # (2^B ln c_j - 3/2, 2^B ln c_j]; _ln_fixed's bound for num >= den rests on it
+    table = specfun._ln_table(big_b)
+    assert len(table) == 129 and table[0] == 0
+    with mp.workprec(big_b + 80):
+        for j, entry in enumerate(table[1:], 1):
+            exact = mp.ldexp(mp.log(1 + mp.mpf(j) / 128), big_b)
+            assert exact - mp.mpf(3) / 2 < entry <= exact, (big_b, j)
+
+
+@pytest.mark.parametrize("w", [0, 1, 2, 3])
+def test_ln_fixed_is_low_for_ratios_of_one_or_more(w):
+    # for num >= den every step floors toward the exact log, so the result is
+    # at or below it; at w < 4 only 6 to 8 guard bits lie below the result,
+    # so a step rounded up shows in about one of 32 results
+    rng = random.Random(w)
+    for _ in range(1500):
+        den = rng.randrange(1, 2 ** 40)
+        num = den + rng.randrange(0, den << rng.randrange(0, 30))
+        error = _ln_fixed_error(num, den, w)
+        assert -_LN_BOUND < error <= mp.mpf(2) ** -60, (num, den, w)
+
+
+@given(x=_full_range_x, digits=st.sampled_from([15, 30, 60]), max_order=st.integers(0, 1))
+@example(x=1e300, digits=60, max_order=1)
+@example(x=1e-300, digits=15, max_order=1)
+@example(x=2.5, digits=30, max_order=0)
+@settings(max_examples=80, deadline=None)
+def test_ln_fixed_within_its_bound_on_the_kernels_ratios(x, digits, max_order):
+    # the two logs of the F_0 kernel, ln(2 zi/ui) at wl + bitlen(u) + 2 bits
+    # and ln(prod/z^n) at wl, as the kernel forms them
+    calls, ln_fixed = [], specfun._ln_fixed
+
+    def recording(num, den, w):
+        calls.append((num, den, w))
+        return ln_fixed(num, den, w)
+
+    specfun._ln_fixed = recording
+    try:
+        specfun._stirling_defect_fixed(x, PrecisionConfig(working_digits=digits), max_order)
+    finally:
+        specfun._ln_fixed = ln_fixed
+    assert 1 <= len(calls) <= 2
+    for num, den, w in calls:
+        assert abs(_ln_fixed_error(num, den, w)) < _LN_BOUND, (x, digits, num, den, w)
 
 
 @given(x=_log_uniform_x, digits=st.sampled_from([15, 30, 60]))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import libmp, mp
+from mpmath import mp
 
 from gammacert import (
     DEFAULT_CONFIG,
@@ -31,6 +31,7 @@ from gammacert import (
 )
 import oracles
 from gammacert import bounds, harness, specfun
+from gammacert.config import MAX_WORKING_DIGITS
 from gammacert.monotone import default_cm_grid
 from oracles import free_part
 
@@ -180,6 +181,7 @@ class TestSharedShift:
             "import gammacert.cli\n"
             "from gammacert import monotone, specfun\n"
             "assert not specfun._STIRLING_COEFFS, specfun._STIRLING_COEFFS\n"
+            "assert not specfun._LN_TABLES, specfun._LN_TABLES\n"
             "assert monotone._phi_series.cache_info().currsize == 0\n"
             "assert specfun._constants.cache_info().currsize == 0\n"
         )
@@ -230,22 +232,23 @@ class TestShiftKernel:
     @pytest.mark.parametrize("x", [2.5, 7, 1e-300, "wide"])
     def test_shift_product_is_rounded_once(self, digits, x, monkeypatch):
         # the F_0 kernel forms prod_{j=1..n} (x+j) as one exact integer
-        # product and rounds its ratio to z^n, z = x + 1 + n, once, to nearest
-        # at wl bits, before taking its log; past the shift threshold (n = 0)
-        # it forms no product
+        # product and hands it with z^n, z = x + 1 + n, unrounded to
+        # _ln_fixed, after ln(z/u), u = x + 1/2, as the exact ratio 2 zi/ui;
+        # past the shift threshold (n = 0) it forms no product and takes one log
         cfg = PrecisionConfig(working_digits=digits)
         products, logs = [], []
+        ln_fixed = specfun._ln_fixed
 
         def prod(factors):
             products.append(list(factors))
             return math.prod(products[-1])
 
-        def mpf_log(f, prec, rnd):
-            logs.append(f)
-            return libmp.mpf_log(f, prec, rnd)
+        def recording_ln_fixed(num, den, w):
+            logs.append((num, den, w))
+            return ln_fixed(num, den, w)
 
         monkeypatch.setattr(specfun, "math", types.SimpleNamespace(**{**vars(math), "prod": prod}))
-        monkeypatch.setattr(specfun, "libmp", types.SimpleNamespace(**{**vars(libmp), "mpf_log": mpf_log}))
+        monkeypatch.setattr(specfun, "_ln_fixed", recording_ln_fixed)
         specfun._stirling_defect_fixed(self._x(x), cfg)
         with mp.workdps(cfg.dps):
             wl = mp.prec + specfun._FIXED_GUARD_BITS
@@ -256,12 +259,28 @@ class TestShiftKernel:
         assert n >= 1
         assert [f * scale for f in factors] == [xq + j for j in range(1, n + 1)]
         ratio = math.prod(xq + j for j in range(1, n + 1)) / (xq + 1 + n) ** n
-        assert len(logs) == 2  # ln(1 + q), then the log of the ratio
-        assert logs[1] == libmp.from_rational(ratio.numerator, ratio.denominator, wl, "n")
+        assert len(logs) == 2  # ln(z/u), then the log of the ratio
+        assert Fraction(*logs[0][:2]) == (xq + 1 + n) / (xq + Fraction(1, 2))
+        num, den, w = logs[1]
+        assert num == math.prod(factors) and Fraction(num, den) == ratio
+        assert w == wl
         products.clear()
         logs.clear()
         specfun._stirling_defect_fixed(1e300, cfg)
         assert products == [] and len(logs) == 1
+
+    @pytest.mark.parametrize("digits", [15, 60])
+    def test_no_log_table_past_x_63_5(self, digits, monkeypatch):
+        # without a shift, z/u = 1 + 1/(2x+1) lies below 1 + 2^-7 past
+        # x = 63.5, so _ln_fixed reads no table there, however many bits
+        # u ln(z/u) asks for (about 1100 at x = 1e300); at x = 11 it does
+        monkeypatch.setattr(specfun, "_LN_TABLES", {})
+        cfg = PrecisionConfig(working_digits=digits)
+        for x in (63.6, 1e5, 1e300):
+            specfun._stirling_defect_fixed(x, cfg, 2)
+        assert specfun._LN_TABLES == {}
+        specfun._stirling_defect_fixed(max(11, specfun._constants(cfg).shift_threshold), cfg)
+        assert len(specfun._LN_TABLES) == 1
 
     @pytest.mark.parametrize("x", [0.5, 2, 5])
     def test_threshold_doubling_retry(self, x, monkeypatch):
@@ -285,17 +304,16 @@ class TestShiftKernel:
         finally:
             specfun._constants.cache_clear()
         assert shifts == [math.ceil(12 - (x + 1))]
-        assert (fs, wp, errs) == oracles._stirling_defect_fixed(x, cfg)
+        assert oracles.kernel_off_reference((fs, wp, errs), x, cfg, 0) == []
         with mp.workdps(2 * cfg.dps + 20):
             assert abs(mp.ldexp(fs[0], -wp) - free_part(0, x)) <= errs[0]
 
-    @pytest.mark.parametrize("digits", [15, 30, 60, 311, 312, 330])
+    @pytest.mark.parametrize("digits", [15, 30, 60, MAX_WORKING_DIGITS])
     def test_float_target_is_the_largest_float_at_or_below_the_target(self, digits):
         # so a float remainder bound meets the mpf target exactly when it
         # meets this float, and the kernel's retry decisions stay those of
-        # the comparison with the mpf; from 311 digits on the target,
-        # 10^-(digits+6), is subnormal (1e-317 lies 0.53 units of 2^-1074
-        # above a float) or below the least float (then the float is 0)
+        # the comparison with the mpf; the target, 10^-(digits+6), is a
+        # normal float up to the limit on the working digits
         consts = specfun._constants(PrecisionConfig(working_digits=digits))
         assert consts.target_float <= consts.target < math.nextafter(consts.target_float, math.inf)
 
@@ -305,7 +323,8 @@ class TestShiftKernel:
         # comes from cfg, whatever precision its caller runs at
         cfg = PrecisionConfig(working_digits=30)
         xs = [0.37, 12.5, self._x("wide"), "2.5", 10 ** 40 + 1]
-        expected = [oracles._stirling_defect_fixed(x, cfg, 3) for x in xs]
+        with mp.workprec(53):  # mpmath's default
+            expected = [specfun._stirling_defect_fixed(x, cfg, 3) for x in xs]
         with mp.workprec(ambient):
             assert [specfun._stirling_defect_fixed(x, cfg, 3) for x in xs] == expected
 
@@ -544,3 +563,12 @@ def test_precision_config_holds_working_digits_only():
     assert PrecisionConfig(20).doubled() == PrecisionConfig(40)
     with pytest.raises(ParameterError):
         PrecisionConfig(14)
+
+
+def test_working_digits_past_the_limit_raise():
+    # past MAX_WORKING_DIGITS the float error bounds leave the float range
+    assert PrecisionConfig(MAX_WORKING_DIGITS).working_digits == MAX_WORKING_DIGITS
+    with pytest.raises(ParameterError):
+        PrecisionConfig(MAX_WORKING_DIGITS + 1)
+    with pytest.raises(ParameterError):
+        PrecisionConfig(MAX_WORKING_DIGITS // 2 + 1).doubled()
