@@ -6,9 +6,10 @@ The Qi-type gamma bounds (Eq. (3.1) = QiGammaLow = SevliBatirGamma, Eq. (3.2)
 (constants forced by equality at n = 1) are rows (lambda, c_lo, c_hi) over
 H_lambda: c_lo <= H_lambda <= c_hi.  The printed factorial sides, which
 the harness falsifies, are rows of the same shape, F_0(n) + 1/(d (n+lambda))
-against a constant (see _row_shape).  BukacGamma, the harmonic and
-Bernoulli families and the printed harmonic constant keep their displayed
-expressions.  sec1-comparison compares BukacGamma against Eq. (3.1).
+against a constant (see _row_shape).  A gamma or factorial bound is p(x)
++ g(x), g and every constant an integer interval of specfun's layer, the
+mpf bounds their midpoints; sec1-comparison compares the g of BukacGamma
+and Eq. (3.1).
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from mpmath import mp
 
 from .config import (
     DEFAULT_CONFIG,
-    GUARD_DIGITS,
     DomainError,
     ParameterError,
     PrecisionConfig,
-    SpecialValue,
     require_positive,
 )
 from . import specfun
@@ -126,100 +125,101 @@ _ROWS = {
 }
 
 
+def _H_end(lam, x0, w: int):
+    """The interval at 2^-w of H_lambda(x0) = 1/(24 (x0+lambda)) - p(x0): 0 at
+    x0 = inf, 1/(24 lambda) + 1/2 - ln(pi)/2 at 0+ (None for lambda = 0), and
+    1/(24 (1+lambda)) - (ln 2 + ln pi)/2 - (3/2)(ln(3/2) - 1) at 1, whose
+    terms are about 1500 times its size at lambda = 1/2 (specfun._logs)."""
+    if x0 == math.inf or x0 + lam == 0:
+        return (0, 0) if x0 == math.inf else None
+    logs, half, a = specfun._logs(w), Fraction(1, 2), Fraction(1, 24) / (x0 + Fraction(lam))
+    if x0 == 0:
+        return specfun._linear(a + half, [(-half, logs.ln_pi)], w)
+    return specfun._linear(a + 3 * half, [(-half, logs.ln2), (-half, logs.ln_pi), (-3 * half, logs.ln3_2)], w)
+
+
 @functools.lru_cache(maxsize=16)
 def _row(family: BoundFamily, cfg: PrecisionConfig) -> tuple:
-    """((lambda, size), c_lo, c_hi) of a row family at cfg.dps, once per
-    family and precision, from H_lambda(x0) = 1/(24 (x0+lambda)) - p(x0) at
-    x0 = 0+, 1 (ln Gamma(x0+1) = 0 there).  size, the sum of the magnitudes
-    of the terms the finite c are formed from, is summed next to each c and
-    kept with lambda, apart from the two constants, which a caller may
-    replace by tightened ones."""
-    lam, x_lo, x_hi = _ROWS[family.id]
+    """(lambda, c_lo, c_hi) of a row family, once per family and precision:
+    lambda an mpf, each c _H_end at the scale wl of specfun._constants(cfg)."""
+    lam, *x0s = _ROWS[family.id]
+    lam, w = family.lam if lam is None else lam, specfun._constants(cfg).wl
     with mp.workdps(cfg.dps):
-        lm = mp.mpf(family.lam if lam is None else lam)
+        return (mp.mpf(lam), *(_H_end(lam, x0, w) for x0 in x0s))
 
-        def H_at(x0):
-            if x0 == math.inf or x0 + lm == 0:  # H_lambda(inf) = 0, H_0(0+) = inf
-                return (mp.zero if x0 == math.inf else mp.inf), 0.0
-            a = 1 / (24 * (x0 + lm))
-            p, size = specfun._stirling_log(mp.mpf(x0), cfg)
-            return a - p, float(abs(a)) + float(size)
 
-        (c_lo, size_lo), (c_hi, size_hi) = H_at(x_lo), H_at(x_hi)
-        return (lm, size_lo + size_hi), c_lo, c_hi
+_BUILT_ROW = _row  # the row constants as built here, whatever a caller puts in their place
 
 
 def _row_ties(row, cfg: PrecisionConfig) -> tuple:
     """(x0 of c_lo, x0 of c_hi) of a row of _row_shape: x0 = 1 (an mpf) where
-    that side's c is H_lambda(1), bit for bit _BUILT_ROW's, so it holds with
-    equality at x = 1 (corrected Eqs. (3.12), (3.13)); else None (strict)."""
+    that side's c is _BUILT_ROW's H_lambda(1), so it holds with equality at
+    x = 1 (corrected Eqs. (3.12), (3.13)); else None (strict)."""
     if not isinstance(row, FamilyId):
         return None, None
     cs, built = _row(BoundFamily(row), cfg)[1:], _BUILT_ROW(BoundFamily(row), cfg)[1:]
     return tuple(mp.one if x0 == 1 and c == b else None for x0, c, b in zip(_ROWS[row][1:], cs, built))
 
 
-@functools.lru_cache(maxsize=8)
-def _printed_constant(cfg: PrecisionConfig) -> tuple:
-    """(K', size): K' = 12 (3 - ln pi + ln(4/27)) of the printed Eqs. (3.12),
-    (3.13) at cfg.dps, once per precision, and size, the sum of the
-    magnitudes of the terms it is formed from, as in _row."""
-    with mp.workdps(cfg.dps):
-        ln_pi, ln_4_27 = mp.log(mp.pi), mp.log(mp.mpf(4) / 27)
-        return 12 * (3 - ln_pi + ln_4_27), float(12 * (3 + ln_pi + abs(ln_4_27)))
-
-
 def _row_shape(row, cfg: PrecisionConfig) -> tuple:
-    """(d, lambda, c_lo, c_hi, size), at cfg.dps, of the one shape every row
-    takes,
-
-        c_lo <= F_0(x) + 1/(d (x+lambda)) <= c_hi,  F_0(x) = ln Gamma(x+1) - p(x),
-
-    a side being missing where its c is -inf or +inf.  size is the sum of
-    the magnitudes of the terms the finite constants are formed from, so
-    size 10^(2-dps) bounds their rounding (the rule of specfun._constants);
-    a float, as rough as that rule.  A row family of fixed lambda, named by
-    its FamilyId, has d = 24 and the lambda, c_lo, c_hi and size of _row,
-    each c being 1/(24 (x0+lambda)) - p(x0).  "upper" and "lower" name the
-    printed Eq. (3.12) upper and Eq. (3.13) lower sides,
+    """(d, lambda, c_lo, c_hi), at cfg's precision, of the one shape every
+    row takes, c_lo <= F_0(x) + 1/(d (x+lambda)) <= c_hi, F_0(x) = ln
+    Gamma(x+1) - p(x), each c an interval at the scale 2^-wl of
+    specfun._constants(cfg), None where that side is missing.  A row family
+    of fixed lambda, named by its FamilyId, is (24, *_row).  "upper" and
+    "lower" name the printed Eq. (3.12) upper and Eq. (3.13) lower sides,
 
         ln n! <= p(n) + (K' - 1/(3 (n+1/2)))/24,  ln n! >= p(n) + (K' + 1/(5 (n+3/2)))/24,
 
-    K' = _printed_constant, with p(n) and the n-dependent term moved left:
-
-        F_0(n) + 1/(72 (n+1/2)) <= K   and   K <= F_0(n) - 1/(120 (n+3/2)),
-
-    K = K'/24 = (3 - ln pi + ln(4/27)) / 2."""
+    with p(n) and the n-dependent term moved left, K = K'/24 = (3 - ln pi +
+    ln(4/27))/2: F_0(n) + 1/(72 (n+1/2)) <= K <= F_0(n) - 1/(120 (n+3/2))."""
     if isinstance(row, FamilyId):
-        (lam, size), c_lo, c_hi = _row(BoundFamily(row), cfg)
-        return 24, lam, c_lo, c_hi, size
-    k_24, size_24 = _printed_constant(cfg)
-    with mp.workdps(cfg.dps):
-        k = k_24 / 24
-    if row == "upper":
-        return 72, mp.mpf(1) / 2, mp.ninf, k, size_24 / 24
-    return -120, mp.mpf(3) / 2, k, mp.inf, size_24 / 24
+        return (24, *_row(BoundFamily(row), cfg))
+    w = specfun._constants(cfg).wl
+    logs, half = specfun._logs(w), Fraction(1, 2)
+    k = specfun._linear(3 * half, [(-half, logs.ln_pi), (half, logs.ln4_27)], w)
+    return (72, mp.mpf(1) / 2, None, k) if row == "upper" else (-120, mp.mpf(3) / 2, k, None)
+
+
+def _sqrt_pair(n: int, w: int) -> tuple:
+    """floor and ceil of sqrt(n) 2^w, for an integer n >= 0."""
+    r = math.isqrt(n << 2 * w)
+    return r, r + (r * r != n << 2 * w)
+
+
+def _bound_g(family: BoundFamily, x, cfg: PrecisionConfig) -> tuple:
+    """(g_lo, g_hi), the intervals at the scale 2^-wl of specfun._constants(cfg)
+    of g = ln bound - p(x), None for an infinite side: c - 1/(d (x+lambda))
+    for a row family (d = 24) and the printed factorial family (the "lower"
+    and "upper" rows of _row_shape).  BukacGamma's are -1/(24 x) and -1/(24
+    (S - 1/2)), S = sqrt(x^2 + 3x + 5/2) = sqrt(Q)/(2 den) for x = num/den,
+    Q = 2 (2 num^2 + 6 num den + 5 den^2); g increases in S, so the floor
+    and ceiling of sqrt(Q) 2^w (_sqrt_pair) give g's ends."""
+    w = specfun._constants(cfg).wl
+    xq = Fraction(*specfun._ratio(x))
+    if family.id is FamilyId.BUKAC_GAMMA:
+        num, den = xq.numerator, xq.denominator
+        s_lo, s_hi = _sqrt_pair(2 * (2 * num * num + 6 * num * den + 5 * den * den), w)
+        top = -den << 2 * w  # g 2^w = top/(12 (s - den 2^w)) at s = sqrt(Q) 2^w
+        return (specfun._fixed_end(-1 / (24 * xq), w),
+                (top // (12 * (s_lo - (den << w))), specfun._cdiv(top, 12 * (s_hi - (den << w)))))
+    if family.id is FamilyId.FACTORIAL_AS_PRINTED:
+        lower, upper = _row_shape("lower", cfg), _row_shape("upper", cfg)
+    else:
+        lower = upper = (24, *_row(family, cfg))
+    return tuple(None if c is None else specfun._linear(-1 / (d * (xq + Fraction(*specfun._ratio(lam)))),
+                                                        [(1, c)], w)
+                 for d, lam, c in (lower[:3], (*upper[:2], upper[3])))
 
 
 def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
-    """(ln lower, ln upper) at cfg.dps: p(x) - 1/(d (x+lambda)) + c on each
-    side, c being c_lo below and c_hi above, for a row family (d = 24) and
-    for the printed factorial family, whose lower side is the "lower" row
-    of _row_shape and whose upper side is its "upper" row; else the
-    displayed BukacGamma."""
+    """(ln lower, ln upper) at cfg.dps: p(x) plus the midpoint of each g of
+    _bound_g, -inf or +inf for an infinite side."""
+    w = specfun._constants(cfg).wl
     with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        p, _ = specfun._stirling_log(xm, cfg)
-        if family.id is FamilyId.BUKAC_GAMMA:
-            return (p - 1 / (24 * xm),
-                    p - 1 / (24 * (mp.sqrt(xm ** 2 + 3 * xm + mp.mpf(5) / 2) - mp.mpf(1) / 2)))
-        if family.id is FamilyId.FACTORIAL_AS_PRINTED:
-            lower, upper = _row_shape("lower", cfg), _row_shape("upper", cfg)
-        else:
-            (lam, _), c_lo, c_hi = _row(family, cfg)
-            lower = upper = (24, lam, c_lo, c_hi)
-        return (p - 1 / (lower[0] * (xm + lower[1])) + lower[2],
-                p - 1 / (upper[0] * (xm + upper[1])) + upper[3])
+        p, _ = specfun._stirling_log(mp.mpf(x), cfg)
+        return tuple(inf if g is None else p + specfun._fixed_mpf(g, w)
+                     for g, inf in zip(_bound_g(family, x, cfg), (mp.ninf, mp.inf)))
 
 
 def gamma_bound_log(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -243,56 +243,42 @@ PRINTED_HARMONIC_CONSTANT = Fraction(1, 90)
 CORRECTED_HARMONIC_CONSTANT = Fraction(1, 150)  # forces equality at n = 1
 
 
-# s of the n-dependent part ln m + 1/(24 (m+s)^2), m = n + 1/2, of both sides
-_HARMONIC_S = {FamilyId.HARMONIC_LOW: 0, FamilyId.HARMONIC_HIGH: 1}
+# (s, r) of each family: s of the n-dependent part ln m + 1/(24 (m+s)^2), m =
+# n + 1/2, of both sides, and r of the side 1 - ln(3/2) - r; None: r = C
+_HARMONIC = {FamilyId.HARMONIC_LOW: (0, Fraction(1, 54)), FamilyId.HARMONIC_HIGH: (1, None)}
 
 
-@functools.lru_cache(maxsize=16)
-def _harmonic_constants(family: BoundFamily, constant: Fraction, cfg: PrecisionConfig):
-    """(c_lo, c_hi, gamma) at cfg.dps, once per family, constant and
-    precision: side s of _HARMONIC_S is 1 - ln(3/2) - r (r = 1/54, or C for
-    HarmonicHigh), the other gamma, mpmath's constant rounded to nearest at
-    cfg.dps + GUARD_DIGITS digits, as euler_gamma works for cfg.dps quoted
-    digits: within 2^-prec of itself in relative terms, prec the bits of
-    those digits, below 10^(2-dps) like the rounding of the other terms
-    (the rule of specfun._constants)."""
-    with mp.workdps(cfg.dps + GUARD_DIGITS):
-        gamma_c = +mp.euler
-    r = Fraction(1, 54) if family.id is FamilyId.HARMONIC_LOW else constant
-    with mp.workdps(cfg.dps):
-        c = 1 - mp.log(mp.mpf(3) / 2) - mp.mpf(r.numerator) / r.denominator
-    return (c, gamma_c, gamma_c) if family.id is FamilyId.HARMONIC_LOW else (gamma_c, c, gamma_c)
-
-
-# the constants as built here, whatever a caller puts in their place
-_BUILT_ROW, _BUILT_HARMONIC = _row, _harmonic_constants
+def _harmonic_sides(family: BoundFamily, n: int, constant: Fraction, w: int) -> tuple:
+    """(lower, upper), the intervals at 2^-w of the n-th harmonic bound: side
+    s, the constant's, 1 - r + 1/(24 (m+s)^2) + ln(m/(3/2)), its log exactly
+    0 at n = 1, where r = 1/54 and the corrected C make it exactly 1 = H_1;
+    the other ln m + 1/(24 (m+s)^2) + gamma."""
+    s, r = _HARMONIC[family.id]
+    a, ln = Fraction(1, 24) / (Fraction(2 * n + 1, 2) + s) ** 2, specfun._ln_pair
+    c_side = specfun._linear(1 - (constant if r is None else r) + a, [(1, ln(2 * n + 1, 3, w))], w)
+    g_side = specfun._linear(a, [(1, ln(2 * n + 1, 2, w)), (1, specfun._logs(w).euler)], w)
+    return (c_side, g_side) if s == 0 else (g_side, c_side)
 
 
 def harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
                    constant: Fraction = CORRECTED_HARMONIC_CONSTANT):
-    """(lower, upper) of the n-th harmonic number at working precision.
+    """(lower, upper) of the n-th harmonic number at cfg.dps, the midpoints of
+    the intervals of _harmonic_sides at the scale wl of specfun._constants:
 
     HarmonicLow:  ln(n+1/2) + 1/(24(n+1/2)^2) + [1 - ln(3/2) - 1/54, gamma]
     HarmonicHigh: ln(n+1/2) + 1/(24(n+3/2)^2) + [gamma, 1 - ln(3/2) - C]
 
     C defaults to the corrected 1/150; pass constant=PRINTED_HARMONIC_CONSTANT
-    to reproduce (and falsify) the printed 1/90.  At n = 1 the side that
-    r = 1/54 or the corrected C make exactly H_1 (_harmonic_constants; ln m
-    cancels its ln(3/2)) is the int 1, if its constant is _BUILT_HARMONIC's.
+    to reproduce (and falsify) the printed 1/90.  At n = 1 the side of 1/54
+    or of the corrected C is exactly 1.
     """
-    if family.id not in _HARMONIC_S:
+    if family.id not in _HARMONIC:
         raise ParameterError(f"{family.id.value} is not a harmonic family")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    consts, s = _harmonic_constants(family, constant, cfg), _HARMONIC_S[family.id]
+    w = specfun._constants(cfg).wl
     with mp.workdps(cfg.dps):
-        m = mp.mpf(n) + mp.mpf(1) / 2
-        base = mp.log(m) + 1 / (24 * (m + s) ** 2)
-        sides = [base + consts[0], base + consts[1]]
-    tie = n == 1 and (s == 0 or constant == CORRECTED_HARMONIC_CONSTANT)
-    if tie and consts[s] == _BUILT_HARMONIC(family, constant, cfg)[s]:
-        sides[s] = 1
-    return tuple(sides)
+        return tuple(specfun._fixed_mpf(side, w) for side in _harmonic_sides(family, n, constant, w))
 
 
 def eval_harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
@@ -320,29 +306,27 @@ def _harmonic_defect(m):
 def harmonic_tail(family: BoundFamily, n0: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
                   constant: Fraction = CORRECTED_HARMONIC_CONSTANT):
     """(target, lower, upper) such that lower <= target <= upper is the
-    harmonic bound for every n > n0 at once.
+    harmonic bound for every n > n0 at once: target a pair of Fractions,
+    lower and upper integer intervals at 2^-wl of specfun._constants(cfg).
 
     With m = n + 1/2, subtracting ln m + 1/(24(m+s)^2) + gamma (s as in
-    _HARMONIC_S) from H_n and from both sides leaves R(n) = D -
+    _HARMONIC) from H_n and from both sides leaves R(n) = D -
     1/(24(m+s)^2) between c_lo - gamma and c_hi - gamma, where D is as in
     _harmonic_defect.  So R(n) lies in (e(m) - 7/(960m^4), e(m)) with
     e(m) = 1/(24m^2) - 1/(24(m+s)^2):
       s = 0: e = 0 and the lower end increases in m;
       s = 1: e decreases in m, and e(m) > 7/(960m^4) for m >= 1, since
              (2m+1) 40 m^2 > 7 (m+1)^2.
-    So at m0 = n0 + 3/2 the rationals a = min(0, e - 7/(960m^4)) and
-    b = max(0, e), the one not 0 rounded outward to a float, enclose R(n)
-    for every n > n0; the target is exactly [a, b], and its end 0 gives
-    the margin against the gamma side (c - gamma = 0) the lower end 0.
+    So at m0 = n0 + 3/2 the target is the exact [a, b], a = min(0, e -
+    7/(960m^4)) and b = max(0, e).  The constant's side is c - gamma = 1 -
+    ln(3/2) - r - gamma; the other, gamma - gamma, is exactly [0, 0].
     """
-    c_lo, c_hi, gamma_c = _harmonic_constants(family, constant, cfg)
-    m = Fraction(2 * n0 + 3, 2)
+    (s, r), w, m = _HARMONIC[family.id], specfun._constants(cfg).wl, Fraction(2 * n0 + 3, 2)
     d_lo, d_hi = _harmonic_defect(m)
-    e = d_hi - Fraction(1, 24) / (m + _HARMONIC_S[family.id]) ** 2
-    a, b = (math.nextafter(float(v), math.copysign(math.inf, v)) if v else 0.0
-            for v in (min(0, e + d_lo - d_hi), max(0, e)))
-    with mp.workdps(cfg.dps):
-        return SpecialValue((a + b) / 2, (b - a) / 2), c_lo - gamma_c, c_hi - gamma_c
+    e = d_hi - Fraction(1, 24) / (m + s) ** 2
+    logs = specfun._logs(w)
+    c = specfun._linear(1 - (constant if r is None else r), [(-1, logs.ln3_2), (-1, logs.euler)], w)
+    return (min(0, e + d_lo - d_hi), max(0, e)), *((c, (0, 0)) if s == 0 else ((0, 0), c))
 
 
 def factorial_bound_log(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
@@ -423,22 +407,20 @@ _COMPARE_SET = (
 
 
 def compare_families(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> FamilyComparison:
-    """Pairwise tightness report for the gamma-target families at x.
-
-    Comparisons are interval-safe: a winner is declared only when the gap
-    exceeds the evaluation-error allowance, else "indeterminate".
-    """
+    """Pairwise tightness report for the gamma-target families at x, on the
+    intervals g of _bound_g, as p(x) cancels: a winner is declared only
+    where they are disjoint, else "indeterminate"."""
     require_positive("x", x)
-    logs = {f: gamma_bound_log(f, x, cfg) for f in _COMPARE_SET}
+    gs = {f: _bound_g(f, x, cfg) for f in _COMPARE_SET}
     orderings = []
-    with mp.workdps(cfg.dps):
-        tol = specfun._constants(cfg).eps
-        for fa, fb in itertools.combinations(_COMPARE_SET, 2):
-            (lo_a, hi_a), (lo_b, hi_b) = logs[fa], logs[fb]
-            orderings.append(PairOrdering(fa, fb, _winner(lo_a, lo_b, tol), _winner(-hi_a, -hi_b, tol)))
+    for fa, fb in itertools.combinations(_COMPARE_SET, 2):
+        (lo_a, hi_a), (lo_b, hi_b) = gs[fa], gs[fb]
+        # the smaller upper bound wins: compare -hi_a with -hi_b
+        upper = _winner((-hi_a[1], -hi_a[0]), (-hi_b[1], -hi_b[0]))
+        orderings.append(PairOrdering(fa, fb, _winner(lo_a, lo_b), upper))
     return FamilyComparison(x=float(x), orderings=tuple(orderings))
 
 
-def _winner(a, b, tol) -> str:
-    """"a" or "b", whichever exceeds the other by more than tol, else "indeterminate"."""
-    return "a" if a > b + tol else "b" if b > a + tol else "indeterminate"
+def _winner(a: tuple, b: tuple) -> str:
+    """"a" or "b", whichever interval lies wholly above the other, else "indeterminate"."""
+    return "a" if a[0] > b[1] else "b" if b[0] > a[1] else "indeterminate"

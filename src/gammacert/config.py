@@ -1,7 +1,8 @@
 """Precision policy and certified-value plumbing shared by all modules.
 
-A numeric result is carried as a SpecialValue, a value with an absolute
-error bound, and a verdict reads the signs of exact enclosures (Sweep).
+Every verdict reads the signs of exact enclosures (Sweep), integer
+intervals of specfun's layer; a public function returns a SpecialValue, a
+value with an absolute error bound.
 """
 
 from __future__ import annotations

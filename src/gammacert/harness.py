@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from mpmath import libmp, mp
 
-from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, SpecialValue, Sweep
+from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, Sweep
 from .config import FALSIFIED, INDETERMINATE, MAX_WORKING_DIGITS, VERIFIED, require_positive
 from . import bounds, monotone, specfun
 from .bounds import BoundFamily, FamilyId
@@ -106,9 +106,20 @@ class Claim:
 # --- Theorem 2.1 -----------------------------------------------------------
 
 
-def _necessary_limit_cases(cfg, grid: GridSpec):
-    """-x - 1/(24 f(x)) at x = 1e4, which must lie within 1e-3 of its limit 1/2."""
-    yield (1e4, monotone.necessary_limit(1e4, cfg), mp.mpf("0.499"), mp.mpf("0.501"))
+def _run_necessary_limit(cfg, grid: GridSpec):
+    """-x - 1/(24 f(x)) at x = 1e4 (monotone._necessary_limit_fixed) lies
+    within 1e-3 of its limit 1/2."""
+    sweep, (v, wp) = Sweep(), monotone._necessary_limit_fixed(1e4, cfg)
+    lo, hi = (specfun._fixed_end(Fraction(b, 1000), wp) for b in (499, 501))
+    _add_between(sweep, 1e4, lo, v, hi, wp)
+    return sweep.result()
+
+
+def _add_between(sweep: Sweep, at: float, lo: tuple, target: tuple, hi: tuple, wp: int) -> None:
+    """Add lo <= target <= hi at `at`, three integer intervals at 2^-wp, as
+    the margins target - lo and hi - target (specfun._add_interval)."""
+    for m_lo, m_hi in ((target[0] - lo[1], target[1] - lo[0]), (hi[0] - target[1], hi[1] - target[0])):
+        specfun._add_interval(sweep, at, m_lo, m_hi, wp)
 
 
 def _run_threshold(cfg, grid: GridSpec):
@@ -162,80 +173,48 @@ _THM31_ROWS = (FamilyId.QI_GAMMA_LOW, FamilyId.QI_GAMMA_HIGH)  # Eqs. (3.1), (3.
 _THM34_ROWS = (FamilyId.FACTORIAL_HIGH, FamilyId.FACTORIAL_LOW, "upper", "lower")
 
 
-# --- containment: Theorem 3.2 and point checks -----------------------------
+# --- point checks and Theorem 3.2 ------------------------------------------
 
 
-def _run_containment(cases: Callable, *args):
-    """Runner of a claim that a certified target lies between a lower and
-    an upper bound at every check point: Thm 3.2 and the three point checks
-    (Remark 1's bounds are decided in the fixed point of _remark1_pass).
-
-    cases(*args, cfg, grid) runs at cfg.dps and yields (point, target, lo,
-    hi): a SpecialValue and the bounds there, such as a family's, looked up
-    in `bounds` at call time.  Each margin enters as an exact interval
-    (_add_case): the target adds its abs_error_bound, and an mpf v, a value
-    evaluated at cfg.dps, stands for v (1 -+ 10^(2-dps)), the rounding rule
-    of specfun._constants; an int or float is exact.
-    """
-
-    def runner(cfg, grid: GridSpec):
-        sweep, eps = Sweep(), Fraction(1, 10 ** (cfg.dps - 2))
-        with mp.workdps(cfg.dps):
-            for case in cases(*args, cfg, grid):
-                _add_case(sweep, eps, *case)
-        return sweep.result()
-
-    return runner
-
-
-def _add_case(sweep, eps: Fraction, p, target, lo, hi):
-    """Add lo <= target <= hi at p to sweep, with _run_containment's
-    intervals; eps is 10^(2-dps)."""
-    t, err = target.value, Fraction(target.abs_error_bound)
-    (t_lo, t_hi), (l_lo, l_hi), (h_lo, h_hi) = (_enclose(v, eps) for v in (t, lo, hi))
-    sweep.add(float(p), float(t - lo), t_lo - err - l_hi, t_hi + err - l_lo)
-    sweep.add(float(p), float(hi - t), h_lo - t_hi - err, h_hi - t_lo + err)
-
-
-def _enclose(v, eps: Fraction) -> tuple:
-    """The exact (lo, hi) that v stands for in _run_containment."""
-    q = Fraction(*monotone._ratio(v))
-    r = abs(q) * eps if isinstance(v, mp.mpf) else 0
-    return q - r, q + r
-
-
-def _best_constants_cases(cfg, grid: GridSpec):
+def _run_best_constants(cfg, grid: GridSpec):
     """H_{1/2}(x) against c + ln(1 -+ 1e-3), c its limit (0 as x -> inf, Eq.
-    (3.1)'s H_{1/2}(0+) as x -> 0): the ratio sqrt(2 pi) e^{H_{1/2}(x)} of Eq. (1.3)
-    lies within 1e-3 relative of its limit sqrt(2 pi), resp. sqrt(2) e^{7/12}."""
-    lo, hi = mp.log1p(mp.mpf("-1e-3")), mp.log1p(mp.mpf("1e-3"))
-    for x, c in ((1e4, 0), (1e-6, bounds._row(BoundFamily(FamilyId.QI_GAMMA_LOW), cfg)[2])):
-        yield (x, monotone.H_lambda(x, 0.5, cfg), c + lo, c + hi)
+    (3.1)'s H_{1/2}(0+) as x -> 0): the ratio sqrt(2 pi) e^{H_{1/2}(x)} of
+    Eq. (1.3) lies within 1e-3 of its limit sqrt(2 pi), resp. sqrt(2)
+    e^{7/12}, relative; each point a row of monotone._row_margins."""
+    sweep, logs = Sweep(), specfun._logs(specfun._constants(cfg).wl)
+    _, c_inf, c_0 = bounds._row(BoundFamily(FamilyId.QI_GAMMA_LOW), cfg)
+    for x, c in ((1e4, c_inf), (1e-6, c_0)):  # mpfs of x and 1/2 are exact
+        row = (0, 24, mp.mpf(0.5), *((c[0] + ln[0], c[1] + ln[1]) for ln in (logs.ln999, logs.ln1001)))
+        [(_, wp, margins)] = monotone._row_margins((row,), cfg, [mp.mpf(x)])
+        for _, lo, hi in margins:
+            specfun._add_interval(sweep, x, lo, hi, wp)
+    return sweep.result()
 
 
-def _section1_cases(cfg, grid: GridSpec):
+def _run_section1(cfg, grid: GridSpec):
     """Section 1's comparison at x = 1, 2, 10: Sevli-Batir's lower bound and
     Bukac's upper bound both lie in [Bukac lower, Sevli-Batir upper], so
-    each family is the sharper one on its side."""
-    bukac = BoundFamily(FamilyId.BUKAC_GAMMA)
-    sevli = BoundFamily(FamilyId.SEVLI_BATIR_GAMMA)
+    each family is the sharper one on its side.  p(x) cancels from every
+    margin, so they compare the intervals g of bounds._bound_g."""
+    sweep, wl = Sweep(), specfun._constants(cfg).wl
     for x in (1.0, 2.0, 10.0):
-        lo_b, hi_b = bounds.gamma_bound_log(bukac, x, cfg)
-        lo_s, hi_s = bounds.gamma_bound_log(sevli, x, cfg)
+        lo_b, hi_b = bounds._bound_g(BoundFamily(FamilyId.BUKAC_GAMMA), x, cfg)
+        lo_s, hi_s = bounds._bound_g(BoundFamily(FamilyId.SEVLI_BATIR_GAMMA), x, cfg)
         for target in (lo_s, hi_b):
-            yield (x, SpecialValue(target, 0.0), lo_b, hi_s)
+            _add_between(sweep, x, lo_b, target, hi_s, wl)
+    return sweep.result()
 
 
-# --- harmonic numbers (Theorem 3.2) ----------------------------------------
-
-
-def _harmonic_cases(family: BoundFamily, constant: Fraction, cfg, grid: GridSpec):
-    """H_1 = 1, the equality case of the corrected constants, exact, against
-    the bounds, then one case from the tail lemma of bounds.harmonic_tail
-    that covers every n >= 2, labelled 2.  The check does not stop at the
-    grid's 10^6, which only names the claim's range."""
-    yield (1, SpecialValue(1, 0.0), *bounds.harmonic_bound(family, 1, cfg, constant))
-    yield (2, *bounds.harmonic_tail(family, 1, cfg, constant))
+def _run_harmonic(family: BoundFamily, constant: Fraction, cfg, grid: GridSpec):
+    """H_1 = 1 against the bounds at n = 1 (bounds._harmonic_sides), exact on
+    a corrected constant's side, then bounds.harmonic_tail for every n >= 2,
+    labelled 2: not only up to the grid's 10^6, which names the range."""
+    sweep, wl = Sweep(), specfun._constants(cfg).wl
+    lo, hi = bounds._harmonic_sides(family, 1, constant, wl)
+    _add_between(sweep, 1.0, lo, (1 << wl, 1 << wl), hi, wl)
+    (a, b), lower, upper = bounds.harmonic_tail(family, 1, cfg, constant)
+    _add_between(sweep, 2.0, lower, (specfun._fixed_end(a, wl)[0], specfun._fixed_end(b, wl)[1]), upper, wl)
+    return sweep.result()
 
 
 # --- Remark 1 (Bernoulli fraction, Mathieu partial sums) -------------------
@@ -248,7 +227,7 @@ _EQ41_DENOMINATORS = (24, 24)
 _REMARK1_X_MAX = 1600.0
 
 
-def _remark1_margins(x: float, prec: int, dens: tuple) -> tuple:
+def _remark1_margins(x: float, wl: int, dens: tuple) -> tuple:
     """(wp, intervals): Remark 1's four margins at x > 0 as integer intervals
     (lo, hi) in units of 2^(-2 wp), with u = e^{-x/2}, xb = x u^2/(1 - u^2) =
     x/(e^x - 1) and dens the two 24s of Eq. (4.1):
@@ -257,15 +236,15 @@ def _remark1_margins(x: float, prec: int, dens: tuple) -> tuple:
         Eq. (4.2):  xb - u^2,             u - xb.
 
     One exponential at wp bits, from monotone._exp_fixed, gives integers
-    U_lo <= u 2^wp <= U_hi, wp = prec + 20 + floor(x/ln 2) + max(0, -mag x),
-    so 2^-wp lies far below both e^{-x} and x.  The lemma: e^{-x/2} is
-    irrational for rational x != 0, so a correct U_lo = floor(u 2^wp) gives
-    U_hi = U_lo + 1 (_exp_fixed widens this by a unit only where u 2^wp
-    lies within 2^-8 of an integer).  1 - u^2 is the exact 2^(2wp) - U^2,
-    so no expm1 is needed near x = 0.  Every term increases with u: it is
-    floored at U_lo and ceiled at U_hi, and each margin takes the ends of
-    its terms that make it widest."""
-    wp = prec + 20 + int(x / math.log(2)) + max(0, -math.frexp(x)[1])
+    U_lo <= u 2^wp <= U_hi, wp = wl + floor(x/ln 2) + max(0, -mag x), wl
+    of specfun._constants, so 2^-wp lies far below both e^{-x} and x.  The
+    lemma: e^{-x/2} is irrational for rational x != 0, so a correct U_lo =
+    floor(u 2^wp) gives U_hi = U_lo + 1 (_exp_fixed widens this by a unit
+    only where u 2^wp lies within 2^-8 of an integer).  1 - u^2 is the exact
+    2^(2wp) - U^2, so no expm1 is needed near x = 0.  Every term increases
+    with u: it is floored at U_lo and ceiled at U_hi, and each margin takes
+    the ends of its terms that make it widest."""
+    wp = wl + int(x / math.log(2)) + max(0, -math.frexp(x)[1])
     xn, xd = x.as_integer_ratio()
     one = 1 << 2 * wp
 
@@ -277,7 +256,7 @@ def _remark1_margins(x: float, prec: int, dens: tuple) -> tuple:
 
     u_lo, u_hi = monotone._exp_fixed(-xn, 2 * xd, wp)
     u, u2, xb, a, c = terms(u_lo, lambda n, d: n // d)
-    u_, u2_, xb_, a_, c_ = terms(u_hi, monotone._cdiv)
+    u_, u2_, xb_, a_, c_ = terms(u_hi, specfun._cdiv)
     return wp, ((xb - u_ + a, xb_ - u + a_), (u - c_ - xb_, u_ - c - xb),
                 (xb - u2_, xb_ - u2), (u - xb_, u_ - xb))
 
@@ -286,16 +265,15 @@ def _remark1_margins(x: float, prec: int, dens: tuple) -> tuple:
 def _remark1_pass(cfg, grid: GridSpec, dens: tuple) -> tuple:
     """(Eq. (4.1)'s, Eq. (4.2)'s) (min_margin, argmin_x, verdict) on grid's
     points, from the integer intervals of _remark1_margins at cfg's
-    precision, the last pass kept.  Each margin enters its Sweep as that
-    interval, reported as the float nearest its midpoint (0 once it
-    underflows).  From _REMARK1_X_MAX on a margin enters as an interval
-    around 0, undecided."""
-    prec, eq41, eq42 = libmp.dps_to_prec(cfg.dps), Sweep(), Sweep()
+    precision, the last pass kept, each margin entered by
+    specfun._add_interval.  From _REMARK1_X_MAX on a margin enters as an
+    interval around 0, undecided."""
+    wl, eq41, eq42 = specfun._constants(cfg).wl, Sweep(), Sweep()
     for x in grid.values():
         require_positive("x", x)
-        wp, margins = _remark1_margins(x, prec, dens) if x < _REMARK1_X_MAX else (0, ((-1, 1),) * 4)
+        wp, margins = _remark1_margins(x, wl, dens) if x < _REMARK1_X_MAX else (0, ((-1, 1),) * 4)
         for sweep, (lo, hi) in zip((eq41, eq41, eq42, eq42), margins):
-            sweep.add(x, (lo + hi) / (1 << 2 * wp + 1), lo, hi)
+            specfun._add_interval(sweep, x, lo, hi, 2 * wp)
     return eq41.result(), eq42.result()
 
 
@@ -370,7 +348,7 @@ _LAPLACE_LAM0 = 0.5
 
 def _laplace_residuals(cfg) -> list:
     """[(x, R)] for the 5 x of _LAPLACE_XS, R an integer interval at scale
-    2^-monotone._fixed_prec(cfg) that holds Q(x, 1/2) - H_{1/2}'(x): Q the
+    2^-wl of specfun._constants(cfg) that holds Q(x, 1/2) - H_{1/2}'(x): Q the
     certified enclosure of
     H_lambda'(x) = int_0^inf phi_lambda e^{-xt} dt (monotone.laplace_enclosure),
     less the closed form with its bound (monotone._laplace_residual).
@@ -396,8 +374,8 @@ def _run_laplace(cfg, grid: GridSpec):
     checks 5 points x: it is certified at its points, a sample of the
     identity rather than a proof of it.
     """
-    sweep, wp = Sweep(), monotone._fixed_prec(cfg)
-    tol_lo, tol_hi = monotone._fixed_end(1e-10, wp)
+    sweep, wp = Sweep(), specfun._constants(cfg).wl
+    tol_lo, tol_hi = specfun._fixed_end(1e-10, wp)
     for x, (lo, hi) in _laplace_residuals(cfg):
         abs_lo = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
         monotone._add_enclosure(sweep, x, (tol_lo - max(-lo, hi), tol_hi - abs_lo), wp)
@@ -414,6 +392,7 @@ _FACTORIAL_GRID = GridSpec(1.0, 170.0, 170, "linear")
 _BERNOULLI_GRID = GridSpec(1e-3, 50.0, 500, "log")
 _POINT_GRID = GridSpec(1.0, 1e4, 2, "log")
 _K_GRID = GridSpec(3.0, 200.0, 198, "linear")
+_HARMONIC_LOW, _HARMONIC_HIGH = BoundFamily(FamilyId.HARMONIC_LOW), BoundFamily(FamilyId.HARMONIC_HIGH)
 
 REGISTRY: tuple = (
     Claim("thm2.1-item1-cm-lam0", ("thm2.1",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 0), True),
@@ -430,8 +409,7 @@ REGISTRY: tuple = (
           lambda cfg, grid: monotone.phi_sign_certificate(0.5, -1, cfg)),
     Claim("thm2.1-phi-nonnegative-lam1.5", ("thm2.1",), VERIFIED, _PHI_GRID,
           lambda cfg, grid: monotone.phi_sign_certificate(1.5, 1, cfg)),
-    Claim("thm2.1-necessary-limit", ("thm2.1",), VERIFIED, _POINT_GRID,
-          _run_containment(_necessary_limit_cases)),
+    Claim("thm2.1-necessary-limit", ("thm2.1",), VERIFIED, _POINT_GRID, _run_necessary_limit),
     Claim("thm2.1-threshold", ("thm2.1",), VERIFIED, _PHI_GRID, _run_threshold),
     Claim("eq2.12-series-coeffs", ("thm2.1",), VERIFIED, _K_GRID, _run_series_pivot),
     Claim("eq2.16-coefficient-check", ("thm2.1",), VERIFIED, _K_GRID, _run_series_lambda),
@@ -442,19 +420,14 @@ REGISTRY: tuple = (
           _Rows(_THM31_ROWS, 0), True),
     Claim("thm3.1-eq3.2-containment", ("thm3.1",), VERIFIED, _GAMMA_GRID,
           _Rows(_THM31_ROWS, 1), True),
-    Claim("eq1.3-best-constants", ("thm3.1",), VERIFIED, _POINT_GRID,
-          _run_containment(_best_constants_cases)),
-    Claim("sec1-comparison", ("thm3.1",), VERIFIED, _POINT_GRID,
-          _run_containment(_section1_cases)),
+    Claim("eq1.3-best-constants", ("thm3.1",), VERIFIED, _POINT_GRID, _run_best_constants),
+    Claim("sec1-comparison", ("thm3.1",), VERIFIED, _POINT_GRID, _run_section1),
     Claim("thm3.2-eq3.7", ("thm3.2",), VERIFIED, _HARMONIC_GRID,
-          _run_containment(_harmonic_cases, BoundFamily(FamilyId.HARMONIC_LOW),
-                           bounds.CORRECTED_HARMONIC_CONSTANT)),
+          functools.partial(_run_harmonic, _HARMONIC_LOW, bounds.CORRECTED_HARMONIC_CONSTANT)),
     Claim("thm3.2-eq3.8-corrected", ("thm3.2",), VERIFIED, _HARMONIC_GRID,
-          _run_containment(_harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH),
-                           bounds.CORRECTED_HARMONIC_CONSTANT)),
+          functools.partial(_run_harmonic, _HARMONIC_HIGH, bounds.CORRECTED_HARMONIC_CONSTANT)),
     Claim("eq3.8-as-printed", ("thm3.2", "falsify-printed"), FALSIFIED, _HARMONIC_GRID,
-          _run_containment(_harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH),
-                           bounds.PRINTED_HARMONIC_CONSTANT)),
+          functools.partial(_run_harmonic, _HARMONIC_HIGH, bounds.PRINTED_HARMONIC_CONSTANT)),
     Claim("thm3.3-lcm-G-lam0.5", ("thm3.3",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 2), True),
     Claim("thm3.3-lcm-recip-G-lam1.5", ("thm3.3",), VERIFIED, _CM_GRID, _Rows(_CM_SWEEPS, 5), True),
     # the four Thm 3.4 claims run in one pass

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from mpmath import iv, libmp, mp
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_float
+from mpmath.libmp import from_man_exp, to_float
 
 from .config import (
     DEFAULT_CONFIG,
@@ -53,6 +53,7 @@ from .config import (
     require_positive,
 )
 from . import specfun
+from .specfun import _FIXED_GUARD_BITS, _add_interval, _cdiv, _fixed_end, _fixed_mpf, _fixed_pair, _ratio
 
 __all__ = [
     "H_lambda",
@@ -166,55 +167,13 @@ def _bernoulli(n: int) -> tuple:
 
 # --- the integer interval layer of phi_lambda -------------------------------
 #
-# An interval is a pair of ints (lo, hi) that stands for [lo 2^-wp, hi 2^-wp],
-# wp = _fixed_prec(cfg), or _point_prec for phi_integrand and h_of_t.  Every
-# lower end is floored and every upper end ceiled at each product and
-# quotient, so an interval always holds its real.
-# Box ends, x and lambda enter as exact ratios (_ratio), and e^q, ln y and
-# Euler's gamma through _fixed_pair.
+# specfun's intervals, at wp = specfun._constants(cfg).wl or _point_prec; box
+# ends, x and lambda enter as exact ratios, e^q, ln y and gamma by _fixed_pair.
 
 _T_TAIL = 20.0  # Taylor piece on (0, 2], centred forms on [2, 20], closed-form tail
 _CERT_MAX_BOXES = 2000  # bisection budget of one certificate
 _TAYLOR_TERMS = 60  # c_2 .. c_61; the remainder is below 1e-30 for lambda <= 3/2
-_FIXED_GUARD_BITS = 20  # bits of the integer intervals below 2^-prec
 _POINT_MAX_BITS = 1 << 16  # most bits phi_integrand and h_of_t add for t (_point_prec)
-
-
-def _fixed_prec(cfg: PrecisionConfig) -> int:
-    """wp, the scale 2^-wp of the integer intervals at cfg's precision."""
-    return dps_to_prec(cfg.dps) + _FIXED_GUARD_BITS
-
-
-def _ratio(v) -> tuple:
-    """(num, den), den > 0, with v = num/den exactly, for an int, float,
-    Fraction or mpf v."""
-    if isinstance(v, mp.mpf):
-        sign, man, exp, bc = v._mpf_
-        if bc < 0:  # mpmath's inf, -inf and nan
-            raise DomainError(f"{v} is not a finite number")
-        man = -man if sign else man
-        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    return Fraction(v).as_integer_ratio()
-
-
-def _cdiv(n: int, d: int) -> int:
-    """ceil(n/d) for d > 0."""
-    return -(-n // d)
-
-
-def _fixed_pair(v: tuple, prec: int, wp: int) -> tuple:
-    """(lo, hi) with lo <= y 2^wp <= hi, for v the raw mpf that a libmp
-    function returned for y at prec bits.  libmp evaluates its elementary
-    functions and constants with 14 or more guard bits and rounds once, so
-    y lies within 2 units of the last place of v, 2^(mag v - prec).  With
-    prec >= wp + mag v + 10 those 2 units are below 2^-(wp+8), so hi = lo + 1
-    unless y 2^wp lies that close to an integer."""
-    sign, man, exp, bc = v
-    man = (-man if sign else man) << (prec - bc)
-    s = exp - (prec - bc) + wp  # v 2^wp = man 2^s
-    if s >= 0:
-        return (man - 2) << s, (man + 2) << s
-    return (man - 2) >> -s, ((man + 2) >> -s) + 1
 
 
 def _exp_fixed(num: int, den: int, wp: int) -> tuple:
@@ -227,12 +186,6 @@ def _exp_fixed(num: int, den: int, wp: int) -> tuple:
         raise DomainError(f"x and lambda must be binary fractions, as floats are; e^({num}/{den}) is asked")
     prec = wp + 10 + max(0, 2 * num // den + 2)  # e^q < 2^(2q + 1) for q > 0
     return _fixed_pair(libmp.mpf_exp(from_man_exp(num, 1 - den.bit_length()), prec), prec, wp)
-
-
-def _fixed_end(v, wp: int) -> tuple:
-    """floor and ceil of v 2^wp for an int, float, Fraction or mpf v."""
-    num, den = _ratio(v)
-    return (num << wp) // den, _cdiv(num << wp, den)
 
 
 def _fixed_float(enc: tuple, wp: int) -> float:
@@ -376,12 +329,6 @@ def _point_prec(t: tuple, lr: tuple) -> int:
     return mp.prec + _FIXED_GUARD_BITS + extra
 
 
-def _fixed_mpf(enc: tuple, wp: int):
-    """The mpf of enc's midpoint (lo + hi) 2^-(wp+1), rounded once to the
-    nearest at mp.prec."""
-    return mp.make_mpf(from_man_exp(enc[0] + enc[1], -wp - 1, mp.prec, round_nearest))
-
-
 def phi_integrand(t, lam):
     """phi_lambda(t) = e^{-t/2}/t - 1/(e^t-1) - t e^{-lambda t}/24 for t > 0,
     lambda >= 0: the midpoint of _phi_point, the certificate's point form,
@@ -500,7 +447,7 @@ def _phi_tail(lr: tuple, sign: int, wp: int) -> tuple:
 def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) -> tuple:
     """(min_margin, argmin, verdict) of sign * phi_lambda(t) >= 0 for all
     t > 0 (sign = 1 or -1), proved on the integer intervals at cfg's
-    precision (_fixed_prec).
+    precision (specfun._constants(cfg).wl).
 
     By Bernstein's theorem phi_lambda <= 0 on (0, inf) makes H_lambda
     completely monotonic and phi_lambda >= 0 makes -H_lambda so.  Pieces:
@@ -527,7 +474,7 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
     _check_lambda(lam)
     if sign not in (1, -1):
         raise DomainError(f"sign must be 1 or -1, got {sign!r}")
-    wp, lr = _fixed_prec(cfg), _ratio(lam)
+    wp, lr = specfun._constants(cfg).wl, _ratio(lam)
     coeffs, rem = _phi_series(lam, wp)
     sweep, boxes, factors = Sweep(), 0, {}
     if rem is None:
@@ -633,11 +580,11 @@ def _e1(y: tuple, wp: int) -> tuple:
 
 
 def _laplace_fixed(x, lam, cfg: PrecisionConfig) -> tuple:
-    """The interval, at scale 2^-_fixed_prec(cfg), of Q(x, lambda) (see
-    laplace_enclosure)."""
+    """The interval, at the scale 2^-wl of specfun._constants(cfg), of Q(x,
+    lambda) (see laplace_enclosure)."""
     require_positive("x", x)
     _check_lambda(lam)
-    wp = _fixed_prec(cfg)
+    wp = specfun._constants(cfg).wl
     coeffs, rem = _phi_series(lam, wp)
     if rem is None:
         raise NumericalError(f"no Taylor remainder bound for lambda = {lam!r}")
@@ -677,7 +624,7 @@ def laplace_enclosure(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG):
         Q(x, lambda) = int_0^inf phi_lambda(t) e^{-xt} dt = H_lambda'(x),
 
     formed on the integer intervals (_laplace_fixed); its ends are theirs,
-    exact at the scale 2^-_fixed_prec(cfg).
+    exact at the scale 2^-wl of specfun._constants(cfg).
     On (0, 2], phi_lambda = t^p (sum_i C_i (t/2)^i + r) with the intervals
     and remainder of _phi_series, so that piece lies in 2^p (sum_i C_i
     N_(p+i)(x) + r N_p(x)) with N_k = M_k/2^k (_moments).  On [2, inf),
@@ -691,17 +638,17 @@ def laplace_enclosure(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG):
     remainder of _phi_series is unbounded (2 lambda >= 62).
     """
     lo, hi = _laplace_fixed(x, lam, cfg)
-    wp = _fixed_prec(cfg)
+    wp = specfun._constants(cfg).wl
     return iv.make_mpf((from_man_exp(lo, -wp), from_man_exp(hi, -wp)))
 
 
 def _laplace_residual(x, lam, cfg: PrecisionConfig) -> tuple:
-    """Q(x, lambda) - H_lambda'(x) as an integer interval at scale
-    2^-_fixed_prec(cfg): the enclosure of _laplace_fixed less the closed
-    form, whose certified bound is folded in."""
+    """Q(x, lambda) - H_lambda'(x) as an integer interval at the scale of
+    _laplace_fixed: its enclosure less the closed form, whose certified
+    bound is folded in."""
     closed = H_lambda_prime(x, lam, cfg)
     lo, hi = _laplace_fixed(x, lam, cfg)
-    wp = _fixed_prec(cfg)
+    wp = specfun._constants(cfg).wl
     (vlo, vhi), err = _fixed_end(closed.value, wp), _fixed_end(closed.abs_error_bound, wp)[1]
     return lo - vhi - err, hi - vlo + err
 
@@ -710,7 +657,7 @@ def laplace_check(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
     """Residual between the Laplace representation of H_lambda', enclosed by
     laplace_enclosure, and its closed form: the midpoint of
     _laplace_residual, expected within their combined bounds."""
-    return _fixed_float(_laplace_residual(x, lam, cfg), _fixed_prec(cfg))
+    return _fixed_float(_laplace_residual(x, lam, cfg), specfun._constants(cfg).wl)
 
 
 @dataclass(frozen=True)
@@ -768,7 +715,7 @@ def lambda_star(tol, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThresholdResult:
     the precision) NumericalError is raised.
     """
     require_positive("tol", tol)
-    t, wp = _t_star(cfg), _fixed_prec(cfg)
+    t, wp = _t_star(cfg), specfun._constants(cfg).wl
     lo = math.nextafter(to_float(from_man_exp(_h_fixed(t.as_integer_ratio(), wp)[0], -wp)), -math.inf)
     hi = float(Fraction(lo) + Fraction(tol))
     if Fraction(hi) - Fraction(lo) > Fraction(tol):
@@ -799,84 +746,72 @@ class CMReport:
 
 
 def _row_margins(rows: tuple, cfg: PrecisionConfig, xs):
-    """Yield (x, 2^wp, [(row, M, E)]) for each mpf x > 0 of xs, one entry
-    per side of each row, M - E <= 2^wp margin <= M + E.  A row (k, d,
-    lambda, c_lo, c_hi, size) is
+    """Yield (x, wp, [(row, lo, hi)]) for each mpf x > 0 of xs, one entry
+    per side of each row, lo <= 2^wp margin <= hi.  A row (k, d, lambda,
+    c_lo, c_hi) is
 
         c_lo <= F_k(x) + (-1)^k k!/(d (x+lambda)^(k+1)) <= c_hi,
 
     F_k the k-th derivative of F_0(x) = ln Gamma(x+1) - p(x), d a nonzero
-    integer, lambda and the c mpf at cfg.dps, the c formed from terms whose
-    magnitudes sum to size; a side whose c is infinite is left out, and a
-    row may end in the pair (x0 of c_lo, x0 of c_hi) of bounds._row_ties.
-    One kernel call per x, at the highest k of the rows, gives F_k 2^-wp at
-    exact x, never rounded; with H = _plus_lambda_fixed(F_k, k, x, lambda,
-    wp, d) and C = floor(c 2^wp), the lower margin is M = H - C_lo and the
-    upper M = C_hi - H.  A side with an x0 holds with equality at x = x0 by
-    how its c was built, so there M = E = 0.
-
-    Error lemma (in the style of Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed. 2002, sec. 3.1).  M is within
-    E = ceil(err 2^wp) + 2 + ceil(size 10^(2-dps) 2^wp) of 2^wp margin:
-      - err is the kernel's bound on F_k (its lemma; nothing is rounded);
-      - the floors of the lambda term and of C are each off by less than 1;
-      - c, a few mpmath operations at cfg.dps, is within size 10^(2-dps) of
-        the exact constant, the rule of specfun._constants on the magnitudes
-        of its terms, which can far exceed |c| (H_{1/2}(1) = 1/36 - p(1) is
-        6.4e-4, its terms near 1); an exact c = 0 has size 0.
-    C and its two terms of E are integers formed once per side and wp."""
-    shapes, ten = [], 10 ** (cfg.dps - 2)  # (k, d, lambda, [(row, sign, c, size as a ratio, x0)])
-    for i, (k, d, lam, c_lo, c_hi, size, *ties) in enumerate(rows):
+    integer, lambda an mpf, each c an interval at the scale 2^-wl of
+    specfun._constants(cfg) or None for a side left out; a row may end in
+    the pair (x0 of c_lo, x0 of c_hi) of bounds._row_ties, where it holds
+    with equality by how its c was built, so lo = hi = 0 at x = x0.  One
+    kernel call per x, at the highest k of the rows, gives F_k 2^-wp at
+    exact x; with H = _plus_lambda_fixed(F_k, k, x, lambda, wp, d), a
+    side's margin is [H - E, H + E] less c (shifted to wp >= wl once per
+    wp), or c less that.  Error lemma: E = ceil(err 2^wp) + 1, err the
+    kernel's bound on F_k and 1 for the floor of the lambda term."""
+    wl = specfun._constants(cfg).wl
+    shapes = []  # (k, d, lambda, [(row, upper side?, c, x0)])
+    for i, (k, d, lam, c_lo, c_hi, *ties) in enumerate(rows):
         ties = ties[0] if ties else (None, None)
-        sides = [(i, sign, c._mpf_, size.as_integer_ratio(), x0)
-                 for sign, c, x0 in zip((1, -1), (c_lo, c_hi), ties) if not mp.isinf(c)]
+        sides = [(i, up, c, x0) for up, c, x0 in zip((False, True), (c_lo, c_hi), ties) if c is not None]
         shapes.append((k, d, lam, sides))
-    max_order, scaled = max(k for k, *_ in shapes), {}  # wp -> (2^wp, [(C, 2 + its E) of each side])
+    max_order, scaled = max(k for k, *_ in shapes), {}  # wp -> [c of each side at 2^-wp]
     for xm in xs:
         fs, wp, errs = specfun._stirling_defect_fixed(xm, cfg, max_order)
         if wp not in scaled:
-            scaled[wp] = (1 << wp, [(specfun._floor_mul(1, c, wp), 2 + _cdiv(sn << wp, sd * ten))
-                                    for *_, sides in shapes for _, _, c, (sn, sd), _ in sides])
-        scale, big_cs = scaled[wp]
-        margins, cs = [], iter(big_cs)
+            scaled[wp] = [(c[0] << wp - wl, c[1] << wp - wl) for *_, sides in shapes for *_, c, _ in sides]
+        margins, cs = [], iter(scaled[wp])
         for k, d, lam, sides in shapes:
             big_h = _plus_lambda_fixed(fs[k], k, xm, lam, wp, d)
-            big_e = math.ceil(math.ldexp(errs[k], wp))
-            for (i, sign, _, _, x0), (big_c, c_e) in zip(sides, cs):
-                tie = x0 is not None and xm == x0  # the exact margin 0
-                margins.append((i, 0, 0) if tie else (i, sign * (big_h - big_c), big_e + c_e))
-        yield xm, scale, margins
+            big_e = math.ceil(math.ldexp(errs[k], wp)) + 1
+            h_lo, h_hi = big_h - big_e, big_h + big_e
+            for (i, up, _, x0), (c_lo, c_hi) in zip(sides, cs):
+                if x0 is not None and xm == x0:  # the exact margin 0
+                    margins.append((i, 0, 0))
+                elif up:
+                    margins.append((i, c_lo - h_hi, c_hi - h_lo))
+                else:
+                    margins.append((i, h_lo - c_hi, h_hi - c_lo))
+        yield xm, wp, margins
 
 
 def _row_pass(claims: tuple, cfg: PrecisionConfig, xs) -> tuple:
     """(min_margin, (k, x), verdict) of each claim, a tuple of rows (see
     _row_margins), over the mpf points of xs: the one pass behind cm_check,
     the Thm 2.1 sweeps and the Thm 3.1/3.4 rows.  Each margin enters its
-    Sweep as the integers M - E and M + E, reported as M 2^-wp rounded once
-    to the nearest float (+-inf beyond the float range); the kernel's
-    integers are streamed, not kept (about 2.5 MiB on a 4000-point grid)."""
+    Sweep as its integer ends (specfun._add_interval); the kernel's integers
+    are streamed, not kept (about 2.5 MiB on a 4000-point grid)."""
     sweeps = [Sweep() for _ in claims]
-    adds = [(sweep.add, row[0]) for sweep, claim in zip(sweeps, claims) for row in claim]
-    for xm, scale, margins in _row_margins(tuple(row for claim in claims for row in claim), cfg, xs):
-        for i, big_m, big_e in margins:
-            add, k = adds[i]
-            try:
-                margin = big_m / scale
-            except OverflowError:  # beyond the float range, its sign exact
-                margin = math.inf if big_m > 0 else -math.inf
-            add((k, xm), margin, big_m - big_e, big_m + big_e)
+    adds = [(sweep, row[0]) for sweep, claim in zip(sweeps, claims) for row in claim]
+    for xm, wp, margins in _row_margins(tuple(row for claim in claims for row in claim), cfg, xs):
+        for i, lo, hi in margins:
+            sweep, k = adds[i]
+            _add_interval(sweep, (k, xm), lo, hi, wp)
     return tuple((m, (k, float(xm)), verdict) for m, (k, xm), verdict in (s.result() for s in sweeps))
 
 
 def _cm_rows(lam, sign: str, max_order: int, cfg: PrecisionConfig) -> tuple:
     """The rows (see _row_margins) of s (-1)^k H_lambda^(k) >= 0, k = 0..
-    max_order, s = 1 for "plus", -1 for "minus": d = 24, c = 0 (size 0) on
-    the side s (-1)^k asks for, the other side infinite."""
+    max_order, s = 1 for "plus", -1 for "minus": d = 24, c = [0, 0] on the
+    side s (-1)^k asks for, the other side left out."""
     with mp.workdps(cfg.dps):
         lm = mp.mpf(lam)
-    sides = {1: (mp.zero, mp.inf), -1: (mp.ninf, mp.zero)}
+    sides = {1: ((0, 0), None), -1: (None, (0, 0))}
     s = 1 if sign == "plus" else -1
-    return tuple((k, 24, lm, *sides[s * (-1) ** k], 0.0) for k in range(max_order + 1))
+    return tuple((k, 24, lm, *sides[s * (-1) ** k]) for k in range(max_order + 1))
 
 
 def cm_check(
@@ -890,7 +825,7 @@ def cm_check(
     s = 1 for "plus" and -1 for "minus": the rows of _cm_rows in one
     uncached _row_pass, x at full precision.  Each margin is one integer of
     the kernel's fixed point, F_n plus the floor of the lambda term, within
-    the kernel's bound plus 2 units of 2^-wp (the lemma of _row_margins),
+    the kernel's bound plus 1 unit of 2^-wp (the lemma of _row_margins),
     and a margin that straddles 0 leaves the sweep "indeterminate".  This
     call does not retry; `gammacert verify` reruns an indeterminate claim
     once at doubled working precision.
@@ -910,25 +845,31 @@ def cm_check(
     return CMReport(float(lam), sign, max_order, tuple(float(x) for x in grid), *result)
 
 
-def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
-    """-x - 1/(24 f(x)), f = F_0 = H_lambda without its lambda term
-    (specfun._stirling_defect); tends to 1/2.
-
-    An error d in f moves 1/(24 f) by at most d / (24 |f| (|f| - d)), which
-    needs |f| > d; the bound adds the rounding of -x - 1/(24 f).
-    """
+def _necessary_limit_fixed(x, cfg: PrecisionConfig) -> tuple:
+    """((lo, hi), wp): the interval at 2^-wp of v = -x - 1/(24 f(x)), f = F_0.
+    f < 0 (H_(3/2) < 0) and v increases in f there, so the kernel's [F - E,
+    F + E], E = ceil(err 2^wp), gives v's ends exactly; NumericalError where
+    it reaches 0."""
     require_positive("x", x)
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)
-        f = specfun._stirling_defect(xm, cfg)
-        d = f.abs_error_bound
-        if abs(f.value) <= d:
-            raise NumericalError(f"f(x) indistinguishable from 0 at x={x}")
-        af = abs(f.value)
-        inv = 1 / (24 * f.value)
-        propagated = d / (24 * af * (af - d))
-        rounding = (xm + abs(inv)) * specfun._constants(cfg).eps
-        return SpecialValue(-xm - inv, float(propagated + rounding))
+    fs, wp, errs = specfun._stirling_defect_fixed(xm, cfg)
+    big_e = math.ceil(math.ldexp(errs[0], wp))
+    if fs[0] + big_e >= 0:
+        raise NumericalError(f"f(x) indistinguishable from 0 at x={x}")
+    v = [-Fraction(*_ratio(xm)) - Fraction(1 << wp, 24 * f) for f in (fs[0] - big_e, fs[0] + big_e)]
+    return (_fixed_end(v[0], wp)[0], _fixed_end(v[1], wp)[1]), wp
+
+
+def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+    """-x - 1/(24 f(x)), f = F_0, tends to 1/2: the interval of
+    _necessary_limit_fixed as its midpoint at cfg.dps and the distance to
+    its farther end, rounded up."""
+    (lo, hi), wp = _necessary_limit_fixed(x, cfg)
+    with mp.workdps(cfg.dps):
+        mid = _fixed_mpf((lo, hi), wp)
+    far = max(abs(Fraction(end, 1 << wp) - Fraction(*_ratio(mid))) for end in (lo, hi))
+    return SpecialValue(mid, math.nextafter(float(far), math.inf))
 
 
 def series_coeff_pivot(k: int):

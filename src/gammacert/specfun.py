@@ -16,11 +16,11 @@ mpf.  The public functions add what F_k leaves out: ln_gamma adds p(x) -
 ln x to F_0, binet_theta adds (x+1/2) ln(1 + 1/(2x)) - 1/2 (from x = 1 on
 by its series in 1/(2x), in fixed point, so its bound stays relative), and
 digamma and polygamma add the log term of F_(m+1) and the step from x + 1
-to x, each with the rounding rule 10^(2-dps) of _constants on the
-magnitudes of the terms it adds; a bound past the float range raises
+to x, each with the rounding rule 10^(2-dps) of _constants (its lemma) on
+the magnitudes of the terms it adds; a bound past the float range raises
 DomainError.  Mathieu's partial sums are formed in fixed point too, each
 term floored and the tail bound rounded up, so their error is counted, not
-allowed for.
+allowed for.  Every claim decides on the integer layer (_ratio .. _logs).
 
 mpmath supplies the arbitrary-precision arithmetic and the Bernoulli
 numbers; the special-function algorithms themselves live here so their
@@ -29,6 +29,7 @@ error bounds are explicit.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from fractions import Fraction
@@ -65,11 +66,11 @@ class _Constants(NamedTuple):
     """The values of one precision; see _constants."""
 
     ln_sqrt_2pi: object  # mpf
-    eps: object  # mpf 10^(2-dps), the relative allowance for rounding
+    eps: object  # mpf 10^(2-dps), the rounding rule of _constants
     target: object  # mpf 10^-(working_digits+6), the Stirling series target
     log_target: float  # its natural log
     prec: int  # the bits of cfg.dps
-    wl: int  # prec + _FIXED_GUARD_BITS, the kernel's fixed-point scale
+    wl: int  # prec + _FIXED_GUARD_BITS, the one fixed-point scale of cfg
     shift_threshold: float  # _shift_threshold(working_digits)
     target_float: float  # the largest float <= target
 
@@ -79,9 +80,24 @@ def _constants(cfg: PrecisionConfig) -> _Constants:
     """The values of cfg's precision, computed once per precision: ln sqrt(2
     pi), 10^(2-dps) and the series target at cfg.dps, and the bits, scale
     and threshold that the kernel reads, so that it enters no precision
-    context per call.  A float remainder bound lies at or below target
-    exactly when it lies at or below target_float, target floored to 53
-    bits, a normal float up to MAX_WORKING_DIGITS."""
+    context per call.  2^-wl is the scale of every integer interval at cfg's
+    precision.  A float remainder bound lies at or below target exactly
+    when it lies at or below target_float, target floored to 53 bits, a
+    normal float up to MAX_WORKING_DIGITS.
+
+    The rounding rule eps, read by ln_gamma, binet_theta and _polygamma
+    only; no claim reads it.  Lemma: let a value be formed by N <= 50
+    mpmath operations at cfg.dps digits (+, -, *, /, an integer power, log,
+    log1p, ln sqrt(2 pi) above), each returning its exact result at its
+    operands to within one unit in the last place, 2u, u = 2^-prec: libmp
+    rounds its arithmetic to nearest and evaluates log and log1p with guard
+    bits before one rounding.  An operand y(1 + d) moves log y by at most |d|
+    + d^2, one more term of size 1 next to |log y|.  Then the value is
+    within gamma_2N sum |t| of the exact one, sum |t| the magnitudes of its
+    terms and factors (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed. 2002, sec. 3.1, Lemma 3.1 and (3.4)), and gamma_2N =
+    2N u/(1 - 2N u) <= 10^(2-dps), as u <= 2^0.5 10^-(dps+1).  Each reader
+    uses at most 10 operations and names its terms."""
     with mp.workdps(cfg.dps):
         target = mp.mpf(10) ** (-(cfg.working_digits + 6))
         return _Constants(mp.log(2 * mp.pi) / 2, mp.mpf(10) ** (2 - cfg.dps), target,
@@ -238,6 +254,95 @@ def _ln_table(big_b: int) -> list:
     return table
 
 
+# --- the integer layer: a pair of ints (lo, hi) stands for [lo 2^-w, hi 2^-w],
+# w mostly wl of _constants, lo floored and hi ceiled, so it holds its real
+
+
+def _ratio(v) -> tuple:
+    """(num, den), den > 0, with v = num/den exactly, for an int, float,
+    Fraction or mpf v."""
+    if isinstance(v, mp.mpf):
+        sign, man, exp, bc = v._mpf_
+        if bc < 0:  # mpmath's inf, -inf and nan
+            raise DomainError(f"{v} is not a finite number")
+        man = -man if sign else man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    return Fraction(v).as_integer_ratio()
+
+
+def _cdiv(n: int, d: int) -> int:
+    """ceil(n/d) for d > 0."""
+    return -(-n // d)
+
+
+def _fixed_pair(v: tuple, prec: int, wp: int) -> tuple:
+    """(lo, hi) with lo <= y 2^wp <= hi, for v the raw mpf that a libmp
+    function returned for y at prec bits.  libmp evaluates its elementary
+    functions and constants with 14 or more guard bits and rounds once, so
+    y lies within 2 units of the last place of v, 2^(mag v - prec).  With
+    prec >= wp + mag v + 10 those 2 units are below 2^-(wp+8), so hi = lo + 1
+    unless y 2^wp lies that close to an integer."""
+    sign, man, exp, bc = v
+    man = (-man if sign else man) << (prec - bc)
+    s = exp - (prec - bc) + wp  # v 2^wp = man 2^s
+    if s >= 0:
+        return (man - 2) << s, (man + 2) << s
+    return (man - 2) >> -s, ((man + 2) >> -s) + 1
+
+
+def _fixed_end(v, wp: int) -> tuple:
+    """floor and ceil of v 2^wp for an int, float, Fraction or mpf v."""
+    num, den = _ratio(v)
+    return (num << wp) // den, _cdiv(num << wp, den)
+
+
+def _fixed_mpf(enc: tuple, wp: int):
+    """The mpf nearest the midpoint (lo + hi) 2^-(wp+1) of enc at mp.prec."""
+    return mp.make_mpf(libmp.from_man_exp(enc[0] + enc[1], -wp - 1, mp.prec, "n"))
+
+
+def _add_interval(sweep, at, lo: int, hi: int, wp: int) -> None:
+    """Add the margin [lo, hi] 2^-wp to sweep, reported as its midpoint rounded
+    once to the nearest float (+-inf beyond the float range, its sign exact)."""
+    try:
+        margin = (lo + hi) / (2 << wp)
+    except OverflowError:
+        margin = math.inf if lo + hi > 0 else -math.inf
+    sweep.add(at, margin, lo, hi)
+
+
+def _ln_pair(num: int, den: int, w: int) -> tuple:
+    """The interval of ln(num/den) at 2^-w: _ln_fixed widened by 2 units,
+    its bound being below 5/4; ln 1 = 0 is exact."""
+    v = _ln_fixed(num, den, w)
+    return (v - 2, v + 2) if num != den else (0, 0)
+
+
+def _linear(const, terms, w: int) -> tuple:
+    """The interval at 2^-w of const + sum c v over terms (c, v), const and
+    the c rationals, each v an interval at 2^-w: exact, floored and ceiled."""
+    lo = hi = Fraction(const) * (1 << w)
+    for c, (a, b) in terms:
+        lo, hi = lo + c * (a if c > 0 else b), hi + c * (b if c > 0 else a)
+    return math.floor(lo), math.ceil(hi)
+
+
+# the intervals at 2^-w of ln 2, ln(3/2), ln(4/27), ln(1 -+ 1/1000), ln pi and gamma
+_Logs = collections.namedtuple("_Logs", "ln2 ln3_2 ln4_27 ln999 ln1001 ln_pi euler")
+
+
+@functools.lru_cache(maxsize=8)
+def _logs(w: int) -> _Logs:
+    """_Logs at 2^-w, once per scale, each at most 8 units wide: the rational
+    logs from _ln_pair, ln pi from _ln_fixed at both ends of pi's interval,
+    widened by 2 units, and gamma, libmp's constant, from _fixed_pair."""
+    prec = w + 12
+    pi_lo, pi_hi = _fixed_pair(libmp.mpf_pi(prec), prec, w)
+    return _Logs(_ln_pair(2, 1, w), _ln_pair(3, 2, w), _ln_pair(4, 27, w), _ln_pair(999, 1000, w),
+                 _ln_pair(1001, 1000, w), (_ln_fixed(pi_lo, 1 << w, w) - 2, _ln_fixed(pi_hi, 1 << w, w) + 2),
+                 _fixed_pair(libmp.mpf_euler(prec), prec, w))
+
+
 def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
     """(Fs, wp, errs) for finite x > 0: Fs[k] 2^-wp = F_k(x), the k-th
     derivative of F_0(x) = ln Gamma(x+1) - p(x), to within errs[k], a float,
@@ -383,9 +488,7 @@ def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG, order: int = 0) -
 def _stirling_log(xm, cfg: PrecisionConfig) -> tuple:
     """(p(x), size) at cfg.dps, the caller's precision: p(x) = ln sqrt(2 pi) +
     (x+1/2) (ln(x+1/2) - 1), the log of Stirling's sqrt(2 pi) ((x+1/2)/e)^(x+1/2),
-    which ln_gamma and the displayed bound expressions add, and size, an
-    mpf, the sum of the magnitudes of the terms p is formed from, so
-    size 10^(2-dps) bounds its rounding (the rule of _constants)."""
+    and size, an mpf, the sum of the magnitudes of its terms, for ln_gamma."""
     h = xm + _HALF
     ln_s, log_h = _constants(cfg).ln_sqrt_2pi, mp.log(h)
     return ln_s + h * (log_h - 1), ln_s + h * (abs(log_h) + 1)
@@ -534,8 +637,8 @@ def _mathieu_fixed(r, terms: int, wp: int) -> tuple:
 
 def mathieu_partial(r, terms: int) -> SpecialValue:
     """Partial sum of Mathieu's series sum_{n>=1} 2n/(n^2+r^2)^2, formed in
-    fixed point at prec + _FIXED_GUARD_BITS bits of DEFAULT_CONFIG.dps
-    (_mathieu_fixed) and rounded once.
+    fixed point at the scale wl of DEFAULT_CONFIG (_mathieu_fixed) and
+    rounded once.
 
     The tail beyond N is below int_N^inf 2u/(u^2+r^2)^2 du = 1/(N^2+r^2).
     The error bound adds that tail, rounded up, the N floors of the terms
@@ -544,8 +647,8 @@ def mathieu_partial(r, terms: int) -> SpecialValue:
     require_positive("r", r)
     if not (isinstance(terms, int) and terms >= 1):
         raise DomainError(f"terms must be a positive integer, got {terms!r}")
+    wp = _constants(DEFAULT_CONFIG).wl
     with mp.workdps(DEFAULT_CONFIG.dps):
-        wp = mp.prec + _FIXED_GUARD_BITS
         total, tail = _mathieu_fixed(r, terms, wp)
         val = mp.mpf((total, -wp))
         units = tail + terms + abs(_floor_mul(1, val._mpf_, wp) - total)
@@ -554,7 +657,7 @@ def mathieu_partial(r, terms: int) -> SpecialValue:
 
 def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """Euler-Mascheroni constant as -psi(1) from digamma, with its bound.  No
-    claim reads it: Thm 3.2 takes +mp.euler (bounds._harmonic_constants)."""
+    claim reads it: Thm 3.2 takes libmp's constant as an interval (_logs)."""
     sv = digamma(1, cfg)
     with mp.workdps(cfg.dps):
         return SpecialValue(-sv.value, sv.abs_error_bound)

@@ -22,7 +22,7 @@ from gammacert import (
     harmonic_exact,
     ln_gamma,
 )
-from gammacert import bounds
+from gammacert import bounds, specfun
 from gammacert.bounds import (
     CORRECTED_HARMONIC_CONSTANT,
     PRINTED_HARMONIC_CONSTANT,
@@ -143,14 +143,15 @@ class TestHarmonicTail:
     def test_tail_encloses_every_n_beyond_n0(self, fid, n, digits):
         family = BoundFamily(fid)
         cfg = PrecisionConfig(working_digits=digits)
-        target, lower, upper = bounds.harmonic_tail(family, self.N0, cfg)
+        (a, b), lower, upper = bounds.harmonic_tail(family, self.N0, cfg)
+        wl = specfun._constants(cfg).wl
         with mp.workdps(80):
             m = mp.mpf(n) + mp.mpf(1) / 2
             s = 0 if fid is FamilyId.HARMONIC_LOW else 1
             # H_n - ln m - 1/(24(m+s)^2) - gamma, with H_n = psi(n+1) + gamma
             r = mp.digamma(n + 1) - mp.log(m) - 1 / (24 * (m + s) ** 2)
-            assert abs(r - target.value) <= target.abs_error_bound
-            assert lower < r < upper
+            assert _mpf(a) <= r <= _mpf(b)
+            assert mp.ldexp(lower[1], -wl) < r < mp.ldexp(upper[0], -wl)
 
     @pytest.mark.parametrize("digits", [15, 30])
     @pytest.mark.parametrize("constant", [CORRECTED_HARMONIC_CONSTANT, PRINTED_HARMONIC_CONSTANT])
@@ -158,11 +159,10 @@ class TestHarmonicTail:
     def test_tail_from_n0_1_encloses_exact_harmonic_numbers(self, fid, constant, digits, exact_h):
         # the Thm 3.2 claims check n = 1 exactly and every n >= 2 by this case
         family = BoundFamily(fid)
-        target, _, _ = bounds.harmonic_tail(family, 1, PrecisionConfig(working_digits=digits), constant)
+        (a, b), _, _ = bounds.harmonic_tail(family, 1, PrecisionConfig(working_digits=digits), constant)
         s = 0 if fid is FamilyId.HARMONIC_LOW else 1
         with mp.workdps(60):
-            lo = target.value - mp.mpf(target.abs_error_bound)
-            hi = target.value + mp.mpf(target.abs_error_bound)
+            lo, hi = _mpf(a), _mpf(b)
             for n, h in enumerate(exact_h, 1):
                 if n == 1:
                     continue
@@ -172,17 +172,19 @@ class TestHarmonicTail:
 
     def test_tail_bounds_are_the_shifted_constants(self):
         # lower/upper are the bounds of harmonic_bound minus their n-dependent
-        # part and gamma
+        # part and gamma; the side of gamma is exactly [0, 0]
         cfg = DEFAULT_CONFIG
         for fid in (FamilyId.HARMONIC_LOW, FamilyId.HARMONIC_HIGH):
             family = BoundFamily(fid)
             _, lower, upper = bounds.harmonic_tail(family, self.N0, cfg)
+            wl = specfun._constants(cfg).wl
+            assert (upper if fid is FamilyId.HARMONIC_LOW else lower) == (0, 0)
             lo, hi = bounds.harmonic_bound(family, 1, cfg)
             with mp.workdps(40):
                 s = 0 if fid is FamilyId.HARMONIC_LOW else 1
                 shift = mp.log(mp.mpf(3) / 2) + 1 / (24 * (mp.mpf(3) / 2 + s) ** 2) + mp.euler
-                assert abs(lo - shift - lower) < 1e-22
-                assert abs(hi - shift - upper) < 1e-22
+                for bound, (a, b) in ((lo, lower), (hi, upper)):
+                    assert abs(bound - shift - mp.ldexp(a + b, -wl - 1)) < 1e-22
 
 
 class TestFactorialBounds:
@@ -239,6 +241,14 @@ class TestCompareFamilies:
         assert o.better_lower == "b"
         assert o.better_upper == "a"
 
+    @pytest.mark.parametrize("x", [2.0, 1e8])
+    def test_section1_orderings_are_decided_at_large_x(self, x):
+        # p(x) cancels, so the gaps of about 1/(48 x^2) are decided on the
+        # families' g intervals even where p(x) is 1.7e9 (x = 1e8)
+        by_pair = {(o.family_a.id, o.family_b.id): o for o in compare_families(x).orderings}
+        o = by_pair[(FamilyId.BUKAC_GAMMA, FamilyId.SEVLI_BATIR_GAMMA)]
+        assert (o.better_lower, o.better_upper) == ("b", "a")
+
     def test_identical_lower_bounds_indeterminate(self):
         cmp = compare_families(2.0)
         by_pair = {(o.family_a.id, o.family_b.id): o for o in cmp.orderings}
@@ -253,31 +263,71 @@ class TestCompareFamilies:
             assert (bounds._row(BoundFamily(FamilyId.SEVLI_BATIR_GAMMA), cfg)
                     == bounds._row(BoundFamily(FamilyId.QI_GAMMA_LOW), cfg))
 
-    @pytest.mark.parametrize("digits", [15, 30])
-    @pytest.mark.parametrize("row", [FamilyId.QI_GAMMA_LOW, FamilyId.QI_GAMMA_HIGH, FamilyId.FACTORIAL_HIGH,
-                                     FamilyId.FACTORIAL_LOW, "upper", "lower"])
-    def test_row_constants_within_size_of_a_reference(self, row, digits):
-        # size, summed where each constant is formed, covers the constants'
-        # rounding: size 10^(2-dps) against the same constants at three
-        # times the digits
-        cfg = PrecisionConfig(working_digits=digits)
-        *_, c_lo, c_hi, size = bounds._row_shape(row, cfg)
-        *_, ref_lo, ref_hi, _ = bounds._row_shape(row, PrecisionConfig(working_digits=3 * digits))
-        assert size > 0
-        with mp.workdps(3 * cfg.dps):
-            for c, ref in ((c_lo, ref_lo), (c_hi, ref_hi)):
-                assert mp.isinf(c) == mp.isinf(ref)
-                if not mp.isinf(c):
-                    assert abs(c - ref) <= size * mp.mpf(10) ** (2 - cfg.dps)
-
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
-    def test_generic_row_has_a_size(self, lam):
+    def test_generic_row_constants(self, lam):
         # lambda from the family; c_lo = H_lambda(inf) = 0 is exact, and at
-        # lambda = 0 so is c_hi = H_0(0+) = inf, so no term is rounded
+        # lambda = 0 c_hi = H_0(0+) = inf leaves that side out
         cfg = PrecisionConfig(working_digits=15)
-        (lm, size), c_lo, c_hi = bounds._row(BoundFamily(FamilyId.QI_GAMMA_GENERIC, lam=lam), cfg)
-        assert lm == lam and c_lo == 0 and mp.isinf(c_hi) == (lam == 0)
-        assert size == 0 if lam == 0 else 1 < size < math.inf
+        lm, c_lo, c_hi = bounds._row(BoundFamily(FamilyId.QI_GAMMA_GENERIC, lam=lam), cfg)
+        assert lm == lam and c_lo == (0, 0) and (c_hi is None) == (lam == 0)
+        assert lam == 0 or 0 < c_hi[1] - c_hi[0] <= 32
+
+
+def _mpf(q):
+    """The exact rational q at the current precision."""
+    return mp.mpf(q.numerator) / q.denominator
+
+
+class TestConstantIntervals:
+    """Every constant a claim reads is an integer interval at the scale 2^-wl
+    of specfun._constants: it holds a reference at three times the digits
+    and is at most 32 units wide, H_{1/2}(1) too, whose terms are about
+    1500 times its size."""
+
+    @pytest.mark.parametrize("digits", [15, 30, 60, 291])
+    def test_each_constant_holds_a_reference(self, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        wl = specfun._constants(cfg).wl
+        logs = specfun._logs(wl)
+        row = {fid: bounds._row(BoundFamily(fid), cfg) for fid in bounds._ROWS if fid is not FamilyId.QI_GAMMA_GENERIC}
+        generic = bounds._row(BoundFamily(FamilyId.QI_GAMMA_GENERIC, lam=0.3), cfg)
+        low, high = BoundFamily(FamilyId.HARMONIC_LOW), BoundFamily(FamilyId.HARMONIC_HIGH)
+        with mp.workdps(3 * cfg.dps):
+            half, ln_pi, ln_4_27 = mp.mpf(1) / 2, mp.log(mp.pi), mp.log(mp.mpf(4) / 27)
+
+            def h0(lm):  # H_lambda(0+)
+                return 1 / (24 * lm) + half - ln_pi / 2
+
+            def h1(lm):  # H_lambda(1) = 1/(24 (1+lambda)) - p(1)
+                return 1 / (24 * (1 + lm)) - mp.log(2 * mp.pi) / 2 - 3 * half * (mp.log(3 * half) - 1)
+
+            def c_minus_gamma(r):
+                return 1 - mp.log(3 * half) - r - mp.euler
+
+            cases = [
+                (logs.ln2, mp.log(2)), (logs.ln3_2, mp.log(3 * half)), (logs.ln4_27, ln_4_27),
+                (logs.ln999, mp.log1p(-mp.mpf(1) / 1000)), (logs.ln1001, mp.log1p(mp.mpf(1) / 1000)),
+                (logs.ln_pi, ln_pi), (logs.euler, mp.euler),
+                (row[FamilyId.QI_GAMMA_LOW][2], h0(half)), (row[FamilyId.QI_GAMMA_HIGH][1], h0(3 * half)),
+                (generic[2], h0(mp.mpf(0.3))),
+                (row[FamilyId.FACTORIAL_HIGH][2], h1(half)), (row[FamilyId.FACTORIAL_LOW][1], h1(3 * half)),
+                (bounds._row_shape("upper", cfg)[3], (3 - ln_pi + ln_4_27) / 2),
+                # the constant's side of Thm 3.2's tail, c - gamma
+                (bounds.harmonic_tail(low, 1, cfg)[1], c_minus_gamma(mp.mpf(1) / 54)),
+                (bounds.harmonic_tail(high, 1, cfg)[2], c_minus_gamma(mp.mpf(1) / 150)),
+            ]
+            for (a, b), ref in cases:
+                assert mp.ldexp(a, -wl) <= ref <= mp.ldexp(b, -wl), (digits, ref)
+                assert 0 < b - a <= 32, (digits, ref, b - a)
+
+    @pytest.mark.parametrize("n", [2, 3, 13, 6 * 10 ** 20 + 1, 4, 10 ** 40])
+    def test_sqrt_pair_holds_the_root(self, n):
+        # Bukac's S = sqrt(Q)/(2 den): floor and ceil of sqrt(n) 2^w, equal
+        # only for a square n
+        w = 120
+        lo, hi = bounds._sqrt_pair(n, w)
+        assert lo * lo <= n << 2 * w <= hi * hi
+        assert hi - lo == (0 if math.isqrt(n) ** 2 == n else 1)
 
 
 class TestDisplayedForms:

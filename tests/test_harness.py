@@ -3,6 +3,7 @@ serialization round-trips, and CLI exit codes."""
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -342,6 +343,12 @@ def test_verify_all_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def _moved(c, v, cfg):
+    """The interval c, at the scale wl of cfg, moved by the exact v, outward."""
+    lo, hi = specfun._fixed_end(v, specfun._constants(cfg).wl)
+    return c[0] + lo, c[1] + hi
+
+
 def _claim(claim_id):
     return next(c for c in harness.REGISTRY if c.claim_id == claim_id)
 
@@ -384,22 +391,15 @@ class TestContainment:
     def test_eq38_constant_tightened_by_1e13_is_falsified(self, digits):
         cfg = PrecisionConfig(working_digits=digits)
         c = bounds.CORRECTED_HARMONIC_CONSTANT + Fraction(1, 10 ** 13)
-        runner = harness._run_containment(harness._harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH), c)
-        margin, at, verdict = runner(cfg, harness._HARMONIC_GRID)
+        margin, at, verdict = harness._run_harmonic(BoundFamily(FamilyId.HARMONIC_HIGH), c, cfg, harness._HARMONIC_GRID)
         assert verdict == "falsified"
         assert at == 1.0 and margin == pytest.approx(-1e-13, rel=1e-9)
 
     @pytest.mark.parametrize("digits", [15, 30])
     def test_eq37_lower_constant_tightened_by_1e13_is_falsified(self, digits, monkeypatch):
+        # r = 1/54 - 1e-13 raises c_lo = 1 - ln(3/2) - r by exactly 1e-13
         cfg = PrecisionConfig(working_digits=digits)
-        constants = bounds._harmonic_constants
-
-        def tightened(family, constant, cfg):
-            c_lo, c_hi, gamma_c = constants(family, constant, cfg)
-            with mp.workdps(cfg.dps):
-                return c_lo + mp.mpf("1e-13"), c_hi, gamma_c
-
-        monkeypatch.setattr(bounds, "_harmonic_constants", tightened)
+        monkeypatch.setitem(bounds._HARMONIC, FamilyId.HARMONIC_LOW, (0, Fraction(1, 54) - Fraction(1, 10 ** 13)))
         claim = _claim("thm3.2-eq3.7")
         rep = harness._run_claim(claim, cfg, claim.grid)
         assert rep.verdict == "falsified"
@@ -414,8 +414,7 @@ class TestContainment:
         def lowered(family, cfg):
             lam, c_lo, c_hi = row(family, cfg)
             if family.id is FamilyId.FACTORIAL_HIGH:
-                with mp.workdps(cfg.dps):
-                    c_hi -= mp.mpf("1e-13")
+                c_hi = _moved(c_hi, -Fraction(1, 10 ** 13), cfg)
             return lam, c_lo, c_hi
 
         monkeypatch.setattr(bounds, "_row", lowered)
@@ -433,8 +432,7 @@ class TestContainment:
         def raised(family, cfg):
             lam, c_lo, c_hi = row(family, cfg)
             if family.id is FamilyId.QI_GAMMA_LOW:
-                with mp.workdps(cfg.dps):
-                    c_lo = mp.mpf("2.4e-9")
+                c_lo = _moved((0, 0), Fraction(24, 10 ** 10), cfg)
             return lam, c_lo, c_hi
 
         monkeypatch.setattr(bounds, "_row", raised)
@@ -447,51 +445,145 @@ class TestContainment:
             xm = mp.mpf(x)
             h = (mp.loggamma(xm + 1) - mp.log(2 * mp.pi) / 2 - (xm + 0.5) * (mp.log(xm + 0.5) - 1)
                  + 1 / (24 * (xm + 0.5)))
-            assert abs(rep.min_margin - (h - mp.mpf("2.4e-9"))) < 1e-18
+            assert abs(rep.min_margin - (h - mp.mpf(24) / 10 ** 10)) < 1e-18
 
     @pytest.mark.parametrize("claim_id", ["thm3.4-eq3.12-corrected", "thm3.2-eq3.8-corrected"])
     def test_bound_false_by_1e25_at_n1_is_not_verified(self, claim_id, monkeypatch):
         # lowered by 1e-25, corrected Eq. (3.12)'s c_hi, or C = 1/150 + 1e-25 in
-        # Eq. (3.8), makes the bound false at n = 1 by 1e-25: below the 15-digit
-        # error, so undecided there, and a counterexample at 30 digits
+        # Eq. (3.8), makes the bound false at n = 1 by 1e-25.  Eq. (3.8)'s side
+        # at n = 1 is exact but for its last floor, so that is a counterexample
+        # at 15 digits; for the row, the kernel's bound at x = 1 (2.2e-22 at
+        # 15 digits) leaves it undecided there, and a counterexample at 30
         cfg = PrecisionConfig(working_digits=15)
+        digits = 30 if claim_id.startswith("thm3.4") else 15
         if claim_id.startswith("thm3.4"):
             row = bounds._row
 
             def lowered(family, cfg):
                 lam, c_lo, c_hi = row(family, cfg)
                 if family.id is FamilyId.FACTORIAL_HIGH:
-                    with mp.workdps(cfg.dps):
-                        c_hi -= mp.mpf("1e-25")
+                    c_hi = _moved(c_hi, -Fraction(1, 10 ** 25), cfg)
                 return lam, c_lo, c_hi
 
             monkeypatch.setattr(bounds, "_row", lowered)
             claim = _claim(claim_id)
         else:
-            runner = harness._run_containment(harness._harmonic_cases, BoundFamily(FamilyId.HARMONIC_HIGH),
-                                              bounds.CORRECTED_HARMONIC_CONSTANT + Fraction(1, 10 ** 25))
+            runner = functools.partial(harness._run_harmonic, BoundFamily(FamilyId.HARMONIC_HIGH),
+                                       bounds.CORRECTED_HARMONIC_CONSTANT + Fraction(1, 10 ** 25))
             claim = dataclasses.replace(_claim(claim_id), runner=runner)
-        assert claim.runner(cfg, claim.grid)[2] == "indeterminate"
+        assert claim.runner(cfg, claim.grid)[2] == ("falsified" if digits == 15 else "indeterminate")
         rep = harness._run_claim(claim, cfg, claim.grid)
-        assert (rep.verdict, rep.precision_digits, rep.argmin_x) == ("falsified", 30, 1.0)
+        assert (rep.verdict, rep.precision_digits, rep.argmin_x) == ("falsified", digits, 1.0)
         assert rep.min_margin == pytest.approx(-1e-25, rel=1e-6)
 
     @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan], ids=["inf", "-inf", "nan"])
-    def test_non_finite_bound_is_rejected(self, bad):
-        # an mpf inf or nan has no exact ratio, so no enclosure is formed from it
-        with pytest.raises(DomainError):
-            harness._add_case(Sweep(), Fraction(1, 10 ** 23), 1.0, SpecialValue(mp.one, 0.0), mp.zero, bad)
+    def test_non_finite_bound_is_rejected(self, bad, monkeypatch):
+        # an mpf inf or nan has no exact ratio, so no interval is formed from
+        # it: a row constant made from one raises
+        row = bounds._row
 
-    def test_harmonic_check_reaches_past_the_grid(self):
-        # exact H_1, then the tail lemma, which covers every n >= 2
-        cfg = DEFAULT_CONFIG
-        family = BoundFamily(FamilyId.HARMONIC_HIGH)
-        cases = list(harness._harmonic_cases(family, bounds.CORRECTED_HARMONIC_CONSTANT,
-                                             cfg, harness._HARMONIC_GRID))
-        assert [c[0] for c in cases] == [1, 2]
-        assert cases[0][1] == SpecialValue(1, 0.0)
-        assert cases[0][2:] == bounds.harmonic_bound(family, 1, cfg)
-        assert cases[-1][1:] == bounds.harmonic_tail(family, 1, cfg)
+        def bad_row(family, cfg):
+            lam, c_lo, c_hi = row(family, cfg)
+            return lam, c_lo, _moved(c_hi, bad, cfg)
+
+        monkeypatch.setattr(bounds, "_row", bad_row)
+        claim = _claim("thm3.4-eq3.12-corrected")
+        with pytest.raises(DomainError):
+            claim.runner(DEFAULT_CONFIG, claim.grid)
+
+    def test_harmonic_check_reaches_past_the_grid(self, monkeypatch):
+        # exact H_1 at n = 1, then the tail lemma, which covers every n >= 2
+        added = []
+
+        class Recorder(Sweep):
+            def add(self, at, margin, lo, hi):
+                added.append(at)
+                super().add(at, margin, lo, hi)
+
+        monkeypatch.setattr(harness, "Sweep", Recorder)
+        result = harness._run_harmonic(BoundFamily(FamilyId.HARMONIC_HIGH), bounds.CORRECTED_HARMONIC_CONSTANT,
+                                       DEFAULT_CONFIG, harness._HARMONIC_GRID)
+        assert added == [1.0, 1.0, 2.0, 2.0]
+        assert result == (0.0, 1.0, "verified")
+
+
+class TestTightenedPastTheWidth:
+    """Each point check and Thm 3.2 claim, its bound moved past the true
+    value by a little more than its enclosure's width at 15 digits, is
+    falsified there: the enclosures are as narrow as stated."""
+
+    CFG = DEFAULT_CONFIG
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["lower", "upper"])
+    def test_necessary_limit(self, side, monkeypatch):
+        # v = -x - 1/(24 f(x)) at x = 1e4, its interval 3.8e-14 wide, moved so
+        # that the bound 499/1000 or 501/1000 lies 1e-13 past the true v
+        with mp.workdps(80):
+            x, half = mp.mpf(10 ** 4), mp.mpf(1) / 2
+            f = mp.loggamma(x + 1) - (x + half) * mp.log(x + half) + x + half - mp.log(2 * mp.pi) / 2
+            v = Fraction(*specfun._ratio(-x - 1 / (24 * f)))
+        delta = Fraction(1, 10 ** 13)
+        shift = Fraction(499, 1000) - delta - v if side == 0 else Fraction(501, 1000) + delta - v
+        fixed = monotone._necessary_limit_fixed
+
+        def moved(x, cfg):
+            (lo, hi), wp = fixed(x, cfg)
+            s_lo, s_hi = specfun._fixed_end(shift, wp)
+            return (lo + s_lo, hi + s_hi), wp
+
+        monkeypatch.setattr(monotone, "_necessary_limit_fixed", moved)
+        margin, at, verdict = harness._run_necessary_limit(self.CFG, harness._POINT_GRID)
+        assert (verdict, at) == ("falsified", 1e4)
+        assert margin == pytest.approx(-1e-13, rel=0.5)
+
+    def test_best_constants(self, monkeypatch):
+        # c + ln(1 + 1e-3) at x = 1e4 moved 1e-22 below H_{1/2}(1e4); that
+        # margin is 1.6e-23 wide
+        wl = specfun._constants(self.CFG).wl
+        with mp.workdps(80):
+            x, half = mp.mpf(10 ** 4), mp.mpf(1) / 2
+            h = (mp.loggamma(x + 1) - (x + half) * mp.log(x + half) + x + half - mp.log(2 * mp.pi) / 2
+                 + 1 / (24 * (x + half)))
+            top = specfun._fixed_end(h - mp.mpf("1e-22"), wl)
+        logs = specfun._logs
+        monkeypatch.setattr(specfun, "_logs", lambda w: logs(w)._replace(ln1001=top))
+        margin, at, verdict = harness._run_best_constants(self.CFG, harness._POINT_GRID)
+        assert (verdict, at) == ("falsified", 1e4)
+        assert margin == pytest.approx(-1e-22, rel=0.5)
+
+    def test_section1(self, monkeypatch):
+        # Bukac's lower bound at x = 10 raised 1e-30 past Sevli-Batir's, whose
+        # g's differ by 1/240 - 1/252; that margin is 2.5e-32 wide
+        wl = specfun._constants(self.CFG).wl
+        shift = specfun._fixed_end(Fraction(1, 240) - Fraction(1, 252) + Fraction(1, 10 ** 30), wl)
+        bound_g = bounds._bound_g
+
+        def raised(family, x, cfg):
+            lo, hi = bound_g(family, x, cfg)
+            if family.id is FamilyId.BUKAC_GAMMA and x == 10.0:
+                lo = (lo[0] + shift[0], lo[1] + shift[1])
+            return lo, hi
+
+        monkeypatch.setattr(bounds, "_bound_g", raised)
+        margin, at, verdict = harness._run_section1(self.CFG, harness._POINT_GRID)
+        assert (verdict, at) == ("falsified", 10.0)
+        assert margin == pytest.approx(-1e-30, rel=0.1)
+
+    @pytest.mark.parametrize("claim_id", ["thm3.2-eq3.7", "thm3.2-eq3.8-corrected", "eq3.8-as-printed"])
+    def test_harmonic(self, claim_id, monkeypatch):
+        # r = 1/54 - 1e-30, or C = 1/150 + 1e-30 in the runner of Eq. (3.8),
+        # printed or corrected: the side at n = 1 is exact but for one floor
+        # or ceiling at 2^-wl, 1.2e-32 at 15 digits
+        delta = Fraction(1, 10 ** 30)
+        runner = _claim(claim_id).runner
+        family, constant = runner.args
+        if family.id is FamilyId.HARMONIC_LOW:
+            monkeypatch.setitem(bounds._HARMONIC, FamilyId.HARMONIC_LOW, (0, Fraction(1, 54) - delta))
+        else:
+            constant = bounds.CORRECTED_HARMONIC_CONSTANT + delta
+        margin, at, verdict = runner.func(family, constant, self.CFG, harness._HARMONIC_GRID)
+        assert (verdict, at) == ("falsified", 1.0)
+        assert margin == pytest.approx(-1e-30, rel=0.1)
 
 
 class TestSweep:
@@ -517,20 +609,15 @@ class TestSweep:
         assert sweep.result() == expected
 
 
-def _one_ulp_away(c, cfg, step):
-    with mp.workdps(cfg.dps):
-        return c + step * mp.ldexp(1, mp.mag(c) - mp.prec)
-
-
 class TestEquality:
     """The corrected Thm 3.4 rows and Thm 3.2 sides hold with equality at
     n = 1 by how their constants are built, and only then."""
 
-    SIDES = {  # claim -> (patched function, family, index of the side's constant)
-        "thm3.4-eq3.12-corrected": ("_row", FamilyId.FACTORIAL_HIGH, 2),
-        "thm3.4-eq3.13-corrected": ("_row", FamilyId.FACTORIAL_LOW, 1),
-        "thm3.2-eq3.7": ("_harmonic_constants", FamilyId.HARMONIC_LOW, 0),
-        "thm3.2-eq3.8-corrected": ("_harmonic_constants", FamilyId.HARMONIC_HIGH, 1),
+    SIDES = {  # claim -> (family, index of a row's c in _row, sign of a tighter move)
+        "thm3.4-eq3.12-corrected": (FamilyId.FACTORIAL_HIGH, 2, -1),
+        "thm3.4-eq3.13-corrected": (FamilyId.FACTORIAL_LOW, 1, 1),
+        "thm3.2-eq3.7": (FamilyId.HARMONIC_LOW, None, -1),  # r of c_lo = 1 - ln(3/2) - r
+        "thm3.2-eq3.8-corrected": (FamilyId.HARMONIC_HIGH, None, 1),  # C of c_hi = 1 - ln(3/2) - C
     }
 
     @pytest.mark.parametrize("digits", [15, 30, 60])
@@ -551,31 +638,72 @@ class TestEquality:
         rows = tuple((0, *bounds._row_shape(r, cfg), bounds._row_ties(r, cfg)) for r in harness._THM34_ROWS[:2])
         [(_, _, margins)] = monotone._row_margins(rows, cfg, [mp.mpf(1)])
         assert [m for m in margins if m[1:] == (0, 0)] == [(0, 0, 0), (1, 0, 0)]
+        # Thm 3.2's side of the constant is exactly 1 at n = 1 by arithmetic
         low, high = BoundFamily(FamilyId.HARMONIC_LOW), BoundFamily(FamilyId.HARMONIC_HIGH)
-        assert type(bounds.harmonic_bound(low, 1, cfg)[0]) is int
-        assert type(bounds.harmonic_bound(high, 1, cfg)[1]) is int
-        printed = bounds.harmonic_bound(high, 1, cfg, bounds.PRINTED_HARMONIC_CONSTANT)
-        assert all(isinstance(v, mp.mpf) for v in printed + bounds.harmonic_bound(low, 2, cfg))
+        wl, c = specfun._constants(cfg).wl, bounds.CORRECTED_HARMONIC_CONSTANT
+        one = (1 << wl, 1 << wl)
+        assert bounds._harmonic_sides(low, 1, c, wl)[0] == one == bounds._harmonic_sides(high, 1, c, wl)[1]
+        assert bounds.harmonic_bound(low, 1, cfg)[0] == 1 == bounds.harmonic_bound(high, 1, cfg)[1]
+        printed = bounds._harmonic_sides(high, 1, bounds.PRINTED_HARMONIC_CONSTANT, wl)
+        assert all(lo < hi for lo, hi in printed + bounds._harmonic_sides(low, 2, c, wl))
 
-    @pytest.mark.parametrize("step", [-1, 1], ids=["down", "up"])
-    @pytest.mark.parametrize("claim_id", sorted(SIDES))
-    def test_constant_one_ulp_away_is_not_verified(self, claim_id, step, monkeypatch):
-        # the same constant rebuilt one ulp away at cfg.dps carries no tie:
-        # n = 1 is then checked strictly, below the error at every precision
-        name, fid, index = self.SIDES[claim_id]
-        built = getattr(bounds, name)
+    def _move_row(self, claim_id, move, monkeypatch) -> None:
+        """Replace the c interval of claim_id's equality side by move(c, cfg)."""
+        fid, index, _ = self.SIDES[claim_id]
+        built = bounds._row
 
-        def moved(family, *args):
-            values = list(built(family, *args))
+        def moved(family, cfg):
+            values = list(built(family, cfg))
             if family.id is fid:
-                values[index] = _one_ulp_away(values[index], args[-1], step)
+                values[index] = move(values[index], cfg)
             return tuple(values)
 
-        monkeypatch.setattr(bounds, name, moved)
+        monkeypatch.setattr(bounds, "_row", moved)
+
+    @pytest.mark.parametrize("claim_id, step", [
+        ("thm3.4-eq3.12-corrected", -1), ("thm3.4-eq3.12-corrected", 1),
+        ("thm3.4-eq3.13-corrected", -1), ("thm3.4-eq3.13-corrected", 1),
+        ("thm3.2-eq3.7", -1), ("thm3.2-eq3.8-corrected", 1),
+    ], ids=["thm3.4-eq3.12-corrected-down", "thm3.4-eq3.12-corrected-up", "thm3.4-eq3.13-corrected-down",
+            "thm3.4-eq3.13-corrected-up", "thm3.2-eq3.7-down", "thm3.2-eq3.8-corrected-up"])
+    def test_constant_one_ulp_away_is_not_verified(self, claim_id, step, monkeypatch):
+        # a constant within the enclosures' widths of the built one carries
+        # no tie: n = 1 is then checked strictly, undecided at 15 digits.  A
+        # row's c interval moves by a unit of 2^-wl either way; Thm 3.2's side
+        # at n = 1 is exact but for its last floor, so only a tighter r or C,
+        # by 2^-(wl+2), stays within it
+        if claim_id.startswith("thm3.2"):
+            fid, _, sign = self.SIDES[claim_id]
+            assert step == sign
+            s, r = bounds._HARMONIC[fid]
+            delta = Fraction(step, 1 << specfun._constants(DEFAULT_CONFIG).wl + 2)
+            monkeypatch.setitem(bounds._HARMONIC, fid, (s, (r or bounds.CORRECTED_HARMONIC_CONSTANT) + delta))
+        else:
+            self._move_row(claim_id, lambda c, cfg: (c[0] + step, c[1] + step), monkeypatch)
         claim = _claim(claim_id)
+        assert claim.runner(DEFAULT_CONFIG, claim.grid)[2] == "indeterminate"
         rep = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
         assert rep.verdict != "verified"
         assert rep.argmin_x == 1.0
+
+    @pytest.mark.parametrize("tighter", [True, False], ids=["tighter", "looser"])
+    @pytest.mark.parametrize("claim_id", sorted(SIDES))
+    def test_constant_moved_beyond_the_widths_is_decided(self, claim_id, tighter, monkeypatch):
+        # 1e-20, beyond the enclosures' widths at 15 digits, decides n = 1: a
+        # row's c interval is moved, or Thm 3.2's r of 1 - ln(3/2) - r
+        fid, _, sign = self.SIDES[claim_id]
+        size = Fraction(1, 10 ** 20)
+        v = sign * size if tighter else -sign * size
+        if claim_id.startswith("thm3.2"):
+            s, r = bounds._HARMONIC[fid]
+            monkeypatch.setitem(bounds._HARMONIC, fid, (s, (r or bounds.CORRECTED_HARMONIC_CONSTANT) + v))
+        else:
+            self._move_row(claim_id, lambda c, cfg: _moved(c, v, cfg), monkeypatch)
+        claim = _claim(claim_id)
+        rep = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
+        assert (rep.verdict, rep.precision_digits) == ("falsified" if tighter else "verified", 15)
+        if tighter:
+            assert rep.argmin_x == 1.0 and rep.min_margin == pytest.approx(-float(size), rel=1e-6)
 
     def test_series_lambda_exact_zero_at_k3_holds(self):
         lhs, rhs = monotone.series_coeff_lambda(3, Fraction(3, 2))
@@ -586,20 +714,20 @@ class TestEquality:
 
     @pytest.mark.parametrize("digits", [15, 30, 60])
     @pytest.mark.parametrize("fid", [FamilyId.HARMONIC_LOW, FamilyId.HARMONIC_HIGH])
-    def test_gamma_side_tail_margin_has_lower_end_zero(self, fid, digits):
+    def test_gamma_side_tail_margin_has_lower_end_zero(self, fid, digits, monkeypatch):
         # R(n) < 0 for s = 0 and R(n) > 0 for s = 1 (bounds.harmonic_tail):
         # the margin against c - gamma = 0 starts at exactly 0
         cfg = PrecisionConfig(working_digits=digits)
         added = []
 
-        class Recorder:
+        class Recorder(Sweep):
             def add(self, at, margin, lo, hi):
                 added.append((margin, lo, hi))
+                super().add(at, margin, lo, hi)
 
-        case = bounds.harmonic_tail(BoundFamily(fid), 1, cfg)
-        with mp.workdps(cfg.dps):
-            harness._add_case(Recorder(), Fraction(1, 10 ** (cfg.dps - 2)), 2, *case)
-        lower, upper = added
+        monkeypatch.setattr(harness, "Sweep", Recorder)
+        harness._run_harmonic(BoundFamily(fid), bounds.CORRECTED_HARMONIC_CONSTANT, cfg, harness._HARMONIC_GRID)
+        lower, upper = added[2:]
         margin, lo, hi = upper if fid is FamilyId.HARMONIC_LOW else lower
         assert lo == 0 and hi > 0 and margin > 0
 
@@ -614,8 +742,7 @@ class TestRemark1:
         assert by_id["remark1-eq4.1-containment"].verdict == "falsified"
         assert by_id["remark1-eq4.1-containment"].precision_digits == 15
         assert by_id["remark1-eq4.2-containment"].verdict == "verified"
-        prec = libmp.dps_to_prec(DEFAULT_CONFIG.dps)
-        wp, intervals = harness._remark1_margins(1e-3, prec, dens)
+        wp, intervals = harness._remark1_margins(1e-3, specfun._constants(DEFAULT_CONFIG).wl, dens)
         lo, hi = intervals[0 if dens[0] != 24 else 1]
         assert hi < 0
         assert mp.ldexp(hi, -2 * wp) == pytest.approx(-1.7e-9, rel=0.05)
@@ -684,7 +811,7 @@ class TestSharedWork:
         # lambda cancels from Q(x, lambda) - H_lambda'(x), so one residual
         # per x stands for every lambda; res is an integer interval, and the
         # comparison holds for both of its ends
-        wp = monotone._fixed_prec(DEFAULT_CONFIG)
+        wp = specfun._constants(DEFAULT_CONFIG).wl
         for x, res in residuals:
             for lam in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0):
                 check = monotone.laplace_check(x, lam, DEFAULT_CONFIG)
@@ -718,8 +845,8 @@ class TestSharedWork:
         suite = {r.claim_id: dataclasses.replace(r, runtime_ms=0) for r in harness.run_suite("thm3.4")}
         # one F_0(n) per n serves all four claims
         assert sorted(x for x, _ in calls) == list(range(1, 171))
-        # no p(n) per n: at most H_lambda(1) of the two corrected rows
-        assert len(stirling_calls) <= 2
+        # no p(n) per n, and none for the row constants, which are intervals
+        assert stirling_calls == []
         for claim in harness.claims_for_suite("thm3.4"):
             harness._row_pass.cache_clear()
             alone = harness._run_claim(claim, DEFAULT_CONFIG, claim.grid)
@@ -727,8 +854,8 @@ class TestSharedWork:
 
     def test_thm34_pass_makes_no_stirling_log_call_per_n(self, monkeypatch):
         # the printed sides compare F_0(n) with the printed bound less p(n),
-        # so p(n) is formed for no n; the two calls are the row constants
-        # H_lambda(1) of the corrected Eqs. (3.12), (3.13)
+        # so p(n) is formed for no n; the row constants H_lambda(1) of the
+        # corrected Eqs. (3.12), (3.13) are intervals, formed without p(1)
         stirling_calls = []
         stirling_log = specfun._stirling_log
 
@@ -741,7 +868,7 @@ class TestSharedWork:
         bounds._row.cache_clear()
         reports = harness.run_suite("thm3.4")
         assert harness.exit_code(reports) == 0
-        assert stirling_calls == [1, 1]
+        assert stirling_calls == []
 
     @staticmethod
     def _count_defect(monkeypatch) -> list:
@@ -777,10 +904,9 @@ class TestSharedWork:
             assert [x for x, _ in calls[:g.points]] == [mp.mpf(x) for x in g.values()]
         # eq1.3-best-constants: H_{1/2} at x = 1e4 and 1e-6, one call each
         assert [float(x) for x, _ in calls[g.points:]] == [1e4, 1e-6]
-        # no p(x) at any grid point: F_0 never forms it (the rest are the
-        # rows' H_lambda(0) and sec1)
-        points = set(g.values())
-        assert [x for x in stirling_calls if float(x) in points] == []
+        # no p(x) at all: F_0 never forms it, the row constants are
+        # intervals, and sec1 compares the families without it
+        assert stirling_calls == []
 
     def test_kth_root_report_is_decided_in_integers(self, monkeypatch):
         claim = _claim("kth-root-bound")
@@ -811,8 +937,8 @@ class TestSharedWork:
         reports = harness.run_suite(suite)
         assert harness.exit_code(reports) == 0
         assert set(calls).isdisjoint(grid.values())
-        # the rest is eq1.3's H_{1/2} at x = 1e4 and 1e-6, off the rows' grid
-        assert calls == ([1e4, 1e-6] if suite == "thm3.1" else [])
+        # nor does eq1.3's H_{1/2} at x = 1e4 and 1e-6, a row check too
+        assert calls == []
 
     def test_thm31_claims_alone_equal_suite(self):
         harness._row_pass.cache_clear()
@@ -844,8 +970,7 @@ class TestSharedWork:
         def lowered(family, cfg):
             lam, c_lo, c_hi = row(family, cfg)
             if family.id is FamilyId.QI_GAMMA_HIGH:
-                with mp.workdps(cfg.dps):
-                    c_hi = mp.mpf("-4.1e-6")
+                c_hi = _moved((0, 0), -Fraction(41, 10 ** 7), cfg)
             return lam, c_lo, c_hi
 
         monkeypatch.setattr(bounds, "_row", lowered)

@@ -18,7 +18,7 @@ from gammacert import (
     lambda_star,
     phi_integrand,
 )
-from gammacert import monotone
+from gammacert import monotone, specfun
 from gammacert.config import PrecisionConfig
 from gammacert.monotone import (
     default_cm_grid,
@@ -334,7 +334,7 @@ class TestPhiSignCertificate:
         # phi/t^p from an 80-digit direct form lies in the coefficient
         # intervals' polynomial plus the remainder interval
         p = 3 if lam == 0.5 else 2
-        wp = monotone._fixed_prec(PrecisionConfig(working_digits=digits))
+        wp = specfun._constants(PrecisionConfig(working_digits=digits)).wl
         coeffs, rem = monotone._phi_series(lam, wp)
         with mp.workdps(80), oracles.iv_dps(80):
             tm, lm = mp.mpf(t), mp.mpf(lam)
@@ -350,7 +350,7 @@ class TestPhiSignCertificate:
             phi = lambda u: mp.exp(-u / 2) / u - 1 / mp.expm1(u) - u * mp.exp(-lam * u) / 24
             ref = mp.diff(phi, mp.mpf(t), 2)
             # the box of the one point t, exact at 50 digits
-            wp, lr = monotone._fixed_prec(PrecisionConfig(working_digits=40)), monotone._ratio(lam)
+            wp, lr = specfun._constants(PrecisionConfig(working_digits=40)).wl, monotone._ratio(lam)
             tf = Fraction(*monotone._ratio(mp.mpf(t)))
             exps = monotone._point_exps(tf.as_integer_ratio(), lr, wp)
             enc = oracles.iv_of(monotone._phi_d2((tf, tf), *exps, lr, wp), wp)
@@ -515,12 +515,16 @@ class TestNecessaryLimit:
     def test_error_bound_covers_reference(self, digits, x):
         # the error of f(x) is amplified by about 1/(24 f^2) ~ 6 x^4 in the
         # limit, so a bare allowance at the working precision does not hold
-        sv = necessary_limit(x, PrecisionConfig(working_digits=digits))
+        cfg = PrecisionConfig(working_digits=digits)
+        sv = necessary_limit(x, cfg)
+        (lo, hi), wp = monotone._necessary_limit_fixed(x, cfg)
         with mp.workdps(80):
             xm, half = mp.mpf(x), mp.mpf(1) / 2
             f = mp.loggamma(xm + 1) - (xm + half) * mp.log(xm + half) + xm + half - mp.log(2 * mp.pi) / 2
             ref = -xm - 1 / (24 * f)
             assert abs(sv.value - ref) <= sv.abs_error_bound
+            # the interval the claim decides on holds it too
+            assert mp.ldexp(lo, -wp) <= ref <= mp.ldexp(hi, -wp)
 
 
 class TestExactSeries:

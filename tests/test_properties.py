@@ -426,22 +426,24 @@ def test_row_margins_within_their_error_of_a_reference(x, digits):
     cfg = PrecisionConfig(working_digits=digits)
     ref_cfg = PrecisionConfig(working_digits=2 * cfg.dps + 10)  # at 2 dps + 20 digits
     rows = tuple((0, *bounds._row_shape(r, cfg)) for r in _ALL_ROWS)
-    [(at, scale, margins)] = monotone._row_margins(rows, cfg, [mp.mpf(x)])
+    [(at, wp, margins)] = monotone._row_margins(rows, cfg, [mp.mpf(x)])
     assert at == x
     # one margin per side: both sides of the first four rows, one of the printed
     assert [i for i, _, _ in margins] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 5]
+    ref_wl = specfun._constants(ref_cfg).wl
     with mp.workdps(ref_cfg.dps):
         xm = mp.mpf(x)
         h = xm + mp.mpf(1) / 2
         f0 = mp.loggamma(xm + 1) - (mp.log(2 * mp.pi) / 2 + h * (mp.log(h) - 1))
         refs = []
         for r in _ALL_ROWS:
-            d, lam, c_lo, c_hi, _ = bounds._row_shape(r, ref_cfg)
+            # the constants at 2 dps + 20 digits, their intervals' midpoints
+            d, lam, c_lo, c_hi = bounds._row_shape(r, ref_cfg)
             target = f0 + 1 / (d * (xm + lam))
-            refs += [target - c for c in (c_lo,) if not mp.isinf(c)]
-            refs += [c - target for c in (c_hi,) if not mp.isinf(c)]
-        for (i, big_m, err), ref in zip(margins, refs):
-            assert abs(mp.mpf(big_m) / scale - ref) <= mp.mpf(err) / scale, (x, digits, i, big_m / scale, ref, err)
+            refs += [target - specfun._fixed_mpf(c, ref_wl) for c in (c_lo,) if c is not None]
+            refs += [specfun._fixed_mpf(c, ref_wl) - target for c in (c_hi,) if c is not None]
+        for (i, lo, hi), ref in zip(margins, refs):
+            assert mp.ldexp(lo, -wp) <= ref <= mp.ldexp(hi, -wp), (x, digits, i, ref, lo, hi)
 
 
 @given(x=st.floats(math.log(1e-3), math.log(1e6)).map(math.exp),
@@ -456,15 +458,15 @@ def test_cm_row_margins_within_their_error_of_a_reference(x, lam, sign, digits):
     # 20-digit reference
     cfg = PrecisionConfig(working_digits=digits)
     rows = monotone._cm_rows(lam, sign, 6, cfg)
-    [(at, scale, margins)] = monotone._row_margins(rows, cfg, [mp.mpf(x)])
+    [(at, wp, margins)] = monotone._row_margins(rows, cfg, [mp.mpf(x)])
     assert at == x
     assert [i for i, _, _ in margins] == list(range(7))
     s = 1 if sign == "plus" else -1
     with mp.workdps(2 * cfg.dps + 20):
-        for k, big_m, err in margins:  # row k is of order k
+        for k, lo, hi in margins:  # row k is of order k
             h = free_part(k, x) + (-1) ** k * mp.factorial(k) / (24 * (mp.mpf(x) + lam) ** (k + 1))
             ref = s * (-1) ** k * h
-            assert abs(mp.mpf(big_m) / scale - ref) <= mp.mpf(err) / scale, (x, lam, sign, digits, k)
+            assert mp.ldexp(lo, -wp) <= ref <= mp.ldexp(hi, -wp), (x, lam, sign, digits, k)
 
 
 def _phi80(t, lam):
@@ -485,7 +487,7 @@ def test_centred_form_encloses_phi_on_its_box(lo, width, lam, digits):
     # digits, lies in the second-order enclosure of the whole box
     hi = min(lo + width, 20.0)
     mid = (lo + hi) / 2
-    wp, lr = monotone._fixed_prec(PrecisionConfig(working_digits=digits)), monotone._ratio(lam)
+    wp, lr = specfun._constants(PrecisionConfig(working_digits=digits)).wl, monotone._ratio(lam)
     wc = monotone._centred_prec(wp, lr)
     mid_exps = monotone._point_exps(mid.as_integer_ratio(), lr, wc)
     enc = oracles.iv_of(monotone._phi_centred((lo, hi), mid_exps, lr, wc, {}), wc)
@@ -513,7 +515,7 @@ def test_box_enclosures_hold_phi_and_match_their_references(lo, width, lam, digi
     # tests/oracles.py
     hi = min(lo + width, 20.0)
     cfg = PrecisionConfig(working_digits=digits)
-    wp, lr = monotone._fixed_prec(cfg), monotone._ratio(lam)
+    wp, lr = specfun._constants(cfg).wl, monotone._ratio(lam)
     with oracles.iv_dps(cfg.dps):
         prec = iv.prec
         x, m, lm = iv.mpf([lo, hi]), iv.mpf((lo + hi) / 2), iv.mpf(lam)
@@ -550,7 +552,7 @@ def test_laplace_enclosure_holds_h_prime_and_matches_its_reference(x, lam, digit
     # form from mpmath's digamma at 80 digits, and is at most a few units of
     # 2^-wp wider than the mpmath.iv reference of tests/oracles.py
     cfg = PrecisionConfig(working_digits=digits)
-    wp = monotone._fixed_prec(cfg)
+    wp = specfun._constants(cfg).wl
     lo, hi = monotone._laplace_fixed(x, lam, cfg)
     ref = oracles.laplace_enclosure_iv(x, lam, cfg)
     with mp.workdps(80):

@@ -30,7 +30,7 @@ from gammacert import (
     polygamma,
 )
 import oracles
-from gammacert import bounds, harness, specfun
+from gammacert import harness, specfun
 from gammacert.config import MAX_WORKING_DIGITS
 from gammacert.monotone import default_cm_grid
 from oracles import free_part
@@ -534,19 +534,17 @@ class TestEulerGamma:
 
     @pytest.mark.parametrize("digits", [15, 30, 60])
     def test_harmonic_constants_read_mpmaths_gamma(self, digits):
-        # Thm 3.2's gamma is mpmath's constant at the precision of
-        # euler_gamma for cfg.dps quoted digits, within euler_gamma's bound
+        # Thm 3.2's gamma is the interval at 2^-wl of libmp's constant: a
+        # unit or two wide, it holds mpmath's gamma at three times the digits
+        # and euler_gamma's value within that one's bound
         cfg = PrecisionConfig(working_digits=digits)
-        family = bounds.BoundFamily(bounds.FamilyId.HARMONIC_HIGH)
-        *_, gamma_c = bounds._harmonic_constants(family, bounds.CORRECTED_HARMONIC_CONSTANT, cfg)
+        wl = specfun._constants(cfg).wl
+        lo, hi = specfun._logs(wl).euler
         sv = euler_gamma(PrecisionConfig(working_digits=cfg.dps))
-        with mp.workdps(cfg.dps + 10):
-            assert gamma_c == +mp.euler
-            prec = mp.prec
-        with mp.workdps(2 * cfg.dps + 40):
-            # within 2^-prec of gamma, as its docstring states
-            assert abs(gamma_c - mp.euler) <= mp.ldexp(gamma_c, -prec)
-            assert abs(gamma_c - sv.value) <= sv.abs_error_bound + mp.ldexp(gamma_c, -prec)
+        assert 0 < hi - lo <= 5
+        with mp.workdps(3 * cfg.dps):
+            assert mp.ldexp(lo, -wl) <= mp.euler <= mp.ldexp(hi, -wl)
+            assert abs(mp.ldexp(lo + hi, -wl - 1) - sv.value) <= sv.abs_error_bound + mp.ldexp(hi - lo, -wl)
 
     @pytest.mark.parametrize("digits", [15, 30])
     def test_value_at_default_global_precision(self, digits):
