@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from mpmath import libmp, mp
+from mpmath import mp
 
 from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, Sweep
 from .config import FALSIFIED, INDETERMINATE, MAX_WORKING_DIGITS, VERIFIED, require_positive
@@ -141,11 +141,10 @@ def _add_exact(sweep: Sweep, at: float, q) -> None:
 
 @functools.lru_cache(maxsize=1)
 def _row_pass(claims: tuple, cfg, grid: GridSpec) -> tuple:
-    """monotone._row_pass at grid's points as exact mpfs, the last pass kept,
-    keyed on the rows (their constants as values), cfg and grid, so another
-    precision or a patched row recomputes."""
-    xs = (mp.make_mpf(libmp.from_float(x)) for x in grid.values())
-    return monotone._row_pass(claims, cfg, xs)
+    """monotone._row_pass at grid's points, floats that the kernel takes
+    apart exactly, the last pass kept, keyed on the rows (their constants as
+    values), cfg and grid, so another precision or a patched row recomputes."""
+    return monotone._row_pass(claims, cfg, grid.values())
 
 
 @dataclass(frozen=True)
@@ -183,9 +182,9 @@ def _run_best_constants(cfg, grid: GridSpec):
     e^{7/12}, relative; each point a row of monotone._row_margins."""
     sweep, logs = Sweep(), specfun._logs(specfun._constants(cfg).wl)
     _, c_inf, c_0 = bounds._row(BoundFamily(FamilyId.QI_GAMMA_LOW), cfg)
-    for x, c in ((1e4, c_inf), (1e-6, c_0)):  # mpfs of x and 1/2 are exact
+    for x, c in ((1e4, c_inf), (1e-6, c_0)):  # the mpf of 1/2 is exact
         row = (0, 24, mp.mpf(0.5), *((c[0] + ln[0], c[1] + ln[1]) for ln in (logs.ln999, logs.ln1001)))
-        [(_, wp, margins)] = monotone._row_margins((row,), cfg, [mp.mpf(x)])
+        [(_, wp, margins)] = monotone._row_margins((row,), cfg, [x])
         for _, lo, hi in margins:
             specfun._add_interval(sweep, x, lo, hi, wp)
     return sweep.result()
@@ -369,7 +368,7 @@ def _run_laplace(cfg, grid: GridSpec):
     every lambda at once, with one enclosure per x; see _laplace_residuals.
 
     Each margin 1e-10 - |R| is formed as an integer interval and added
-    through monotone._add_enclosure, so it is certified at its point: the
+    through specfun._add_interval, so it is certified at its point: the
     enclosure of Q is proved and the closed form's bound is folded into R.  The claim still
     checks 5 points x: it is certified at its points, a sample of the
     identity rather than a proof of it.
@@ -378,7 +377,7 @@ def _run_laplace(cfg, grid: GridSpec):
     tol_lo, tol_hi = specfun._fixed_end(1e-10, wp)
     for x, (lo, hi) in _laplace_residuals(cfg):
         abs_lo = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
-        monotone._add_enclosure(sweep, x, (tol_lo - max(-lo, hi), tol_hi - abs_lo), wp)
+        specfun._add_interval(sweep, x, tol_lo - max(-lo, hi), tol_hi - abs_lo, wp)
     return sweep.result()
 
 

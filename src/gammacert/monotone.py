@@ -82,19 +82,19 @@ def _check_lambda(lam) -> None:
         raise DomainError(f"lambda must be finite and nonnegative, got {lam!r}")
 
 
-def _plus_lambda_fixed(f: int, k: int, xm, lm, wp: int, d: int) -> int:
-    """(F_k(x) + (-1)^k k!/(d (x+lambda)^(k+1))) 2^wp, d = 24 in H_lambda^(k),
-    within one unit more than f = F_k(x) 2^wp, an integer of the kernel
-    (specfun._stirling_defect_fixed); xm = x and lm = lambda are mpf.  Both
-    are exact integers times powers of two, so x + lambda = Y 2^t is exact
-    and the lambda term is the floor of one integer quotient."""
-    _, xman, xe, _ = xm._mpf_
-    _, lman, le, _ = lm._mpf_
-    t = min(xe, le)
-    shift, num = wp - t * (k + 1), math.factorial(k)
-    den = d * ((xman << (xe - t)) + (lman << (le - t))) ** (k + 1)
-    term = (num << shift) // den if shift >= 0 else num // (den << -shift)
-    return f - term if k % 2 else f + term
+def _plus_lambda_fixed(f: int, a: int, s: int, term: tuple, wp: int) -> int:
+    """(F_k(x) + (-1)^k k!/(d (x+lambda)^(k+1))) 2^wp, term = (k, k!, d,
+    man, exp) for lambda = man 2^exp, formed once per row, within one unit
+    more than f = F_k(x) 2^wp, an integer of the kernel
+    (specfun._stirling_defects), which gives x = a 2^s.  Both are exact
+    integers times powers of two, so x + lambda = Y 2^t is exact and the
+    lambda term is the floor of one integer quotient."""
+    k, num, d, man, exp = term
+    t = min(s, exp)
+    shift = wp - t * (k + 1)
+    den = d * ((a << (s - t)) + (man << (exp - t))) ** (k + 1)
+    big = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    return f - big if k % 2 else f + big
 
 
 def _H_rounded(k: int, x, lam, cfg: PrecisionConfig) -> SpecialValue:
@@ -104,9 +104,9 @@ def _H_rounded(k: int, x, lam, cfg: PrecisionConfig) -> SpecialValue:
     rounding."""
     with mp.workdps(cfg.dps):
         xm, lm = mp.mpf(x), mp.mpf(lam)
-    fs, wp, errs = specfun._stirling_defect_fixed(xm, cfg, k)
-    return specfun._rounded(_plus_lambda_fixed(fs[k], k, xm, lm, wp, 24), wp,
-                            errs[k] + math.ldexp(1, -wp), cfg)
+    [(_, a, s, fs, wp, errs)] = specfun._stirling_defects((xm,), cfg, k)
+    big_h = _plus_lambda_fixed(fs[k], a, s, (k, math.factorial(k), 24, *lm._mpf_[1:3]), wp)
+    return specfun._rounded(big_h, wp, errs[k] + math.ldexp(1, -wp), cfg)
 
 
 def H_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -186,18 +186,6 @@ def _exp_fixed(num: int, den: int, wp: int) -> tuple:
         raise DomainError(f"x and lambda must be binary fractions, as floats are; e^({num}/{den}) is asked")
     prec = wp + 10 + max(0, 2 * num // den + 2)  # e^q < 2^(2q + 1) for q > 0
     return _fixed_pair(libmp.mpf_exp(from_man_exp(num, 1 - den.bit_length()), prec), prec, wp)
-
-
-def _fixed_float(enc: tuple, wp: int) -> float:
-    """The float of enc's midpoint (lo + hi) 2^-(wp+1), rounded toward zero
-    as libmp.to_float rounds."""
-    return to_float(from_man_exp(enc[0] + enc[1], -wp - 1))
-
-
-def _add_enclosure(sweep: Sweep, at: float, enc: tuple, wp: int) -> None:
-    """Add an interval margin enc, at scale 2^-wp, to sweep: its ends decide,
-    its midpoint (_fixed_float) is reported."""
-    sweep.add(at, _fixed_float(enc, wp), *enc)
 
 
 @functools.lru_cache(maxsize=16)
@@ -465,7 +453,7 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
     [0, r^2] for r the box's larger half; beyond 20, a closed-form bound whose
     slack is the margin (_phi_tail).  A box whose enclosure holds 0 is
     bisected, up to _CERT_MAX_BOXES boxes.  Each leaf adds its enclosure to
-    one Sweep (_add_enclosure): "verified" needs every enclosure to have
+    one Sweep (specfun._add_interval): "verified" needs every enclosure to have
     its lower end >= 0 after the sign, one wholly below 0 gives
     "falsified" and ends the proof, anything else is "indeterminate" (so is
     lambda above about 3, where the Taylor piece is too wide, and 2 lambda
@@ -507,10 +495,10 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
                               (_scaled(mid[0], down, w), _scaled(mid[1], lam_down, w)))
                 stack += [(m, r, halves[1]), (l, m, halves[0])]
                 continue
-            _add_enclosure(sweep, m, enc, w)
+            _add_interval(sweep, m, *enc, w)
             if sweep.any_falsifying:
                 return sweep.result()
-    _add_enclosure(sweep, _T_TAIL, _phi_tail(lr, sign, wp), wp)
+    _add_interval(sweep, _T_TAIL, *_phi_tail(lr, sign, wp), wp)
     return sweep.result()
 
 
@@ -657,7 +645,7 @@ def laplace_check(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
     """Residual between the Laplace representation of H_lambda', enclosed by
     laplace_enclosure, and its closed form: the midpoint of
     _laplace_residual, expected within their combined bounds."""
-    return _fixed_float(_laplace_residual(x, lam, cfg), specfun._constants(cfg).wl)
+    return specfun._midpoint(*_laplace_residual(x, lam, cfg), specfun._constants(cfg).wl)
 
 
 @dataclass(frozen=True)
@@ -746,9 +734,9 @@ class CMReport:
 
 
 def _row_margins(rows: tuple, cfg: PrecisionConfig, xs):
-    """Yield (x, wp, [(row, lo, hi)]) for each mpf x > 0 of xs, one entry
-    per side of each row, lo <= 2^wp margin <= hi.  A row (k, d, lambda,
-    c_lo, c_hi) is
+    """Yield (x, wp, [(row, lo, hi)]) for each x > 0 of xs, a float (taken
+    apart exactly) or an mpf, one entry per side of each row, lo <= 2^wp
+    margin <= hi.  A row (k, d, lambda, c_lo, c_hi) is
 
         c_lo <= F_k(x) + (-1)^k k!/(d (x+lambda)^(k+1)) <= c_hi,
 
@@ -756,51 +744,53 @@ def _row_margins(rows: tuple, cfg: PrecisionConfig, xs):
     integer, lambda an mpf, each c an interval at the scale 2^-wl of
     specfun._constants(cfg) or None for a side left out; a row may end in
     the pair (x0 of c_lo, x0 of c_hi) of bounds._row_ties, where it holds
-    with equality by how its c was built, so lo = hi = 0 at x = x0.  One
-    kernel call per x, at the highest k of the rows, gives F_k 2^-wp at
-    exact x; with H = _plus_lambda_fixed(F_k, k, x, lambda, wp, d), a
-    side's margin is [H - E, H + E] less c (shifted to wp >= wl once per
-    wp), or c less that.  Error lemma: E = ceil(err 2^wp) + 1, err the
-    kernel's bound on F_k and 1 for the floor of the lambda term."""
+    with equality by how its c was built, so lo = hi = 0 at x = x0.  The
+    kernel specfun._stirling_defects streams xs at the highest k of the
+    rows, F_k 2^-wp at exact x; with H = _plus_lambda_fixed(F_k, x, the
+    row's lambda term, wp), a side's margin is [H - E, H + E] less c
+    (shifted to wp >= wl once per wp), or c less that.  Error lemma: E =
+    ceil(err 2^wp) + 1 (once per order and x), err the kernel's bound on
+    F_k, and 1 for the floor of the lambda term."""
     wl = specfun._constants(cfg).wl
-    shapes = []  # (k, d, lambda, [(row, upper side?, c, x0)])
+    shapes = []  # (k, lambda term, [(row, upper side?, x0, c)])
     for i, (k, d, lam, c_lo, c_hi, *ties) in enumerate(rows):
-        ties = ties[0] if ties else (None, None)
-        sides = [(i, up, c, x0) for up, c, x0 in zip((False, True), (c_lo, c_hi), ties) if c is not None]
-        shapes.append((k, d, lam, sides))
-    max_order, scaled = max(k for k, *_ in shapes), {}  # wp -> [c of each side at 2^-wp]
-    for xm in xs:
-        fs, wp, errs = specfun._stirling_defect_fixed(xm, cfg, max_order)
+        sides = zip((False, True), (c_lo, c_hi), ties[0] if ties else (None, None))
+        term = (k, math.factorial(k), d, *lam._mpf_[1:3])  # lambda = man 2^exp: _plus_lambda_fixed's term
+        shapes.append((k, term, [(i, up, x0, c) for up, c, x0 in sides if c is not None]))
+    max_order, scaled = max(k for k, *_ in shapes), {}  # wp -> shapes, each c at 2^-wp
+    for x, a, s, fs, wp, errs in specfun._stirling_defects(xs, cfg, max_order):
         if wp not in scaled:
-            scaled[wp] = [(c[0] << wp - wl, c[1] << wp - wl) for *_, sides in shapes for *_, c, _ in sides]
-        margins, cs = [], iter(scaled[wp])
-        for k, d, lam, sides in shapes:
-            big_h = _plus_lambda_fixed(fs[k], k, xm, lam, wp, d)
-            big_e = math.ceil(math.ldexp(errs[k], wp)) + 1
-            h_lo, h_hi = big_h - big_e, big_h + big_e
-            for (i, up, _, x0), (c_lo, c_hi) in zip(sides, cs):
-                if x0 is not None and xm == x0:  # the exact margin 0
+            sh = wp - wl
+            scaled[wp] = [(k, term, [(i, up, x0, c[0] << sh, c[1] << sh) for i, up, x0, c in sides])
+                          for k, term, sides in shapes]
+        big_es, margins = [math.ceil(math.ldexp(err, wp)) + 1 for err in errs], []
+        for k, term, sides in scaled[wp]:
+            big_h = _plus_lambda_fixed(fs[k], a, s, term, wp)
+            h_lo, h_hi = big_h - big_es[k], big_h + big_es[k]
+            for i, up, x0, c_lo, c_hi in sides:
+                if x0 is not None and x == x0:  # the exact margin 0
                     margins.append((i, 0, 0))
                 elif up:
                     margins.append((i, c_lo - h_hi, c_hi - h_lo))
                 else:
                     margins.append((i, h_lo - c_hi, h_hi - c_lo))
-        yield xm, wp, margins
+        yield x, wp, margins
 
 
 def _row_pass(claims: tuple, cfg: PrecisionConfig, xs) -> tuple:
     """(min_margin, (k, x), verdict) of each claim, a tuple of rows (see
-    _row_margins), over the mpf points of xs: the one pass behind cm_check,
-    the Thm 2.1 sweeps and the Thm 3.1/3.4 rows.  Each margin enters its
-    Sweep as its integer ends (specfun._add_interval); the kernel's integers
-    are streamed, not kept (about 2.5 MiB on a 4000-point grid)."""
+    _row_margins), over the points of xs, floats or mpfs: the one pass
+    behind cm_check, the Thm 2.1 sweeps and the Thm 3.1/3.4 rows.  Each
+    margin enters its Sweep as its integer ends, reported as its nearest
+    float (specfun._midpoint); the kernel's integers are streamed, not
+    kept (about 2.5 MiB on a 4000-point grid)."""
     sweeps = [Sweep() for _ in claims]
     adds = [(sweep, row[0]) for sweep, claim in zip(sweeps, claims) for row in claim]
-    for xm, wp, margins in _row_margins(tuple(row for claim in claims for row in claim), cfg, xs):
+    for x, wp, margins in _row_margins(tuple(row for claim in claims for row in claim), cfg, xs):
         for i, lo, hi in margins:
             sweep, k = adds[i]
-            _add_interval(sweep, (k, xm), lo, hi, wp)
-    return tuple((m, (k, float(xm)), verdict) for m, (k, xm), verdict in (s.result() for s in sweeps))
+            sweep.add((k, x), specfun._midpoint(lo, hi, wp), lo, hi)
+    return tuple((m, (k, float(x)), verdict) for m, (k, x), verdict in (s.result() for s in sweeps))
 
 
 def _cm_rows(lam, sign: str, max_order: int, cfg: PrecisionConfig) -> tuple:
@@ -823,12 +813,13 @@ def cm_check(
 ) -> CMReport:
     """Check s * (-1)^n H_lambda^(n)(x) >= 0 for n = 0..max_order on a grid,
     s = 1 for "plus" and -1 for "minus": the rows of _cm_rows in one
-    uncached _row_pass, x at full precision.  Each margin is one integer of
-    the kernel's fixed point, F_n plus the floor of the lambda term, within
-    the kernel's bound plus 1 unit of 2^-wp (the lemma of _row_margins),
-    and a margin that straddles 0 leaves the sweep "indeterminate".  This
-    call does not retry; `gammacert verify` reruns an indeterminate claim
-    once at doubled working precision.
+    uncached _row_pass over the grid's points, a float taken apart exactly,
+    any other x rounded as its mpf at cfg.dps, never to float64.  Each margin
+    is one integer of the kernel's fixed point, F_n plus the floor of the
+    lambda term, within the kernel's bound plus 1 unit of 2^-wp (the lemma
+    of _row_margins), and a margin that straddles 0 leaves the sweep
+    "indeterminate".  This call does not retry; `gammacert verify` reruns
+    an indeterminate claim once at doubled working precision.
     """
     if sign not in ("plus", "minus"):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -839,9 +830,7 @@ def cm_check(
         grid = default_cm_grid()
     if not grid or any(not x > 0 for x in grid):
         raise DomainError("grid must be nonempty with positive entries")
-    with mp.workdps(cfg.dps):  # x at full precision, never rounded to float64
-        xms = [mp.mpf(x) for x in grid]
-    [result] = _row_pass((_cm_rows(lam, sign, max_order, cfg),), cfg, xms)
+    [result] = _row_pass((_cm_rows(lam, sign, max_order, cfg),), cfg, grid)
     return CMReport(float(lam), sign, max_order, tuple(float(x) for x in grid), *result)
 
 

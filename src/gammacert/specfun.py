@@ -1,19 +1,20 @@
 """Reference evaluation of gamma-related special functions.
 
-Everything rests on one kernel, _stirling_defect_fixed.  With p(x) = ln
-sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1), it sums F_0(x) = ln Gamma(x+1) - p(x),
-the lambda-free part of H_lambda, and its derivatives F_1..F_K in
-fixed-point integers from one upward shift of x + 1 and Stirling's series
-at the shifted argument, so ln sqrt(2 pi) and the x ln x terms cancel
-before anything is rounded.  Its error bound, a lemma in its docstring,
-does not grow with x, and F_k stays finite at tiny x, since its argument
-is x + 1.  A call reads every precision-dependent value from one record
-per precision, _constants(cfg), enters no mpmath precision context and
-does only integer arithmetic, its two logs included (_ln_fixed).
-monotone's row pass (cm_check, the Thm 2.1 sweeps, the Thm 3.1/3.4 rows)
-decides in the kernel's integers; _stirling_defect rounds one F_k into an
-mpf.  The public functions add what F_k leaves out: ln_gamma adds p(x) -
-ln x to F_0, binet_theta adds (x+1/2) ln(1 + 1/(2x)) - 1/2 (from x = 1 on
+Everything rests on one kernel, _stirling_defects, a stream of points.
+With p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1), it sums F_0(x) = ln
+Gamma(x+1) - p(x), the lambda-free part of H_lambda, and its derivatives
+F_1..F_K in fixed-point integers from one upward shift of x + 1 and
+Stirling's series at the shifted argument, so ln sqrt(2 pi) and the x ln
+x terms cancel before anything is rounded.  Its error bound, a lemma in
+its docstring, does not grow with x, and F_k stays finite at tiny x,
+since its argument is x + 1.  It reads the values of the precision once
+per stream (_constants), enters no mpmath precision context, takes a
+float x apart exactly and does only integer arithmetic per point, its two
+logs included (_ln_fixed).  monotone's row pass (cm_check, the Thm 2.1
+sweeps, the Thm 3.1/3.4 rows) streams the grid's floats through it and
+decides in its integers; _stirling_defect rounds one F_k into an mpf.
+The public functions add what F_k leaves out: ln_gamma adds p(x) - ln x
+to F_0, binet_theta adds (x+1/2) ln(1 + 1/(2x)) - 1/2 (from x = 1 on
 by its series in 1/(2x), in fixed point, so its bound stays relative), and
 digamma and polygamma add the log term of F_(m+1) and the step from x + 1
 to x, each with the rounding rule 10^(2-dps) of _constants (its lemma) on
@@ -141,12 +142,6 @@ def _stirling_coeffs(m: int, n: int, prec: int | None = None) -> list:
     return table
 
 
-def _horner_slack(coeffs: list, k: int) -> float:
-    """2 + |c_2| k^2: the units of 2^-wp that bound the error of the sum of
-    _fixed_horner."""
-    return 2 + coeffs[1][3] * k * k
-
-
 def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
     """A_1 ~ 2^wp S, S = sum_{j<k} c_j w^(j-1), w = 1/z^2, for z = man 2^e >= 10
     given as man_exp = (man, e), coeffs from _stirling_coeffs and k the first
@@ -165,14 +160,14 @@ def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
 
         |A_1 2^-wp - S| <= 2^-wp (1.52 + |c_2| (k-1)(k-2)/2),
 
-    below 2^-wp (2 + |c_2| k^2) (_horner_slack), which also absorbs the
-    float judgement of the decrease."""
+    below 2^-wp (2 + |c_2| k^2), the slack the kernel adds to its bound,
+    which also absorbs the float judgement of the decrease."""
     man, e = man_exp
     shift = wp - 2 * e
     big_w = (1 << shift) // (man * man) if shift >= 0 else 0  # 0 when z^2 > 2^wp
     acc = coeffs[k - 2][2]
-    for _, _, c, _ in reversed(coeffs[:k - 2]):
-        acc = (acc * big_w >> wp) + c
+    for j in range(k - 3, -1, -1):
+        acc = (acc * big_w >> wp) + coeffs[j][2]
     return acc
 
 
@@ -301,14 +296,18 @@ def _fixed_mpf(enc: tuple, wp: int):
     return mp.make_mpf(libmp.from_man_exp(enc[0] + enc[1], -wp - 1, mp.prec, "n"))
 
 
-def _add_interval(sweep, at, lo: int, hi: int, wp: int) -> None:
-    """Add the margin [lo, hi] 2^-wp to sweep, reported as its midpoint rounded
-    once to the nearest float (+-inf beyond the float range, its sign exact)."""
+def _midpoint(lo: int, hi: int, wp: int) -> float:
+    """The midpoint (lo + hi) 2^-(wp+1) of [lo, hi] 2^-wp rounded once to the
+    nearest float (+-inf beyond the float range, its sign exact)."""
     try:
-        margin = (lo + hi) / (2 << wp)
+        return (lo + hi) / (2 << wp)
     except OverflowError:
-        margin = math.inf if lo + hi > 0 else -math.inf
-    sweep.add(at, margin, lo, hi)
+        return math.inf if lo + hi > 0 else -math.inf
+
+
+def _add_interval(sweep, at, lo: int, hi: int, wp: int) -> None:
+    """Add the margin [lo, hi] 2^-wp to sweep, reported as its _midpoint."""
+    sweep.add(at, _midpoint(lo, hi, wp), lo, hi)
 
 
 def _ln_pair(num: int, den: int, w: int) -> tuple:
@@ -343,11 +342,12 @@ def _logs(w: int) -> _Logs:
                  _fixed_pair(libmp.mpf_euler(prec), prec, w))
 
 
-def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
-    """(Fs, wp, errs) for finite x > 0: Fs[k] 2^-wp = F_k(x), the k-th
-    derivative of F_0(x) = ln Gamma(x+1) - p(x), to within errs[k], a float,
-    for k = 0..max_order, where p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1).
-    Fs[k] is the integer the kernel sums, not rounded.
+def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0):
+    """Yield (x, a, s, Fs, wp, errs) for each finite x > 0 of xs (else
+    DomainError), x = a 2^s, s <= 0: Fs[k] 2^-wp = F_k(x), the k-th
+    derivative of F_0(x) = ln Gamma(x+1) - p(x), to within errs[k], a
+    float, for k = 0..max_order, where p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x +
+    1/2) - 1).  Fs[k] is the integer the kernel sums, not rounded.
 
     With u = x + 1/2 and z = x + 1 + n, n the upward shift of x + 1 picked
     for all orders at once (below), ln Gamma(x+1) = ln Gamma(z) - ln
@@ -362,15 +362,14 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
     S_k(z) = sum_i c_i z^-(2i+k-1), with c_i the coefficients of order
     k - 1 of _stirling_coeffs (B_2i/(2i(2i-1)) at k = 0, B_2i (2i+k-2)!/(2i)!
     above).  ln sqrt(2 pi) cancels exactly, no term of size x ln x is formed,
-    and ln(z/u) is one log for every order.  x, rounded to prec bits as
-    mp.mpf(x) rounds it at cfg.dps, is taken apart once as man 2^e = a 2^s,
-    s = min(e, 0), so x + j, u and z are exact integers times powers of two,
-    and the terms are summed in fixed point at wp = max(wl, -e) bits, a
-    scale at which x itself is exact.  prec, wl = prec + _FIXED_GUARD_BITS,
-    the shift threshold and the series target come from the per-precision
-    record _constants(cfg), and the coefficients from _stirling_coeffs at
-    prec, so a call enters no mpmath precision context unless a coefficient
-    table grows, and rounds nothing but its floors.
+    and ln(z/u) is one log for every order.  A float x is taken apart
+    exactly, an mpf rounded to prec bits, as mp.mpf(x) rounds it at cfg.dps;
+    as x = a 2^s, x + j, u and z are exact integers times powers of two,
+    summed in fixed point at wp = max(wl, -s) bits, at which x is exact.
+    prec, wl = prec + _FIXED_GUARD_BITS, the shift threshold, the series
+    target (_constants(cfg)) and the coefficient tables at prec are read
+    once per call, not per x: the kernel enters no mpmath precision context
+    unless a table grows, and rounds nothing but its floors.
 
     The shift: n = ceil(thr - xf) when xf = float(x) + 1 < thr, else 0, with
     thr = _shift_threshold(working digits) + max(max_order - 1, 0), so that
@@ -396,7 +395,7 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
         of the ratio by less than (5/4) 2^-wl;
       - S_k(z) is off by at most its first omitted term |c_i| z^-(2i+k-1)
         plus 2^-wl (2 + |c_2| i^2)/z^(k+1), the bound of _fixed_horner's
-        sum (_horner_slack).
+        sum.
     errs[k] is the sum of the terms of F_k, with three floors in F_0 and
     the logs counted as (3n + 2), (2n + 4) and, in F_1, (6n + 3) units of
     2^-wl, the counts of an earlier route through mpf_log, kept so that errs
@@ -407,66 +406,77 @@ def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: 
     """
     consts = _constants(cfg)
     prec, wl = consts.prec, consts.wl
-    raw = x._mpf_ if type(x) is _MPF else _MPF.mpf_convert_arg(x, prec, "n")
-    sign, man, e, bc = raw
-    if sign or not man:  # x <= 0, or not finite
-        require_positive("x", x)
-    if bc > prec:  # to nearest at prec bits, as mp.mpf(x) rounds x at cfg.dps
-        _, man, e, _ = libmp.mpf_pos(raw, prec, "n")
-    xf = float(x) + 1
-    s = min(e, 0)
-    a, step = man << (e - s), 1 << -s  # x + j = (a + j step) 2^s
-    wp = max(wl, -e)
-
     log_target, target = consts.log_target, consts.target_float
-    thr, n = consts.shift_threshold + max(max_order - 1, 0), 0
-    for _ in range(4):
-        if xf < thr:
-            n = max(n, math.ceil(thr - xf))
-        zf = xf + n
-        lz = math.log(zf)
-        picks, fits = [], True  # (coeffs, i, remainder bound of S_k(z)) per order k = m + 1
-        for m in range(-1, max_order):
-            coeffs = _stirling_coeffs(m, 2, prec)
-            prev, i = coeffs[0][1] - (2 + m) * lz, 2  # ln |term 1|
-            while True:
-                if i > len(coeffs):
-                    coeffs = _stirling_coeffs(m, 2 * i, prec)
-                cur = coeffs[i - 1][1] - (2 * i + m) * lz
-                if cur < log_target or cur >= prev or i > 300:
-                    break  # term i is the first omitted one
-                prev, i = cur, i + 1
-            rem = (coeffs[i - 1][3] * zf ** -(2 * i + m)
-                   + math.ldexp(_horner_slack(coeffs, i), -wl) / zf * zf ** -(m + 1))
-            fits = fits and rem <= target
-            picks.append((coeffs, i, rem))
-        if fits:
-            break
-        thr *= 2
-
-    ui, zi = 2 * a + step, a + (n + 1) * step  # u = ui 2^(s-1), z = zi 2^s
-    sums = [((_fixed_horner(coeffs, i, (zi, s), wl) << (wp - wl - s * (k + 1))) // zi ** (k + 1), rem)
-            for k, (coeffs, i, rem) in enumerate(picks)]  # (S_k(z) 2^wp, its bound)
-    w1 = wl + max(ui.bit_length() + s - 1, 0) + 2  # wl + bitlen(u) + 2
-    log_zu = _ln_fixed(2 * zi, ui, w1)  # ln(z/u) 2^w1
-    fixed = (ui * log_zu >> (w1 + 1 - s - wp)) + sums[0][0] - ((2 * n + 1) << (wp - 1))
-    factors = range(a + step, zi, step)  # x + j = factors[j-1] 2^s
-    if n:
-        fixed -= _ln_fixed(math.prod(factors), zi ** n, wl) << (wp - wl)
-    fs, errs = [fixed], [math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + sums[0][1]]
-    powers = [1] * n  # (x + j)^k 2^-(s k)
-    for k in range(1, max_order + 1):
-        powers = [p * f for p, f in zip(powers, factors)]
-        unit = math.factorial(k - 1) << (wp - s * k)  # (k-1)! 2^wp / 2^(s k)
-        g = sums[k][0] + unit // (2 * zi ** k) + sum(unit // p for p in powers)
-        if k == 1:
-            g -= (log_zu << wp) >> w1
+    thr0 = consts.shift_threshold + max(max_order - 1, 0)
+    tables = [(m, _stirling_coeffs(m, 2, prec)) for m in range(-1, max_order)]  # order m + 1; grow in place
+    for x in xs:
+        if type(x) is float and 0.0 < x < math.inf:  # at most 53 <= prec bits
+            a, den = x.as_integer_ratio()
+            s = 1 - den.bit_length()
         else:
-            lead = math.factorial(k - 2) << (wp - s * (k - 1))
-            g += lead // zi ** (k - 1) - (lead << (k - 1)) // ui ** (k - 1)
-        fs.append(-g if k % 2 else g)
-        errs.append(math.ldexp(n + 4, -wp) + math.ldexp(6 * n + 4 if k == 1 else 1, -wl)
-                    + sums[k][1])
+            raw = x._mpf_ if type(x) is _MPF else _MPF.mpf_convert_arg(x, prec, "n")
+            sign, man, e, bc = raw
+            if sign or not man:  # x <= 0, or not finite
+                require_positive("x", x)
+            if bc > prec:  # to nearest at prec bits, as mp.mpf(x) rounds x at cfg.dps
+                _, man, e, _ = libmp.mpf_pos(raw, prec, "n")
+            a, s = man << (e - min(e, 0)), min(e, 0)
+        step, wp = 1 << -s, max(wl, -s)  # x + j = (a + j step) 2^s
+        xf = float(x) + 1
+        thr, n = thr0, 0
+        for _ in range(4):
+            if xf < thr:
+                n = max(n, math.ceil(thr - xf))
+            zf = xf + n
+            lz = math.log(zf)
+            picks, fits = [], True  # (table, i, remainder bound of S_k(z)) per order k = m + 1
+            for m, table in tables:
+                prev, size = table[0][1] - (2 + m) * lz, len(table)  # ln |term 1|
+                for i in range(2, 302):  # term i is the first omitted one
+                    if i > size:
+                        size = len(_stirling_coeffs(m, 2 * i, prec))
+                    cur = table[i - 1][1] - (2 * i + m) * lz
+                    if cur < log_target or cur >= prev:
+                        break
+                    prev = cur
+                rem = (table[i - 1][3] * zf ** -(2 * i + m)
+                       + math.ldexp(2 + table[1][3] * i * i, -wl) / zf * zf ** -(m + 1))
+                fits = fits and rem <= target
+                picks.append((table, i, rem))
+            if fits:
+                break
+            thr *= 2
+
+        ui, zi = 2 * a + step, a + (n + 1) * step  # u = ui 2^(s-1), z = zi 2^s
+        sums = [((_fixed_horner(table, i, (zi, s), wl) << (wp - wl - s * (k + 1))) // zi ** (k + 1), rem)
+                for k, (table, i, rem) in enumerate(picks)]  # (S_k(z) 2^wp, its bound)
+        w1 = wl + max(ui.bit_length() + s - 1, 0) + 2  # wl + bitlen(u) + 2
+        log_zu = _ln_fixed(2 * zi, ui, w1)  # ln(z/u) 2^w1
+        fixed = (ui * log_zu >> (w1 + 1 - s - wp)) + sums[0][0] - ((2 * n + 1) << (wp - 1))
+        factors = range(a + step, zi, step)  # x + j = factors[j-1] 2^s
+        if n:
+            fixed -= _ln_fixed(math.prod(factors), zi ** n, wl) << (wp - wl)
+        fs, errs = [fixed], [math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + sums[0][1]]
+        powers = [1] * n  # (x + j)^k 2^-(s k)
+        for k in range(1, max_order + 1):
+            powers = [p * f for p, f in zip(powers, factors)]
+            unit = math.factorial(k - 1) << (wp - s * k)  # (k-1)! 2^wp / 2^(s k)
+            g = sums[k][0] + unit // (2 * zi ** k) + sum(unit // p for p in powers)
+            if k == 1:
+                g -= (log_zu << wp) >> w1
+            else:
+                lead = math.factorial(k - 2) << (wp - s * (k - 1))
+                g += lead // zi ** (k - 1) - (lead << (k - 1)) // ui ** (k - 1)
+            fs.append(-g if k % 2 else g)
+            errs.append(math.ldexp(n + 4, -wp) + math.ldexp(6 * n + 4 if k == 1 else 1, -wl)
+                        + sums[k][1])
+        yield x, a, s, fs, wp, errs
+
+
+def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
+    """(Fs, wp, errs) of _stirling_defects at one x: a float is taken apart
+    exactly, an mpf rounded to prec bits, as mp.mpf(x) rounds it at cfg.dps."""
+    [(*_, fs, wp, errs)] = _stirling_defects((x,), cfg, max_order)
     return fs, wp, errs
 
 

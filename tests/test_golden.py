@@ -23,6 +23,8 @@ CASES = {
     "all-d30.json": ["--suite", "all", "--digits", "30"],
     "all-d60.json": ["--suite", "all", "--digits", "60"],
     "thm3.1-dense-d15.json": ["--suite", "thm3.1", "--grid", "1.1e-3:100:4000:log", "--digits", "15"],
+    "thm3.1-dense-d30.json": ["--suite", "thm3.1", "--grid", "1.1e-3:100:4000:log", "--digits", "30"],
+    "thm3.1-dense-d60.json": ["--suite", "thm3.1", "--grid", "1.1e-3:100:4000:log", "--digits", "60"],
 }
 
 

@@ -26,6 +26,19 @@ def normalize(reports):
     return [dataclasses.replace(r, runtime_ms=0) for r in reports]
 
 
+def hook_kernel(monkeypatch, record):
+    """Patch the kernel, specfun._stirling_defects, so that record(x, cfg,
+    max_order, (fs, wp, errs)) sees each x it evaluates, in a pass or alone."""
+    kernel = specfun._stirling_defects
+
+    def hooked(xs, cfg, max_order=0):
+        for x, a, s, fs, wp, errs in kernel(xs, cfg, max_order):
+            record(x, cfg, max_order, (fs, wp, errs))
+            yield x, a, s, fs, wp, errs
+
+    monkeypatch.setattr(specfun, "_stirling_defects", hooked)
+
+
 class TestGridSpec:
     def test_rejects_non_finite_ends(self):
         for lo, hi, spacing in [(1.0, math.inf, "log"), (-math.inf, 1.0, "linear"),
@@ -359,21 +372,19 @@ class TestContainment:
         # F_0(x) = ln Gamma(x+1) - p(x), which the rows read
         cfg = PrecisionConfig(working_digits=30)
         seen = []
-        defect = specfun._stirling_defect_fixed
-
-        def recording_defect(x, cfg, max_order=0):
-            seen.append((x, defect(x, cfg, max_order)))
-            return seen[-1][1]
-
-        monkeypatch.setattr(harness.specfun, "_stirling_defect_fixed", recording_defect)
+        hook_kernel(monkeypatch, lambda x, cfg, max_order, out: seen.append((x, out)))
         harness._row_pass.cache_clear()  # a cached pass would make no call
         claim = _claim("thm3.1-eq3.1-containment")
         assert harness._run_claim(claim, cfg, claim.grid).verdict == "verified"
+        monkeypatch.undo()
         xs = harness._GAMMA_GRID.values()[:50]
         assert len(seen) >= 50
         with mp.workdps(60):
-            for x, (xm, ([fixed], wp, [err])) in zip(xs, seen):
-                assert xm == x and isinstance(xm, mp.mpf)
+            for x, (xm, out) in zip(xs, seen):
+                # the kernel's integers at the point it was given are those
+                # at the exact mpf of x
+                assert xm == x and out == specfun._stirling_defect_fixed(mp.mpf(x), cfg)
+                [fixed], wp, [err] = out
                 h = mp.mpf(x) + mp.mpf(1) / 2
                 ref = mp.loggamma(mp.mpf(x) + 1) - (mp.log(2 * mp.pi) / 2 + h * (mp.log(h) - 1))
                 assert abs(mp.ldexp(fixed, -wp) - ref) <= err, x
@@ -804,6 +815,41 @@ class TestRetry:
         assert rep.precision_digits == 30
 
 
+class TestFloatPath:
+    # the row pass takes the grid's floats apart exactly, so every margin
+    # integer equals that of a pass over the exact mpfs of the same points;
+    # at 291 digits on a 100-point grid of the dense grid's range and every
+    # 4th point of the CM grid
+    @staticmethod
+    def _passes(cfg):
+        dense, every = GridSpec(1.1e-3, 100.0, 4000, "log"), 1
+        if cfg.working_digits == 291:
+            every = 4
+            dense = GridSpec(1.1e-3, 100.0, 100, "log")
+        row = lambda r: ((0, *bounds._row_shape(r, cfg), bounds._row_ties(r, cfg)),)
+        return {
+            "thm3.1": (tuple(row(r) for r in harness._THM31_ROWS), dense.values()),
+            "thm3.4": (tuple(row(r) for r in harness._THM34_ROWS), harness._FACTORIAL_GRID.values()),
+            "cm": (tuple(monotone._cm_rows(lam, sign, 6, cfg) for lam, sign in harness._CM_SWEEPS),
+                   harness._CM_GRID.values()[::every]),
+        }
+
+    @pytest.mark.parametrize("digits", [15, 30, 60, 291])
+    def test_row_pass_from_floats_equals_pass_from_exact_mpfs(self, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        for name, (claims, xs) in self._passes(cfg).items():
+            exact = [mp.mpf(x) for x in xs]  # 53 bits at mpmath's default precision
+            assert exact == xs and all(isinstance(x, float) for x in xs)
+            rows = tuple(row for claim in claims for row in claim)
+            # the pass's whole stream: each point, its wp and every margin
+            from_floats = list(monotone._row_margins(rows, cfg, xs))
+            assert from_floats == list(monotone._row_margins(rows, cfg, exact)), (name, digits)
+            if name == "thm3.4":
+                # the n = 1 ties of the corrected rows: exact zeros at x = 1.0
+                at_1 = [margins for x, _, margins in from_floats if x == 1]
+                assert [m for m in at_1[0] if m[1:] == (0, 0)] == [(0, 0, 0), (1, 0, 0)]
+
+
 class TestSharedWork:
     def test_laplace_residuals_match_direct_quadrature(self):
         residuals = harness._laplace_residuals(DEFAULT_CONFIG)
@@ -873,13 +919,7 @@ class TestSharedWork:
     @staticmethod
     def _count_defect(monkeypatch) -> list:
         calls = []  # (x, working digits) of each F_0 kernel call
-        defect = specfun._stirling_defect_fixed
-
-        def counting_defect(x, cfg, max_order=0):
-            calls.append((x, cfg.working_digits))
-            return defect(x, cfg, max_order)
-
-        monkeypatch.setattr(specfun, "_stirling_defect_fixed", counting_defect)
+        hook_kernel(monkeypatch, lambda x, cfg, max_order, out: calls.append((x, cfg.working_digits)))
         return calls
 
     @pytest.mark.parametrize("grid", [None, GridSpec(1.1e-3, 100.0, 4000, "log")],
@@ -996,14 +1036,12 @@ class TestSharedWork:
         # 0..6 per point of the 48-point grid, and make no ln Gamma call of
         # their own
         kernel_calls = []
-        kernel = monotone.specfun._stirling_defect_fixed
         sweep_ln_gamma_calls = []
         ln_gamma = monotone.specfun.ln_gamma
 
-        def counting_kernel(x, cfg, max_order=0):
+        def counting_kernel(x, cfg, max_order, out):
             if max_order == 6:
                 kernel_calls.append(x)
-            return kernel(x, cfg, max_order)
 
         def counting_ln_gamma(x, cfg):
             if in_pass:
@@ -1011,7 +1049,7 @@ class TestSharedWork:
             return ln_gamma(x, cfg)
 
         monkeypatch.setattr(monotone, "_row_pass", counting_pass)
-        monkeypatch.setattr(monotone.specfun, "_stirling_defect_fixed", counting_kernel)
+        hook_kernel(monkeypatch, counting_kernel)
         monkeypatch.setattr(monotone.specfun, "ln_gamma", counting_ln_gamma)
         harness._row_pass.cache_clear()
         reports = harness.run_suite("all")
@@ -1048,13 +1086,7 @@ class TestSharedWork:
 
     def test_cm_sweeps_share_one_kernel_call_per_point(self, monkeypatch):
         calls = []
-        kernel = specfun._stirling_defect_fixed
-
-        def counting_kernel(x, cfg, max_order=0):
-            calls.append((max_order, cfg.working_digits))
-            return kernel(x, cfg, max_order)
-
-        monkeypatch.setattr(specfun, "_stirling_defect_fixed", counting_kernel)
+        hook_kernel(monkeypatch, lambda x, cfg, max_order, out: calls.append((max_order, cfg.working_digits)))
         harness._row_pass.cache_clear()
         grid = GridSpec(0.5, 4.0, 3, "log")
         for cid in ("thm2.1-item1-cm-lam0.5", "thm2.1-item3-cm-lam1.5"):
@@ -1067,15 +1099,12 @@ class TestSharedWork:
         # F_0..F_6 come from one kernel call per grid point, made by the
         # first sweep's pass; the other seven read the same pass
         kernel_calls, free_calls = [], []
-        kernel = specfun._stirling_defect_fixed
 
-        def counting_kernel(x, cfg, max_order=0):
+        def counting_kernel(x, cfg, max_order, out):
             kernel_calls.append(x)
-            fs, wp, errs = kernel(x, cfg, max_order)
-            free_calls.extend((k, float(x)) for k in range(len(fs)))
-            return fs, wp, errs
+            free_calls.extend((k, float(x)) for k in range(len(out[0])))
 
-        monkeypatch.setattr(specfun, "_stirling_defect_fixed", counting_kernel)
+        hook_kernel(monkeypatch, counting_kernel)
         harness._row_pass.cache_clear()
         grid = GridSpec(0.01, 100.0, 6, "log")
         reports = []

@@ -364,13 +364,13 @@ class TestPhiSignCertificate:
         cfg = PrecisionConfig(working_digits=digits)
         hi = lambda_star(1e-8, cfg).bracket[1]
         leaves = []
-        add = monotone._add_enclosure
+        add = monotone._add_interval
 
-        def counting_add(sweep, at, enc, prec):
+        def counting_add(sweep, at, lo, hi, prec):
             leaves.append(at)
-            add(sweep, at, enc, prec)
+            add(sweep, at, lo, hi, prec)
 
-        monkeypatch.setattr(monotone, "_add_enclosure", counting_add)
+        monkeypatch.setattr(monotone, "_add_interval", counting_add)
         assert phi_sign_certificate(hi, 1, cfg)[2] == "verified"
         assert len(leaves) <= 64
 
@@ -440,8 +440,8 @@ class TestCMCheck:
         # order-0 margins sit inside their error bound at every grid point
         inner = monotone._plus_lambda_fixed
 
-        def zero_order_0(f, k, xm, lam, wp, d):
-            return 0 if k == 0 else inner(f, k, xm, lam, wp, d)
+        def zero_order_0(f, a, s, term, wp):
+            return 0 if term[0] == 0 else inner(f, a, s, term, wp)
 
         monkeypatch.setattr(monotone, "_plus_lambda_fixed", zero_order_0)
 
@@ -460,19 +460,21 @@ class TestCMCheck:
         # 2 dps + 20-digit mpmath reference (H_lambda_deriv reads the same
         # kernel, so it is no independent check)
         seen, errs = [], {}
-        kernel, inner = monotone.specfun._stirling_defect_fixed, monotone._plus_lambda_fixed
+        kernel, inner = monotone.specfun._stirling_defects, monotone._plus_lambda_fixed
 
-        def recording_kernel(x, cfg, max_order=0):
-            out = kernel(x, cfg, max_order)
-            errs[x] = out[2]
-            return out
+        def recording_kernel(xs, cfg, max_order=0):
+            for out in kernel(xs, cfg, max_order):
+                errs[out[0]] = out[-1]
+                yield out
 
-        def recording(f, k, xm, lam, wp, d):
-            big = inner(f, k, xm, lam, wp, d)
-            seen.append((k, xm, lam, big, wp, d))
+        def recording(f, a, s, term, wp):
+            big = inner(f, a, s, term, wp)
+            # x = a 2^s and lambda = man 2^exp, as the kernel and the row give them
+            k, _, d, man, exp = term
+            seen.append((k, mp.ldexp(a, s), mp.ldexp(man, exp), big, wp, d))
             return big
 
-        monkeypatch.setattr(monotone.specfun, "_stirling_defect_fixed", recording_kernel)
+        monkeypatch.setattr(monotone.specfun, "_stirling_defects", recording_kernel)
         monkeypatch.setattr(monotone, "_plus_lambda_fixed", recording)
         cm_check(0.25, "plus", max_order=6, grid=[0.05, 1.0, 30.0])
         monkeypatch.undo()

@@ -5,9 +5,10 @@ F_0 kernel stays within its bound, which is no wider than the bound of
 ln Gamma(x+1) - p(x) formed the long way, so does each of its orders
 F_0..F_6, ln_gamma and binet_theta, which read that kernel, stay within
 theirs, the kernel returns its reference's bounds bit for bit and its
-integers within the two routes' log bounds (tests/oracles.py), the
-fixed-point log specfun._ln_fixed lies within its bound of a reference of
-100 digits or more, every row margin of the one row pass, the Thm 3.1/3.4
+integers within the two routes' log bounds (tests/oracles.py), a float x
+gives the kernel the integers of its exact mpf and a bad float
+require_positive's DomainError, the fixed-point log specfun._ln_fixed
+lies within its bound of a reference of 100 digits or more, every row margin of the one row pass, the Thm 3.1/3.4
 rows and the rows of a complete-monotonicity sweep, lies within its stated
 error of a reference, the second-order centred form of the
 phi-sign certificate encloses phi_lambda on its box, the certificate's
@@ -392,6 +393,42 @@ def test_ln_fixed_within_its_bound_on_the_kernels_ratios(x, digits, max_order):
     assert 1 <= len(calls) <= 2
     for num, den, w in calls:
         assert abs(_ln_fixed_error(num, den, w)) < _LN_BOUND, (x, digits, num, den, w)
+
+
+# a float is taken apart exactly, so the kernel's integers at it are those
+# at its exact mpf: log-uniform x, any positive float (subnormal or
+# integral), the subnormal 5e-324 and the ends of the range
+@given(x=st.one_of(_full_range_x, st.floats(min_value=5e-324, max_value=1e300)),
+       max_order=st.integers(0, 6), digits=st.sampled_from([15, 30, 60, 291]))
+@example(x=5e-324, max_order=6, digits=15)
+@example(x=5e-324, max_order=0, digits=291)
+@example(x=100.0, max_order=6, digits=30)
+@example(x=3.0, max_order=6, digits=60)
+@example(x=3.0, max_order=2, digits=291)
+@example(x=1e-300, max_order=6, digits=291)
+@example(x=1e300, max_order=6, digits=15)
+@example(x=1e300, max_order=1, digits=291)
+@settings(max_examples=40, deadline=None)
+def test_kernel_at_a_float_equals_it_at_the_exact_mpf(x, max_order, digits):
+    cfg = PrecisionConfig(working_digits=digits)
+    exact = mp.mpf(x)  # 53 bits at mpmath's default precision: exact
+    assert exact == x
+    got = specfun._stirling_defect_fixed(x, cfg, max_order)
+    assert got == specfun._stirling_defect_fixed(exact, cfg, max_order), (x, max_order, digits)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60, 291])
+@pytest.mark.parametrize("x", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_kernel_rejects_a_bad_float(x, digits):
+    # the message config.require_positive gives, for the float as passed,
+    # from a lone kernel call and from the row pass alike
+    cfg = PrecisionConfig(working_digits=digits)
+    message = f"^x must be positive and finite, got {x!r}$"
+    with pytest.raises(DomainError, match=message):
+        specfun._stirling_defect_fixed(x, cfg, 6)
+    rows = ((0, *bounds._row_shape(FamilyId.QI_GAMMA_LOW, cfg)),)
+    with pytest.raises(DomainError, match=message):
+        monotone._row_pass((rows,), cfg, [1.0, x])
 
 
 @given(x=_log_uniform_x, digits=st.sampled_from([15, 30, 60]))
