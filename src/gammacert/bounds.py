@@ -213,12 +213,15 @@ def _bound_g(family: BoundFamily, x, cfg: PrecisionConfig) -> tuple:
 
 
 def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
-    """(ln lower, ln upper) at cfg.dps: p(x) plus the midpoint of each g of
-    _bound_g, -inf or +inf for an infinite side."""
-    w = specfun._constants(cfg).wl
+    """(ln lower, ln upper) at cfg.dps: p(x) of specfun._stirling_p, at x
+    as specfun._split gives it, plus the midpoint of each g of _bound_g,
+    rounded once; -inf or +inf for an infinite side."""
+    consts = specfun._constants(cfg)
+    a, s = specfun._split(x, consts.prec)
+    wp = max(consts.wl, -s)
+    (p, _), sh = specfun._stirling_p(a, s, wp, consts.wl), wp - consts.wl
     with mp.workdps(cfg.dps):
-        p, _ = specfun._stirling_log(mp.mpf(x), cfg)
-        return tuple(inf if g is None else p + specfun._fixed_mpf(g, w)
+        return tuple(inf if g is None else specfun._fixed_mpf((p + (g[0] << sh), p + (g[1] << sh)), wp)
                      for g, inf in zip(_bound_g(family, x, cfg), (mp.ninf, mp.inf)))
 
 

@@ -15,8 +15,10 @@ from dataclasses import dataclass, replace
 # in error bounds; absorbs rounding in the elementary-function calls.
 GUARD_DIGITS = 10
 
-# The most working digits accepted: from 292 on, float error bounds and box
-# ends leave the float range (the phi certificate overflows, errs turn 0).
+# The most working digits accepted: from 292 on, floats the precision sets
+# leave their range: the kernel's float remainder bound and its stop test
+# work near the target 10^-(digits+6) and 2^-wl, and the phi certificate's
+# box ends math.ldexp(l, w - 1) overflow.
 MAX_WORKING_DIGITS = 291
 
 

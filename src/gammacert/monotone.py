@@ -53,7 +53,7 @@ from .config import (
     require_positive,
 )
 from . import specfun
-from .specfun import _FIXED_GUARD_BITS, _add_interval, _cdiv, _fixed_end, _fixed_mpf, _fixed_pair, _ratio
+from .specfun import _FIXED_GUARD_BITS, _add_interval, _bernoulli, _cdiv, _fixed_end, _fixed_mpf, _fixed_pair, _ratio
 
 __all__ = [
     "H_lambda",
@@ -98,20 +98,21 @@ def _plus_lambda_fixed(f: int, a: int, s: int, term: tuple, wp: int) -> int:
 
 
 def _H_rounded(k: int, x, lam, cfg: PrecisionConfig) -> SpecialValue:
-    """H_lambda^(k)(x), k >= 0: the kernel's F_k plus the lambda term
+    """H_lambda^(k)(x), k >= 0: the kernel's F_k at x (rounded to the
+    working bits as the kernel rounds it) plus the lambda term
     (_plus_lambda_fixed), one integer rounded once (specfun._rounded).  The
     bound is the kernel's, one unit of 2^-wp for the term's floor and the
     rounding."""
     with mp.workdps(cfg.dps):
-        xm, lm = mp.mpf(x), mp.mpf(lam)
-    [(_, a, s, fs, wp, errs)] = specfun._stirling_defects((xm,), cfg, k)
+        lm = mp.mpf(lam)
+    [(_, a, s, fs, wp, errs)] = specfun._stirling_defects((x,), cfg, k)
     big_h = _plus_lambda_fixed(fs[k], a, s, (k, math.factorial(k), 24, *lm._mpf_[1:3]), wp)
-    return specfun._rounded(big_h, wp, errs[k] + math.ldexp(1, -wp), cfg)
+    return specfun._rounded(big_h, wp, errs[k] + 1, cfg)
 
 
 def H_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """H_lambda(x) = F_0(x) + 1/(24 (x+lambda)), F_0 from the kernel
-    specfun._stirling_defect_fixed, with its certified error bound (see
+    specfun._stirling_defects, with its certified error bound (see
     _H_rounded)."""
     require_positive("x", x)
     _check_lambda(lam)
@@ -131,7 +132,7 @@ def H_lambda_deriv(n: int, x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> Spe
 
     F_n(x) = psi^(n-1)(x+1) + (-1)^(n-1) (n-2)! / (x+1/2)^(n-1) for n >= 2
     and psi(x+1) - ln(x+1/2) at n = 1, summed by the kernel
-    specfun._stirling_defect_fixed; the lambda term is added to its integer
+    specfun._stirling_defects; the lambda term is added to its integer
     and the sum rounded once (_H_rounded).  Validated against central
     finite differences and mpmath's polygamma.
     """
@@ -140,29 +141,6 @@ def H_lambda_deriv(n: int, x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> Spe
     require_positive("x", x)
     _check_lambda(lam)
     return _H_rounded(n, x, lam, cfg)
-
-
-@functools.lru_cache(maxsize=2)
-def _tangent_numbers(n: int) -> tuple:
-    """(0, T_1, ..., T_n), the tangent numbers, by the integer recurrence of
-    Brent and Harvey (Fast computation of Bernoulli, tangent and secant
-    numbers, 2013), which gives B_2k = (-1)^(k-1) 2k T_k/(4^k (4^k - 1))."""
-    t = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return tuple(t)
-
-
-def _bernoulli(n: int) -> tuple:
-    """B_n = num/den for n >= 2, as (num, den): 0 for odd n, else from
-    _tangent_numbers."""
-    j = n // 2
-    if n % 2:
-        return 0, 1
-    return (-1) ** (j - 1) * 2 * j * _tangent_numbers(max(j, 32))[j], 4 ** j * (4 ** j - 1)
 
 
 # --- the integer interval layer of phi_lambda -------------------------------
@@ -749,7 +727,7 @@ def _row_margins(rows: tuple, cfg: PrecisionConfig, xs):
     rows, F_k 2^-wp at exact x; with H = _plus_lambda_fixed(F_k, x, the
     row's lambda term, wp), a side's margin is [H - E, H + E] less c
     (shifted to wp >= wl once per wp), or c less that.  Error lemma: E =
-    ceil(err 2^wp) + 1 (once per order and x), err the kernel's bound on
+    e + 1 units of 2^-wp (once per order and x), e the kernel's count for
     F_k, and 1 for the floor of the lambda term."""
     wl = specfun._constants(cfg).wl
     shapes = []  # (k, lambda term, [(row, upper side?, x0, c)])
@@ -763,7 +741,7 @@ def _row_margins(rows: tuple, cfg: PrecisionConfig, xs):
             sh = wp - wl
             scaled[wp] = [(k, term, [(i, up, x0, c[0] << sh, c[1] << sh) for i, up, x0, c in sides])
                           for k, term, sides in shapes]
-        big_es, margins = [math.ceil(math.ldexp(err, wp)) + 1 for err in errs], []
+        big_es, margins = [e + 1 for e in errs], []
         for k, term, sides in scaled[wp]:
             big_h = _plus_lambda_fixed(fs[k], a, s, term, wp)
             h_lo, h_hi = big_h - big_es[k], big_h + big_es[k]
@@ -835,18 +813,14 @@ def cm_check(
 
 
 def _necessary_limit_fixed(x, cfg: PrecisionConfig) -> tuple:
-    """((lo, hi), wp): the interval at 2^-wp of v = -x - 1/(24 f(x)), f = F_0.
-    f < 0 (H_(3/2) < 0) and v increases in f there, so the kernel's [F - E,
-    F + E], E = ceil(err 2^wp), gives v's ends exactly; NumericalError where
-    it reaches 0."""
-    require_positive("x", x)
-    with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-    fs, wp, errs = specfun._stirling_defect_fixed(xm, cfg)
-    big_e = math.ceil(math.ldexp(errs[0], wp))
-    if fs[0] + big_e >= 0:
+    """((lo, hi), wp): the interval at 2^-wp of v = -x - 1/(24 f(x)), f = F_0,
+    x rounded to the working bits as the kernel rounds it.  f < 0 (H_(3/2)
+    < 0) and v increases in f there, so the kernel's [F - E, F + E], E its
+    count, gives v's ends exactly; NumericalError where it reaches 0."""
+    [(_, a, s, [f], wp, [e])] = specfun._stirling_defects((x,), cfg)
+    if f + e >= 0:
         raise NumericalError(f"f(x) indistinguishable from 0 at x={x}")
-    v = [-Fraction(*_ratio(xm)) - Fraction(1 << wp, 24 * f) for f in (fs[0] - big_e, fs[0] + big_e)]
+    v = [-Fraction(a, 1 << -s) - Fraction(1 << wp, 24 * g) for g in (f - e, f + e)]
     return (_fixed_end(v[0], wp)[0], _fixed_end(v[1], wp)[1]), wp
 
 

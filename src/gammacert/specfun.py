@@ -9,23 +9,28 @@ x terms cancel before anything is rounded.  Its error bound, a lemma in
 its docstring, does not grow with x, and F_k stays finite at tiny x,
 since its argument is x + 1.  It reads the values of the precision once
 per stream (_constants), enters no mpmath precision context, takes a
-float x apart exactly and does only integer arithmetic per point, its two
-logs included (_ln_fixed).  monotone's row pass (cm_check, the Thm 2.1
-sweeps, the Thm 3.1/3.4 rows) streams the grid's floats through it and
-decides in its integers; _stirling_defect rounds one F_k into an mpf.
-The public functions add what F_k leaves out: ln_gamma adds p(x) - ln x
-to F_0, binet_theta adds (x+1/2) ln(1 + 1/(2x)) - 1/2 (from x = 1 on
-by its series in 1/(2x), in fixed point, so its bound stays relative), and
-digamma and polygamma add the log term of F_(m+1) and the step from x + 1
-to x, each with the rounding rule 10^(2-dps) of _constants (its lemma) on
-the magnitudes of the terms it adds; a bound past the float range raises
-DomainError.  Mathieu's partial sums are formed in fixed point too, each
-term floored and the tail bound rounded up, so their error is counted, not
-allowed for.  Every claim decides on the integer layer (_ratio .. _logs).
+dyadic x (an int, float or mpf) apart exactly, rounds a non-dyadic
+Fraction to the working bits (_split), and does only integer arithmetic
+per point, its two logs included (_ln_fixed).  monotone's row pass
+(cm_check, the Thm 2.1 sweeps, the Thm 3.1/3.4 rows) streams the grid's
+floats through it and decides in its integers.
 
-mpmath supplies the arbitrary-precision arithmetic and the Bernoulli
-numbers; the special-function algorithms themselves live here so their
-error bounds are explicit.
+A certified error is carried one way: an integer and a count of units of
+its scale 2^-wp that bounds its distance from the real value.  The kernel
+yields its errors so; the public functions add their terms to its
+integers, each with its count: ln_gamma adds p(x) - ln x to F_0
+(_stirling_p), binet_theta adds (x+1/2) ln(1 + 1/(2x)) - 1/2, and digamma
+and polygamma add the log term of F_(m+1) and the step from x + 1 to x.
+_rounded turns an integer and its count into a SpecialValue, rounding once
+and counting that rounding exactly; a bound past the float range raises
+DomainError.  Mathieu's partial sums are formed in fixed point too, each
+term floored and the tail bound rounded up, and rounded by _rounded.
+Every claim decides on the integer layer (_ratio .. _logs).
+
+mpmath supplies the mpf values that are returned, and pi and gamma
+(libmp); the Bernoulli numbers are exact integer ratios (_bernoulli), and
+the special-function algorithms themselves live here so their error
+bounds are explicit.
 """
 
 from __future__ import annotations
@@ -66,79 +71,96 @@ def _shift_threshold(digits: int) -> float:
 class _Constants(NamedTuple):
     """The values of one precision; see _constants."""
 
-    ln_sqrt_2pi: object  # mpf
-    eps: object  # mpf 10^(2-dps), the rounding rule of _constants
-    target: object  # mpf 10^-(working_digits+6), the Stirling series target
-    log_target: float  # its natural log
+    log_target: float  # ln of the Stirling series target 10^-(working_digits+6)
     prec: int  # the bits of cfg.dps
     wl: int  # prec + _FIXED_GUARD_BITS, the one fixed-point scale of cfg
     shift_threshold: float  # _shift_threshold(working_digits)
-    target_float: float  # the largest float <= target
+    target_float: float  # the largest float <= the target
 
 
 @functools.lru_cache(maxsize=8)
 def _constants(cfg: PrecisionConfig) -> _Constants:
-    """The values of cfg's precision, computed once per precision: ln sqrt(2
-    pi), 10^(2-dps) and the series target at cfg.dps, and the bits, scale
-    and threshold that the kernel reads, so that it enters no precision
-    context per call.  2^-wl is the scale of every integer interval at cfg's
-    precision.  A float remainder bound lies at or below target exactly
-    when it lies at or below target_float, target floored to 53 bits, a
-    normal float up to MAX_WORKING_DIGITS.
-
-    The rounding rule eps, read by ln_gamma, binet_theta and _polygamma
-    only; no claim reads it.  Lemma: let a value be formed by N <= 50
-    mpmath operations at cfg.dps digits (+, -, *, /, an integer power, log,
-    log1p, ln sqrt(2 pi) above), each returning its exact result at its
-    operands to within one unit in the last place, 2u, u = 2^-prec: libmp
-    rounds its arithmetic to nearest and evaluates log and log1p with guard
-    bits before one rounding.  An operand y(1 + d) moves log y by at most |d|
-    + d^2, one more term of size 1 next to |log y|.  Then the value is
-    within gamma_2N sum |t| of the exact one, sum |t| the magnitudes of its
-    terms and factors (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed. 2002, sec. 3.1, Lemma 3.1 and (3.4)), and gamma_2N =
-    2N u/(1 - 2N u) <= 10^(2-dps), as u <= 2^0.5 10^-(dps+1).  Each reader
-    uses at most 10 operations and names its terms."""
-    with mp.workdps(cfg.dps):
-        target = mp.mpf(10) ** (-(cfg.working_digits + 6))
-        return _Constants(mp.log(2 * mp.pi) / 2, mp.mpf(10) ** (2 - cfg.dps), target,
-                          -(cfg.working_digits + 6) * math.log(10), mp.prec,
-                          mp.prec + _FIXED_GUARD_BITS, _shift_threshold(cfg.working_digits),
-                          libmp.to_float(target._mpf_, rnd=libmp.round_floor))
+    """The values of cfg's precision, computed once per precision without a
+    precision context: the log of the series target 10^-(working_digits+6),
+    and the bits, scale and threshold that the kernel reads.  2^-wl is the
+    scale of every integer interval at cfg's precision.  A float remainder
+    bound lies at or below the target exactly when it lies at or below
+    target_float, the target floored to 53 bits, a normal float up to
+    MAX_WORKING_DIGITS."""
+    digits = cfg.working_digits + 6
+    target = Fraction(1, 10 ** digits)
+    below = float(target)
+    if Fraction(below) > target:
+        below = math.nextafter(below, 0.0)
+    prec = libmp.dps_to_prec(cfg.dps)
+    return _Constants(-digits * math.log(10), prec, prec + _FIXED_GUARD_BITS,
+                      _shift_threshold(cfg.working_digits), below)
 
 
-_HALF = mp.mpf(1) / 2  # exact at every precision
-_MPF = type(_HALF)
+_MPF = type(mp.mpf(1))
 
 # bits below 2^-prec kept by the kernel's fixed-point sums
 _FIXED_GUARD_BITS = 20
 
-# (m, prec) -> [(c_k, ln|c_k|, C_k, |c_k|) for k = 1, 2, ...], c_k = B_2k
-# (2k+m-1)!/(2k)! rounded at that precision, C_k the integer nearest c_k 2^wp,
-# wp = prec + _FIXED_GUARD_BITS, and |c_k| as a float; filled on first use and
+_TANGENT: list = [0, 1]  # [0, T_1, ..., T_N] of _tangent_numbers; grows on demand
+
+
+def _tangent_numbers(n: int) -> list:
+    """[0, T_1, ..., T_N], N >= n, the tangent numbers, by the integer
+    recurrence of Brent and Harvey (Fast computation of Bernoulli, tangent
+    and secant numbers, 2013).  One table serves every caller: asked past
+    its end, it is rebuilt at twice its length or more, so reaching N takes
+    O(N^2) steps in all."""
+    if n >= len(_TANGENT):
+        n = max(n, 2 * len(_TANGENT), 32)
+        t = [0, 1] + [0] * (n - 1)
+        for k in range(2, n + 1):
+            t[k] = (k - 1) * t[k - 1]
+        for k in range(2, n + 1):
+            for j in range(k, n + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        _TANGENT[:] = t
+    return _TANGENT
+
+
+def _bernoulli(n: int) -> tuple:
+    """B_n = num/den for n >= 2, as (num, den): 0 for odd n, else B_2j =
+    (-1)^(j-1) 2j T_j/(4^j (4^j - 1)) from _tangent_numbers."""
+    j = n // 2
+    if n % 2:
+        return 0, 1
+    return (-1) ** (j - 1) * 2 * j * _tangent_numbers(j)[j], 4 ** j * (4 ** j - 1)
+
+
+# (m, prec) -> [(ln|c_k|, C_k, |c_k|) for k = 1, 2, ...], c_k = B_2k
+# (2k+m-1)!/(2k)! exactly, C_k the integer nearest c_k 2^wp, wp = prec +
+# _FIXED_GUARD_BITS, |c_k| the float nearest it (inf past the float range)
+# and ln|c_k| the float nearest _ln_fixed at 80 bits; filled on first use and
 # extended as longer series need it
 _STIRLING_COEFFS: dict = {}
 
 
-def _stirling_coeffs(m: int, n: int, prec: int | None = None) -> list:
-    """At least n Stirling coefficients of order m at prec bits, by default
-    the current precision; only a table that grows is built under prec."""
-    prec = prec or mp.prec
+def _stirling_coeffs(m: int, n: int, prec: int) -> list:
+    """At least n Stirling coefficients of order m at prec bits, each from
+    the exact B_2k of _bernoulli and the integer ratio (2k+m-1)!/(2k)!."""
     table = _STIRLING_COEFFS.setdefault((m, prec), [])
     if len(table) >= n:
         return table
     wp = prec + _FIXED_GUARD_BITS
-    with mp.workprec(prec):
-        for k in range(len(table) + 1, n + 1):
-            # (2k+m-1)!/(2k)! is kept as an exact integer ratio
-            if m >= 1:
-                num, den = math.perm(2 * k + m - 1, m - 1), 1
-            else:
-                num, den = 1, math.perm(2 * k, 1 - m)
-            c = mp.bernoulli(2 * k) * num / den
-            p, q = mp.bernfrac(2 * k)
-            top, bottom = p * num << wp, q * den
-            table.append((c, float(mp.log(abs(c))), (2 * top + bottom) // (2 * bottom), float(abs(c))))
+    _tangent_numbers(n)  # one build for the whole extension
+    for k in range(len(table) + 1, n + 1):
+        if m >= 1:
+            num, den = math.perm(2 * k + m - 1, m - 1), 1
+        else:
+            num, den = 1, math.perm(2 * k, 1 - m)
+        p, q = _bernoulli(2 * k)
+        top, bottom = p * num, q * den
+        try:
+            size = abs(top) / bottom
+        except OverflowError:
+            size = math.inf
+        table.append((_ln_fixed(abs(top), bottom, 80) / (1 << 80), (2 * (top << wp) + bottom) // (2 * bottom),
+                      size))
     return table
 
 
@@ -165,17 +187,10 @@ def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
     man, e = man_exp
     shift = wp - 2 * e
     big_w = (1 << shift) // (man * man) if shift >= 0 else 0  # 0 when z^2 > 2^wp
-    acc = coeffs[k - 2][2]
+    acc = coeffs[k - 2][1]
     for j in range(k - 3, -1, -1):
-        acc = (acc * big_w >> wp) + coeffs[j][2]
+        acc = (acc * big_w >> wp) + coeffs[j][1]
     return acc
-
-
-def _floor_mul(a: int, f, shift: int) -> int:
-    """floor(a f 2^shift) for an integer a and a raw mpf f = (sign, man, exp, bc)."""
-    sign, man, exp, _ = f
-    t, exp = (-a * man if sign else a * man), exp + shift
-    return t << exp if exp >= 0 else t >> -exp
 
 
 _LN_T = 7  # _ln_fixed reads ln c_j, c_j = 1 + j/2^_LN_T, from a table
@@ -265,6 +280,25 @@ def _ratio(v) -> tuple:
     return Fraction(v).as_integer_ratio()
 
 
+def _split(x, prec: int) -> tuple:
+    """(a, s), s <= 0, with a 2^s = x > 0.  A dyadic x, an int, float, mpf
+    or Fraction whose denominator is a power of two, is taken apart
+    exactly, so what is certified at a 2^s is certified at x; any other
+    Fraction p/q is rounded to nearest at prec bits from its exact ratio,
+    as mp.mpf(p)/q is at that precision, and a string is read at prec bits
+    as mpmath reads it.  DomainError unless x is positive and finite."""
+    if isinstance(x, Fraction):
+        num, den = x.numerator, x.denominator
+        raw = (libmp.from_man_exp(num, 1 - den.bit_length()) if den & (den - 1) == 0
+               else libmp.from_rational(num, den, prec, "n"))
+    else:  # exact but for a string or an mpmath constant
+        raw = x._mpf_ if type(x) is _MPF else _MPF.mpf_convert_arg(x, prec, "n")
+    sign, man, e, _ = raw
+    if sign or not man:  # x <= 0, or not finite
+        require_positive("x", x)
+    return man << (e - min(e, 0)), min(e, 0)
+
+
 def _cdiv(n: int, d: int) -> int:
     """ceil(n/d) for d > 0."""
     return -(-n // d)
@@ -342,12 +376,23 @@ def _logs(w: int) -> _Logs:
                  _fixed_pair(libmp.mpf_euler(prec), prec, w))
 
 
+def _u_ln(ui: int, s: int, num: int, den: int, wp: int, wl: int) -> tuple:
+    """(floor(2^wp u ln r), floor(2^wp ln r)), r = num/den, for u = ui
+    2^(s-1) >= 1/2 and wp >= wl: one log from _ln_fixed at w1 = wl +
+    bitlen(u) + 2 bits, u < 2^bitlen(u), so that u ln r is within (5/16)
+    2^(wp-wl) + 1 units of 2^-wp, and ln r too, for every u."""
+    w1 = wl + max(ui.bit_length() + s - 1, 0) + 2
+    log = _ln_fixed(num, den, w1)  # ln r 2^w1
+    return ui * log >> (w1 + 1 - s - wp), (log << wp) >> w1
+
+
 def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0):
     """Yield (x, a, s, Fs, wp, errs) for each finite x > 0 of xs (else
     DomainError), x = a 2^s, s <= 0: Fs[k] 2^-wp = F_k(x), the k-th
-    derivative of F_0(x) = ln Gamma(x+1) - p(x), to within errs[k], a
-    float, for k = 0..max_order, where p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x +
-    1/2) - 1).  Fs[k] is the integer the kernel sums, not rounded.
+    derivative of F_0(x) = ln Gamma(x+1) - p(x), to within errs[k] units of
+    2^-wp, an integer, for k = 0..max_order, where p(x) = ln sqrt(2 pi) +
+    (x+1/2)(ln(x + 1/2) - 1).  Fs[k] is the integer the kernel sums, not
+    rounded.
 
     With u = x + 1/2 and z = x + 1 + n, n the upward shift of x + 1 picked
     for all orders at once (below), ln Gamma(x+1) = ln Gamma(z) - ln
@@ -363,15 +408,17 @@ def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int 
     k - 1 of _stirling_coeffs (B_2i/(2i(2i-1)) at k = 0, B_2i (2i+k-2)!/(2i)!
     above).  ln sqrt(2 pi) cancels exactly, no term of size x ln x is formed,
     and ln(z/u) is one log for every order.  A float x is taken apart
-    exactly, an mpf rounded to prec bits, as mp.mpf(x) rounds it at cfg.dps;
-    as x = a 2^s, x + j, u and z are exact integers times powers of two,
-    summed in fixed point at wp = max(wl, -s) bits, at which x is exact.
-    prec, wl = prec + _FIXED_GUARD_BITS, the shift threshold, the series
-    target (_constants(cfg)) and the coefficient tables at prec are read
-    once per call, not per x: the kernel enters no mpmath precision context
-    unless a table grows, and rounds nothing but its floors.
+    exactly, as is any other dyadic x by _split, which rounds a non-dyadic
+    Fraction to prec bits as mp.mpf(p)/q is at cfg.dps; as x = a 2^s, x +
+    j, u and z are exact integers times powers of two, summed in fixed
+    point at wp = max(wl, -s) bits, at which x is exact.  prec, wl = prec +
+    _FIXED_GUARD_BITS, the shift threshold, the series target
+    (_constants(cfg)) and the coefficient tables at prec are read once per
+    call, not per x: the kernel enters no mpmath precision context and
+    rounds nothing but its floors.
 
-    The shift: n = ceil(thr - xf) when xf = float(x) + 1 < thr, else 0, with
+    The shift: n = ceil(thr - xf) when xf = float(x) + 1 < thr, else 0 (x
+    as _split gives it, so xf is inf past the float range), with
     thr = _shift_threshold(working digits) + max(max_order - 1, 0), so that
     the highest order's series meets its target too.  The series of order
     k - 1 keeps the terms c_i z^-(2i+k-1) while they decrease and stay above
@@ -381,8 +428,8 @@ def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int 
     max_order = 0 is F_0 alone.
 
     Both logs come from _ln_fixed on the exact integers: ln(z/u) = ln(2
-    zi/ui) at w1 = wl + bitlen(u) + 2 bits, u < 2^bitlen(u), so that u
-    ln(z/u) stays accurate for every x, and ln(prod/z^n) at wl bits.
+    zi/ui) from _u_ln, at w1 = wl + bitlen(u) + 2 bits, u < 2^bitlen(u), so
+    that u ln(z/u) stays accurate for every x, and ln(prod/z^n) at wl bits.
     Without a shift, z/u = 1 + 1/(2x+1) reads no log table above x = 63.5.
     Each rational term is the floor of one exact integer quotient; S_k(z) is
     summed by _fixed_horner at wl bits and divided by z^(k+1), one floor more.
@@ -396,13 +443,13 @@ def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int 
       - S_k(z) is off by at most its first omitted term |c_i| z^-(2i+k-1)
         plus 2^-wl (2 + |c_2| i^2)/z^(k+1), the bound of _fixed_horner's
         sum.
-    errs[k] is the sum of the terms of F_k, with three floors in F_0 and
-    the logs counted as (3n + 2), (2n + 4) and, in F_1, (6n + 3) units of
-    2^-wl, the counts of an earlier route through mpf_log, kept so that errs
-    does not move.  They exceed the logs' bounds by at least 1.6 units of
-    2^-wl, and errs[k], k >= 1, adds one unit of 2^-wl more; that covers
-    the float arithmetic of the bound itself, off by at most (6i + 2k + 8)
-    2^-53 of it while the series meets its target.
+    errs[k] counts these terms of F_k in units of 2^-wp: 3 units in F_0
+    and n + 4 in F_k, k >= 1, for the floors; 5n + 6 units of 2^-wl in F_0
+    and 6n + 4 in F_1 for the logs, and 1 in F_k, k >= 2, a spare of at
+    least one unit of 2^-wl at every order; and the remainder bound rem of
+    S_k(z), a float, rounded up once into units, ceil(rem 2^wp).  The spare
+    covers the float arithmetic of rem, off by at most (6i + 2k + 8) 2^-53
+    of it while the series meets its target.
     """
     consts = _constants(cfg)
     prec, wl = consts.prec, consts.wl
@@ -412,17 +459,11 @@ def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int 
     for x in xs:
         if type(x) is float and 0.0 < x < math.inf:  # at most 53 <= prec bits
             a, den = x.as_integer_ratio()
-            s = 1 - den.bit_length()
-        else:
-            raw = x._mpf_ if type(x) is _MPF else _MPF.mpf_convert_arg(x, prec, "n")
-            sign, man, e, bc = raw
-            if sign or not man:  # x <= 0, or not finite
-                require_positive("x", x)
-            if bc > prec:  # to nearest at prec bits, as mp.mpf(x) rounds x at cfg.dps
-                _, man, e, _ = libmp.mpf_pos(raw, prec, "n")
-            a, s = man << (e - min(e, 0)), min(e, 0)
+            s, xf = 1 - den.bit_length(), x + 1
+        else:  # xf from x as _split gives it: inf past the float range
+            a, s = _split(x, prec)
+            xf = libmp.to_float(libmp.from_man_exp(a, s), rnd="n") + 1
         step, wp = 1 << -s, max(wl, -s)  # x + j = (a + j step) 2^s
-        xf = float(x) + 1
         thr, n = thr0, 0
         for _ in range(4):
             if xf < thr:
@@ -431,16 +472,16 @@ def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int 
             lz = math.log(zf)
             picks, fits = [], True  # (table, i, remainder bound of S_k(z)) per order k = m + 1
             for m, table in tables:
-                prev, size = table[0][1] - (2 + m) * lz, len(table)  # ln |term 1|
+                prev, size = table[0][0] - (2 + m) * lz, len(table)  # ln |term 1|
                 for i in range(2, 302):  # term i is the first omitted one
                     if i > size:
                         size = len(_stirling_coeffs(m, 2 * i, prec))
-                    cur = table[i - 1][1] - (2 * i + m) * lz
+                    cur = table[i - 1][0] - (2 * i + m) * lz
                     if cur < log_target or cur >= prev:
                         break
                     prev = cur
-                rem = (table[i - 1][3] * zf ** -(2 * i + m)
-                       + math.ldexp(2 + table[1][3] * i * i, -wl) / zf * zf ** -(m + 1))
+                rem = (table[i - 1][2] * zf ** -(2 * i + m)
+                       + math.ldexp(2 + table[1][2] * i * i, -wl) / zf * zf ** -(m + 1))
                 fits = fits and rem <= target
                 picks.append((table, i, rem))
             if fits:
@@ -448,163 +489,124 @@ def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int 
             thr *= 2
 
         ui, zi = 2 * a + step, a + (n + 1) * step  # u = ui 2^(s-1), z = zi 2^s
-        sums = [((_fixed_horner(table, i, (zi, s), wl) << (wp - wl - s * (k + 1))) // zi ** (k + 1), rem)
-                for k, (table, i, rem) in enumerate(picks)]  # (S_k(z) 2^wp, its bound)
-        w1 = wl + max(ui.bit_length() + s - 1, 0) + 2  # wl + bitlen(u) + 2
-        log_zu = _ln_fixed(2 * zi, ui, w1)  # ln(z/u) 2^w1
-        fixed = (ui * log_zu >> (w1 + 1 - s - wp)) + sums[0][0] - ((2 * n + 1) << (wp - 1))
+        sums = []  # (S_k(z) 2^wp, its remainder bound in units)
+        for k, (table, i, rem) in enumerate(picks):
+            num, den = rem.as_integer_ratio()  # ceil(rem 2^wp) exactly, at any wp
+            sums.append(((_fixed_horner(table, i, (zi, s), wl) << (wp - wl - s * (k + 1))) // zi ** (k + 1),
+                         _cdiv(num << wp, den)))
+        u_log, log_zu = _u_ln(ui, s, 2 * zi, ui, wp, wl)  # u ln(z/u) and ln(z/u) at 2^-wp
+        fixed = u_log + sums[0][0] - ((2 * n + 1) << (wp - 1))
         factors = range(a + step, zi, step)  # x + j = factors[j-1] 2^s
         if n:
             fixed -= _ln_fixed(math.prod(factors), zi ** n, wl) << (wp - wl)
-        fs, errs = [fixed], [math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + sums[0][1]]
+        sh = wp - wl
+        fs, errs = [fixed], [3 + ((5 * n + 6) << sh) + sums[0][1]]
         powers = [1] * n  # (x + j)^k 2^-(s k)
         for k in range(1, max_order + 1):
             powers = [p * f for p, f in zip(powers, factors)]
             unit = math.factorial(k - 1) << (wp - s * k)  # (k-1)! 2^wp / 2^(s k)
             g = sums[k][0] + unit // (2 * zi ** k) + sum(unit // p for p in powers)
             if k == 1:
-                g -= (log_zu << wp) >> w1
+                g -= log_zu
             else:
                 lead = math.factorial(k - 2) << (wp - s * (k - 1))
                 g += lead // zi ** (k - 1) - (lead << (k - 1)) // ui ** (k - 1)
             fs.append(-g if k % 2 else g)
-            errs.append(math.ldexp(n + 4, -wp) + math.ldexp(6 * n + 4 if k == 1 else 1, -wl)
-                        + sums[k][1])
+            errs.append(n + 4 + ((6 * n + 4 if k == 1 else 1) << sh) + sums[k][1])
         yield x, a, s, fs, wp, errs
 
 
-def _stirling_defect_fixed(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
-    """(Fs, wp, errs) of _stirling_defects at one x: a float is taken apart
-    exactly, an mpf rounded to prec bits, as mp.mpf(x) rounds it at cfg.dps."""
-    [(*_, fs, wp, errs)] = _stirling_defects((x,), cfg, max_order)
-    return fs, wp, errs
+def _rounded(fixed: int, wp: int, units: int, cfg: PrecisionConfig) -> SpecialValue:
+    """fixed 2^-wp, within units of 2^-wp of a real value, as a SpecialValue:
+    fixed rounded once to nearest into an mpf of prec bits, the bits of
+    cfg.dps, and the bound (units + d) 2^-wp rounded up to a float, d the
+    exact distance in units of the mpf from fixed.  DomainError where that
+    bound is past the float range."""
+    val = libmp.from_man_exp(fixed, -wp, _constants(cfg).prec, "n")
+    sign, man, exp, _ = val  # exp >= -wp: rounding only drops bits
+    moved = abs(((-man if sign else man) << (exp + wp)) - fixed)
+    try:
+        bound = math.nextafter((units + moved) / (1 << wp), math.inf)
+    except OverflowError:
+        raise DomainError("the error bound exceeds the float range") from None
+    return SpecialValue(mp.make_mpf(val), bound)
 
 
-def _rounded(fixed: int, wp: int, err: float, cfg: PrecisionConfig) -> SpecialValue:
-    """fixed 2^-wp rounded once to nearest into an mpf of prec bits, the bits
-    of cfg.dps, which moves it by at most 2^-prec of its size; that is added
-    to err."""
-    prec = _constants(cfg).prec
-    val = libmp.from_man_exp(fixed, -wp, prec, "n")
-    return SpecialValue(mp.make_mpf(val), err + math.ldexp(abs(libmp.to_float(val, rnd="n")), -prec))
-
-
-def _stirling_defect(x, cfg: PrecisionConfig = DEFAULT_CONFIG, order: int = 0) -> SpecialValue:
-    """F_order(x) of _stirling_defect_fixed, rounded once (_rounded)."""
-    fs, wp, errs = _stirling_defect_fixed(x, cfg, order)
-    return _rounded(fs[order], wp, errs[order], cfg)
-
-
-def _stirling_log(xm, cfg: PrecisionConfig) -> tuple:
-    """(p(x), size) at cfg.dps, the caller's precision: p(x) = ln sqrt(2 pi) +
-    (x+1/2) (ln(x+1/2) - 1), the log of Stirling's sqrt(2 pi) ((x+1/2)/e)^(x+1/2),
-    and size, an mpf, the sum of the magnitudes of its terms, for ln_gamma."""
-    h = xm + _HALF
-    ln_s, log_h = _constants(cfg).ln_sqrt_2pi, mp.log(h)
-    return ln_s + h * (log_h - 1), ln_s + h * (abs(log_h) + 1)
+def _stirling_p(a: int, s: int, wp: int, wl: int) -> tuple:
+    """(P, E): p(x) = ln sqrt(2 pi) + u (ln u - 1), u = x + 1/2, lies within
+    E units of P 2^-wp, for x = a 2^s, s <= 0, wp >= max(wl, -s), so that x
+    is exact at 2^-wp.  ln sqrt(2 pi) is the midpoint of (ln 2 + ln pi)/2
+    from _logs(wl), floored to 2^-wp; u ln u comes from _u_ln and u 2^wp =
+    ui 2^(wp+s-1) is exact (ui = 2a + 2^-s is even when wp + s = 0)."""
+    logs, sh, ui = _logs(wl), wp - wl, 2 * a + (1 << -s)
+    lo, hi = logs.ln2[0] + logs.ln_pi[0], logs.ln2[1] + logs.ln_pi[1]  # ln 2 pi at 2^-wl
+    big_p = ((lo + hi) << sh >> 2) + _u_ln(ui, s, ui, 1 << (1 - s), wp, wl)[0] - ((ui << (wp + s)) >> 1)
+    return big_p, ((hi - lo + 4) << sh >> 2) + 3
 
 
 def ln_gamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """ln Gamma(x) for finite x > 0 with a certified absolute error bound,
-    read from the F_0 kernel (one _stirling_defect call) as
+    read from the F_0 kernel (one _stirling_defects call) as
 
         ln Gamma(x) = ln Gamma(x+1) - ln x = F_0(x) + p(x) - ln x,
 
-    p(x) from _stirling_log.  The bound is the kernel's plus the rounding of
-    the sum, 10^(2-dps) (|F_0| + size of p + |ln x|), the rule of _constants."""
-    with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        f0 = _stirling_defect(xm, cfg)
-        p, size = _stirling_log(xm, cfg)
-        log_x = mp.log(xm)
-        err = (abs(f0.value) + size + abs(log_x)) * _constants(cfg).eps
-        return SpecialValue(f0.value + p - log_x, f0.abs_error_bound + float(err))
-
-
-def _binet_series_fixed(x, wl: int) -> int:
-    """G ~ 2^wl g(t) for an mpf x >= 1, t = 1/(2x) <= 1/2, where
-
-        (x+1/2) ln(1 + t) - 1/2 = t g(t),  g(t) = sum_{k>=1} (-1)^(k+1) t^(k-1)/(2k(k+1)),
-
-    with |G 2^-wl - g(t)| <= (2K + 2) 2^-wl, K the number of terms summed.
-
-    Lemma.  With T = floor(2^wl t) (error < 1 unit of 2^-wl), P_1 = 2^wl and
-    P_k = floor(P_(k-1) T / 2^wl), the gap e_k = 2^wl t^(k-1) - P_k obeys
-    0 <= e_k <= t e_(k-1) + 2, so e_k <= 2/(1-t) <= 4; each kept term
-    floor(P_k / (2k(k+1))) is then off by at most 4/4 + 1 = 2 units.  The sum
-    stops at the first P_(K+1) = 0, so 2^wl t^K <= 4, and the omitted
-    alternating tail is below 4/(2(K+1)(K+2)) <= 1 unit.  P halves at each
-    step, so K <= wl + 1."""
-    _, man, e, _ = x._mpf_
-    shift = wl - e - 1
-    big_t = (1 << shift) // man if shift >= 0 else 0  # t = 2^(-e-1)/man
-    big_g, power, k = 0, 1 << wl, 1
-    while power:
-        term = power // (2 * k * (k + 1))
-        big_g += term if k % 2 else -term
-        power = power * big_t >> wl
-        k += 1
-    return big_g
+    summed at the kernel's wp: p(x) from _stirling_p and ln x = ln(a/2^-s)
+    from _ln_fixed at wl bits, within 2^(1-wl), and rounded once (_rounded)."""
+    [(_, a, s, fs, wp, errs)] = _stirling_defects((x,), cfg)
+    wl = _constants(cfg).wl
+    big_p, units = _stirling_p(a, s, wp, wl)
+    ln_x = _ln_fixed(a, 1 << -s, wl) << (wp - wl)
+    return _rounded(fs[0] + big_p - ln_x, wp, errs[0] + units + (2 << (wp - wl)), cfg)
 
 
 def binet_theta(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """Binet remainder theta(x) = ln Gamma(x) - (x-1/2) ln x + x - ln sqrt(2 pi)
-    for finite x > 0, read from the F_0 kernel (one _stirling_defect call) as
+    for finite x > 0, read from the F_0 kernel (one _stirling_defects call) as
 
-        theta(x) = F_0(x) + D(x),  D(x) = (x+1/2) ln(1 + 1/(2x)) - 1/2,
+        theta(x) = F_0(x) + D(x),  D(x) = u ln(u/x) - 1/2,  u = x + 1/2,
 
-    in which ln sqrt(2 pi) and the x ln x terms cancel.
-
-    Below x = 1, D is formed as written, and the bound is the kernel's plus
-    the rounding of the sum, 10^(2-dps) (|F_0| + |(x+1/2) ln(1 + 1/(2x))| +
-    1/2), the rule of _constants.
-
-    From x = 1 on, D = t g(t), t = 1/(2x), with g summed in fixed point at
-    wl bits by _binet_series_fixed and divided by 2x: no term near 1/2 is
-    formed, so nothing cancels (D ~ 1/(8x), F_0 ~ -1/(24x)).  g >= 1/4 - t/12
-    >= 1/5, so G's (2K + 2) units of 2^-wl, K <= wl + 1, are below 2^-prec of
-    g; rounding G 2^-wl into an mpf, dividing it by x and adding F_0 add
-    three roundings of 2^-prec more.  All are within 10^(2-dps) (|F_0| +
-    |D|), the rule of _constants, so the bound is the kernel's plus that.
-    It stays relative while the kernel's absolute bound, about 2^(3-wl)
+    in which ln sqrt(2 pi) and the x ln x terms cancel.  u ln(u/x) =
+    u ln(ui/(2a)) comes from _u_ln, whose log is accurate relative to its
+    size, so nothing cancels in D ~ 1/(8x) (F_0 ~ -1/(24x)); the bound is
+    the kernel's plus _u_ln's and the rounding of the sum (_rounded).  It
+    stays relative while the kernel's absolute bound, a few units of 2^-wl
     without a shift, is below theta ~ 1/(12x): at 15 digits it is about
-    1.3e-5 of theta at x = 1e25."""
-    with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        f0 = _stirling_defect(xm, cfg)
-        consts = _constants(cfg)
-        if xm < 1:
-            b = (xm + _HALF) * mp.log1p(1 / (2 * xm))
-            err = (abs(f0.value) + abs(b) + _HALF) * consts.eps
-            return SpecialValue(f0.value + b - _HALF, f0.abs_error_bound + float(err))
-        d = mp.mpf((_binet_series_fixed(xm, consts.wl), -consts.wl - 1)) / xm
-        err = (abs(f0.value) + abs(d)) * consts.eps
-        return SpecialValue(f0.value + d, f0.abs_error_bound + float(err))
+    2e-5 of theta at x = 1e25."""
+    [(_, a, s, fs, wp, errs)] = _stirling_defects((x,), cfg)
+    wl = _constants(cfg).wl
+    ui = 2 * a + (1 << -s)
+    big_d = _u_ln(ui, s, ui, 2 * a, wp, wl)[0] - (1 << (wp - 1))
+    return _rounded(fs[0] + big_d, wp, errs[0] + (1 << (wp - wl)) + 1, cfg)
 
 
 def _polygamma(m: int, x, cfg: PrecisionConfig) -> SpecialValue:
     """psi^(m)(x) for m >= 0 and finite x > 0, read from the kernel's
-    F_(m+1) (one _stirling_defect call) as
+    F_(m+1) (one _stirling_defects call) as
 
         psi^(m)(x) = psi^(m)(x+1) - (-1)^m m!/x^(m+1) = F_(m+1)(x) - t - (-1)^m r,
 
-    r = m!/x^(m+1), t = -ln(x+1/2) at m = 0 and (-1)^m (m-1)!/(x+1/2)^m
-    above: F_(m+1) is psi^(m)(x+1) plus the m-th derivative of -ln(x+1/2).
-    The bound is the kernel's plus the rounding of the sum, 10^(2-dps)
-    (|F_(m+1)| + |t| + r), the rule of _constants.  A bound past the float
-    range raises DomainError naming the order and x."""
-    require_positive("x", x)
-    with mp.workdps(cfg.dps):
-        xm = mp.mpf(x)
-        f = _stirling_defect(xm, cfg, m + 1)
-        u = xm + _HALF
-        t = -mp.log(u) if m == 0 else (-1) ** m * math.factorial(m - 1) / u ** m
-        r = math.factorial(m) / xm ** (m + 1)
-        err = f.abs_error_bound + float((abs(f.value) + abs(t) + r) * _constants(cfg).eps)
-        if err == math.inf:  # psi^(m)(x) ~ m!/x^(m+1) for tiny x
-            raise DomainError(f"the error bound of psi^({m}) (order {m}) at x={x!r} "
-                              "exceeds the float range; x is too small")
-        return SpecialValue(f.value - t - r if m % 2 == 0 else f.value - t + r, err)
+    r = m!/x^(m+1), t = -ln u at m = 0 and (-1)^m (m-1)!/u^m above, u = x +
+    1/2: F_(m+1) is psi^(m)(x+1) plus the m-th derivative of -ln u.  At m =
+    0, ln u = ln(ui/2^(1-s)) comes from _ln_fixed at wl bits, within
+    2^(1-wl), and r from one floored quotient; above, (m-1)!/u^m + r is one
+    floored quotient of exact integers.  The sum is rounded once (_rounded);
+    a bound past the float range raises DomainError naming the order and x."""
+    [(_, a, s, fs, wp, errs)] = _stirling_defects((x,), cfg, m + 1)
+    ui, q = 2 * a + (1 << -s), -s  # u = ui 2^(s-1), x = a 2^s
+    if m == 0:
+        wl = _constants(cfg).wl
+        sh = wp - wl
+        big = fs[1] + (_ln_fixed(ui, 2 << q, wl) << sh) - ((1 << (wp + q)) // a)
+        units = errs[1] + (2 << sh) + 1
+    else:  # 2^wp ((m-1)!/u^m + m!/x^(m+1)) = (m-1)! 2^(m q + wp) (2^m a^(m+1) + m 2^q ui^m) / (ui^m a^(m+1))
+        num = math.factorial(m - 1) * ((a ** (m + 1) << m) + (m * ui ** m << q)) << (m * q + wp)
+        t = num // (ui ** m * a ** (m + 1))
+        big, units = (fs[m + 1] - t if m % 2 == 0 else fs[m + 1] + t), errs[m + 1] + 1
+    try:
+        return _rounded(big, wp, units, cfg)
+    except DomainError:  # psi^(m)(x) ~ m!/x^(m+1) for tiny x
+        raise DomainError(f"the error bound of psi^({m}) (order {m}) at x={x!r} "
+                          "exceeds the float range; x is too small") from None
 
 
 def digamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -633,13 +635,13 @@ def harmonic_exact(n: int) -> Fraction:
 def _mathieu_fixed(r, terms: int, wp: int) -> tuple:
     """(S, B): S 2^-wp the partial sum sum_{n<=terms} 2n/(n^2+r^2)^2, every
     term floored to wp fractional bits, and B 2^-wp its tail bound
-    1/(terms^2+r^2) rounded up.  r = R 2^s exactly (s = min(exp, 0)), so
-    n^2 + r^2 = (n^2 2^(-2s) + R^2) 2^(2s) is an exact integer times a power
-    of two; S is low by less than `terms` units of 2^-wp, B high by less
-    than one."""
-    _, man, e, _ = mp.mpf(r)._mpf_
-    s = min(e, 0)
-    r2, shift = (man << (e - s)) ** 2, -2 * s  # r^2 = r2 2^-shift
+    1/(terms^2+r^2) rounded up.  r = R 2^s, s <= 0, from _split at the bits
+    of DEFAULT_CONFIG (exact unless r is a non-dyadic Fraction or a string),
+    so n^2 + r^2 = (n^2 2^(-2s) + R^2) 2^(2s) is an exact integer times a
+    power of two; S is low by less than `terms` units of 2^-wp, B high by
+    less than one."""
+    big_r, s = _split(r, _constants(DEFAULT_CONFIG).prec)
+    r2, shift = big_r ** 2, -2 * s  # r^2 = r2 2^-shift
     top = 1 << (wp + 2 * shift)
     total = sum((2 * n * top) // ((n * n << shift) + r2) ** 2 for n in range(1, terms + 1))
     return total, -((-1 << (wp + shift)) // ((terms * terms << shift) + r2))
@@ -658,11 +660,8 @@ def mathieu_partial(r, terms: int) -> SpecialValue:
     if not (isinstance(terms, int) and terms >= 1):
         raise DomainError(f"terms must be a positive integer, got {terms!r}")
     wp = _constants(DEFAULT_CONFIG).wl
-    with mp.workdps(DEFAULT_CONFIG.dps):
-        total, tail = _mathieu_fixed(r, terms, wp)
-        val = mp.mpf((total, -wp))
-        units = tail + terms + abs(_floor_mul(1, val._mpf_, wp) - total)
-        return SpecialValue(val, math.nextafter(units / (1 << wp), math.inf))
+    total, tail = _mathieu_fixed(r, terms, wp)
+    return _rounded(total, wp, tail + terms, DEFAULT_CONFIG)
 
 
 def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:

@@ -1,9 +1,10 @@
 """References shared by the test modules: mpmath's own values of F_k; the
 fixed-point Stirling kernel as it stood before its per-call plumbing was
 removed and before its logs left mpf_log, whose error bounds
-specfun._stirling_defect_fixed must match bit for bit and whose integers it
-must match up to the two routes' log bounds (kernel_off_reference); the
-exact Taylor coefficients of phi_lambda (phi_coeffs); and the phi_lambda
+specfun._stirling_defects (kernel_at) must match bit for bit and whose
+integers it must match up to the two routes' log bounds
+(kernel_off_reference); the exact Taylor coefficients of phi_lambda
+(phi_coeffs); and the phi_lambda
 layer as it stood before it moved onto integer intervals (the certificate's
 boxes on libmp interval pairs, the Laplace enclosure in mpmath.iv), whose
 enclosures the integer forms of monotone must match to a few units of their
@@ -23,8 +24,8 @@ from mpmath import iv, libmp, mp
 from mpmath.libmp import (fhalf, fone, from_int, ftwo, mpi_add, mpi_div, mpi_exp, mpi_mul, mpi_neg,
                           mpi_pow_int, mpi_sub)
 
-from gammacert import monotone
-from gammacert.config import DEFAULT_CONFIG, NumericalError, PrecisionConfig, require_positive
+from gammacert import monotone, specfun
+from gammacert.config import DEFAULT_CONFIG, NumericalError, PrecisionConfig, SpecialValue, require_positive
 from gammacert.monotone import _TAYLOR_TERMS
 
 
@@ -45,10 +46,10 @@ def free_part(k: int, x):
     return mp.polygamma(k - 1, xm + 1) + (-1) ** (k - 1) * mp.factorial(k - 2) / u ** (k - 1)
 
 
-# The reference kernel: _stirling_defect_fixed, here _stirling_defect_shifted,
-# which also returns its shift, and the helpers it used, copied from specfun as
-# they were before the per-call workdps, the series closure, the mpf re-wrap
-# and the mpf_log route were removed.
+# The reference kernel: specfun._stirling_defects at one point (kernel_at),
+# here _stirling_defect_shifted, which also returns its shift, and the helpers
+# it used, copied from specfun as they were before the per-call workdps, the
+# series closure, the mpf re-wrap and the mpf_log route were removed.
 
 
 def _shift_threshold(digits: int) -> float:
@@ -178,9 +179,15 @@ def _floor_mul(a: int, f, shift: int) -> int:
     return t << exp if exp >= 0 else t >> -exp
 
 
+def _ceil_units(rem: float, wp: int) -> int:
+    """ceil(rem 2^wp) for a finite float rem, exactly at any wp."""
+    num, den = rem.as_integer_ratio()
+    return -((-num << wp) // den)
+
+
 def _stirling_defect_shifted(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
     """(Fs, wp, errs, n) for finite x > 0, n the shift: Fs[k] 2^-wp = F_k(x),
-    the k-th derivative of F_0(x) = ln Gamma(x+1) - p(x), within errs[k], a float,
+    the k-th derivative of F_0(x) = ln Gamma(x+1) - p(x), within errs[k] units of 2^-wp,
     for k = 0..max_order, where p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1).
     Fs[k] is the integer the kernel sums, not rounded.
 
@@ -224,15 +231,17 @@ def _stirling_defect_shifted(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order
       - S_k(z) is off by at most its first omitted term |c_i| z^-(2i+k-1)
         plus 2^-wl (2 + |c_2| i^2)/z^(k+1), the bound of _fixed_horner's
         sum (_horner_slack).
-    errs[k] is the sum of the terms of F_k.  The counts 3n + 2 and 2n + 4
-    exceed the roundings they cover by at least 1.4 units of 2^-wl, and
-    errs[k], k >= 1, adds one unit of 2^-wl more; that covers the float
-    arithmetic of the bound itself, off by at most (6i + 2k + 8) 2^-53 of
-    it while the series meets its target.
+    errs[k] counts the terms of F_k in units of 2^-wp, an integer, the
+    float remainder bound of S_k(z) rounded up once into units.  The counts
+    3n + 2 and 2n + 4 exceed the roundings they cover by at least 1.4 units
+    of 2^-wl, and errs[k], k >= 1, adds one unit of 2^-wl more; that covers
+    the float arithmetic of the remainder bound, off by at most (6i + 2k +
+    8) 2^-53 of it while the series meets its target.
     """
     with mp.workdps(cfg.dps):
         consts = _constants(cfg)
-        sign, man, e, _ = mp.mpf(x)._mpf_
+        # an mpf exactly, as specfun._split takes every dyadic x
+        sign, man, e, _ = x._mpf_ if isinstance(x, mp.mpf) else mp.mpf(x)._mpf_
         if sign or not man:  # x <= 0, or not finite
             require_positive("x", x)
         s = min(e, 0)
@@ -262,7 +271,8 @@ def _stirling_defect_shifted(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order
             prod = math.prod(factors)
             ratio = libmp.mpf_div(libmp.from_int(prod), libmp.from_int(zi ** n), wl, "n")
             fixed -= _floor_mul(1, libmp.mpf_log(ratio, wl, "n"), wp)
-        fs, errs = [fixed], [math.ldexp(3, -wp) + math.ldexp(5 * n + 6, -wl) + sums[0][1]]
+        sh = wp - wl
+        fs, errs = [fixed], [3 + ((5 * n + 6) << sh) + _ceil_units(sums[0][1], wp)]
         powers = [1] * n  # (x + j)^k 2^-(s k)
         for k in range(1, max_order + 1):
             powers = [p * f for p, f in zip(powers, factors)]
@@ -274,9 +284,22 @@ def _stirling_defect_shifted(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order
                 lead = math.factorial(k - 2) << (wp - s * (k - 1))
                 g += lead // zi ** (k - 1) - (lead << (k - 1)) // ui ** (k - 1)
             fs.append(-g if k % 2 else g)
-            errs.append(math.ldexp(n + 4, -wp) + math.ldexp(6 * n + 4 if k == 1 else 1, -wl)
-                        + sums[k][1])
+            errs.append(n + 4 + ((6 * n + 4 if k == 1 else 1) << sh) + _ceil_units(sums[k][1], wp))
         return fs, wp, errs, n
+
+
+def kernel_at(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
+    """(Fs, wp, errs) of the kernel specfun._stirling_defects at the one
+    point x."""
+    [(*_, fs, wp, errs)] = specfun._stirling_defects((x,), cfg, max_order)
+    return fs, wp, errs
+
+
+def defect_at(x, cfg: PrecisionConfig = DEFAULT_CONFIG, order: int = 0) -> SpecialValue:
+    """F_order(x) of kernel_at, rounded once as the public functions round
+    (specfun._rounded)."""
+    fs, wp, errs = kernel_at(x, cfg, order)
+    return specfun._rounded(fs[order], wp, errs[order], cfg)
 
 
 def kernel_off_reference(got: tuple, x, cfg: PrecisionConfig, max_order: int) -> list:
@@ -302,7 +325,7 @@ def _phi_free_coeff(k: int) -> tuple:
     """(a_k - b_k, |a_k| + |b_k|) of phi_coeffs exactly, k >= 2, the part of
     c_k and s_k that does not depend on lambda; built once per k."""
     f = math.factorial(k + 1)
-    a, b = Fraction((-1) ** (k + 1), 2 ** (k + 1) * f), Fraction(*monotone._bernoulli(k + 1)) / f
+    a, b = Fraction((-1) ** (k + 1), 2 ** (k + 1) * f), Fraction(*mp.bernfrac(k + 1)) / f
     return a - b, abs(a) + abs(b)
 
 

@@ -5,6 +5,7 @@ the implementations under test build the values from Stirling series with
 explicit remainder bounds, so agreement here is a genuine cross-check.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -30,7 +31,7 @@ from gammacert import (
     polygamma,
 )
 import oracles
-from gammacert import harness, specfun
+from gammacert import harness, monotone, specfun
 from gammacert.config import MAX_WORKING_DIGITS
 from gammacert.monotone import default_cm_grid
 from oracles import free_part
@@ -127,10 +128,13 @@ class TestDigammaPolygamma:
 
 class TestTinyX:
     # psi^(m)(x) ~ m!/x^(m+1) is a finite mpf, but its error bound, a float,
-    # overflows for tiny x; that is a DomainError naming the order and x
+    # overflows for tiny x; that is a DomainError naming the order and x.
+    # The bound holds the value's rounding, up to 2^-prec of it, so at 15
+    # digits (86 bits) it trips from about |psi^(m)| = 2^87 1.8e308 on:
+    # between 1e-167 and 1e-168 for m = 1, between 1e-55 and 1e-56 for m = 5
     CALLS = {
-        "polygamma(1, 1e-167)": (1, 1e-167, lambda cfg: polygamma(1, 1e-167, cfg)),
-        "polygamma(5, 1e-55)": (5, 1e-55, lambda cfg: polygamma(5, 1e-55, cfg)),
+        "polygamma(1, 1e-170)": (1, 1e-170, lambda cfg: polygamma(1, 1e-170, cfg)),
+        "polygamma(5, 1e-57)": (5, 1e-57, lambda cfg: polygamma(5, 1e-57, cfg)),
         "ln_gamma+digamma+polygamma(1..5, 1e-300)": (
             1, 1e-300, lambda cfg: [ln_gamma(1e-300, cfg), digamma(1e-300, cfg),
                                     *(polygamma(m, 1e-300, cfg) for m in range(1, 6))]),
@@ -151,14 +155,16 @@ class TestTinyX:
             assert all(0 <= sv.abs_error_bound < math.inf for sv in values)
             raised = False
         # at 15 digits all three overflow; at 30 and 40 the smaller rounding
-        # slack keeps polygamma(1, 1e-167) and polygamma(5, 1e-55) finite
+        # keeps polygamma(1, 1e-170) and polygamma(5, 1e-57) finite
         assert raised == (digits == 15 or "1e-300" in call)
 
     @pytest.mark.parametrize("digits", [15, 30, 40])
     def test_largest_finite_bound_still_returns(self, digits):
         sv = polygamma(1, 1e-165, PrecisionConfig(working_digits=digits))
         assert 0 < sv.abs_error_bound < math.inf
-        with mp.workdps(60):
+        # the bound is about the value's rounding, 5e-52 of it at 40 digits,
+        # which a 60-digit reference of psi'(1e-165) ~ 1e330 can miss
+        with mp.workdps(120):
             assert abs(sv.value - mp.polygamma(1, mp.mpf(1e-165))) <= sv.abs_error_bound
 
 
@@ -170,17 +176,18 @@ class TestSharedShift:
         # within its own bound
         cfg = PrecisionConfig(working_digits=digits)
         for x in default_cm_grid() + [1e-3, 171.6, 1e4]:
-            fs, wp, errs = specfun._stirling_defect_fixed(x, cfg, 6)
+            fs, wp, errs = oracles.kernel_at(x, cfg, 6)
             assert len(fs) == len(errs) == 7
             with mp.workdps(60):
                 for k, (f, err) in enumerate(zip(fs, errs)):
-                    assert abs(mp.ldexp(f, -wp) - free_part(k, x)) <= err, (x, k)
+                    assert abs(mp.ldexp(f, -wp) - free_part(k, x)) <= mp.ldexp(err, -wp), (x, k)
 
     def test_no_table_built_at_import(self):
         code = (
             "import gammacert.cli\n"
             "from gammacert import monotone, specfun\n"
             "assert not specfun._STIRLING_COEFFS, specfun._STIRLING_COEFFS\n"
+            "assert specfun._TANGENT == [0, 1], specfun._TANGENT\n"
             "assert not specfun._LN_TABLES, specfun._LN_TABLES\n"
             "assert monotone._phi_series.cache_info().currsize == 0\n"
             "assert specfun._constants.cache_info().currsize == 0\n"
@@ -249,10 +256,12 @@ class TestShiftKernel:
 
         monkeypatch.setattr(specfun, "math", types.SimpleNamespace(**{**vars(math), "prod": prod}))
         monkeypatch.setattr(specfun, "_ln_fixed", recording_ln_fixed)
-        specfun._stirling_defect_fixed(self._x(x), cfg)
+        x = self._x(x)
+        oracles.kernel_at(x, cfg)
         with mp.workdps(cfg.dps):
             wl = mp.prec + specfun._FIXED_GUARD_BITS
-            man, e = mp.mpf(self._x(x)).man_exp
+        # x exactly: the kernel takes a dyadic x, "wide" too, apart exactly
+        man, e = (x if isinstance(x, mp.mpf) else mp.mpf(x)).man_exp
         xq, scale = Fraction(man) * Fraction(2) ** e, Fraction(2) ** min(e, 0)
         [factors] = products
         n = len(factors)
@@ -266,7 +275,7 @@ class TestShiftKernel:
         assert w == wl
         products.clear()
         logs.clear()
-        specfun._stirling_defect_fixed(1e300, cfg)
+        oracles.kernel_at(1e300, cfg)
         assert products == [] and len(logs) == 1
 
     @pytest.mark.parametrize("digits", [15, 60])
@@ -277,9 +286,9 @@ class TestShiftKernel:
         monkeypatch.setattr(specfun, "_LN_TABLES", {})
         cfg = PrecisionConfig(working_digits=digits)
         for x in (63.6, 1e5, 1e300):
-            specfun._stirling_defect_fixed(x, cfg, 2)
+            oracles.kernel_at(x, cfg, 2)
         assert specfun._LN_TABLES == {}
-        specfun._stirling_defect_fixed(max(11, specfun._constants(cfg).shift_threshold), cfg)
+        oracles.kernel_at(max(11, specfun._constants(cfg).shift_threshold), cfg)
         assert len(specfun._LN_TABLES) == 1
 
     @pytest.mark.parametrize("x", [0.5, 2, 5])
@@ -299,23 +308,24 @@ class TestShiftKernel:
         monkeypatch.setattr(specfun, "math", types.SimpleNamespace(**{**vars(math), "prod": prod}))
         specfun._constants.cache_clear()  # the per-precision record holds the threshold
         try:
-            fs, wp, errs = specfun._stirling_defect_fixed(x, cfg)
+            fs, wp, errs = oracles.kernel_at(x, cfg)
             assert specfun._constants(cfg).shift_threshold == 3.0
         finally:
             specfun._constants.cache_clear()
         assert shifts == [math.ceil(12 - (x + 1))]
         assert oracles.kernel_off_reference((fs, wp, errs), x, cfg, 0) == []
         with mp.workdps(2 * cfg.dps + 20):
-            assert abs(mp.ldexp(fs[0], -wp) - free_part(0, x)) <= errs[0]
+            assert abs(mp.ldexp(fs[0], -wp) - free_part(0, x)) <= mp.ldexp(errs[0], -wp)
 
     @pytest.mark.parametrize("digits", [15, 30, 60, MAX_WORKING_DIGITS])
     def test_float_target_is_the_largest_float_at_or_below_the_target(self, digits):
-        # so a float remainder bound meets the mpf target exactly when it
-        # meets this float, and the kernel's retry decisions stay those of
-        # the comparison with the mpf; the target, 10^-(digits+6), is a
-        # normal float up to the limit on the working digits
+        # so a float remainder bound meets the exact target exactly when it
+        # meets this float; the target, 10^-(digits+6), is a normal float up
+        # to the limit on the working digits
         consts = specfun._constants(PrecisionConfig(working_digits=digits))
-        assert consts.target_float <= consts.target < math.nextafter(consts.target_float, math.inf)
+        target = Fraction(1, 10 ** (digits + 6))
+        assert Fraction(consts.target_float) <= target < Fraction(math.nextafter(consts.target_float, math.inf))
+        assert consts.target_float >= sys.float_info.min
 
     @pytest.mark.parametrize("ambient", [20, 53, 400])
     def test_kernel_ignores_the_ambient_precision(self, ambient):
@@ -324,9 +334,9 @@ class TestShiftKernel:
         cfg = PrecisionConfig(working_digits=30)
         xs = [0.37, 12.5, self._x("wide"), "2.5", 10 ** 40 + 1]
         with mp.workprec(53):  # mpmath's default
-            expected = [specfun._stirling_defect_fixed(x, cfg, 3) for x in xs]
+            expected = [oracles.kernel_at(x, cfg, 3) for x in xs]
         with mp.workprec(ambient):
-            assert [specfun._stirling_defect_fixed(x, cfg, 3) for x in xs] == expected
+            assert [oracles.kernel_at(x, cfg, 3) for x in xs] == expected
 
     @pytest.mark.parametrize("digits", [15, 60])
     @pytest.mark.parametrize("m", range(-1, 7))
@@ -337,13 +347,13 @@ class TestShiftKernel:
         cfg = PrecisionConfig(working_digits=digits)
         with mp.workdps(cfg.dps):
             wp = mp.prec + specfun._FIXED_GUARD_BITS
-            coeffs = specfun._stirling_coeffs(m, 20)
+            coeffs = specfun._stirling_coeffs(m, 20, mp.prec)
             exact = []
             for j in range(1, 21):
                 p, q = mp.bernfrac(2 * j)
                 num, den = (math.perm(2 * j + m - 1, m - 1), 1) if m >= 1 else (1, math.perm(2 * j, 1 - m))
                 exact.append(Fraction(p * num, q * den))
-                assert abs(coeffs[j - 1][2] - exact[-1] * 2 ** wp) <= Fraction(1, 2)
+                assert abs(coeffs[j - 1][1] - exact[-1] * 2 ** wp) <= Fraction(1, 2)
             for z in ("10", "10.7", "12.5", "37.2", "1e5", "1e40"):
                 zm = mp.mpf(z)
                 man, e = zm.man_exp
@@ -363,31 +373,34 @@ class TestShiftKernel:
     @pytest.mark.parametrize("digits", [15, 30])
     @pytest.mark.parametrize("x", [1, 12.5, 1e-300, 1e300, "wide", 0.001])
     def test_defect_is_the_fixed_kernel_rounded_once(self, digits, x):
-        # F 2^-wp rounded into one mpf of prec bits, and the kernel's bound
-        # plus that rounding, 2^-prec of the value
+        # F 2^-wp rounded into one mpf of prec bits, and the kernel's count
+        # plus that rounding's exact distance, in units of 2^-wp, rounded up
         cfg = PrecisionConfig(working_digits=digits)
         x = self._x(x)
-        [fixed], wp, [err] = specfun._stirling_defect_fixed(x, cfg)
-        sv = specfun._stirling_defect(x, cfg)
+        [fixed], wp, [err] = oracles.kernel_at(x, cfg)
+        sv = oracles.defect_at(x, cfg)
         with mp.workdps(cfg.dps):
             assert sv.value == mp.mpf((fixed, -wp))
-            assert sv.abs_error_bound == err + math.ldexp(abs(float(sv.value)), -mp.prec)
+        moved = abs(Fraction(*specfun._ratio(sv.value)) * 2 ** wp - fixed)
+        assert moved.denominator == 1 and moved <= Fraction(abs(fixed), 2 ** specfun._constants(cfg).prec)
+        assert sv.abs_error_bound == math.nextafter((err + int(moved)) / 2 ** wp, math.inf)
         with mp.workdps(2 * cfg.dps + 20):
             xm = mp.mpf(x)
             h = xm + mp.mpf(1) / 2
             ref = mp.loggamma(xm + 1) - (mp.log(2 * mp.pi) / 2 + h * (mp.log(h) - 1))
-            assert abs(mp.ldexp(fixed, -wp) - ref) <= err
+            assert abs(mp.ldexp(fixed, -wp) - ref) <= mp.ldexp(err, -wp)
 
     @pytest.mark.parametrize("read", [ln_gamma, binet_theta])
     def test_ln_gamma_and_binet_theta_read_the_kernel_once(self, read, monkeypatch):
         calls = []
-        kernel = specfun._stirling_defect_fixed
+        kernel = specfun._stirling_defects
 
-        def counting_kernel(x, cfg, max_order=0):
-            calls.append(x)
-            return kernel(x, cfg, max_order)
+        def counting_kernel(xs, cfg, max_order=0):
+            for out in kernel(xs, cfg, max_order):
+                calls.append(out[0])
+                yield out
 
-        monkeypatch.setattr(specfun, "_stirling_defect_fixed", counting_kernel)
+        monkeypatch.setattr(specfun, "_stirling_defects", counting_kernel)
         read(2.5)
         assert calls == [2.5]
 
@@ -400,9 +413,8 @@ class TestShiftKernel:
         assert (info.misses, info.currsize) == (1, 1)
         consts = specfun._constants(cfg)
         with mp.workdps(cfg.dps):
-            assert consts.ln_sqrt_2pi == mp.log(2 * mp.pi) / 2
-            assert consts.eps == mp.mpf(10) ** (2 - cfg.dps)
-            assert consts.target == mp.mpf(10) ** -23
+            assert (consts.prec, consts.wl) == (mp.prec, mp.prec + specfun._FIXED_GUARD_BITS)
+        assert consts.log_target == -23 * math.log(10)
 
 
 class TestBinetTheta:
@@ -441,24 +453,139 @@ class TestBinetTheta:
             assert abs(sv.value - oracle) <= sv.abs_error_bound
             assert sv.abs_error_bound <= 1e-4 * oracle
 
-    @pytest.mark.parametrize("wl", [106, 156, 256])
-    @pytest.mark.parametrize("x", [1, 1.5, 2.5, 1e3, 1e20, 2.0 ** 300])
-    def test_series_within_its_lemma(self, wl, x):
-        # G 2^-wl against g(t) = ((x+1/2) ln(1 + t) - 1/2)/t, t = 1/(2x),
-        # within (2K + 2) units, K <= wl + 1 terms
-        big_g = specfun._binet_series_fixed(mp.mpf(x), wl)
-        # the reference cancels about log2(x) bits on its way to g
-        with mp.workprec(2 * wl + 60 + math.ceil(math.log2(x))):
-            xm = mp.mpf(x)
-            t = 1 / (2 * xm)
-            g = ((xm + mp.mpf(1) / 2) * mp.log1p(t) - mp.mpf(1) / 2) / t
-            assert abs(mp.ldexp(big_g, -wl) - g) <= mp.ldexp(2 * (wl + 1) + 2, -wl)
-
     def test_classical_bracket(self):
         # 1/(12x+1) < theta(x) < 1/(12x)
         for x in (1.0, 3.0, 10.0):
             v = float(binet_theta(x).value)
             assert 1 / (12 * x + 1) < v < 1 / (12 * x)
+
+
+class TestPublicBounds:
+    # each public function adds its terms to the kernel's integers with
+    # their counts and rounds once, so its bound is the series target
+    # 10^-(digits+6), a few units of 2^-wl and the value's rounding, at most
+    # 2^-prec of it; where that is past the float range the call raises
+    # DomainError
+    # below the float range too, where the kernel works at wp = -s, past
+    # 1100 bits: an mpf, certified at its own value, and a Fraction, at its
+    # rounding to the working bits (TestFractionX)
+    XS = [1e-300, 1e-100, 1e-20, 1e-5, 0.37, 1.0, 2.5, 7.3, 100.0, 1e4, 1e25, 1e100, 1e300,
+          mp.mpf("1e-310"), Fraction(1, 10 ** 400)]
+    # name -> (order m of psi^(m), or None, call)
+    FUNCS = {"ln_gamma": (None, ln_gamma), "binet_theta": (None, binet_theta), "digamma": (0, digamma),
+             **{f"polygamma{m}": (m, functools.partial(polygamma, m)) for m in range(1, 7)},
+             "H_lambda": (None, lambda x, cfg: monotone.H_lambda(x, 0.5, cfg))}
+
+    @staticmethod
+    def _reference(name, m, xm):
+        if m is not None:
+            return mp.polygamma(m, xm)
+        if name == "H_lambda":
+            return free_part(0, xm) + 1 / (24 * (xm + mp.mpf(1) / 2))
+        lg = mp.loggamma(xm)
+        return lg if name == "ln_gamma" else lg - (xm - mp.mpf(1) / 2) * mp.log(xm) + xm - mp.log(2 * mp.pi) / 2
+
+    @pytest.mark.parametrize("digits", [15, 30, 60])
+    @pytest.mark.parametrize("x", XS)
+    @pytest.mark.parametrize("name", list(FUNCS))
+    def test_encloses_the_reference_within_target_and_rounding(self, name, x, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        prec = specfun._constants(cfg).prec
+        m, call = self.FUNCS[name]
+        with mp.workdps(cfg.dps):  # x as the functions take it
+            xm = mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x
+        xq = Fraction(*specfun._ratio(xm))
+        huge = m is not None and math.factorial(m) / xq ** (m + 1) > Fraction(sys.float_info.max) * 2 ** prec
+        if huge:  # psi^(m)(x) ~ m!/x^(m+1), its rounding past the float range
+            with pytest.raises(DomainError, match=rf"psi\^\({m}\)"):
+                call(x, cfg)
+            return
+        sv = call(x, cfg)
+        # theta cancels ln Gamma(x) ~ x ln x: digits for that, and a
+        # reference 60 digits or more beyond the working ones
+        digits_of_x = round(math.log10(xq.numerator) - math.log10(xq.denominator))
+        with mp.workdps(2 * cfg.dps + 40 + max(0, digits_of_x)):
+            assert abs(sv.value - self._reference(name, m, mp.mpf(xm))) <= sv.abs_error_bound
+        value = abs(Fraction(*specfun._ratio(sv.value)))
+        assert Fraction(sv.abs_error_bound) <= Fraction(2, 10 ** (digits + 6)) + value / 2 ** (prec - 2)
+
+
+class TestFractionX:
+    # an exact rational x is rounded to the working bits, as mp.mpf(1)/3
+    # is at cfg.dps, by the kernel (specfun._split)
+    CALLS = {
+        "H_lambda": lambda x, cfg: monotone.H_lambda(x, 0.5, cfg),
+        "ln_gamma": ln_gamma,
+        "binet_theta": binet_theta,
+        "digamma": digamma,
+        "cm_check": lambda x, cfg: monotone.cm_check(0.5, "plus", 2, [x], cfg),
+    }
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_a_fraction_is_its_rounded_mpf(self, call, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        with mp.workdps(cfg.dps):
+            third = mp.mpf(1) / 3
+        assert self.CALLS[call](Fraction(1, 3), cfg) == self.CALLS[call](third, cfg)
+
+    @pytest.mark.parametrize("x", [10 ** 400, Fraction(10 ** 400)])
+    def test_past_the_float_range(self, x):
+        # float(x) overflows; an int, or a Fraction of denominator 1, is
+        # dyadic, and the kernel reads it exactly, as it reads the exact mpf
+        with mp.workprec(1400):
+            xm = mp.mpf(10 ** 400)
+        assert digamma(x) == digamma(xm)
+        assert monotone.H_lambda(x, 0.5) == monotone.H_lambda(xm, 0.5)
+
+    def test_a_dyadic_fraction_is_exact(self):
+        # a power-of-two denominator: the Fraction is the mpf of its value,
+        # all 200 bits of it, not that value rounded to the working bits
+        x = Fraction(2 ** 200 + 1, 2 ** 200)
+        with mp.workprec(201):
+            xm = mp.mpf(x.numerator) / x.denominator
+        assert specfun._split(x, 53) == specfun._split(xm, 53) == (x.numerator, -200)
+        assert ln_gamma(x) == ln_gamma(xm)
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(-1, 3)])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_a_nonpositive_fraction_is_a_domain_error(self, call, x):
+        with pytest.raises(DomainError):
+            self.CALLS[call](x, DEFAULT_CONFIG)
+
+
+class TestExactTables:
+    def test_bernoulli_numbers_equal_mpmaths(self):
+        for n in range(2, 521):
+            assert Fraction(*specfun._bernoulli(n)) == Fraction(*mp.bernfrac(n)), n
+
+    def test_one_tangent_table_grows(self, monkeypatch):
+        # asked past its end, the table is rebuilt at twice its length or
+        # more; a shorter request reads it as it stands
+        monkeypatch.setattr(specfun, "_TANGENT", [0, 1])
+        table = specfun._tangent_numbers(40)
+        assert table[:6] == [0, 1, 2, 16, 272, 7936] and len(table) == 41
+        assert specfun._tangent_numbers(20) is table and len(table) == 41
+        head = table[:]
+        assert len(specfun._tangent_numbers(41)) == 83 and table[:41] == head
+
+    @pytest.mark.parametrize("digits", [15, 291])
+    @pytest.mark.parametrize("m", range(-1, 6))
+    def test_stirling_coefficients_from_the_exact_table(self, m, digits):
+        # C_k the integer nearest c_k 2^wp, |c_k| the float nearest it (inf
+        # past the float range) and ln|c_k| the float nearest its log, for
+        # k <= 250, against mpmath's Bernoulli numbers
+        prec = specfun._constants(PrecisionConfig(working_digits=digits)).prec
+        wp = prec + specfun._FIXED_GUARD_BITS
+        table = specfun._stirling_coeffs(m, 250, prec)
+        for k, (ln_c, big_c, size) in enumerate(table[:250], 1):
+            num, den = (math.perm(2 * k + m - 1, m - 1), 1) if m >= 1 else (1, math.perm(2 * k, 1 - m))
+            c = Fraction(*mp.bernfrac(2 * k)) * num / den
+            assert big_c == math.floor(c * 2 ** wp + Fraction(1, 2)), k
+            assert size == (float(abs(c)) if abs(c) < sys.float_info.max else math.inf), k
+            with mp.workprec(200):
+                log = mp.log(mp.mpf(abs(c.numerator)) / c.denominator)
+            assert abs(ln_c - log) <= math.ulp(ln_c) / 2 + mp.mpf(2) ** -75, k
 
 
 class TestHarmonic:
@@ -508,6 +635,23 @@ class TestMathieu:
         # no relative allowance: the bound is the tail plus a few units of
         # 2^-wp, rounded up to a float
         assert Fraction(sv.abs_error_bound) - tail < 2 * math.ulp(sv.abs_error_bound) + Fraction(1, 10 ** 20)
+
+    def test_a_wide_r_is_summed_at_its_value(self):
+        # an mpf r wider than the working bits is dyadic and taken exactly,
+        # as a float is; a Fraction r is rounded as mp.mpf(1)/3 is
+        with mp.workprec(200):
+            r = mp.mpf(1) / 3
+        rq = Fraction(*specfun._ratio(r))
+        sv = mathieu_partial(r, 50)
+        exact = sum(Fraction(2 * n) / (n * n + rq ** 2) ** 2 for n in range(1, 51))
+        tail = 1 / (2500 + rq ** 2)
+        value = Fraction(*specfun._ratio(sv.value))
+        assert abs(value - exact) <= sv.abs_error_bound and abs(value - exact - tail) <= sv.abs_error_bound
+        with mp.workdps(DEFAULT_CONFIG.dps):
+            third = mp.mpf(1) / 3
+        assert mathieu_partial(Fraction(1, 3), 50) == mathieu_partial(third, 50)
+        wp = specfun._constants(DEFAULT_CONFIG).wl
+        assert specfun._mathieu_fixed(r, 50, wp) != specfun._mathieu_fixed(third, 50, wp)
 
     @pytest.mark.parametrize("r,terms", [(1.0, 1000), (0.3, 50), (1e-3, 10), (1e3, 20)])
     def test_fixed_sum_counts_one_floor_per_term(self, r, terms):
