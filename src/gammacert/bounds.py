@@ -141,11 +141,11 @@ def _H_end(lam, x0, w: int):
 @functools.lru_cache(maxsize=16)
 def _row(family: BoundFamily, cfg: PrecisionConfig) -> tuple:
     """(lambda, c_lo, c_hi) of a row family, once per family and precision:
-    lambda an mpf, each c _H_end at the scale wl of specfun._constants(cfg)."""
+    lambda as (man, exp) from specfun._man_exp, each c _H_end at the scale
+    wl of specfun._constants(cfg)."""
     lam, *x0s = _ROWS[family.id]
-    lam, w = family.lam if lam is None else lam, specfun._constants(cfg).wl
-    with mp.workdps(cfg.dps):
-        return (mp.mpf(lam), *(_H_end(lam, x0, w) for x0 in x0s))
+    lam, consts = family.lam if lam is None else lam, specfun._constants(cfg)
+    return (specfun._man_exp(lam, consts.prec), *(_H_end(lam, x0, consts.wl) for x0 in x0s))
 
 
 _BUILT_ROW = _row  # the row constants as built here, whatever a caller puts in their place
@@ -164,10 +164,11 @@ def _row_ties(row, cfg: PrecisionConfig) -> tuple:
 def _row_shape(row, cfg: PrecisionConfig) -> tuple:
     """(d, lambda, c_lo, c_hi), at cfg's precision, of the one shape every
     row takes, c_lo <= F_0(x) + 1/(d (x+lambda)) <= c_hi, F_0(x) = ln
-    Gamma(x+1) - p(x), each c an interval at the scale 2^-wl of
-    specfun._constants(cfg), None where that side is missing.  A row family
-    of fixed lambda, named by its FamilyId, is (24, *_row).  "upper" and
-    "lower" name the printed Eq. (3.12) upper and Eq. (3.13) lower sides,
+    Gamma(x+1) - p(x), lambda = man 2^exp as (man, exp), each c an interval
+    at the scale 2^-wl of specfun._constants(cfg), None where that side is
+    missing.  A row family of fixed lambda, named by its FamilyId, is (24,
+    *_row).  "upper" and "lower" name the printed Eq. (3.12) upper and Eq.
+    (3.13) lower sides,
 
         ln n! <= p(n) + (K' - 1/(3 (n+1/2)))/24,  ln n! >= p(n) + (K' + 1/(5 (n+3/2)))/24,
 
@@ -178,7 +179,7 @@ def _row_shape(row, cfg: PrecisionConfig) -> tuple:
     w = specfun._constants(cfg).wl
     logs, half = specfun._logs(w), Fraction(1, 2)
     k = specfun._linear(3 * half, [(-half, logs.ln_pi), (half, logs.ln4_27)], w)
-    return (72, mp.mpf(1) / 2, None, k) if row == "upper" else (-120, mp.mpf(3) / 2, k, None)
+    return (72, (1, -1), None, k) if row == "upper" else (-120, (3, -1), k, None)
 
 
 def _sqrt_pair(n: int, w: int) -> tuple:
@@ -207,7 +208,7 @@ def _bound_g(family: BoundFamily, x, cfg: PrecisionConfig) -> tuple:
         lower, upper = _row_shape("lower", cfg), _row_shape("upper", cfg)
     else:
         lower = upper = (24, *_row(family, cfg))
-    return tuple(None if c is None else specfun._linear(-1 / (d * (xq + Fraction(*specfun._ratio(lam)))),
+    return tuple(None if c is None else specfun._linear(-1 / (d * (xq + lam[0] * Fraction(2) ** lam[1])),
                                                         [(1, c)], w)
                  for d, lam, c in (lower[:3], (*upper[:2], upper[3])))
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 # in error bounds; absorbs rounding in the elementary-function calls.
 GUARD_DIGITS = 10
 
-# The most working digits accepted: from 292 on, floats the precision sets
-# leave their range: the kernel's float remainder bound and its stop test
-# work near the target 10^-(digits+6) and 2^-wl, and the phi certificate's
-# box ends math.ldexp(l, w - 1) overflow.
+# The most working digits accepted, the top of the range in which the
+# kernel's bound is tested against a reference and every claim is run; no
+# float range sets it since the kernel counts its remainder in integers.
 MAX_WORKING_DIGITS = 291
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from mpmath import mp
-
 from .config import DEFAULT_CONFIG, DomainError, ParameterError, PrecisionConfig, Sweep
 from .config import FALSIFIED, INDETERMINATE, MAX_WORKING_DIGITS, VERIFIED, require_positive
 from . import bounds, monotone, specfun
@@ -181,9 +179,9 @@ def _run_best_constants(cfg, grid: GridSpec):
     Eq. (1.3) lies within 1e-3 of its limit sqrt(2 pi), resp. sqrt(2)
     e^{7/12}, relative; each point a row of monotone._row_margins."""
     sweep, logs = Sweep(), specfun._logs(specfun._constants(cfg).wl)
-    _, c_inf, c_0 = bounds._row(BoundFamily(FamilyId.QI_GAMMA_LOW), cfg)
-    for x, c in ((1e4, c_inf), (1e-6, c_0)):  # the mpf of 1/2 is exact
-        row = (0, 24, mp.mpf(0.5), *((c[0] + ln[0], c[1] + ln[1]) for ln in (logs.ln999, logs.ln1001)))
+    lam, c_inf, c_0 = bounds._row(BoundFamily(FamilyId.QI_GAMMA_LOW), cfg)
+    for x, c in ((1e4, c_inf), (1e-6, c_0)):
+        row = (0, 24, lam, *((c[0] + ln[0], c[1] + ln[1]) for ln in (logs.ln999, logs.ln1001)))
         [(_, wp, margins)] = monotone._row_margins((row,), cfg, [x])
         for _, lo, hi in margins:
             specfun._add_interval(sweep, x, lo, hi, wp)

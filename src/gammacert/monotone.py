@@ -98,16 +98,15 @@ def _plus_lambda_fixed(f: int, a: int, s: int, term: tuple, wp: int) -> int:
 
 
 def _H_rounded(k: int, x, lam, cfg: PrecisionConfig) -> SpecialValue:
-    """H_lambda^(k)(x), k >= 0: the kernel's F_k at x (rounded to the
-    working bits as the kernel rounds it) plus the lambda term
-    (_plus_lambda_fixed), one integer rounded once (specfun._rounded).  The
+    """H_lambda^(k)(x), k >= 0: the kernel's F_k at x plus the lambda term
+    (_plus_lambda_fixed), x and lambda as specfun._man_exp gives them at
+    cfg's bits, one integer rounded once (specfun._rounded).  The
     bound is the kernel's, one unit of 2^-wp for the term's floor and the
     rounding."""
-    with mp.workdps(cfg.dps):
-        lm = mp.mpf(lam)
+    lm = specfun._man_exp(lam, specfun._constants(cfg).prec)
     [(_, a, s, fs, wp, errs)] = specfun._stirling_defects((x,), cfg, k)
-    big_h = _plus_lambda_fixed(fs[k], a, s, (k, math.factorial(k), 24, *lm._mpf_[1:3]), wp)
-    return specfun._rounded(big_h, wp, errs[k] + 1, cfg)
+    big_h = _plus_lambda_fixed(fs[k], a, s, (k, math.factorial(k), 24, *lm), wp)
+    return specfun._rounded(big_h, wp, errs[k] + 1, cfg, f"H_lambda^({k})", x)
 
 
 def H_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -295,14 +294,20 @@ def _point_prec(t: tuple, lr: tuple) -> int:
     return mp.prec + _FIXED_GUARD_BITS + extra
 
 
+def _point_ratio(v) -> tuple:
+    """(num, den) of t or lambda as specfun._man_exp gives it at mp.prec."""
+    man, e = specfun._man_exp(v, mp.prec)
+    return (man * Fraction(2) ** e).as_integer_ratio()
+
+
 def phi_integrand(t, lam):
     """phi_lambda(t) = e^{-t/2}/t - 1/(e^t-1) - t e^{-lambda t}/24 for t > 0,
     lambda >= 0: the midpoint of _phi_point, the certificate's point form,
-    at t and lambda rounded to mp.prec, on the integer intervals at
+    at t and lambda as _point_ratio gives them, on the integer intervals at
     _point_prec bits, from one exponential of -t/2 and one of -lambda t."""
     require_positive("t", t)
     _check_lambda(lam)
-    tr, lr = _ratio(mp.mpf(t)), _ratio(mp.mpf(lam))
+    tr, lr = _point_ratio(t), _point_ratio(lam)
     wp = _point_prec(tr, lr)
     return _fixed_mpf(_phi_point(tr, *_point_exps(tr, lr, wp), wp)[0], wp)
 
@@ -311,11 +316,11 @@ def h_of_t(t):
     """h(t) = -(1/t) ln[(24/t^2)(e^{-t/2} - t/(e^t-1))]; h -> 1/2 at both ends.
 
     The midpoint of the interval of _h_fixed, whose lower end lambda_star
-    takes, at t rounded to mp.prec, on the integer intervals at _point_prec
-    bits with lambda = 1/2: the bracket 24 (a - b)/t falls like e^{-t/2},
-    and its log needs the bracket's relative precision."""
+    takes, at t as _point_ratio gives it, on the integer intervals at
+    _point_prec bits with lambda = 1/2: the bracket 24 (a - b)/t falls like
+    e^{-t/2}, and its log needs the bracket's relative precision."""
     require_positive("t", t)
-    tr = _ratio(mp.mpf(t))
+    tr = _point_ratio(t)
     wp = _point_prec(tr, (1, 2))
     return _fixed_mpf(_h_fixed(tr, wp), wp)
 
@@ -459,7 +464,7 @@ def phi_sign_certificate(lam, sign: int, cfg: PrecisionConfig = DEFAULT_CONFIG) 
             if centred:
                 enc = _phi_centred((l, r), mid, lr, w, factors)
             else:
-                y = (math.floor(math.ldexp(l, w - 1)), math.ceil(math.ldexp(r, w - 1)))
+                y = (_fixed_end(l, w - 1)[0], _fixed_end(r, w - 1)[1])  # exact at every w
                 enc = _phi_horner(y, coeffs, rem, w)
             if sign < 0:
                 enc = (-enc[1], -enc[0])
@@ -719,21 +724,21 @@ def _row_margins(rows: tuple, cfg: PrecisionConfig, xs):
         c_lo <= F_k(x) + (-1)^k k!/(d (x+lambda)^(k+1)) <= c_hi,
 
     F_k the k-th derivative of F_0(x) = ln Gamma(x+1) - p(x), d a nonzero
-    integer, lambda an mpf, each c an interval at the scale 2^-wl of
-    specfun._constants(cfg) or None for a side left out; a row may end in
-    the pair (x0 of c_lo, x0 of c_hi) of bounds._row_ties, where it holds
-    with equality by how its c was built, so lo = hi = 0 at x = x0.  The
-    kernel specfun._stirling_defects streams xs at the highest k of the
-    rows, F_k 2^-wp at exact x; with H = _plus_lambda_fixed(F_k, x, the
-    row's lambda term, wp), a side's margin is [H - E, H + E] less c
-    (shifted to wp >= wl once per wp), or c less that.  Error lemma: E =
-    e + 1 units of 2^-wp (once per order and x), e the kernel's count for
-    F_k, and 1 for the floor of the lambda term."""
+    integer, lambda = man 2^exp as (man, exp), each c an interval at the
+    scale 2^-wl of specfun._constants(cfg) or None for a side left out; a
+    row may end in the pair (x0 of c_lo, x0 of c_hi) of bounds._row_ties,
+    where it holds with equality by how its c was built, so lo = hi = 0 at
+    x = x0.  The kernel specfun._stirling_defects streams xs at the highest
+    k of the rows, F_k 2^-wp at exact x; with H = _plus_lambda_fixed(F_k, x,
+    the row's lambda term, wp), a side's margin is [H - E, H + E] less c
+    (shifted to wp >= wl once per wp), or c less that.  Error lemma: E = e
+    + 1 units of 2^-wp (once per order and x), e the kernel's count for F_k,
+    and 1 for the floor of the lambda term."""
     wl = specfun._constants(cfg).wl
     shapes = []  # (k, lambda term, [(row, upper side?, x0, c)])
     for i, (k, d, lam, c_lo, c_hi, *ties) in enumerate(rows):
         sides = zip((False, True), (c_lo, c_hi), ties[0] if ties else (None, None))
-        term = (k, math.factorial(k), d, *lam._mpf_[1:3])  # lambda = man 2^exp: _plus_lambda_fixed's term
+        term = (k, math.factorial(k), d, *lam)  # _plus_lambda_fixed's term
         shapes.append((k, term, [(i, up, x0, c) for up, c, x0 in sides if c is not None]))
     max_order, scaled = max(k for k, *_ in shapes), {}  # wp -> shapes, each c at 2^-wp
     for x, a, s, fs, wp, errs in specfun._stirling_defects(xs, cfg, max_order):
@@ -775,8 +780,7 @@ def _cm_rows(lam, sign: str, max_order: int, cfg: PrecisionConfig) -> tuple:
     """The rows (see _row_margins) of s (-1)^k H_lambda^(k) >= 0, k = 0..
     max_order, s = 1 for "plus", -1 for "minus": d = 24, c = [0, 0] on the
     side s (-1)^k asks for, the other side left out."""
-    with mp.workdps(cfg.dps):
-        lm = mp.mpf(lam)
+    lm = specfun._man_exp(lam, specfun._constants(cfg).prec)
     sides = {1: ((0, 0), None), -1: (None, (0, 0))}
     s = 1 if sign == "plus" else -1
     return tuple((k, 24, lm, *sides[s * (-1) ** k]) for k in range(max_order + 1))

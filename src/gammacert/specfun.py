@@ -6,26 +6,20 @@ Gamma(x+1) - p(x), the lambda-free part of H_lambda, and its derivatives
 F_1..F_K in fixed-point integers from one upward shift of x + 1 and
 Stirling's series at the shifted argument, so ln sqrt(2 pi) and the x ln
 x terms cancel before anything is rounded.  Its error bound, a lemma in
-its docstring, does not grow with x, and F_k stays finite at tiny x,
-since its argument is x + 1.  It reads the values of the precision once
-per stream (_constants), enters no mpmath precision context, takes a
-dyadic x (an int, float or mpf) apart exactly, rounds a non-dyadic
-Fraction to the working bits (_split), and does only integer arithmetic
-per point, its two logs included (_ln_fixed).  monotone's row pass
-(cm_check, the Thm 2.1 sweeps, the Thm 3.1/3.4 rows) streams the grid's
-floats through it and decides in its integers.
+its docstring, does not grow with x.  It takes a dyadic x apart exactly,
+rounds a non-dyadic Fraction to the working bits (_man_exp), and does
+only integer arithmetic per point, its two logs included (_ln_fixed).
+monotone's row pass (cm_check, the Thm 2.1 sweeps, the Thm 3.1/3.4 rows)
+streams the grid's floats through it and decides in its integers.
 
 A certified error is carried one way: an integer and a count of units of
 its scale 2^-wp that bounds its distance from the real value.  The kernel
-yields its errors so; the public functions add their terms to its
-integers, each with its count: ln_gamma adds p(x) - ln x to F_0
-(_stirling_p), binet_theta adds (x+1/2) ln(1 + 1/(2x)) - 1/2, and digamma
-and polygamma add the log term of F_(m+1) and the step from x + 1 to x.
-_rounded turns an integer and its count into a SpecialValue, rounding once
-and counting that rounding exactly; a bound past the float range raises
-DomainError.  Mathieu's partial sums are formed in fixed point too, each
-term floored and the tail bound rounded up, and rounded by _rounded.
-Every claim decides on the integer layer (_ratio .. _logs).
+yields its errors so, its series remainder included; the public functions
+add their terms to its integers, each with its count, and _rounded turns
+an integer and its count into a SpecialValue, rounding once and counting
+that rounding exactly; a bound past the float range raises DomainError,
+naming the function and x.  Every claim decides on the integer layer
+(_ratio .. _logs).
 
 mpmath supplies the mpf values that are returned, and pi and gamma
 (libmp); the Bernoulli numbers are exact integer ratios (_bernoulli), and
@@ -38,6 +32,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -75,26 +70,17 @@ class _Constants(NamedTuple):
     prec: int  # the bits of cfg.dps
     wl: int  # prec + _FIXED_GUARD_BITS, the one fixed-point scale of cfg
     shift_threshold: float  # _shift_threshold(working_digits)
-    target_float: float  # the largest float <= the target
 
 
 @functools.lru_cache(maxsize=8)
 def _constants(cfg: PrecisionConfig) -> _Constants:
-    """The values of cfg's precision, computed once per precision without a
-    precision context: the log of the series target 10^-(working_digits+6),
-    and the bits, scale and threshold that the kernel reads.  2^-wl is the
-    scale of every integer interval at cfg's precision.  A float remainder
-    bound lies at or below the target exactly when it lies at or below
-    target_float, the target floored to 53 bits, a normal float up to
-    MAX_WORKING_DIGITS."""
-    digits = cfg.working_digits + 6
-    target = Fraction(1, 10 ** digits)
-    below = float(target)
-    if Fraction(below) > target:
-        below = math.nextafter(below, 0.0)
+    """The values of cfg's precision, once per precision without a precision
+    context: the log of the series target at which the kernel's walk stops,
+    and its bits, scale and threshold.  2^-wl is the scale of every integer
+    interval at cfg's precision."""
     prec = libmp.dps_to_prec(cfg.dps)
-    return _Constants(-digits * math.log(10), prec, prec + _FIXED_GUARD_BITS,
-                      _shift_threshold(cfg.working_digits), below)
+    return _Constants(-(cfg.working_digits + 6) * math.log(10), prec, prec + _FIXED_GUARD_BITS,
+                      _shift_threshold(cfg.working_digits))
 
 
 _MPF = type(mp.mpf(1))
@@ -132,9 +118,8 @@ def _bernoulli(n: int) -> tuple:
     return (-1) ** (j - 1) * 2 * j * _tangent_numbers(j)[j], 4 ** j * (4 ** j - 1)
 
 
-# (m, prec) -> [(ln|c_k|, C_k, |c_k|) for k = 1, 2, ...], c_k = B_2k
-# (2k+m-1)!/(2k)! exactly, C_k the integer nearest c_k 2^wp, wp = prec +
-# _FIXED_GUARD_BITS, |c_k| the float nearest it (inf past the float range)
+# (m, prec) -> [(ln|c_k|, C_k) for k = 1, 2, ...], c_k = B_2k (2k+m-1)!/(2k)!
+# exactly, C_k the integer nearest c_k 2^wp, wp = prec + _FIXED_GUARD_BITS,
 # and ln|c_k| the float nearest _ln_fixed at 80 bits; filled on first use and
 # extended as longer series need it
 _STIRLING_COEFFS: dict = {}
@@ -155,12 +140,7 @@ def _stirling_coeffs(m: int, n: int, prec: int) -> list:
             num, den = 1, math.perm(2 * k, 1 - m)
         p, q = _bernoulli(2 * k)
         top, bottom = p * num, q * den
-        try:
-            size = abs(top) / bottom
-        except OverflowError:
-            size = math.inf
-        table.append((_ln_fixed(abs(top), bottom, 80) / (1 << 80), (2 * (top << wp) + bottom) // (2 * bottom),
-                      size))
+        table.append((_ln_fixed(abs(top), bottom, 80) / (1 << 80), (2 * (top << wp) + bottom) // (2 * bottom)))
     return table
 
 
@@ -182,8 +162,8 @@ def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
 
         |A_1 2^-wp - S| <= 2^-wp (1.52 + |c_2| (k-1)(k-2)/2),
 
-    below 2^-wp (2 + |c_2| k^2), the slack the kernel adds to its bound,
-    which also absorbs the float judgement of the decrease."""
+    below 2^-wp (2 + |c_2| k^2), the slack the kernel counts from the
+    integer C_2, which also absorbs the float judgement of the decrease."""
     man, e = man_exp
     shift = wp - 2 * e
     big_w = (1 << shift) // (man * man) if shift >= 0 else 0  # 0 when z^2 > 2^wp
@@ -280,21 +260,26 @@ def _ratio(v) -> tuple:
     return Fraction(v).as_integer_ratio()
 
 
-def _split(x, prec: int) -> tuple:
-    """(a, s), s <= 0, with a 2^s = x > 0.  A dyadic x, an int, float, mpf
-    or Fraction whose denominator is a power of two, is taken apart
-    exactly, so what is certified at a 2^s is certified at x; any other
-    Fraction p/q is rounded to nearest at prec bits from its exact ratio,
-    as mp.mpf(p)/q is at that precision, and a string is read at prec bits
-    as mpmath reads it.  DomainError unless x is positive and finite."""
-    if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
+def _man_exp(v, prec: int) -> tuple:
+    """(man, e) with man 2^e = v (man = 0 for a zero or non-finite v), as x,
+    lambda and t enter the integer layer: a dyadic v (an int, float, mpf or
+    power-of-two Fraction) exactly; any other Fraction p/q rounded to
+    nearest at prec bits, as mp.mpf(p)/q is, and a string read at prec bits."""
+    if isinstance(v, Fraction):
+        num, den = v.numerator, v.denominator
         raw = (libmp.from_man_exp(num, 1 - den.bit_length()) if den & (den - 1) == 0
                else libmp.from_rational(num, den, prec, "n"))
     else:  # exact but for a string or an mpmath constant
-        raw = x._mpf_ if type(x) is _MPF else _MPF.mpf_convert_arg(x, prec, "n")
+        raw = v._mpf_ if type(v) is _MPF else _MPF.mpf_convert_arg(v, prec, "n")
     sign, man, e, _ = raw
-    if sign or not man:  # x <= 0, or not finite
+    return (-man if sign else man), e
+
+
+def _split(x, prec: int) -> tuple:
+    """(a, s), s <= 0, with a 2^s = x > 0, x as _man_exp gives it.
+    DomainError unless x is positive and finite."""
+    man, e = _man_exp(x, prec)
+    if man <= 0:  # x <= 0, or not finite
         require_positive("x", x)
     return man << (e - min(e, 0)), min(e, 0)
 
@@ -386,13 +371,25 @@ def _u_ln(ui: int, s: int, num: int, den: int, wp: int, wl: int) -> tuple:
     return ui * log >> (w1 + 1 - s - wp), (log << wp) >> w1
 
 
+_LN2 = math.log(2)  # the float nearest ln 2
+
+
+def _log_units(log: float, wp: int) -> int:
+    """Units of 2^-wp for e^log: ceil(2^(y-e) (1 + 2^-30) 2^(e+wp)), y =
+    log/ln 2 and e = floor(y), by one shift, so at least 1.  The kernel's
+    lemma bounds the floats it reads."""
+    y = log / _LN2
+    e = math.floor(y)
+    big, sh = int(math.ldexp(2.0 ** (y - e), 53)) * ((1 << 30) + 1), e + wp - 83  # 2^(y-e) (1 + 2^-30) 2^83
+    return big << sh if sh >= 0 else -(-big >> -sh)
+
+
 def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0):
     """Yield (x, a, s, Fs, wp, errs) for each finite x > 0 of xs (else
     DomainError), x = a 2^s, s <= 0: Fs[k] 2^-wp = F_k(x), the k-th
-    derivative of F_0(x) = ln Gamma(x+1) - p(x), to within errs[k] units of
-    2^-wp, an integer, for k = 0..max_order, where p(x) = ln sqrt(2 pi) +
-    (x+1/2)(ln(x + 1/2) - 1).  Fs[k] is the integer the kernel sums, not
-    rounded.
+    derivative of F_0(x) = ln Gamma(x+1) - p(x), unrounded, to within
+    errs[k] units of 2^-wp, an integer, for k = 0..max_order, where p(x) =
+    ln sqrt(2 pi) + (x+1/2)(ln(x + 1/2) - 1).
 
     With u = x + 1/2 and z = x + 1 + n, n the upward shift of x + 1 picked
     for all orders at once (below), ln Gamma(x+1) = ln Gamma(z) - ln
@@ -407,70 +404,75 @@ def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int 
     S_k(z) = sum_i c_i z^-(2i+k-1), with c_i the coefficients of order
     k - 1 of _stirling_coeffs (B_2i/(2i(2i-1)) at k = 0, B_2i (2i+k-2)!/(2i)!
     above).  ln sqrt(2 pi) cancels exactly, no term of size x ln x is formed,
-    and ln(z/u) is one log for every order.  A float x is taken apart
-    exactly, as is any other dyadic x by _split, which rounds a non-dyadic
-    Fraction to prec bits as mp.mpf(p)/q is at cfg.dps; as x = a 2^s, x +
-    j, u and z are exact integers times powers of two, summed in fixed
-    point at wp = max(wl, -s) bits, at which x is exact.  prec, wl = prec +
-    _FIXED_GUARD_BITS, the shift threshold, the series target
-    (_constants(cfg)) and the coefficient tables at prec are read once per
-    call, not per x: the kernel enters no mpmath precision context and
-    rounds nothing but its floors.
+    and ln(z/u) is one log for every order.  x = a 2^s from _split (a float
+    directly), so x + j, u and z are exact integers times powers of two,
+    summed in fixed point at wp = max(wl, -s) bits, at which x is exact.
+    _constants(cfg) and the coefficient tables are read once per call: the
+    kernel enters no mpmath precision context and rounds nothing but its
+    floors.
 
-    The shift: n = ceil(thr - xf) when xf = float(x) + 1 < thr, else 0 (x
-    as _split gives it, so xf is inf past the float range), with
-    thr = _shift_threshold(working digits) + max(max_order - 1, 0), so that
-    the highest order's series meets its target too.  The series of order
-    k - 1 keeps the terms c_i z^-(2i+k-1) while they decrease and stay above
-    the target, judged on float log-magnitudes at zf = xf + n; term i is the
-    first omitted one.  While some order's remainder bound (below) exceeds
-    the target, thr doubles and n is picked again, at most three times.
-    max_order = 0 is F_0 alone.
+    The shift: n = ceil(thr - xf) when xf = float(x) + 1 < thr (the
+    largest float past the float range), else 0, thr = _shift_threshold +
+    max(max_order - 1, 0) so that the highest order meets its target too.
+    The series of order k - 1 keeps the terms c_i z^-(2i+k-1) while they
+    decrease and stay above the target, judged on float logs at zf = xf + n:
+    term i is the first omitted one, cur the float of its log.  Unless every
+    order stopped on a term below the target, thr doubles and n is picked
+    again, at most three times.  max_order = 0 is F_0 alone.
 
     Both logs come from _ln_fixed on the exact integers: ln(z/u) = ln(2
-    zi/ui) from _u_ln, at w1 = wl + bitlen(u) + 2 bits, u < 2^bitlen(u), so
-    that u ln(z/u) stays accurate for every x, and ln(prod/z^n) at wl bits.
-    Without a shift, z/u = 1 + 1/(2x+1) reads no log table above x = 63.5.
-    Each rational term is the floor of one exact integer quotient; S_k(z) is
-    summed by _fixed_horner at wl bits and divided by z^(k+1), one floor more.
+    zi/ui) from _u_ln at w1 = wl + bitlen(u) + 2 bits, so u ln(z/u) stays
+    accurate for every x (no log table above x = 63.5 unshifted), and
+    ln(prod/z^n) at wl bits.  Each rational term is one floored integer
+    quotient; S_k(z) is _fixed_horner's sum at wl bits over z^(k+1), floored.
 
-    Error lemma.  It assumes nothing of mpmath's elementary functions.
+    Error lemma.  It assumes nothing of mpmath's elementary functions, and
+    of libm's log and pow only that they are within 1 ulp.
       - each floor is off by less than 1 unit of 2^-wp: two in F_0 (of
         u ln(z/u) and of S_0(z)), at most n + 4 in F_k, k >= 1;
       - by _ln_fixed's bound, u ln(z/u) is off by less than u (5/4) 2^-w1 <
         (5/16) 2^-wl, ln(z/u) in F_1 by less than (5/16) 2^-wl, and the log
         of the ratio by less than (5/4) 2^-wl;
-      - S_k(z) is off by at most its first omitted term |c_i| z^-(2i+k-1)
-        plus 2^-wl (2 + |c_2| i^2)/z^(k+1), the bound of _fixed_horner's
-        sum.
+      - S_k(z) is off by at most its first omitted term T = |c_i| z^-(2i+m),
+        m = k - 1, plus _fixed_horner's 2^-wl (2 + |c_2| i^2)/z^(k+1) <=
+        2^-wl (3 + floor((|C_2| + 1) i^2 2^-wl)), z >= 10, C_2 an integer.
     errs[k] counts these terms of F_k in units of 2^-wp: 3 units in F_0
     and n + 4 in F_k, k >= 1, for the floors; 5n + 6 units of 2^-wl in F_0
     and 6n + 4 in F_1 for the logs, and 1 in F_k, k >= 2, a spare of at
-    least one unit of 2^-wl at every order; and the remainder bound rem of
-    S_k(z), a float, rounded up once into units, ceil(rem 2^wp).  The spare
-    covers the float arithmetic of rem, off by at most (6i + 2k + 8) 2^-53
-    of it while the series meets its target.
+    least one unit of 2^-wl at every order; Horner's units of 2^-wl; and T
+    as _log_units(cur, wp) counts it.  cur = fl(l - fl((2i+m) lz)) reads l,
+    the float nearest _ln_fixed's 80-bit ln|c_i|, within 2^-53 |l| + 2^-79
+    of it, and lz = log(zf), zf = fl(fl(x) + 1) + n rounded once more,
+    within 2^-52 lz + 3.02 2^-53 of ln z (past the float range zf < z,
+    which only raises the count).  With A = |l| + (2i+m) lz, lz > 2.3, cur
+    is within 2^-53 (2.001 |l| + 5.33 (2i+m) lz) + 2^-79 of ln T;
+    _log_units's y = fl(cur/fl(ln 2)) adds 2.001 2^-53 |cur| times ln 2, y -
+    e 2^-54 (it is exact unless -1 < y < 0) and pow 2^-52, so its 2^(y-e)
+    2^e is within a factor e^(7.34 2^-53 A + 2^-51) of T.  For A <= 2^20
+    that is below 1 + 2^-30, so the count is at least T 2^wp and at most T
+    2^wp (1 + 2^-29) + 1; for y + wp < -60 and A < 2^50, T < 2^-59 units,
+    below the count's 1.
+    Where the count is formed, (2i+m) lz < |l| + (wp + 62) ln 2, and
+    |l| <= (2i+m) ln(2i+m) + 8, so A <= 2^20 for wp <= 2^19, 2i + m <= 20000.
     """
     consts = _constants(cfg)
-    prec, wl = consts.prec, consts.wl
-    log_target, target = consts.log_target, consts.target_float
+    prec, wl, log_target = consts.prec, consts.wl, consts.log_target
     thr0 = consts.shift_threshold + max(max_order - 1, 0)
     tables = [(m, _stirling_coeffs(m, 2, prec)) for m in range(-1, max_order)]  # order m + 1; grow in place
     for x in xs:
         if type(x) is float and 0.0 < x < math.inf:  # at most 53 <= prec bits
             a, den = x.as_integer_ratio()
             s, xf = 1 - den.bit_length(), x + 1
-        else:  # xf from x as _split gives it: inf past the float range
+        else:  # xf from x as _split gives it, the largest float past the float range
             a, s = _split(x, prec)
-            xf = libmp.to_float(libmp.from_man_exp(a, s), rnd="n") + 1
+            xf = min(libmp.to_float(libmp.from_man_exp(a, s), rnd="n") + 1, sys.float_info.max)
         step, wp = 1 << -s, max(wl, -s)  # x + j = (a + j step) 2^s
         thr, n = thr0, 0
         for _ in range(4):
             if xf < thr:
                 n = max(n, math.ceil(thr - xf))
-            zf = xf + n
-            lz = math.log(zf)
-            picks, fits = [], True  # (table, i, remainder bound of S_k(z)) per order k = m + 1
+            lz = math.log(xf + n)
+            picks, fits = [], True  # (table, i, ln |term i|) per order k = m + 1
             for m, table in tables:
                 prev, size = table[0][0] - (2 + m) * lz, len(table)  # ln |term 1|
                 for i in range(2, 302):  # term i is the first omitted one
@@ -480,26 +482,22 @@ def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int 
                     if cur < log_target or cur >= prev:
                         break
                     prev = cur
-                rem = (table[i - 1][2] * zf ** -(2 * i + m)
-                       + math.ldexp(2 + table[1][2] * i * i, -wl) / zf * zf ** -(m + 1))
-                fits = fits and rem <= target
-                picks.append((table, i, rem))
+                fits = fits and cur < log_target
+                picks.append((table, i, cur))
             if fits:
                 break
             thr *= 2
 
         ui, zi = 2 * a + step, a + (n + 1) * step  # u = ui 2^(s-1), z = zi 2^s
-        sums = []  # (S_k(z) 2^wp, its remainder bound in units)
-        for k, (table, i, rem) in enumerate(picks):
-            num, den = rem.as_integer_ratio()  # ceil(rem 2^wp) exactly, at any wp
-            sums.append(((_fixed_horner(table, i, (zi, s), wl) << (wp - wl - s * (k + 1))) // zi ** (k + 1),
-                         _cdiv(num << wp, den)))
+        sh = wp - wl
+        sums = [((_fixed_horner(table, i, (zi, s), wl) << (sh - s * (k + 1))) // zi ** (k + 1),
+                 _log_units(cur, wp) + ((((abs(table[1][1]) + 1) * i * i >> wl) + 3) << sh))
+                for k, (table, i, cur) in enumerate(picks)]  # (S_k(z) 2^wp, the units of its error)
         u_log, log_zu = _u_ln(ui, s, 2 * zi, ui, wp, wl)  # u ln(z/u) and ln(z/u) at 2^-wp
         fixed = u_log + sums[0][0] - ((2 * n + 1) << (wp - 1))
         factors = range(a + step, zi, step)  # x + j = factors[j-1] 2^s
         if n:
-            fixed -= _ln_fixed(math.prod(factors), zi ** n, wl) << (wp - wl)
-        sh = wp - wl
+            fixed -= _ln_fixed(math.prod(factors), zi ** n, wl) << sh
         fs, errs = [fixed], [3 + ((5 * n + 6) << sh) + sums[0][1]]
         powers = [1] * n  # (x + j)^k 2^-(s k)
         for k in range(1, max_order + 1):
@@ -516,19 +514,19 @@ def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int 
         yield x, a, s, fs, wp, errs
 
 
-def _rounded(fixed: int, wp: int, units: int, cfg: PrecisionConfig) -> SpecialValue:
-    """fixed 2^-wp, within units of 2^-wp of a real value, as a SpecialValue:
-    fixed rounded once to nearest into an mpf of prec bits, the bits of
-    cfg.dps, and the bound (units + d) 2^-wp rounded up to a float, d the
-    exact distance in units of the mpf from fixed.  DomainError where that
-    bound is past the float range."""
+def _rounded(fixed: int, wp: int, units: int, cfg: PrecisionConfig, name: str, x) -> SpecialValue:
+    """fixed 2^-wp, within units of 2^-wp of name's value at x, as a
+    SpecialValue: fixed rounded once to nearest into an mpf of prec bits,
+    the bits of cfg.dps, and the bound (units + d) 2^-wp rounded up to a
+    float, d the exact distance in units of the mpf from fixed.  DomainError
+    naming the function and x where that bound is past the float range."""
     val = libmp.from_man_exp(fixed, -wp, _constants(cfg).prec, "n")
     sign, man, exp, _ = val  # exp >= -wp: rounding only drops bits
     moved = abs(((-man if sign else man) << (exp + wp)) - fixed)
     try:
         bound = math.nextafter((units + moved) / (1 << wp), math.inf)
     except OverflowError:
-        raise DomainError("the error bound exceeds the float range") from None
+        raise DomainError(f"the error bound of {name} at x={x!r} exceeds the float range") from None
     return SpecialValue(mp.make_mpf(val), bound)
 
 
@@ -556,7 +554,7 @@ def ln_gamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     wl = _constants(cfg).wl
     big_p, units = _stirling_p(a, s, wp, wl)
     ln_x = _ln_fixed(a, 1 << -s, wl) << (wp - wl)
-    return _rounded(fs[0] + big_p - ln_x, wp, errs[0] + units + (2 << (wp - wl)), cfg)
+    return _rounded(fs[0] + big_p - ln_x, wp, errs[0] + units + (2 << (wp - wl)), cfg, "ln_gamma", x)
 
 
 def binet_theta(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -576,7 +574,7 @@ def binet_theta(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     wl = _constants(cfg).wl
     ui = 2 * a + (1 << -s)
     big_d = _u_ln(ui, s, ui, 2 * a, wp, wl)[0] - (1 << (wp - 1))
-    return _rounded(fs[0] + big_d, wp, errs[0] + (1 << (wp - wl)) + 1, cfg)
+    return _rounded(fs[0] + big_d, wp, errs[0] + (1 << (wp - wl)) + 1, cfg, "binet_theta", x)
 
 
 def _polygamma(m: int, x, cfg: PrecisionConfig) -> SpecialValue:
@@ -590,7 +588,8 @@ def _polygamma(m: int, x, cfg: PrecisionConfig) -> SpecialValue:
     0, ln u = ln(ui/2^(1-s)) comes from _ln_fixed at wl bits, within
     2^(1-wl), and r from one floored quotient; above, (m-1)!/u^m + r is one
     floored quotient of exact integers.  The sum is rounded once (_rounded);
-    a bound past the float range raises DomainError naming the order and x."""
+    psi^(m)(x) ~ m!/x^(m+1), so for tiny x its bound can pass the float
+    range."""
     [(_, a, s, fs, wp, errs)] = _stirling_defects((x,), cfg, m + 1)
     ui, q = 2 * a + (1 << -s), -s  # u = ui 2^(s-1), x = a 2^s
     if m == 0:
@@ -602,11 +601,7 @@ def _polygamma(m: int, x, cfg: PrecisionConfig) -> SpecialValue:
         num = math.factorial(m - 1) * ((a ** (m + 1) << m) + (m * ui ** m << q)) << (m * q + wp)
         t = num // (ui ** m * a ** (m + 1))
         big, units = (fs[m + 1] - t if m % 2 == 0 else fs[m + 1] + t), errs[m + 1] + 1
-    try:
-        return _rounded(big, wp, units, cfg)
-    except DomainError:  # psi^(m)(x) ~ m!/x^(m+1) for tiny x
-        raise DomainError(f"the error bound of psi^({m}) (order {m}) at x={x!r} "
-                          "exceeds the float range; x is too small") from None
+    return _rounded(big, wp, units, cfg, f"psi^({m})", x)
 
 
 def digamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -661,7 +656,7 @@ def mathieu_partial(r, terms: int) -> SpecialValue:
         raise DomainError(f"terms must be a positive integer, got {terms!r}")
     wp = _constants(DEFAULT_CONFIG).wl
     total, tail = _mathieu_fixed(r, terms, wp)
-    return _rounded(total, wp, tail + terms, DEFAULT_CONFIG)
+    return _rounded(total, wp, tail + terms, DEFAULT_CONFIG, "mathieu_partial", r)
 
 
 def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:

@@ -1,9 +1,10 @@
 """References shared by the test modules: mpmath's own values of F_k; the
 fixed-point Stirling kernel as it stood before its per-call plumbing was
-removed and before its logs left mpf_log, whose error bounds
-specfun._stirling_defects (kernel_at) must match bit for bit and whose
-integers it must match up to the two routes' log bounds
-(kernel_off_reference); the exact Taylor coefficients of phi_lambda
+removed and before its logs left mpf_log, with its series remainder counted
+exactly in integers, whose shift and wp specfun._stirling_defects
+(kernel_at) must match, whose integers it must match up to the two routes'
+log bounds, and whose error counts it must meet within the spare of its
+remainder count (kernel_off_reference); the exact Taylor coefficients of phi_lambda
 (phi_coeffs); and the phi_lambda
 layer as it stood before it moved onto integer intervals (the certificate's
 boxes on libmp interval pairs, the Laplace enclosure in mpmath.iv), whose
@@ -16,7 +17,6 @@ import contextlib
 import functools
 import itertools
 import math
-from typing import NamedTuple
 
 from fractions import Fraction
 
@@ -58,32 +58,18 @@ def _shift_threshold(digits: int) -> float:
     return max(10.0, 0.367 * (digits + 8))
 
 
-class _Constants(NamedTuple):
-    """The constants of one precision; see _constants."""
-
-    ln_sqrt_2pi: object  # mpf
-    eps: object  # mpf 10^(2-dps), the relative allowance for rounding
-    target: object  # mpf 10^-(working_digits+6), the Stirling series target
-    log_target: float  # its natural log
-
-
-@functools.lru_cache(maxsize=8)
-def _constants(cfg: PrecisionConfig) -> _Constants:
-    """ln sqrt(2 pi), 10^(2-dps) and the series target at cfg.dps, computed once
-    per precision."""
-    with mp.workdps(cfg.dps):
-        return _Constants(mp.log(2 * mp.pi) / 2, mp.mpf(10) ** (2 - cfg.dps),
-                          mp.mpf(10) ** (-(cfg.working_digits + 6)),
-                          -(cfg.working_digits + 6) * math.log(10))
+def _log_target(cfg: PrecisionConfig) -> float:
+    """ln of the Stirling series target 10^-(working_digits+6)."""
+    return -(cfg.working_digits + 6) * math.log(10)
 
 
 # bits below 2^-prec kept by the kernel's fixed-point sums
 _FIXED_GUARD_BITS = 20
 
-# (m, mp.prec) -> [(c_k, ln|c_k|, C_k, |c_k|) for k = 1, 2, ...], c_k = B_2k
-# (2k+m-1)!/(2k)! rounded at that precision, C_k the integer nearest c_k 2^wp,
-# wp = prec + _FIXED_GUARD_BITS, and |c_k| as a float; filled on first use and
-# extended as longer series need it
+# (m, mp.prec) -> [(c_k, ln|c_k|, C_k) for k = 1, 2, ...], c_k = B_2k
+# (2k+m-1)!/(2k)! rounded at that precision and C_k the integer nearest c_k
+# 2^wp, wp = prec + _FIXED_GUARD_BITS; filled on first use and extended as
+# longer series need it
 _STIRLING_COEFFS: dict = {}
 
 
@@ -100,15 +86,16 @@ def _stirling_coeffs(m: int, n: int) -> list:
         c = mp.bernoulli(2 * k) * num / den
         p, q = mp.bernfrac(2 * k)
         top, bottom = p * num << wp, q * den
-        table.append((c, float(mp.log(abs(c))), (2 * top + bottom) // (2 * bottom), float(abs(c))))
+        table.append((c, float(mp.log(abs(c))), (2 * top + bottom) // (2 * bottom)))
     return table
 
 
 def _series_terms(m: int, lz: float, log_target: float) -> tuple:
-    """(coeffs, k) of the Stirling series of order m at z = e^lz: the terms
-    c_j z^-(2j+m) are taken while they decrease and stay above e^log_target,
-    judged on float log-magnitudes; term k is the first omitted one and
-    coeffs holds at least k coefficients."""
+    """(coeffs, k, met) of the Stirling series of order m at z = e^lz: the
+    terms c_j z^-(2j+m) are taken while they decrease and stay above
+    e^log_target, judged on float log-magnitudes; term k is the first
+    omitted one, coeffs holds at least k coefficients, and met says that the
+    walk stopped on a term below e^log_target."""
     coeffs = _stirling_coeffs(m, 2)
     prev = coeffs[0][1] - (2 + m) * lz  # ln |term 1|
     k = 2
@@ -117,15 +104,15 @@ def _series_terms(m: int, lz: float, log_target: float) -> tuple:
             coeffs = _stirling_coeffs(m, 2 * k)
         cur = coeffs[k - 1][1] - (2 * k + m) * lz
         if cur < log_target or cur >= prev or k > 300:
-            return coeffs, k  # term k is the first omitted one
+            return coeffs, k, cur < log_target  # term k is the first omitted one
         prev = cur
         k += 1
 
 
-def _horner_slack(coeffs: list, k: int) -> float:
-    """2 + |c_2| k^2: the units of 2^-wp that bound the error of the sum of
-    _fixed_horner."""
-    return 2 + coeffs[1][3] * k * k
+def _horner_slack(coeffs: list, k: int, wp: int) -> int:
+    """3 + floor((|C_2| + 1) k^2 2^-wp) >= 2 + |c_2| k^2: the units of 2^-wp
+    that bound the error of the sum of _fixed_horner."""
+    return ((abs(coeffs[1][2]) + 1) * k * k >> wp) + 3
 
 
 def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
@@ -151,22 +138,22 @@ def _fixed_horner(coeffs: list, k: int, man_exp: tuple, wp: int) -> int:
     shift = wp - 2 * e
     big_w = (1 << shift) // (man * man) if shift >= 0 else 0  # 0 when z^2 > 2^wp
     acc = coeffs[k - 2][2]
-    for _, _, c, _ in reversed(coeffs[:k - 2]):
+    for _, _, c in reversed(coeffs[:k - 2]):
         acc = (acc * big_w >> wp) + c
     return acc
 
 
-def _shift(xf: float, thr: float, target, series) -> tuple:
+def _shift(xf: float, thr: float, series) -> tuple:
     """(n, series(n)) for the upward shift of an argument xf (a float): n =
     ceil(thr - xf) steps when xf < thr, else 0.  series(n) returns a list of
-    (value, remainder bound); while some remainder misses the target, the
+    (value, remainder count, met); unless every series met its target, the
     threshold doubles, at most three times."""
     n = 0
     for _ in range(4):
         if xf < thr:
             n = max(n, math.ceil(thr - xf))
         out = series(n)
-        if all(rem <= target for _, rem in out):
+        if all(met for *_, met in out):
             break
         thr *= 2
     return n, out
@@ -179,14 +166,9 @@ def _floor_mul(a: int, f, shift: int) -> int:
     return t << exp if exp >= 0 else t >> -exp
 
 
-def _ceil_units(rem: float, wp: int) -> int:
-    """ceil(rem 2^wp) for a finite float rem, exactly at any wp."""
-    num, den = rem.as_integer_ratio()
-    return -((-num << wp) // den)
-
-
 def _stirling_defect_shifted(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
-    """(Fs, wp, errs, n) for finite x > 0, n the shift: Fs[k] 2^-wp = F_k(x),
+    """(Fs, wp, errs, n, rems) for finite x > 0, n the shift and rems[k] the
+    units of the remainder of S_k(z) in errs[k]: Fs[k] 2^-wp = F_k(x),
     the k-th derivative of F_0(x) = ln Gamma(x+1) - p(x), within errs[k] units of 2^-wp,
     for k = 0..max_order, where p(x) = ln sqrt(2 pi) + (x+1/2)(ln(x+1/2) - 1).
     Fs[k] is the integer the kernel sums, not rounded.
@@ -230,16 +212,15 @@ def _stirling_defect_shifted(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order
         (2n + 4) 2^-wl, from the division and the log;
       - S_k(z) is off by at most its first omitted term |c_i| z^-(2i+k-1)
         plus 2^-wl (2 + |c_2| i^2)/z^(k+1), the bound of _fixed_horner's
-        sum (_horner_slack).
-    errs[k] counts the terms of F_k in units of 2^-wp, an integer, the
-    float remainder bound of S_k(z) rounded up once into units.  The counts
-    3n + 2 and 2n + 4 exceed the roundings they cover by at least 1.4 units
-    of 2^-wl, and errs[k], k >= 1, adds one unit of 2^-wl more; that covers
-    the float arithmetic of the remainder bound, off by at most (6i + 2k +
-    8) 2^-53 of it while the series meets its target.
+        sum, at most _horner_slack units of 2^-wl as z >= 10.
+    errs[k] counts the terms of F_k in units of 2^-wp, an integer.  The
+    first omitted term is counted exactly in integers: |c_i| <= (|C_i| + 1)
+    2^-wl and z = zi 2^s give ceil((|C_i| + 1) 2^(wp - wl - s(2i+k-1)) /
+    zi^(2i+k-1)) units.  The counts 3n + 2 and 2n + 4 exceed the roundings
+    they cover by at least 1.4 units of 2^-wl, and errs[k], k >= 1, adds one
+    unit of 2^-wl more.
     """
     with mp.workdps(cfg.dps):
-        consts = _constants(cfg)
         # an mpf exactly, as specfun._split takes every dyadic x
         sign, man, e, _ = x._mpf_ if isinstance(x, mp.mpf) else mp.mpf(x)._mpf_
         if sign or not man:  # x <= 0, or not finite
@@ -253,15 +234,16 @@ def _stirling_defect_shifted(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order
         def series(n):
             zf, zi = xf + n, a + (n + 1) * step  # z = zi 2^s
             lz, out = math.log(zf), []
-            for k in range(max_order + 1):  # (S_k(z) 2^wp, its bound)
-                coeffs, i = _series_terms(k - 1, lz, consts.log_target)
+            for k in range(max_order + 1):  # (S_k(z) 2^wp, its remainder in units, Horner's, met)
+                coeffs, i, met = _series_terms(k - 1, lz, _log_target(cfg))
                 big_s = (_fixed_horner(coeffs, i, (zi, s), wl) << (wp - wl - s * (k + 1))) // zi ** (k + 1)
-                out.append((big_s, coeffs[i - 1][3] * zf ** -(2 * i + k - 1)
-                            + math.ldexp(_horner_slack(coeffs, i), -wl) / zf * zf ** -k))
+                p = 2 * i + k - 1
+                rem = -(-(abs(coeffs[i - 1][2]) + 1 << (wp - wl - s * p)) // zi ** p)
+                out.append((big_s, rem, _horner_slack(coeffs, i, wl), met))
             return out
 
         thr = _shift_threshold(cfg.working_digits) + max(max_order - 1, 0)
-        n, sums = _shift(xf, thr, consts.target, series)
+        n, sums = _shift(xf, thr, series)
         ui, zi = 2 * a + step, a + (n + 1) * step  # u = ui 2^(s-1)
         q = libmp.mpf_div(libmp.from_int(2 * n + 1), libmp.from_man_exp(ui, s), wl, "n")
         log_zu = libmp.mpf_log(libmp.mpf_add(q, libmp.fone), wl, "n")
@@ -272,7 +254,8 @@ def _stirling_defect_shifted(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order
             ratio = libmp.mpf_div(libmp.from_int(prod), libmp.from_int(zi ** n), wl, "n")
             fixed -= _floor_mul(1, libmp.mpf_log(ratio, wl, "n"), wp)
         sh = wp - wl
-        fs, errs = [fixed], [3 + ((5 * n + 6) << sh) + _ceil_units(sums[0][1], wp)]
+        series_units = [rem + (slack << sh) for _, rem, slack, _ in sums]
+        fs, errs = [fixed], [3 + ((5 * n + 6) << sh) + series_units[0]]
         powers = [1] * n  # (x + j)^k 2^-(s k)
         for k in range(1, max_order + 1):
             powers = [p * f for p, f in zip(powers, factors)]
@@ -284,8 +267,8 @@ def _stirling_defect_shifted(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order
                 lead = math.factorial(k - 2) << (wp - s * (k - 1))
                 g += lead // zi ** (k - 1) - (lead << (k - 1)) // ui ** (k - 1)
             fs.append(-g if k % 2 else g)
-            errs.append(n + 4 + ((6 * n + 4 if k == 1 else 1) << sh) + _ceil_units(sums[k][1], wp))
-        return fs, wp, errs, n
+            errs.append(n + 4 + ((6 * n + 4 if k == 1 else 1) << sh) + series_units[k])
+        return fs, wp, errs, n, [rem for _, rem, _, _ in sums]
 
 
 def kernel_at(x, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int = 0) -> tuple:
@@ -299,19 +282,23 @@ def defect_at(x, cfg: PrecisionConfig = DEFAULT_CONFIG, order: int = 0) -> Speci
     """F_order(x) of kernel_at, rounded once as the public functions round
     (specfun._rounded)."""
     fs, wp, errs = kernel_at(x, cfg, order)
-    return specfun._rounded(fs[order], wp, errs[order], cfg)
+    return specfun._rounded(fs[order], wp, errs[order], cfg, f"F_{order}", x)
 
 
 def kernel_off_reference(got: tuple, x, cfg: PrecisionConfig, max_order: int) -> list:
     """The orders k at which the kernel's result got = (Fs, wp, errs) is
     further from the reference kernel's than the two routes' logs allow.
-    wp and errs must be equal, and so must Fs at k >= 2, which read no log.
-    The reference takes ln(z/u) and the log of the ratio from mpf_log, off
-    by at most (3n+2) and (2n+4) units of 2^-wl in F_0 and (6n+3) in F_1 by
-    its lemma; specfun._ln_fixed, by less than 5/16, 5/4 and 5/16 units;
-    each route floors each log term at most once at 2^-wp."""
-    fs, wp, errs, n = _stirling_defect_shifted(x, cfg, max_order)
-    if got[1:] != (wp, errs):
+    wp must be equal, and so must Fs at k >= 2, which read no log.  The
+    reference takes ln(z/u) and the log of the ratio from mpf_log, off by
+    at most (3n+2) and (2n+4) units of 2^-wl in F_0 and (6n+3) in F_1 by its
+    lemma; specfun._ln_fixed, by less than 5/16, 5/4 and 5/16 units; each
+    route floors each log term at most once at 2^-wp.  errs[k] must be at
+    least the reference's, whose series remainder is counted exactly, and
+    exceed it by at most the spare of the kernel's count of that remainder
+    from its log, 2^-29 of it and one unit."""
+    fs, wp, errs, n, rems = _stirling_defect_shifted(x, cfg, max_order)
+    if got[1] != wp or len(got[2]) != len(errs) or not all(
+            ref <= e <= ref + Fraction(rem, 1 << 29) + 1 for e, ref, rem in zip(got[2], errs, rems)):
         return ["wp or errs"]
     with mp.workdps(cfg.dps):
         units = 1 << (wp - mp.prec - _FIXED_GUARD_BITS)  # 2^-wl in units of 2^-wp

@@ -269,7 +269,7 @@ class TestCompareFamilies:
         # lambda = 0 c_hi = H_0(0+) = inf leaves that side out
         cfg = PrecisionConfig(working_digits=15)
         lm, c_lo, c_hi = bounds._row(BoundFamily(FamilyId.QI_GAMMA_GENERIC, lam=lam), cfg)
-        assert lm == lam and c_lo == (0, 0) and (c_hi is None) == (lam == 0)
+        assert lm[0] * Fraction(2) ** lm[1] == lam and c_lo == (0, 0) and (c_hi is None) == (lam == 0)
         assert lam == 0 or 0 < c_hi[1] - c_hi[0] <= 32
 
 

@@ -368,6 +368,17 @@ def _claim(claim_id):
 
 
 class TestContainment:
+    @pytest.mark.parametrize("digits", [60, 120])
+    def test_thm31_from_1e_300_is_never_falsified(self, digits):
+        # Eq. (3.1) and (3.2) hold for every x > 0.  From about 107 digits on,
+        # the kernel's count once dropped its series remainder, and the retry
+        # at 120 digits reported Eq. (3.2) falsified near x = 1e-139; the
+        # margins tend to 0 as x -> 0+, so "indeterminate" is all a grid
+        # sample can say there
+        grid = GridSpec(1e-300, 1e15, 400, "log")
+        reps = harness.run_suite("thm3.1", PrecisionConfig(working_digits=digits), grid)
+        assert reps and all(r.verdict != "falsified" for r in reps), [(r.claim_id, r.verdict) for r in reps]
+
     def test_gamma_target_is_ln_gamma_of_exact_x_plus_1(self, monkeypatch):
         # x must not be rounded to float64 before the certified evaluation of
         # F_0(x) = ln Gamma(x+1) - p(x), which the rows read
@@ -1267,10 +1278,9 @@ class TestCLI:
 
 
 class TestPrecisionLimit:
-    # from 292 working digits on, floats set by the precision leave their
-    # range: the phi certificate's box ends overflowed, and the kernel's float
-    # remainder bound and stop test work near 10^-(digits+6), so every
-    # precision past the limit is refused
+    # 291 working digits is the top of the range in which the kernel's
+    # bounds are tested against a reference; every precision past it is
+    # refused
 
     @pytest.mark.parametrize("suite", ["thm2.1", "thm3.4"])
     def test_suite_at_the_limit(self, suite):

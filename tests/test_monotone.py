@@ -19,7 +19,7 @@ from gammacert import (
     phi_integrand,
 )
 from gammacert import monotone, specfun
-from gammacert.config import PrecisionConfig
+from gammacert.config import MAX_WORKING_DIGITS, PrecisionConfig
 from gammacert.monotone import (
     default_cm_grid,
     h_of_t,
@@ -307,6 +307,27 @@ LAMBDA_STAR_70 = Fraction("0.6518498903412565758219740569066137")
 
 
 class TestPhiSignCertificate:
+    @pytest.mark.parametrize("digits", [15, MAX_WORKING_DIGITS])
+    def test_box_ends_are_the_scaled_floats(self, digits, monkeypatch):
+        # the Taylor piece's box y = t/2 at 2^w comes from each float end's
+        # exact ratio; below its overflow (from wl = 1025 on), math.ldexp
+        # scales the float exactly, so both forms give the same integers
+        ends, fixed_end = [], monotone._fixed_end
+
+        def recording(v, wp):
+            out = fixed_end(v, wp)
+            if isinstance(v, float):
+                ends.append((v, wp, out))
+            return out
+
+        monkeypatch.setattr(monotone, "_fixed_end", recording)
+        cfg = PrecisionConfig(working_digits=digits)
+        for lam, sign in ((0.5, -1), (1.5, 1)):
+            assert phi_sign_certificate(lam, sign, cfg)[2] == "verified"
+        assert len(ends) > 20
+        for v, wp, out in ends:
+            assert out == (math.floor(math.ldexp(v, wp)), math.ceil(math.ldexp(v, wp))), (v, wp)
+
     @pytest.mark.parametrize("digits", [15, 30])
     @pytest.mark.parametrize("lam,sign", [(0.5, -1), (0.0, -1), (1.5, 1), (2.0, 1), (0.66, 1)])
     def test_true_signs_verified(self, lam, sign, digits):

@@ -477,7 +477,7 @@ def test_row_margins_within_their_error_of_a_reference(x, digits):
         for r in _ALL_ROWS:
             # the constants at 2 dps + 20 digits, their intervals' midpoints
             d, lam, c_lo, c_hi = bounds._row_shape(r, ref_cfg)
-            target = f0 + 1 / (d * (xm + lam))
+            target = f0 + 1 / (d * (xm + mp.ldexp(*lam)))  # lambda = man 2^exp
             refs += [target - specfun._fixed_mpf(c, ref_wl) for c in (c_lo,) if c is not None]
             refs += [specfun._fixed_mpf(c, ref_wl) - target for c in (c_hi,) if c is not None]
         for (i, lo, hi), ref in zip(margins, refs):

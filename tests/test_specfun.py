@@ -158,6 +158,12 @@ class TestTinyX:
         # keeps polygamma(1, 1e-170) and polygamma(5, 1e-57) finite
         assert raised == (digits == 15 or "1e-300" in call)
 
+    def test_every_public_bound_names_its_function_and_x(self):
+        # ln Gamma(10^400) ~ 9.2e402: its rounding alone is past the float
+        # range, and the one message site of specfun._rounded names both
+        with pytest.raises(DomainError, match=r"^the error bound of ln_gamma at x=10{400} exceeds"):
+            ln_gamma(10 ** 400)
+
     @pytest.mark.parametrize("digits", [15, 30, 40])
     def test_largest_finite_bound_still_returns(self, digits):
         sv = polygamma(1, 1e-165, PrecisionConfig(working_digits=digits))
@@ -317,16 +323,6 @@ class TestShiftKernel:
         with mp.workdps(2 * cfg.dps + 20):
             assert abs(mp.ldexp(fs[0], -wp) - free_part(0, x)) <= mp.ldexp(errs[0], -wp)
 
-    @pytest.mark.parametrize("digits", [15, 30, 60, MAX_WORKING_DIGITS])
-    def test_float_target_is_the_largest_float_at_or_below_the_target(self, digits):
-        # so a float remainder bound meets the exact target exactly when it
-        # meets this float; the target, 10^-(digits+6), is a normal float up
-        # to the limit on the working digits
-        consts = specfun._constants(PrecisionConfig(working_digits=digits))
-        target = Fraction(1, 10 ** (digits + 6))
-        assert Fraction(consts.target_float) <= target < Fraction(math.nextafter(consts.target_float, math.inf))
-        assert consts.target_float >= sys.float_info.min
-
     @pytest.mark.parametrize("ambient", [20, 53, 400])
     def test_kernel_ignores_the_ambient_precision(self, ambient):
         # the kernel enters no precision context; every precision it uses
@@ -415,6 +411,50 @@ class TestShiftKernel:
         with mp.workdps(cfg.dps):
             assert (consts.prec, consts.wl) == (mp.prec, mp.prec + specfun._FIXED_GUARD_BITS)
         assert consts.log_target == -23 * math.log(10)
+
+
+class TestHighPrecision:
+    # From about 107 working digits on, the first omitted Stirling term
+    # |c_i| z^-(2i+m) lies below the float range while |c_i| does not; a
+    # float product of the two rounds to 0 (or inf * 0 = nan), so the count
+    # of the series remainder must not come from one.  Each value holds
+    # mpmath's at 3 digits + 100: the kernel's F_0..F_6 and the public
+    # functions, psi^(m), m >= 1, but at x = 1e-300, where their bounds pass
+    # the float range (TestTinyX)
+    XS = [1e-300, 1e-3, 1.37, 50.0, 1e4]
+
+    @pytest.mark.parametrize("digits", [107, 120, 200, MAX_WORKING_DIGITS])
+    def test_kernel_and_public_values_within_their_bounds(self, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        for x in self.XS:
+            [(_, _, _, fs, wp, errs)] = specfun._stirling_defects((x,), cfg, 6)
+            public = {"ln_gamma": ln_gamma(x, cfg), "binet_theta": binet_theta(x, cfg),
+                      "H_lambda": monotone.H_lambda(x, 0.5, cfg), 0: digamma(x, cfg),
+                      **({} if x == 1e-300 else {m: polygamma(m, x, cfg) for m in range(1, 7)})}
+            with mp.workdps(3 * digits + 100):
+                xm, half = mp.mpf(x), mp.mpf(1) / 2
+                u = xm + half
+                psi1 = [mp.polygamma(m, xm + 1) for m in range(7)]
+                # ln Gamma(x+1) from ln Gamma(x+1000), which mpmath takes
+                # from Stirling's series; below about prec/5 it builds a
+                # Taylor table first, seconds at these precisions
+                lg1 = mp.loggamma(xm + 1000) - mp.log(mp.fprod(xm + j for j in range(1, 1000)))
+                f0 = lg1 - mp.log(2 * mp.pi) / 2 - u * (mp.log(u) - 1)
+                refs = [f0, psi1[0] - mp.log(u)] + [psi1[k - 1] + (-1) ** (k - 1) * mp.factorial(k - 2) / u ** (k - 1)
+                                                    for k in range(2, 7)]
+                for k, (f, err) in enumerate(zip(fs, errs)):
+                    assert abs(mp.ldexp(f, -wp) - refs[k]) <= mp.ldexp(err, -wp), (digits, x, k)
+                lg = lg1 - mp.log(xm)
+                public_refs = {"ln_gamma": lg, "binet_theta": lg - (xm - half) * mp.log(xm) + xm - mp.log(2 * mp.pi) / 2,
+                               "H_lambda": f0 + 1 / (24 * u),
+                               **{m: psi1[m] - (-1) ** m * mp.factorial(m) / xm ** (m + 1) for m in range(7)}}
+                for name, sv in public.items():
+                    assert abs(sv.value - public_refs[name]) <= sv.abs_error_bound, (digits, x, name)
+
+    def test_ln2_is_the_float_nearest_ln_2(self):
+        # the division of the kernel's remainder count reads it so
+        with mp.workprec(200):
+            assert abs(Fraction(specfun._LN2) - Fraction(*specfun._ratio(mp.log(2)))) <= math.ulp(specfun._LN2) / 2
 
 
 class TestBinetTheta:
@@ -513,12 +553,19 @@ class TestPublicBounds:
 class TestFractionX:
     # an exact rational x is rounded to the working bits, as mp.mpf(1)/3
     # is at cfg.dps, by the kernel (specfun._split)
+    # lambda and t too, as the rows and the point functions take them apart
+    # (specfun._man_exp); phi_integrand rounds t at mp.prec
     CALLS = {
         "H_lambda": lambda x, cfg: monotone.H_lambda(x, 0.5, cfg),
         "ln_gamma": ln_gamma,
         "binet_theta": binet_theta,
         "digamma": digamma,
         "cm_check": lambda x, cfg: monotone.cm_check(0.5, "plus", 2, [x], cfg),
+        "H_lambda of lambda": lambda lam, cfg: monotone.H_lambda(1.0, lam, cfg),
+        "cm_check of lambda": lambda lam, cfg: monotone.cm_check(lam, "plus", 2, [1.0, 7.5], cfg),
+        "phi_integrand of t": lambda t, cfg: mp.workdps(cfg.dps)(monotone.phi_integrand)(t, 0.5),
+        "phi_integrand of lambda": lambda lam, cfg: mp.workdps(cfg.dps)(monotone.phi_integrand)(0.5, lam),
+        "h_of_t": lambda t, cfg: mp.workdps(cfg.dps)(monotone.h_of_t)(t),
     }
 
     @pytest.mark.parametrize("digits", [15, 30])
@@ -550,6 +597,9 @@ class TestFractionX:
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(-1, 3)])
     @pytest.mark.parametrize("call", list(CALLS))
     def test_a_nonpositive_fraction_is_a_domain_error(self, call, x):
+        if x == 0 and call.endswith("of lambda"):  # lambda = 0 is admissible
+            self.CALLS[call](x, DEFAULT_CONFIG)
+            return
         with pytest.raises(DomainError):
             self.CALLS[call](x, DEFAULT_CONFIG)
 
@@ -572,17 +622,15 @@ class TestExactTables:
     @pytest.mark.parametrize("digits", [15, 291])
     @pytest.mark.parametrize("m", range(-1, 6))
     def test_stirling_coefficients_from_the_exact_table(self, m, digits):
-        # C_k the integer nearest c_k 2^wp, |c_k| the float nearest it (inf
-        # past the float range) and ln|c_k| the float nearest its log, for
-        # k <= 250, against mpmath's Bernoulli numbers
+        # C_k the integer nearest c_k 2^wp and ln|c_k| the float nearest its
+        # log, for k <= 250, against mpmath's Bernoulli numbers
         prec = specfun._constants(PrecisionConfig(working_digits=digits)).prec
         wp = prec + specfun._FIXED_GUARD_BITS
         table = specfun._stirling_coeffs(m, 250, prec)
-        for k, (ln_c, big_c, size) in enumerate(table[:250], 1):
+        for k, (ln_c, big_c) in enumerate(table[:250], 1):
             num, den = (math.perm(2 * k + m - 1, m - 1), 1) if m >= 1 else (1, math.perm(2 * k, 1 - m))
             c = Fraction(*mp.bernfrac(2 * k)) * num / den
             assert big_c == math.floor(c * 2 ** wp + Fraction(1, 2)), k
-            assert size == (float(abs(c)) if abs(c) < sys.float_info.max else math.inf), k
             with mp.workprec(200):
                 log = mp.log(mp.mpf(abs(c.numerator)) / c.denominator)
             assert abs(ln_c - log) <= math.ulp(ln_c) / 2 + mp.mpf(2) ** -75, k
