@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from mpmath import mp
-
 from .config import (
     DEFAULT_CONFIG,
     DomainError,
@@ -152,13 +150,13 @@ _BUILT_ROW = _row  # the row constants as built here, whatever a caller puts in 
 
 
 def _row_ties(row, cfg: PrecisionConfig) -> tuple:
-    """(x0 of c_lo, x0 of c_hi) of a row of _row_shape: x0 = 1 (an mpf) where
+    """(x0 of c_lo, x0 of c_hi) of a row of _row_shape: x0 = 1 where
     that side's c is _BUILT_ROW's H_lambda(1), so it holds with equality at
     x = 1 (corrected Eqs. (3.12), (3.13)); else None (strict)."""
     if not isinstance(row, FamilyId):
         return None, None
     cs, built = _row(BoundFamily(row), cfg)[1:], _BUILT_ROW(BoundFamily(row), cfg)[1:]
-    return tuple(mp.one if x0 == 1 and c == b else None for x0, c, b in zip(_ROWS[row][1:], cs, built))
+    return tuple(1 if x0 == 1 and c == b else None for x0, c, b in zip(_ROWS[row][1:], cs, built))
 
 
 def _row_shape(row, cfg: PrecisionConfig) -> tuple:
@@ -217,6 +215,7 @@ def _bound_log(family: BoundFamily, x, cfg: PrecisionConfig):
     """(ln lower, ln upper) at cfg.dps: p(x) of specfun._stirling_p, at x
     as specfun._split gives it, plus the midpoint of each g of _bound_g,
     rounded once; -inf or +inf for an infinite side."""
+    from mpmath import mp
     consts = specfun._constants(cfg)
     a, s = specfun._split(x, consts.prec)
     wp = max(consts.wl, -s)
@@ -238,6 +237,7 @@ def gamma_bound_log(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFI
 def eval_gamma_bound(family: BoundFamily, x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> BoundPair:
     """Closed-form bracket of Gamma(x+1) for a gamma-target family, as floats:
     both sides are inf from about x = 171 on, where gamma_bound_log stays finite."""
+    from mpmath import mp
     lo, hi = gamma_bound_log(family, x, cfg)
     with mp.workdps(cfg.dps):
         return BoundPair(float(mp.exp(lo)), float(mp.exp(hi)), family, float(x))
@@ -280,6 +280,7 @@ def harmonic_bound(family: BoundFamily, n: int, cfg: PrecisionConfig = DEFAULT_C
         raise ParameterError(f"{family.id.value} is not a harmonic family")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
+    from mpmath import mp
     w = specfun._constants(cfg).wl
     with mp.workdps(cfg.dps):
         return tuple(specfun._fixed_mpf(side, w) for side in _harmonic_sides(family, n, constant, w))
@@ -352,6 +353,7 @@ def eval_factorial_bound(
     """Bracket of n! as floats (inf from n = 171 on; factorial_bound_log stays
     finite); FactorialAsPrinted pairs the printed (3.13) lower with the
     printed (3.12) upper, both of which fail at n = 1."""
+    from mpmath import mp
     lo, hi = factorial_bound_log(family, n, cfg)
     with mp.workdps(cfg.dps):
         return BoundPair(float(mp.exp(lo)), float(mp.exp(hi)), family, float(n))
@@ -366,6 +368,7 @@ def bernoulli_fraction_bound(family: BoundFamily, x, cfg: PrecisionConfig = DEFA
     """
     if family.id not in (FamilyId.BERNOULLI_FRACTION, FamilyId.BERNOULLI_CLASSIC):
         raise ParameterError(f"{family.id.value} is not a Bernoulli-fraction family")
+    from mpmath import mp
     require_positive("x", x)
     with mp.workdps(cfg.dps):
         xm = mp.mpf(x)

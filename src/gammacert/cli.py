@@ -20,8 +20,6 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-from mpmath import mp
-
 from .config import DEFAULT_CONFIG, DomainError, NumericalError, ParameterError, PrecisionConfig
 from . import bounds, harness, monotone
 
@@ -123,6 +121,7 @@ def _integer_n(fam_id: bounds.FamilyId, x: float) -> int:
 def _fmt_bound(v) -> str:
     """v to 17 significant digits: as a float where it is one, else as the
     mpf (Gamma(x+1) and n! pass the float range near x = 171)."""
+    from mpmath import mp
     f = float(v)
     return f"{f:.17g}" if math.isfinite(f) or mp.isinf(v) else mp.nstr(v, 17)
 
@@ -143,6 +142,7 @@ def _cmd_eval(args, cfg: PrecisionConfig) -> int:
             logs = bounds.factorial_bound_log(family, _integer_n(fam_id, args.x), cfg)
         else:
             logs = bounds.gamma_bound_log(family, args.x, cfg)
+        from mpmath import mp
         with mp.workdps(cfg.dps):
             lower, upper = (mp.exp(v) for v in logs)
     print(f"family = {fam_id.value}, x = {args.x:g}")

@@ -11,8 +11,10 @@ import math
 from dataclasses import dataclass, replace
 
 
-# Extra decimal digits of mpmath working precision beyond what is quoted
-# in error bounds; absorbs rounding in the elementary-function calls.
+# Extra decimal digits of working precision beyond what is quoted in error
+# bounds: the integer layer keeps the bits of working_digits + GUARD_DIGITS
+# digits (specfun._constants), and the public functions return mpf values of
+# that many digits.
 GUARD_DIGITS = 10
 
 # The most working digits accepted, the top of the range in which the
@@ -51,7 +53,9 @@ class PrecisionConfig:
 
     @property
     def dps(self) -> int:
-        """mpmath working precision actually used internally."""
+        """Decimal digits of the working precision actually used: its bits
+        are specfun._constants(cfg).prec, and the mpf values returned carry
+        them."""
         return self.working_digits + GUARD_DIGITS
 
     def doubled(self) -> "PrecisionConfig":
@@ -70,7 +74,7 @@ class SpecialValue:
     downstream comparisons must consume this interval, never the bare value.
     """
 
-    value: object  # mpmath.mpf (kept exact at the producing precision)
+    value: object  # an mpmath.mpf (kept exact at the producing precision)
     abs_error_bound: float
 
     def __post_init__(self) -> None:

@@ -9,7 +9,6 @@ verdict, 1 = at least one unexpected verdict, 2 = usage/I-O error.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import math
@@ -233,11 +232,9 @@ def _remark1_margins(x: float, wl: int, dens: tuple) -> tuple:
         Eq. (4.2):  xb - u^2,             u - xb.
 
     One exponential at wp bits, from monotone._exp_fixed, gives integers
-    U_lo <= u 2^wp <= U_hi, wp = wl + floor(x/ln 2) + max(0, -mag x), wl
-    of specfun._constants, so 2^-wp lies far below both e^{-x} and x.  The
-    lemma: e^{-x/2} is irrational for rational x != 0, so a correct U_lo =
-    floor(u 2^wp) gives U_hi = U_lo + 1 (_exp_fixed widens this by a unit
-    only where u 2^wp lies within 2^-8 of an integer).  1 - u^2 is the exact
+    U_lo <= u 2^wp <= U_hi, at most 2 apart by its lemma, wp = wl +
+    floor(x/ln 2) + max(0, -mag x), wl of specfun._constants, so 2^-wp lies
+    far below both e^{-x} and x.  1 - u^2 is the exact
     2^(2wp) - U^2, so no expm1 is needed near x = 0.  Every term increases
     with u: it is floored at U_lo and ceiled at U_hi, and each margin takes
     the ends of its terms that make it widest."""
@@ -545,6 +542,7 @@ def render_reports(reports: Sequence[VerificationReport], format: str) -> str:
         body = ",\n  ".join(_report_json(r) for r in reports)
         return "[\n  " + body + "\n]\n"
     if format == "csv":
+        import csv  # on use, as json is: verify writes JSON by default
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
@@ -623,6 +621,8 @@ def parse_reports(text: str, format: str) -> list:
             raise ParameterError("JSON report has a grid that is not an object") from None
         return [_report_from_row(row) for row in rows]
     if format == "csv":
+        import csv
+
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != CSV_HEADER:
             raise ParameterError("CSV report does not start with the expected header")

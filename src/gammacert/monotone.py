@@ -29,6 +29,10 @@ transform of phi_lambda, the integral path of H_lambda' that laplace_check
 compares with the closed form; and phi_integrand and h_of_t return the
 midpoints of the point forms that the certificate and lambda_star use
 (_phi_point, _h_fixed), at a scale worked out from t and lambda.
+
+The exponential of that layer is an integer one too (_exp_pair), so no
+claim imports mpmath: only the functions that hand out an mpf or an iv
+value do, when called.
 """
 
 from __future__ import annotations
@@ -38,9 +42,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-from mpmath import iv, libmp, mp
-from mpmath.libmp import from_man_exp, to_float
 
 from .config import (
     DEFAULT_CONFIG,
@@ -53,7 +54,8 @@ from .config import (
     require_positive,
 )
 from . import specfun
-from .specfun import _FIXED_GUARD_BITS, _add_interval, _bernoulli, _cdiv, _fixed_end, _fixed_mpf, _fixed_pair, _ratio
+from .specfun import (_FIXED_GUARD_BITS, _add_interval, _bernoulli, _cdiv, _fixed_end, _fixed_mpf, _ln_pair,
+                      _ln_table, _ratio)
 
 __all__ = [
     "H_lambda",
@@ -97,16 +99,20 @@ def _plus_lambda_fixed(f: int, a: int, s: int, term: tuple, wp: int) -> int:
     return f - big if k % 2 else f + big
 
 
-def _H_rounded(k: int, x, lam, cfg: PrecisionConfig) -> SpecialValue:
-    """H_lambda^(k)(x), k >= 0: the kernel's F_k at x plus the lambda term
-    (_plus_lambda_fixed), x and lambda as specfun._man_exp gives them at
-    cfg's bits, one integer rounded once (specfun._rounded).  The
-    bound is the kernel's, one unit of 2^-wp for the term's floor and the
-    rounding."""
+def _H_fixed(k: int, x, lam, cfg: PrecisionConfig) -> tuple:
+    """(H, wp, units): H_lambda^(k)(x), k >= 0, within units of H 2^-wp, the
+    kernel's F_k at x plus the lambda term (_plus_lambda_fixed), x and
+    lambda as specfun._man_exp gives them at cfg's bits.  The count is the
+    kernel's and one unit of 2^-wp for the term's floor."""
     lm = specfun._man_exp(lam, specfun._constants(cfg).prec)
     [(_, a, s, fs, wp, errs)] = specfun._stirling_defects((x,), cfg, k)
-    big_h = _plus_lambda_fixed(fs[k], a, s, (k, math.factorial(k), 24, *lm), wp)
-    return specfun._rounded(big_h, wp, errs[k] + 1, cfg, f"H_lambda^({k})", x)
+    return _plus_lambda_fixed(fs[k], a, s, (k, math.factorial(k), 24, *lm), wp), wp, errs[k] + 1
+
+
+def _H_rounded(k: int, x, lam, cfg: PrecisionConfig) -> SpecialValue:
+    """H_lambda^(k)(x) as a SpecialValue: _H_fixed's integer rounded once
+    (specfun._rounded)."""
+    return specfun._rounded(*_H_fixed(k, x, lam, cfg), cfg, f"H_lambda^({k})", x)
 
 
 def H_lambda(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
@@ -145,7 +151,8 @@ def H_lambda_deriv(n: int, x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG) -> Spe
 # --- the integer interval layer of phi_lambda -------------------------------
 #
 # specfun's intervals, at wp = specfun._constants(cfg).wl or _point_prec; box
-# ends, x and lambda enter as exact ratios, e^q, ln y and gamma by _fixed_pair.
+# ends, x and lambda enter as exact ratios, e^q by _exp_pair, ln y by
+# specfun._ln_pair, and pi and gamma by specfun._pi_pair and _euler_pair.
 
 _T_TAIL = 20.0  # Taylor piece on (0, 2], centred forms on [2, 20], closed-form tail
 _CERT_MAX_BOXES = 2000  # bisection budget of one certificate
@@ -153,16 +160,127 @@ _TAYLOR_TERMS = 60  # c_2 .. c_61; the remainder is below 1e-30 for lambda <= 3/
 _POINT_MAX_BITS = 1 << 16  # most bits phi_integrand and h_of_t add for t (_point_prec)
 
 
+_EXP_T = 7  # _exp_pair reads e^(c/2^_EXP_T), c = 0..88, from a table
+_EXP_TABLES: dict = {}  # B -> _exp_table(B), built on first use
+_LOG2_E = 1 / math.log(2)  # the float nearest log2(e)
+
+
+def _exp_table(big_b: int) -> list:
+    """[E_c for c = 0..88], 2^B e^(c/2^T) - 3/2 < E_c <= 2^B e^(c/2^T), T =
+    _EXP_T, for B >= 64, from exact integers alone, at B' = B + h bits, h =
+    bitlen(B) + 8.  A = sum_i floor(2^B'/(2^(T i) i!)), each term an exact
+    floor (P_i = floor(P_(i-1)/(2^T i))) taken while P_i > 0, I of them, I
+    <= B'/7 + 1, is below 2^B' e^(1/2^T) by d_1 < I + 1.01.  F_0 = 2^B' and
+    F_c = floor(F_(c-1) A 2^-B') are low by d_c < 1 + d_(c-1) e^(1/2^T) +
+    e^((c-1)/2^T) d_1, so d_c <= c e^(c/2^T) (1 + d_1) < 176 (I + 2.01) <=
+    26 B' + 530 < 2^(h-1) for c <= 88 (e^(88/128) < 2), and E_c = floor(F_c
+    2^-h)."""
+    table = _EXP_TABLES.get(big_b)
+    if table is None:
+        h = big_b.bit_length() + 8
+        one = 1 << (big_b + h)
+        a, p, i = 0, one, 0
+        while p:
+            a, i = a + p, i + 1
+            p //= i << _EXP_T
+        f, table = one, [1 << big_b]
+        for _ in range(88):
+            f = f * a >> (big_b + h)
+            table.append(f >> h)
+        _EXP_TABLES[big_b] = table
+    return table
+
+
+def _exp_reduce(lo: int, hi: int, d: int, w: int) -> tuple:
+    """(k, r_lo, r_hi): q - k ln 2 lies in [r_lo, r_hi] 2^-w for every q in
+    [lo, hi] 2^-d, and 0 <= r_lo < 2^w ln 2.  ln 2 is [l_lo, l_hi] 2^-w from
+    _ln_table's last entry, low by less than 3/2 at B >= w + 64 bits,
+    floored and ceiled; the ends of q are floored and ceiled to Q_lo, Q_hi.
+    k = floor(Q_lo/l_hi) for Q_lo >= 0, else floor(Q_lo/l_lo), so that the
+    end of ln 2 which makes q - k ln 2 least leaves r_lo = Q_lo - k l in [0,
+    l), and the other end gives r_hi.  r_hi - r_lo is at most the width of
+    [Q_lo, Q_hi] plus 3 |k|."""
+    big_b = (w + 127) & -64
+    ln2, sh = _ln_table(big_b)[-1], big_b - w
+    l_lo, l_hi = ln2 >> sh, ((ln2 + 2) >> sh) + 1
+    q_lo, q_hi = (lo << (w - d), hi << (w - d)) if d <= w else (lo >> (d - w), _cdiv(hi, 1 << (d - w)))
+    if q_lo >= 0:
+        k = q_lo // l_hi
+        return k, q_lo - k * l_hi, q_hi - k * l_lo
+    k = q_lo // l_lo
+    return k, q_lo - k * l_lo, q_hi - k * l_hi
+
+
+def _exp_series(r: int, dr: int, w: int) -> tuple:
+    """(S, S_hi) with S <= 2^w e^y <= S_hi for every y in [r, r + dr] 2^-w,
+    0 <= r < 2^(w-7), 0 <= dr <= 2^(w-7), by the Taylor series of e^y:
+    P_0 = 2^w and P_i = floor(floor(P_(i-1) r 2^-w)/i), an exact floor of
+    P_(i-1) r/(i 2^w), summed while P_i > 0, I terms.  Every floor is low,
+    so S is too; the gaps e_i = 2^w (r 2^-w)^i/i! - P_i obey 0 <= e_i < 1 +
+    e_(i-1)/128 < 1.008, and the tail from the first P_I = 0 is below 1.02,
+    so 2^w e^(r 2^-w) - S < 1.008 I + 0.02; the step from r to r + dr adds
+    less than 2^w e^(2^-7) (e^(dr 2^-w) - 1) < 1.02 dr.  S_hi = S + 2 (I +
+    dr) + 1 exceeds both."""
+    s, p, i = 0, 1 << w, 0
+    while p:
+        s, i = s + p, i + 1
+        p = (p * r >> w) // i
+    return s, s + 2 * (i + dr) + 1
+
+
+def _exp_pair(lo: int, hi: int, d: int, wp: int) -> tuple:
+    """(L, H) with L <= e^q 2^wp <= H for every q in [lo, hi] 2^-d, d >= 0,
+    hi - lo <= 2^(d-8) and wp >= 16: Tang's table-driven method (ACM TOMS
+    15, 1989; Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+    4.3-4.4) on integers alone, each step rounded outward.  With k' the
+    float estimate of floor(hi 2^-d/ln 2) (it sets the scale only), q = k
+    ln 2 + c/2^T + y and e^q = 2^k e^(c/2^T) e^y, T = _EXP_T:
+
+      - _exp_reduce at W2 = W + bitlen(|k'|) + 3 bits gives k and r in
+        [r_lo, r_hi], shifted outward to W = max(wp + k', 0) + g, g =
+        bitlen(wp) + 6, as [R, R + dr], dr <= (hi - lo) 2^(W-d) + 4 (3|k|
+        units of 2^-W2 are below one of 2^-W);
+      - c = floor(R 2^(T-W)) <= 88, as R < 2^W ln 2 + 1, and y in [R - c
+        2^(W-T), that + dr]: _exp_series;
+      - times E_c and E_c + 2 of _exp_table at B = W rounded up to 64 bits,
+        floored and ceiled (c = 0 reads no table);
+      - times 2^k, a shift by W - wp - k, floored and ceiled.
+
+    Every step is monotone and rounded outward, so L and H hold e^q.  Both
+    ends lie within 4 (I + dr) + 6 units of 2^-W of e^q 2^(W-k+wp), I <=
+    W/7 + 1 the series' terms; for exact q, |q| <= 800 and wp >= 64 that is
+    below 2^(g-3), a quarter of a unit after the shift (at least g - 1 bits,
+    as k' is within 1 of k), so H - L <= 2.  Where e^hi 2^wp < 1/2 (k' + wp
+    < -2), (0, 1)."""
+    kf = math.floor(hi / (1 << d) * _LOG2_E)
+    if kf + wp < -2:
+        return 0, 1
+    big_w = max(wp + kf, 0) + wp.bit_length() + 6
+    w2 = big_w + abs(kf).bit_length() + 3
+    k, r_lo, r_hi = _exp_reduce(lo, hi, d, w2)
+    sh = w2 - big_w
+    r = r_lo >> sh
+    c = r >> (big_w - _EXP_T)
+    s, s_hi = _exp_series(r - (c << (big_w - _EXP_T)), _cdiv(r_hi, 1 << sh) - r, big_w)
+    if c:
+        big_b = (big_w + 63) & -64
+        e = _exp_table(big_b)[c]
+        s, s_hi = s * e >> big_b, _cdiv(s_hi * (e + 2), 1 << big_b)
+    sh = big_w - wp - k
+    if sh < 0:
+        return s << -sh, s_hi << -sh
+    return s >> sh, _cdiv(s_hi, 1 << sh)
+
+
 def _exp_fixed(num: int, den: int, wp: int) -> tuple:
-    """(lo, hi) with lo <= e^q 2^wp <= hi for q = num/den: one mpf_exp at
-    exact q, made an interval by _fixed_pair; e^0 = 1 is exact.  q must be a
-    binary fraction (den a power of two), as every float is."""
+    """(lo, hi) with lo <= e^q 2^wp <= hi for q = num/den, from _exp_pair at
+    exact q; e^0 = 1 is exact.  q must be a binary fraction (den a power of
+    two), as every float is."""
     if num == 0:
         return (1 << wp,) * 2
     if den & (den - 1):
         raise DomainError(f"x and lambda must be binary fractions, as floats are; e^({num}/{den}) is asked")
-    prec = wp + 10 + max(0, 2 * num // den + 2)  # e^q < 2^(2q + 1) for q > 0
-    return _fixed_pair(libmp.mpf_exp(from_man_exp(num, 1 - den.bit_length()), prec), prec, wp)
+    return _exp_pair(num, num, den.bit_length() - 1, wp)
 
 
 @functools.lru_cache(maxsize=16)
@@ -181,7 +299,9 @@ def _phi_series(lam, wp: int) -> tuple:
         2^p |remainder| <= 1/(n+2)! + 2 pi^-(n+2)/(1 - 1/pi)
                            + (2 lambda)^n/(12 n! (1 - 2 lambda/(n+1))),
 
-    formed exactly from a lower bound of pi.
+    each term an integer quotient rounded up, the middle one from the lower
+    end Pi of specfun._pi_pair at v = wp + 8 bits: 2 pi^-(n+2)/(1 - 1/pi) =
+    2/(pi^(n+1) (pi - 1)) <= 2^(v(n+2)+1)/(Pi^(n+1) (Pi - 2^v)).
     """
     lm = Fraction(*_ratio(lam))
     p, n = (3 if 2 * lm == 1 else 2), _TAYLOR_TERMS + 1
@@ -195,10 +315,13 @@ def _phi_series(lam, wp: int) -> tuple:
         big.append((sum(t // d for t, d in terms), sum(_cdiv(t, d) for t, d in terms)))
     if not 2 * lm < n + 1:
         return tuple(big), None
-    pi_lo = Fraction(_fixed_pair(libmp.mpf_pi(wp + 20), wp + 20, wp + 8)[0], 1 << (wp + 8))
-    r = (Fraction(1, math.factorial(n + 2)) + 2 / pi_lo ** (n + 2) / (1 - 1 / pi_lo)
-         + (2 * lm) ** n / (12 * math.factorial(n) * (1 - 2 * lm / (n + 1)))) / 2 ** p
-    return tuple(big), _cdiv(r.numerator << wp, r.denominator)
+    v, ln, ld = wp + 8, lm.numerator, lm.denominator
+    big_pi = specfun._pi_pair(v)[0]
+    one = 1 << (wp - p)  # the remainder's 2^-p folded into the scale
+    return tuple(big), (_cdiv(one, math.factorial(n + 2))
+                        + _cdiv(one << (v * (n + 2) + 1), big_pi ** (n + 1) * (big_pi - (1 << v)))
+                        + _cdiv((2 * ln) ** n * (n + 1) * one,
+                                12 * math.factorial(n) * ld ** (n - 1) * ((n + 1) * ld - 2 * ln)))
 
 
 def _phi_horner(y: tuple, coeffs: tuple, rem: int, wp: int) -> tuple:
@@ -234,13 +357,12 @@ def _h_fixed(t: tuple, wp: int) -> tuple:
     """The interval of h(t) = -ln(24 (a - b)/t)/t at a point t = (num, den),
     a - b from _phi_point with e = 0, with one log at each end of the
     bracket 24 (a - b)/t = 1 + 24 phi_0(t)/t."""
-    (tn, td), prec = t, wp + 14
+    tn, td = t
     (lo, hi), _ = _phi_point(t, _exp_fixed(-tn, 2 * td, wp), (0, 0), wp)
     bracket = (24 * lo * td) // tn, _cdiv(24 * hi * td, tn)
     if bracket[0] <= 0:
         raise NumericalError(f"h(t) has no real value at t = {Fraction(tn, td)}")
-    log_lo = _fixed_pair(libmp.mpf_log(from_man_exp(bracket[0], -wp), prec), prec, wp)[0]
-    log_hi = _fixed_pair(libmp.mpf_log(from_man_exp(bracket[1], -wp), prec), prec, wp)[1]
+    log_lo, log_hi = _ln_pair(bracket[0], 1 << wp, wp)[0], _ln_pair(bracket[1], 1 << wp, wp)[1]
     return (-log_hi * td) // tn, _cdiv(-log_lo * td, tn)
 
 
@@ -277,26 +399,27 @@ def _point_exps(t: tuple, lr: tuple, wp: int) -> tuple:
     return _exp_fixed(-tn, 2 * td, wp), _exp_fixed(-ln * tn, ld * td, wp)
 
 
-def _point_prec(t: tuple, lr: tuple) -> int:
+def _point_prec(t: tuple, lr: tuple, prec: int) -> int:
     """wp of the point functions for t = (num, den) and lr = _ratio(lambda)
-    at mp.prec: the terms of phi are about 1/t, phi can be as small as t^3
-    (lambda = 1/2) and 1 - e^{-t} ~ t costs one more factor of t, so 5 bits
-    per halving of t below 1 (-mag t of them); and at large t, phi is about
-    e^{-min(lambda, 1/2) t}, which needs t min(lambda, 1/2) log2(e) more
-    bits to keep mp.prec of its own.  Beyond _POINT_MAX_BITS of these two
+    at prec bits (mp.prec): the terms of phi are about 1/t, phi can be as
+    small as t^3 (lambda = 1/2) and 1 - e^{-t} ~ t costs one more factor of
+    t, so 5 bits per halving of t below 1 (-mag t of them); and at large t,
+    phi is about e^{-min(lambda, 1/2) t}, which needs t min(lambda, 1/2)
+    log2(e) more bits to keep prec of its own.  Beyond _POINT_MAX_BITS of these two
     (t below about 1e-3945, or t min(lambda, 1/2) above about 45000) the
     integers would take seconds, so NumericalError is raised."""
     (tn, td), (ln, ld) = t, lr
     extra = (5 * max(0, td.bit_length() - 1 - tn.bit_length())
              + _cdiv(145 * tn * min(2 * ln, ld), 200 * td * ld))
     if extra > _POINT_MAX_BITS:
+        from mpmath import mp
         raise NumericalError(f"t = {mp.nstr(mp.mpf(tn) / td, 5)} needs over {_POINT_MAX_BITS} more bits")
-    return mp.prec + _FIXED_GUARD_BITS + extra
+    return prec + _FIXED_GUARD_BITS + extra
 
 
-def _point_ratio(v) -> tuple:
-    """(num, den) of t or lambda as specfun._man_exp gives it at mp.prec."""
-    man, e = specfun._man_exp(v, mp.prec)
+def _point_ratio(v, prec: int) -> tuple:
+    """(num, den) of t or lambda as specfun._man_exp gives it at prec bits."""
+    man, e = specfun._man_exp(v, prec)
     return (man * Fraction(2) ** e).as_integer_ratio()
 
 
@@ -305,10 +428,11 @@ def phi_integrand(t, lam):
     lambda >= 0: the midpoint of _phi_point, the certificate's point form,
     at t and lambda as _point_ratio gives them, on the integer intervals at
     _point_prec bits, from one exponential of -t/2 and one of -lambda t."""
+    from mpmath import mp
     require_positive("t", t)
     _check_lambda(lam)
-    tr, lr = _point_ratio(t), _point_ratio(lam)
-    wp = _point_prec(tr, lr)
+    tr, lr = _point_ratio(t, mp.prec), _point_ratio(lam, mp.prec)
+    wp = _point_prec(tr, lr, mp.prec)
     return _fixed_mpf(_phi_point(tr, *_point_exps(tr, lr, wp), wp)[0], wp)
 
 
@@ -319,9 +443,10 @@ def h_of_t(t):
     takes, at t as _point_ratio gives it, on the integer intervals at
     _point_prec bits with lambda = 1/2: the bracket 24 (a - b)/t falls like
     e^{-t/2}, and its log needs the bracket's relative precision."""
+    from mpmath import mp
     require_positive("t", t)
-    tr = _point_ratio(t)
-    wp = _point_prec(tr, (1, 2))
+    tr = _point_ratio(t, mp.prec)
+    wp = _point_prec(tr, (1, 2), mp.prec)
     return _fixed_mpf(_h_fixed(tr, wp), wp)
 
 
@@ -531,7 +656,8 @@ def _e1(y: tuple, wp: int) -> tuple:
     (DLMF 6.6.2), summed with about y log2(e) + 17 extra bits, as many as
     its terms cancel; once the terms decrease (k + 1 >= y) the first omitted
     one bounds the alternating rest.  Above, 0 < E_1(y) < e^{-y}/y (DLMF
-    6.8.1) < 2^-wp, since prec >= 86 makes e^-prec < 2^-(prec+20)."""
+    6.8.1) < 2^-wp, since prec >= 86 makes e^-prec < 2^-(prec+20).  gamma
+    and ln y are the integer intervals of specfun._euler_pair and _ln_pair."""
     yn, yd = y
     if yn > (wp - _FIXED_GUARD_BITS) * yd:
         return 0, 1
@@ -544,9 +670,7 @@ def _e1(y: tuple, wp: int) -> tuple:
         if (k + 1) * yd >= yn and thi < 1 << extra:
             break
         slo, shi, k = (slo - thi, shi - tlo, k + 1) if k % 2 else (slo + tlo, shi + thi, k + 1)
-    prec = we + 14
-    glo, ghi = _fixed_pair(libmp.mpf_euler(prec), prec, we)
-    llo, lhi = _fixed_pair(libmp.mpf_log(from_man_exp(yn, 1 - yd.bit_length()), prec), prec, we)
+    (glo, ghi), (llo, lhi) = specfun._euler_pair(we), _ln_pair(yn, yd, we)
     return (-ghi - lhi - shi - thi) >> extra, _cdiv(-glo - llo - slo + thi, 1 << extra)
 
 
@@ -608,19 +732,21 @@ def laplace_enclosure(x, lam, cfg: PrecisionConfig = DEFAULT_CONFIG):
     first omitted term over 1 - e^{-2}.  Raises NumericalError where the
     remainder of _phi_series is unbounded (2 lambda >= 62).
     """
+    from mpmath import iv, libmp
     lo, hi = _laplace_fixed(x, lam, cfg)
     wp = specfun._constants(cfg).wl
-    return iv.make_mpf((from_man_exp(lo, -wp), from_man_exp(hi, -wp)))
+    return iv.make_mpf((libmp.from_man_exp(lo, -wp), libmp.from_man_exp(hi, -wp)))
 
 
 def _laplace_residual(x, lam, cfg: PrecisionConfig) -> tuple:
     """Q(x, lambda) - H_lambda'(x) as an integer interval at the scale of
-    _laplace_fixed: its enclosure less the closed form, whose certified
-    bound is folded in."""
-    closed = H_lambda_prime(x, lam, cfg)
+    _laplace_fixed: its enclosure less the closed form, the value and bound
+    that H_lambda_prime returns (specfun._round of _H_fixed), whose bound is
+    folded in."""
     lo, hi = _laplace_fixed(x, lam, cfg)
-    wp = specfun._constants(cfg).wl
-    (vlo, vhi), err = _fixed_end(closed.value, wp), _fixed_end(closed.abs_error_bound, wp)[1]
+    consts = specfun._constants(cfg)
+    man, e, bound = specfun._round(*_H_fixed(1, x, lam, cfg), consts.prec, "H_lambda^(1)", x)
+    (vlo, vhi), err = _fixed_end(man * Fraction(2) ** e, consts.wl), _fixed_end(bound, consts.wl)[1]
     return lo - vhi - err, hi - vlo + err
 
 
@@ -644,30 +770,54 @@ class ThresholdResult:
     tolerance: float
 
 
-def _t_star(cfg: PrecisionConfig) -> float:
-    """t_star as a float: mp Newton steps at cfg.dps on F(t, lambda) =
+_T_STAR_BITS = 128  # the fixed point of _t_star's Newton steps
+
+
+def _t_star() -> float:
+    """The float nearest t_star, from Newton steps on F(t, lambda) =
     (phi_lambda(t), d phi_lambda/dt (t)) = 0 from (12.24, 0.652), with the
     Jacobian [[phi_t, t^2 e^{-lambda t}/24], [phi_tt, -t (lambda t - 2)
-    e^{-lambda t}/24]].  It stops once a step is below 2^-(prec/2) of t, so
-    the next would be below 2^-prec."""
-    with mp.workdps(cfg.dps):
-        t, lam, tol = mp.mpf("12.24"), mp.mpf("0.652"), mp.ldexp(1, -mp.prec // 2)
-        for _ in range(30):
-            u = mp.exp(-t / 2)
-            a, b, e = u / t, u * u / (1 - u * u), mp.exp(-lam * t) / 24
-            c = (1 + 2 / t) / 2
-            phi = a - b - t * e
-            phi_t = b * (1 + b) - c * a - (1 - lam * t) * e
-            phi_tt = a * (1 / t ** 2 + c * c) - b * (1 + b) * (1 + 2 * b) - lam * (lam * t - 2) * e
-            j12, j22 = t * t * e, -t * (lam * t - 2) * e
-            det = phi_t * j22 - j12 * phi_tt
-            dt = (j12 * phi_t - phi * j22) / det
-            t, lam = t + dt, lam + (phi * phi_tt - phi_t * phi_t) / det
-            if abs(dt) < tol * t:
-                break
-        if not 1 < t < 60:
-            raise NumericalError(f"Newton's method for t_star left [1, 60]: t = {t}")
-        return float(t)
+    e^{-lambda t}/24]], in fixed point at w = _T_STAR_BITS bits: every
+    product and quotient floored, e^{-t/2} and e^{-lambda t} the lower ends
+    of _exp_fixed.  It stops once a step is below 2^-(w/2) of t, so that the
+    next would be below about 2^-w; integer division rounds the last t to
+    the nearest float.  No proof rests on it: lambda_star's lower end holds
+    at any t, and its upper end is proved by the certificate."""
+    w = _T_STAR_BITS
+    one, half = 1 << w, 1 << (w - 1)
+
+    def mul(a, b):
+        return a * b >> w
+
+    def div(a, b):
+        return (a << w) // b
+
+    t, lam = div(1224, 100), div(652, 1000)
+    for _ in range(30):
+        u = _exp_fixed(-t, 2 << w, w)[0]
+        e = _exp_fixed(-lam * t, 1 << 2 * w, w)[0] // 24
+        u2 = mul(u, u)
+        a, b, c = div(u, t), div(u2, one - u2), half + div(one, t)
+        b1, lt2 = b + mul(b, b), mul(lam, t) - 2 * one  # b (1 + b), lambda t - 2
+        phi = a - b - mul(t, e)
+        phi_t = b1 - mul(c, a) - mul(one - mul(lam, t), e)
+        phi_tt = mul(a, div(one, mul(t, t)) + mul(c, c)) - mul(b1, one + 2 * b) - mul(mul(lam, lt2), e)
+        j12, j22 = mul(mul(t, t), e), -mul(mul(t, lt2), e)
+        det = mul(phi_t, j22) - mul(j12, phi_tt)
+        dt = div(mul(j12, phi_t) - mul(phi, j22), det)
+        t, lam = t + dt, lam + div(mul(phi, phi_tt) - mul(phi_t, phi_t), det)
+        if abs(dt) << (w // 2) < t:
+            break
+    if not one < t < 60 * one:
+        raise NumericalError(f"Newton's method for t_star left [1, 60]: t = {t / one}")
+    return t / one
+
+
+def _float_below(n: int, w: int) -> float:
+    """The largest float <= n 2^-w, for n 2^-w in the normal float range:
+    n shifted down to 53 bits, floored, is exact as a float."""
+    sh = max(n.bit_length() - 53, 0)
+    return math.ldexp(n >> sh, sh - w)
 
 
 def lambda_star(tol, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThresholdResult:
@@ -676,8 +826,9 @@ def lambda_star(tol, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThresholdResult:
     phi_lambda >= 0 on (0, inf) iff lambda >= h(t) for all t > 0, so
     lambda_star = sup h.  Newton's method on phi = phi_t = 0 finds t
     (_t_star); the lower end is that of h(t) on the integer intervals at
-    that float t (_h_fixed, the interval h_of_t takes the midpoint of), so
-    it holds whatever t is; and the upper end, the lower plus tol, is proved
+    that float t (_h_fixed, the interval h_of_t takes the midpoint of),
+    stepped down from the largest float below it, so it holds whatever t
+    is; and the upper end, the lower plus tol, is proved
     by phi_sign_certificate.  Since d phi_lambda / d lambda = t^2
     e^{-lambda t}/24 > 0, phi_lambda > 0 at one lambda proves it at every
     larger one, so the certificate runs at min(upper end, 3/2): it cannot
@@ -686,8 +837,8 @@ def lambda_star(tol, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThresholdResult:
     the precision) NumericalError is raised.
     """
     require_positive("tol", tol)
-    t, wp = _t_star(cfg), specfun._constants(cfg).wl
-    lo = math.nextafter(to_float(from_man_exp(_h_fixed(t.as_integer_ratio(), wp)[0], -wp)), -math.inf)
+    t, wp = _t_star(), specfun._constants(cfg).wl
+    lo = math.nextafter(_float_below(_h_fixed(t.as_integer_ratio(), wp)[0], wp), -math.inf)
     hi = float(Fraction(lo) + Fraction(tol))
     if Fraction(hi) - Fraction(lo) > Fraction(tol):
         hi = math.nextafter(hi, -math.inf)
@@ -832,6 +983,7 @@ def necessary_limit(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """-x - 1/(24 f(x)), f = F_0, tends to 1/2: the interval of
     _necessary_limit_fixed as its midpoint at cfg.dps and the distance to
     its farther end, rounded up."""
+    from mpmath import mp
     (lo, hi), wp = _necessary_limit_fixed(x, cfg)
     with mp.workdps(cfg.dps):
         mid = _fixed_mpf((lo, hi), wp)
@@ -887,10 +1039,19 @@ def kth_root_gap(k: int) -> int:
 
 
 def kth_root_bound(k: int) -> float:
-    """[(1/(k-2)) ((3/2)^(k-2) - (1/2)^(k-2))]^(1/(k-3)); stays <= 3/2 and
-    tends to 3/2 as k grows."""
+    """[(1/(k-2)) ((3/2)^(k-2) - (1/2)^(k-2))]^(1/(k-3)) as the float nearest
+    it; stays <= 3/2 and tends to 3/2 as k grows.  It is e^(ln(b)/(k-3))
+    for the exact radicand b = (3^(k-2) - 1)/((k-2) 2^(k-2)): ln b from
+    specfun._ln_pair at w bits, divided by k - 3 outward, and _exp_pair of
+    that interval give the root within a few units of 2^-w; from w = 90 the
+    bits double until both ends round to one float, which is then the float
+    nearest the root (integer division rounds correctly)."""
     if not (isinstance(k, int) and k >= 4):
         raise DomainError(f"k must be an integer >= 4, got {k!r}")
-    with mp.workdps(30):
-        base = (mp.mpf(3) / 2) ** (k - 2) - (mp.mpf(1) / 2) ** (k - 2)
-        return float((base / (k - 2)) ** (mp.mpf(1) / (k - 3)))
+    n, w = k - 2, 90
+    while True:
+        log_lo, log_hi = _ln_pair(3 ** n - 1, n << n, w)
+        lo, hi = _exp_pair(log_lo // (k - 3), _cdiv(log_hi, k - 3), w, w)
+        if lo / (1 << w) == hi / (1 << w):
+            return lo / (1 << w)
+        w *= 2

@@ -19,12 +19,14 @@ add their terms to its integers, each with its count, and _rounded turns
 an integer and its count into a SpecialValue, rounding once and counting
 that rounding exactly; a bound past the float range raises DomainError,
 naming the function and x.  Every claim decides on the integer layer
-(_ratio .. _logs).
+(_ratio .. _logs), whose constants pi (_pi_pair) and gamma (_euler_pair)
+are integer intervals too.
 
-mpmath supplies the mpf values that are returned, and pi and gamma
-(libmp); the Bernoulli numbers are exact integer ratios (_bernoulli), and
-the special-function algorithms themselves live here so their error
-bounds are explicit.
+mpmath is imported only where an mpf is handed out (_rounded, _fixed_mpf,
+euler_gamma) or where a string or an mpmath constant is read (_man_exp);
+no claim loads it.  The Bernoulli numbers are exact integer ratios
+(_bernoulli), and the special-function algorithms themselves live here so
+their error bounds are explicit.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ import math
 import sys
 from fractions import Fraction
 from typing import NamedTuple
-
-from mpmath import libmp, mp
 
 from .config import (
     DEFAULT_CONFIG,
@@ -77,13 +77,12 @@ def _constants(cfg: PrecisionConfig) -> _Constants:
     """The values of cfg's precision, once per precision without a precision
     context: the log of the series target at which the kernel's walk stops,
     and its bits, scale and threshold.  2^-wl is the scale of every integer
-    interval at cfg's precision."""
-    prec = libmp.dps_to_prec(cfg.dps)
+    interval at cfg's precision.  prec is round((dps + 1) log2(10)), the
+    closed form of mpmath's dps_to_prec."""
+    prec = max(1, round((cfg.dps + 1) * 3.3219280948873626))
     return _Constants(-(cfg.working_digits + 6) * math.log(10), prec, prec + _FIXED_GUARD_BITS,
                       _shift_threshold(cfg.working_digits))
 
-
-_MPF = type(mp.mpf(1))
 
 # bits below 2^-prec kept by the kernel's fixed-point sums
 _FIXED_GUARD_BITS = 20
@@ -248,11 +247,19 @@ def _ln_table(big_b: int) -> list:
 # w mostly wl of _constants, lo floored and hi ceiled, so it holds its real
 
 
+def _raw_mpf(v):
+    """v._mpf_, (sign, man, exp, bc), if v is an mpmath mpf, else None.
+    While mpmath is not imported no mpf can exist, so this imports nothing."""
+    mpmath = sys.modules.get("mpmath")
+    return v._mpf_ if mpmath is not None and isinstance(v, mpmath.mpf) else None
+
+
 def _ratio(v) -> tuple:
     """(num, den), den > 0, with v = num/den exactly, for an int, float,
     Fraction or mpf v."""
-    if isinstance(v, mp.mpf):
-        sign, man, exp, bc = v._mpf_
+    raw = _raw_mpf(v)
+    if raw is not None:
+        sign, man, exp, bc = raw
         if bc < 0:  # mpmath's inf, -inf and nan
             raise DomainError(f"{v} is not a finite number")
         man = -man if sign else man
@@ -260,19 +267,51 @@ def _ratio(v) -> tuple:
     return Fraction(v).as_integer_ratio()
 
 
+def _nearest(n: int, prec: int) -> tuple:
+    """(m, sh): m 2^sh is the number of prec bits nearest the integer n,
+    ties to even, as mpmath rounds to nearest."""
+    sh = abs(n).bit_length() - prec
+    if sh <= 0:
+        return n, 0
+    a = abs(n)
+    q, r, half = a >> sh, a & ((1 << sh) - 1), 1 << (sh - 1)
+    q += r > half or (r == half and q & 1)
+    return (-q if n < 0 else q), sh
+
+
 def _man_exp(v, prec: int) -> tuple:
-    """(man, e) with man 2^e = v (man = 0 for a zero or non-finite v), as x,
-    lambda and t enter the integer layer: a dyadic v (an int, float, mpf or
-    power-of-two Fraction) exactly; any other Fraction p/q rounded to
-    nearest at prec bits, as mp.mpf(p)/q is, and a string read at prec bits."""
-    if isinstance(v, Fraction):
+    """(man, e) with man 2^e = v, man odd or 0 (0 for a zero or non-finite
+    v), as x, lambda and t enter the integer layer: a dyadic v (an int,
+    float, mpf or power-of-two Fraction) exactly; any other Fraction p/q
+    rounded to nearest at prec bits, as mp.mpf(p)/q is, and a string or an
+    mpmath constant read at prec bits by mpmath."""
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            return 0, 0
+        man, den = v.as_integer_ratio()
+        e = 1 - den.bit_length()
+    elif isinstance(v, int):
+        man, e = v, 0
+    elif isinstance(v, Fraction):
         num, den = v.numerator, v.denominator
-        raw = (libmp.from_man_exp(num, 1 - den.bit_length()) if den & (den - 1) == 0
-               else libmp.from_rational(num, den, prec, "n"))
-    else:  # exact but for a string or an mpmath constant
-        raw = v._mpf_ if type(v) is _MPF else _MPF.mpf_convert_arg(v, prec, "n")
-    sign, man, e, _ = raw
-    return (-man if sign else man), e
+        if den & (den - 1) == 0:
+            man, e = num, 1 - den.bit_length()
+        else:  # |num/den| to prec + 2 bits or more and a sticky bit, rounded once
+            e = abs(num).bit_length() - den.bit_length() - prec - 3
+            q, rem = divmod(abs(num) << -e, den) if e < 0 else divmod(abs(num), den << e)
+            man, sh = _nearest((q << 1) | (rem > 0), prec)
+            man, e = (-man if num < 0 else man), e - 1 + sh
+    else:
+        raw = _raw_mpf(v)
+        if raw is None:  # a string or an mpmath constant: mpmath reads it
+            from mpmath import mp
+            raw = mp.mpf.mpf_convert_arg(v, prec, "n")
+        sign, man, e, _ = raw
+        man = -man if sign else man
+    if not man:
+        return 0, 0
+    tz = (man & -man).bit_length() - 1
+    return man >> tz, e + tz
 
 
 def _split(x, prec: int) -> tuple:
@@ -289,21 +328,6 @@ def _cdiv(n: int, d: int) -> int:
     return -(-n // d)
 
 
-def _fixed_pair(v: tuple, prec: int, wp: int) -> tuple:
-    """(lo, hi) with lo <= y 2^wp <= hi, for v the raw mpf that a libmp
-    function returned for y at prec bits.  libmp evaluates its elementary
-    functions and constants with 14 or more guard bits and rounds once, so
-    y lies within 2 units of the last place of v, 2^(mag v - prec).  With
-    prec >= wp + mag v + 10 those 2 units are below 2^-(wp+8), so hi = lo + 1
-    unless y 2^wp lies that close to an integer."""
-    sign, man, exp, bc = v
-    man = (-man if sign else man) << (prec - bc)
-    s = exp - (prec - bc) + wp  # v 2^wp = man 2^s
-    if s >= 0:
-        return (man - 2) << s, (man + 2) << s
-    return (man - 2) >> -s, ((man + 2) >> -s) + 1
-
-
 def _fixed_end(v, wp: int) -> tuple:
     """floor and ceil of v 2^wp for an int, float, Fraction or mpf v."""
     num, den = _ratio(v)
@@ -312,6 +336,7 @@ def _fixed_end(v, wp: int) -> tuple:
 
 def _fixed_mpf(enc: tuple, wp: int):
     """The mpf nearest the midpoint (lo + hi) 2^-(wp+1) of enc at mp.prec."""
+    from mpmath import libmp, mp
     return mp.make_mpf(libmp.from_man_exp(enc[0] + enc[1], -wp - 1, mp.prec, "n"))
 
 
@@ -345,6 +370,71 @@ def _linear(const, terms, w: int) -> tuple:
     return math.floor(lo), math.ceil(hi)
 
 
+@functools.lru_cache(maxsize=16)
+def _pi_pair(w: int) -> tuple:
+    """The interval of pi at 2^-w, at most 2 units wide, once per scale, by
+    Machin's formula pi = 16 atan(1/5) - 4 atan(1/239) summed at W = w + g
+    bits, g = bitlen(w) + 6.  With P_0 = floor(2^W/N) and P_m =
+    floor(P_(m-1)/N^2) = floor(2^W/N^(2m+1)), term m of atan(1/N) = sum_m
+    (-1)^m/((2m+1) N^(2m+1)) is floor(P_m/(2m+1)), an exact floor, taken
+    while P_m > 0.  Each of those I terms is off by less than a unit and the
+    alternating tail by less than its first term, below a unit, so the sum
+    is off by less than 16 (I_5 + 1) + 4 (I_239 + 1) < 4 W + 20 <= 2^(g-1)
+    units of 2^-W (I_N <= W/(2 log2 N) + 1), and the floor and ceiling at
+    2^-w of its ends are at most 2 units apart."""
+    g = w.bit_length() + 6
+    big_w = w + g
+    total = err = 0
+    for c, n in ((16, 5), (-4, 239)):
+        p, n2, d, atan = (1 << big_w) // n, n * n, 1, 0
+        while p:
+            atan += p // d if d % 4 == 1 else -(p // d)
+            p, d = p // n2, d + 2
+        total, err = total + c * atan, err + abs(c) * (d + 1) // 2  # (d + 1)/2 = I + 1
+    return (total - err) >> g, _cdiv(total + err, 1 << g)
+
+
+def _euler_at(n: int, w: int) -> tuple:
+    """The interval of Euler's gamma at 2^-w from Euler-Maclaurin at the
+    integer n >= 1: psi(n) = H_(n-1) - gamma and Stirling's series of psi
+    (DLMF 5.11.2) give
+
+        gamma = H_(n-1) - ln n + 1/(2n) + sum_{k<K} B_2k/(2k n^2k) + R_K,
+
+    where |R_K| is at most the first omitted term |B_2K|/(2K n^2K) for every
+    K (DLMF 5.11(ii), the lemma behind the kernel's S_1).  Summed at W = w
+    + g bits, g = bitlen(w) + 6: H_(n-1) as n - 1 floored quotients, low by
+    less than n - 1 units; ln n from _ln_pair; each term from _bernoulli
+    floored and ceiled.  K is the first k whose term, ceiled, is at most 1
+    or no smaller than the one before; that term bounds R_K on both sides.
+    The ends are floored and ceiled to 2^-w."""
+    g = w.bit_length() + 6
+    big_w = w + g
+    one = 1 << big_w
+    harmonic = sum(one // j for j in range(1, n))
+    ln_lo, ln_hi = _ln_pair(n, 1, big_w)
+    lo, hi = harmonic + one // (2 * n) - ln_hi, harmonic + n - 1 + _cdiv(one, 2 * n) - ln_lo
+    prev, k, power = None, 1, n * n
+    while True:
+        num, den = _bernoulli(2 * k)
+        top, bottom = num << big_w, 2 * k * den * power
+        t_lo, t_hi = top // bottom, _cdiv(top, bottom)
+        size = max(-t_lo, t_hi)  # ceil |term k|
+        if size <= 1 or (prev is not None and size >= prev):
+            return (lo - size) >> g, _cdiv(hi + size, 1 << g)
+        lo, hi, prev, k, power = lo + t_lo, hi + t_hi, size, k + 1, power * n * n
+
+
+@functools.lru_cache(maxsize=16)
+def _euler_pair(w: int) -> tuple:
+    """The interval of Euler's gamma at 2^-w, at most 2 units wide, once per
+    scale: _euler_at at n = W/2 + 8, W = w + bitlen(w) + 6, where the terms
+    fall below a unit of 2^-W long before they turn (their least is about
+    e^(-2 pi n)), so that the sum is off by less than n + K + 4 < 2^(g-1)
+    units of 2^-W."""
+    return _euler_at((w + w.bit_length() + 6) // 2 + 8, w)
+
+
 # the intervals at 2^-w of ln 2, ln(3/2), ln(4/27), ln(1 -+ 1/1000), ln pi and gamma
 _Logs = collections.namedtuple("_Logs", "ln2 ln3_2 ln4_27 ln999 ln1001 ln_pi euler")
 
@@ -352,13 +442,12 @@ _Logs = collections.namedtuple("_Logs", "ln2 ln3_2 ln4_27 ln999 ln1001 ln_pi eul
 @functools.lru_cache(maxsize=8)
 def _logs(w: int) -> _Logs:
     """_Logs at 2^-w, once per scale, each at most 8 units wide: the rational
-    logs from _ln_pair, ln pi from _ln_fixed at both ends of pi's interval,
-    widened by 2 units, and gamma, libmp's constant, from _fixed_pair."""
-    prec = w + 12
-    pi_lo, pi_hi = _fixed_pair(libmp.mpf_pi(prec), prec, w)
+    logs from _ln_pair, ln pi from _ln_fixed at both ends of _pi_pair,
+    widened by 2 units, and gamma from _euler_pair."""
+    pi_lo, pi_hi = _pi_pair(w)
     return _Logs(_ln_pair(2, 1, w), _ln_pair(3, 2, w), _ln_pair(4, 27, w), _ln_pair(999, 1000, w),
                  _ln_pair(1001, 1000, w), (_ln_fixed(pi_lo, 1 << w, w) - 2, _ln_fixed(pi_hi, 1 << w, w) + 2),
-                 _fixed_pair(libmp.mpf_euler(prec), prec, w))
+                 _euler_pair(w))
 
 
 def _u_ln(ui: int, s: int, num: int, den: int, wp: int, wl: int) -> tuple:
@@ -465,7 +554,10 @@ def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int 
             s, xf = 1 - den.bit_length(), x + 1
         else:  # xf from x as _split gives it, the largest float past the float range
             a, s = _split(x, prec)
-            xf = min(libmp.to_float(libmp.from_man_exp(a, s), rnd="n") + 1, sys.float_info.max)
+            try:  # the float nearest a 2^s: integer division rounds correctly
+                xf = min(a / (1 << -s) + 1, sys.float_info.max)
+            except OverflowError:
+                xf = sys.float_info.max
         step, wp = 1 << -s, max(wl, -s)  # x + j = (a + j step) 2^s
         thr, n = thr0, 0
         for _ in range(4):
@@ -514,20 +606,29 @@ def _stirling_defects(xs, cfg: PrecisionConfig = DEFAULT_CONFIG, max_order: int 
         yield x, a, s, fs, wp, errs
 
 
-def _rounded(fixed: int, wp: int, units: int, cfg: PrecisionConfig, name: str, x) -> SpecialValue:
-    """fixed 2^-wp, within units of 2^-wp of name's value at x, as a
-    SpecialValue: fixed rounded once to nearest into an mpf of prec bits,
-    the bits of cfg.dps, and the bound (units + d) 2^-wp rounded up to a
-    float, d the exact distance in units of the mpf from fixed.  DomainError
-    naming the function and x where that bound is past the float range."""
-    val = libmp.from_man_exp(fixed, -wp, _constants(cfg).prec, "n")
-    sign, man, exp, _ = val  # exp >= -wp: rounding only drops bits
-    moved = abs(((-man if sign else man) << (exp + wp)) - fixed)
+def _round(fixed: int, wp: int, units: int, prec: int, name: str, x) -> tuple:
+    """(man, e, bound): fixed 2^-wp rounded once to nearest, ties to even,
+    at prec bits as man 2^e, e >= -wp, and the bound (units + d) 2^-wp
+    rounded up to a float, d the exact distance in units of 2^-wp that the
+    rounding moved it, for a value within units of 2^-wp of fixed 2^-wp.
+    DomainError naming name and x where that bound is past the float
+    range."""
+    man, sh = _nearest(fixed, prec)
+    moved = abs((man << sh) - fixed)
     try:
         bound = math.nextafter((units + moved) / (1 << wp), math.inf)
     except OverflowError:
         raise DomainError(f"the error bound of {name} at x={x!r} exceeds the float range") from None
-    return SpecialValue(mp.make_mpf(val), bound)
+    return man, sh - wp, bound
+
+
+def _rounded(fixed: int, wp: int, units: int, cfg: PrecisionConfig, name: str, x) -> SpecialValue:
+    """fixed 2^-wp, within units of 2^-wp of name's value at x, as a
+    SpecialValue: _round's value at prec bits, the bits of cfg.dps, as an
+    mpf, and its bound."""
+    from mpmath import libmp, mp
+    man, e, bound = _round(fixed, wp, units, _constants(cfg).prec, name, x)
+    return SpecialValue(mp.make_mpf(libmp.from_man_exp(man, e)), bound)
 
 
 def _stirling_p(a: int, s: int, wp: int, wl: int) -> tuple:
@@ -661,7 +762,9 @@ def mathieu_partial(r, terms: int) -> SpecialValue:
 
 def euler_gamma(cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
     """Euler-Mascheroni constant as -psi(1) from digamma, with its bound.  No
-    claim reads it: Thm 3.2 takes libmp's constant as an interval (_logs)."""
+    claim reads it: Thm 3.2 takes gamma as the integer interval of
+    _euler_pair (_logs)."""
+    from mpmath import mp
     sv = digamma(1, cfg)
     with mp.workdps(cfg.dps):
         return SpecialValue(-sv.value, sv.abs_error_bound)

@@ -772,13 +772,13 @@ class TestRemark1:
 
     def test_one_exponential_per_point(self, monkeypatch):
         calls = []
-        mpf_exp = libmp.mpf_exp
+        exp_fixed = monotone._exp_fixed
 
-        def counting_exp(*args, **kwargs):
-            calls.append(args[0])
-            return mpf_exp(*args, **kwargs)
+        def counting_exp(num, den, wp):
+            calls.append(Fraction(num, den))
+            return exp_fixed(num, den, wp)
 
-        monkeypatch.setattr(libmp, "mpf_exp", counting_exp)
+        monkeypatch.setattr(monotone, "_exp_fixed", counting_exp)
         harness._remark1_pass.cache_clear()  # a cached pass would make no call
         reports = harness.run_suite("remark1")
         assert [r.verdict for r in reports] == ["verified"] * 3
@@ -877,14 +877,15 @@ class TestSharedWork:
 
     def test_shifted_closed_form_falsifies_laplace(self, monkeypatch):
         # the closed form moved by 2e-10 at x = 2 puts that residual beyond
-        # the claim's 1e-10, whatever the enclosure's width
-        closed = monotone.H_lambda_prime
+        # the claim's 1e-10, whatever the enclosure's width; the claim reads
+        # the closed form's integer, which H_lambda_prime rounds
+        closed = monotone._H_fixed
 
-        def shifted(x, lam, cfg):
-            sv = closed(x, lam, cfg)
-            return SpecialValue(sv.value + mp.mpf("2e-10"), sv.abs_error_bound) if x == 2.0 else sv
+        def shifted(k, x, lam, cfg):
+            big, wp, units = closed(k, x, lam, cfg)
+            return (big + (2 << wp) // 10 ** 10 if x == 2.0 else big), wp, units
 
-        monkeypatch.setattr(monotone, "H_lambda_prime", shifted)
+        monkeypatch.setattr(monotone, "_H_fixed", shifted)
         margin, at, verdict = harness._run_laplace(DEFAULT_CONFIG, harness._PHI_GRID)
         assert verdict == "falsified"
         assert at == 2.0 and margin < 0

@@ -592,6 +592,16 @@ class TestExactSeries:
         assert vals == sorted(vals)  # increases toward 3/2
         assert vals[-1] == pytest.approx(1.46328, abs=1e-4)
 
+    def test_kth_root_bound_is_the_nearest_float(self):
+        # e^(ln(b)/(k-3)) on the integer layer, rounded once: the float
+        # nearest the root, from mpmath at 200 bits, for every k the claim
+        # reads and a few beyond; at k = 4 the radicand is 1
+        assert kth_root_bound(4) == 1.0
+        for k in [*range(5, 201), 500, 2000]:
+            with mp.workprec(200):
+                b = (mp.mpf(3) ** (k - 2) - 1) / ((k - 2) * mp.mpf(2) ** (k - 2))
+                assert kth_root_bound(k) == float(b ** (1 / mp.mpf(k - 3))), k
+
 
 def test_default_cm_grid_shape():
     grid = default_cm_grid()

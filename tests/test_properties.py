@@ -21,9 +21,10 @@ import contextlib
 import io
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv, libmp, mp
 
 from gammacert import (
@@ -616,3 +617,116 @@ def test_remark1_intervals_hold_their_margins(x, digits):
         margins = (xb - (u - xm ** 2 * u / 24), (u - xm ** 2 * u ** 3 / 24) - xb, xb - u ** 2, u - xb)
         for i, ((lo, hi), margin) in enumerate(zip(intervals, margins)):
             assert lo <= mp.ldexp(margin, 2 * wp) <= hi, (x, digits, i)
+
+
+# --- the integer exp of monotone: its lemma step by step, then the whole ----
+
+
+def _exp_reference(num, d, wp):
+    """e^q 2^wp, q = num/2^d, from mpmath with 80 bits below the unit."""
+    with mp.workprec(wp + 80 + max(0, 2 * num // (1 << d)) + num.bit_length()):
+        return mp.ldexp(mp.exp(mp.ldexp(num, -d)), wp)
+
+
+def _near_ln2_multiple(k, delta, d):
+    """num of q = num/2^d, the binary fraction nearest k ln 2 moved by delta units."""
+    with mp.workprec(d + 64):
+        return int(mp.nint(mp.ldexp(k * mp.ln2, d))) + delta
+
+
+_exp_q = st.one_of(
+    st.integers(0, 300).flatmap(lambda d: st.tuples(st.integers(-800 << d, 800 << d), st.just(d))),
+    st.tuples(st.integers(-1154, 1154), st.integers(-4, 4), st.integers(0, 120)).map(
+        lambda kdd: (_near_ln2_multiple(*kdd), kdd[2])),
+)
+
+
+@given(q=_exp_q, wp=st.integers(106, 1000))
+@example(q=(1, 300), wp=106)  # e^(2^-300): the series' count alone lifts the upper end
+@example(q=(-1, 300), wp=106)
+@example(q=(800, 0), wp=1000)
+@example(q=(-800, 0), wp=106)
+@settings(max_examples=150, deadline=None)
+def test_exp_holds_mpmaths_value(q, wp):
+    # both ends of the integer exp hold e^q 2^wp from mpmath at wp + 80
+    # bits, at most 2 units apart as its lemma states for |q| <= 800, also
+    # for q next to a multiple of ln 2, where the reduction's r is near 0
+    # or near ln 2
+    num, d = q
+    lo, hi = monotone._exp_fixed(num, 1 << d, wp)
+    exact = _exp_reference(num, d, wp)
+    assert lo <= exact <= hi, (num, d, wp)
+    assert hi - lo <= 2, (num, d, wp)
+
+
+@given(k=st.integers(-1154, 1154), delta=st.integers(-3, 3), d=st.integers(0, 200), w=st.integers(20, 1100))
+@settings(max_examples=100, deadline=None)
+def test_exp_reduction_holds_q_less_k_ln2(k, delta, d, w):
+    # r_lo <= q - k ln 2 <= r_hi exactly, 0 <= r_lo < ln 2, for q next to a
+    # multiple of ln 2, where the end of ln 2 taken decides the sign of r
+    num = _near_ln2_multiple(k, delta, d)
+    kk, r_lo, r_hi = monotone._exp_reduce(num, num, d, w)
+    with mp.workprec(w + d + 200):
+        r = mp.ldexp(mp.ldexp(num, -d) - kk * mp.ln2, w)
+        assert r_lo <= r <= r_hi and 0 <= r_lo < mp.ldexp(mp.ln2, w), (num, d, w)
+    assert r_hi - r_lo <= 3 * abs(kk) + 2
+
+
+@given(w=st.integers(12, 1100), frac=st.fractions(0, 1), dr=st.integers(0, 8))
+@example(w=106, frac=0, dr=1)
+@settings(max_examples=100, deadline=None)
+def test_exp_series_holds_e_to_the_y(w, frac, dr):
+    # S <= 2^w e^y <= S_hi at both ends of [r, r + dr] 2^-w, r < 2^(w-7)
+    r = int(frac * ((1 << (w - 7)) - 1))
+    s, s_hi = monotone._exp_series(r, dr, w)
+    with mp.workprec(w + 80):
+        assert s <= mp.ldexp(mp.exp(mp.ldexp(r, -w)), w), (w, r)
+        assert mp.ldexp(mp.exp(mp.ldexp(r + dr, -w)), w) <= s_hi, (w, r, dr)
+
+
+@pytest.mark.parametrize("big_b", [64, 128, 192, 1088, 1152])
+def test_exp_table_entries_are_floored_below_their_values(big_b):
+    table = monotone._exp_table(big_b)
+    assert len(table) == 89 and table[0] == 1 << big_b
+    with mp.workprec(big_b + 80):
+        for c, entry in enumerate(table):
+            exact = mp.ldexp(mp.exp(mp.mpf(c) / 128), big_b)
+            assert exact - mp.mpf(3) / 2 < entry <= exact, (big_b, c)
+
+
+# --- the integer layer's other conversions, against the libmp calls they replace
+
+
+@given(num=st.integers(-2 ** 200, 2 ** 200), den=st.integers(1, 2 ** 200), prec=st.integers(1, 400))
+@settings(max_examples=200, deadline=None)
+def test_man_exp_rounds_a_fraction_as_libmp_does(num, den, prec):
+    # a non-dyadic Fraction is rounded once to nearest at prec bits, as
+    # from_rational rounds it (a dyadic one is read exactly)
+    v = Fraction(num, den)
+    assume(v.denominator & (v.denominator - 1))
+    expected = libmp.from_rational(v.numerator, v.denominator, prec, "n")
+    sign, man, e, _ = expected
+    assert specfun._man_exp(v, prec) == ((-man if sign else man), e if man else 0)
+
+
+@given(fixed=st.integers(-2 ** 400, 2 ** 400), wp=st.integers(0, 500), prec=st.integers(1, 300),
+       ties=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_round_is_libmps_nearest_even(fixed, wp, prec, ties):
+    # the value, as from_man_exp rounds it, and the bound with the distance
+    # moved; ties: fixed ends in a one and zeros past prec bits
+    if ties and fixed:
+        fixed = (fixed >> 5 << 5) | 16
+    man, e, bound = specfun._round(fixed, wp, 3, prec, "f", 1.0)
+    raw = libmp.from_man_exp(fixed, -wp, prec, "n")
+    assert libmp.from_man_exp(man, e) == raw
+    moved = abs(Fraction(man) * Fraction(2) ** e * 2 ** wp - fixed)
+    assert bound == math.nextafter((3 + moved) / 2 ** wp, math.inf) >= Fraction(3 + moved, 2 ** wp)
+
+
+@given(n=st.integers(1, 2 ** 300), w=st.integers(0, 600))
+@settings(max_examples=200, deadline=None)
+def test_float_below_is_libmps_truncation(n, w):
+    # lambda_star's lower end: for n > 0 the largest float <= n 2^-w is
+    # libmp's to_float, which truncates
+    assert monotone._float_below(n, w) == libmp.to_float(libmp.from_man_exp(n, -w))

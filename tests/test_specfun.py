@@ -725,8 +725,8 @@ class TestEulerGamma:
             assert abs(float(sv.value - mp.euler)) <= sv.abs_error_bound
 
     @pytest.mark.parametrize("digits", [15, 30, 60])
-    def test_harmonic_constants_read_mpmaths_gamma(self, digits):
-        # Thm 3.2's gamma is the interval at 2^-wl of libmp's constant: a
+    def test_harmonic_constants_hold_mpmaths_gamma(self, digits):
+        # Thm 3.2's gamma is the integer interval at 2^-wl of _euler_pair: a
         # unit or two wide, it holds mpmath's gamma at three times the digits
         # and euler_gamma's value within that one's bound
         cfg = PrecisionConfig(working_digits=digits)
@@ -744,6 +744,64 @@ class TestEulerGamma:
         sv = euler_gamma(PrecisionConfig(working_digits=digits))
         with mp.workdps(60):
             assert abs(sv.value - mp.euler) <= sv.abs_error_bound
+
+
+class TestIntegerConstants:
+    # pi and gamma are integer intervals of specfun (Machin's formula and
+    # Euler-Maclaurin), cached per scale; no claim reads mpmath's constants
+
+    @pytest.mark.parametrize("digits", [15, 30, 60, 291])
+    def test_pi_and_gamma_hold_mpmaths_values(self, digits):
+        cfg = PrecisionConfig(working_digits=digits)
+        for w in (specfun._constants(cfg).wl, specfun._constants(cfg).wl + 8):
+            with mp.workdps(3 * cfg.dps):
+                for (lo, hi), exact in ((specfun._pi_pair(w), mp.pi), (specfun._euler_pair(w), mp.euler)):
+                    assert mp.ldexp(lo, -w) <= exact <= mp.ldexp(hi, -w), (digits, w)
+                    assert 0 < hi - lo <= 5, (digits, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_euler_maclaurin_remainder_holds_at_a_small_point(self, n):
+        # at a small n the walk stops where the terms turn, and the first
+        # omitted term, which bounds the remainder, is most of the width
+        lo, hi = specfun._euler_at(n, 64)
+        with mp.workprec(200):
+            assert mp.ldexp(lo, -64) <= mp.euler <= mp.ldexp(hi, -64), n
+        assert hi - lo > 2 ** 10 if n <= 5 else hi - lo <= 5
+
+    def test_precision_is_mpmaths_dps_to_prec(self):
+        from mpmath import libmp
+
+        for digits in range(15, MAX_WORKING_DIGITS + 1):
+            cfg = PrecisionConfig(working_digits=digits)
+            assert specfun._constants(cfg).prec == libmp.dps_to_prec(cfg.dps), digits
+
+
+def test_public_values_are_mpmath_types():
+    # the claims never import mpmath, but the public functions still hand
+    # out its mpf and iv values
+    from mpmath import iv
+
+    assert isinstance(ln_gamma(1.5).value, mp.mpf)
+    assert isinstance(monotone.H_lambda(1.0, 0.5).value, mp.mpf)
+    enc = monotone.laplace_enclosure(1.0, 0.5)
+    assert isinstance(enc, iv.mpf) and enc.a <= enc.b
+
+
+def test_verify_and_lambda_star_never_import_mpmath():
+    code = (
+        "import contextlib, io, sys\n"
+        "from gammacert import cli\n"
+        "for argv in (['verify', '--suite', 'all'],\n"
+        "             ['verify', '--suite', 'thm3.1', '--grid', '1.1e-3:100:4000:log'],\n"
+        "             ['lambda-star']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    assert 'mpmath' not in sys.modules, argv\n"
+    )
+    src = os.path.dirname(os.path.dirname(specfun.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_precision_config_holds_working_digits_only():
